@@ -3,10 +3,18 @@
 Exit codes: 0 success; 1 invalid input data (parse or validation
 failures, bad flags); 2 analysis completed but some verdict is
 undetermined or the field is unsupported for a requested check;
-3 internal oracle disagreement (a bug, never expected on valid data).
+3 internal error (a bug, never expected on valid data).
+
+No library exception ends in a traceback.  Exit 1, the input is at
+fault: `FieldError`, `NotFusion`, `NotSemisimpleAlgebra`,
+`InseparableExtension`.  Exit 3, the engine is at fault:
+`OracleDisagreement`, `LinAlgError` (with `SingularMatrix`),
+`PreconditionViolated` (a criterion run outside its domain).
 
 The environment variable TENSORCAT_BUDGET overrides the deterministic
-search budgets (default 4096 candidate evaluations).
+search budgets (default 4096 candidate evaluations).  It is checked
+before any command runs: a value that is not an integer exits 1, and
+integers below 1 count as 1.
 """
 
 import argparse
@@ -14,14 +22,16 @@ import sys
 
 from .algebra import validate_algebra
 from .catalog import UnknownEntry, make_algebra, standard_entries
-from .fields import Embedding, NotAnEmbedding
+from .fields import Embedding, FieldError, NotAnEmbedding
 from .fincat import ValidationFailure, validate_category
 from .fileio import (FormatError, algebra_from_json, algebra_to_json,
                      category_from_json, category_to_json, dumps_canonical,
                      field_from_json, load_json, report_schema, save_json)
-from .structure import (InseparableExtension, NotFusion, OracleDisagreement,
-                        analyze, base_extend_algebra, center_semisimple_verdict,
-                        global_dimension, matrix_decomposition)
+from .linalg import LinAlgError
+from .structure import (InseparableExtension, NotFusion, NotSemisimpleAlgebra,
+                        OracleDisagreement, PreconditionViolated, analyze,
+                        base_extend_algebra, global_dimension,
+                        matrix_decomposition, search_budget)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -181,6 +191,8 @@ def _analyze_one(cat_path: str, alg_path: str) -> dict:
 
 
 def _cmd_analyze(args, out) -> int:
+    if args.jobs < 1:
+        raise CLIError(f"--jobs must be at least 1, got {args.jobs}")
     paths = [(args.category, a) for a in args.algebras]
     if args.jobs > 1 and len(paths) > 1:
         import concurrent.futures as cf
@@ -226,7 +238,6 @@ def _cmd_global_dim(args, out) -> int:
 def _cmd_decompose(args, out) -> int:
     cat = _load_validated_category(args.category)
     alg = _load_algebra(cat, args.algebra)
-    from .structure import NotSemisimpleAlgebra
     try:
         md = matrix_decomposition(cat, alg)
     except NotSemisimpleAlgebra as exc:
@@ -397,6 +408,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     try:
+        try:
+            search_budget()
+        except ValueError as exc:
+            raise CLIError(str(exc)) from exc
         if args.verb == "validate":
             return _cmd_validate(args, out)
         if args.verb == "analyze":
@@ -420,16 +435,16 @@ def main(argv=None) -> int:
     except CLIError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except (FormatError, ValidationFailure, UnknownEntry) as exc:
+    except (FormatError, ValidationFailure, UnknownEntry, FieldError,
+            NotFusion, NotSemisimpleAlgebra, InseparableExtension) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except OracleDisagreement as exc:
         sys.stderr.write(f"internal oracle disagreement: {exc}\n")
         return EXIT_DISAGREEMENT
-
-
-def console() -> None:
-    sys.exit(main())
+    except (LinAlgError, PreconditionViolated) as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_DISAGREEMENT
 
 
 if __name__ == "__main__":

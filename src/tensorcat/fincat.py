@@ -712,12 +712,6 @@ class CategoryPres:
                         self.coev_left(X), self.ev_left(X))
 
     # -- rebracketing helper -------------------------------------------------------
-    def tree_obj(self, tree):
-        if isinstance(tree, Obj):
-            return tree
-        left, right = tree
-        return self.tensor(self.tree_obj(left), self.tree_obj(right))
-
     def _tree_key(self, tree):
         if isinstance(tree, Obj):
             return ("L", tree.key)
@@ -812,13 +806,6 @@ class CategoryPres:
              @ self.associator_inv(X, Xv, Z)
              @ self.tensor_mor(self.id(X), k))
         return m
-
-    def mate(self, h: Mor, X: Obj, Y: Obj, side: str) -> Mor:
-        if side == "right":
-            return self.mate_right(h, X, Y)
-        if side == "left":
-            return self.mate_left(h, X, Y)
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
     # -- base extension ---------------------------------------------------------------
     def scalar_extend(self, emb) -> "CategoryPres":

@@ -149,12 +149,16 @@ class Matrix:
         return f"[{body}]"
 
     # -- elimination ---------------------------------------------------------
-    def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column list)."""
+    def rref(self, pivot_cols: int | None = None):
+        """Reduced row echelon form; returns (matrix, pivot column list).
+
+        With `pivot_cols` = n, pivots are sought only in the first n
+        columns; row operations still act on whole rows, so the columns
+        after them are carried along as right-hand sides."""
         m = [list(r) for r in self.a]
         pivots = []
         r = 0
-        for c in range(self.cols):
+        for c in range(self.cols if pivot_cols is None else pivot_cols):
             pr = None
             for i in range(r, self.rows):
                 if not m[i][c].is_zero():
@@ -204,17 +208,31 @@ class Matrix:
 
     def solve(self, b: list):
         """One solution of A x = b, or None when the system is infeasible."""
-        if len(b) != self.rows:
-            raise LinAlgError("rhs length mismatch")
-        aug = Matrix(self.field, [row + [b[i]] for i, row in enumerate(self.a)])
-        R, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        z = self.field.zero()
-        x = [z] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.a[r][self.cols]
-        return x
+        return self.solve_many([b])[0]
+
+    def solve_many(self, bs: list) -> list:
+        """One solution of A x = b for each b in `bs` (None where that
+        system is infeasible), from a single elimination of
+        [A | b_1 ... b_k]."""
+        n = self.cols
+        for b in bs:
+            if len(b) != self.rows:
+                raise LinAlgError("rhs length mismatch")
+        aug = Matrix._raw(self.field, self.rows, n + len(bs),
+                          [row + [b[i] for b in bs]
+                           for i, row in enumerate(self.a)])
+        R, pivots = aug.rref(pivot_cols=n)
+        out = []
+        for t in range(n, n + len(bs)):
+            # rows below the rank are zero on A: b_t must vanish there
+            if any(not row[t].is_zero() for row in R.a[len(pivots):]):
+                out.append(None)
+                continue
+            x = [self.field.zero()] * n
+            for row, pc in zip(R.a, pivots):
+                x[pc] = row[t]
+            out.append(x)
+        return out
 
     def inv(self) -> "Matrix":
         if self.rows != self.cols:
@@ -259,8 +277,3 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-    def column_space_basis(self) -> list:
-        """Pivot columns of the matrix (a basis of the column space)."""
-        _, pivots = self.rref()
-        return [self.col(j) for j in pivots]

@@ -7,10 +7,10 @@ cokernels, and endomorphism algebras of projective generators land in
 """
 
 from .algebra import AlgebraPres, validate_algebra
-from .fincat import (CategoryPres, Mor, Obj, ValidationFailure,
-                     ValidationReport, hom_coords, hom_dim, mor_from_coords)
+from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
+                     hom_coords, mor_from_coords)
 from .linalg import Matrix
-from .ordalg import (NotSemisimple, OrdAlgebra, OrdModule, central_idempotents,
+from .ordalg import (OrdAlgebra, OrdModule, central_idempotents,
                      lift_idempotent, primitive_idempotent, quotient_algebra,
                      radical, subalgebra_on, _Rowspace)
 
@@ -278,15 +278,21 @@ class EndData:
 
     def express(self, i, j, mor: Mor) -> list:
         """Coordinates of a module map P_j -> P_i in the chosen basis."""
-        hs = self.blocks.get((i, j), [])
-        if not hs:
-            if mor.is_zero():
-                return []
+        return self.express_many(i, j, [mor])[0]
+
+    def express_many(self, i, j, mors) -> list:
+        """Coordinates of several module maps P_j -> P_i, from one
+        elimination of the block's solver against all of them.  `mors`
+        may be a generator: only the flat coordinates are kept."""
+        rhs = [m.coords() for m in mors]
+        if not self.blocks.get((i, j)):
+            if any(not c.is_zero() for v in rhs for c in v):
+                raise ValidationFailure("morphism outside the hom space")
+            return [[] for _ in rhs]
+        sols = self._solvers[(i, j)].solve_many(rhs)
+        if any(sol is None for sol in sols):
             raise ValidationFailure("morphism outside the hom space")
-        sol = self._solvers[(i, j)].solve(mor.coords())
-        if sol is None:
-            raise ValidationFailure("morphism outside the hom space")
-        return sol
+        return sols
 
     def _build_algebra(self) -> OrdAlgebra:
         field = self.field
@@ -296,17 +302,23 @@ class EndData:
         pos = {}
         for k, (i, j, _m) in enumerate(self.basis):
             pos.setdefault((i, j), []).append(k)
-        for k1, (i1, j1, m1) in enumerate(self.basis):
-            for k2, (i2, j2, m2) in enumerate(self.basis):
-                if j1 != i2:
+        size = len(self.modules)
+        # the products m1 o m2 landing in block (i1, j2), one block at a
+        # time, so only one block's products are held at once
+        for i1 in range(size):
+            for j2 in range(size):
+                pairs = [(k1, k2) for j1 in range(size)
+                         for k1 in pos.get((i1, j1), [])
+                         for k2 in pos.get((j1, j2), [])]
+                if not pairs:
                     continue
-                comp = m1 @ m2
-                coords = self.express(i1, j2, comp)
-                pairs = []
-                for idx, c in zip(pos.get((i1, j2), []), coords):
-                    if not c.is_zero():
-                        pairs.append((idx, c))
-                sc[k1][k2] = pairs
+                sols = self.express_many(
+                    i1, j2, (self.basis[k1][2] @ self.basis[k2][2]
+                             for k1, k2 in pairs))
+                for (k1, k2), coords in zip(pairs, sols):
+                    sc[k1][k2] = [(idx, c) for idx, c in
+                                  zip(pos.get((i1, j2), []), coords)
+                                  if not c.is_zero()]
         unit = [field.zero()] * n
         for i, p in enumerate(self.modules):
             ident = p.cat.id(p.carrier)
@@ -388,22 +400,18 @@ def module_over_end(end: EndData, y: ModulePres) -> OrdModule:
     for j, hs in enumerate(hom_bases):
         offsets[j] = off
         off += len(hs)
-    action = []
-    for (bi, bj, bm) in end.basis:
-        mat = Matrix.zeros(field, dim, dim)
-        for k, (j, m) in enumerate(flat):
-            if j != bi:
-                continue
-            comp = m @ bm       # P_bj -> y
-            sol = solvers.get(bj)
-            if sol is None:
-                continue
-            coords = sol.solve(comp.coords())
+    action = [Matrix.zeros(field, dim, dim) for _ in end.basis]
+    # the products m o bm land in Hom(P_bj, y): one solve per target bj
+    for j in solvers:
+        jobs = [(b, k) for b, (bi, bj, _bm) in enumerate(end.basis)
+                if bj == j for k, (mj, _m) in enumerate(flat) if mj == bi]
+        sols = solvers[j].solve_many(
+            [(flat[k][1] @ end.basis[b][2]).coords() for b, k in jobs])
+        for (b, k), coords in zip(jobs, sols):
             if coords is None:
                 raise ValidationFailure("hom space not closed under action")
             for t, c in enumerate(coords):
-                mat.a[k][offsets[bj] + t] = c
-        action.append(mat)
+                action[b].a[k][offsets[j] + t] = c
     return OrdModule(end.algebra, dim, action, validate=False)
 
 
@@ -498,27 +506,7 @@ def split_idempotent_module(P: ModulePres, e: Mor):
     """Image of an idempotent module endomorphism, as a module with
     inclusion and retraction."""
     cat = P.cat
-    field = cat.field
-    iblocks, pblocks = {}, {}
-    mults = {}
-    for a in P.carrier.support:
-        m = e.block(a)
-        _r, pivots = m.rref()
-        cols = [m.col(j) for j in pivots]
-        mults[a] = len(cols)
-        if not cols:
-            continue
-        incl = Matrix.from_cols(field, cols)
-        proj = Matrix.zeros(field, len(cols), P.carrier.mult(a))
-        for j in range(P.carrier.mult(a)):
-            coords = incl.solve(m.col(j))
-            for r, c in enumerate(coords):
-                proj.a[r][j] = c
-        iblocks[a] = incl
-        pblocks[a] = proj
-    q = Obj(cat, mults)
-    incl_m = Mor(cat, q, P.carrier, iblocks)
-    proj_m = Mor(cat, P.carrier, q, pblocks)
+    q, incl_m, proj_m = _split_idempotent_obj(cat, P.carrier, e)
     c = P.algebra.carrier
     action = proj_m @ P.action @ cat.tensor_mor(incl_m, cat.id(c))
     sub = ModulePres(P.algebra, q, action, side=P.side)
@@ -853,8 +841,8 @@ def _split_idempotent_obj(cat, T: Obj, e: Mor):
             continue
         incl = Matrix.from_cols(field, cols)
         proj = Matrix.zeros(field, len(cols), T.mult(a))
-        for j in range(T.mult(a)):
-            coords = incl.solve(m.col(j))
+        sols = incl.solve_many([m.col(j) for j in range(T.mult(a))])
+        for j, coords in enumerate(sols):
             for r, cc in enumerate(coords):
                 proj.a[r][j] = cc
         iblocks[a] = incl

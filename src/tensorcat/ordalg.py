@@ -14,9 +14,9 @@ algebras fall back to the left regular representation.
 
 from fractions import Fraction
 
-from .fields import Field, Scalar, is_prime
+from .fields import Field, Scalar
 from .linalg import Matrix
-from .poly import Poly, factor, gcd
+from .poly import Poly, factor
 
 
 class OrdAlgebraError(Exception):
@@ -55,14 +55,6 @@ class OrdAlgebra:
         self.rep = rep
         if validate:
             self._validate()
-
-    @staticmethod
-    def from_dense(field: Field, table, unit, rep=None, validate=True):
-        """table[i][j] = dense coefficient list of b_i b_j."""
-        dim = len(table)
-        sc = [[[(l, c) for l, c in enumerate(row) if not c.is_zero()]
-               for row in table_i] for table_i in table]
-        return OrdAlgebra(field, dim, sc, unit, rep=rep, validate=validate)
 
     def mult_vec(self, x, y):
         """Product of two coordinate vectors."""
@@ -187,7 +179,9 @@ class OrdAlgebra:
     def _nat_traces(self):
         out = []
         for i in range(self.dim):
-            blocks = self._rep_blocks_of_vec(self.basis_vec(i))
+            # a basis element's blocks are rep[i] itself: no need to scale
+            blocks = (self.rep[i] if self.rep is not None
+                      else self._rep_blocks_of_vec(self.basis_vec(i)))
             t = self.field.zero()
             for m in blocks:
                 for r in range(m.rows):
@@ -590,17 +584,16 @@ def subalgebra_on(E: OrdAlgebra, vectors, unit_vec, validate=False):
     field = E.field
     mat = Matrix.from_cols(field, vectors)
     dim = len(vectors)
-    sc = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            prod = E.mult_vec(vectors[i], vectors[j])
-            coords = mat.solve(prod)
-            if coords is None:
-                raise OrdAlgebraError("subspace is not closed under product")
-            sc[i][j] = [(l, c) for l, c in enumerate(coords) if not c.is_zero()]
-    ucoords = mat.solve(unit_vec)
+    sols = mat.solve_many([E.mult_vec(vectors[i], vectors[j])
+                           for i in range(dim) for j in range(dim)]
+                          + [unit_vec])
+    if any(c is None for c in sols[:-1]):
+        raise OrdAlgebraError("subspace is not closed under product")
+    ucoords = sols[-1]
     if ucoords is None:
         raise OrdAlgebraError("unit does not lie in the subspace")
+    sc = [[[(l, c) for l, c in enumerate(sols[i * dim + j])
+            if not c.is_zero()] for j in range(dim)] for i in range(dim)]
     B = OrdAlgebra(field, dim, sc, ucoords, validate=validate)
 
     def embed(coords):
@@ -873,15 +866,19 @@ class OrdModule:
         return out
 
     def act_vec(self, v, x) -> list:
-        m = self.act_matrix(x)
+        """v . x = v @ act_matrix(x), without building that matrix."""
         z = self.field.zero()
+        terms = [(c, self.action[i].a) for i, c in enumerate(x)
+                 if not c.is_zero()]
         out = [z] * self.dim
         for j, vj in enumerate(v):
             if vj.is_zero():
                 continue
-            for k in range(self.dim):
-                if not m.a[j][k].is_zero():
-                    out[k] = out[k] + vj * m.a[j][k]
+            for c, rows in terms:
+                f = vj * c
+                for k, y in enumerate(rows[j]):
+                    if not y.is_zero():
+                        out[k] = out[k] + f * y
         return out
 
     def spin(self, v) -> list:
@@ -902,25 +899,16 @@ class OrdModule:
 
     def restrict(self, sub_basis) -> "OrdModule":
         field = self.field
-        mat = Matrix.from_cols(field, sub_basis).transpose()
-        # rows of mat are the basis vectors
-        action = []
-        solver = Matrix.from_cols(field, sub_basis)
-        for i in range(self.algebra.dim):
-            rows = []
-            for v in sub_basis:
-                img = self.act_vec(v, self.algebra.basis_vec(i))
-                coords = solver.solve(img)
-                if coords is None:
-                    raise OrdAlgebraError("subspace is not a submodule")
-                rows.append(coords)
-            action.append(Matrix(field, rows))
-        return OrdModule(self.algebra, len(sub_basis), action, validate=False)
-
-    def serialize(self) -> dict:
-        return {"dim": self.dim,
-                "action": [[[c.serialize() for c in row] for row in m.a]
-                           for m in self.action]}
+        E = self.algebra
+        k = len(sub_basis)
+        images = [self.act_vec(v, E.basis_vec(i))
+                  for i in range(E.dim) for v in sub_basis]
+        coords = Matrix.from_cols(field, sub_basis).solve_many(images)
+        if any(c is None for c in coords):
+            raise OrdAlgebraError("subspace is not a submodule")
+        action = [Matrix(field, coords[i * k:(i + 1) * k])
+                  for i in range(E.dim)]
+        return OrdModule(E, k, action, validate=False)
 
 
 def module_hom_space(M: OrdModule, N: OrdModule) -> list:
@@ -981,20 +969,19 @@ def module_is_simple(E: OrdAlgebra, M: OrdModule):
 def _endo_algebra(M: OrdModule, end_basis) -> OrdAlgebra:
     field = M.field
     dimE = len(end_basis)
-    flat = [ [m.a[r][c] for r in range(M.dim) for c in range(M.dim)]
-             for m in end_basis]
-    solver = Matrix.from_cols(field, flat)
-    sc = [[None] * dimE for _ in range(dimE)]
-    for i in range(dimE):
-        for j in range(dimE):
-            prod = end_basis[i] @ end_basis[j]
-            coords = solver.solve([prod.a[r][c] for r in range(M.dim)
-                                   for c in range(M.dim)])
-            sc[i][j] = [(l, c) for l, c in enumerate(coords)
-                        if not c.is_zero()]
-    unit = solver.solve([Matrix.identity(field, M.dim).a[r][c]
-                         for r in range(M.dim) for c in range(M.dim)])
-    return OrdAlgebra(field, dimE, sc, unit, validate=False)
+
+    def flat(m):
+        return [m.a[r][c] for r in range(M.dim) for c in range(M.dim)]
+
+    solver = Matrix.from_cols(field, [flat(m) for m in end_basis])
+    # every product and the identity, against one elimination
+    rhs = [flat(end_basis[i] @ end_basis[j])
+           for i in range(dimE) for j in range(dimE)]
+    rhs.append(flat(Matrix.identity(field, M.dim)))
+    sols = solver.solve_many(rhs)
+    sc = [[[(l, c) for l, c in enumerate(sols[i * dimE + j])
+            if not c.is_zero()] for j in range(dimE)] for i in range(dimE)]
+    return OrdAlgebra(field, dimE, sc, sols[-1], validate=False)
 
 
 def _matrix_min_poly(m: Matrix) -> Poly:

@@ -166,10 +166,6 @@ class Poly:
             acc = acc * inner + Poly(self.field, [c])
         return acc
 
-    def shift(self, a: Scalar) -> "Poly":
-        """f(x + a)."""
-        return self.compose(Poly(self.field, [a, self.field.one()]))
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and other.field == self.field
                 and other.coeffs == self.coeffs)

@@ -13,13 +13,13 @@ the environment variable TENSORCAT_BUDGET can override.
 """
 
 import os
-from fractions import Fraction
+from functools import cached_property
 
 from .algebra import AlgebraPres, validate_algebra
 from .fields import Embedding, Field, Scalar
-from .fincat import CategoryPres, Mor, Obj, ValidationFailure, hom_dim
+from .fincat import CategoryPres, Mor, Obj, hom_dim
 from .linalg import Matrix
-from .modcat import (EndData, ModulePres, algebra_as_module,
+from .modcat import (EndData, algebra_as_module,
                      bimodule_end_algebra, end_algebra, free_module,
                      hom_basis, internal_hom, module_dual, module_internal_end,
                      module_over_end, simple_modules)
@@ -50,10 +50,16 @@ class InseparableExtension(Exception):
 
 
 def search_budget() -> int:
+    """The budget in force: TENSORCAT_BUDGET clamped to at least 1, or the
+    default; a value that is not an integer raises ValueError."""
     raw = os.environ.get("TENSORCAT_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    return max(1, int(raw))
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(
+            f"TENSORCAT_BUDGET must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -98,43 +104,66 @@ def base_extend_algebra(C: CategoryPres, A: AlgebraPres, emb: Embedding):
 # individual criteria
 
 class AlgebraAnalysisContext:
-    """Caches the expensive module-category data for one (C, A) pair."""
+    """The one cache of per-analysis facts for a (C, A) pair.
+
+    Each fact is computed on first use and shared by every criterion
+    that is handed this context:
+
+    * `end`: the endomorphism data of the free-module generator;
+    * `radical`: the radical of `end.algebra` (the module radical);
+    * `division`: the three-valued division verdict;
+    * `simples`: the simple modules and their multiplicities;
+    * `internal_homs`: the objects [x_i, x_j] for all pairs of simples;
+    * `sim_classes`: the partition of the simples under nonvanishing
+      internal hom.
+
+    Criteria called without a context build a fresh one.
+    """
 
     def __init__(self, C: CategoryPres, A: AlgebraPres):
         self.C = C
         self.A = A
-        self._end = None
-        self._simples = None
 
-    @property
+    @cached_property
     def end(self) -> EndData:
-        if self._end is None:
-            frees = [free_module(self.C.simple(a), self.A)
-                     for a in self.C.labels]
-            frees = [f for f in frees if not f.carrier.is_zero()]
-            self._end = end_algebra(frees)
-        return self._end
+        frees = [free_module(self.C.simple(a), self.A) for a in self.C.labels]
+        return end_algebra([f for f in frees if not f.carrier.is_zero()])
 
-    @property
+    @cached_property
+    def radical(self) -> list:
+        return radical(self.end.algebra)
+
+    @cached_property
+    def division(self):
+        M = module_over_end(self.end, algebra_as_module(self.A))
+        return module_is_simple(self.end.algebra, M)
+
+    @cached_property
     def simples(self):
-        if self._simples is None:
-            self._simples = simple_modules(self.A)
-        return self._simples
+        return simple_modules(self.A)
+
+    @cached_property
+    def internal_homs(self) -> dict:
+        sims = [s for s, _i, _r in self.simples.simples]
+        return {(i, j): internal_hom(si, sj)
+                for i, si in enumerate(sims) for j, sj in enumerate(sims)}
+
+    @cached_property
+    def sim_classes(self) -> list:
+        return _sim_classes(self)
 
 
 def is_semisimple_algebra(C: CategoryPres, A: AlgebraPres,
                           ctx: AlgebraAnalysisContext | None = None) -> bool:
     ctx = ctx or AlgebraAnalysisContext(C, A)
-    return not radical(ctx.end.algebra)
+    return not ctx.radical
 
 
 def is_division_algebra(C: CategoryPres, A: AlgebraPres,
                         ctx: AlgebraAnalysisContext | None = None):
     """Whether A is simple as a right module over itself; three-valued."""
     ctx = ctx or AlgebraAnalysisContext(C, A)
-    amod = algebra_as_module(A)
-    M = module_over_end(ctx.end, amod)
-    return module_is_simple(ctx.end.algebra, M)
+    return ctx.division
 
 
 def is_simple_algebra(C: CategoryPres, A: AlgebraPres,
@@ -142,18 +171,15 @@ def is_simple_algebra(C: CategoryPres, A: AlgebraPres,
     ctx = ctx or AlgebraAnalysisContext(C, A)
     if not is_semisimple_algebra(C, A, ctx):
         return False
-    classes = _sim_classes(ctx)
-    return len(classes) == 1
+    return len(ctx.sim_classes) == 1
 
 
 def _sim_classes(ctx) -> list:
     """Partition of the simple modules under nonvanishing internal hom."""
-    sims = [s for s, _i, _r in ctx.simples.simples]
-    n = len(sims)
-    related = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            related[i][j] = not internal_hom(sims[i], sims[j]).is_zero()
+    n = len(ctx.simples.simples)
+    homs = ctx.internal_homs
+    related = [[not homs[(i, j)].is_zero() for j in range(n)]
+               for i in range(n)]
     for i in range(n):
         if not related[i][i]:
             raise OracleDisagreement("internal end of a simple module vanished")
@@ -209,16 +235,6 @@ def is_separable(C: CategoryPres, A: AlgebraPres) -> bool:
     rhs = (cat.id(c).coords()
            + [field.zero()] * (2 * hom_dim(sq, sq)))
     return Matrix.from_cols(field, cols).solve(rhs) is not None
-
-
-def bimodule_semisimple(C: CategoryPres, A: AlgebraPres) -> bool:
-    """Semisimplicity of the bimodule category via the radical of the
-    endomorphism algebra of its projective generator.
-
-    This is the separability criterion that is independent of the direct
-    section-feasibility test; analyze() runs both and compares."""
-    end = bimodule_end_algebra(A)
-    return is_semisimple(end.algebra)
 
 
 # -- the adjoint-multiplication isomorphism search ---------------------------
@@ -455,12 +471,9 @@ def matrix_decomposition(C: CategoryPres, A: AlgebraPres,
     sm = ctx.simples
     sims = [s for s, _i, _r in sm.simples]
     mults = sm.mult_in_A
-    classes = _sim_classes(ctx)
-    connecting = {}
+    classes = ctx.sim_classes
+    connecting = ctx.internal_homs
     n = len(sims)
-    for i in range(n):
-        for j in range(n):
-            connecting[(i, j)] = internal_hom(sims[i], sims[j])
     total = Obj(C, {})
     for i in range(n):
         for j in range(n):

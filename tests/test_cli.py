@@ -230,3 +230,64 @@ def test_cli_exit_2_on_undetermined(tmp_path, capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, "analyze", cat_p, alg_p, "--report", "json")
     assert rc == 0
     assert json.loads(out)["oracle_agreement"]["separable_adjoint_iso"] is True
+
+
+def test_cli_rejects_non_integer_budget(capsys, monkeypatch):
+    monkeypatch.setenv("TENSORCAT_BUDGET", "abc")
+    for argv in (("schema",), ("analyze", "c.json", "a.json")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "TENSORCAT_BUDGET" in err
+        assert len(err.splitlines()) == 1
+    monkeypatch.setenv("TENSORCAT_BUDGET", "0")     # clamped to 1, accepted
+    rc, _, _ = run_cli(capsys, "schema")
+    assert rc == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_rejects_jobs_below_one(capsys, jobs):
+    rc, out, err = run_cli(capsys, "analyze", "c.json", "a.json",
+                           "--jobs", jobs)
+    assert rc == 1
+    assert out == ""
+    assert "--jobs" in err and "Traceback" not in err
+
+
+def _library_errors():
+    from tensorcat.fields import FieldError
+    from tensorcat.linalg import LinAlgError, SingularMatrix
+    from tensorcat.structure import (InseparableExtension, NotFusion,
+                                     NotSemisimpleAlgebra,
+                                     PreconditionViolated)
+    analyze = ("_cmd_analyze", ("analyze", "c.json", "a.json"))
+    return [
+        (FieldError("bad field data"), analyze, 1),
+        (LinAlgError("shape mismatch"), analyze, 3),
+        (SingularMatrix("matrix is singular"), analyze, 3),
+        (PreconditionViolated("needs a division algebra"), analyze, 3),
+        (NotFusion("a direct sum"), analyze, 1),
+        (NotSemisimpleAlgebra("needs semisimplicity"),
+         ("_cmd_decompose", ("decompose", "c.json", "a.json")), 1),
+        (InseparableExtension("inseparable"),
+         ("_cmd_base_extend", ("base-extend", "c.json", "--minpoly", "1,0,1",
+                               "--out-category", "x.json")), 1),
+    ]
+
+
+@pytest.mark.parametrize("exc,command,code", _library_errors(),
+                         ids=lambda v: type(v).__name__
+                         if isinstance(v, Exception) else None)
+def test_cli_maps_library_errors_to_exit_codes(capsys, monkeypatch, exc,
+                                               command, code):
+    import tensorcat.cli as cli
+
+    def boom(args, out):
+        raise exc
+    name, argv = command
+    monkeypatch.setattr(cli, name, boom)
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc in (1, 3)
+    assert rc == code
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and str(exc) in err

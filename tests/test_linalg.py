@@ -78,3 +78,35 @@ def test_matmul_shapes():
     c = a @ b
     assert (c.rows, c.cols) == (3, 2)
     assert c.a[2][0] == Q.scalar(3)
+
+
+def test_solve_many_matches_columnwise_solve():
+    rng = random.Random(11)
+    for field in (Q, F7):
+        for _ in range(20):
+            rows = rng.randint(1, 5)
+            cols = rng.randint(1, 5)
+            m = Matrix(field, [[field.scalar(rng.randint(-2, 2))
+                                for _ in range(cols)] for _ in range(rows)])
+            x = [field.scalar(rng.randint(-2, 2)) for _ in range(cols)]
+            bs = [[field.scalar(rng.randint(-2, 2)) for _ in range(rows)]
+                  for _ in range(4)]
+            bs.append(m.mul_vec(x))                 # always feasible
+            sols = m.solve_many(bs)
+            assert sols == [m.solve(b) for b in bs]
+            assert sols[-1] is not None
+            for b, sol in zip(bs, sols):
+                aug = Matrix(field, [r + [b[i]] for i, r in enumerate(m.a)])
+                if sol is None:
+                    assert aug.rank() > m.rank()
+                else:
+                    assert m.mul_vec(sol) == b
+
+
+def test_solve_many_reports_infeasible_column():
+    m = M(Q, [[1, 1], [1, 1]])
+    bs = [[Q.scalar(2), Q.scalar(2)], [Q.scalar(1), Q.scalar(2)],
+          [Q.scalar(0), Q.scalar(0)]]
+    assert m.solve_many(bs) == [[Q.scalar(2), Q.zero()], None,
+                                [Q.zero(), Q.zero()]]
+    assert m.solve_many([]) == []

@@ -4,11 +4,13 @@ import pytest
 
 from tensorcat.algebra import internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
-from tensorcat.fincat import Obj, hom_dim
+from tensorcat.fincat import (Obj, ValidationFailure, hom_coords, hom_dim,
+                              mor_from_coords)
 from tensorcat.modcat import (algebra_as_module, bimodule_end_algebra,
                               bimodule_hom_basis, direct_sum_modules,
                               end_algebra, free_bimodule, free_bimodule_maps,
                               free_module, hom_basis, internal_hom,
+                              _module_constraint,
                               module_dual, module_internal_end,
                               module_section, obj_tensor_module, rel_tensor,
                               simple_modules, validate_bimodule,
@@ -328,3 +330,35 @@ def test_direct_sum_modules(z2, z2reg):
     assert validate_module(s).ok
     assert (projs[0] @ incls[0]) == z2.id(f0.carrier)
     assert (projs[1] @ incls[0]).is_zero()
+
+
+def test_end_express_rejects_maps_outside_the_block(z2, z2reg):
+    frees = [free_module(z2.simple(a), z2reg) for a in z2.labels]
+    end = end_algebra(frees)
+    P = frees[0]
+    field = z2.field
+    n = len(hom_coords(P.carrier, P.carrier))
+    hs = end.blocks[(0, 0)]
+    assert 0 < len(hs) < n
+    # a module map comes back as its coordinates
+    two = field.scalar(2)
+    inside = hs[0] + hs[-1].scale(two)
+    want = [field.zero()] * len(hs)
+    want[0] = want[0] + field.one()
+    want[-1] = want[-1] + two
+    assert end.express(0, 0, inside) == want
+    # a category map that fails the module constraint is refused, alone
+    # or among module maps
+    outside = None
+    for k in range(n):
+        phi = mor_from_coords(z2, P.carrier, P.carrier,
+                              [field.one() if t == k else field.zero()
+                               for t in range(n)])
+        if not _module_constraint(P, P, phi).is_zero():
+            outside = phi
+            break
+    assert outside is not None
+    with pytest.raises(ValidationFailure):
+        end.express(0, 0, outside)
+    with pytest.raises(ValidationFailure):
+        end.express_many(0, 0, [inside, outside])

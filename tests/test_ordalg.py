@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tensorcat.fields import Field
 from tensorcat.linalg import Matrix
@@ -13,6 +15,7 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdModule,
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+QPHI = Field(0, [-1, -1, 1], gen_name="phi")     # phi^2 = phi + 1
 
 
 def group_algebra(field, n):
@@ -247,3 +250,16 @@ def test_charpoly_examples():
 
 def test_undetermined_is_a_value():
     assert UNDETERMINED == "undetermined"
+
+
+@pytest.mark.parametrize("field", [Q, F3, QPHI], ids=["Q", "F3", "Qphi"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_act_vec_equals_row_times_act_matrix(field, data):
+    M = regular_module(matrix_algebra(field, 2))
+    coeff = st.lists(st.integers(-3, 3), min_size=field.deg,
+                     max_size=field.deg).map(field.scalar)
+    vec = st.lists(coeff, min_size=M.dim, max_size=M.dim)
+    v, x = data.draw(vec), data.draw(vec)
+    assume(sum(not c.is_zero() for c in x) >= 2)
+    assert M.act_vec(v, x) == (Matrix(field, [v]) @ M.act_matrix(x)).a[0]

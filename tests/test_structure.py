@@ -330,3 +330,38 @@ def test_three_way_equivalence_char_zero_division(corpus_reports):
             assert dim_nonzero == flags["separable"], name
         checked += 1
     assert checked >= 4
+
+
+def test_analyze_computes_each_shared_fact_once(cats, monkeypatch):
+    # the division verdict feeds three criteria, the module radical four
+    # and the internal-hom table two; the analysis context computes each
+    # of them once
+    import tensorcat.structure as structure
+    calls = {"module_is_simple": 0, "radical": 0, "internal_hom": 0}
+
+    def counted(name):
+        inner = getattr(structure, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(structure, name, counted(name))
+    z3 = cats["z3"]
+    rep = analyze(z3, make_algebra(z3, "regular_pointed", {}))
+    assert rep["flags"]["division"] is True
+    assert rep["oracle_agreement"]["separable_duality_loop"] is True
+    n = rep["matrix_decomposition"]["simple_count"]
+    assert calls == {"module_is_simple": 1, "radical": 1,
+                     "internal_hom": n * n}
+
+
+def test_budget_env_must_be_an_integer(monkeypatch):
+    from tensorcat.structure import search_budget
+    monkeypatch.setenv("TENSORCAT_BUDGET", "abc")
+    with pytest.raises(ValueError, match="TENSORCAT_BUDGET"):
+        search_budget()
+    monkeypatch.setenv("TENSORCAT_BUDGET", "-5")
+    assert search_budget() == 1
