@@ -17,9 +17,9 @@ from .fincat import (CategoryPres, Mor, Obj, SnakeUnsolvable,
 from .linalg import LinAlgError, Matrix, SingularMatrix
 from .modcat import (BimodulePres, ModulePres, algebra_as_module,
                      bimodule_end_algebra, end_algebra, free_bimodule,
-                     free_module, hom_basis, internal_hom, module_dual,
-                     module_internal_end, rel_tensor, simple_modules,
-                     validate_bimodule, validate_module)
+                     free_module, free_module_end, hom_basis, internal_hom,
+                     module_dual, module_internal_end, rel_tensor,
+                     simple_modules, validate_bimodule, validate_module)
 from .ordalg import (OrdAlgebra, OrdModule, UNDETERMINED, central_idempotents,
                      center, decompose_module, is_division, is_semisimple,
                      is_separable_field_ext, is_separable_over_k,

@@ -81,26 +81,25 @@ def direct_sum_algebra(A: AlgebraPres, B: AlgebraPres) -> AlgebraPres:
     cat = A.cat
     ca, cb = A.carrier, B.carrier
     c = ca + cb
-    ia, pa = _incl_proj(cat, ca, cb, first=True)
-    ib, pb = _incl_proj(cat, ca, cb, first=False)
+    ia, pa = _incl_proj(cat, cat.zero_obj(), ca, c)
+    ib, pb = _incl_proj(cat, ca, cb, c)
     mult = (ia @ A.mult @ cat.tensor_mor(pa, pa)
             + ib @ B.mult @ cat.tensor_mor(pb, pb))
     unit = ia @ A.unit + ib @ B.unit
     return AlgebraPres(cat, c, mult, unit)
 
 
-def _incl_proj(cat, X: Obj, Y: Obj, first: bool):
-    """Inclusion and projection for the summand of X (+) Y."""
-    s = X + Y
-    part = X if first else Y
-    off = (lambda a: 0) if first else (lambda a: X.mult(a))
+def _incl_proj(cat, before: Obj, part: Obj, total: Obj):
+    """Inclusion and projection for the summand `part` of `total`, placed
+    after the summand `before`."""
     iblocks, pblocks = {}, {}
     for a in part.support:
-        m = Matrix.zeros(cat.field, s.mult(a), part.mult(a))
-        p = Matrix.zeros(cat.field, part.mult(a), s.mult(a))
+        m = Matrix.zeros(cat.field, total.mult(a), part.mult(a))
+        p = Matrix.zeros(cat.field, part.mult(a), total.mult(a))
+        off = before.mult(a)
         for j in range(part.mult(a)):
-            m.a[off(a) + j][j] = cat.field.one()
-            p.a[j][off(a) + j] = cat.field.one()
+            m.a[off + j][j] = cat.field.one()
+            p.a[j][off + j] = cat.field.one()
         iblocks[a] = m
         pblocks[a] = p
-    return Mor(cat, part, s, iblocks), Mor(cat, s, part, pblocks)
+    return Mor(cat, part, total, iblocks), Mor(cat, total, part, pblocks)

@@ -718,23 +718,27 @@ class CategoryPres:
         left, right = tree
         return ("N", self._tree_key(left), self._tree_key(right))
 
-    def _left_comb_iso(self, tree):
-        """(fold, unfold, leaves): fold maps tree -> left comb of its
-        leaves, unfold is the inverse, both built without matrix
-        inversions."""
-        key = self._tree_key(tree)
+    def _leaves(self, tree) -> list:
+        if isinstance(tree, Obj):
+            return [tree]
+        return self._leaves(tree[0]) + self._leaves(tree[1])
+
+    def _left_comb_iso(self, tree, unfold: bool) -> Mor:
+        """The fold tree -> left comb of its leaves, or with unfold=True
+        its inverse.  Each direction is built on demand, without matrix
+        inversions, and cached under its own key."""
+        key = (unfold, self._tree_key(tree))
         if key in self._comb_cache:
             return self._comb_cache[key]
         if isinstance(tree, Obj):
-            out = (self.id(tree), self.id(tree), [tree])
+            out = self.id(tree)
         else:
             left, right = tree
-            mL, mLb, lL = self._left_comb_iso(left)
-            mR, mRb, lR = self._left_comb_iso(right)
-            m = self.tensor_mor(mL, mR)
-            mb = self.tensor_mor(mLb, mRb)
-            fold, unfold = self._merge_combs(lL, lR)
-            out = (fold @ m, mb @ unfold, lL + lR)
+            m = self.tensor_mor(self._left_comb_iso(left, unfold),
+                                self._left_comb_iso(right, unfold))
+            merge = self._merge_combs(self._leaves(left), self._leaves(right),
+                                      unfold)
+            out = m @ merge if unfold else merge @ m
         self._comb_cache[key] = out
         return out
 
@@ -744,29 +748,28 @@ class CategoryPres:
             acc = self.tensor(acc, x)
         return acc
 
-    def _merge_combs(self, lA, lB):
-        """(fold, unfold): comb(lA) (x) comb(lB) <-> comb(lA + lB)."""
+    def _merge_combs(self, lA, lB, unfold: bool) -> Mor:
+        """comb(lA) (x) comb(lB) -> comb(lA + lB), or with unfold=True
+        its inverse."""
         X = self._comb_obj(lA)
         if len(lB) == 1:
-            t = self.tensor(X, lB[0])
-            return self.id(t), self.id(t)
+            return self.id(self.tensor(X, lB[0]))
         Y = self._comb_obj(lB[:-1])
         z = lB[-1]
-        step = self.associator_inv(X, Y, z)
-        step_back = self.associator(X, Y, z)
-        inner, inner_back = self._merge_combs(lA, lB[:-1])
-        idz = self.id(z)
-        fold = self.tensor_mor(inner, idz) @ step
-        unfold = step_back @ self.tensor_mor(inner_back, idz)
-        return fold, unfold
+        inner = self.tensor_mor(self._merge_combs(lA, lB[:-1], unfold),
+                                self.id(z))
+        if unfold:
+            return self.associator(X, Y, z) @ inner
+        return inner @ self.associator_inv(X, Y, z)
 
     def reassoc(self, src_tree, dst_tree) -> Mor:
-        """Canonical iso between two bracketings of the same leaf sequence."""
-        m1, _m1b, l1 = self._left_comb_iso(src_tree)
-        _m2, m2b, l2 = self._left_comb_iso(dst_tree)
-        if [x.key for x in l1] != [y.key for y in l2]:
+        """Canonical iso between two bracketings of the same leaf sequence:
+        the fold of the source tree followed by the unfold of the target."""
+        if [x.key for x in self._leaves(src_tree)] \
+                != [y.key for y in self._leaves(dst_tree)]:
             raise ValueError("bracketings have different leaf sequences")
-        return m2b @ m1
+        return (self._left_comb_iso(dst_tree, unfold=True)
+                @ self._left_comb_iso(src_tree, unfold=False))
 
     # -- mates ----------------------------------------------------------------------
     def mate_right(self, h: Mor, X: Obj, Y: Obj) -> Mor:

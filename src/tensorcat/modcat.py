@@ -6,7 +6,7 @@ cokernels, and endomorphism algebras of projective generators land in
 `ordalg` where radicals and idempotents decide all structure questions.
 """
 
-from .algebra import AlgebraPres, validate_algebra
+from .algebra import AlgebraPres, _incl_proj, validate_algebra
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
                      hom_coords, mor_from_coords)
 from .linalg import Matrix
@@ -381,6 +381,13 @@ def end_algebra(modules) -> EndData:
     return EndData(list(modules), hom_basis, field)
 
 
+def free_module_end(A: AlgebraPres) -> EndData:
+    """Endomorphism data of the free-module generator: the nonzero free
+    modules a (x) A over the simple labels a, in label order."""
+    frees = [free_module(A.cat.simple(a), A) for a in A.cat.labels]
+    return end_algebra([f for f in frees if not f.carrier.is_zero()])
+
+
 def module_over_end(end: EndData, y: ModulePres) -> OrdModule:
     """Hom(P, y) = (+)_j Hom(P_j, y) as a right module over end.algebra
     (action by precomposition)."""
@@ -467,7 +474,6 @@ def internal_hom(x: ModulePres, y: ModulePres) -> Obj:
 
 def direct_sum_modules(mods) -> tuple:
     """(sum module, inclusions, projections)."""
-    from .algebra import _incl_proj
     cat = mods[0].cat
     A = mods[0].algebra
     total = mods[0].carrier
@@ -476,7 +482,7 @@ def direct_sum_modules(mods) -> tuple:
     incls, projs = [], []
     off = Obj(cat, {})
     for m in mods:
-        i, p = _partial_incl_proj(cat, off, m.carrier, total)
+        i, p = _incl_proj(cat, off, m.carrier, total)
         incls.append(i)
         projs.append(p)
         off = off + m.carrier
@@ -486,20 +492,6 @@ def direct_sum_modules(mods) -> tuple:
         term = i @ m.action @ cat.tensor_mor(p, cat.id(c))
         action = term if action is None else action + term
     return ModulePres(A, total, action, side="right"), incls, projs
-
-
-def _partial_incl_proj(cat, before: Obj, part: Obj, total: Obj):
-    iblocks, pblocks = {}, {}
-    for a in part.support:
-        m = Matrix.zeros(cat.field, total.mult(a), part.mult(a))
-        p = Matrix.zeros(cat.field, part.mult(a), total.mult(a))
-        off = before.mult(a)
-        for j in range(part.mult(a)):
-            m.a[off + j][j] = cat.field.one()
-            p.a[j][off + j] = cat.field.one()
-        iblocks[a] = m
-        pblocks[a] = p
-    return Mor(cat, part, total, iblocks), Mor(cat, total, part, pblocks)
 
 
 def split_idempotent_module(P: ModulePres, e: Mor):
@@ -517,24 +509,19 @@ def split_idempotent_module(P: ModulePres, e: Mor):
 # simple modules
 
 class SimpleModulesResult:
-    def __init__(self, simples, mult_in_A, free_mults, semisimple):
+    def __init__(self, simples, mult_in_A, semisimple):
         self.simples = simples          # list of (ModulePres, incl, retr)
         self.mult_in_A = mult_in_A      # multiplicities, or None if not ss
-        self.free_mults = free_mults    # label -> list of multiplicities
         self.semisimple = semisimple
 
 
-def simple_modules(A: AlgebraPres) -> SimpleModulesResult:
+def simple_modules(end: EndData) -> SimpleModulesResult:
     """Simple right modules as images of primitive idempotent endomorphisms
     of the free modules; indecomposable projectives when A is not
-    semisimple (flagged)."""
+    semisimple (flagged).  `end` is `free_module_end(A)`."""
+    frees = end.modules
+    A = frees[0].algebra
     cat = A.cat
-    frees = []
-    for a in cat.labels:
-        f = free_module(cat.simple(a), A)
-        if not f.carrier.is_zero():
-            frees.append(f)
-    end = end_algebra(frees)
     E = end.algebra
     rad = radical(E)
     semisimple = not rad
@@ -569,19 +556,7 @@ def simple_modules(A: AlgebraPres) -> SimpleModulesResult:
             if h % d != 0:
                 raise ValidationFailure("inconsistent multiplicity count")
             mult_in_A.append(h // d)
-    free_mults = {}
-    if semisimple:
-        for a in cat.labels:
-            f = free_module(cat.simple(a), A)
-            if f.carrier.is_zero():
-                free_mults[a] = [0] * len(simples)
-                continue
-            row = []
-            for sub, _i, _r in simples:
-                d = len(hom_basis(sub, sub))
-                row.append(len(hom_basis(f, sub)) // d)
-            free_mults[a] = row
-    return SimpleModulesResult(simples, mult_in_A, free_mults, semisimple)
+    return SimpleModulesResult(simples, mult_in_A, semisimple)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Factorization routes:
 import random
 from fractions import Fraction
 
-from .fields import Field, FieldMismatch, Scalar
+from .fields import Field, FieldMismatch, Scalar, is_prime
 
 _CZ_SEED = 0x5EED
 
@@ -485,7 +485,7 @@ def _factor_q_squarefree_monic_int(ints) -> list:
     # choose a prime keeping f squarefree mod p
     p = 2
     while True:
-        if is_prime_cached(p) and ints[-1] % p != 0:
+        if is_prime(p) and ints[-1] % p != 0:
             fp = Field.prime(p)
             f_p = Poly.from_ints(fp, ints)
             if f_p.degree == n and gcd(f_p, f_p.derivative()).degree == 0:
@@ -557,13 +557,6 @@ def _int_exact_div(num, den):
     if any(num[: len(den) - 1]):
         return None
     return q
-
-
-def is_prime_cached(n, _cache={}):
-    from .fields import is_prime
-    if n not in _cache:
-        _cache[n] = is_prime(n)
-    return _cache[n]
 
 
 def _factor_q_squarefree(f: Poly) -> list:

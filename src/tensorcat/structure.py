@@ -19,8 +19,8 @@ from .algebra import AlgebraPres, validate_algebra
 from .fields import Embedding, Field, Scalar
 from .fincat import CategoryPres, Mor, Obj, hom_dim
 from .linalg import Matrix
-from .modcat import (EndData, algebra_as_module,
-                     bimodule_end_algebra, end_algebra, free_module,
+from .modcat import (EndData, ModulePres, algebra_as_module,
+                     bimodule_end_algebra, end_algebra, free_module_end,
                      hom_basis, internal_hom, module_dual, module_internal_end,
                      module_over_end, simple_modules)
 from .ordalg import (UNDETERMINED, is_semisimple, is_separable_field_ext,
@@ -112,7 +112,11 @@ class AlgebraAnalysisContext:
     * `end`: the endomorphism data of the free-module generator;
     * `radical`: the radical of `end.algebra` (the module radical);
     * `division`: the three-valued division verdict;
-    * `simples`: the simple modules and their multiplicities;
+    * `simples`: the simple modules and their multiplicities, split off
+      `end`;
+    * `dual_module`: A^L, the left dual of A, as a right module;
+    * `to_dual`, `from_dual`: bases of the module maps A -> A^L and
+      A^L -> A;
     * `internal_homs`: the objects [x_i, x_j] for all pairs of simples;
     * `sim_classes`: the partition of the simples under nonvanishing
       internal hom.
@@ -126,8 +130,7 @@ class AlgebraAnalysisContext:
 
     @cached_property
     def end(self) -> EndData:
-        frees = [free_module(self.C.simple(a), self.A) for a in self.C.labels]
-        return end_algebra([f for f in frees if not f.carrier.is_zero()])
+        return free_module_end(self.A)
 
     @cached_property
     def radical(self) -> list:
@@ -140,7 +143,19 @@ class AlgebraAnalysisContext:
 
     @cached_property
     def simples(self):
-        return simple_modules(self.A)
+        return simple_modules(self.end)
+
+    @cached_property
+    def dual_module(self) -> ModulePres:
+        return module_dual(algebra_as_module(self.A, side="left"), "L")
+
+    @cached_property
+    def to_dual(self) -> list:
+        return hom_basis(algebra_as_module(self.A), self.dual_module)
+
+    @cached_property
+    def from_dual(self) -> list:
+        return hom_basis(self.dual_module, algebra_as_module(self.A))
 
     @cached_property
     def internal_homs(self) -> dict:
@@ -271,15 +286,15 @@ def _tuples(values, h):
 
 
 def separability_beta(C: CategoryPres, A: AlgebraPres,
-                      budget: int | None = None):
+                      budget: int | None = None,
+                      ctx: AlgebraAnalysisContext | None = None):
     """Search for g: A^v -> A (a module map) making
     m o (id (x) g) o m' invertible.  Returns (verdict, details)."""
     budget = budget if budget is not None else search_budget()
+    ctx = ctx or AlgebraAnalysisContext(C, A)
     cat = C
     c = A.carrier
-    aleft = algebra_as_module(A, side="left")
-    al_mod = module_dual(aleft, "L")          # A^L as a right module
-    gs = hom_basis(al_mod, algebra_as_module(A))
+    gs = ctx.from_dual
     details = {"hom_dim": len(gs), "budget": budget, "tested": 0}
     if not gs:
         return (False if not c.is_zero() else True), details
@@ -347,11 +362,12 @@ def _combine(mors, coeffs):
     return out
 
 
-def separability_beta_with_escalation(C, A, budget=None):
+def separability_beta_with_escalation(C, A, budget=None, ctx=None):
     """Finite-field escalation ladder for the beta search: base-extend
     until the grid certificate applies (finite extensions of finite
-    fields are separable, so separability is unchanged)."""
-    verdict, details = separability_beta(C, A, budget)
+    fields are separable, so separability is unchanged).  `ctx` serves
+    the search over C only; each extension gets a fresh context."""
+    verdict, details = separability_beta(C, A, budget, ctx)
     if verdict is not UNDETERMINED or C.field.char == 0:
         return verdict, details
     p = C.field.char
@@ -414,13 +430,8 @@ def separability_alpha_division(C: CategoryPres, A: AlgebraPres,
             f"alpha criterion requires a division algebra (got {division})")
     cat = C
     c = A.carrier
-    amod = algebra_as_module(A)
-    aleft = algebra_as_module(A, side="left")
-    al_mod = module_dual(aleft, "L")
-    fs = hom_basis(amod, al_mod)
-    gs = hom_basis(al_mod, amod)
-    for f in fs:
-        for g in gs:
+    for f in ctx.to_dual:
+        for g in ctx.from_dual:
             alpha = cat.ev_left(c) @ cat.tensor_mor(f, g) @ cat.coev_left(c)
             if not alpha.is_zero():
                 return True
@@ -445,10 +456,7 @@ def dim_division_algebra(C: CategoryPres, A: AlgebraPres,
             f"dimension requires a division algebra (got {division})")
     cat = C
     c = A.carrier
-    amod = algebra_as_module(A)
-    aleft = algebra_as_module(A, side="left")
-    al_mod = module_dual(aleft, "L")
-    fs = hom_basis(amod, al_mod)
+    fs = ctx.to_dual
     if not fs:
         raise OracleDisagreement(
             "no module map A -> A^v exists for a division algebra")
@@ -595,7 +603,7 @@ def _flag(v):
     return bool(v)
 
 
-def analyze(C: CategoryPres, A: AlgebraPres, skip_center: bool = False) -> dict:
+def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
     """Full analysis report for one (category, algebra) pair.
 
     Computes every applicable criterion and raises OracleDisagreement if
@@ -620,7 +628,7 @@ def analyze(C: CategoryPres, A: AlgebraPres, skip_center: bool = False) -> dict:
         raise OracleDisagreement(
             f"bimodule radical ({bimod}) vs section feasibility ({separable})")
 
-    beta, beta_details = separability_beta_with_escalation(C, A)
+    beta, beta_details = separability_beta_with_escalation(C, A, ctx=ctx)
     verdicts["separable_adjoint_iso"] = _flag(beta)
     notes["beta"] = beta_details
     if beta is not UNDETERMINED and beta != separable:

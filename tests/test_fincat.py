@@ -338,3 +338,42 @@ def test_unit_orthogonality_validation():
                        {"e1": "e1", "e2": "e2"}, fusion, {}, {}, {})
     rep = validate_category(cat)
     assert not rep.ok
+
+
+def _tree_obj(cat, tree):
+    if isinstance(tree, Obj):
+        return tree
+    return cat.tensor(_tree_obj(cat, tree[0]), _tree_obj(cat, tree[1]))
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising"])
+def test_reassoc_three_leaves_is_the_associator(name):
+    cat = make_category(name, {})
+    x = cat.simple(cat.labels[-1])
+    y = Obj(cat, {a: 1 for a in cat.labels})
+    for (p, q, r) in ((x, x, x), (x, y, x), (y, x, y)):
+        assert cat.reassoc(((p, q), r), (p, (q, r))) \
+            == cat.associator(p, q, r)
+        assert cat.reassoc((p, (q, r)), ((p, q), r)) \
+            == cat.associator_inv(p, q, r)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising"])
+def test_reassoc_four_leaves_round_trips(name):
+    cat = make_category(name, {})
+    w = cat.simple(cat.labels[-1])
+    x = Obj(cat, {a: 1 for a in cat.labels})
+    y, z = w, cat.simple(cat.labels[1])
+    trees = [(((w, x), y), z), ((w, x), (y, z)), ((w, (x, y)), z),
+             (w, ((x, y), z)), (w, (x, (y, z)))]
+    nontrivial = 0
+    for s in trees:
+        for t in trees:
+            there = cat.reassoc(s, t)
+            back = cat.reassoc(t, s)
+            assert there @ back == cat.id(_tree_obj(cat, t))
+            assert back @ there == cat.id(_tree_obj(cat, s))
+            nontrivial += there != cat.id(_tree_obj(cat, s))
+    assert nontrivial > 0
+    with pytest.raises(ValueError):
+        cat.reassoc(trees[0], (((x, w), y), z))

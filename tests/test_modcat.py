@@ -9,7 +9,8 @@ from tensorcat.fincat import (Obj, ValidationFailure, hom_coords, hom_dim,
 from tensorcat.modcat import (algebra_as_module, bimodule_end_algebra,
                               bimodule_hom_basis, direct_sum_modules,
                               end_algebra, free_bimodule, free_bimodule_maps,
-                              free_module, hom_basis, internal_hom,
+                              free_module, free_module_end, hom_basis,
+                              internal_hom,
                               _module_constraint,
                               module_dual, module_internal_end,
                               module_section, obj_tensor_module, rel_tensor,
@@ -208,7 +209,7 @@ def test_end_algebra_of_regular_z2_over_q(z2, z2reg):
 
 
 def test_simple_modules_regular_z2(z2, z2reg):
-    sm = simple_modules(z2reg)
+    sm = simple_modules(free_module_end(z2reg))
     assert sm.semisimple
     assert len(sm.simples) == 1
     s = sm.simples[0][0]
@@ -220,7 +221,7 @@ def test_simple_modules_regular_z2(z2, z2reg):
 def test_simple_modules_m2(cats):
     vq = cats["vec_q"]
     M2 = internal_end(vq, Obj(vq, {"1": 2}))
-    sm = simple_modules(M2)
+    sm = simple_modules(free_module_end(M2))
     assert sm.semisimple
     assert len(sm.simples) == 1
     assert sm.simples[0][0].carrier.describe() == {"1": 2}
@@ -229,16 +230,15 @@ def test_simple_modules_m2(cats):
 
 def test_simple_modules_trivial_vec(cats):
     t = trivial_algebra(cats["vec_q"])
-    sm = simple_modules(t)
+    sm = simple_modules(free_module_end(t))
     assert len(sm.simples) == 1
     assert sm.mult_in_A == [1]
-    assert sm.free_mults["1"] == [1]
 
 
 def test_simple_modules_nonss_flag(cats):
     vf2 = cats["vec_f2"]
     A = make_algebra(vf2, "ordinary_group_algebra", {"n": 2})
-    sm = simple_modules(A)
+    sm = simple_modules(free_module_end(A))
     assert not sm.semisimple
     assert sm.mult_in_A is None
     assert len(sm.simples) == 1          # one indecomposable projective
@@ -248,7 +248,7 @@ def test_simple_modules_group3_over_f2(cats):
     # F2[Z/3] = F2 x F4: two simples of dims 1 and 2
     vf2 = cats["vec_f2"]
     A = make_algebra(vf2, "ordinary_group_algebra", {"n": 3})
-    sm = simple_modules(A)
+    sm = simple_modules(free_module_end(A))
     assert sm.semisimple
     dims = sorted(s.carrier.total() for s, _i, _r in sm.simples)
     assert dims == [1, 2]
@@ -258,7 +258,7 @@ def test_simple_modules_group3_over_f2(cats):
 def test_simples_pairwise_nonisomorphic(cats):
     vf2 = cats["vec_f2"]
     A = make_algebra(vf2, "ordinary_group_algebra", {"n": 3})
-    sm = simple_modules(A)
+    sm = simple_modules(free_module_end(A))
     s0, s1 = sm.simples[0][0], sm.simples[1][0]
     assert len(hom_basis(s0, s1)) == 0
     assert len(hom_basis(s1, s0)) == 0
@@ -296,7 +296,7 @@ def test_bimodule_end_semisimple_iff_separable(z2, z2reg, cats):
 
 
 def test_module_section(z2, z2reg):
-    sm = simple_modules(z2reg)
+    sm = simple_modules(free_module_end(z2reg))
     x = sm.simples[0][0]
     F, eps, iota = module_section(x)
     assert (eps @ iota) == z2.id(x.carrier)
@@ -313,11 +313,11 @@ def test_module_internal_end_matches_heavy_path(z2, z2reg, fib, fib_end_t):
     # the pairwise multiplication must coincide with the one-shot
     # contraction of the full twisted-end multiplication
     from tensorcat.algebra import validate_algebra
-    sm = simple_modules(z2reg)
+    sm = simple_modules(free_module_end(z2reg))
     B = module_internal_end(sm.simples[0][0], cross_check=True)
     assert validate_algebra(B).ok
     assert B.carrier.describe() == {"g0": 1, "g1": 1}
-    smf = simple_modules(fib_end_t)
+    smf = simple_modules(free_module_end(fib_end_t))
     for s, _i, _r in smf.simples:
         module_internal_end(s, cross_check=True)
 

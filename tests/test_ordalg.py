@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd, isqrt
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,7 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdModule,
                               decompose_module, is_division, is_semisimple,
                               is_separable_field_ext, is_separable_over_k,
                               module_hom_space, module_is_simple,
-                              nilpotency_index, radical)
+                              nilpotency_index, radical, _quaternion_splits)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -41,13 +44,14 @@ def matrix_algebra(field, n):
     return algebra_from_triples(field, n * n, trips, unit)
 
 
-def quaternions():
+def quaternions(a=-1, b=-1):
+    """The quaternion algebra (a, b) over Q: i^2 = a, j^2 = b, k = ij."""
     trips = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
              [1, 0, 1, 1], [2, 0, 2, 1], [3, 0, 3, 1],
-             [1, 1, 0, -1], [2, 2, 0, -1], [3, 3, 0, -1],
+             [1, 1, 0, a], [2, 2, 0, b], [3, 3, 0, -a * b],
              [1, 2, 3, 1], [2, 1, 3, -1],
-             [1, 3, 2, -1], [3, 1, 2, 1],
-             [2, 3, 1, 1], [3, 2, 1, -1]]
+             [1, 3, 2, a], [3, 1, 2, -a],
+             [2, 3, 1, -b], [3, 2, 1, b]]
     return algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])
 
 
@@ -141,6 +145,39 @@ def test_is_division_examples():
     assert is_division(quaternions()) is True
     assert is_division(group_algebra(Q, 2)) is False     # splits
     assert is_division(group_algebra(F2, 2)) is False    # not semisimple
+
+
+def _squarefree(n):
+    return all(n % (d * d) for d in range(2, abs(n) + 1))
+
+
+def _has_rational_point(a, b):
+    """Whether z^2 = a x^2 + b y^2 has a nonzero integer solution with
+    |x| <= sqrt|b|, |y| <= sqrt|a| and |z| <= sqrt|ab|.  For squarefree
+    coprime a, b, Holzer's theorem says any solution implies one inside
+    this box."""
+    for x in range(isqrt(abs(b)) + 1):
+        for y in range(isqrt(abs(a)) + 1):
+            zz = a * x * x + b * y * y
+            if (x or y) and 0 <= zz <= abs(a * b) and isqrt(zz) ** 2 == zz:
+                return True
+    return False
+
+
+def test_quaternion_splitting_matches_holzer_search():
+    values = [n for n in range(-30, 31) if n and _squarefree(n)]
+    pairs = [(a, b) for a in values for b in values if gcd(a, b) == 1]
+    assert len(pairs) > 500
+    for a, b in pairs:
+        assert _quaternion_splits(Fraction(a), Fraction(b)) \
+            == _has_rational_point(a, b), (a, b)
+
+
+def test_quaternion_division_over_q():
+    for a, b in ((-1, -3), (2, 3), (3, -7)):
+        assert is_division(quaternions(a, b)) is True, (a, b)
+    for a, b in ((5, -1), (1, 7)):
+        assert is_division(quaternions(a, b)) is False, (a, b)
 
 
 def test_split_quaternion_like_detected():

@@ -4,7 +4,8 @@ from tensorcat.algebra import direct_sum_algebra, internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fields import Embedding, Field
 from tensorcat.fincat import Obj
-from tensorcat.modcat import module_internal_end, simple_modules
+from tensorcat.modcat import (free_module_end, module_internal_end,
+                              simple_modules)
 from tensorcat.ordalg import UNDETERMINED
 from tensorcat.structure import (AlgebraAnalysisContext, NotFusion,
                                  PreconditionViolated, analyze,
@@ -247,7 +248,7 @@ def test_morita_invariance_via_module_ends(cats):
     ]
     for cat, A in cases:
         want = is_separable(cat, A)
-        sm = simple_modules(A)
+        sm = simple_modules(free_module_end(A))
         for s, _i, _r in sm.simples:
             B = module_internal_end(s)
             assert is_separable(cat, B) is want
@@ -365,3 +366,31 @@ def test_budget_env_must_be_an_integer(monkeypatch):
         search_budget()
     monkeypatch.setenv("TENSORCAT_BUDGET", "-5")
     assert search_budget() == 1
+
+
+def test_analyze_builds_free_end_and_dual_once(cats, monkeypatch):
+    # the simple modules are split off the context's End data, and the
+    # beta, alpha and dimension routes share one A^L and its hom bases
+    import tensorcat.modcat as modcat
+    import tensorcat.structure as structure
+    calls = {"free_module_end": 0, "module_dual_L": 0}
+    end_inner = structure.free_module_end
+    dual_inner = structure.module_dual
+
+    def free_module_end(A):
+        calls["free_module_end"] += 1
+        return end_inner(A)
+
+    def module_dual(x, side):
+        calls["module_dual_L"] += side == "L"
+        return dual_inner(x, side)
+
+    monkeypatch.setattr(structure, "free_module_end", free_module_end)
+    for mod in (structure, modcat):
+        monkeypatch.setattr(mod, "module_dual", module_dual)
+    z3 = cats["z3"]
+    rep = analyze(z3, make_algebra(z3, "regular_pointed", {}))
+    assert rep["flags"]["semisimple"] is True
+    assert rep["oracle_agreement"]["separable_duality_loop"] is True
+    assert rep["dim_A"] is not None
+    assert calls == {"free_module_end": 1, "module_dual_L": 1}
