@@ -1,9 +1,12 @@
-"""Dense exact linear algebra: fraction-full Gaussian elimination.
+"""Dense exact linear algebra over one elimination kernel.
 
-Pivots are chosen as the first nonzero entry in each column; no floating
-point is used anywhere.  Row updates skip zero multipliers and zero
-entries of the pivot row, so sparse systems eliminate quickly without a
-separate sparse representation.
+`RowSpace` keeps a row space in reduced echelon form as rows are added:
+each new row is reduced against the stored rows, scaled so its first
+nonzero entry is one, and then cleared out of the stored rows.  `rref`,
+`det`, and through `rref` the rank, kernels, solves and inverses, all
+add rows to one.  Each stored row carries the list of its nonzero
+positions, so sparse systems eliminate quickly without a separate
+sparse representation.  No floating point is used anywhere.
 """
 
 from .fields import Field, FieldMismatch, Scalar
@@ -58,7 +61,8 @@ class Matrix:
         if not cols_data:
             return Matrix.zeros(field, 0, 0)
         n = len(cols_data[0])
-        return Matrix(field, [[col[i] for col in cols_data] for i in range(n)])
+        return Matrix._raw(field, n, len(cols_data),
+                           [[col[i] for col in cols_data] for i in range(n)])
 
     def copy(self) -> "Matrix":
         return Matrix(self.field, [list(r) for r in self.a])
@@ -67,8 +71,9 @@ class Matrix:
         return [self.a[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.a[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)])
+        return Matrix._raw(self.field, self.cols, self.rows,
+                           [[self.a[i][j] for i in range(self.rows)]
+                            for j in range(self.cols)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -153,41 +158,17 @@ class Matrix:
         """Reduced row echelon form; returns (matrix, pivot column list).
 
         With `pivot_cols` = n, pivots are sought only in the first n
-        columns; row operations still act on whole rows, so the columns
-        after them are carried along as right-hand sides."""
-        m = [list(r) for r in self.a]
-        pivots = []
-        r = 0
-        for c in range(self.cols if pivot_cols is None else pivot_cols):
-            pr = None
-            for i in range(r, self.rows):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inv()
-            row = m[r]
-            nz = []
-            for j in range(c, self.cols):
-                if not row[j].is_zero():
-                    row[j] = row[j] * inv
-                    nz.append(j)
-            for i in range(self.rows):
-                if i == r:
-                    continue
-                f = m[i][c]
-                if f.is_zero():
-                    continue
-                ri = m[i]
-                for j in nz:
-                    ri[j] = ri[j] - f * row[j]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(self.field, m), pivots
+        columns; the columns after them are carried along as right-hand
+        sides, and the rows below the rank span the combinations of rows
+        that vanish on the first n columns."""
+        space = RowSpace(self.field, self.cols, pivot_cols)
+        for row in self.a:
+            space.add(row)
+        out = space.basis() + space.rest
+        z = self.field.zero()
+        out += [[z] * self.cols for _ in range(self.rows - len(out))]
+        return Matrix._raw(self.field, self.rows, self.cols, out), \
+            space.pivots()
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -246,34 +227,97 @@ class Matrix:
         return Matrix(self.field, [R.a[i][n:] for i in range(n)])
 
     def det(self) -> Scalar:
+        """Product of the leading entries met as the rows are added to a
+        row space, times the sign of the order their pivots came in."""
         if self.rows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(r) for r in self.a]
-        det = self.field.one()
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if not m[i][c].is_zero():
-                    pr = i
-                    break
-            if pr is None:
+        space = RowSpace(self.field, self.cols)
+        for row in self.a:
+            if not space.add(row):
                 return self.field.zero()
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
+        det = self.field.one()
+        order = []
+        for piv, lead in space.leads:
+            det = det * lead
+            if sum(p > piv for p in order) % 2:
                 det = -det
-            piv = m[c][c]
-            det = det * piv
-            inv = piv.inv()
-            for i in range(c + 1, n):
-                f = m[i][c]
-                if f.is_zero():
-                    continue
-                f = f * inv
-                for j in range(c, n):
-                    if not m[c][j].is_zero():
-                        m[i][j] = m[i][j] - f * m[c][j]
+            order.append(piv)
         return det
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+class RowSpace:
+    """Row space kept in reduced echelon form as rows are added.
+
+    Pivots are the first nonzero entry before `limit` (the whole width
+    by default); a row that reduces to zero there but not after it is
+    kept in `rest`.  Each stored row carries its nonzero positions after
+    the pivot, and a reduction touches only those.
+    """
+
+    __slots__ = ("field", "width", "limit", "_rows", "leads", "rest")
+
+    def __init__(self, field: Field, width: int, limit: int | None = None):
+        self.field = field
+        self.width = width
+        self.limit = width if limit is None else limit
+        self._rows = []     # [pivot, row, nonzero positions after the pivot]
+        self.leads = []     # (pivot, its entry before scaling), as added
+        self.rest = []
+
+    def reduce(self, v) -> list:
+        v = list(v)
+        z = self.field.zero()
+        for piv, row, nz in self._rows:
+            c = v[piv]
+            if not c.is_zero():
+                v[piv] = z
+                for k in nz:
+                    v[k] = v[k] - c * row[k]
+        return v
+
+    def add(self, v) -> bool:
+        """Reduce and insert; True if the space grew."""
+        v = self.reduce(v)
+        piv = next((k for k in range(self.limit) if not v[k].is_zero()),
+                   None)
+        if piv is None:
+            if any(not x.is_zero() for x in v[self.limit:]):
+                self.rest.append(v)
+            return False
+        lead = v[piv]
+        inv = lead.inv()
+        nz = [k for k in range(piv + 1, self.width) if not v[k].is_zero()]
+        for k in nz:
+            v[k] = v[k] * inv
+        v[piv] = self.field.one()
+        z = self.field.zero()
+        for entry in self._rows:
+            row = entry[1]
+            c = row[piv]
+            if c.is_zero():
+                continue
+            row[piv] = z
+            for k in nz:
+                row[k] = row[k] - c * v[k]
+            entry[2] = [k for k in set(entry[2]).union(nz)
+                        if not row[k].is_zero()]
+        self._rows.append([piv, v, nz])
+        self.leads.append((piv, lead))
+        return True
+
+    def contains(self, v) -> bool:
+        return all(x.is_zero() for x in self.reduce(v))
+
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def pivots(self) -> list:
+        return sorted(piv for piv, _row, _nz in self._rows)
+
+    def basis(self) -> list:
+        """The stored rows, copied, in pivot order."""
+        return [list(row) for _piv, row, _nz in
+                sorted(self._rows, key=lambda entry: entry[0])]

@@ -9,10 +9,10 @@ cokernels, and endomorphism algebras of projective generators land in
 from .algebra import AlgebraPres, _incl_proj, validate_algebra
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
                      hom_coords, mor_from_coords)
-from .linalg import Matrix
+from .linalg import Matrix, RowSpace
 from .ordalg import (OrdAlgebra, OrdModule, central_idempotents,
                      lift_idempotent, primitive_idempotent, quotient_algebra,
-                     radical, subalgebra_on, _Rowspace)
+                     radical, subalgebra_on)
 
 
 class ModulePres:
@@ -198,12 +198,9 @@ def _module_constraint(x: ModulePres, y: ModulePres, phi: Mor) -> Mor:
             - y.action @ cat.tensor_mor(cat.id(c), phi))
 
 
-def hom_basis(x: ModulePres, y: ModulePres) -> list:
-    """Basis of module maps x -> y, by exact kernel computation."""
-    if x.algebra is not y.algebra and x.algebra.carrier != y.algebra.carrier:
-        raise ValidationFailure("modules over different algebras")
-    if x.side != y.side:
-        raise ValidationFailure("modules of different chirality")
+def _maps_killed_by(x, y, constraint) -> list:
+    """Basis of the maps phi: x.carrier -> y.carrier with constraint(phi),
+    a coordinate list linear in phi, equal to zero."""
     cat = x.cat
     coords = hom_coords(x.carrier, y.carrier)
     if not coords:
@@ -213,11 +210,21 @@ def hom_basis(x: ModulePres, y: ModulePres) -> list:
     for k in range(len(coords)):
         vec = [field.zero()] * len(coords)
         vec[k] = field.one()
-        phi = mor_from_coords(cat, x.carrier, y.carrier, vec)
-        cols.append(_module_constraint(x, y, phi).coords())
+        cols.append(constraint(mor_from_coords(cat, x.carrier, y.carrier,
+                                               vec)))
     mat = Matrix.from_cols(field, cols)
     return [mor_from_coords(cat, x.carrier, y.carrier, v)
             for v in mat.kernel_basis()]
+
+
+def hom_basis(x: ModulePres, y: ModulePres) -> list:
+    """Basis of module maps x -> y, by exact kernel computation."""
+    if x.algebra is not y.algebra and x.algebra.carrier != y.algebra.carrier:
+        raise ValidationFailure("modules over different algebras")
+    if x.side != y.side:
+        raise ValidationFailure("modules of different chirality")
+    return _maps_killed_by(
+        x, y, lambda phi: _module_constraint(x, y, phi).coords())
 
 
 def _bimodule_constraint(x: BimodulePres, y: BimodulePres, phi: Mor):
@@ -231,20 +238,7 @@ def _bimodule_constraint(x: BimodulePres, y: BimodulePres, phi: Mor):
 
 
 def bimodule_hom_basis(x: BimodulePres, y: BimodulePres) -> list:
-    cat = x.cat
-    coords = hom_coords(x.carrier, y.carrier)
-    if not coords:
-        return []
-    field = cat.field
-    cols = []
-    for k in range(len(coords)):
-        vec = [field.zero()] * len(coords)
-        vec[k] = field.one()
-        phi = mor_from_coords(cat, x.carrier, y.carrier, vec)
-        cols.append(_bimodule_constraint(x, y, phi))
-    mat = Matrix.from_cols(field, cols)
-    return [mor_from_coords(cat, x.carrier, y.carrier, v)
-            for v in mat.kernel_basis()]
+    return _maps_killed_by(x, y, lambda phi: _bimodule_constraint(x, y, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +437,11 @@ def rel_tensor(x: ModulePres, y: ModulePres):
     mults = {}
     for a in total.support:
         img = diff.block(a)
-        space = _Rowspace(field, total.mult(a))
+        space = RowSpace(field, total.mult(a))
         for j in range(img.cols):
             space.add([img.a[r][j] for r in range(img.rows)])
-        free = [k for k in range(total.mult(a)) if k not in space.pivots]
+        pivots = set(space.pivots())
+        free = [k for k in range(total.mult(a)) if k not in pivots]
         mults[a] = len(free)
         proj = Matrix.zeros(field, len(free), total.mult(a))
         for col in range(total.mult(a)):
@@ -462,10 +457,14 @@ def rel_tensor(x: ModulePres, y: ModulePres):
     return q, proj_mor
 
 
-def internal_hom(x: ModulePres, y: ModulePres) -> Obj:
-    """The object [x, y] = (x (x)_A y^v)^v for right modules x, y."""
-    yR = module_dual(y, "R")
-    q, _p = rel_tensor(x, yR)
+def internal_hom(x: ModulePres, y: ModulePres,
+                 y_dual: ModulePres | None = None) -> Obj:
+    """The object [x, y] = (x (x)_A y^v)^v for right modules x, y.
+
+    `y_dual` is `module_dual(y, "R")`, for a caller that already has it."""
+    if y_dual is None:
+        y_dual = module_dual(y, "R")
+    q, _p = rel_tensor(x, y_dual)
     return x.cat.dual_obj(q)
 
 
@@ -532,7 +531,7 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
         Ebar, project, lift = E, (lambda v: list(v)), (lambda v: list(v))
     simples = []
     for z in central_idempotents(Ebar):
-        zideal = _Rowspace(cat.field, Ebar.dim)
+        zideal = RowSpace(cat.field, Ebar.dim)
         for i in range(Ebar.dim):
             zideal.add(Ebar.mult_vec(z, Ebar.basis_vec(i)))
         B, embed = subalgebra_on(Ebar, zideal.basis(), z)

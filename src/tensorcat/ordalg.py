@@ -15,7 +15,7 @@ algebras fall back to the left regular representation.
 from fractions import Fraction
 
 from .fields import Field, Scalar
-from .linalg import Matrix
+from .linalg import Matrix, RowSpace
 from .poly import Poly, factor
 
 
@@ -53,6 +53,7 @@ class OrdAlgebra:
         self.sc = sc_pairs
         self.unit = list(unit)
         self.rep = rep
+        self._radical = None
         if validate:
             self._validate()
 
@@ -222,6 +223,9 @@ def charpoly(m: Matrix) -> list:
     field = m.field
     if n == 0:
         return [field.one()]
+    # a similarity transform to upper Hessenberg form: each row operation
+    # is matched by the inverse column operation, so the characteristic
+    # polynomial is kept; row reduction alone (linalg.RowSpace) would not
     h = [list(r) for r in m.a]
     for c in range(n - 2):
         piv = None
@@ -289,10 +293,14 @@ def _charpoly_of_blocks(blocks) -> list:
 # radical
 
 def radical(E: OrdAlgebra) -> list:
-    """Basis of the Jacobson radical, as coordinate vectors."""
-    if E.field.char == 0:
-        return _radical_char0(E)
-    return _radical_charp(E)
+    """Basis of the Jacobson radical, as coordinate vectors.
+
+    Computed once per algebra: an OrdAlgebra does not change after
+    construction, and every caller only reads the list."""
+    if E._radical is None:
+        E._radical = (_radical_char0(E) if E.field.char == 0
+                      else _radical_charp(E))
+    return E._radical
 
 
 def _radical_char0(E: OrdAlgebra) -> list:
@@ -375,13 +383,10 @@ def is_semisimple(E: OrdAlgebra) -> bool:
 
 def nilpotency_index(E: OrdAlgebra, vectors) -> int:
     """Smallest m with (ideal spanned by vectors)^m = 0; raises if not nil."""
-    span = _Rowspace(E.field, len(vectors[0]) if vectors else E.dim)
-    for v in vectors:
-        span.add(v)
     m = 1
     cur = [list(v) for v in vectors]
     while cur:
-        nxt_span = _Rowspace(E.field, E.dim)
+        nxt_span = RowSpace(E.field, E.dim)
         for v in cur:
             for w in vectors:
                 nxt_span.add(E.mult_vec(v, w))
@@ -390,58 +395,6 @@ def nilpotency_index(E: OrdAlgebra, vectors) -> int:
         if m > E.dim + 1:
             raise OrdAlgebraError("ideal is not nilpotent")
     return m
-
-
-class _Rowspace:
-    """Incremental row space in reduced echelon form."""
-
-    def __init__(self, field, width):
-        self.field = field
-        self.width = width
-        self.rows = []          # (pivot, vector) sorted by pivot
-        self.pivots = {}
-
-    def reduce(self, v):
-        v = list(v)
-        for piv, row in self.rows:
-            c = v[piv]
-            if not c.is_zero():
-                for k in range(piv, self.width):
-                    if not row[k].is_zero():
-                        v[k] = v[k] - c * row[k]
-        return v
-
-    def add(self, v) -> bool:
-        """Reduce and insert; True if the space grew."""
-        v = self.reduce(v)
-        piv = None
-        for k in range(self.width):
-            if not v[k].is_zero():
-                piv = k
-                break
-        if piv is None:
-            return False
-        inv = v[piv].inv()
-        v = [x * inv for x in v]
-        for _, row in self.rows:
-            c = row[piv]
-            if not c.is_zero():
-                for k in range(self.width):
-                    if not v[k].is_zero():
-                        row[k] = row[k] - c * v[k]
-        self.rows.append((piv, v))
-        self.rows.sort(key=lambda pr: pr[0])
-        self.pivots[piv] = True
-        return True
-
-    def contains(self, v) -> bool:
-        return all(x.is_zero() for x in self.reduce(v))
-
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> list:
-        return [list(row) for _, row in self.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +430,7 @@ def center(E: OrdAlgebra) -> list:
 def min_poly_of_element(E: OrdAlgebra, x) -> Poly:
     """Minimal polynomial of x in the algebra."""
     field = E.field
-    space = _Rowspace(field, E.dim)
+    space = RowSpace(field, E.dim)
     powers = [list(E.unit)]
     space.add(E.unit)
     cur = list(E.unit)
@@ -605,11 +558,11 @@ def subalgebra_on(E: OrdAlgebra, vectors, unit_vec, validate=False):
 def quotient_algebra(E: OrdAlgebra, ideal_vectors):
     """(E/I, project, lift) for a two-sided ideal I given by a basis."""
     field = E.field
-    space = _Rowspace(field, E.dim)
+    space = RowSpace(field, E.dim)
     for v in ideal_vectors:
         space.add(v)
-    pivots = sorted(space.pivots)
-    free = [k for k in range(E.dim) if k not in space.pivots]
+    pivots = set(space.pivots())
+    free = [k for k in range(E.dim) if k not in pivots]
     if not free:
         raise OrdAlgebraError("ideal is the whole algebra")
 
@@ -884,7 +837,7 @@ class OrdModule:
     def spin(self, v) -> list:
         """Basis of the submodule generated by v."""
         E = self.algebra
-        space = _Rowspace(self.field, self.dim)
+        space = RowSpace(self.field, self.dim)
         space.add(v)
         frontier = [list(v)]
         while frontier:
@@ -987,7 +940,7 @@ def _endo_algebra(M: OrdModule, end_basis) -> OrdAlgebra:
 def _matrix_min_poly(m: Matrix) -> Poly:
     field = m.field
     n = m.rows
-    space = _Rowspace(field, n * n)
+    space = RowSpace(field, n * n)
     idm = Matrix.identity(field, n)
     powers = [idm]
     space.add([idm.a[r][c] for r in range(n) for c in range(n)])
@@ -1036,24 +989,24 @@ def decompose_module(E: OrdAlgebra, M: OrdModule) -> list:
     out = []
     for z in central_idempotents(E):
         pz = M.act_matrix(z)
-        block_rows = _Rowspace(E.field, M.dim)
+        block_rows = RowSpace(E.field, M.dim)
         for r in pz.a:
             block_rows.add(r)
         if block_rows.dim() == 0:
             continue
         # the block algebra and a primitive idempotent inside it
-        zideal = _Rowspace(E.field, E.dim)
+        zideal = RowSpace(E.field, E.dim)
         for i in range(E.dim):
             zideal.add(E.mult_vec(z, E.basis_vec(i)))
         B, embed = subalgebra_on(E, zideal.basis(), z)
         e_B = primitive_idempotent(B)
         e = embed(e_B)
         pe = M.act_matrix(e)
-        me_rows = _Rowspace(E.field, M.dim)
+        me_rows = RowSpace(E.field, M.dim)
         for v in block_rows.basis():
             w = [sum_entry for sum_entry in _apply_row(v, pe)]
             me_rows.add(w)
-        covered = _Rowspace(E.field, M.dim)
+        covered = RowSpace(E.field, M.dim)
         count = 0
         simple = None
         for v in me_rows.basis():
@@ -1141,7 +1094,7 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
 
 
 def _primitive_in_corner(B: OrdAlgebra, e) -> list:
-    corner = _Rowspace(B.field, B.dim)
+    corner = RowSpace(B.field, B.dim)
     for i in range(B.dim):
         corner.add(B.mult_vec(e, B.mult_vec(B.basis_vec(i), e)))
     Bc, embed = subalgebra_on(B, corner.basis(), e)
@@ -1152,7 +1105,7 @@ def _primitive_in_corner(B: OrdAlgebra, e) -> list:
 def _idempotent_from_nilpotent(B: OrdAlgebra, z):
     """Right identity of the proper left ideal B z, if it exists."""
     field = B.field
-    ideal = _Rowspace(field, B.dim)
+    ideal = RowSpace(field, B.dim)
     for i in range(B.dim):
         ideal.add(B.mult_vec(B.basis_vec(i), z))
     basis = ideal.basis()

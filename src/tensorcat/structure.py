@@ -110,14 +110,14 @@ class AlgebraAnalysisContext:
     that is handed this context:
 
     * `end`: the endomorphism data of the free-module generator;
-    * `radical`: the radical of `end.algebra` (the module radical);
     * `division`: the three-valued division verdict;
     * `simples`: the simple modules and their multiplicities, split off
       `end`;
     * `dual_module`: A^L, the left dual of A, as a right module;
     * `to_dual`, `from_dual`: bases of the module maps A -> A^L and
       A^L -> A;
-    * `internal_homs`: the objects [x_i, x_j] for all pairs of simples;
+    * `internal_homs`: the objects [x_i, x_j] for all pairs of simples,
+      from one dual module per simple;
     * `sim_classes`: the partition of the simples under nonvanishing
       internal hom.
 
@@ -131,10 +131,6 @@ class AlgebraAnalysisContext:
     @cached_property
     def end(self) -> EndData:
         return free_module_end(self.A)
-
-    @cached_property
-    def radical(self) -> list:
-        return radical(self.end.algebra)
 
     @cached_property
     def division(self):
@@ -160,7 +156,8 @@ class AlgebraAnalysisContext:
     @cached_property
     def internal_homs(self) -> dict:
         sims = [s for s, _i, _r in self.simples.simples]
-        return {(i, j): internal_hom(si, sj)
+        duals = [module_dual(s, "R") for s in sims]
+        return {(i, j): internal_hom(si, sj, duals[j])
                 for i, si in enumerate(sims) for j, sj in enumerate(sims)}
 
     @cached_property
@@ -171,7 +168,7 @@ class AlgebraAnalysisContext:
 def is_semisimple_algebra(C: CategoryPres, A: AlgebraPres,
                           ctx: AlgebraAnalysisContext | None = None) -> bool:
     ctx = ctx or AlgebraAnalysisContext(C, A)
-    return not ctx.radical
+    return not radical(ctx.end.algebra)
 
 
 def is_division_algebra(C: CategoryPres, A: AlgebraPres,

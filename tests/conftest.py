@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from tensorcat.catalog import make_algebra, standard_entries
 from tensorcat.algebra import internal_end
 from tensorcat.fincat import Obj
+
+# the same examples on every machine, and no example database on disk
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcat.fields import Field
-from tensorcat.linalg import Matrix, SingularMatrix
+from tensorcat.linalg import Matrix, RowSpace, SingularMatrix
 
 Q = Field.rationals()
 F7 = Field.prime(7)
+F4 = Field(2, [1, 1, 1], gen_name="w")           # w^2 = w + 1
+QPHI = Field(0, [-1, -1, 1], gen_name="phi")     # phi^2 = phi + 1
+FIELDS = pytest.mark.parametrize("field", [Q, F7, F4, QPHI],
+                                 ids=["Q", "F7", "F4", "Qphi"])
 
 
 def M(field, rows):
@@ -110,3 +117,152 @@ def test_solve_many_reports_infeasible_column():
     assert m.solve_many(bs) == [[Q.scalar(2), Q.zero()], None,
                                 [Q.zero(), Q.zero()]]
     assert m.solve_many([]) == []
+
+
+def test_from_cols_keeps_the_width_of_rowless_columns():
+    m = Matrix.from_cols(Q, [[], []])
+    assert (m.rows, m.cols) == (0, 2)
+    assert m.kernel_basis() == [[Q.one(), Q.zero()], [Q.zero(), Q.one()]]
+    assert m.solve([]) == [Q.zero(), Q.zero()]
+
+
+def test_transpose_keeps_the_shape_of_an_empty_matrix():
+    t = Matrix.zeros(Q, 2, 0).transpose()
+    assert (t.rows, t.cols) == (0, 2)
+
+
+# -- properties of the elimination kernel --------------------------------
+
+def matrices(field, rows, cols):
+    """Matrices of the given shape strategies; small entries, so singular
+    and sparse matrices are common."""
+    entry = st.lists(st.integers(-2, 2), min_size=field.deg,
+                     max_size=field.deg).map(field.scalar)
+    return st.tuples(rows, cols).flatmap(
+        lambda rc: st.lists(st.lists(entry, min_size=rc[0], max_size=rc[0]),
+                            min_size=rc[1], max_size=rc[1])
+        .map(lambda cols_data: Matrix.from_cols(field, cols_data)))
+
+
+def small(field):
+    return matrices(field, st.integers(0, 4), st.integers(1, 5))
+
+
+def square(field, n):
+    return matrices(field, st.just(n), st.just(n))
+
+
+def is_rref(R, pivots):
+    r = len(pivots)
+    if pivots != sorted(set(pivots)):
+        return False
+    for i, pc in enumerate(pivots):
+        row = R.a[i]
+        if row[pc] != R.field.one():
+            return False
+        if any(not x.is_zero() for x in row[:pc]):
+            return False
+        if any(not R.a[k][pc].is_zero() for k in range(R.rows) if k != i):
+            return False
+    return all(x.is_zero() for row in R.a[r:] for x in row)
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rref_is_reduced_echelon_with_the_same_row_space(field, data):
+    A = data.draw(small(field))
+    R, pivots = A.rref()
+    assert (R.rows, R.cols) == (A.rows, A.cols)
+    assert is_rref(R, pivots)
+    # every row of A is the combination of R's rows read off its pivots
+    z = field.zero()
+    for a in A.a:
+        comb = [z] * A.cols
+        for i, pc in enumerate(pivots):
+            comb = [x + a[pc] * y for x, y in zip(comb, R.a[i])]
+        assert comb == a
+    # and every row of R is a combination of A's rows
+    for row in R.a[:len(pivots)]:
+        y = A.transpose().solve(row)
+        assert y is not None and A.transpose().mul_vec(y) == row
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rows_added_in_any_order_end_in_the_rref(field, data):
+    A = data.draw(small(field))
+    order = data.draw(st.permutations(range(A.rows)))
+    space = RowSpace(field, A.cols)
+    for i in order:
+        space.add(A.a[i])
+    R, pivots = A.rref()
+    assert space.pivots() == pivots
+    assert space.basis() == R.a[:len(pivots)]
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_det_is_multiplicative(field, data):
+    n = data.draw(st.integers(0, 4))
+    A, B = data.draw(square(field, n)), data.draw(square(field, n))
+    assert (A @ B).det() == A.det() * B.det()
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_det_nonzero_exactly_when_inverse_exists(field, data):
+    A = data.draw(square(field, data.draw(st.integers(0, 4))))
+    try:
+        Ai = A.inv()
+    except SingularMatrix:
+        assert A.det().is_zero()
+        return
+    assert not A.det().is_zero()
+    assert A @ Ai == Matrix.identity(field, A.rows)
+    assert Ai @ A == Matrix.identity(field, A.rows)
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_solve_many_solves_or_reports_a_rank_increase(field, data):
+    A = data.draw(small(field))
+    bs = data.draw(st.lists(matrices(field, st.just(A.rows), st.just(1)),
+                            max_size=3))
+    bs = [b.col(0) for b in bs]
+    x = data.draw(matrices(field, st.just(A.cols), st.just(1))).col(0)
+    bs.append(A.mul_vec(x))                  # always feasible
+    sols = A.solve_many(bs)
+    assert sols[-1] is not None
+    for b, sol in zip(bs, sols):
+        if sol is None:
+            aug = Matrix.from_cols(field, [A.col(j) for j in range(A.cols)]
+                                   + [b])
+            assert aug.rank() == A.rank() + 1
+        else:
+            assert A.mul_vec(sol) == b
+
+
+def _to_sympy(sympy, A):
+    return sympy.Matrix(A.rows, A.cols, [sympy.Rational(x.c[0].numerator,
+                                                        x.c[0].denominator)
+                                         for row in A.a for x in row])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rref_and_det_match_sympy_over_q(data):
+    sympy = pytest.importorskip("sympy")
+    A = data.draw(small(Q))
+    R, pivots = A.rref()
+    sR, spivots = _to_sympy(sympy, A).rref()
+    assert pivots == list(spivots)
+    assert _to_sympy(sympy, R) == sR
+    S = data.draw(square(Q, data.draw(st.integers(0, 4))))
+    d = _to_sympy(sympy, S).det()
+    assert S.det() == Q.scalar(Fraction(int(sympy.numer(d)),
+                                        int(sympy.denom(d))))

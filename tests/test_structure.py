@@ -334,11 +334,11 @@ def test_three_way_equivalence_char_zero_division(corpus_reports):
 
 
 def test_analyze_computes_each_shared_fact_once(cats, monkeypatch):
-    # the division verdict feeds three criteria, the module radical four
-    # and the internal-hom table two; the analysis context computes each
-    # of them once
+    # the division verdict feeds three criteria and the internal-hom
+    # table two; the analysis context computes each of them once (the
+    # radical is kept by each algebra: see the next test)
     import tensorcat.structure as structure
-    calls = {"module_is_simple": 0, "radical": 0, "internal_hom": 0}
+    calls = {"module_is_simple": 0, "internal_hom": 0}
 
     def counted(name):
         inner = getattr(structure, name)
@@ -355,8 +355,50 @@ def test_analyze_computes_each_shared_fact_once(cats, monkeypatch):
     assert rep["flags"]["division"] is True
     assert rep["oracle_agreement"]["separable_duality_loop"] is True
     n = rep["matrix_decomposition"]["simple_count"]
-    assert calls == {"module_is_simple": 1, "radical": 1,
-                     "internal_hom": n * n}
+    assert calls == {"module_is_simple": 1, "internal_hom": n * n}
+
+
+@pytest.mark.parametrize("cat_name,kind,params", [
+    ("vec_q", "ordinary_group_algebra", {"n": 4}),
+    ("z4", "regular_pointed", {}), ("z3_f3", "regular_pointed", {})])
+def test_analyze_computes_each_radical_once(cats, monkeypatch, cat_name,
+                                            kind, params):
+    # the analysis context, is_semisimple, simple_modules,
+    # module_is_simple, is_division and central_idempotents all ask for
+    # radicals; each distinct algebra computes its own once
+    import tensorcat.ordalg as ordalg
+    seen = []
+    for name in ("_radical_char0", "_radical_charp"):
+        inner = getattr(ordalg, name)
+
+        def counted(E, inner=inner):
+            seen.append(E)
+            return inner(E)
+        monkeypatch.setattr(ordalg, name, counted)
+    C = cats[cat_name]
+    analyze(C, make_algebra(C, kind, params))
+    assert len(seen) >= 2
+    assert len({id(E) for E in seen}) == len(seen)
+
+
+def test_analyze_builds_each_simple_dual_once(cats, monkeypatch):
+    # Q[Z/4] has three simple modules: one right dual each for the
+    # internal-hom table, plus A^L for the beta, alpha and dimension routes
+    import tensorcat.modcat as modcat
+    import tensorcat.structure as structure
+    calls = []
+    inner = modcat.module_dual
+
+    def module_dual(x, side):
+        calls.append(side)
+        return inner(x, side)
+
+    for mod in (structure, modcat):
+        monkeypatch.setattr(mod, "module_dual", module_dual)
+    vq = cats["vec_q"]
+    rep = analyze(vq, make_algebra(vq, "ordinary_group_algebra", {"n": 4}))
+    assert rep["matrix_decomposition"]["simple_count"] == 3
+    assert sorted(calls) == ["L", "R", "R", "R"]
 
 
 def test_budget_env_must_be_an_integer(monkeypatch):
