@@ -12,7 +12,7 @@ analysis outputs are gauge-invariant.
 """
 
 from .algebra import AlgebraPres, internal_end, trivial_algebra
-from .fields import Field, Scalar
+from .fields import Field
 from .fincat import CategoryPres, Mor, Obj, ValidationFailure, validate_category
 from .linalg import Matrix
 

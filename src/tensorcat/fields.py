@@ -6,9 +6,16 @@ are not supported; present them by a primitive element instead.  This
 keeps every scalar in a unique canonical form, so equality of scalars is
 literal equality of coefficient vectors.
 
-Scalars are immutable.  Coefficients of the prime field are
-`fractions.Fraction` in characteristic zero and reduced residues in
-[0, p) in characteristic p.
+Scalars are immutable.  Coefficients of the prime field are reduced
+residues in [0, p) in characteristic p.  In characteristic zero a
+coefficient is an `int` when it is integral and a `fractions.Fraction`
+(with denominator > 1) otherwise; every operation normalises its result
+to that form (`_qn`).  Most inputs -- structure constants, associators,
+group-algebra products -- are integers, and in CPython an `int` product
+costs a few percent of a `Fraction` product.  Each value still has
+exactly one coefficient form, and since `Fraction(n) == n` and
+`hash(Fraction(n)) == hash(n)`, equality, hashing and printing are the
+same as with `Fraction`s throughout.
 """
 
 from fractions import Fraction
@@ -47,6 +54,12 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # base-coefficient helpers (dense lists over the prime field)
+
+def _qn(x):
+    """Canonical characteristic-zero coefficient: an int when integral."""
+    return x if type(x) is int else (
+        x.numerator if x.denominator == 1 else x)
+
 
 def _b_trim(cs):
     while cs and cs[-1] == 0:
@@ -88,7 +101,7 @@ class Field:
             mp = tuple(self._bcanon(c) for c in minpoly)
             if len(mp) < 3:
                 raise FieldError("extension minpoly must have degree >= 2")
-            if mp[-1] != self._bone():
+            if mp[-1] != 1:
                 raise FieldError("extension minpoly must be monic")
             self.minpoly = mp
             self.deg = len(mp) - 1
@@ -96,9 +109,9 @@ class Field:
         self._red = None
         if self.minpoly is not None:
             self._red = self._reduction_table()
-        self._zero_c = tuple([self._bzero()] * self.deg)
+        self._zero_c = (0,) * self.deg
         self._zero = Scalar(self, self._zero_c)
-        self._one = Scalar(self, tuple([self._bone()] + [self._bzero()] * (self.deg - 1)))
+        self._one = Scalar(self, (1,) + (0,) * (self.deg - 1))
         if self.minpoly is not None and check_irreducible:
             from .poly import Poly, factor
             base = Field(self.char)
@@ -124,41 +137,39 @@ class Field:
         return Field(char, coeffs, gen_name=gen_name)
 
     # -- base (prime-field) coefficient arithmetic -------------------------
-    def _bzero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    def _bone(self):
-        return Fraction(1) if self.char == 0 else 1
-
     def _bcanon(self, c):
+        if type(c) is int:
+            return c % self.char if self.char else c
+        c = Fraction(c)
         if self.char == 0:
-            return Fraction(c)
-        return int(c) % self.char
+            return _qn(c)
+        # a rational n/d is n * d^-1 in F_p, not its integer part
+        return c.numerator * pow(c.denominator, -1, self.char) % self.char
 
     def _parse_base(self, c):
         if isinstance(c, str):
             if "/" in c:
                 n, d = c.split("/")
                 if self.char == 0:
-                    return Fraction(int(n), int(d))
+                    return _qn(Fraction(int(n), int(d)))
                 return (int(n) * pow(int(d), -1, self.char)) % self.char
             c = int(c)
         return self._bcanon(c)
 
     def _badd(self, a, b):
-        return (a + b) if self.char == 0 else (a + b) % self.char
+        return _qn(a + b) if self.char == 0 else (a + b) % self.char
 
     def _bsub(self, a, b):
-        return (a - b) if self.char == 0 else (a - b) % self.char
+        return _qn(a - b) if self.char == 0 else (a - b) % self.char
 
     def _bmul(self, a, b):
-        return (a * b) if self.char == 0 else (a * b) % self.char
+        return _qn(a * b) if self.char == 0 else (a * b) % self.char
 
     def _binv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.char == 0:
-            return Fraction(1) / a
+            return _qn(Fraction(1) / a)
         return pow(a, -1, self.char)
 
     # -- reduction of t^k for k in [deg, 2*deg-2] ---------------------------
@@ -166,10 +177,10 @@ class Field:
         d = self.deg
         table = {}
         # t^d = -(m_0 + m_1 t + ... + m_{d-1} t^{d-1})
-        cur = [self._bsub(self._bzero(), c) for c in self.minpoly[:d]]
+        cur = [self._bsub(0, c) for c in self.minpoly[:d]]
         table[d] = list(cur)
         for k in range(d + 1, 2 * d - 1):
-            nxt = [self._bzero()] + cur[: d - 1]
+            nxt = [0] + cur[: d - 1]
             top = cur[d - 1]
             if top != 0:
                 for j in range(d):
@@ -180,20 +191,25 @@ class Field:
 
     # -- scalar-level arithmetic on coefficient tuples ----------------------
     def _add(self, a, b):
+        if self.deg == 1:
+            return (self._badd(a[0], b[0]),)
         return tuple(self._badd(x, y) for x, y in zip(a, b))
 
     def _sub(self, a, b):
+        if self.deg == 1:
+            return (self._bsub(a[0], b[0]),)
         return tuple(self._bsub(x, y) for x, y in zip(a, b))
 
     def _neg(self, a):
-        z = self._bzero()
-        return tuple(self._bsub(z, x) for x in a)
+        if self.deg == 1:
+            return (self._bsub(0, a[0]),)
+        return tuple(self._bsub(0, x) for x in a)
 
     def _mul(self, a, b):
         d = self.deg
         if d == 1:
             return (self._bmul(a[0], b[0]),)
-        prod = [self._bzero()] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
@@ -218,7 +234,7 @@ class Field:
         # extended Euclid on (minpoly, a) over the prime field
         bsub, bmul, binv = self._bsub, self._bmul, self._binv
         r0, r1 = list(self.minpoly), _b_trim(list(a))
-        s0, s1 = [], [self._bone()]
+        s0, s1 = [], [1]
         while r1:
             q, r = _b_divmod(r0, r1, bsub, bmul, binv)
             s = list(s0)
@@ -229,7 +245,7 @@ class Field:
                 for j, sc in enumerate(s1):
                     k = i + j
                     while len(s) <= k:
-                        s.append(self._bzero())
+                        s.append(0)
                     s[k] = bsub(s[k], bmul(qc, sc))
             r0, r1 = r1, r
             s0, s1 = s1, _b_trim(s)
@@ -237,7 +253,7 @@ class Field:
         if len(r0) != 1:
             raise FieldError("minpoly not irreducible: gcd has positive degree")
         c = binv(r0[0])
-        out = [self._bzero()] * self.deg
+        out = [0] * self.deg
         for j, sc in enumerate(s0):
             out[j] = bmul(sc, c)
         return tuple(out)
@@ -252,8 +268,8 @@ class Field:
     def gen(self) -> "Scalar":
         if self.minpoly is None:
             raise FieldError("prime field has no extension generator")
-        cs = [self._bzero()] * self.deg
-        cs[1] = self._bone()
+        cs = [0] * self.deg
+        cs[1] = 1
         return Scalar(self, tuple(cs))
 
     def scalar(self, value) -> "Scalar":
@@ -267,15 +283,16 @@ class Field:
             if len(value) > self.deg:
                 raise FieldError("coefficient vector longer than field degree")
             cs = [self._parse_base(c) for c in value]
-            cs += [self._bzero()] * (self.deg - len(cs))
+            cs += [0] * (self.deg - len(cs))
             return Scalar(self, tuple(cs))
         c = self._parse_base(value)
-        cs = [c] + [self._bzero()] * (self.deg - 1)
+        cs = [c] + [0] * (self.deg - 1)
         return Scalar(self, tuple(cs))
 
     def __eq__(self, other):
-        return (isinstance(other, Field) and self.char == other.char
-                and self.minpoly == other.minpoly)
+        return self is other or (
+            isinstance(other, Field) and self.char == other.char
+            and self.minpoly == other.minpoly)
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -318,7 +335,7 @@ class Scalar:
     def _check(self, other):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("operands belong to different fields")
 
     def __add__(self, other):
@@ -362,8 +379,8 @@ class Scalar:
         return self.c == self.field._zero_c
 
     def __eq__(self, other):
-        return (isinstance(other, Scalar) and other.field == self.field
-                and other.c == self.c)
+        return (isinstance(other, Scalar) and other.c == self.c
+                and (other.field is self.field or other.field == self.field))
 
     def __ne__(self, other):
         return not self.__eq__(other)

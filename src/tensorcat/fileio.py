@@ -12,7 +12,7 @@ import json
 
 from .algebra import AlgebraPres
 from .fields import Field, Scalar
-from .fincat import CategoryPres, Mor, Obj, ValidationFailure
+from .fincat import CategoryPres, Mor, Obj
 from .linalg import Matrix
 from .modcat import ModulePres
 

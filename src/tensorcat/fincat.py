@@ -398,27 +398,30 @@ class CategoryPres:
         dst = self.tensor(f.dst, g.dst)
         src_basis = self.fusion_basis(f.src, g.src)
         dst_index = self.fusion_index(f.dst, g.dst)
+        field = self.field
+        zc, mul = field._zero_c, field._mul
         blocks = {}
         for c, lst in src_basis.items():
             if dst.mult(c) == 0:
                 continue
-            m = Matrix.zeros(self.field, dst.mult(c), src.mult(c))
+            m = Matrix.zeros(field, dst.mult(c), src.mult(c))
             idx = dst_index.get(c, {})
             for col, (a, i, b, j, mu) in enumerate(lst):
                 fb = f.blocks.get(a)
                 gb = g.blocks.get(b)
                 if fb is None or gb is None:
                     continue
-                for i2 in range(fb.rows):
-                    x = fb.a[i2][i]
-                    if x.is_zero():
+                ys = [(j2, row[j].c) for j2, row in enumerate(gb.a)
+                      if row[j].c != zc]
+                for i2, row in enumerate(fb.a):
+                    xc = row[i].c
+                    if xc == zc:
                         continue
-                    for j2 in range(gb.rows):
-                        y = gb.a[j2][j]
-                        if y.is_zero():
-                            continue
-                        row = idx[(a, i2, b, j2, mu)]
-                        m.a[row][col] = m.a[row][col] + x * y
+                    # (i2, j2) -> row is injective, so each entry gets one
+                    # product, and a product of nonzeros is nonzero
+                    for j2, yc in ys:
+                        m.a[idx[(a, i2, b, j2, mu)]][col] = \
+                            Scalar(field, mul(xc, yc))
             blocks[c] = m
         return Mor(self, src, dst, blocks)
 

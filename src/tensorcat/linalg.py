@@ -9,6 +9,9 @@ positions, so sparse systems eliminate quickly without a separate
 sparse representation.  No floating point is used anywhere.
 """
 
+from itertools import compress, repeat
+from operator import is_not
+
 from .fields import Field, FieldMismatch, Scalar
 
 
@@ -76,27 +79,38 @@ class Matrix:
                             for j in range(self.cols)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+        field = self.field
+        if other.field is not field and other.field != field:
             raise FieldMismatch("matrices over different fields")
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch {self.rows}x{self.cols} @ "
                               f"{other.rows}x{other.cols}")
-        z = self.field.zero()
-        zc = self.field._zero_c
-        # sparse row supports of the right factor, computed once
-        rows_nz = [[(j, y) for j, y in enumerate(row) if y.c != zc]
-                   for row in other.a]
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.a[i]
-            orow = out[i]
-            for k in range(self.cols):
-                x = arow[k]
-                if x.c == zc:
-                    continue
-                for j, y in rows_nz[k]:
-                    orow[j] = orow[j] + x * y
-        return Matrix._raw(self.field, self.rows, other.cols, out)
+        # accumulate on coefficient tuples; wrap each entry once at the end
+        z = field.zero()
+        zc = field._zero_c
+        add, mul = field._add, field._mul
+        # sparse supports of the rows of the right factor, built on demand
+        rows_nz = {}
+        out = []
+        for arow in self.a:
+            acc = {}
+            for k in _support(arow, z):
+                nz = rows_nz.get(k)
+                if nz is None:
+                    brow = other.a[k]
+                    nz = rows_nz[k] = [(j, brow[j].c)
+                                       for j in _support(brow, z)]
+                xc = arow[k].c
+                for j, yc in nz:
+                    v = acc.get(j)
+                    acc[j] = mul(xc, yc) if v is None else \
+                        add(v, mul(xc, yc))
+            orow = [z] * other.cols
+            for j, v in acc.items():
+                if v != zc:
+                    orow[j] = Scalar(field, v)
+            out.append(orow)
+        return Matrix._raw(field, self.rows, other.cols, out)
 
     def mul_vec(self, v: list) -> list:
         if len(v) != self.cols:
@@ -219,12 +233,14 @@ class Matrix:
         if self.rows != self.cols:
             raise SingularMatrix("only square matrices can be inverted")
         n = self.rows
-        aug = Matrix(self.field, [self.a[i] + Matrix.identity(self.field, n).a[i]
-                                  for i in range(n)])
+        z, o = self.field.zero(), self.field.one()
+        aug = Matrix._raw(self.field, n, 2 * n,
+                          [row + [o if j == i else z for j in range(n)]
+                           for i, row in enumerate(self.a)])
         R, pivots = aug.rref()
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix(self.field, [R.a[i][n:] for i in range(n)])
+        return Matrix._raw(self.field, n, n, [R.a[i][n:] for i in range(n)])
 
     def det(self) -> Scalar:
         """Product of the leading entries met as the rows are added to a
@@ -246,6 +262,15 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
+
+
+def _support(row, z) -> list:
+    """Positions of the nonzero entries of `row`.  Nearly every zero entry
+    is the field's shared zero `z`, so the scan skips those by identity
+    at C speed before testing the rest."""
+    zc = z.c
+    return [j for j in compress(range(len(row)), map(is_not, row, repeat(z)))
+            if row[j].c != zc]
 
 
 class RowSpace:

@@ -508,16 +508,19 @@ def split_idempotent_module(P: ModulePres, e: Mor):
 # simple modules
 
 class SimpleModulesResult:
-    def __init__(self, simples, mult_in_A, semisimple):
+    def __init__(self, simples, mult_in_A, semisimple, ends):
         self.simples = simples          # list of (ModulePres, incl, retr)
         self.mult_in_A = mult_in_A      # multiplicities, or None if not ss
         self.semisimple = semisimple
+        self.ends = ends                # EndData of each simple, or None
 
 
 def simple_modules(end: EndData) -> SimpleModulesResult:
     """Simple right modules as images of primitive idempotent endomorphisms
     of the free modules; indecomposable projectives when A is not
-    semisimple (flagged).  `end` is `free_module_end(A)`."""
+    semisimple (flagged).  `end` is `free_module_end(A)`.  When A is
+    semisimple, `ends` keeps the End data of each simple, which the
+    multiplicity count needs anyway."""
     frees = end.modules
     A = frees[0].algebra
     cat = A.cat
@@ -546,16 +549,18 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
         sub, incl, retr = split_idempotent_module(psum, e_sum)
         simples.append((sub, incl, retr))
     amod = algebra_as_module(A)
-    mult_in_A = None
+    mult_in_A = ends = None
     if semisimple:
         mult_in_A = []
+        ends = []
         for sub, _i, _r in simples:
-            d = len(hom_basis(sub, sub))
+            ends.append(end_algebra([sub]))
+            d = len(ends[-1].basis)
             h = len(hom_basis(amod, sub))
             if h % d != 0:
                 raise ValidationFailure("inconsistent multiplicity count")
             mult_in_A.append(h // d)
-    return SimpleModulesResult(simples, mult_in_A, semisimple)
+    return SimpleModulesResult(simples, mult_in_A, semisimple, ends)
 
 
 # ---------------------------------------------------------------------------

@@ -120,34 +120,34 @@ class OrdAlgebra:
             if self.mult_vec(self.unit, bi) != bi or \
                     self.mult_vec(bi, self.unit) != bi:
                 raise OrdAlgebraError(f"unit law fails at basis element {i}")
-        # associativity on the sparse structure constants
+        # associativity on the sparse structure constants, accumulated on
+        # coefficient tuples; canonical coefficients make `!=` exact
+        field = self.field
+        add, mul, zc = field._add, field._mul, field._zero_c
+        sc = [[[(t, d.c) for t, d in pairs] for pairs in row]
+              for row in self.sc]
         for i in range(self.dim):
-            sci = self.sc[i]
+            sci = sc[i]
             for j in range(self.dim):
                 ij = sci[j]
                 for l in range(self.dim):
                     left = {}
                     for m, c in ij:
-                        for t, d in self.sc[m][l]:
+                        for t, d in sc[m][l]:
                             v = left.get(t)
-                            left[t] = c * d if v is None else v + c * d
+                            left[t] = mul(c, d) if v is None else \
+                                add(v, mul(c, d))
                     right = {}
-                    for m, c in self.sc[j][l]:
+                    for m, c in sc[j][l]:
                         for t, d in sci[m]:
                             v = right.get(t)
-                            right[t] = c * d if v is None else v + c * d
-                    for t in set(left) | set(right):
-                        lv = left.get(t)
-                        rv = right.get(t)
-                        if lv is None:
-                            if not rv.is_zero():
-                                raise OrdAlgebraError(
-                                    f"associativity fails at ({i},{j},{l})")
-                        elif rv is None:
-                            if not lv.is_zero():
-                                raise OrdAlgebraError(
-                                    f"associativity fails at ({i},{j},{l})")
-                        elif lv != rv:
+                            right[t] = mul(c, d) if v is None else \
+                                add(v, mul(c, d))
+                    if left == right:
+                        continue
+                    # a sum that cancelled may be kept on one side only
+                    for t in left.keys() | right.keys():
+                        if left.get(t, zc) != right.get(t, zc):
                             raise OrdAlgebraError(
                                 f"associativity fails at ({i},{j},{l})")
         if self.rep is not None and len(self.rep) != self.dim:

@@ -11,7 +11,6 @@ Factorization routes:
 """
 
 import random
-from fractions import Fraction
 
 from .fields import Field, FieldMismatch, Scalar, is_prime
 

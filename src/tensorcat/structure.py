@@ -20,7 +20,7 @@ from .fields import Embedding, Field, Scalar
 from .fincat import CategoryPres, Mor, Obj, hom_dim
 from .linalg import Matrix
 from .modcat import (EndData, ModulePres, algebra_as_module,
-                     bimodule_end_algebra, end_algebra, free_module_end,
+                     bimodule_end_algebra, free_module_end,
                      hom_basis, internal_hom, module_dual, module_internal_end,
                      module_over_end, simple_modules)
 from .ordalg import (UNDETERMINED, is_semisimple, is_separable_field_ext,
@@ -524,8 +524,8 @@ def endomorphism_separability_report(C: CategoryPres, A: AlgebraPres,
     if not is_semisimple_algebra(C, A, ctx):
         raise NotSemisimpleAlgebra("per-module report needs semisimplicity")
     out = []
-    for idx, (s, _i, _r) in enumerate(ctx.simples.simples):
-        e = end_algebra([s]).algebra
+    for idx, end in enumerate(ctx.simples.ends):
+        e = end.algebra
         out.append({"module": idx, "end_dim": e.dim,
                     "separable_over_base": is_separable_over_k(e)})
     return out

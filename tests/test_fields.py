@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tensorcat.fields import (DivisionByZero, Embedding, Field, FieldError,
                               FieldMismatch, NotAnEmbedding, embed)
@@ -134,3 +137,92 @@ def test_scalar_serialization_roundtrip():
     F3 = Field.prime(3)
     y = F3.scalar(2)
     assert F3.scalar(y.serialize()) == y
+
+
+# -- coefficient representation: int when integral, Fraction otherwise ----
+
+QPHI = Field.extension(0, [-1, -1, 1], gen_name="phi")
+F5 = Field.prime(5)
+
+
+def _canonical(x):
+    for c in x.c:
+        assert type(c) in (int, Fraction), c
+        if x.field.char == 0:
+            assert (type(c) is int) == (Fraction(c).denominator == 1), c
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coeff = st.one_of(st.integers(-60, 60), rationals,
+                  rationals.map(lambda q: f"{q.numerator}/{q.denominator}"))
+
+
+def scalars(field):
+    return st.lists(coeff, min_size=field.deg, max_size=field.deg).map(
+        field.scalar)
+
+
+@pytest.mark.parametrize("field", [Q, QPHI], ids=["Q", "Qphi"])
+@given(data=st.data())
+def test_coefficients_are_int_exactly_when_integral(field, data):
+    a, b = data.draw(scalars(field)), data.draw(scalars(field))
+    n = data.draw(st.integers(-3, 3))
+    results = [a, b, a + b, a - b, -a, a * b, a ** abs(n)]
+    if b:
+        results += [a / b, b.inv(), b ** n]
+    for x in results:
+        _canonical(x)
+        # equal values have equal coefficients, hashes and serializations
+        y = field.scalar([Fraction(c) for c in x.c])
+        assert y == x and y.c == x.c
+        assert hash(y) == hash(x) and y.serialize() == x.serialize()
+        assert field.scalar(x.serialize()).c == x.c
+
+
+@pytest.mark.parametrize("value", [2, Fraction(6, 3), "6/3", "2", [2]])
+def test_integral_inputs_parse_to_int(value):
+    x = Q.scalar(value)
+    assert x.c == (2,) and type(x.c[0]) is int
+
+
+def test_integral_and_fractional_forms_agree():
+    half = Q.scalar("1/2")
+    assert type(half.c[0]) is Fraction
+    two = half + Q.scalar("3/2")
+    assert two.c == (2,) and type(two.c[0]) is int
+    assert hash(two) == hash(Q.scalar(2)) and repr(two) == "2"
+    assert two.serialize() == ["2"] and half.serialize() == ["1/2"]
+    assert type(Q.zero().c[0]) is int and type(Q.one().c[0]) is int
+    assert all(type(c) is int for c in QPHI.minpoly)
+
+
+def test_mismatched_fields_still_raise():
+    for op in (lambda x, y: x + y, lambda x, y: x - y,
+               lambda x, y: x * y, lambda x, y: x / y):
+        with pytest.raises(FieldMismatch):
+            op(Q.scalar(2), F5.scalar(2))
+        with pytest.raises(FieldMismatch):
+            op(F5.scalar(3), Q.scalar("1/3"))
+    with pytest.raises(FieldMismatch):
+        Q.scalar(F5.one())
+
+
+def test_separately_built_fields_combine():
+    Q2 = Field(0)
+    assert Q2 is not Q and Q2 == Q
+    x = Q.scalar("1/2") + Q2.scalar("1/2")
+    assert x == Q.one() and x.c == (1,) and type(x.c[0]) is int
+    assert Q2.scalar(3) * Q.scalar("1/3") == Q2.one()
+    K2 = Field.extension(0, [-1, -1, 1], gen_name="phi")
+    assert (K2.gen() * QPHI.gen()).c == (1, 1)
+
+
+def test_rational_inputs_reduce_into_f_p():
+    F3 = Field.prime(3)
+    for value in (Fraction(1, 2), "1/2", Fraction(-5, 4), "-5/4"):
+        x = F3.scalar(value)
+        assert x * F3.scalar(Fraction(value).denominator) \
+            == F3.scalar(Fraction(value).numerator)
+        assert type(x.c[0]) is int and 0 <= x.c[0] < 3
+    assert F5.scalar(Fraction(7, 1)).c == (2,)
+    assert F5.scalar(True).c == (1,)

@@ -377,3 +377,39 @@ def test_reassoc_four_leaves_round_trips(name):
     assert nontrivial > 0
     with pytest.raises(ValueError):
         cat.reassoc(trees[0], (((x, w), y), z))
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising"])
+def test_interchange_law_on_random_morphisms(name):
+    # (f (x) g) o (f' (x) g') = (f o f') (x) (g o g'), with multiplicities
+    # and fusion channels of dimension above one on both sides
+    from tensorcat.fincat import Mor
+    cat = make_category(name, {})
+    field = cat.field
+    rng = random.Random(5)
+
+    def rand_obj():
+        return Obj(cat, {a: rng.randint(0, 2) for a in cat.labels})
+
+    def rand_mor(src, dst):
+        blocks = {}
+        for a in set(src.support) & set(dst.support):
+            blocks[a] = Matrix(field, [
+                [field.scalar([rng.choice([0, 0, 1, -1, 2, "1/2"])
+                               for _ in range(field.deg)])
+                 for _ in range(src.mult(a))]
+                for _ in range(dst.mult(a))])
+        return Mor(cat, src, dst, blocks)
+
+    checked = 0
+    for _ in range(12):
+        x, y, z, u, v, w = (rand_obj() for _ in range(6))
+        f1, f = rand_mor(x, y), rand_mor(y, z)
+        g1, g = rand_mor(u, v), rand_mor(v, w)
+        lhs = cat.tensor_mor(f, g) @ cat.tensor_mor(f1, g1)
+        rhs = cat.tensor_mor(f @ f1, g @ g1)
+        assert lhs == rhs
+        assert cat.tensor_mor(cat.id(x), cat.id(u)) \
+            == cat.id(cat.tensor(x, u))
+        checked += any(not m.is_zero() for m in rhs.blocks.values())
+    assert checked > 0

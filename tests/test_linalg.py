@@ -266,3 +266,67 @@ def test_rref_and_det_match_sympy_over_q(data):
     d = _to_sympy(sympy, S).det()
     assert S.det() == Q.scalar(Fraction(int(sympy.numer(d)),
                                         int(sympy.denom(d))))
+
+
+# -- the coefficient-level product against Scalar arithmetic ----------------
+
+def _naive_product(A, B):
+    field = A.field
+    out = Matrix.zeros(field, A.rows, B.cols)
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = field.zero()
+            for k in range(A.cols):
+                acc = acc + A.a[i][k] * B.a[k][j]
+            out.a[i][j] = acc
+    return out
+
+
+def _filled(field, rows, cols, entries):
+    # zeros come both as the field's shared zero and as fresh objects
+    m = Matrix.zeros(field, rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            e = next(entries)
+            if e is not None:
+                m.a[i][j] = field.scalar(e)
+    return m
+
+
+@FIELDS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matmul_matches_a_naive_triple_loop(field, data):
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    coeff = st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "-2/3"])) \
+        if field.char == 0 else st.integers(0, field.char - 1)
+    entry = st.one_of(st.none(), st.lists(coeff, min_size=field.deg,
+                                          max_size=field.deg))
+    entries = iter(data.draw(st.lists(entry, min_size=(n + m) * k,
+                                      max_size=(n + m) * k)))
+    A = _filled(field, n, k, entries)
+    B = _filled(field, k, m, entries)
+    C = A @ B
+    assert (C.rows, C.cols) == (n, m)
+    assert C == _naive_product(A, B)
+    for row in C.a:
+        for x in row:
+            assert x.field is field
+            if x.is_zero():
+                assert x is field.zero()
+
+
+@FIELDS
+def test_matmul_of_dense_random_matrices_matches_a_naive_triple_loop(field):
+    # dense entries, so every output entry sums several products
+    rng = random.Random(17)
+    coeffs = [-2, -1, 1, 2, "1/2", "-3/4"] if field.char == 0 \
+        else list(range(1, field.char))
+    for n, k, m in [(1, 2, 1), (3, 3, 3), (2, 5, 4), (0, 3, 2), (3, 0, 2)]:
+        A = _filled(field, n, k, iter([[rng.choice(coeffs)
+                                        for _ in range(field.deg)]
+                                       for _ in range(n * k)]))
+        B = _filled(field, k, m, iter([[rng.choice(coeffs)
+                                        for _ in range(field.deg)]
+                                       for _ in range(k * m)]))
+        assert A @ B == _naive_product(A, B)

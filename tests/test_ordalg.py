@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tensorcat.fields import Field
 from tensorcat.linalg import Matrix
-from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdModule,
+from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
+                              OrdModule,
                               UNDETERMINED, algebra_from_triples,
                               center, central_idempotents, charpoly,
                               decompose_module, is_division, is_semisimple,
@@ -300,3 +301,80 @@ def test_act_vec_equals_row_times_act_matrix(field, data):
     v, x = data.draw(vec), data.draw(vec)
     assume(sum(not c.is_zero() for c in x) >= 2)
     assert M.act_vec(v, x) == (Matrix(field, [v]) @ M.act_matrix(x)).a[0]
+
+
+# -- construction checks the unit law and full associativity ---------------
+
+def _triples(E):
+    return [[i, j, l, c] for i, row in enumerate(E.sc)
+            for j, pairs in enumerate(row) for l, c in pairs]
+
+
+@pytest.mark.parametrize("field,coeff", [(Q, "1/2"), (Q, 2), (F3, 2)],
+                         ids=["Q-half", "Q-two", "F3"])
+@pytest.mark.parametrize("make", [lambda f: group_algebra(f, 4),
+                                  lambda f: matrix_algebra(f, 2)],
+                         ids=["Z4", "M2"])
+def test_construction_rejects_a_perturbed_structure_constant(make, field,
+                                                             coeff):
+    # scale one product of two basis elements outside the unit's support,
+    # so that the unit law still holds and only associativity can fail
+    E = make(field)
+    unit = list(E.unit)
+    outside = {i for i, c in enumerate(unit) if c.is_zero()}
+    trips = _triples(E)
+    algebra_from_triples(field, E.dim, trips, unit)
+    perturbed = 0
+    for t, (i, j, l, c) in enumerate(trips):
+        if i not in outside or j not in outside:
+            continue
+        bad = list(trips)
+        bad[t] = [i, j, l, c * field.scalar(coeff)]
+        with pytest.raises(OrdAlgebraError, match="associativity"):
+            algebra_from_triples(field, E.dim, bad, unit)
+        perturbed += 1
+    assert perturbed >= 2
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+def test_construction_rejects_a_wrong_unit(field):
+    for E in (group_algebra(field, 3), matrix_algebra(field, 2)):
+        trips = _triples(E)
+        n = E.dim
+        for unit in ([0, 1] + [0] * (n - 2), [2] + [0] * (n - 1),
+                     [1, 1] + [0] * (n - 2), [0] * n):
+            with pytest.raises(OrdAlgebraError, match="unit law"):
+                algebra_from_triples(field, n, trips, unit)
+
+
+def _rebased(E, P):
+    """Structure constants and unit of E in the basis of the rows of P."""
+    field = E.field
+    Pinv = P.inv()
+
+    def coords(v):
+        return (Matrix(field, [v]) @ Pinv).a[0]
+
+    sc = [[[(l, c) for l, c in enumerate(coords(E.mult_vec(P.a[i], P.a[j])))
+            if not c.is_zero()]
+           for j in range(E.dim)] for i in range(E.dim)]
+    return sc, coords(E.unit)
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_construction_accepts_the_algebra_in_any_basis(field, data):
+    # in a random basis the products are sums of several terms, some of
+    # which cancel; the algebra still passes, and twice its unit does not
+    E = matrix_algebra(field, 2) if data.draw(st.booleans()) \
+        else group_algebra(field, 3)
+    n = E.dim
+    rows = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=n,
+                                       max_size=n), min_size=n, max_size=n))
+    P = Matrix(field, [[field.scalar(x) for x in r] for r in rows])
+    assume(P.is_invertible())
+    sc, unit = _rebased(E, P)
+    OrdAlgebra(field, n, sc, unit)
+    with pytest.raises(OrdAlgebraError, match="unit law"):
+        OrdAlgebra(field, n, sc, [c + c for c in unit])

@@ -436,3 +436,24 @@ def test_analyze_builds_free_end_and_dual_once(cats, monkeypatch):
     assert rep["oracle_agreement"]["separable_duality_loop"] is True
     assert rep["dim_A"] is not None
     assert calls == {"free_module_end": 1, "module_dual_L": 1}
+
+
+def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
+    # the End algebra of each simple module is built once, by
+    # simple_modules, and the per-module separability report reads it
+    import tensorcat.modcat as modcat
+    import tensorcat.structure as structure
+    pairs = []
+    inner = modcat.hom_basis
+
+    def hom_basis(x, y):
+        pairs.append((id(x), id(y)))
+        return inner(x, y)
+
+    for mod in (structure, modcat):
+        monkeypatch.setattr(mod, "hom_basis", hom_basis)
+    vq = cats["vec_q"]
+    rep = analyze(vq, make_algebra(vq, "ordinary_group_algebra", {"n": 4}))
+    assert rep["matrix_decomposition"]["simple_count"] == 3
+    assert len(rep["endomorphism_separability"]) == 3
+    assert len(pairs) == len(set(pairs)) == 12
