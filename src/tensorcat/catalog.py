@@ -41,9 +41,7 @@ def _finish(field, labels, unit, dualR, fusion, F) -> CategoryPres:
     one = field.one()
     cup, cap = {}, {}
     for a in labels:
-        u = tmp._coev_right_raw(a, one)
-        v = tmp._ev_right_raw(a, one)
-        s = tmp._snake1_scalar(a, u, v)
+        s = tmp._snake1_scalar(a, one, one)
         if s.is_zero():
             raise ValidationFailure(f"degenerate duality loop at {a!r}")
         cup[a] = one

@@ -31,6 +31,14 @@ Conventions (frozen; data files refer to them)
   coefficient of a (x) a^R -> 1; both snake equations must hold exactly.
   The left-duality pair per label is derived by solving the snake
   equations, normalized so the coevaluation coefficient is one.
+
+Structure maps
+--------------
+One routine of CategoryPres builds each family: `_associator` both
+associator directions, `_unitor` both unitors (their inverses are the
+transposes), `_pairing` the four (co)evaluations and the per-label maps
+of the snake checks.  `hom_unit_basis` is the basis dual to `hom_coords`
+that the hom solves of `modcat` and `structure` feed to their systems.
 """
 
 from .fields import Field, FieldMismatch, Scalar
@@ -157,14 +165,18 @@ class Mor:
         return Mor(self.cat, other.src, self.dst, blocks)
 
     def __add__(self, other: "Mor") -> "Mor":
-        if other.src != self.src or other.dst != self.dst:
-            raise ValueError("morphism addition requires equal hom spaces")
-        blocks = {a: self.block(a) + other.block(a)
-                  for a in set(self.blocks) | set(other.blocks)}
-        return Mor(self.cat, self.src, self.dst, blocks)
+        return self._blockwise(other, Matrix.__add__)
 
     def __sub__(self, other: "Mor") -> "Mor":
-        return self + (-other)
+        return self._blockwise(other, Matrix.__sub__)
+
+    def _blockwise(self, other: "Mor", op) -> "Mor":
+        if other.src != self.src or other.dst != self.dst:
+            raise ValueError("morphism sum or difference requires equal "
+                             "hom spaces")
+        blocks = {a: op(self.block(a), other.block(a))
+                  for a in set(self.blocks) | set(other.blocks)}
+        return Mor(self.cat, self.src, self.dst, blocks)
 
     def __neg__(self) -> "Mor":
         return Mor(self.cat, self.src, self.dst,
@@ -245,6 +257,18 @@ def mor_from_coords(cat, src: Obj, dst: Obj, vec) -> Mor:
     return Mor(cat, src, dst, blocks)
 
 
+def hom_unit_basis(cat, src: Obj, dst: Obj) -> list:
+    """The basis of Hom(src, dst) dual to hom_coords: the k-th morphism
+    has coordinate k one and every other coordinate zero."""
+    one = cat.field.one()
+    out = []
+    for a, i, j in hom_coords(src, dst):
+        m = Matrix.zeros(cat.field, dst.mult(a), src.mult(a))
+        m.a[i][j] = one
+        out.append(Mor(cat, src, dst, {a: m}))
+    return out
+
+
 def hom_dim(X: Obj, Y: Obj) -> int:
     """dim Hom(X, Y) = sum_a X.mult(a) * Y.mult(a)."""
     return sum(X.mult(a) * Y.mult(a) for a in X.support)
@@ -278,8 +302,7 @@ class CategoryPres:
         self._unit_left = {}
         self._unit_right = {}
         self._assoc_cache = {}
-        self._assoc_inv_cache = {}
-        self._finv_cache = {}
+        self._f_cache = {}
         self._comb_cache = {}
 
     # -- basic table access --------------------------------------------------
@@ -429,28 +452,9 @@ class CategoryPres:
         return Mor(self, X, X, {a: Matrix.identity(self.field, X.mult(a))
                                 for a in X.support})
 
-    def dsum(self, f: Mor, g: Mor) -> Mor:
-        """Block-diagonal sum on the direct sums of sources and targets."""
-        src = f.src + g.src
-        dst = f.dst + g.dst
-        blocks = {}
-        for a in src.support:
-            if dst.mult(a) == 0:
-                continue
-            m = Matrix.zeros(self.field, dst.mult(a), src.mult(a))
-            fb, gb = f.block(a), g.block(a)
-            for i in range(fb.rows):
-                for j in range(fb.cols):
-                    m.a[i][j] = fb.a[i][j]
-            for i in range(gb.rows):
-                for j in range(gb.cols):
-                    m.a[fb.rows + i][fb.cols + j] = gb.a[i][j]
-            blocks[a] = m
-        return Mor(self, src, dst, blocks)
-
     # -- associator -----------------------------------------------------------
     def _f_data(self, a, b, c, d, inverse: bool):
-        cache = self._finv_cache
+        cache = self._f_cache
         key = (a, b, c, d, inverse)
         if key not in cache:
             fm = self.f_block(a, b, c, d)
@@ -463,100 +467,71 @@ class CategoryPres:
 
     def associator(self, X: Obj, Y: Obj, Z: Obj) -> Mor:
         """Invertible (X(x)Y)(x)Z -> X(x)(Y(x)Z) assembled from F entries."""
-        ckey = (X.key, Y.key, Z.key)
+        return self._associator(X, Y, Z, False)
+
+    def associator_inv(self, X: Obj, Y: Obj, Z: Obj) -> Mor:
+        """X(x)(Y(x)Z) -> (X(x)Y)(x)Z, from the inverted F blocks."""
+        return self._associator(X, Y, Z, True)
+
+    def _associator(self, X: Obj, Y: Obj, Z: Obj, inverse: bool) -> Mor:
+        """Both directions walk the left-associated fusion basis: the
+        forward map puts F[r][c] at (right, left) and the inverse puts
+        F^-1[c][r] at (left, right).  Each per-quadruple block is small."""
+        ckey = (X.key, Y.key, Z.key, inverse)
         if ckey in self._assoc_cache:
             return self._assoc_cache[ckey]
         XY = self.tensor(X, Y)
         YZ = self.tensor(Y, Z)
-        src = self.tensor(XY, Z)
-        dst = self.tensor(X, YZ)
-        src_basis = self.fusion_basis(XY, Z)
+        left = self.tensor(XY, Z)
+        right = self.tensor(X, YZ)
+        left_basis = self.fusion_basis(XY, Z)
         xy_basis = self.fusion_basis(X, Y)
         yz_index = self.fusion_index(Y, Z)
-        dst_index = self.fusion_index(X, YZ)
+        right_index = self.fusion_index(X, YZ)
+        src, dst = (right, left) if inverse else (left, right)
         blocks = {}
-        for d, lst in src_basis.items():
-            if dst.mult(d) == 0:
+        for d, lst in left_basis.items():
+            if right.mult(d) == 0:
                 continue
             m = Matrix.zeros(self.field, dst.mult(d), src.mult(d))
-            didx = dst_index[d]
-            for col, (e, n, c, l, nu) in enumerate(lst):
+            ridx = right_index[d]
+            for lpos, (e, n, c, l, nu) in enumerate(lst):
                 a, i, b, j, mu = xy_basis[e][n]
-                fm, rowpos, cols = self._f_data(a, b, c, d, False)
+                fm, rowpos, cols = self._f_data(a, b, c, d, inverse)
                 r = rowpos[(e, mu, nu)]
-                frow = fm.a[r]
                 for cidx, (f, rho, sigma) in enumerate(cols):
-                    val = frow[cidx]
+                    val = fm.a[cidx][r] if inverse else fm.a[r][cidx]
                     if val.is_zero():
                         continue
-                    mpos = yz_index[f][(b, j, c, l, rho)]
-                    row = didx[(a, i, f, mpos, sigma)]
+                    rpos = ridx[(a, i, f, yz_index[f][(b, j, c, l, rho)],
+                                 sigma)]
+                    row, col = (lpos, rpos) if inverse else (rpos, lpos)
                     m.a[row][col] = m.a[row][col] + val
             blocks[d] = m
         out = Mor(self, src, dst, blocks)
         self._assoc_cache[ckey] = out
         return out
 
-    def associator_inv(self, X: Obj, Y: Obj, Z: Obj) -> Mor:
-        """X(x)(Y(x)Z) -> (X(x)Y)(x)Z, assembled from the inverted F
-        blocks (each per-quadruple block is small)."""
-        ckey = (X.key, Y.key, Z.key)
-        if ckey in self._assoc_inv_cache:
-            return self._assoc_inv_cache[ckey]
-        XY = self.tensor(X, Y)
-        YZ = self.tensor(Y, Z)
-        src = self.tensor(X, YZ)
-        dst = self.tensor(XY, Z)
-        dst_basis = self.fusion_basis(XY, Z)
-        xy_basis = self.fusion_basis(X, Y)
-        yz_index = self.fusion_index(Y, Z)
-        src_index = self.fusion_index(X, YZ)
-        blocks = {}
-        for d, lst in dst_basis.items():
-            if src.mult(d) == 0:
-                continue
-            m = Matrix.zeros(self.field, dst.mult(d), src.mult(d))
-            sidx = src_index[d]
-            for row, (e, n, c, l, nu) in enumerate(lst):
-                a, i, b, j, mu = xy_basis[e][n]
-                finv, rowpos, cols = self._f_data(a, b, c, d, True)
-                r = rowpos[(e, mu, nu)]
-                for cidx, (f, rho, sigma) in enumerate(cols):
-                    val = finv.a[cidx][r]
-                    if val.is_zero():
-                        continue
-                    mpos = yz_index[f][(b, j, c, l, rho)]
-                    col = sidx[(a, i, f, mpos, sigma)]
-                    m.a[row][col] = m.a[row][col] + val
-            blocks[d] = m
-        out = Mor(self, src, dst, blocks)
-        self._assoc_inv_cache[ckey] = out
-        return out
-
     # -- unitors ----------------------------------------------------------------
     def unitor_left(self, X: Obj) -> Mor:
         """The canonical identification 1 (x) X -> X (coefficient one)."""
-        one = self.unit_obj()
-        src = self.tensor(one, X)
-        basis = self.fusion_basis(one, X)
-        blocks = {}
-        for a in X.support:
-            m = Matrix.zeros(self.field, X.mult(a), src.mult(a))
-            for pos, (e, _z, b, j, mu) in enumerate(basis.get(a, [])):
-                if b == a and mu == 0:
-                    m.a[j][pos] = self.field.one()
-            blocks[a] = m
-        return Mor(self, src, X, blocks)
+        return self._unitor(X, True)
 
     def unitor_right(self, X: Obj) -> Mor:
+        """The canonical identification X (x) 1 -> X (coefficient one)."""
+        return self._unitor(X, False)
+
+    def _unitor(self, X: Obj, left: bool) -> Mor:
         one = self.unit_obj()
-        src = self.tensor(X, one)
-        basis = self.fusion_basis(X, one)
+        pair = (one, X) if left else (X, one)
+        src = self.tensor(*pair)
+        basis = self.fusion_basis(*pair)
         blocks = {}
         for a in X.support:
             m = Matrix.zeros(self.field, X.mult(a), src.mult(a))
-            for pos, (b, j, e, _z, mu) in enumerate(basis.get(a, [])):
-                if b == a and mu == 0:
+            for pos, t in enumerate(basis.get(a, [])):
+                b, j = t[2:4] if left else t[0:2]
+                if b == a and t[4] == 0:
                     m.a[j][pos] = self.field.one()
             blocks[a] = m
         return Mor(self, src, X, blocks)
@@ -581,48 +556,27 @@ class CategoryPres:
             return self._left_pair_cache[a]
         al = self.dualR[a]
         one = self.field.one()
-        u = self._coev_right_raw(al, one)   # 1 -> (a^L)^R (x) a^L = a (x) a^L
-        v = self._ev_right_raw(al, one)     # a^L (x) (a^L)^R = a^L (x) a -> 1
-        s = self._snake1_scalar(al, u, v)
+        # the right duality of a^L: 1 -> a (x) a^L and a^L (x) a -> 1
+        s = self._snake1_scalar(al, one, one)
         if s.is_zero():
             raise SnakeUnsolvable(f"label {a!r}: degenerate cup/cap loop")
         vfix = one / s
-        u2 = self._coev_right_raw(al, one)
-        v2 = self._ev_right_raw(al, vfix)
-        s2 = self._snake2_scalar(al, u2, v2)
-        if s2 != one:
+        if self._snake2_scalar(al, one, vfix) != one:
             raise SnakeUnsolvable(f"label {a!r}: snake equations inconsistent")
         self._left_pair_cache[a] = (one, vfix)
         return self._left_pair_cache[a]
 
-    def _coev_right_raw(self, a, coeff: Scalar) -> Mor:
-        """coeff * (1 -> a^R (x) a) in the canonical fusion basis."""
+    def _raw_pair(self, a, cup: Scalar, cap: Scalar):
+        """cup * (1 -> a^R (x) a) and cap * (a (x) a^R -> 1)."""
         x = self.simple(a)
-        xv = self.simple(self.dualR[a])
-        one = self.unit_obj()
-        t = self.tensor(xv, x)
-        e = self.right_unit_of(a)
-        m = Matrix.zeros(self.field, t.mult(e), 1)
-        pos = self.fusion_index(xv, x)[e][(self.dualR[a], 0, a, 0, 0)]
-        m.a[pos][0] = coeff
-        return Mor(self, one, t, {e: m})
+        return (self._pairing(x, True, False, {a: cup}),
+                self._pairing(x, False, True, {a: cap}))
 
-    def _ev_right_raw(self, a, coeff: Scalar) -> Mor:
-        """coeff * (a (x) a^R -> 1)."""
-        x = self.simple(a)
-        xv = self.simple(self.dualR[a])
-        one = self.unit_obj()
-        t = self.tensor(x, xv)
-        e = self.left_unit_of(a)
-        m = Matrix.zeros(self.field, 1, t.mult(e))
-        pos = self.fusion_index(x, xv)[e][(a, 0, self.dualR[a], 0, 0)]
-        m.a[0][pos] = coeff
-        return Mor(self, t, one, {e: m})
-
-    def _snake1_scalar(self, a, u: Mor, v: Mor) -> Scalar:
+    def _snake1_scalar(self, a, cup: Scalar, cap: Scalar) -> Scalar:
         """Scalar of x -> x (x) (x^R (x) x) -> (x (x) x^R) (x) x -> x."""
         x = self.simple(a)
         xv = self.simple(self.dualR[a])
+        u, v = self._raw_pair(a, cup, cap)
         comp = (self.unitor_left(x)
                 @ self.tensor_mor(v, self.id(x))
                 @ self.associator_inv(x, xv, x)
@@ -630,10 +584,11 @@ class CategoryPres:
                 @ self.unitor_right_inv(x))
         return comp.scalar()
 
-    def _snake2_scalar(self, a, u: Mor, v: Mor) -> Scalar:
+    def _snake2_scalar(self, a, cup: Scalar, cap: Scalar) -> Scalar:
         """Scalar of x^R -> (x^R x) x^R -> x^R (x x^R) -> x^R."""
         x = self.simple(a)
         xv = self.simple(self.dualR[a])
+        u, v = self._raw_pair(a, cup, cap)
         comp = (self.unitor_right(xv)
                 @ self.tensor_mor(self.id(xv), v)
                 @ self.associator(xv, x, xv)
@@ -644,69 +599,48 @@ class CategoryPres:
     # compound (co)evaluations --------------------------------------------------
     def coev_right(self, X: Obj) -> Mor:
         """u_X : 1 -> X^v (x) X built from the per-label cups."""
-        Xv = self.dual_obj(X)
-        one = self.unit_obj()
-        t = self.tensor(Xv, X)
-        idxmap = self.fusion_index(Xv, X)
-        blocks = {e: Matrix.zeros(self.field, t.mult(e), 1)
-                  for e in self.unit_components if t.mult(e)}
-        for a in X.support:
-            av = self.dualR[a]
-            e = self.right_unit_of(a)
-            for j in range(X.mult(a)):
-                pos = idxmap[e][(av, j, a, j, 0)]
-                blocks[e].a[pos][0] = blocks[e].a[pos][0] + self.cup[a]
-        return Mor(self, one, t, blocks)
+        return self._pairing(X, True, False, self.cup)
 
     def ev_right(self, X: Obj) -> Mor:
         """v_X : X (x) X^v -> 1."""
-        Xv = self.dual_obj(X)
-        one = self.unit_obj()
-        t = self.tensor(X, Xv)
-        idxmap = self.fusion_index(X, Xv)
-        blocks = {e: Matrix.zeros(self.field, 1, t.mult(e))
-                  for e in self.unit_components if t.mult(e)}
-        for a in X.support:
-            av = self.dualR[a]
-            e = self.left_unit_of(a)
-            for j in range(X.mult(a)):
-                pos = idxmap[e][(a, j, av, j, 0)]
-                blocks[e].a[0][pos] = blocks[e].a[0][pos] + self.cap[a]
-        return Mor(self, t, one, blocks)
+        return self._pairing(X, False, True, self.cap)
 
     def coev_left(self, X: Obj) -> Mor:
         """u'_X : 1 -> X (x) X^v (derived left duality)."""
-        Xv = self.dual_obj(X)
-        one = self.unit_obj()
-        t = self.tensor(X, Xv)
-        idxmap = self.fusion_index(X, Xv)
-        blocks = {e: Matrix.zeros(self.field, t.mult(e), 1)
-                  for e in self.unit_components if t.mult(e)}
-        for a in X.support:
-            av = self.dualR[a]
-            e = self.left_unit_of(a)
-            uc, _vc = self._left_pair(a)
-            for j in range(X.mult(a)):
-                pos = idxmap[e][(a, j, av, j, 0)]
-                blocks[e].a[pos][0] = blocks[e].a[pos][0] + uc
-        return Mor(self, one, t, blocks)
+        return self._pairing(X, False, False,
+                             {a: self._left_pair(a)[0] for a in X.support})
 
     def ev_left(self, X: Obj) -> Mor:
         """v'_X : X^v (x) X -> 1 (derived left duality)."""
+        return self._pairing(X, True, True,
+                             {a: self._left_pair(a)[1] for a in X.support})
+
+    def _pairing(self, X: Obj, dual_first: bool, ev: bool, coeff) -> Mor:
+        """Pair each copy of a label a in X with its dual at coeff[a]:
+        X^v (x) X (dual_first, over the right unit of a) or X (x) X^v (over
+        its left unit) -> 1 when ev, else 1 -> it.  So a multi-fusion X
+        gets one block per unit component."""
         Xv = self.dual_obj(X)
-        one = self.unit_obj()
-        t = self.tensor(Xv, X)
-        idxmap = self.fusion_index(Xv, X)
-        blocks = {e: Matrix.zeros(self.field, 1, t.mult(e))
-                  for e in self.unit_components if t.mult(e)}
+        pair = (Xv, X) if dual_first else (X, Xv)
+        t = self.tensor(*pair)
+        idxmap = self.fusion_index(*pair)
+        blocks = {}
         for a in X.support:
             av = self.dualR[a]
-            e = self.right_unit_of(a)
-            _uc, vc = self._left_pair(a)
+            e = self.right_unit_of(a) if dual_first else self.left_unit_of(a)
+            if e not in blocks:
+                shape = (1, t.mult(e)) if ev else (t.mult(e), 1)
+                blocks[e] = Matrix.zeros(self.field, *shape)
+            rows = blocks[e].a
             for j in range(X.mult(a)):
-                pos = idxmap[e][(av, j, a, j, 0)]
-                blocks[e].a[0][pos] = blocks[e].a[0][pos] + vc
-        return Mor(self, t, one, blocks)
+                pos = idxmap[e][(av, j, a, j, 0) if dual_first
+                                else (a, j, av, j, 0)]
+                if ev:
+                    rows[0][pos] = coeff[a]
+                else:
+                    rows[pos][0] = coeff[a]
+        one = self.unit_obj()
+        return Mor(self, t, one, blocks) if ev else Mor(self, one, t, blocks)
 
     def duality(self, X: Obj):
         """(X^L, X^R, (u, v, u', v')) with all four snake identities exact."""
@@ -783,34 +717,6 @@ class CategoryPres:
              @ self.associator_inv(X, Y, Yv)
              @ self.tensor_mor(self.id(X), self.coev_left(Y))
              @ self.unitor_right_inv(X))
-        return m
-
-    def unmate_right(self, k: Mor, X: Obj, Y: Obj, Z: Obj) -> Mor:
-        """k: X -> Z (x) Y^v  bends back to  X (x) Y -> Z."""
-        Yv = self.dual_obj(Y)
-        m = (self.unitor_right(Z)
-             @ self.tensor_mor(self.id(Z), self.ev_left(Y))
-             @ self.associator(Z, Yv, Y)
-             @ self.tensor_mor(k, self.id(Y)))
-        return m
-
-    def mate_left(self, h: Mor, X: Obj, Y: Obj) -> Mor:
-        """h: X (x) Y -> Z  bends to  Y -> X^v (x) Z."""
-        Z = h.dst
-        Xv = self.dual_obj(X)
-        m = (self.tensor_mor(self.id(Xv), h)
-             @ self.associator(Xv, X, Y)
-             @ self.tensor_mor(self.coev_right(X), self.id(Y))
-             @ self.unitor_left_inv(Y))
-        return m
-
-    def unmate_left(self, k: Mor, X: Obj, Y: Obj, Z: Obj) -> Mor:
-        """k: Y -> X^v (x) Z  bends back to  X (x) Y -> Z."""
-        Xv = self.dual_obj(X)
-        m = (self.unitor_left(Z)
-             @ self.tensor_mor(self.ev_right(X), self.id(Z))
-             @ self.associator_inv(X, Xv, Z)
-             @ self.tensor_mor(self.id(X), k))
         return m
 
     # -- base extension ---------------------------------------------------------------
@@ -960,12 +866,10 @@ def _validate_snakes(cat, rep):
         if a not in cat.cup or a not in cat.cap:
             rep.fail(f"missing cup/cap coefficient for label {a!r}")
             return
-        u = cat._coev_right_raw(a, cat.cup[a])
-        v = cat._ev_right_raw(a, cat.cap[a])
-        if cat._snake1_scalar(a, u, v) != one:
+        if cat._snake1_scalar(a, cat.cup[a], cat.cap[a]) != one:
             rep.fail(f"right snake (1) fails at label {a!r}")
             return
-        if cat._snake2_scalar(a, u, v) != one:
+        if cat._snake2_scalar(a, cat.cup[a], cat.cap[a]) != one:
             rep.fail(f"right snake (2) fails at label {a!r}")
             return
         try:

@@ -8,7 +8,7 @@ cokernels, and endomorphism algebras of projective generators land in
 
 from .algebra import AlgebraPres, _incl_proj, validate_algebra
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
-                     hom_coords, mor_from_coords)
+                     hom_unit_basis, mor_from_coords)
 from .linalg import Matrix, RowSpace
 from .ordalg import (OrdAlgebra, OrdModule, central_idempotents,
                      lift_idempotent, primitive_idempotent, quotient_algebra,
@@ -202,17 +202,10 @@ def _maps_killed_by(x, y, constraint) -> list:
     """Basis of the maps phi: x.carrier -> y.carrier with constraint(phi),
     a coordinate list linear in phi, equal to zero."""
     cat = x.cat
-    coords = hom_coords(x.carrier, y.carrier)
-    if not coords:
+    basis = hom_unit_basis(cat, x.carrier, y.carrier)
+    if not basis:
         return []
-    field = cat.field
-    cols = []
-    for k in range(len(coords)):
-        vec = [field.zero()] * len(coords)
-        vec[k] = field.one()
-        cols.append(constraint(mor_from_coords(cat, x.carrier, y.carrier,
-                                               vec)))
-    mat = Matrix.from_cols(field, cols)
+    mat = Matrix.from_cols(cat.field, [constraint(phi) for phi in basis])
     return [mor_from_coords(cat, x.carrier, y.carrier, v)
             for v in mat.kernel_basis()]
 
@@ -595,18 +588,10 @@ def free_bimodule_maps(src: BimodulePres, dst: BimodulePres) -> list:
     a = src.generator
     c = A.carrier
     yc = dst.carrier
-    coords = hom_coords(a, yc)
-    out = []
     idc = cat.id(c)
-    for k in range(len(coords)):
-        vec = [cat.field.zero()] * len(coords)
-        vec[k] = cat.field.one()
-        psi = mor_from_coords(cat, a, yc, vec)
-        phi = (dst.right_action
-               @ cat.tensor_mor(dst.left_action, idc)
-               @ cat.tensor_mor(cat.tensor_mor(idc, psi), idc))
-        out.append(phi)
-    return out
+    act = dst.right_action @ cat.tensor_mor(dst.left_action, idc)
+    return [act @ cat.tensor_mor(cat.tensor_mor(idc, psi), idc)
+            for psi in hom_unit_basis(cat, a, yc)]
 
 
 def bimodule_end_algebra(A: AlgebraPres) -> EndData:

@@ -333,7 +333,6 @@ def _radical_charp(E: OrdAlgebra) -> list:
     tr = E._nat_traces()
     z = E.field.zero()
     # level 0: trace form via structure constants
-    current = [E.basis_vec(i) for i in range(E.dim)]
     rows = []
     for i in range(E.dim):
         row = [z] * E.dim

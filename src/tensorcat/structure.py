@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .algebra import AlgebraPres, validate_algebra
 from .fields import Embedding, Field, Scalar
-from .fincat import CategoryPres, Mor, Obj, hom_dim
+from .fincat import CategoryPres, Mor, Obj, hom_dim, hom_unit_basis
 from .linalg import Matrix
 from .modcat import (EndData, ModulePres, algebra_as_module,
                      bimodule_end_algebra, free_module_end,
@@ -228,18 +228,14 @@ def is_separable(C: CategoryPres, A: AlgebraPres) -> bool:
     cat = C
     c = A.carrier
     sq = cat.tensor(c, c)
-    from .fincat import hom_coords, mor_from_coords
-    coords = hom_coords(c, sq)
+    basis = hom_unit_basis(cat, c, sq)
     field = cat.field
-    if not coords:
+    if not basis:
         return c.is_zero()
     lam = cat.tensor_mor(A.mult, cat.id(c)) @ cat.associator_inv(c, c, c)
     rho = cat.tensor_mor(cat.id(c), A.mult) @ cat.associator(c, c, c)
     cols = []
-    for k in range(len(coords)):
-        vec = [field.zero()] * len(coords)
-        vec[k] = field.one()
-        phi = mor_from_coords(cat, c, sq, vec)
+    for phi in basis:
         c1 = A.mult @ phi                                   # A -> A
         c2 = phi @ A.mult - lam @ cat.tensor_mor(cat.id(c), phi)
         c3 = phi @ A.mult - rho @ cat.tensor_mor(phi, cat.id(c))
@@ -605,7 +601,6 @@ def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
 
     Computes every applicable criterion and raises OracleDisagreement if
     two determinate verdicts conflict."""
-    from .algebra import validate_algebra
     rep = validate_algebra(A)
     rep.raise_if_failed()
     ctx = AlgebraAnalysisContext(C, A)

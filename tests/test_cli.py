@@ -291,3 +291,42 @@ def test_cli_maps_library_errors_to_exit_codes(capsys, monkeypatch, exc,
     assert rc == code
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and str(exc) in err
+
+
+def test_cli_text_reports(tmp_path, capsys):
+    cat_p = str(tmp_path / "c.json")
+    alg_p = str(tmp_path / "a.json")
+    run_cli(capsys, "catalog", "emit", "z2_f2", "--out", cat_p)
+    run_cli(capsys, "catalog", "emit", "z2_f2/regular", "--out", alg_p)
+    rc, out, _ = run_cli(capsys, "analyze", cat_p, alg_p, "--report", "json")
+    rep = json.loads(out)
+    rc_text, text, _ = run_cli(capsys, "analyze", cat_p, alg_p)
+    assert rc_text == rc == 0
+    lines = text.splitlines()
+    assert lines[0] == f"== {cat_p} / {alg_p} =="
+    assert lines[1] == "flags:"
+    for k in ("semisimple", "simple", "division", "separable"):
+        assert f"  {k}: {rep['flags'][k]}" in lines
+    assert "criteria:" in lines
+    assert rep["oracle_agreement"]
+    for k, v in rep["oracle_agreement"].items():
+        assert f"  {k}: {v}" in lines
+
+    run_cli(capsys, "catalog", "emit", "vec_q", "--out", cat_p)
+    run_cli(capsys, "catalog", "emit", "vec_q/end_1", "--out", alg_p)
+    rc, out, _ = run_cli(capsys, "decompose", cat_p, alg_p, "--report", "json")
+    md = json.loads(out)["matrix_decomposition"]
+    rc_text, text, _ = run_cli(capsys, "decompose", cat_p, alg_p)
+    assert rc_text == rc == 0
+    lines = text.splitlines()
+    assert lines[0] == f"classes: {len(md['classes'])}"
+    assert [ln.split(":")[0] for ln in lines[1:-1]] == \
+        [f"  class {k}" for k in range(len(md["classes"]))]
+    assert lines[-1] == "object identity holds: True"
+
+    run_cli(capsys, "catalog", "emit", "fibonacci", "--out", cat_p)
+    rc, text, _ = run_cli(capsys, "global-dim", cat_p)
+    assert rc == 0
+    lines = text.splitlines()
+    assert lines[0].startswith("global dimension: ")
+    assert lines[1] == "center semisimple: True"

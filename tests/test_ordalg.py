@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tensorcat.fields import Field
-from tensorcat.linalg import Matrix
+from tensorcat.linalg import Matrix, RowSpace
 from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               OrdModule,
                               UNDETERMINED, algebra_from_triples,
@@ -378,3 +378,35 @@ def test_construction_accepts_the_algebra_in_any_basis(field, data):
     OrdAlgebra(field, n, sc, unit)
     with pytest.raises(OrdAlgebraError, match="unit law"):
         OrdAlgebra(field, n, sc, [c + c for c in unit])
+
+
+def test_primitive_idempotent_from_nilpotent(monkeypatch):
+    # M_2(Q) in the basis (1, E12, E21, E11): the unit's minimal polynomial
+    # does not split it, E12 is nilpotent, so the idempotent comes from the
+    # left ideal B E12
+    from tensorcat import ordalg
+    trips = [[0, j, j, 1] for j in range(4)] + [[i, 0, i, 1] for i in (1, 2, 3)]
+    trips += [[1, 2, 3, 1],                      # E12 E21 = E11
+              [2, 1, 0, 1], [2, 1, 3, -1],       # E21 E12 = E22 = 1 - E11
+              [2, 3, 2, 1],                      # E21 E11 = E21
+              [3, 1, 1, 1],                      # E11 E12 = E12
+              [3, 3, 3, 1]]                      # E11 E11 = E11
+    B = algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])
+    calls = []
+    real = ordalg._idempotent_from_nilpotent
+
+    def spy(B_, z):
+        out = real(B_, z)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(ordalg, "_idempotent_from_nilpotent", spy)
+    e = ordalg.primitive_idempotent(B)
+    assert calls and calls[0] is not None
+    zero = [Q.zero()] * 4
+    assert B.mult_vec(e, e) == e
+    assert e != zero and e != list(B.unit)
+    corner = RowSpace(Q, 4)
+    for i in range(4):
+        corner.add(B.mult_vec(e, B.mult_vec(B.basis_vec(i), e)))
+    assert corner.dim() == 1
