@@ -93,13 +93,11 @@ def _incl_proj(cat, before: Obj, part: Obj, total: Obj):
     """Inclusion and projection for the summand `part` of `total`, placed
     after the summand `before`."""
     iblocks, pblocks = {}, {}
+    one = cat.field.one()
     for a in part.support:
-        m = Matrix.zeros(cat.field, total.mult(a), part.mult(a))
-        p = Matrix.zeros(cat.field, part.mult(a), total.mult(a))
-        off = before.mult(a)
-        for j in range(part.mult(a)):
-            m.a[off + j][j] = cat.field.one()
-            p.a[j][off + j] = cat.field.one()
-        iblocks[a] = m
-        pblocks[a] = p
+        off, n, t = before.mult(a), part.mult(a), total.mult(a)
+        iblocks[a] = Matrix.from_entries(
+            cat.field, t, n, [(off + j, j, one) for j in range(n)])
+        pblocks[a] = Matrix.from_entries(
+            cat.field, n, t, [(j, off + j, one) for j in range(n)])
     return Mor(cat, part, total, iblocks), Mor(cat, total, part, pblocks)

@@ -231,14 +231,15 @@ def make_regular_pointed(cat: CategoryPres, params) -> AlgebraPres:
     idxmap = cat.fusion_index(carrier, carrier)
     field = cat.field
     one = field.one()
-    blocks = {g: Matrix.zeros(field, 1, sq.mult(g)) for g in members}
+    entries = {g: [] for g in members}
     for ga in members:
         for gb in members:
             ia, ib = cat.idx[ga], cat.idx[gb]
             gc = cat.labels[(ia + ib) % n]
-            pos = idxmap[gc][(ga, 0, gb, 0, 0)]
-            blocks[gc].a[0][pos] = one
-    mult = Mor(cat, sq, carrier, blocks)
+            entries[gc].append((0, idxmap[gc][(ga, 0, gb, 0, 0)], one))
+    mult = Mor(cat, sq, carrier,
+               {g: Matrix.from_entries(field, 1, sq.mult(g), es)
+                for g, es in entries.items()})
     ub = Matrix(field, [[one]])
     unit = Mor(cat, cat.unit_obj(), carrier, {cat.labels[0]: ub})
     A = AlgebraPres(cat, carrier, mult, unit)
@@ -260,15 +261,12 @@ def make_ordinary_group_algebra(cat: CategoryPres, params) -> AlgebraPres:
     carrier = Obj(cat, {"1": n})
     sq = cat.tensor(carrier, carrier)
     idxmap = cat.fusion_index(carrier, carrier)
-    m = Matrix.zeros(field, n, sq.mult("1"))
     one = field.one()
-    for i in range(n):
-        for j in range(n):
-            pos = idxmap["1"][("1", i, "1", j, 0)]
-            m.a[(i + j) % n][pos] = one
+    m = Matrix.from_entries(field, n, sq.mult("1"),
+                            [((i + j) % n, idxmap["1"][("1", i, "1", j, 0)],
+                              one) for i in range(n) for j in range(n)])
     mult = Mor(cat, sq, carrier, {"1": m})
-    ub = Matrix.zeros(field, n, 1)
-    ub.a[0][0] = one
+    ub = Matrix.from_entries(field, n, 1, [(0, 0, one)])
     unit = Mor(cat, cat.unit_obj(), carrier, {"1": ub})
     A = AlgebraPres(cat, carrier, mult, unit)
     from .algebra import validate_algebra

@@ -66,7 +66,8 @@ def category_to_json(cat: CategoryPres) -> dict:
             "abcd": [a, b, c, d],
             "rows": [list(t) for t in cat.f_rows(a, b, c, d)],
             "cols": [list(t) for t in cat.f_cols(a, b, c, d)],
-            "entries": [[scalar_to_json(x) for x in row] for row in m.a],
+            "entries": [[scalar_to_json(x) for x in m.row(i)]
+                        for i in range(m.rows)],
         })
     return {
         "field": field_to_json(cat.field),
@@ -137,27 +138,45 @@ def flat_obj_coords(cat: CategoryPres, X: Obj) -> list:
     return out
 
 
+def _index(i, size: int, entry) -> int:
+    """int(i), which must lie in range(size)."""
+    k = int(i)
+    if not 0 <= k < size:
+        raise FormatError(f"index {i!r} in {entry!r} lies outside "
+                          f"range({size})")
+    return k
+
+
+def _put_once(block: dict, pos: tuple, x, entry):
+    if pos in block:
+        raise FormatError(f"entry {entry!r} repeats a position")
+    block[pos] = x
+
+
+def _mor_from_entries(cat, src: Obj, dst: Obj, entries: dict) -> Mor:
+    """The morphism with blocks label -> {(row, col): value}."""
+    return Mor(cat, src, dst, {
+        a: Matrix.from_entries(cat.field, dst.mult(a), src.mult(a),
+                               [(r, c, x) for (r, c), x in es.items()])
+        for a, es in entries.items()})
+
+
 def _mor_from_triples(cat, src: Obj, dst: Obj, triples, field,
                       src_flat, dst_flat) -> Mor:
-    blocks = {}
-    for a in dst.support:
-        if src.mult(a):
-            blocks[a] = Matrix.zeros(field, dst.mult(a), src.mult(a))
+    entries = {a: {} for a in dst.support if src.mult(a)}
     for t in triples:
         if len(t) != 3:
             raise FormatError(f"expected [in, out, scalar], got {t!r}")
         i_in, i_out, sv = t
-        try:
-            a_in, pos_in = src_flat[int(i_in)]
-            a_out, pos_out = dst_flat[int(i_out)]
-        except IndexError as exc:
-            raise FormatError(f"flat index out of range in {t!r}") from exc
+        a_in, pos_in = src_flat[_index(i_in, len(src_flat), t)]
+        a_out, pos_out = dst_flat[_index(i_out, len(dst_flat), t)]
         if a_in != a_out:
             raise FormatError(
                 f"entry {t!r} crosses labels {a_in!r} -> {a_out!r}; "
                 f"morphism blocks are label-diagonal")
-        blocks[a_out].a[pos_out][pos_in] = scalar_from_json(field, sv)
-    return Mor(cat, src, dst, blocks)
+        _put_once(entries[a_out], (pos_out, pos_in),
+                  scalar_from_json(field, sv), t)
+    return _mor_from_entries(cat, src, dst, entries)
 
 
 def _mor_to_triples(cat, m: Mor, src_flat, dst_flat) -> list:
@@ -165,12 +184,8 @@ def _mor_to_triples(cat, m: Mor, src_flat, dst_flat) -> list:
     dst_pos = {lp: i for i, lp in enumerate(dst_flat)}
     out = []
     for a in sorted(m.blocks, key=lambda x: cat.idx[x]):
-        blk = m.blocks[a]
-        for r in range(blk.rows):
-            for c in range(blk.cols):
-                if not blk.a[r][c].is_zero():
-                    out.append([src_pos[(a, c)], dst_pos[(a, r)],
-                                scalar_to_json(blk.a[r][c])])
+        for r, c, x in m.blocks[a].nonzero():
+            out.append([src_pos[(a, c)], dst_pos[(a, r)], scalar_to_json(x)])
     return out
 
 
@@ -186,9 +201,8 @@ def algebra_to_json(A: AlgebraPres) -> dict:
         blk = A.unit.blocks.get(e)
         if blk is None:
             continue
-        for r in range(blk.rows):
-            if not blk.a[r][0].is_zero():
-                unit.append([e, r, scalar_to_json(blk.a[r][0])])
+        for r, _c, x in blk.nonzero():
+            unit.append([e, r, scalar_to_json(x)])
     return {
         "carrier": A.carrier.describe(),
         "mult": _mor_to_triples(cat, A.mult, sq_flat, car_flat),
@@ -204,8 +218,7 @@ def algebra_from_json(cat: CategoryPres, d) -> AlgebraPres:
         car_flat = flat_obj_coords(cat, carrier)
         mult = _mor_from_triples(cat, sq, carrier, d["mult"], cat.field,
                                  sq_flat, car_flat)
-        one = cat.unit_obj()
-        ublocks = {}
+        uentries = {}
         for entry in d["unit"]:
             if len(entry) == 2:
                 e, sv = entry
@@ -214,10 +227,10 @@ def algebra_from_json(cat: CategoryPres, d) -> AlgebraPres:
                 e, row, sv = entry
             if e not in set(cat.unit_components):
                 raise FormatError(f"unit entry names non-unit label {e!r}")
-            if e not in ublocks:
-                ublocks[e] = Matrix.zeros(cat.field, carrier.mult(e), 1)
-            ublocks[e].a[int(row)][0] = scalar_from_json(cat.field, sv)
-        unit = Mor(cat, one, carrier, ublocks)
+            _put_once(uentries.setdefault(e, {}),
+                      (_index(row, carrier.mult(e), entry), 0),
+                      scalar_from_json(cat.field, sv), entry)
+        unit = _mor_from_entries(cat, cat.unit_obj(), carrier, uentries)
         return AlgebraPres(cat, carrier, mult, unit)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed algebra file: {exc}") from exc

@@ -212,13 +212,11 @@ class Mor:
     def scalar(self) -> Scalar:
         """The single entry of a morphism between total-multiplicity-one
         objects with equal support."""
-        entries = [m.a[i][j] for m in self.blocks.values()
-                   for i in range(m.rows) for j in range(m.cols)]
         if self.src.total() != 1 or self.dst.total() != 1:
             raise ValueError("scalar() requires 1-dimensional hom data")
-        if not entries:
-            return self.cat.field.zero()
-        return entries[0]
+        for m in self.blocks.values():
+            return m[0, 0]
+        return self.cat.field.zero()
 
     def transpose(self) -> "Mor":
         return Mor(self.cat, self.dst, self.src,
@@ -229,17 +227,31 @@ class Mor:
 
     # -- flat coordinates (fixed order, used by the hom solvers) ------------
     def coords(self) -> list:
+        """The entries in hom_coords order: each shared label's block,
+        row by row."""
+        z = self.cat.field.zero()
         out = []
-        for a, i, j in hom_coords(self.src, self.dst):
-            out.append(self.block(a).a[i][j])
+        for a in _shared_labels(self.src, self.dst):
+            cols = self.src.mult(a)
+            flat = [z] * (self.dst.mult(a) * cols)
+            if a in self.blocks:
+                for i, j, x in self.blocks[a].nonzero():
+                    flat[i * cols + j] = x
+            out += flat
         return out
+
+
+def _shared_labels(src: Obj, dst: Obj) -> list:
+    """The labels of both supports, in presentation order."""
+    cat = src.cat
+    return sorted(set(src.support) & set(dst.support),
+                  key=lambda x: cat.idx[x])
 
 
 def hom_coords(src: Obj, dst: Obj) -> list:
     """Deterministic coordinate order on Hom(src, dst)."""
-    cat = src.cat
     out = []
-    for a in sorted(set(src.support) & set(dst.support), key=lambda x: cat.idx[x]):
+    for a in _shared_labels(src, dst):
         for i in range(dst.mult(a)):
             for j in range(src.mult(a)):
                 out.append((a, i, j))
@@ -247,26 +259,34 @@ def hom_coords(src: Obj, dst: Obj) -> list:
 
 
 def mor_from_coords(cat, src: Obj, dst: Obj, vec) -> Mor:
-    blocks = {}
     coords = hom_coords(src, dst)
     assert len(coords) == len(vec)
+    entries = {a: [] for a in _shared_labels(src, dst)}
     for (a, i, j), val in zip(coords, vec):
-        if a not in blocks:
-            blocks[a] = Matrix.zeros(cat.field, dst.mult(a), src.mult(a))
-        blocks[a].a[i][j] = val
-    return Mor(cat, src, dst, blocks)
+        entries[a].append((i, j, val))
+    return Mor(cat, src, dst,
+               {a: Matrix.from_entries(cat.field, dst.mult(a), src.mult(a),
+                                       es) for a, es in entries.items()})
 
 
 def hom_unit_basis(cat, src: Obj, dst: Obj) -> list:
     """The basis of Hom(src, dst) dual to hom_coords: the k-th morphism
     has coordinate k one and every other coordinate zero."""
     one = cat.field.one()
-    out = []
-    for a, i, j in hom_coords(src, dst):
-        m = Matrix.zeros(cat.field, dst.mult(a), src.mult(a))
-        m.a[i][j] = one
-        out.append(Mor(cat, src, dst, {a: m}))
-    return out
+    return [Mor(cat, src, dst,
+                {a: Matrix.from_entries(cat.field, dst.mult(a), src.mult(a),
+                                        [(i, j, one)])})
+            for a, i, j in hom_coords(src, dst)]
+
+
+def _nonzero_col(m: Mor, a, j) -> list:
+    """The nonzero entries of column j of m's block at a, as (row,
+    coefficient) pairs."""
+    blk = m.blocks.get(a)
+    if blk is None:
+        return []
+    zc = blk.field._zero_c
+    return [(r, x.c) for r, x in enumerate(blk.col(j)) if x.c != zc]
 
 
 def hom_dim(X: Obj, Y: Obj) -> int:
@@ -422,30 +442,29 @@ class CategoryPres:
         src_basis = self.fusion_basis(f.src, g.src)
         dst_index = self.fusion_index(f.dst, g.dst)
         field = self.field
-        zc, mul = field._zero_c, field._mul
+        mul = field._mul
+        fcols, gcols = {}, {}         # (label, column) -> its nonzeros
         blocks = {}
         for c, lst in src_basis.items():
             if dst.mult(c) == 0:
                 continue
-            m = Matrix.zeros(field, dst.mult(c), src.mult(c))
             idx = dst_index.get(c, {})
+            entries = []
             for col, (a, i, b, j, mu) in enumerate(lst):
-                fb = f.blocks.get(a)
-                gb = g.blocks.get(b)
-                if fb is None or gb is None:
-                    continue
-                ys = [(j2, row[j].c) for j2, row in enumerate(gb.a)
-                      if row[j].c != zc]
-                for i2, row in enumerate(fb.a):
-                    xc = row[i].c
-                    if xc == zc:
-                        continue
-                    # (i2, j2) -> row is injective, so each entry gets one
-                    # product, and a product of nonzeros is nonzero
+                xs = fcols.get((a, i))
+                if xs is None:
+                    xs = fcols[(a, i)] = _nonzero_col(f, a, i)
+                ys = gcols.get((b, j))
+                if ys is None:
+                    ys = gcols[(b, j)] = _nonzero_col(g, b, j)
+                # (i2, j2) -> row is injective, so each entry gets one
+                # product, and a product of nonzeros is nonzero
+                for i2, xc in xs:
                     for j2, yc in ys:
-                        m.a[idx[(a, i2, b, j2, mu)]][col] = \
-                            Scalar(field, mul(xc, yc))
-            blocks[c] = m
+                        entries.append((idx[(a, i2, b, j2, mu)], col,
+                                        Scalar(field, mul(xc, yc))))
+            blocks[c] = Matrix.from_entries(field, dst.mult(c), src.mult(c),
+                                            entries)
         return Mor(self, src, dst, blocks)
 
     def id(self, X: Obj) -> Mor:
@@ -454,15 +473,20 @@ class CategoryPres:
 
     # -- associator -----------------------------------------------------------
     def _f_data(self, a, b, c, d, inverse: bool):
+        """(lines, row positions, column labels): lines[r] lists the nonzero
+        (column, value) pairs of row r of F, or of column r of F^-1."""
         cache = self._f_cache
         key = (a, b, c, d, inverse)
         if key not in cache:
             fm = self.f_block(a, b, c, d)
             if inverse and fm.rows:
-                fm = fm.inv()
+                fm = fm.inv().transpose()
+            lines = [[] for _ in range(fm.rows)]
+            for r, cidx, val in fm.nonzero():
+                lines[r].append((cidx, val))
             rows = {t: r for r, t in enumerate(self.f_rows(a, b, c, d))}
             cols = self.f_cols(a, b, c, d)
-            cache[key] = (fm, rows, cols)
+            cache[key] = (lines, rows, cols)
         return cache[key]
 
     def associator(self, X: Obj, Y: Obj, Z: Obj) -> Mor:
@@ -493,21 +517,19 @@ class CategoryPres:
         for d, lst in left_basis.items():
             if right.mult(d) == 0:
                 continue
-            m = Matrix.zeros(self.field, dst.mult(d), src.mult(d))
             ridx = right_index[d]
+            entries = []
             for lpos, (e, n, c, l, nu) in enumerate(lst):
                 a, i, b, j, mu = xy_basis[e][n]
-                fm, rowpos, cols = self._f_data(a, b, c, d, inverse)
-                r = rowpos[(e, mu, nu)]
-                for cidx, (f, rho, sigma) in enumerate(cols):
-                    val = fm.a[cidx][r] if inverse else fm.a[r][cidx]
-                    if val.is_zero():
-                        continue
+                lines, rowpos, cols = self._f_data(a, b, c, d, inverse)
+                for cidx, val in lines[rowpos[(e, mu, nu)]]:
+                    f, rho, sigma = cols[cidx]
                     rpos = ridx[(a, i, f, yz_index[f][(b, j, c, l, rho)],
                                  sigma)]
-                    row, col = (lpos, rpos) if inverse else (rpos, lpos)
-                    m.a[row][col] = m.a[row][col] + val
-            blocks[d] = m
+                    entries.append((lpos, rpos, val) if inverse
+                                   else (rpos, lpos, val))
+            blocks[d] = Matrix.from_entries(self.field, dst.mult(d),
+                                            src.mult(d), entries)
         out = Mor(self, src, dst, blocks)
         self._assoc_cache[ckey] = out
         return out
@@ -528,12 +550,13 @@ class CategoryPres:
         basis = self.fusion_basis(*pair)
         blocks = {}
         for a in X.support:
-            m = Matrix.zeros(self.field, X.mult(a), src.mult(a))
+            entries = []
             for pos, t in enumerate(basis.get(a, [])):
                 b, j = t[2:4] if left else t[0:2]
                 if b == a and t[4] == 0:
-                    m.a[j][pos] = self.field.one()
-            blocks[a] = m
+                    entries.append((j, pos, self.field.one()))
+            blocks[a] = Matrix.from_entries(self.field, X.mult(a),
+                                            src.mult(a), entries)
         return Mor(self, src, X, blocks)
 
     def unitor_left_inv(self, X: Obj) -> Mor:
@@ -624,21 +647,20 @@ class CategoryPres:
         pair = (Xv, X) if dual_first else (X, Xv)
         t = self.tensor(*pair)
         idxmap = self.fusion_index(*pair)
-        blocks = {}
+        entries = {}
         for a in X.support:
             av = self.dualR[a]
             e = self.right_unit_of(a) if dual_first else self.left_unit_of(a)
-            if e not in blocks:
-                shape = (1, t.mult(e)) if ev else (t.mult(e), 1)
-                blocks[e] = Matrix.zeros(self.field, *shape)
-            rows = blocks[e].a
+            es = entries.setdefault(e, [])
             for j in range(X.mult(a)):
                 pos = idxmap[e][(av, j, a, j, 0) if dual_first
                                 else (a, j, av, j, 0)]
-                if ev:
-                    rows[0][pos] = coeff[a]
-                else:
-                    rows[pos][0] = coeff[a]
+                es.append((0, pos, coeff[a]) if ev else (pos, 0, coeff[a]))
+        blocks = {}
+        for e, es in entries.items():
+            n = t.mult(e)
+            blocks[e] = Matrix.from_entries(self.field, 1 if ev else n,
+                                            n if ev else 1, es)
         one = self.unit_obj()
         return Mor(self, t, one, blocks) if ev else Mor(self, one, t, blocks)
 
@@ -724,9 +746,7 @@ class CategoryPres:
         """The same combinatorial data with every scalar embedded."""
         if emb.src != self.field:
             raise FieldMismatch("embedding source differs from category field")
-        F2 = {}
-        for key, m in self._F.items():
-            F2[key] = Matrix(emb.dst, [[emb(x) for x in row] for row in m.a])
+        F2 = {key: m.map(emb, emb.dst) for key, m in self._F.items()}
         out = CategoryPres(emb.dst, self.labels, self.unit_components,
                            self.dualR, self._N, F2,
                            {a: emb(c) for a, c in self.cup.items()},

@@ -1,4 +1,11 @@
-"""Dense exact linear algebra over one elimination kernel.
+"""Exact linear algebra behind one storage format and one elimination
+kernel.
+
+How a `Matrix` stores its entries is private to this module; today it is
+a dense list of rows.  Other modules build matrices with `Matrix(field,
+rows)`, `zeros`, `identity`, `from_cols` and `from_entries`, and read
+them with `m[i, j]`, `row`, `col`, `nonzero`, `trace` and `map`, besides
+the arithmetic and elimination methods.
 
 `RowSpace` keeps a row space in reduced echelon form as rows are added:
 each new row is reduced against the stored rows, scaled so its first
@@ -24,7 +31,7 @@ class SingularMatrix(LinAlgError):
 
 
 class Matrix:
-    """Row-major matrix of Scalars over a fixed field."""
+    """Matrix of Scalars over a fixed field."""
 
     __slots__ = ("field", "rows", "cols", "a")
 
@@ -67,11 +74,49 @@ class Matrix:
         return Matrix._raw(field, n, len(cols_data),
                            [[col[i] for col in cols_data] for i in range(n)])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [list(r) for r in self.a])
+    @staticmethod
+    def from_entries(field: Field, rows: int, cols: int,
+                     entries) -> "Matrix":
+        """The rows x cols matrix with x at (i, j) for each (i, j, x) of
+        `entries` and zero elsewhere; the values given for one position
+        add up.  Every position must lie inside the shape."""
+        z = field.zero()
+        a = [[z] * cols for _ in range(rows)]
+        for i, j, x in entries:
+            row = a[i]
+            row[j] = x if row[j] is z else row[j] + x
+        return Matrix._raw(field, rows, cols, a)
+
+    def __getitem__(self, ij) -> Scalar:
+        i, j = ij
+        return self.a[i][j]
+
+    def row(self, i: int) -> list:
+        return list(self.a[i])
 
     def col(self, j: int) -> list:
-        return [self.a[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.a]
+
+    def nonzero(self):
+        """The nonzero entries as (row, column, Scalar), row by row."""
+        z = self.field.zero()
+        for i, row in enumerate(self.a):
+            for j in _support(row, z):
+                yield i, j, row[j]
+
+    def trace(self) -> Scalar:
+        if self.rows != self.cols:
+            raise LinAlgError("trace of a non-square matrix")
+        t = self.field.zero()
+        for i, row in enumerate(self.a):
+            t = t + row[i]
+        return t
+
+    def map(self, fn, field: Field) -> "Matrix":
+        """fn applied to every entry, such as a field embedding; the
+        result lies over `field`."""
+        return Matrix._raw(field, self.rows, self.cols,
+                           [[fn(x) for x in r] for r in self.a])
 
     def transpose(self) -> "Matrix":
         return Matrix._raw(self.field, self.cols, self.rows,
@@ -111,20 +156,6 @@ class Matrix:
                     orow[j] = Scalar(field, v)
             out.append(orow)
         return Matrix._raw(field, self.rows, other.cols, out)
-
-    def mul_vec(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise LinAlgError("vector length mismatch")
-        z = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            acc = z
-            row = self.a[i]
-            for j, x in enumerate(v):
-                if not x.is_zero() and not row[j].is_zero():
-                    acc = acc + row[j] * x
-            out.append(acc)
-        return out
 
     def __add__(self, other):
         self._same_shape(other)

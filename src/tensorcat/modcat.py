@@ -10,9 +10,9 @@ from .algebra import AlgebraPres, _incl_proj, validate_algebra
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
                      hom_unit_basis, mor_from_coords)
 from .linalg import Matrix, RowSpace
-from .ordalg import (OrdAlgebra, OrdModule, central_idempotents,
-                     lift_idempotent, primitive_idempotent, quotient_algebra,
-                     radical, subalgebra_on)
+from .ordalg import (OrdAlgebra, OrdModule, block_primitive_idempotent,
+                     central_idempotents, lift_idempotent, quotient_algebra,
+                     radical)
 
 
 class ModulePres:
@@ -336,13 +336,10 @@ class EndData:
         for (i, j, m) in self.basis:
             mats = []
             for a in labels:
-                big = Matrix.zeros(field, sizes[a], sizes[a])
-                blk = m.block(a)
                 oi, oj = offsets[i][a], offsets[j][a]
-                for r in range(blk.rows):
-                    for c in range(blk.cols):
-                        big.a[oi + r][oj + c] = blk.a[r][c]
-                mats.append(big)
+                mats.append(Matrix.from_entries(
+                    field, sizes[a], sizes[a],
+                    [(oi + r, oj + c, x) for r, c, x in m.block(a).nonzero()]))
             rep.append(mats)
         return rep
 
@@ -394,7 +391,7 @@ def module_over_end(end: EndData, y: ModulePres) -> OrdModule:
     for j, hs in enumerate(hom_bases):
         offsets[j] = off
         off += len(hs)
-    action = [Matrix.zeros(field, dim, dim) for _ in end.basis]
+    entries = [[] for _ in end.basis]
     # the products m o bm land in Hom(P_bj, y): one solve per target bj
     for j in solvers:
         jobs = [(b, k) for b, (bi, bj, _bm) in enumerate(end.basis)
@@ -404,8 +401,9 @@ def module_over_end(end: EndData, y: ModulePres) -> OrdModule:
         for (b, k), coords in zip(jobs, sols):
             if coords is None:
                 raise ValidationFailure("hom space not closed under action")
-            for t, c in enumerate(coords):
-                action[b].a[k][offsets[j] + t] = c
+            entries[b] += [(k, offsets[j] + t, c)
+                           for t, c in enumerate(coords)]
+    action = [Matrix.from_entries(field, dim, dim, es) for es in entries]
     return OrdModule(end.algebra, dim, action, validate=False)
 
 
@@ -432,18 +430,17 @@ def rel_tensor(x: ModulePres, y: ModulePres):
         img = diff.block(a)
         space = RowSpace(field, total.mult(a))
         for j in range(img.cols):
-            space.add([img.a[r][j] for r in range(img.rows)])
+            space.add(img.col(j))
         pivots = set(space.pivots())
         free = [k for k in range(total.mult(a)) if k not in pivots]
         mults[a] = len(free)
-        proj = Matrix.zeros(field, len(free), total.mult(a))
+        cols = []
         for col in range(total.mult(a)):
             e = [field.zero()] * total.mult(a)
             e[col] = field.one()
             red = space.reduce(e)
-            for r, k in enumerate(free):
-                proj.a[r][col] = red[k]
-        blocks[a] = proj
+            cols.append([red[k] for k in free])
+        blocks[a] = Matrix.from_cols(field, cols)
     q = Obj(cat, mults)
     proj_mor = Mor(cat, total, q, {a: m for a, m in blocks.items()
                                    if q.mult(a)})
@@ -516,7 +513,6 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
     multiplicity count needs anyway."""
     frees = end.modules
     A = frees[0].algebra
-    cat = A.cat
     E = end.algebra
     rad = radical(E)
     semisimple = not rad
@@ -527,12 +523,7 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
         Ebar, project, lift = E, (lambda v: list(v)), (lambda v: list(v))
     simples = []
     for z in central_idempotents(Ebar):
-        zideal = RowSpace(cat.field, Ebar.dim)
-        for i in range(Ebar.dim):
-            zideal.add(Ebar.mult_vec(z, Ebar.basis_vec(i)))
-        B, embed = subalgebra_on(Ebar, zideal.basis(), z)
-        e_inner = primitive_idempotent(B)
-        ebar = embed(e_inner)
+        ebar = block_primitive_idempotent(Ebar, z)
         e = lift_idempotent(E, lift(ebar))
         mor_blocks = end.mor_of_vec(e)
         e_sum = None
@@ -694,23 +685,16 @@ def module_internal_end(x: ModulePres, cross_check: bool = False) -> AlgebraPres
     # conjugation on T, label by label
     blocks = {}
     for lab in T.support:
-        n = T.mult(lab)
-        mat = Matrix.zeros(field, n, n)
         csrc = cat.simple(lab)
         pre = _psi_prefix(F, a, csrc)
         ide = cat.tensor_mor(cat.id(csrc), e)
-        for k in range(n):
-            psi = Mor(cat, csrc, T,
-                      {lab: Matrix.from_cols(
-                          field, [[field.one() if r == k else field.zero()
-                                   for r in range(n)]])})
+        cols = []
+        for psi in hom_unit_basis(cat, csrc, T):
             phi = post @ cat.tensor_mor(psi, idF)
             conj = e @ (phi @ ide)
             psi2 = cat.tensor_mor(conj, idav) @ pre
-            col = psi2.block(lab)
-            for r in range(n):
-                mat.a[r][k] = col.a[r][0]
-        blocks[lab] = mat
+            cols.append(psi2.block(lab).col(0))
+        blocks[lab] = Matrix.from_cols(field, cols)
     conj_mor = Mor(cat, T, T, blocks)
     if conj_mor @ conj_mor != conj_mor:
         raise ValidationFailure("conjugation by the idempotent is not "
@@ -723,17 +707,12 @@ def module_internal_end(x: ModulePres, cross_check: bool = False) -> AlgebraPres
     # assembled pairwise on small objects
     sq = cat.tensor(sub, sub)
     sq_basis = cat.fusion_basis(sub, sub)
-    mult_blocks = {d: Matrix.zeros(field, sub.mult(d), sq.mult(d))
-                   for d in sq.support if sub.mult(d)}
+    mult_entries = {d: [] for d in sq.support if sub.mult(d)}
     phi_of = {}
     for lab1 in sub.support:
         L1 = cat.simple(lab1)
-        for i in range(sub.mult(lab1)):
-            vec = [field.zero()] * sub.mult(lab1)
-            vec[i] = field.one()
-            psi = incl @ Mor(cat, L1, sub,
-                             {lab1: Matrix.from_cols(field, [vec])})
-            phi_of[(lab1, i)] = post @ cat.tensor_mor(psi, idF)
+        for i, unit_i in enumerate(hom_unit_basis(cat, L1, sub)):
+            phi_of[(lab1, i)] = post @ cat.tensor_mor(incl @ unit_i, idF)
     for lab1 in sub.support:
         L1 = cat.simple(lab1)
         for lab2 in sub.support:
@@ -751,14 +730,16 @@ def module_internal_end(x: ModulePres, cross_check: bool = False) -> AlgebraPres
                     for d, blk in q12.blocks.items():
                         if sub.mult(d) == 0:
                             continue
-                        out = mult_blocks[d]
                         didx = cat.fusion_index(sub, sub)[d]
                         for mu in range(csrc.mult(d)):
                             col = didx[(lab1, i, lab2, j, mu)]
                             src_col = pair_index[d][(lab1, 0, lab2, 0, mu)]
-                            for r in range(sub.mult(d)):
-                                out.a[r][col] = blk.a[r][src_col]
-    mult_q = Mor(cat, sq, sub, mult_blocks)
+                            mult_entries[d] += [
+                                (r, col, x) for r, x in
+                                enumerate(blk.col(src_col))]
+    mult_q = Mor(cat, sq, sub,
+                 {d: Matrix.from_entries(field, sub.mult(d), sq.mult(d), es)
+                  for d, es in mult_entries.items()})
     if cross_check:
         direct = retr @ _twisted_end_mult_applied(
             A, a, cat.tensor_mor(incl, incl))
@@ -804,12 +785,8 @@ def _split_idempotent_obj(cat, T: Obj, e: Mor):
         if not cols:
             continue
         incl = Matrix.from_cols(field, cols)
-        proj = Matrix.zeros(field, len(cols), T.mult(a))
-        sols = incl.solve_many([m.col(j) for j in range(T.mult(a))])
-        for j, coords in enumerate(sols):
-            for r, cc in enumerate(coords):
-                proj.a[r][j] = cc
         iblocks[a] = incl
-        pblocks[a] = proj
+        pblocks[a] = Matrix.from_cols(
+            field, incl.solve_many([m.col(j) for j in range(T.mult(a))]))
     q = Obj(cat, mults)
     return q, Mor(cat, q, T, iblocks), Mor(cat, T, q, pblocks)

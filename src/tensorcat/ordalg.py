@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .fields import Field, Scalar
 from .linalg import Matrix, RowSpace
-from .poly import Poly, factor
+from .poly import Poly, _poly_bezout, factor
 
 
 class OrdAlgebraError(Exception):
@@ -185,8 +185,7 @@ class OrdAlgebra:
                       else self._rep_blocks_of_vec(self.basis_vec(i)))
             t = self.field.zero()
             for m in blocks:
-                for r in range(m.rows):
-                    t = t + m.a[r][r]
+                t = t + m.trace()
             out.append(t)
         return out
 
@@ -226,7 +225,7 @@ def charpoly(m: Matrix) -> list:
     # a similarity transform to upper Hessenberg form: each row operation
     # is matched by the inverse column operation, so the characteristic
     # polynomial is kept; row reduction alone (linalg.RowSpace) would not
-    h = [list(r) for r in m.a]
+    h = [m.row(i) for i in range(n)]
     for c in range(n - 2):
         piv = None
         for i in range(c + 1, n):
@@ -303,7 +302,9 @@ def radical(E: OrdAlgebra) -> list:
     return E._radical
 
 
-def _radical_char0(E: OrdAlgebra) -> list:
+def _trace_form_kernel(E: OrdAlgebra) -> list:
+    """Kernel of the trace form (x, y) -> tr(xy) of the natural
+    representation, from the structure constants."""
     tr = E._nat_traces()
     z = E.field.zero()
     gram = []
@@ -319,6 +320,10 @@ def _radical_char0(E: OrdAlgebra) -> list:
     return Matrix(E.field, gram).kernel_basis()
 
 
+def _radical_char0(E: OrdAlgebra) -> list:
+    return _trace_form_kernel(E)
+
+
 def _frob_inverse(x: Scalar, i: int) -> Scalar:
     """p^i-th root in a finite field."""
     f = x.field
@@ -330,20 +335,7 @@ def _frob_inverse(x: Scalar, i: int) -> Scalar:
 def _radical_charp(E: OrdAlgebra) -> list:
     p = E.field.char
     n_rep = E._rep_dim()
-    tr = E._nat_traces()
-    z = E.field.zero()
-    # level 0: trace form via structure constants
-    rows = []
-    for i in range(E.dim):
-        row = [z] * E.dim
-        for j in range(E.dim):
-            acc = z
-            for l, c in E.sc[i][j]:
-                acc = acc + c * tr[l]
-            row[j] = acc
-        rows.append(row)
-    ker = Matrix(E.field, rows).kernel_basis()
-    current = ker
+    current = _trace_form_kernel(E)        # level 0
     level = 1
     while current and p ** level <= n_rep:
         target = p ** level
@@ -428,22 +420,22 @@ def center(E: OrdAlgebra) -> list:
 
 def min_poly_of_element(E: OrdAlgebra, x) -> Poly:
     """Minimal polynomial of x in the algebra."""
-    field = E.field
-    space = RowSpace(field, E.dim)
-    powers = [list(E.unit)]
-    space.add(E.unit)
-    cur = list(E.unit)
-    while True:
-        cur = E.mult_vec(cur, x)
-        red = space.reduce(cur)
-        if all(c.is_zero() for c in red):
-            # cur = combination of stored powers; solve for coefficients
-            mat = Matrix.from_cols(field, powers)
-            sol = mat.solve(cur)
-            coeffs = [-c for c in sol] + [field.one()]
-            return Poly(field, coeffs)
-        space.add(cur)
-        powers.append(list(cur))
+    return _krylov_min_poly(E.field, E.unit, lambda v: E.mult_vec(v, x))
+
+
+def _krylov_min_poly(field, start, step, vec=list) -> Poly:
+    """Monic polynomial of the first linear dependence in the sequence
+    start, step(start), step(step(start)), ..., read as vectors by `vec`."""
+    v = vec(start)
+    space = RowSpace(field, len(v))
+    powers = []
+    cur = start
+    while space.add(v):
+        powers.append(v)
+        cur = step(cur)
+        v = vec(cur)
+    sol = Matrix.from_cols(field, powers).solve(v)
+    return Poly(field, [-c for c in sol] + [field.one()])
 
 
 def _eval_poly_in_algebra(E: OrdAlgebra, pol: Poly, x):
@@ -490,23 +482,18 @@ def central_idempotents(E: OrdAlgebra) -> list:
             if any(m > 1 for _, m in fac):
                 raise OrdAlgebraError(
                     "separating element has non-squarefree minimal polynomial")
-            return _crt_idempotents(E, cand, mu, [g for g, _ in fac])
+            return [_bezout_idempotent(E, cand, mu, g) for g, _ in fac]
     raise SeparatingElementNotFound(
         f"no separating central element among the bounded search "
         f"(center dimension {target})")
 
 
-def _crt_idempotents(E, x, mu, factors) -> list:
-    out = []
-    for p in factors:
-        rest = mu // p
-        # invert rest mod p
-        from .poly import _poly_bezout
-        s, _t = _poly_bezout(rest, p)
-        idem_poly = (rest * s) % mu
-        e = _eval_poly_in_algebra(E, idem_poly, x)
-        out.append(e)
-    return out
+def _bezout_idempotent(E, x, mu, part) -> list:
+    """The idempotent of E[x] = k[t]/(mu) that is one modulo `part` and
+    zero modulo mu / part, for `part` coprime to mu / part."""
+    rest = mu // part
+    s, _t = _poly_bezout(rest, part)
+    return _eval_poly_in_algebra(E, (rest * s) % mu, x)
 
 
 def lift_idempotent(E: OrdAlgebra, x) -> list:
@@ -820,15 +807,15 @@ class OrdModule:
     def act_vec(self, v, x) -> list:
         """v . x = v @ act_matrix(x), without building that matrix."""
         z = self.field.zero()
-        terms = [(c, self.action[i].a) for i, c in enumerate(x)
+        terms = [(c, self.action[i]) for i, c in enumerate(x)
                  if not c.is_zero()]
         out = [z] * self.dim
         for j, vj in enumerate(v):
             if vj.is_zero():
                 continue
-            for c, rows in terms:
+            for c, m in terms:
                 f = vj * c
-                for k, y in enumerate(rows[j]):
+                for k, y in enumerate(m.row(j)):
                     if not y.is_zero():
                         out[k] = out[k] + f * y
         return out
@@ -871,17 +858,18 @@ def module_hom_space(M: OrdModule, N: OrdModule) -> list:
     nunk = M.dim * N.dim
     rows = []
     for i in range(E.dim):
-        am, an = M.action[i], N.action[i]
+        an_cols = [N.action[i].col(c) for c in range(N.dim)]
         # constraint: am @ Phi - Phi @ an = 0
         for r in range(M.dim):
+            am_row = M.action[i].row(r)
             for c in range(N.dim):
                 row = [z] * nunk
-                for k in range(M.dim):
-                    if not am.a[r][k].is_zero():
-                        row[k * N.dim + c] = row[k * N.dim + c] + am.a[r][k]
-                for k in range(N.dim):
-                    if not an.a[k][c].is_zero():
-                        row[r * N.dim + k] = row[r * N.dim + k] - an.a[k][c]
+                for k, x in enumerate(am_row):
+                    if not x.is_zero():
+                        row[k * N.dim + c] = row[k * N.dim + c] + x
+                for k, x in enumerate(an_cols[c]):
+                    if not x.is_zero():
+                        row[r * N.dim + k] = row[r * N.dim + k] - x
                 rows.append(row)
     if not rows:
         rows = [[z] * nunk]
@@ -902,12 +890,13 @@ def module_is_simple(E: OrdAlgebra, M: OrdModule):
         if not M.act_matrix(r).is_zero():
             return False
     # cheap witness pass: spin kernel vectors of singular basis actions
-    for i in range(E.dim):
-        mu = _matrix_min_poly(M.action[i])
+    idm = Matrix.identity(M.field, M.dim)
+    for a in M.action:
+        mu = _krylov_min_poly(M.field, idm, lambda c: c @ a, _flat)
         for g, _m in factor(mu):
             if g.degree == 0:
                 continue
-            km = _eval_poly_at_matrix(g, M.action[i])
+            km = _eval_poly_at_matrix(g, a)
             for v in _left_kernel(km):
                 sub = M.spin(v)
                 if 0 < len(sub) < M.dim:
@@ -921,40 +910,20 @@ def module_is_simple(E: OrdAlgebra, M: OrdModule):
 def _endo_algebra(M: OrdModule, end_basis) -> OrdAlgebra:
     field = M.field
     dimE = len(end_basis)
-
-    def flat(m):
-        return [m.a[r][c] for r in range(M.dim) for c in range(M.dim)]
-
-    solver = Matrix.from_cols(field, [flat(m) for m in end_basis])
+    solver = Matrix.from_cols(field, [_flat(m) for m in end_basis])
     # every product and the identity, against one elimination
-    rhs = [flat(end_basis[i] @ end_basis[j])
+    rhs = [_flat(end_basis[i] @ end_basis[j])
            for i in range(dimE) for j in range(dimE)]
-    rhs.append(flat(Matrix.identity(field, M.dim)))
+    rhs.append(_flat(Matrix.identity(field, M.dim)))
     sols = solver.solve_many(rhs)
     sc = [[[(l, c) for l, c in enumerate(sols[i * dimE + j])
             if not c.is_zero()] for j in range(dimE)] for i in range(dimE)]
     return OrdAlgebra(field, dimE, sc, sols[-1], validate=False)
 
 
-def _matrix_min_poly(m: Matrix) -> Poly:
-    field = m.field
-    n = m.rows
-    space = RowSpace(field, n * n)
-    idm = Matrix.identity(field, n)
-    powers = [idm]
-    space.add([idm.a[r][c] for r in range(n) for c in range(n)])
-    cur = idm
-    while True:
-        cur = cur @ m
-        flat = [cur.a[r][c] for r in range(n) for c in range(n)]
-        if space.contains(flat):
-            solver = Matrix.from_cols(
-                field, [[pm.a[r][c] for r in range(n) for c in range(n)]
-                        for pm in powers])
-            sol = solver.solve(flat)
-            return Poly(field, [-c for c in sol] + [field.one()])
-        space.add(flat)
-        powers.append(cur)
+def _flat(m: Matrix) -> list:
+    """The entries of m row by row."""
+    return [x for i in range(m.rows) for x in m.row(i)]
 
 
 def _eval_poly_at_matrix(pol: Poly, m: Matrix) -> Matrix:
@@ -989,22 +958,14 @@ def decompose_module(E: OrdAlgebra, M: OrdModule) -> list:
     for z in central_idempotents(E):
         pz = M.act_matrix(z)
         block_rows = RowSpace(E.field, M.dim)
-        for r in pz.a:
-            block_rows.add(r)
+        for r in range(pz.rows):
+            block_rows.add(pz.row(r))
         if block_rows.dim() == 0:
             continue
-        # the block algebra and a primitive idempotent inside it
-        zideal = RowSpace(E.field, E.dim)
-        for i in range(E.dim):
-            zideal.add(E.mult_vec(z, E.basis_vec(i)))
-        B, embed = subalgebra_on(E, zideal.basis(), z)
-        e_B = primitive_idempotent(B)
-        e = embed(e_B)
-        pe = M.act_matrix(e)
+        e = block_primitive_idempotent(E, z)
         me_rows = RowSpace(E.field, M.dim)
         for v in block_rows.basis():
-            w = [sum_entry for sum_entry in _apply_row(v, pe)]
-            me_rows.add(w)
+            me_rows.add(M.act_vec(v, e))
         covered = RowSpace(E.field, M.dim)
         count = 0
         simple = None
@@ -1025,7 +986,7 @@ def decompose_module(E: OrdAlgebra, M: OrdModule) -> list:
             for v in block_rows.basis():
                 if covered.contains(v):
                     continue
-                w = _apply_row(v, pe)
+                w = M.act_vec(v, e)
                 if all(c.is_zero() for c in w):
                     continue
                 if covered.contains(w):
@@ -1040,16 +1001,14 @@ def decompose_module(E: OrdAlgebra, M: OrdModule) -> list:
     return out
 
 
-def _apply_row(v, m: Matrix):
-    z = m.field.zero()
-    out = [z] * m.cols
-    for j, vj in enumerate(v):
-        if vj.is_zero():
-            continue
-        for k in range(m.cols):
-            if not m.a[j][k].is_zero():
-                out[k] = out[k] + vj * m.a[j][k]
-    return out
+def block_primitive_idempotent(E: OrdAlgebra, z) -> list:
+    """A primitive idempotent of E below the central idempotent z: one of
+    the block algebra zE, embedded back into E."""
+    zideal = RowSpace(E.field, E.dim)
+    for i in range(E.dim):
+        zideal.add(E.mult_vec(z, E.basis_vec(i)))
+    B, embed = subalgebra_on(E, zideal.basis(), z)
+    return embed(primitive_idempotent(B))
 
 
 def primitive_idempotent(B: OrdAlgebra) -> list:
@@ -1071,11 +1030,7 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
             gpart = g
             for _ in range(e1 - 1):
                 gpart = gpart * g
-            rest = mu // gpart
-            from .poly import _poly_bezout
-            s, _t = _poly_bezout(rest, gpart)
-            idem_poly = (rest * s) % mu
-            e = _eval_poly_in_algebra(B, idem_poly, cand)
+            e = _bezout_idempotent(B, cand, mu, gpart)
             if e == list(B.unit) or all(c.is_zero() for c in e):
                 continue
             return _primitive_in_corner(B, e)

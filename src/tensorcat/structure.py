@@ -72,8 +72,7 @@ def unit_multiplicity(C: CategoryPres, X: Obj) -> int:
 def transport_mor(dst_cat: CategoryPres, emb: Embedding, m: Mor) -> Mor:
     src = Obj(dst_cat, m.src.describe())
     dst = Obj(dst_cat, m.dst.describe())
-    blocks = {a: Matrix(dst_cat.field, [[emb(x) for x in row] for row in blk.a])
-              for a, blk in m.blocks.items()}
+    blocks = {a: blk.map(emb, dst_cat.field) for a, blk in m.blocks.items()}
     return Mor(dst_cat, src, dst, blocks)
 
 

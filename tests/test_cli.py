@@ -67,6 +67,39 @@ def test_cross_label_triple_rejected():
         algebra_from_json(cat, bad)
 
 
+# z2/regular is {"carrier": {"g0": 1, "g1": 1}, "mult": [[0, 0, ["1"]],
+# [1, 0, ["1"]], [2, 1, ["1"]], [3, 1, ["1"]]], "unit": [["g0", 0, ["1"]]]}
+@pytest.mark.parametrize("blob", [
+    # a negative flat index, which Python indexing would wrap around
+    {"carrier": {"g0": 1, "g1": 1},
+     "mult": [[0, 0, ["1"]], [1, 0, ["1"]], [2, 1, ["1"]], [-1, 1, ["1"]]],
+     "unit": [["g0", 0, ["1"]]]},
+    # a unit row past the multiplicity of its label in the carrier
+    {"carrier": {"g0": 1, "g1": 1},
+     "mult": [[0, 0, ["1"]], [1, 0, ["1"]], [2, 1, ["1"]], [3, 1, ["1"]]],
+     "unit": [["g0", 5, ["1"]]]},
+    # a unit entry on a unit label that the carrier does not contain
+    {"carrier": {"g1": 1}, "mult": [], "unit": [["g0", 0, ["1"]]]},
+    # one position given twice
+    {"carrier": {"g0": 1, "g1": 1},
+     "mult": [[0, 0, ["1"]], [0, 0, ["1"]], [1, 0, ["1"]], [2, 1, ["1"]],
+              [3, 1, ["1"]]],
+     "unit": [["g0", 0, ["1"]]]},
+], ids=["negative_index", "unit_row_past_carrier", "unit_label_not_in_carrier",
+        "repeated_position"])
+def test_cli_rejects_flat_indices_out_of_range(tmp_path, capsys, blob):
+    cat_p, alg_p = str(tmp_path / "cat.json"), str(tmp_path / "alg.json")
+    run_cli(capsys, "catalog", "emit", "z2", "--out", cat_p)
+    with open(alg_p, "w") as fh:
+        json.dump(blob, fh)
+    rc, out, err = run_cli(capsys, "validate", cat_p, alg_p)
+    assert rc == 1 and err == ""
+    assert out.splitlines()[-1].startswith("algebra: FAIL:")
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_catalog_validate_analyze(tmp_path, capsys):
     cat_p = str(tmp_path / "c.json")
     alg_p = str(tmp_path / "a.json")

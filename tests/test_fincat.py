@@ -30,15 +30,16 @@ def test_twisted_z2_validates():
     assert validate_category(cat).ok
     g = cat.simple("g1")
     a = cat.associator(g, g, g)
-    assert a.block("g1").a[0][0] == cat.field.scalar(-1)
+    assert a.block("g1")[0, 0] == cat.field.scalar(-1)
 
 
 def test_broken_fibonacci_fails_pentagon(fib):
     from tensorcat.fincat import CategoryPres
     F = dict(fib._F)
-    bad = F[("t", "t", "t", "t")].copy()
-    bad.a[0][0] = -bad.a[0][0]
-    F[("t", "t", "t", "t")] = bad
+    good = F[("t", "t", "t", "t")]
+    F[("t", "t", "t", "t")] = Matrix(fib.field, [
+        [-x if (i, j) == (0, 0) else x for j, x in enumerate(good.row(i))]
+        for i in range(good.rows)])
     broken = CategoryPres(fib.field, fib.labels, fib.unit_components,
                           fib.dualR, fib._N, F, fib.cup, fib.cap)
     rep = validate_category(broken)

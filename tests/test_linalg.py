@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcat.fields import Field
-from tensorcat.linalg import Matrix, RowSpace, SingularMatrix
+from tensorcat.fields import Embedding, Field
+from tensorcat.linalg import LinAlgError, Matrix, RowSpace, SingularMatrix
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -20,12 +20,17 @@ def M(field, rows):
     return Matrix(field, [[field.scalar(x) for x in r] for r in rows])
 
 
+def _apply(m, v):
+    """m v for a column vector v."""
+    return (m @ Matrix.from_cols(m.field, [v])).col(0)
+
+
 def test_kernel_example():
     m = M(Q, [[1, 1], [1, 1]])
     ker = m.kernel_basis()
     assert len(ker) == 1
     v = ker[0]
-    assert all(x.is_zero() for x in m.mul_vec(v))
+    assert all(x.is_zero() for x in _apply(m, v))
 
 
 def test_rank_identity():
@@ -51,7 +56,7 @@ def test_kernel_orthogonal_to_rows_random():
             m = Matrix(field, [[field.scalar(rng.randint(-3, 3))
                                 for _ in range(cols)] for _ in range(rows)])
             for v in m.kernel_basis():
-                assert all(x.is_zero() for x in m.mul_vec(v))
+                assert all(x.is_zero() for x in _apply(m, v))
             assert m.rank() + len(m.kernel_basis()) == cols
 
 
@@ -75,7 +80,7 @@ def test_solve_consistent_underdetermined():
     m = M(Q, [[1, 1, 0]])
     x = m.solve([Q.scalar(3)])
     assert x is not None
-    got = m.mul_vec(x)
+    got = _apply(m, x)
     assert got == [Q.scalar(3)]
 
 
@@ -98,7 +103,7 @@ def test_solve_many_matches_columnwise_solve():
             x = [field.scalar(rng.randint(-2, 2)) for _ in range(cols)]
             bs = [[field.scalar(rng.randint(-2, 2)) for _ in range(rows)]
                   for _ in range(4)]
-            bs.append(m.mul_vec(x))                 # always feasible
+            bs.append(_apply(m, x))                 # always feasible
             sols = m.solve_many(bs)
             assert sols == [m.solve(b) for b in bs]
             assert sols[-1] is not None
@@ -107,7 +112,7 @@ def test_solve_many_matches_columnwise_solve():
                 if sol is None:
                     assert aug.rank() > m.rank()
                 else:
-                    assert m.mul_vec(sol) == b
+                    assert _apply(m, sol) == b
 
 
 def test_solve_many_reports_infeasible_column():
@@ -185,7 +190,7 @@ def test_rref_is_reduced_echelon_with_the_same_row_space(field, data):
     # and every row of R is a combination of A's rows
     for row in R.a[:len(pivots)]:
         y = A.transpose().solve(row)
-        assert y is not None and A.transpose().mul_vec(y) == row
+        assert y is not None and _apply(A.transpose(), y) == row
 
 
 @FIELDS
@@ -235,7 +240,7 @@ def test_solve_many_solves_or_reports_a_rank_increase(field, data):
                             max_size=3))
     bs = [b.col(0) for b in bs]
     x = data.draw(matrices(field, st.just(A.cols), st.just(1))).col(0)
-    bs.append(A.mul_vec(x))                  # always feasible
+    bs.append(_apply(A, x))                  # always feasible
     sols = A.solve_many(bs)
     assert sols[-1] is not None
     for b, sol in zip(bs, sols):
@@ -244,7 +249,7 @@ def test_solve_many_solves_or_reports_a_rank_increase(field, data):
                                    + [b])
             assert aug.rank() == A.rank() + 1
         else:
-            assert A.mul_vec(sol) == b
+            assert _apply(A, sol) == b
 
 
 def _to_sympy(sympy, A):
@@ -330,3 +335,76 @@ def test_matmul_of_dense_random_matrices_matches_a_naive_triple_loop(field):
                                         for _ in range(field.deg)]
                                        for _ in range(k * m)]))
         assert A @ B == _naive_product(A, B)
+
+
+# -- the accessors against the dense storage they hide ----------------------
+
+def _entry(field):
+    return st.lists(st.integers(-2, 2), min_size=field.deg,
+                    max_size=field.deg).map(field.scalar)
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_from_entries_matches_dense_writes(field, data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    position = st.tuples(st.integers(0, max(rows - 1, 0)),
+                         st.integers(0, max(cols - 1, 0)))
+    # few positions, so that some of them repeat
+    entries = data.draw(st.lists(st.tuples(position, _entry(field)),
+                                 max_size=8 if rows * cols else 0))
+    dense = Matrix.zeros(field, rows, cols)
+    for (i, j), x in entries:
+        dense.a[i][j] = dense.a[i][j] + x
+    got = Matrix.from_entries(field, rows, cols,
+                              [(i, j, x) for (i, j), x in entries])
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got == dense
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_nonzero_and_getitem_round_trip(field, data):
+    A = data.draw(small(field))
+    nz = list(A.nonzero())
+    assert all(not x.is_zero() and A[i, j] == x for i, j, x in nz)
+    assert {(i, j) for i, j, _x in nz} == {
+        (i, j) for i in range(A.rows) for j in range(A.cols)
+        if not A.a[i][j].is_zero()}
+    assert [[A[i, j] for j in range(A.cols)] for i in range(A.rows)] == A.a
+    assert [A.row(i) for i in range(A.rows)] == A.a
+    assert Matrix.from_entries(field, A.rows, A.cols, nz) == A
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_trace_and_map_match_their_dense_definitions(field, data):
+    A = data.draw(square(field, data.draw(st.integers(0, 4))))
+    t = field.zero()
+    for i in range(A.rows):
+        t = t + A.a[i][i]
+    assert A.trace() == t
+    one = field.one()
+
+    def fn(x):
+        return x * x + one
+
+    B = A.map(fn, field)
+    assert B.field is field
+    assert B == Matrix(field, [[fn(x) for x in row] for row in A.a])
+
+
+def test_map_carries_a_matrix_into_the_target_field():
+    emb = Embedding(F7, Field(7, [1, 0, 1], gen_name="i"))    # i^2 = -1
+    A = M(F7, [[1, 2], [3, 4]])
+    B = A.map(emb, emb.dst)
+    assert B.field is emb.dst
+    assert B == Matrix(emb.dst, [[emb(x) for x in row] for row in A.a])
+
+
+def test_trace_of_a_non_square_matrix_is_an_error():
+    with pytest.raises(LinAlgError):
+        M(Q, [[1, 2]]).trace()

@@ -300,7 +300,7 @@ def test_act_vec_equals_row_times_act_matrix(field, data):
     vec = st.lists(coeff, min_size=M.dim, max_size=M.dim)
     v, x = data.draw(vec), data.draw(vec)
     assume(sum(not c.is_zero() for c in x) >= 2)
-    assert M.act_vec(v, x) == (Matrix(field, [v]) @ M.act_matrix(x)).a[0]
+    assert M.act_vec(v, x) == (Matrix(field, [v]) @ M.act_matrix(x)).row(0)
 
 
 # -- construction checks the unit law and full associativity ---------------
@@ -353,9 +353,9 @@ def _rebased(E, P):
     Pinv = P.inv()
 
     def coords(v):
-        return (Matrix(field, [v]) @ Pinv).a[0]
+        return (Matrix(field, [v]) @ Pinv).row(0)
 
-    sc = [[[(l, c) for l, c in enumerate(coords(E.mult_vec(P.a[i], P.a[j])))
+    sc = [[[(l, c) for l, c in enumerate(coords(E.mult_vec(P.row(i), P.row(j))))
             if not c.is_zero()]
            for j in range(E.dim)] for i in range(E.dim)]
     return sc, coords(E.unit)
