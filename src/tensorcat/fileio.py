@@ -47,9 +47,7 @@ def field_from_json(d) -> Field:
     mp = d.get("minpoly")
     if mp is None:
         return Field(char)
-    base = Field(char)
-    coeffs = [base._parse_base(c) for c in mp]
-    return Field(char, coeffs, gen_name=d.get("gen", "a"))
+    return Field.extension(char, mp, gen_name=d.get("gen", "a"))
 
 
 # ---------------------------------------------------------------------------

@@ -664,12 +664,6 @@ class CategoryPres:
         one = self.unit_obj()
         return Mor(self, t, one, blocks) if ev else Mor(self, one, t, blocks)
 
-    def duality(self, X: Obj):
-        """(X^L, X^R, (u, v, u', v')) with all four snake identities exact."""
-        Xv = self.dual_obj(X)
-        return Xv, Xv, (self.coev_right(X), self.ev_right(X),
-                        self.coev_left(X), self.ev_left(X))
-
     # -- rebracketing helper -------------------------------------------------------
     def _tree_key(self, tree):
         if isinstance(tree, Obj):

@@ -667,6 +667,8 @@ def _psi_from_phi(x_free: ModulePres, a: Obj, phi: Mor, csrc: Obj) -> Mor:
 def module_internal_end(x: ModulePres, cross_check: bool = False) -> AlgebraPres:
     """The algebra [x, x]: the idempotent-compressed endomorphism algebra
     of the free cover, realized on the object (carrier (x) A) (x) carrier^v.
+    The analysis reads only its carrier, from `internal_hom`; this builds
+    the division algebra itself.
 
     With cross_check=True the pairwise multiplication is compared against
     the one-shot contraction of the twisted-end multiplication."""

@@ -14,9 +14,9 @@ algebras fall back to the left regular representation.
 
 from fractions import Fraction
 
-from .fields import Field, Scalar
+from .fields import Field
 from .linalg import Matrix, RowSpace
-from .poly import Poly, _poly_bezout, factor
+from .poly import Poly, _frob_inverse, _poly_bezout, factor
 
 
 class OrdAlgebraError(Exception):
@@ -85,20 +85,6 @@ class OrdAlgebra:
                     col[l] = col[l] + xi * c
             cols.append(col)
         return Matrix.from_cols(self.field, cols)
-
-    def right_action_matrix(self, x) -> Matrix:
-        """R_x in row-vector convention: (v x)_l = sum_j v_j (R_x)[j][l]."""
-        z = self.field.zero()
-        rows = []
-        for j in range(self.dim):
-            row = [z] * self.dim
-            for i, xi in enumerate(x):
-                if xi.is_zero():
-                    continue
-                for l, c in self.sc[j][i]:
-                    row[l] = row[l] + xi * c
-            rows.append(row)
-        return Matrix(self.field, rows)
 
     def basis_vec(self, i):
         v = [self.field.zero()] * self.dim
@@ -322,14 +308,6 @@ def _trace_form_kernel(E: OrdAlgebra) -> list:
 
 def _radical_char0(E: OrdAlgebra) -> list:
     return _trace_form_kernel(E)
-
-
-def _frob_inverse(x: Scalar, i: int) -> Scalar:
-    """p^i-th root in a finite field."""
-    f = x.field
-    d = f.deg
-    k = (-i) % d
-    return x ** (f.char ** k)
 
 
 def _radical_charp(E: OrdAlgebra) -> list:

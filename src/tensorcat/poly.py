@@ -213,18 +213,17 @@ def _random_poly(field: Field, max_deg: int, rng: random.Random) -> Poly:
 # ---------------------------------------------------------------------------
 # squarefree decomposition
 
-def _pth_root_scalar(x: Scalar) -> Scalar:
+def _frob_inverse(x: Scalar, i: int) -> Scalar:
+    """p^i-th root in F_{p^d}, where Frobenius has order d."""
     f = x.field
-    p = f.char
-    # Frobenius on F_{p^d} has order d, so the inverse is y -> y^(p^(d-1))
-    return x ** (p ** (f.deg - 1))
+    return x ** (f.char ** ((-i) % f.deg))
 
 
 def _pth_root_poly(f: Poly) -> Poly:
     p = f.field.char
     cs = []
     for i in range(0, len(f.coeffs), p):
-        cs.append(_pth_root_scalar(f.coeffs[i]))
+        cs.append(_frob_inverse(f.coeffs[i], 1))
     return Poly(f.field, cs)
 
 

@@ -14,6 +14,7 @@ the environment variable TENSORCAT_BUDGET can override.
 
 import os
 from functools import cached_property
+from itertools import islice, product
 
 from .algebra import AlgebraPres, validate_algebra
 from .fields import Embedding, Field, Scalar
@@ -21,8 +22,8 @@ from .fincat import CategoryPres, Mor, Obj, hom_dim, hom_unit_basis
 from .linalg import Matrix
 from .modcat import (EndData, ModulePres, algebra_as_module,
                      bimodule_end_algebra, free_module_end,
-                     hom_basis, internal_hom, module_dual, module_internal_end,
-                     module_over_end, simple_modules)
+                     hom_basis, internal_hom, module_dual, module_over_end,
+                     simple_modules)
 from .ordalg import (UNDETERMINED, is_semisimple, is_separable_field_ext,
                      is_separable_over_k, module_is_simple, radical)
 
@@ -268,15 +269,6 @@ def _field_elements(field: Field, count: int):
     return out
 
 
-def _tuples(values, h):
-    if h == 0:
-        yield ()
-        return
-    for rest in _tuples(values, h - 1):
-        for v in values:
-            yield rest + (v,)
-
-
 def separability_beta(C: CategoryPres, A: AlgebraPres,
                       budget: int | None = None,
                       ctx: AlgebraAnalysisContext | None = None):
@@ -291,31 +283,34 @@ def separability_beta(C: CategoryPres, A: AlgebraPres,
     if not gs:
         return (False if not c.is_zero() else True), details
     mate = cat.mate_right(A.mult, c, c)       # A -> A (x) A^v
-    def beta_of(g: Mor) -> Mor:
-        return A.mult @ cat.tensor_mor(cat.id(c), g) @ mate
-    def invertible(m: Mor) -> bool:
-        for a in c.support:
-            if m.block(a).rank() != c.mult(a):
-                return False
-        return True
     h = len(gs)
     total_deg = c.total()
+
+    def found(candidates) -> bool:
+        """Count and test each (coefficients, g) candidate; record the
+        first whose beta is invertible (None coefficients: a basis g)."""
+        for tup, g in candidates:
+            details["tested"] += 1
+            beta = A.mult @ cat.tensor_mor(cat.id(c), g) @ mate
+            if all(beta.block(a).rank() == c.mult(a) for a in c.support):
+                details["witness"] = ("basis" if tup is None
+                                      else [s.serialize() for s in tup])
+                return True
+        return False
+
+    def combinations(values, limit=None):
+        for tup in islice(product(values, repeat=h), limit):
+            yield tup, _combine(gs, tup)
+
     # basis elements first
-    for g in gs:
-        details["tested"] += 1
-        if invertible(beta_of(g)):
-            details["witness"] = "basis"
-            return True, details
+    if found((None, g) for g in gs):
+        return True, details
     field = cat.field
     if field.char != 0:
         q = field.char ** field.deg
         if q ** h <= budget:
-            for tup in _tuples(_field_elements(field, q), h):
-                details["tested"] += 1
-                g = _combine(gs, tup)
-                if invertible(beta_of(g)):
-                    details["witness"] = [s.serialize() for s in tup]
-                    return True, details
+            if found(combinations(_field_elements(field, q))):
+                return True, details
             details["exhaustive"] = True
             return False, details
     grid = _field_elements(field, total_deg + 1)
@@ -325,23 +320,11 @@ def separability_beta(C: CategoryPres, A: AlgebraPres,
     if (total_deg + 1) ** h > budget:
         # bounded ladder of small-integer combinations; certifies only True
         small = [field.scalar(v) for v in (0, 1, -1, 2, -2, 3, -3)]
-        tested = 0
-        for tup in _tuples(small, h):
-            tested += 1
-            if tested > budget:
-                break
-            g = _combine(gs, tup)
-            if invertible(beta_of(g)):
-                details["witness"] = [s.serialize() for s in tup]
-                return True, details
-        details["tested"] += tested
-        return UNDETERMINED, details
-    for tup in _tuples(grid, h):
-        details["tested"] += 1
-        g = _combine(gs, tup)
-        if invertible(beta_of(g)):
-            details["witness"] = [s.serialize() for s in tup]
+        if found(combinations(small, budget)):
             return True, details
+        return UNDETERMINED, details
+    if found(combinations(grid)):
+        return True, details
     details["certified_grid"] = (total_deg + 1) ** h
     return False, details
 
@@ -463,8 +446,12 @@ def dim_division_algebra(C: CategoryPres, A: AlgebraPres,
 def matrix_decomposition(C: CategoryPres, A: AlgebraPres,
                          ctx: AlgebraAnalysisContext | None = None) -> dict:
     """Block data of a semisimple algebra: simple module summands with
-    multiplicities, diagonal division algebras, connecting objects, and
-    the object-level identity carrier(A) = (+)_{i,j} [x_i, x_j]."""
+    multiplicities, diagonal objects, connecting objects, and the
+    object-level identity carrier(A) = (+)_{i,j} [x_i, x_j].
+
+    Every object is read from the internal-hom table of the context; the
+    diagonal entry of x_i is the carrier of the division algebra
+    [x_i, x_i], which `modcat.module_internal_end` builds on request."""
     ctx = ctx or AlgebraAnalysisContext(C, A)
     if not is_semisimple_algebra(C, A, ctx):
         raise NotSemisimpleAlgebra("matrix decomposition needs semisimplicity")
@@ -493,13 +480,9 @@ def matrix_decomposition(C: CategoryPres, A: AlgebraPres,
                 "carrier": sims[i].carrier.describe(),
                 "multiplicity": mults[i],
             })
-        for i in cls:
-            if mults[i] == 0:
-                continue
-            dalg = module_internal_end(sims[i])
             entry["diagonal"].append({
                 "index": i,
-                "carrier": dalg.carrier.describe(),
+                "carrier": connecting[(i, i)].describe(),
             })
         out_classes.append(entry)
     return {

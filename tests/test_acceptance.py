@@ -217,6 +217,7 @@ def test_criterion_7_structural_identities(cats, corpus_reports):
 
 
 def test_criterion_8_ordinary_algebra_unit_tests():
+    from tensorcat.linalg import Matrix
     from tensorcat.ordalg import (OrdModule, algebra_from_triples,
                                   central_idempotents, decompose_module,
                                   is_division, radical)
@@ -234,8 +235,9 @@ def test_criterion_8_ordinary_algebra_unit_tests():
              for (a, b), i in units.items()
              for (c, d), j in units.items() if b == c]
     m2 = algebra_from_triples(Q, 4, trips, [1, 0, 0, 1])
-    reg = OrdModule(m2, 4, [m2.right_action_matrix(m2.basis_vec(i))
-                            for i in range(4)])
+    basis = [m2.basis_vec(i) for i in range(4)]
+    reg = OrdModule(m2, 4, [Matrix(Q, [m2.mult_vec(v, b) for v in basis])
+                            for b in basis])
     dec = decompose_module(m2, reg)
     assert len(dec) == 1 and dec[0][0].dim == 2 and dec[0][1] == 2
     quat = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],

@@ -319,8 +319,7 @@ def test_duality_detects_dual_label():
 def test_duality_examples():
     cat = make_category("pointed", {"n": 3})
     assert cat.dualR["g1"] == "g2"
-    xv, xr, (u, v, ul, vl) = cat.duality(cat.simple("g1"))
-    assert xv.describe() == {"g2": 1}
+    assert cat.dual_obj(cat.simple("g1")).describe() == {"g2": 1}
     fib = make_category("fibonacci", {})
     assert fib.dualR["t"] == "t"
 

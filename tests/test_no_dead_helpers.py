@@ -1,8 +1,12 @@
-"""Every private function of the package is called from the package.
+"""Every function of the package is called from the package or exported.
 
 A function or method whose name starts with a single underscore is an
 implementation detail, so only the package itself can use it.  If no
 code in `src/tensorcat` outside its own body names it, nothing calls it.
+
+A public function or method is either exported by `tensorcat/__init__.py`,
+named by other code of the package, or listed in `ALLOWED` with the
+reason it stays.
 """
 
 import ast
@@ -10,6 +14,21 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tensorcat"
+
+# public functions that nothing in the package names, and why they stay
+ALLOWED = {
+    "_Parser.error": "argparse calls this hook on a usage error",
+    "module_to_json": "writes the module file format the README documents",
+    "module_from_json": "reads the module file format the README documents",
+    "obj_tensor_module": "the action of the category on right modules; "
+                         "tests check the module-category adjunction "
+                         "through it",
+    "algebra_from_triples": "builds an ordinary algebra from structure "
+                            "constants, the tests' way to state one",
+    "nilpotency_index": "an independent oracle for the radical: tests "
+                        "check that it is a nilpotent ideal",
+    "Poly.eval": "evaluation, the reference tests check `compose` against",
+}
 
 
 def _names(node) -> Counter:
@@ -27,13 +46,23 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def test_every_private_function_is_referenced():
+def _trees() -> dict:
     trees = {p.name: ast.parse(p.read_text(), str(p))
              for p in sorted(SRC.glob("*.py"))}
     assert "fincat.py" in trees
+    return trees
+
+
+def _used(trees) -> Counter:
     used = Counter()
     for tree in trees.values():
         used += _names(tree)
+    return used
+
+
+def test_every_private_function_is_referenced():
+    trees = _trees()
+    used = _used(trees)
     defs = [(fname, node) for fname, tree in trees.items()
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -43,3 +72,38 @@ def test_every_private_function_is_referenced():
               if used[node.name] - _names(node)[node.name] <= 0]
     assert not unused, "private functions that nothing calls: " + \
         ", ".join(unused)
+
+
+def _public_defs(tree):
+    """(qualified name, node) of each module-level function and method
+    whose name has no leading underscore."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, funcs):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_function_is_referenced_or_exported():
+    trees = _trees()
+    used = _used(trees)
+    exported = {alias.asname or alias.name
+                for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = set()
+    for tree in trees.values():
+        for qual, node in _public_defs(tree):
+            if node.name.startswith("__") or node.name in exported:
+                continue
+            if used[node.name] - _names(node)[node.name] <= 0:
+                unused.add(qual)
+    assert not unused - ALLOWED.keys(), \
+        "public functions that nothing calls or exports: " + \
+        ", ".join(sorted(unused - ALLOWED.keys()))
+    # an entry whose function is gone or now referenced leaves the list
+    assert not ALLOWED.keys() - unused, \
+        "allowed but referenced or missing: " + \
+        ", ".join(sorted(ALLOWED.keys() - unused))

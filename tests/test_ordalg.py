@@ -57,8 +57,11 @@ def quaternions(a=-1, b=-1):
 
 
 def regular_module(E):
-    return OrdModule(E, E.dim, [E.right_action_matrix(E.basis_vec(i))
-                                for i in range(E.dim)])
+    # row j of the action of e_i is e_j e_i (row-vector convention)
+    basis = [E.basis_vec(i) for i in range(E.dim)]
+    return OrdModule(E, E.dim, [Matrix(E.field, [E.mult_vec(v, b)
+                                                 for v in basis])
+                                for b in basis])
 
 
 def test_radical_of_semisimple_sum():

@@ -440,7 +440,8 @@ def test_analyze_builds_free_end_and_dual_once(cats, monkeypatch):
 
 def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
     # the End algebra of each simple module is built once, by
-    # simple_modules, and the per-module separability report reads it
+    # simple_modules, and the per-module separability report reads it;
+    # the matrix decomposition takes no hom basis of its own
     import tensorcat.modcat as modcat
     import tensorcat.structure as structure
     pairs = []
@@ -456,4 +457,78 @@ def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
     rep = analyze(vq, make_algebra(vq, "ordinary_group_algebra", {"n": 4}))
     assert rep["matrix_decomposition"]["simple_count"] == 3
     assert len(rep["endomorphism_separability"]) == 3
-    assert len(pairs) == len(set(pairs)) == 12
+    assert len(pairs) == len(set(pairs)) == 9
+
+
+def test_decomposition_builds_no_module_internal_end(cats, monkeypatch,
+                                                    tmp_path, capsys):
+    # the diagonal objects come from the internal-hom table, so neither
+    # analyze nor the CLI decompose builds the algebra [x_i, x_i]
+    import sys
+    import tensorcat.modcat as modcat
+    from tensorcat.cli import main
+    calls = []
+    inner = modcat.module_internal_end
+
+    def module_internal_end(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tensorcat") and \
+                getattr(mod, "module_internal_end", None) is inner:
+            monkeypatch.setattr(mod, "module_internal_end",
+                                module_internal_end)
+    z4 = cats["z4"]
+    rep = analyze(z4, make_algebra(z4, "regular_pointed", {}))
+    assert rep["matrix_decomposition"]["object_identity_holds"] is True
+    cat_p, alg_p = str(tmp_path / "c.json"), str(tmp_path / "a.json")
+    assert main(["catalog", "emit", "z4", "--out", cat_p]) == 0
+    assert main(["catalog", "emit", "z4/regular", "--out", alg_p]) == 0
+    assert main(["decompose", cat_p, alg_p, "--report", "json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_diagonal_objects_match_module_internal_end(corpus_reports):
+    # two constructions of [x_i, x_i]: the internal hom (x (x)_A x^v)^v
+    # of the analysis, and the compressed End algebra of the free cover
+    checked = 0
+    for name, cat, alg, rep in corpus_reports:
+        if not rep["flags"]["semisimple"]:
+            continue
+        ctx = AlgebraAnalysisContext(cat, alg)
+        for i, (s, _i, _r) in enumerate(ctx.simples.simples):
+            assert module_internal_end(s).carrier == \
+                ctx.internal_homs[(i, i)], (name, i)
+            checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("copies, budget, tested, witness", [
+    (2, 1, 3, None),                      # 2 basis + 1 ladder candidate
+    (3, 63, 61, [["1"]] * 3),             # 3 basis + 58 ladder candidates
+])
+def test_beta_ladder_counts_every_candidate(cats, monkeypatch, copies,
+                                            budget, tested, witness):
+    # Q^n in vec_q: no basis element gives an invertible beta and the
+    # certifying grid exceeds the budget, so the bounded ladder runs
+    import tensorcat.structure as structure
+    combined = []
+    inner = structure._combine
+
+    def combine(mors, coeffs):
+        combined.append(coeffs)
+        return inner(mors, coeffs)
+
+    monkeypatch.setattr(structure, "_combine", combine)
+    monkeypatch.setenv("TENSORCAT_BUDGET", str(budget))
+    vq = cats["vec_q"]
+    A = trivial_algebra(vq)
+    for _ in range(copies - 1):
+        A = direct_sum_algebra(A, trivial_algebra(vq))
+    verdict, details = separability_beta(vq, A)
+    assert details["hom_dim"] == copies
+    assert details["tested"] == copies + len(combined) == tested
+    assert details.get("witness") == witness
+    assert verdict is (UNDETERMINED if witness is None else True)
