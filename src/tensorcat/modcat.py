@@ -572,8 +572,6 @@ def free_bimodule(A: AlgebraPres, a: Obj) -> BimodulePres:
 def free_bimodule_maps(src: BimodulePres, dst: BimodulePres) -> list:
     """Basis of bimodule maps out of a free bimodule (A a A) -> dst,
     through the free-forget correspondence with Hom(a, dst.carrier)."""
-    if src.generator is None:
-        return bimodule_hom_basis(src, dst)
     cat = src.cat
     A = src.algebra
     a = src.generator

@@ -10,9 +10,16 @@ characteristic-p fields are finite, hence perfect).
 Algebras built from morphism spaces carry their natural block
 representation, which keeps characteristic polynomials small; abstract
 algebras fall back to the left regular representation.
+
+Separability over the ground field, which decides the
+`endomorphism_separability` part of a report, is the solve for a
+separability idempotent in E (x) E.  Linear systems are built as
+matrices whose k-th column is the image of the k-th basis element;
+`module_hom_space`, whose unknowns are matrix entries, writes rows.
 """
 
 from fractions import Fraction
+from operator import matmul
 
 from .fields import Field
 from .linalg import Matrix, RowSpace
@@ -74,17 +81,8 @@ class OrdAlgebra:
 
     def left_mult_matrix(self, x) -> Matrix:
         """L_x with columns L_x(b_j) = x * b_j."""
-        z = self.field.zero()
-        cols = []
-        for j in range(self.dim):
-            col = [z] * self.dim
-            for i, xi in enumerate(x):
-                if xi.is_zero():
-                    continue
-                for l, c in self.sc[i][j]:
-                    col[l] = col[l] + xi * c
-            cols.append(col)
-        return Matrix.from_cols(self.field, cols)
+        return Matrix.from_cols(self.field, [self.mult_vec(x, self.basis_vec(j))
+                                             for j in range(self.dim)])
 
     def basis_vec(self, i):
         v = [self.field.zero()] * self.dim
@@ -189,14 +187,12 @@ class OrdAlgebra:
         return f"OrdAlgebra(dim={self.dim} over {self.field!r})"
 
 
-def algebra_from_triples(field: Field, dim: int, triples, unit,
-                         validate=True) -> OrdAlgebra:
+def algebra_from_triples(field: Field, dim: int, triples, unit) -> OrdAlgebra:
     """Construct from sparse [i, j, l, scalar] entries."""
     sc = [[[] for _ in range(dim)] for _ in range(dim)]
     for i, j, l, c in triples:
         sc[i][j].append((l, field.scalar(c)))
-    return OrdAlgebra(field, dim, sc, [field.scalar(c) for c in unit],
-                      validate=validate)
+    return OrdAlgebra(field, dim, sc, [field.scalar(c) for c in unit])
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +256,10 @@ def charpoly(m: Matrix) -> list:
 
 def _charpoly_of_blocks(blocks) -> list:
     field = blocks[0].field
-    total = [field.one()]
+    total = Poly.one(field)
     for b in blocks:
-        p = charpoly(b)
-        out = [field.zero()] * (len(total) + len(p) - 1)
-        for i, x in enumerate(total):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(p):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        total = out
-    return total
+        total = total * Poly(field, charpoly(b))
+    return list(total.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,30 +358,18 @@ def nilpotency_index(E: OrdAlgebra, vectors) -> int:
 # center, minimal polynomials, idempotents
 
 def center(E: OrdAlgebra) -> list:
-    """Basis of the center."""
-    z = E.field.zero()
-    rows = []
-    for i in range(E.dim):
-        # commutator with b_i, coordinate l: sum_j x_j (c_{ji}^l - c_{ij}^l)
-        for l in range(E.dim):
-            row = [z] * E.dim
-            touched = False
-            for j in range(E.dim):
-                acc = z
-                for ll, c in E.sc[j][i]:
-                    if ll == l:
-                        acc = acc + c
-                for ll, c in E.sc[i][j]:
-                    if ll == l:
-                        acc = acc - c
-                if not acc.is_zero():
-                    touched = True
-                row[j] = acc
-            if touched:
-                rows.append(row)
-    if not rows:
-        return [E.basis_vec(i) for i in range(E.dim)]
-    return Matrix(E.field, rows).kernel_basis()
+    """Basis of the center: the kernel of x -> ([x, b_i])_i, whose column
+    k holds b_k b_i - b_i b_k for every i."""
+    n, sc = E.dim, E.sc
+
+    def commutators():
+        for k in range(n):
+            for i in range(n):
+                for l, c in sc[k][i]:
+                    yield i * n + l, k, c
+                for l, c in sc[i][k]:
+                    yield i * n + l, k, -c
+    return Matrix.from_entries(E.field, n * n, n, commutators()).kernel_basis()
 
 
 def min_poly_of_element(E: OrdAlgebra, x) -> Poly:
@@ -492,31 +468,20 @@ def lift_idempotent(E: OrdAlgebra, x) -> list:
     return e
 
 
-def subalgebra_on(E: OrdAlgebra, vectors, unit_vec, validate=False):
-    """Algebra structure on a multiplicatively closed subspace.
-
-    Returns (OrdAlgebra, embed) with embed mapping new coordinates to
-    E-coordinates.
-    """
-    field = E.field
-    mat = Matrix.from_cols(field, vectors)
-    dim = len(vectors)
-    sols = mat.solve_many([E.mult_vec(vectors[i], vectors[j])
-                           for i in range(dim) for j in range(dim)]
-                          + [unit_vec])
+def subalgebra_on(field, basis, product, unit, vec=list) -> OrdAlgebra:
+    """The algebra on the span of `basis`, a space closed under `product`
+    that holds `unit`; `vec` reads an element as a coordinate vector.
+    Every product and the unit are solved against one elimination."""
+    dim = len(basis)
+    sols = Matrix.from_cols(field, [vec(b) for b in basis]).solve_many(
+        [vec(product(x, y)) for x in basis for y in basis] + [vec(unit)])
     if any(c is None for c in sols[:-1]):
         raise OrdAlgebraError("subspace is not closed under product")
-    ucoords = sols[-1]
-    if ucoords is None:
+    if sols[-1] is None:
         raise OrdAlgebraError("unit does not lie in the subspace")
     sc = [[[(l, c) for l, c in enumerate(sols[i * dim + j])
             if not c.is_zero()] for j in range(dim)] for i in range(dim)]
-    B = OrdAlgebra(field, dim, sc, ucoords, validate=validate)
-
-    def embed(coords):
-        return _lin_comb(field, vectors, coords)
-
-    return B, embed
+    return OrdAlgebra(field, dim, sc, sols[-1], validate=False)
 
 
 def quotient_algebra(E: OrdAlgebra, ideal_vectors):
@@ -653,22 +618,14 @@ def _is_central(E, x):
 
 
 def _anticommutant_element(E, i_el):
-    """Nonzero j with i j = -j i, by linear solve."""
-    field = E.field
-    rows = []
-    for l in range(E.dim):
-        row = []
-        for jx in range(E.dim):
-            bi = E.basis_vec(jx)
-            v = E.mult_vec(i_el, bi)
-            w = E.mult_vec(bi, i_el)
-            row.append(v[l] + w[l])
-        rows.append(row)
-    ker = Matrix(field, rows).kernel_basis()
-    for v in ker:
-        if any(not c.is_zero() for c in v):
-            return v
-    return None
+    """Nonzero j with i j = -j i: the kernel of x -> i x + x i."""
+    cols = []
+    for k in range(E.dim):
+        bk = E.basis_vec(k)
+        cols.append([v + w for v, w in zip(E.mult_vec(i_el, bk),
+                                           E.mult_vec(bk, i_el))])
+    ker = Matrix.from_cols(E.field, cols).kernel_basis()
+    return ker[0] if ker else None
 
 
 def _quaternion_splits(a: Fraction, b: Fraction) -> bool:
@@ -880,23 +837,9 @@ def module_is_simple(E: OrdAlgebra, M: OrdModule):
                 if 0 < len(sub) < M.dim:
                     return False
     # certificate: the endomorphism algebra must be division
-    end_basis = module_hom_space(M, M)
-    B = _endo_algebra(M, end_basis)
+    B = subalgebra_on(M.field, module_hom_space(M, M), matmul,
+                      Matrix.identity(M.field, M.dim), _flat)
     return is_division(B)
-
-
-def _endo_algebra(M: OrdModule, end_basis) -> OrdAlgebra:
-    field = M.field
-    dimE = len(end_basis)
-    solver = Matrix.from_cols(field, [_flat(m) for m in end_basis])
-    # every product and the identity, against one elimination
-    rhs = [_flat(end_basis[i] @ end_basis[j])
-           for i in range(dimE) for j in range(dimE)]
-    rhs.append(_flat(Matrix.identity(field, M.dim)))
-    sols = solver.solve_many(rhs)
-    sc = [[[(l, c) for l, c in enumerate(sols[i * dimE + j])
-            if not c.is_zero()] for j in range(dimE)] for i in range(dimE)]
-    return OrdAlgebra(field, dimE, sc, sols[-1], validate=False)
 
 
 def _flat(m: Matrix) -> list:
@@ -959,22 +902,9 @@ def decompose_module(E: OrdAlgebra, M: OrdModule) -> list:
             for w in sub:
                 covered.add(w)
             count += 1
-        # exhaust: remaining vectors of the block must be covered
+        # e is primitive, so the simples spun from M e cover the block
         if covered.dim() != block_rows.dim():
-            for v in block_rows.basis():
-                if covered.contains(v):
-                    continue
-                w = M.act_vec(v, e)
-                if all(c.is_zero() for c in w):
-                    continue
-                if covered.contains(w):
-                    continue
-                sub = M.spin(w)
-                for u in sub:
-                    covered.add(u)
-                count += 1
-            if covered.dim() != block_rows.dim():
-                raise OrdAlgebraError("isotypic component not exhausted")
+            raise OrdAlgebraError("isotypic component not exhausted")
         out.append((simple, count))
     return out
 
@@ -985,8 +915,9 @@ def block_primitive_idempotent(E: OrdAlgebra, z) -> list:
     zideal = RowSpace(E.field, E.dim)
     for i in range(E.dim):
         zideal.add(E.mult_vec(z, E.basis_vec(i)))
-    B, embed = subalgebra_on(E, zideal.basis(), z)
-    return embed(primitive_idempotent(B))
+    basis = zideal.basis()
+    B = subalgebra_on(E.field, basis, E.mult_vec, z)
+    return _lin_comb(E.field, basis, primitive_idempotent(B))
 
 
 def primitive_idempotent(B: OrdAlgebra) -> list:
@@ -1029,9 +960,9 @@ def _primitive_in_corner(B: OrdAlgebra, e) -> list:
     corner = RowSpace(B.field, B.dim)
     for i in range(B.dim):
         corner.add(B.mult_vec(e, B.mult_vec(B.basis_vec(i), e)))
-    Bc, embed = subalgebra_on(B, corner.basis(), e)
-    inner = primitive_idempotent(Bc)
-    return embed(inner)
+    basis = corner.basis()
+    Bc = subalgebra_on(B.field, basis, B.mult_vec, e)
+    return _lin_comb(B.field, basis, primitive_idempotent(Bc))
 
 
 def _idempotent_from_nilpotent(B: OrdAlgebra, z):
@@ -1043,15 +974,10 @@ def _idempotent_from_nilpotent(B: OrdAlgebra, z):
     basis = ideal.basis()
     if not basis or ideal.dim() == B.dim:
         return None
-    # e = sum c_v v in the ideal with x e = x for every basis x
-    rows_mat = []
-    rhs = []
-    for x in basis:
-        prods = [B.mult_vec(x, v) for v in basis]
-        for l in range(B.dim):
-            rows_mat.append([prods[k][l] for k in range(len(basis))])
-            rhs.append(x[l])
-    sol = Matrix(field, rows_mat).solve(rhs)
+    # e = sum c_v v in the ideal with x e = x for every basis x: column
+    # k holds x v_k for every x
+    cols = [[c for x in basis for c in B.mult_vec(x, v)] for v in basis]
+    sol = Matrix.from_cols(field, cols).solve([c for x in basis for c in x])
     if sol is None:
         return None
     return _lin_comb(field, basis, sol)
@@ -1061,54 +987,26 @@ def _idempotent_from_nilpotent(B: OrdAlgebra, z):
 # separability of ordinary algebras
 
 def is_separable_over_k(E: OrdAlgebra) -> bool:
-    """Linear feasibility of a bimodule section of the multiplication."""
-    field = E.field
-    n = E.dim
-    z = field.zero()
-    nunk = n * n * n            # phi(b_l) = sum phi[l][i][j] b_i (x) b_j
-    def unk(l, i, j):
-        return (l * n + i) * n + j
-    rows, rhs = [], []
-    # m(phi(b_l)) = b_l
-    for l in range(n):
-        for t in range(n):
-            row = [z] * nunk
-            for i in range(n):
-                for j in range(n):
-                    for tt, c in E.sc[i][j]:
-                        if tt == t:
-                            row[unk(l, i, j)] = row[unk(l, i, j)] + c
-            rows.append(row)
-            rhs.append(field.one() if t == l else z)
-    # left linearity: phi(b_a b_l) = b_a phi(b_l)
-    for a in range(n):
-        for l in range(n):
-            for i2 in range(n):
-                for j in range(n):
-                    row = [z] * nunk
-                    for m, c in E.sc[a][l]:
-                        row[unk(m, i2, j)] = row[unk(m, i2, j)] + c
-                    for i in range(n):
-                        for tt, c in E.sc[a][i]:
-                            if tt == i2:
-                                row[unk(l, i, j)] = row[unk(l, i, j)] - c
-                    rows.append(row)
-                    rhs.append(z)
-    # right linearity: phi(b_l b_a) = phi(b_l) b_a
-    for a in range(n):
-        for l in range(n):
-            for i in range(n):
-                for j2 in range(n):
-                    row = [z] * nunk
-                    for m, c in E.sc[l][a]:
-                        row[unk(m, i, j2)] = row[unk(m, i, j2)] + c
-                    for j in range(n):
-                        for tt, c in E.sc[j][a]:
-                            if tt == j2:
-                                row[unk(l, i, j)] = row[unk(l, i, j)] - c
-                    rows.append(row)
-                    rhs.append(z)
-    return Matrix(field, rows).solve(rhs) is not None
+    """Whether E has a separability idempotent e = sum e_ij b_i (x) b_j:
+    m(e) = 1 and b_a e = e b_a for every a (Pierce, Associative Algebras
+    10.2).  Column (i, j) of the system is the image of b_i (x) b_j:
+    b_i b_j, then (b_a b_i) (x) b_j - b_i (x) (b_j b_a) for each a."""
+    n, sc = E.dim, E.sc
+
+    def images():
+        for i in range(n):
+            for j in range(n):
+                col = i * n + j
+                for l, c in sc[i][j]:
+                    yield l, col, c
+                for a in range(n):
+                    at = n + a * n * n
+                    for l, c in sc[a][i]:
+                        yield at + l * n + j, col, c
+                    for l, c in sc[j][a]:
+                        yield at + i * n + l, col, -c
+    system = Matrix.from_entries(E.field, n + n ** 3, n * n, images())
+    return system.solve(E.unit + [E.field.zero()] * n ** 3) is not None
 
 
 def is_separable_field_ext(f: Poly) -> bool:

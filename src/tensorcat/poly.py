@@ -11,6 +11,7 @@ Factorization routes:
 """
 
 import random
+from itertools import combinations
 
 from .fields import Field, FieldMismatch, Scalar, is_prime
 
@@ -408,7 +409,8 @@ def _zp_sub(a, b, m):
 
 
 def _hensel_pair(f, g, h, s, t, p, target):
-    """Lift f = g*h from mod p to mod p^k >= target; all monic except s,t.
+    """Lift f = g*h from mod p to mod target, a power p^(2^k) of p; all
+    monic except s,t.
 
     Quadratic lifting; maintains s*g + t*h = 1 at each precision.
     """
@@ -424,16 +426,14 @@ def _hensel_pair(f, g, h, s, t, p, target):
         s = _zp_sub(s, d, m2)
         t = _zp_sub(t, _zp_add(_zp_mul(t, b, m2), _zp_mul(c, g, m2), m2), m2)
         m = m2
-    return g, h, m
+    return g, h
 
 
-def _lift_tree(f_ints, factors_mod_p, p, target, fp: Field):
-    """Hensel-lift a list of coprime monic factors of monic f to mod p^k."""
+def _lift_tree(f_ints, factors_mod_p, p, m, fp: Field):
+    """Hensel-lift a list of coprime monic factors of monic f to mod m,
+    a power p^(2^k) of p."""
     if len(factors_mod_p) == 1:
-        m = p
-        while m < target:
-            m *= m
-        return [[c % m for c in f_ints]], m
+        return [[c % m for c in f_ints]]
     half = len(factors_mod_p) // 2
     gs, hs = factors_mod_p[:half], factors_mod_p[half:]
     gp = Poly.one(fp)
@@ -445,11 +445,9 @@ def _lift_tree(f_ints, factors_mod_p, p, target, fp: Field):
     # Bezout over F_p
     s, t = _poly_bezout(gp, hp)
     to_int = lambda poly: [c.c[0] for c in poly.coeffs]
-    g_l, h_l, m = _hensel_pair(f_ints, to_int(gp), to_int(hp),
-                               to_int(s), to_int(t), p, target)
-    left, _ = _lift_tree(g_l, gs, p, m, fp)
-    right, _ = _lift_tree(h_l, hs, p, m, fp)
-    return left + right, m
+    g_l, h_l = _hensel_pair(f_ints, to_int(gp), to_int(hp),
+                            to_int(s), to_int(t), p, m)
+    return _lift_tree(g_l, gs, p, m, fp) + _lift_tree(h_l, hs, p, m, fp)
 
 
 def _poly_bezout(a: Poly, b: Poly):
@@ -497,9 +495,10 @@ def _factor_q_squarefree_monic_int(ints) -> list:
     for c in ints:
         norm2 += c * c
     bound = (1 << n) * (int(norm2 ** 0.5) + 1)
-    target = 2 * bound + 1
-    lifted, m = _lift_tree([c % _final_modulus(p, target) for c in ints],
-                           modular, p, target, fp)
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    lifted = _lift_tree([c % m for c in ints], modular, p, m, fp)
     # recombination
     remaining = list(range(len(lifted)))
     f_cur = list(ints)
@@ -507,7 +506,7 @@ def _factor_q_squarefree_monic_int(ints) -> list:
     size = 1
     while remaining and size <= len(remaining):
         found = False
-        for subset in _subsets(remaining, size):
+        for subset in combinations(remaining, size):
             prod = [1]
             for i in subset:
                 prod = _zp_mul(prod, lifted[i], m)
@@ -524,18 +523,6 @@ def _factor_q_squarefree_monic_int(ints) -> list:
     if len(f_cur) > 1:
         out.append(Poly.from_ints(QQ, f_cur))
     return sorted(out, key=lambda g: g.sort_key())
-
-
-def _final_modulus(p, target):
-    m = p
-    while m < target:
-        m *= m
-    return m
-
-
-def _subsets(items, size):
-    from itertools import combinations
-    return combinations(items, size)
 
 
 def _int_exact_div(num, den):

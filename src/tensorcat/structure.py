@@ -318,8 +318,11 @@ def separability_beta(C: CategoryPres, A: AlgebraPres,
         # must escalate to a bigger field for a certifying grid
         return UNDETERMINED, details
     if (total_deg + 1) ** h > budget:
-        # bounded ladder of small-integer combinations; certifies only True
-        small = [field.scalar(v) for v in (0, 1, -1, 2, -2, 3, -3)]
+        # bounded ladder of small-integer combinations; certifies only True.
+        # In small characteristic the integers repeat as scalars, and a
+        # repeated value would only spend budget on the same candidates
+        small = list(dict.fromkeys(field.scalar(v)
+                                   for v in (0, 1, -1, 2, -2, 3, -3)))
         if found(combinations(small, budget)):
             return True, details
         return UNDETERMINED, details

@@ -292,6 +292,7 @@ def _library_errors():
     from tensorcat.linalg import LinAlgError, SingularMatrix
     from tensorcat.structure import (InseparableExtension, NotFusion,
                                      NotSemisimpleAlgebra,
+                                     OracleDisagreement,
                                      PreconditionViolated)
     analyze = ("_cmd_analyze", ("analyze", "c.json", "a.json"))
     return [
@@ -305,6 +306,7 @@ def _library_errors():
         (InseparableExtension("inseparable"),
          ("_cmd_base_extend", ("base-extend", "c.json", "--minpoly", "1,0,1",
                                "--out-category", "x.json")), 1),
+        (OracleDisagreement("section vs bimodule radical"), analyze, 3),
     ]
 
 

@@ -16,6 +16,7 @@ from tensorcat.modcat import (algebra_as_module, bimodule_end_algebra,
                               module_section, obj_tensor_module, rel_tensor,
                               simple_modules, validate_bimodule,
                               validate_module)
+from tensorcat.linalg import Matrix
 from tensorcat.ordalg import is_semisimple
 
 
@@ -91,7 +92,6 @@ def test_hom_contains_identity(z2, z2reg):
     hs = hom_basis(amod, amod)
     cat = z2
     idm = cat.id(amod.carrier)
-    from tensorcat.linalg import Matrix
     cols = [m.coords() for m in hs]
     assert Matrix.from_cols(cat.field, cols).solve(idm.coords()) is not None
 
@@ -270,22 +270,28 @@ def test_bimodule_validation(z2, z2reg):
     assert validate_bimodule(b).ok
 
 
-def test_bimodule_maps_match_solver(z2, z2reg, fib, fib_end_t):
-    # the free-bimodule correspondence spans exactly the solver's space
-    for cat, A in ((z2, z2reg), (fib, fib_end_t)):
+def test_bimodule_maps_match_solver(corpus):
+    # the free-bimodule correspondence spans exactly the space of the
+    # generic kernel solve, for every pair of free bimodules
+    names = ("z2/regular", "vec_q/m2", "fibonacci/end_t", "mmf2/trivial")
+    pairs = 0
+    for name, cat, A in corpus:
+        if name not in names:
+            continue
         gens = [free_bimodule(A, cat.simple(a)) for a in cat.labels]
         gens = [g for g in gens if not g.carrier.is_zero()]
         for x in gens:
             for y in gens:
-                fast = free_bimodule_maps(x, y)
-                slow = bimodule_hom_basis(x, y)
-                assert len(fast) == len(slow)
-                from tensorcat.linalg import Matrix
-                if fast:
-                    cols = [m.coords() for m in slow]
-                    solver = Matrix.from_cols(cat.field, cols)
-                    for m in fast:
-                        assert solver.solve(m.coords()) is not None
+                fast = [m.coords() for m in free_bimodule_maps(x, y)]
+                slow = [m.coords() for m in bimodule_hom_basis(x, y)]
+                assert len(fast) == len(slow), (name, x, y)
+                pairs += 1
+                if not fast:
+                    continue
+                assert Matrix.from_cols(cat.field, fast).rank() == len(fast)
+                solver = Matrix.from_cols(cat.field, slow)
+                assert all(c is not None for c in solver.solve_many(fast))
+    assert pairs >= 8
 
 
 def test_bimodule_end_semisimple_iff_separable(z2, z2reg, cats):

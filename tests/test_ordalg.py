@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import matmul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +15,14 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               decompose_module, is_division, is_semisimple,
                               is_separable_field_ext, is_separable_over_k,
                               module_hom_space, module_is_simple,
-                              nilpotency_index, radical, _quaternion_splits)
+                              nilpotency_index, radical, subalgebra_on,
+                              _anticommutant_element, _flat,
+                              _quaternion_splits)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F5 = Field.prime(5)
 QPHI = Field(0, [-1, -1, 1], gen_name="phi")     # phi^2 = phi + 1
 
 
@@ -54,6 +58,21 @@ def quaternions(a=-1, b=-1):
              [1, 3, 2, a], [3, 1, 2, -a],
              [2, 3, 1, -b], [3, 2, 1, b]]
     return algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])
+
+
+def truncated_poly(field, n):
+    """k[x]/(x^n) in the basis 1, x, ..., x^(n-1)."""
+    trips = [[i, j, i + j, 1] for i in range(n) for j in range(n)
+             if i + j < n]
+    return algebra_from_triples(field, n, trips, [1] + [0] * (n - 1))
+
+
+def direct_sum(E, F):
+    n = E.dim
+    trips = _triples(E) + [[i + n, j + n, l + n, c]
+                           for i, j, l, c in _triples(F)]
+    return algebra_from_triples(E.field, n + F.dim, trips,
+                                list(E.unit) + list(F.unit))
 
 
 def regular_module(E):
@@ -256,6 +275,16 @@ def test_separability_over_k():
     assert is_separable_over_k(nilp) is False
     assert is_separable_over_k(matrix_algebra(Q, 2)) is True
     assert is_separable_over_k(group_algebra(F2, 3)) is True
+    # k[x]/(x^n) is separable only for n = 1; k[Z/n] exactly when the
+    # characteristic does not divide n
+    for field in (Q, F2, F3, F5):
+        for n in (1, 2, 3):
+            assert is_separable_over_k(truncated_poly(field, n)) is (n == 1)
+            assert is_separable_over_k(group_algebra(field, n)) \
+                is (field.char == 0 or n % field.char != 0)
+        assert is_separable_over_k(matrix_algebra(field, 2)) is True
+        assert is_separable_over_k(direct_sum(matrix_algebra(field, 2),
+                                              truncated_poly(field, 1)))
 
 
 def test_separable_implies_semisimple_on_corpus():
@@ -413,3 +442,198 @@ def test_primitive_idempotent_from_nilpotent(monkeypatch):
     for i in range(4):
         corner.add(B.mult_vec(e, B.mult_vec(B.basis_vec(i), e)))
     assert corner.dim() == 1
+
+
+# -- each system built from basis images equals its row-built reference -----
+
+def _small_algebra(data, field, max_dim):
+    kind = data.draw(st.sampled_from(["group", "truncated", "m2"]))
+    if kind == "m2" and max_dim >= 4:
+        return matrix_algebra(field, 2)
+    n = data.draw(st.integers(1, min(3, max_dim)))
+    return (group_algebra if kind == "group" else truncated_poly)(field, n)
+
+
+def _drawn_algebra(data):
+    """A group algebra, k[x]/(x^n), M_2 or a direct sum of two of them,
+    over Q, F_2, F_3 or F_5, possibly rewritten in a random basis."""
+    field = data.draw(st.sampled_from([Q, F2, F3, F5]))
+    E = _small_algebra(data, field, 4)
+    if E.dim < 4 and data.draw(st.booleans()):
+        E = direct_sum(E, _small_algebra(data, field, 4 - E.dim))
+    if data.draw(st.booleans()):
+        # P = L U with unit diagonals, so P is invertible over every field
+        n = E.dim
+        entries = st.lists(st.integers(-1, 1), min_size=n * n,
+                           max_size=n * n)
+
+        def unitriangular(lower):
+            vals = data.draw(entries)
+            return Matrix(field, [[field.scalar(
+                1 if i == j else vals[i * n + j] if (j < i) == lower else 0)
+                for j in range(n)] for i in range(n)])
+        sc, unit = _rebased(E, unitriangular(True) @ unitriangular(False))
+        E = OrdAlgebra(field, n, sc, unit)
+    return E
+
+
+def _section_solve_reference(E):
+    """Separability as the feasibility of a bimodule section phi of the
+    multiplication, with n^3 unknowns phi(b_l) = sum phi_lij b_i (x) b_j."""
+    field = E.field
+    n = E.dim
+    z = field.zero()
+    nunk = n * n * n
+
+    def unk(l, i, j):
+        return (l * n + i) * n + j
+    rows, rhs = [], []
+    # m(phi(b_l)) = b_l
+    for l in range(n):
+        for t in range(n):
+            row = [z] * nunk
+            for i in range(n):
+                for j in range(n):
+                    for tt, c in E.sc[i][j]:
+                        if tt == t:
+                            row[unk(l, i, j)] = row[unk(l, i, j)] + c
+            rows.append(row)
+            rhs.append(field.one() if t == l else z)
+    # left linearity: phi(b_a b_l) = b_a phi(b_l)
+    for a in range(n):
+        for l in range(n):
+            for i2 in range(n):
+                for j in range(n):
+                    row = [z] * nunk
+                    for m, c in E.sc[a][l]:
+                        row[unk(m, i2, j)] = row[unk(m, i2, j)] + c
+                    for i in range(n):
+                        for tt, c in E.sc[a][i]:
+                            if tt == i2:
+                                row[unk(l, i, j)] = row[unk(l, i, j)] - c
+                    rows.append(row)
+                    rhs.append(z)
+    # right linearity: phi(b_l b_a) = phi(b_l) b_a
+    for a in range(n):
+        for l in range(n):
+            for i in range(n):
+                for j2 in range(n):
+                    row = [z] * nunk
+                    for m, c in E.sc[l][a]:
+                        row[unk(m, i, j2)] = row[unk(m, i, j2)] + c
+                    for j in range(n):
+                        for tt, c in E.sc[j][a]:
+                            if tt == j2:
+                                row[unk(l, i, j)] = row[unk(l, i, j)] - c
+                    rows.append(row)
+                    rhs.append(z)
+    return Matrix(field, rows).solve(rhs) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_separability_idempotent_matches_section_solve(data):
+    E = _drawn_algebra(data)
+    assert is_separable_over_k(E) is _section_solve_reference(E)
+
+
+def _center_reference(E):
+    z = E.field.zero()
+    rows = []
+    for i in range(E.dim):
+        # commutator with b_i, coordinate l: sum_j x_j (c_{ji}^l - c_{ij}^l)
+        for l in range(E.dim):
+            row = [z] * E.dim
+            touched = False
+            for j in range(E.dim):
+                acc = z
+                for ll, c in E.sc[j][i]:
+                    if ll == l:
+                        acc = acc + c
+                for ll, c in E.sc[i][j]:
+                    if ll == l:
+                        acc = acc - c
+                if not acc.is_zero():
+                    touched = True
+                row[j] = acc
+            if touched:
+                rows.append(row)
+    if not rows:
+        return [E.basis_vec(i) for i in range(E.dim)]
+    return Matrix(E.field, rows).kernel_basis()
+
+
+def _anticommutant_reference(E, i_el):
+    rows = []
+    for l in range(E.dim):
+        row = []
+        for jx in range(E.dim):
+            bi = E.basis_vec(jx)
+            v = E.mult_vec(i_el, bi)
+            w = E.mult_vec(bi, i_el)
+            row.append(v[l] + w[l])
+        rows.append(row)
+    ker = Matrix(E.field, rows).kernel_basis()
+    for v in ker:
+        if any(not c.is_zero() for c in v):
+            return v
+    return None
+
+
+def _left_mult_reference(E, x):
+    z = E.field.zero()
+    cols = []
+    for j in range(E.dim):
+        col = [z] * E.dim
+        for i, xi in enumerate(x):
+            if xi.is_zero():
+                continue
+            for l, c in E.sc[i][j]:
+                col[l] = col[l] + xi * c
+        cols.append(col)
+    return Matrix.from_cols(E.field, cols)
+
+
+def _endo_algebra_reference(M, end_basis):
+    field = M.field
+    dimE = len(end_basis)
+    solver = Matrix.from_cols(field, [_flat(m) for m in end_basis])
+    rhs = [_flat(end_basis[i] @ end_basis[j])
+           for i in range(dimE) for j in range(dimE)]
+    rhs.append(_flat(Matrix.identity(field, M.dim)))
+    sols = solver.solve_many(rhs)
+    sc = [[[(l, c) for l, c in enumerate(sols[i * dimE + j])
+            if not c.is_zero()] for j in range(dimE)] for i in range(dimE)]
+    return OrdAlgebra(field, dimE, sc, sols[-1], validate=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_image_built_systems_match_row_built_references(data):
+    E = _drawn_algebra(data)
+    field = E.field
+    assert center(E) == _center_reference(E)
+    x = data.draw(st.lists(st.integers(-2, 2), min_size=E.dim,
+                           max_size=E.dim).map(
+        lambda cs: [field.scalar(c) for c in cs]))
+    assert E.left_mult_matrix(x) == _left_mult_reference(E, x)
+    assert _anticommutant_element(E, x) == _anticommutant_reference(E, x)
+    M = regular_module(E)
+    end_basis = module_hom_space(M, M)
+    B = subalgebra_on(field, end_basis, matmul,
+                      Matrix.identity(field, M.dim), _flat)
+    ref = _endo_algebra_reference(M, end_basis)
+    assert (B.sc, B.unit) == (ref.sc, ref.unit)
+
+
+def test_anticommutant_matches_reference_on_noncommutative_algebras():
+    # pin the units of two quaternion algebras and of M_2, where an
+    # anticommutant exists
+    for E in (quaternions(), quaternions(2, 3), matrix_algebra(Q, 2)):
+        for k in range(1, E.dim):
+            i_el = E.basis_vec(k)
+            j_el = _anticommutant_element(E, i_el)
+            assert j_el == _anticommutant_reference(E, i_el)
+            if j_el is not None:
+                assert E.mult_vec(i_el, j_el) == \
+                    [-c for c in E.mult_vec(j_el, i_el)]

@@ -1,13 +1,16 @@
 import pytest
 
-from tensorcat.algebra import direct_sum_algebra, internal_end, trivial_algebra
+from tensorcat.algebra import (AlgebraPres, direct_sum_algebra, internal_end,
+                               trivial_algebra)
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fields import Embedding, Field
-from tensorcat.fincat import Obj
+from tensorcat.fincat import Mor, Obj
+from tensorcat.linalg import Matrix
 from tensorcat.modcat import (free_module_end, module_internal_end,
                               simple_modules)
 from tensorcat.ordalg import UNDETERMINED
 from tensorcat.structure import (AlgebraAnalysisContext, NotFusion,
+                                 OracleDisagreement,
                                  PreconditionViolated, analyze,
                                  base_extend_algebra,
                                  center_semisimple_verdict,
@@ -532,3 +535,77 @@ def test_beta_ladder_counts_every_candidate(cats, monkeypatch, copies,
     assert details["tested"] == copies + len(combined) == tested
     assert details.get("witness") == witness
     assert verdict is (UNDETERMINED if witness is None else True)
+
+
+def test_beta_ladder_skips_repeated_scalars(monkeypatch):
+    # in F_5 the ladder values -1, 2, -2, 3, -3 are 4, 2, 3, 3, 2: each
+    # repeated scalar once cost a candidate, and the budget ran out one
+    # short of the witness (1, 1)
+    monkeypatch.setenv("TENSORCAT_BUDGET", "8")
+    v5 = make_category("vec", {"field": Field.prime(5)})
+    A = direct_sum_algebra(trivial_algebra(v5), trivial_algebra(v5))
+    verdict, details = separability_beta(v5, A)
+    assert verdict is True
+    assert details["witness"] == [["1"], ["1"]]
+    assert details["tested"] == 9        # 2 basis + 7 ladder candidates
+
+
+def _dual_numbers(cat):
+    """k[x]/(x^2) in vec as the carrier 2*1, which is not semisimple."""
+    field, one = cat.field, cat.field.one()
+    carrier = Obj(cat, {"1": 2})
+    sq = cat.tensor(carrier, carrier)
+    idx = cat.fusion_index(carrier, carrier)["1"]
+    m = Matrix.from_entries(field, 2, sq.mult("1"),
+                            [(i + j, idx[("1", i, "1", j, 0)], one)
+                             for i in range(2) for j in range(2) if i + j < 2])
+    unit = Matrix.from_entries(field, 2, 1, [(0, 0, one)])
+    return AlgebraPres(cat, carrier, Mor(cat, sq, carrier, {"1": m}),
+                       Mor(cat, cat.unit_obj(), carrier, {"1": unit}))
+
+
+def _negated(real):
+    return lambda *args, **kw: not real(*args, **kw)
+
+
+def _beta_negated(real):
+    def beta(*args, **kw):
+        verdict, details = real(*args, **kw)
+        return not verdict, details
+    return beta
+
+
+def _dim_zeroed(real):
+    return lambda C, *args: C.field.zero()
+
+
+def _identity_broken(real):
+    return lambda *args: {**real(*args), "object_identity_holds": False}
+
+
+@pytest.mark.parametrize("route, flip, algebra, message", [
+    ("is_semisimple", _negated, "trivial", "bimodule radical"),
+    ("separability_beta_with_escalation", _beta_negated, "trivial",
+     "adjoint-isomorphism search"),
+    ("separability_alpha_division", _negated, "trivial", "duality-loop"),
+    ("dim_division_algebra", _dim_zeroed, "trivial",
+     "dimension nonvanishing"),
+    ("is_semisimple_algebra", _negated, "trivial",
+     "separable but not semisimple"),
+    ("is_semisimple_algebra", _negated, "dual_numbers",
+     "semisimple must imply separable"),
+    ("matrix_decomposition", _identity_broken, "trivial",
+     "sum of connecting objects"),
+], ids=["bimodule-radical", "beta", "duality-loop", "dim", "sep-ss",
+        "char0-ss-sep", "object-identity"])
+def test_analyze_raises_when_one_route_disagrees(cats, monkeypatch, route,
+                                                 flip, algebra, message):
+    import tensorcat.structure as structure
+    vq = cats["vec_q"]
+    A = (trivial_algebra(vq) if algebra == "trivial"
+         else _dual_numbers(vq))
+    # the routes agree before the flip
+    assert analyze(vq, A)["flags"]["semisimple"] is (algebra == "trivial")
+    monkeypatch.setattr(structure, route, flip(getattr(structure, route)))
+    with pytest.raises(OracleDisagreement, match=message):
+        analyze(vq, A)
