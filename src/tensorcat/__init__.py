@@ -22,8 +22,7 @@ from .modcat import (BimodulePres, ModulePres, algebra_as_module,
                      simple_modules, validate_bimodule, validate_module)
 from .ordalg import (OrdAlgebra, OrdModule, UNDETERMINED, central_idempotents,
                      center, decompose_module, is_division, is_semisimple,
-                     is_separable_field_ext, is_separable_over_k,
-                     module_is_simple, radical)
+                     is_separable_over_k, module_is_simple, radical)
 from .poly import (DegreeTooLarge, Poly, PolynomialError, Reducible, factor,
                    gcd, is_irreducible, is_separable_irreducible,
                    squarefree_decomposition)

@@ -164,27 +164,33 @@ class Mor:
             blocks[a] = self.block(a) @ other.block(a)
         return Mor(self.cat, other.src, self.dst, blocks)
 
+    @staticmethod
+    def combine(coeffs, mors) -> "Mor":
+        """sum_k coeffs[k] * mors[k] for morphisms of one hom space: one
+        Matrix.combine per label, over the terms with a block there."""
+        if not mors or len(coeffs) != len(mors) or any(
+                m.src != mors[0].src or m.dst != mors[0].dst for m in mors):
+            raise ValueError("a combination needs one coefficient per "
+                             "morphism, all of one hom space")
+        terms = {}
+        for c, m in zip(coeffs, mors):
+            for a, blk in m.blocks.items():
+                terms.setdefault(a, []).append((c, blk))
+        return Mor(mors[0].cat, mors[0].src, mors[0].dst,
+                   {a: Matrix.combine(*zip(*ts)) for a, ts in terms.items()})
+
     def __add__(self, other: "Mor") -> "Mor":
-        return self._blockwise(other, Matrix.__add__)
+        return Mor.combine([self.cat.field.one()] * 2, [self, other])
 
     def __sub__(self, other: "Mor") -> "Mor":
-        return self._blockwise(other, Matrix.__sub__)
-
-    def _blockwise(self, other: "Mor", op) -> "Mor":
-        if other.src != self.src or other.dst != self.dst:
-            raise ValueError("morphism sum or difference requires equal "
-                             "hom spaces")
-        blocks = {a: op(self.block(a), other.block(a))
-                  for a in set(self.blocks) | set(other.blocks)}
-        return Mor(self.cat, self.src, self.dst, blocks)
+        one = self.cat.field.one()
+        return Mor.combine([one, -one], [self, other])
 
     def __neg__(self) -> "Mor":
-        return Mor(self.cat, self.src, self.dst,
-                   {a: -m for a, m in self.blocks.items()})
+        return Mor.combine([-self.cat.field.one()], [self])
 
     def scale(self, c: Scalar) -> "Mor":
-        return Mor(self.cat, self.src, self.dst,
-                   {a: m.scale(c) for a, m in self.blocks.items()})
+        return Mor.combine([c], [self])
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())

@@ -5,7 +5,10 @@ How a `Matrix` stores its entries is private to this module; today it is
 a dense list of rows.  Other modules build matrices with `Matrix(field,
 rows)`, `zeros`, `identity`, `from_cols` and `from_entries`, and read
 them with `m[i, j]`, `row`, `col`, `nonzero`, `trace` and `map`, besides
-the arithmetic and elimination methods.
+the arithmetic and elimination methods.  `@` accumulates on coefficient
+tuples and skips zero entries; `combine` computes a linear combination
+sum c_k M_k as one `@` product, and sums, differences, negation and
+scaling are each one `combine` call.
 
 `RowSpace` keeps a row space in reduced echelon form as rows are added:
 each new row is reduced against the stored rows, scaled so its first
@@ -16,7 +19,7 @@ positions, so sparse systems eliminate quickly without a separate
 sparse representation.  No floating point is used anywhere.
 """
 
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import is_not
 
 from .fields import Field, FieldMismatch, Scalar
@@ -157,27 +160,44 @@ class Matrix:
             out.append(orow)
         return Matrix._raw(field, self.rows, other.cols, out)
 
+    @staticmethod
+    def combine(coeffs, mats) -> "Matrix":
+        """sum_k coeffs[k] * mats[k], for Scalars and matrices over one
+        field and of one shape, computed with `@` as the row of nonzero
+        coefficients times the matrices flattened into rows."""
+        if not mats or len(coeffs) != len(mats):
+            raise LinAlgError("one coefficient per matrix, at least one")
+        field, rows, cols = mats[0].field, mats[0].rows, mats[0].cols
+        zc = field._zero_c
+        cs, flat = [], []
+        for c, m in zip(coeffs, mats):
+            if (m.field is not field and m.field != field
+                    or c.field is not field and c.field != field):
+                raise FieldMismatch("operands over different fields")
+            if m.rows != rows or m.cols != cols:
+                raise LinAlgError("shape mismatch")
+            if c.c != zc:
+                cs.append(c)
+                flat.append(list(chain.from_iterable(m.a)))
+        # with no nonzero coefficient the product is the zero row
+        out = (Matrix._raw(field, 1, len(cs), [cs])
+               @ Matrix._raw(field, len(cs), rows * cols, flat)).a[0]
+        return Matrix._raw(field, rows, cols,
+                           [out[i * cols:(i + 1) * cols]
+                            for i in range(rows)])
+
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(self.field, [[x + y for x, y in zip(r1, r2)]
-                                   for r1, r2 in zip(self.a, other.a)])
+        return Matrix.combine([self.field.one()] * 2, [self, other])
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(self.field, [[x - y for x, y in zip(r1, r2)]
-                                   for r1, r2 in zip(self.a, other.a)])
+        one = self.field.one()
+        return Matrix.combine([one, -one], [self, other])
 
     def __neg__(self):
-        return Matrix(self.field, [[-x for x in r] for r in self.a])
+        return Matrix.combine([-self.field.one()], [self])
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, [[x * c for x in r] for r in self.a])
-
-    def _same_shape(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("matrices over different fields")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinAlgError("shape mismatch")
+        return Matrix.combine([c], [self])
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for r in self.a for x in r)

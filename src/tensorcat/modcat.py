@@ -247,6 +247,9 @@ class EndData:
     def __init__(self, modules, hom_fn, field):
         self.modules = modules
         self.field = field
+        # the labels of the blocks of the natural representation
+        self.labels = list(dict.fromkeys(a for p in modules
+                                         for a in p.carrier.support))
         self.blocks = {}
         basis = []
         for i, pi in enumerate(modules):
@@ -319,42 +322,22 @@ class EndData:
         """Block representation: each basis morphism as a matrix on the
         label-components of the direct sum of the underlying objects."""
         field = self.field
-        labels = []
-        seen = set()
-        for p in self.modules:
-            for a in p.carrier.support:
-                if a not in seen:
-                    seen.add(a)
-                    labels.append(a)
         offsets = []
-        sizes = {a: 0 for a in labels}
+        sizes = {a: 0 for a in self.labels}
         for p in self.modules:
-            offsets.append({a: sizes[a] for a in labels})
-            for a in labels:
+            offsets.append({a: sizes[a] for a in self.labels})
+            for a in self.labels:
                 sizes[a] += p.carrier.mult(a)
         rep = []
         for (i, j, m) in self.basis:
             mats = []
-            for a in labels:
+            for a in self.labels:
                 oi, oj = offsets[i][a], offsets[j][a]
                 mats.append(Matrix.from_entries(
                     field, sizes[a], sizes[a],
                     [(oi + r, oj + c, x) for r, c, x in m.block(a).nonzero()]))
             rep.append(mats)
         return rep
-
-    def mor_of_vec(self, vec) -> dict:
-        """(i, j) -> Mor for the element with the given coordinates."""
-        out = {}
-        for k, (i, j, m) in enumerate(self.basis):
-            c = vec[k]
-            if c.is_zero():
-                continue
-            if (i, j) in out:
-                out[(i, j)] = out[(i, j)] + m.scale(c)
-            else:
-                out[(i, j)] = m.scale(c)
-        return out
 
 
 def end_algebra(modules) -> EndData:
@@ -476,10 +459,9 @@ def direct_sum_modules(mods) -> tuple:
         projs.append(p)
         off = off + m.carrier
     c = A.carrier
-    action = None
-    for m, i, p in zip(mods, incls, projs):
-        term = i @ m.action @ cat.tensor_mor(p, cat.id(c))
-        action = term if action is None else action + term
+    action = Mor.combine([cat.field.one()] * len(mods),
+                         [i @ m.action @ cat.tensor_mor(p, cat.id(c))
+                          for m, i, p in zip(mods, incls, projs)])
     return ModulePres(A, total, action, side="right"), incls, projs
 
 
@@ -516,7 +498,7 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
     E = end.algebra
     rad = radical(E)
     semisimple = not rad
-    psum, incls, projs = direct_sum_modules(frees)
+    psum = direct_sum_modules(frees)[0]
     if rad:
         Ebar, project, lift = quotient_algebra(E, rad)
     else:
@@ -525,11 +507,9 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
     for z in central_idempotents(Ebar):
         ebar = block_primitive_idempotent(Ebar, z)
         e = lift_idempotent(E, lift(ebar))
-        mor_blocks = end.mor_of_vec(e)
-        e_sum = None
-        for (i, j), m in mor_blocks.items():
-            term = incls[i] @ m @ projs[j]
-            e_sum = term if e_sum is None else e_sum + term
+        # the natural representation acts on the direct sum of the frees
+        e_sum = Mor(A.cat, psum.carrier, psum.carrier,
+                    dict(zip(end.labels, E._rep_blocks_of_vec(e))))
         sub, incl, retr = split_idempotent_module(psum, e_sum)
         simples.append((sub, incl, retr))
     amod = algebra_as_module(A)
@@ -616,11 +596,7 @@ def module_section(x: ModulePres):
     sol = Matrix.from_cols(field, cols).solve(target)
     if sol is None:
         raise ValidationFailure("module is not a retract of its free cover")
-    iota = None
-    for c, m in zip(sol, candidates):
-        term = m.scale(c)
-        iota = term if iota is None else iota + term
-    return F, eps, iota
+    return F, eps, Mor.combine(sol, candidates)
 
 
 def _phi_postfix(x_free: ModulePres, a: Obj) -> Mor:

@@ -142,19 +142,7 @@ class OrdAlgebra:
         """Blocks of the faithful representation evaluated at x."""
         if self.rep is None:
             return [self.left_mult_matrix(x)]
-        blocks = None
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            contrib = [m.scale(xi) for m in self.rep[i]]
-            if blocks is None:
-                blocks = contrib
-            else:
-                blocks = [b + c for b, c in zip(blocks, contrib)]
-        if blocks is None:
-            shapes = [m.rows for m in self.rep[0]]
-            blocks = [Matrix.zeros(self.field, r, r) for r in shapes]
-        return blocks
+        return [Matrix.combine(x, mats) for mats in zip(*self.rep)]
 
     def _rep_dim(self):
         if self.rep is None:
@@ -323,15 +311,8 @@ def _radical_charp(E: OrdAlgebra) -> list:
 
 
 def _lin_comb(field, vectors, coords):
-    z = field.zero()
-    out = [z] * len(vectors[0])
-    for v, c in zip(vectors, coords):
-        if c.is_zero():
-            continue
-        for k, x in enumerate(v):
-            if not x.is_zero():
-                out[k] = out[k] + c * x
-    return out
+    return Matrix.combine(coords, [Matrix(field, [v])
+                                   for v in vectors]).row(0)
 
 
 def is_semisimple(E: OrdAlgebra) -> bool:
@@ -539,7 +520,6 @@ def is_division(E: OrdAlgebra):
 
 def _is_field_commutative(E: OrdAlgebra):
     """Field test for a commutative semisimple algebra."""
-    best = 0
     for cand in _candidate_elements(E, [E.basis_vec(i) for i in range(E.dim)]):
         mu = min_poly_of_element(E, cand)
         fac = factor(mu)
@@ -548,7 +528,6 @@ def _is_field_commutative(E: OrdAlgebra):
             return False          # zero divisors
         if mu.degree == E.dim:
             return True           # primitive element with irreducible minpoly
-        best = max(best, mu.degree)
     return UNDETERMINED
 
 
@@ -732,12 +711,7 @@ class OrdModule:
                         f"module action is not multiplicative at ({i},{j})")
 
     def act_matrix(self, x) -> Matrix:
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c.is_zero():
-                continue
-            out = out + self.action[i].scale(c)
-        return out
+        return Matrix.combine(x, self.action)
 
     def act_vec(self, v, x) -> list:
         """v . x = v @ act_matrix(x), without building that matrix."""
@@ -848,12 +822,10 @@ def _flat(m: Matrix) -> list:
 
 
 def _eval_poly_at_matrix(pol: Poly, m: Matrix) -> Matrix:
-    field = m.field
-    acc = Matrix.zeros(field, m.rows, m.cols)
-    for c in reversed(pol.coeffs):
-        acc = acc @ m
-        acc = acc + Matrix.identity(field, m.rows).scale(c)
-    return acc
+    powers = [Matrix.identity(m.field, m.rows)]
+    for _ in range(pol.degree):
+        powers.append(powers[-1] @ m)
+    return Matrix.combine(pol.coeffs, powers)
 
 
 def _left_kernel(m: Matrix) -> list:
@@ -1007,8 +979,3 @@ def is_separable_over_k(E: OrdAlgebra) -> bool:
                         yield at + i * n + l, col, -c
     system = Matrix.from_entries(E.field, n + n ** 3, n * n, images())
     return system.solve(E.unit + [E.field.zero()] * n ** 3) is not None
-
-
-def is_separable_field_ext(f: Poly) -> bool:
-    from .poly import is_separable_irreducible
-    return is_separable_irreducible(f)

@@ -24,8 +24,9 @@ from .modcat import (EndData, ModulePres, algebra_as_module,
                      bimodule_end_algebra, free_module_end,
                      hom_basis, internal_hom, module_dual, module_over_end,
                      simple_modules)
-from .ordalg import (UNDETERMINED, is_semisimple, is_separable_field_ext,
-                     is_separable_over_k, module_is_simple, radical)
+from .ordalg import (UNDETERMINED, is_semisimple, is_separable_over_k,
+                     module_is_simple, radical)
+from .poly import Poly, is_separable_irreducible
 
 DEFAULT_BUDGET = 4096
 
@@ -81,11 +82,10 @@ def base_extend_algebra(C: CategoryPres, A: AlgebraPres, emb: Embedding):
     """Coefficient-embedded copies of the category and the algebra; the
     extension must be separable (inseparable data is rejected)."""
     if emb.dst.minpoly is not None:
-        from .poly import Poly
         prime = Field(emb.dst.char)
         f = Poly(prime, [prime.scalar(c) for c in emb.dst.minpoly])
         try:
-            ok = is_separable_field_ext(f)
+            ok = is_separable_irreducible(f)
         except Exception as exc:
             raise InseparableExtension(str(exc)) from exc
         if not ok:
@@ -187,40 +187,19 @@ def is_simple_algebra(C: CategoryPres, A: AlgebraPres,
 
 
 def _sim_classes(ctx) -> list:
-    """Partition of the simple modules under nonvanishing internal hom."""
+    """Partition of the simple modules under nonvanishing internal hom.
+
+    The relation must be an equivalence: the simples related to each
+    simple include it and are related to exactly the same simples."""
     n = len(ctx.simples.simples)
     homs = ctx.internal_homs
-    related = [[not homs[(i, j)].is_zero() for j in range(n)]
+    related = [tuple(j for j in range(n) if not homs[(i, j)].is_zero())
                for i in range(n)]
-    for i in range(n):
-        if not related[i][i]:
-            raise OracleDisagreement("internal end of a simple module vanished")
-        for j in range(n):
-            if related[i][j] != related[j][i]:
-                raise OracleDisagreement(
-                    "internal-hom relation is not symmetric")
-    seen = [False] * n
-    classes = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        stack, cls = [i], []
-        seen[i] = True
-        while stack:
-            k = stack.pop()
-            cls.append(k)
-            for j in range(n):
-                if related[k][j] and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        classes.append(sorted(cls))
-    for cls in classes:
-        for i in cls:
-            for j in range(n):
-                if related[i][j] and j not in cls:
-                    raise OracleDisagreement(
-                        "internal-hom relation is not transitive")
-    return classes
+    for i, cls in enumerate(related):
+        if i not in cls or any(related[j] != cls for j in cls):
+            raise OracleDisagreement(
+                "internal-hom relation is not an equivalence")
+    return [list(cls) for cls in sorted(set(related))]
 
 
 def is_separable(C: CategoryPres, A: AlgebraPres) -> bool:
@@ -300,7 +279,7 @@ def separability_beta(C: CategoryPres, A: AlgebraPres,
 
     def combinations(values, limit=None):
         for tup in islice(product(values, repeat=h), limit):
-            yield tup, _combine(gs, tup)
+            yield tup, Mor.combine(tup, gs)
 
     # basis elements first
     if found((None, g) for g in gs):
@@ -330,14 +309,6 @@ def separability_beta(C: CategoryPres, A: AlgebraPres,
         return True, details
     details["certified_grid"] = (total_deg + 1) ** h
     return False, details
-
-
-def _combine(mors, coeffs):
-    out = None
-    for m, t in zip(mors, coeffs):
-        term = m.scale(t)
-        out = term if out is None else out + term
-    return out
 
 
 def separability_beta_with_escalation(C, A, budget=None, ctx=None):

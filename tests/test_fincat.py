@@ -4,7 +4,7 @@ import pytest
 
 from tensorcat.catalog import make_category, standard_entries
 from tensorcat.fields import Field
-from tensorcat.fincat import (Obj, ValidationFailure, hom_coords, hom_dim,
+from tensorcat.fincat import (Mor, Obj, ValidationFailure, hom_coords, hom_dim,
                               hom_unit_basis, mor_from_coords,
                               validate_category)
 from tensorcat.linalg import Matrix
@@ -264,6 +264,38 @@ def test_difference_is_sum_with_negation(z2):
         assert f - g == f + (-g)
         assert (f - g) + g == f
         assert (f - f).is_zero()
+
+
+def test_combination_adds_the_blocks_each_label_has(z2):
+    field = z2.field
+    x = Obj(z2, {"g0": 1, "g1": 2})
+    zero, one, two = field.zero(), field.one(), field.scalar(2)
+    only_g0 = Mor(z2, x, x, {"g0": Matrix(field, [[two]])})
+    only_g1 = Mor(z2, x, x, {"g1": Matrix(field, [[one, two], [zero, one]])})
+    both = z2.id(x)
+    coeffs = [field.scalar(3), field.scalar(-1), two]
+    got = Mor.combine(coeffs, [only_g0, only_g1, both])
+    want = [sum((c * e for c, e in zip(coeffs, col)), zero)
+            for col in zip(only_g0.coords(), only_g1.coords(), both.coords())]
+    assert (got.src, got.dst) == (x, x)
+    assert got.coords() == want
+    assert got == only_g0.scale(coeffs[0]) + only_g1.scale(coeffs[1]) \
+        + both.scale(coeffs[2])
+
+
+def test_combination_rejects_other_hom_spaces(z2):
+    one = z2.field.one()
+    x = Obj(z2, {"g0": 1, "g1": 2})
+    f, g = z2.id(x), z2.id(z2.simple("g0"))
+    with pytest.raises(ValueError):
+        Mor.combine([one, one], [f, g])
+    with pytest.raises(ValueError):
+        Mor.combine([one], [f, f])
+    with pytest.raises(ValueError):
+        Mor.combine([], [])
+    for op in (Mor.__add__, Mor.__sub__):
+        with pytest.raises(ValueError):
+            op(f, g)
 
 
 def test_left_right_pair_proportionality(fib, z2):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcat.fields import Embedding, Field
+from tensorcat.fields import Embedding, Field, FieldMismatch
 from tensorcat.linalg import LinAlgError, Matrix, RowSpace, SingularMatrix
 
 Q = Field.rationals()
@@ -408,3 +408,86 @@ def test_map_carries_a_matrix_into_the_target_field():
 def test_trace_of_a_non_square_matrix_is_an_error():
     with pytest.raises(LinAlgError):
         M(Q, [[1, 2]]).trace()
+
+
+# -- linear combinations on the `@` kernel -----------------------------------
+
+def _shaped(field, rows, cols):
+    """Matrices of one fixed shape, 0 x n and n x 0 included."""
+    return st.lists(_entry(field), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda xs: Matrix.from_entries(
+            field, rows, cols,
+            [(k // cols, k % cols, x) for k, x in enumerate(xs)]))
+
+
+def _entrywise(field, coeffs, mats, rows, cols) -> list:
+    """sum c_k M_k one entry at a time on Scalars, as lists of rows."""
+    out = [[field.zero()] * cols for _ in range(rows)]
+    for c, m in zip(coeffs, mats):
+        for i in range(rows):
+            for j in range(cols):
+                out[i][j] = out[i][j] + c * m[i, j]
+    return out
+
+
+def _rows(m) -> list:
+    return [m.row(i) for i in range(m.rows)]
+
+
+@FIELDS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_combination_and_arithmetic_match_an_entrywise_reference(field,
+                                                                  data):
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    pool = data.draw(st.lists(_shaped(field, rows, cols), min_size=1,
+                              max_size=3))
+    # terms drawn from few matrices and few values, so both repeat
+    mats = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=5))
+    values = [field.zero(), field.one(), data.draw(_entry(field))]
+    coeffs = data.draw(st.lists(st.sampled_from(values),
+                                min_size=len(mats), max_size=len(mats)))
+
+    def check(got, cs, ms):
+        assert got.field is field
+        assert (got.rows, got.cols) == (rows, cols)
+        assert _rows(got) == _entrywise(field, cs, ms, rows, cols)
+
+    check(Matrix.combine(coeffs, mats), coeffs, mats)
+    zeros = [field.zero()] * len(mats)
+    check(Matrix.combine(zeros, mats), zeros, mats)
+    assert Matrix.combine(zeros, mats) == Matrix.zeros(field, rows, cols)
+    one, c = field.one(), coeffs[0]
+    A, B = mats[0], mats[-1]
+    check(A + B, [one, one], [A, B])
+    check(A - B, [one, -one], [A, B])
+    check(-A, [-one], [A])
+    check(A.scale(c), [c], [A])
+    assert (A - A).is_zero()
+
+
+def test_combination_rejects_other_fields_and_shapes():
+    A, C = M(Q, [[1, 2]]), M(Q, [[1], [2]])
+    B = M(F7, [[1, 2]])
+    one = Q.one()
+    with pytest.raises(FieldMismatch):
+        Matrix.combine([one, one], [A, B])
+    # the field of a coefficient is checked even when it is zero
+    for c in (F7.one(), F7.zero()):
+        with pytest.raises(FieldMismatch):
+            Matrix.combine([one, c], [A, A])
+        with pytest.raises(FieldMismatch):
+            A.scale(c)
+    with pytest.raises(LinAlgError):
+        Matrix.combine([one, one], [A, C])
+    with pytest.raises(LinAlgError):
+        Matrix.combine([one], [A, A])
+    with pytest.raises(LinAlgError):
+        Matrix.combine([], [])
+    for op in (Matrix.__add__, Matrix.__sub__):
+        with pytest.raises(FieldMismatch):
+            op(A, B)
+        with pytest.raises(LinAlgError):
+            op(A, C)

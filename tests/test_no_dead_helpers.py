@@ -31,6 +31,10 @@ ALLOWED = {
     "bimodule_hom_basis": "the generic kernel solve for bimodule maps, the "
                           "reference tests check `free_bimodule_maps` "
                           "against",
+    "Matrix.scale": "public arithmetic beside `+`, `-` and negation; the "
+                    "package's own sums call `Matrix.combine`",
+    "Mor.scale": "public arithmetic beside `+`, `-` and negation; the "
+                 "package's own sums call `Mor.combine`",
 }
 
 

@@ -13,7 +13,7 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               UNDETERMINED, algebra_from_triples,
                               center, central_idempotents, charpoly,
                               decompose_module, is_division, is_semisimple,
-                              is_separable_field_ext, is_separable_over_k,
+                              is_separable_over_k,
                               module_hom_space, module_is_simple,
                               nilpotency_index, radical, subalgebra_on,
                               _anticommutant_element, _flat,
@@ -298,13 +298,13 @@ def test_separable_implies_semisimple_on_corpus():
 
 
 def test_separable_field_extension():
-    from tensorcat.poly import Poly, Reducible
+    from tensorcat.poly import Poly, Reducible, is_separable_irreducible
     f = Poly.from_ints(Q, [-5, 0, 1])
-    assert is_separable_field_ext(f) is True
+    assert is_separable_irreducible(f) is True
     g = Poly.from_ints(F2, [1, 1, 1])
-    assert is_separable_field_ext(g) is True
+    assert is_separable_irreducible(g) is True
     with pytest.raises(Reducible):
-        is_separable_field_ext(Poly.from_ints(Q, [-1, 0, 1]))
+        is_separable_irreducible(Poly.from_ints(Q, [-1, 0, 1]))
 
 
 def test_charpoly_examples():

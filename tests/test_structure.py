@@ -516,25 +516,48 @@ def test_beta_ladder_counts_every_candidate(cats, monkeypatch, copies,
                                             budget, tested, witness):
     # Q^n in vec_q: no basis element gives an invertible beta and the
     # certifying grid exceeds the budget, so the bounded ladder runs
-    import tensorcat.structure as structure
-    combined = []
-    inner = structure._combine
-
-    def combine(mors, coeffs):
-        combined.append(coeffs)
-        return inner(mors, coeffs)
-
-    monkeypatch.setattr(structure, "_combine", combine)
     monkeypatch.setenv("TENSORCAT_BUDGET", str(budget))
     vq = cats["vec_q"]
     A = trivial_algebra(vq)
     for _ in range(copies - 1):
         A = direct_sum_algebra(A, trivial_algebra(vq))
-    verdict, details = separability_beta(vq, A)
+    # the hom basis is solved before the spy goes in, so that only the
+    # ladder's candidates are counted, not the sums of the constraints
+    ctx = AlgebraAnalysisContext(vq, A)
+    assert len(ctx.from_dual) == copies
+    combined = []
+    inner = Mor.combine
+
+    def combine(coeffs, mors):
+        combined.append(coeffs)
+        return inner(coeffs, mors)
+
+    monkeypatch.setattr(Mor, "combine", staticmethod(combine))
+    verdict, details = separability_beta(vq, A, ctx=ctx)
     assert details["hom_dim"] == copies
     assert details["tested"] == copies + len(combined) == tested
     assert details.get("witness") == witness
     assert verdict is (UNDETERMINED if witness is None else True)
+
+
+def _stub_context(n, pairs):
+    """A context whose n simples have nonvanishing internal hom exactly on
+    the diagonal and on the given pairs, in both orders."""
+    from types import SimpleNamespace
+    related = set(pairs) | {(j, i) for i, j in pairs}
+    homs = {(i, j): SimpleNamespace(
+        is_zero=lambda nz=(i == j or (i, j) in related): not nz)
+        for i in range(n) for j in range(n)}
+    return SimpleNamespace(simples=SimpleNamespace(simples=[None] * n),
+                           internal_homs=homs)
+
+
+def test_sim_classes_need_an_equivalence():
+    from tensorcat.structure import _sim_classes
+    assert _sim_classes(_stub_context(4, [(0, 2)])) == [[0, 2], [1], [3]]
+    # 0 ~ 1 and 1 ~ 2 but not 0 ~ 2: no partition has this relation
+    with pytest.raises(OracleDisagreement, match="equivalence"):
+        _sim_classes(_stub_context(3, [(0, 1), (1, 2)]))
 
 
 def test_beta_ladder_skips_repeated_scalars(monkeypatch):
