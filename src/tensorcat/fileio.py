@@ -21,6 +21,31 @@ class FormatError(Exception):
     pass
 
 
+def _integer(v, what) -> int:
+    """v, which must be a JSON integer: no boolean, float or string."""
+    if type(v) is not int:
+        raise FormatError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _label(v, what) -> str:
+    if type(v) is not str:
+        raise FormatError(f"{what} must be a string label, got {v!r}")
+    return v
+
+
+def _mapping(v, what) -> dict:
+    if not isinstance(v, dict):
+        raise FormatError(f"{what} must be a JSON object, got {v!r}")
+    return v
+
+
+def _obj(cat: CategoryPres, v, what) -> Obj:
+    """The object of a JSON object of label multiplicities."""
+    return Obj(cat, {a: _integer(n, f"{what} multiplicity")
+                     for a, n in _mapping(v, what).items()})
+
+
 # ---------------------------------------------------------------------------
 # scalars and fields
 
@@ -43,7 +68,7 @@ def field_to_json(f: Field) -> dict:
 def field_from_json(d) -> Field:
     if not isinstance(d, dict) or "char" not in d:
         raise FormatError("field descriptor must be {'char': ..., 'minpoly'?}")
-    char = int(d["char"])
+    char = _integer(d["char"], "field char")
     mp = d.get("minpoly")
     if mp is None:
         return Field(char)
@@ -82,12 +107,14 @@ def category_to_json(cat: CategoryPres) -> dict:
 def category_from_json(d) -> CategoryPres:
     try:
         field = field_from_json(d["field"])
-        labels = list(d["labels"])
-        unit = list(d["unit"])
-        dualR = dict(d["dualR"])
+        labels = [_label(a, "label") for a in d["labels"]]
+        unit = [_label(a, "unit component") for a in d["unit"]]
+        dualR = {a: _label(b, "dualR value")
+                 for a, b in _mapping(d["dualR"], "dualR").items()}
         fusion = {}
         for a, b, c, n in d.get("fusion", []):
-            fusion[(a, b, c)] = int(n)
+            key = tuple(_label(x, "fusion label") for x in (a, b, c))
+            fusion[key] = _integer(n, "fusion multiplicity")
         F = {}
         tmp = CategoryPres(field, labels, unit, dualR, fusion, {}, {}, {})
         for blk in d.get("F", []):
@@ -107,8 +134,10 @@ def category_from_json(d) -> CategoryPres:
             F[(a, b, c, dd)] = Matrix(
                 field, [[scalar_from_json(field, x) for x in row]
                         for row in entries])
-        cup = {a: scalar_from_json(field, v) for a, v in d["cup"].items()}
-        cap = {a: scalar_from_json(field, v) for a, v in d["cap"].items()}
+        cup = {a: scalar_from_json(field, v)
+               for a, v in _mapping(d["cup"], "cup").items()}
+        cap = {a: scalar_from_json(field, v)
+               for a, v in _mapping(d["cap"], "cap").items()}
         return CategoryPres(field, labels, unit, dualR, fusion, F, cup, cap)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed category file: {exc}") from exc
@@ -137,8 +166,8 @@ def flat_obj_coords(cat: CategoryPres, X: Obj) -> list:
 
 
 def _index(i, size: int, entry) -> int:
-    """int(i), which must lie in range(size)."""
-    k = int(i)
+    """i, an integer that must lie in range(size)."""
+    k = _integer(i, f"index in {entry!r}")
     if not 0 <= k < size:
         raise FormatError(f"index {i!r} in {entry!r} lies outside "
                           f"range({size})")
@@ -210,7 +239,7 @@ def algebra_to_json(A: AlgebraPres) -> dict:
 
 def algebra_from_json(cat: CategoryPres, d) -> AlgebraPres:
     try:
-        carrier = Obj(cat, d["carrier"])
+        carrier = _obj(cat, d["carrier"], "carrier")
         sq = cat.tensor(carrier, carrier)
         sq_flat = flat_pair_basis(cat, carrier, carrier)
         car_flat = flat_obj_coords(cat, carrier)
@@ -253,7 +282,7 @@ def module_to_json(m: ModulePres) -> dict:
 def module_from_json(A: AlgebraPres, d) -> ModulePres:
     cat = A.cat
     try:
-        carrier = Obj(cat, d["carrier"])
+        carrier = _obj(cat, d["carrier"], "carrier")
         side = d.get("side", "right")
         if side == "right":
             src = cat.tensor(carrier, A.carrier)

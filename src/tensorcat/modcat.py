@@ -10,21 +10,23 @@ from .algebra import AlgebraPres, _incl_proj, validate_algebra
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
                      hom_unit_basis, mor_from_coords)
 from .linalg import Matrix, RowSpace
-from .ordalg import (OrdAlgebra, OrdModule, block_primitive_idempotent,
-                     central_idempotents, lift_idempotent, quotient_algebra,
-                     radical)
+from .ordalg import (OrdAlgebra, block_primitive_idempotent,
+                     central_idempotents, corner, lift_idempotent,
+                     quotient_algebra, radical)
 
 
 class ModulePres:
     """One-sided module: carrier with action x(x)A -> x (right) or
-    A(x)x -> x (left)."""
+    A(x)x -> x (left).  `generator` is the object a of a free module
+    a (x) A, and None for any other module."""
 
-    __slots__ = ("algebra", "cat", "carrier", "action", "side")
+    __slots__ = ("algebra", "cat", "carrier", "action", "side", "generator")
 
     def __init__(self, algebra: AlgebraPres, carrier: Obj, action: Mor,
                  side: str = "right"):
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
+        self.generator = None
         self.algebra = algebra
         self.cat = algebra.cat
         self.carrier = carrier
@@ -126,7 +128,9 @@ def free_module(a: Obj, A: AlgebraPres) -> ModulePres:
     c = A.carrier
     x = cat.tensor(a, c)
     action = (cat.tensor_mor(cat.id(a), A.mult) @ cat.associator(a, c, c))
-    return ModulePres(A, x, action, side="right")
+    out = ModulePres(A, x, action, side="right")
+    out.generator = a
+    return out
 
 
 def algebra_as_module(A: AlgebraPres, side: str = "right") -> ModulePres:
@@ -355,41 +359,6 @@ def free_module_end(A: AlgebraPres) -> EndData:
     return end_algebra([f for f in frees if not f.carrier.is_zero()])
 
 
-def module_over_end(end: EndData, y: ModulePres) -> OrdModule:
-    """Hom(P, y) = (+)_j Hom(P_j, y) as a right module over end.algebra
-    (action by precomposition)."""
-    field = end.field
-    hom_bases = [hom_basis(pj, y) for pj in end.modules]
-    flat = []
-    for j, hs in enumerate(hom_bases):
-        for m in hs:
-            flat.append((j, m))
-    dim = len(flat)
-    solvers = {}
-    for j, hs in enumerate(hom_bases):
-        if hs:
-            solvers[j] = Matrix.from_cols(field, [m.coords() for m in hs])
-    offsets = {}
-    off = 0
-    for j, hs in enumerate(hom_bases):
-        offsets[j] = off
-        off += len(hs)
-    entries = [[] for _ in end.basis]
-    # the products m o bm land in Hom(P_bj, y): one solve per target bj
-    for j in solvers:
-        jobs = [(b, k) for b, (bi, bj, _bm) in enumerate(end.basis)
-                if bj == j for k, (mj, _m) in enumerate(flat) if mj == bi]
-        sols = solvers[j].solve_many(
-            [(flat[k][1] @ end.basis[b][2]).coords() for b, k in jobs])
-        for (b, k), coords in zip(jobs, sols):
-            if coords is None:
-                raise ValidationFailure("hom space not closed under action")
-            entries[b] += [(k, offsets[j] + t, c)
-                           for t, c in enumerate(coords)]
-    action = [Matrix.from_entries(field, dim, dim, es) for es in entries]
-    return OrdModule(end.algebra, dim, action, validate=False)
-
-
 # ---------------------------------------------------------------------------
 # relative tensor and internal hom
 
@@ -484,15 +453,18 @@ class SimpleModulesResult:
         self.simples = simples          # list of (ModulePres, incl, retr)
         self.mult_in_A = mult_in_A      # multiplicities, or None if not ss
         self.semisimple = semisimple
-        self.ends = ends                # EndData of each simple, or None
+        self.ends = ends                # corners e_i E e_i, or None
 
 
 def simple_modules(end: EndData) -> SimpleModulesResult:
-    """Simple right modules as images of primitive idempotent endomorphisms
-    of the free modules; indecomposable projectives when A is not
-    semisimple (flagged).  `end` is `free_module_end(A)`.  When A is
-    semisimple, `ends` keeps the End data of each simple, which the
-    multiplicity count needs anyway."""
+    """Simple right modules as images e P of primitive idempotents e of
+    E = End(P) for the free generator P; indecomposable projectives when
+    A is not semisimple (flagged).  `end` is `free_module_end(A)`.
+
+    When A is semisimple, `ends` holds End(e P) = eEe (Pierce 1982), the
+    corner of e in E, and the multiplicity of x = e P in A is
+    dim Hom_A(A, x) / dim End(x), where Hom_A(A, x) = Hom(1, x) by the
+    free-forget adjunction."""
     frees = end.modules
     A = frees[0].algebra
     E = end.algebra
@@ -500,10 +472,13 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
     semisimple = not rad
     psum = direct_sum_modules(frees)[0]
     if rad:
-        Ebar, project, lift = quotient_algebra(E, rad)
+        Ebar, _project, lift = quotient_algebra(E, rad)
     else:
-        Ebar, project, lift = E, (lambda v: list(v)), (lambda v: list(v))
+        Ebar, lift = E, list
     simples = []
+    mult_in_A = ends = None
+    if semisimple:
+        mult_in_A, ends = [], []
     for z in central_idempotents(Ebar):
         ebar = block_primitive_idempotent(Ebar, z)
         e = lift_idempotent(E, lift(ebar))
@@ -512,18 +487,12 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
                     dict(zip(end.labels, E._rep_blocks_of_vec(e))))
         sub, incl, retr = split_idempotent_module(psum, e_sum)
         simples.append((sub, incl, retr))
-    amod = algebra_as_module(A)
-    mult_in_A = ends = None
-    if semisimple:
-        mult_in_A = []
-        ends = []
-        for sub, _i, _r in simples:
-            ends.append(end_algebra([sub]))
-            d = len(ends[-1].basis)
-            h = len(hom_basis(amod, sub))
-            if h % d != 0:
+        if semisimple:
+            ends.append(corner(E, e)[0])
+            h = sum(sub.carrier.mult(u) for u in A.cat.unit_components)
+            if h % ends[-1].dim != 0:
                 raise ValidationFailure("inconsistent multiplicity count")
-            mult_in_A.append(h // d)
+            mult_in_A.append(h // ends[-1].dim)
     return SimpleModulesResult(simples, mult_in_A, semisimple, ends)
 
 

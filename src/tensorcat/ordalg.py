@@ -790,6 +790,24 @@ def module_hom_space(M: OrdModule, N: OrdModule) -> list:
     return out
 
 
+def right_ideal_module(E: OrdAlgebra, support) -> OrdModule:
+    """The span of the basis elements `support` as a right E-module, its
+    action read from the structure constants; refused unless the span is
+    a right ideal."""
+    pos = {k: r for r, k in enumerate(support)}
+    action = []
+    for l in range(E.dim):
+        entries = []
+        for r, k in enumerate(support):
+            for t, c in E.sc[k][l]:
+                if t not in pos:
+                    raise OrdAlgebraError("the span is not a right ideal")
+                entries.append((r, pos[t], c))
+        action.append(Matrix.from_entries(E.field, len(pos), len(pos),
+                                          entries))
+    return OrdModule(E, len(pos), action, validate=False)
+
+
 def module_is_simple(E: OrdAlgebra, M: OrdModule):
     """True/False/"undetermined"; exact, no probabilistic shortcuts."""
     if M.dim == 0:
@@ -881,14 +899,22 @@ def decompose_module(E: OrdAlgebra, M: OrdModule) -> list:
     return out
 
 
-def block_primitive_idempotent(E: OrdAlgebra, z) -> list:
-    """A primitive idempotent of E below the central idempotent z: one of
-    the block algebra zE, embedded back into E."""
-    zideal = RowSpace(E.field, E.dim)
+def corner(E: OrdAlgebra, e) -> tuple:
+    """(eEe, basis): the corner algebra of the idempotent e, with unit e,
+    on the reduced echelon basis of the span of the e b_i e.  For a
+    central e this is the block eE."""
+    space = RowSpace(E.field, E.dim)
     for i in range(E.dim):
-        zideal.add(E.mult_vec(z, E.basis_vec(i)))
-    basis = zideal.basis()
-    B = subalgebra_on(E.field, basis, E.mult_vec, z)
+        space.add(E.mult_vec(e, E.mult_vec(E.basis_vec(i), e)))
+    basis = space.basis()
+    return subalgebra_on(E.field, basis, E.mult_vec, e), basis
+
+
+def block_primitive_idempotent(E: OrdAlgebra, e) -> list:
+    """A primitive idempotent of E below the idempotent e whose corner eEe
+    is simple (a block zE, or a corner of a simple block): one of eEe,
+    embedded back into E."""
+    B, basis = corner(E, e)
     return _lin_comb(E.field, basis, primitive_idempotent(B))
 
 
@@ -914,27 +940,18 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
             e = _bezout_idempotent(B, cand, mu, gpart)
             if e == list(B.unit) or all(c.is_zero() for c in e):
                 continue
-            return _primitive_in_corner(B, e)
+            return block_primitive_idempotent(B, e)
         if len(fac) == 1 and fac[0][1] > 1:
             nil = _eval_poly_in_algebra(B, fac[0][0], cand)
             if any(not c.is_zero() for c in nil):
                 e = _idempotent_from_nilpotent(B, nil)
                 if e is not None:
-                    return _primitive_in_corner(B, e)
+                    return block_primitive_idempotent(B, e)
     verdict = is_division(B)
     if verdict is True:
         return list(B.unit)
     raise SeparatingElementNotFound(
         "bounded search found no splitting of the block")
-
-
-def _primitive_in_corner(B: OrdAlgebra, e) -> list:
-    corner = RowSpace(B.field, B.dim)
-    for i in range(B.dim):
-        corner.add(B.mult_vec(e, B.mult_vec(B.basis_vec(i), e)))
-    basis = corner.basis()
-    Bc = subalgebra_on(B.field, basis, B.mult_vec, e)
-    return _lin_comb(B.field, basis, primitive_idempotent(Bc))
 
 
 def _idempotent_from_nilpotent(B: OrdAlgebra, z):

@@ -22,10 +22,9 @@ from .fincat import CategoryPres, Mor, Obj, hom_dim, hom_unit_basis
 from .linalg import Matrix
 from .modcat import (EndData, ModulePres, algebra_as_module,
                      bimodule_end_algebra, free_module_end,
-                     hom_basis, internal_hom, module_dual, module_over_end,
-                     simple_modules)
+                     hom_basis, internal_hom, module_dual, simple_modules)
 from .ordalg import (UNDETERMINED, is_semisimple, is_separable_over_k,
-                     module_is_simple, radical)
+                     module_is_simple, radical, right_ideal_module)
 from .poly import Poly, is_separable_irreducible
 
 DEFAULT_BUDGET = 4096
@@ -109,10 +108,14 @@ class AlgebraAnalysisContext:
     Each fact is computed on first use and shared by every criterion
     that is handed this context:
 
-    * `end`: the endomorphism data of the free-module generator;
-    * `division`: the three-valued division verdict;
-    * `simples`: the simple modules and their multiplicities, split off
-      `end`;
+    * `end`: E = End(P), the endomorphism data of the free-module
+      generator P = (+)_a a (x) A;
+    * `division`: the three-valued division verdict, whether
+      Hom_A(P, A) is a simple right E-module.  A = 1 (x) A is the sum
+      of the free modules on the unit components, so Hom_A(P, A) is the
+      right ideal eps E, where eps is the sum of their identities;
+    * `simples`: the simple modules split off `end`, with their End
+      algebras (corners of E) and multiplicities;
     * `dual_module`: A^L, the left dual of A, as a right module;
     * `to_dual`, `from_dual`: bases of the module maps A -> A^L and
       A^L -> A;
@@ -134,8 +137,11 @@ class AlgebraAnalysisContext:
 
     @cached_property
     def division(self):
-        M = module_over_end(self.end, algebra_as_module(self.A))
-        return module_is_simple(self.end.algebra, M)
+        units = self.C.unit_components
+        eps_E = [k for k, (i, _j, _m) in enumerate(self.end.basis)
+                 if self.end.modules[i].generator.support[0] in units]
+        return module_is_simple(self.end.algebra,
+                                right_ideal_module(self.end.algebra, eps_E))
 
     @cached_property
     def simples(self):
@@ -476,8 +482,7 @@ def endomorphism_separability_report(C: CategoryPres, A: AlgebraPres,
     if not is_semisimple_algebra(C, A, ctx):
         raise NotSemisimpleAlgebra("per-module report needs semisimplicity")
     out = []
-    for idx, end in enumerate(ctx.simples.ends):
-        e = end.algebra
+    for idx, e in enumerate(ctx.simples.ends):
         out.append({"module": idx, "end_dim": e.dim,
                     "separable_over_base": is_separable_over_k(e)})
     return out

@@ -85,8 +85,12 @@ def test_cross_label_triple_rejected():
      "mult": [[0, 0, ["1"]], [0, 0, ["1"]], [1, 0, ["1"]], [2, 1, ["1"]],
               [3, 1, ["1"]]],
      "unit": [["g0", 0, ["1"]]]},
+    # a float index, which int() would truncate
+    {"carrier": {"g0": 1, "g1": 1},
+     "mult": [[0, 0, ["1"]], [1.5, 0, ["1"]], [2, 1, ["1"]], [3, 1, ["1"]]],
+     "unit": [["g0", 0, ["1"]]]},
 ], ids=["negative_index", "unit_row_past_carrier", "unit_label_not_in_carrier",
-        "repeated_position"])
+        "repeated_position", "float_index"])
 def test_cli_rejects_flat_indices_out_of_range(tmp_path, capsys, blob):
     cat_p, alg_p = str(tmp_path / "cat.json"), str(tmp_path / "alg.json")
     run_cli(capsys, "catalog", "emit", "z2", "--out", cat_p)
@@ -98,6 +102,68 @@ def test_cli_rejects_flat_indices_out_of_range(tmp_path, capsys, blob):
     rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p)
     assert rc == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _emitted(tmp_path, capsys, name, edit, fname):
+    """Path of the catalog file `name`, with `edit` applied to its JSON."""
+    path = str(tmp_path / fname)
+    run_cli(capsys, "catalog", "emit", name, "--out", path)
+    with open(path) as fh:
+        blob = json.load(fh)
+    edit(blob)
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    return path
+
+
+def _set(key, value):
+    return lambda blob: blob.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit,words", [
+    (_set("cup", [["1"], ["1"]]), "cup must be a JSON object"),
+    (_set("field", {"char": 2.5}), "char must be an integer"),
+    (_set("field", {"char": True}), "char must be an integer"),
+    (_set("field", {"char": "2"}), "char must be an integer"),
+    (lambda blob: blob["fusion"][0].__setitem__(3, 1.0),
+     "fusion multiplicity must be an integer"),
+    (_set("field", {"char": 10 ** 25}), "too large"),
+], ids=["cup_list", "char_float", "char_bool", "char_string",
+        "fusion_float", "char_past_primality_bound"])
+def test_cli_rejects_malformed_category(tmp_path, capsys, edit, words):
+    cat_p = _emitted(tmp_path, capsys, "z2", edit, "cat.json")
+    rc, out, err = run_cli(capsys, "validate", cat_p)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert words in err
+
+
+@pytest.mark.parametrize("carrier,words", [
+    ([1, 1], "carrier must be a JSON object"),
+    ({"g0": 1.5, "g1": 1}, "carrier multiplicity must be an integer"),
+    ({"g0": True, "g1": 1}, "carrier multiplicity must be an integer"),
+], ids=["carrier_list", "mult_float", "mult_bool"])
+def test_cli_rejects_malformed_carrier(tmp_path, capsys, carrier, words):
+    cat_p = _emitted(tmp_path, capsys, "z2", lambda blob: None, "cat.json")
+    alg_p = _emitted(tmp_path, capsys, "z2/regular",
+                     _set("carrier", carrier), "alg.json")
+    rc, out, err = run_cli(capsys, "validate", cat_p, alg_p)
+    assert rc == 1 and err == ""
+    assert out.splitlines()[-1].startswith(f"algebra: FAIL: {words}")
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert words in err
+
+
+def test_cli_validates_a_large_prime_characteristic(tmp_path, capsys):
+    from time import perf_counter
+    cat_p = _emitted(tmp_path, capsys, "vec_q",
+                     _set("field", {"char": 1000000000000000003}), "cat.json")
+    start = perf_counter()
+    rc, out, _err = run_cli(capsys, "validate", cat_p)
+    assert perf_counter() - start < 1.0
+    assert rc == 0 and out.startswith("category: pass")
 
 
 def test_cli_catalog_validate_analyze(tmp_path, capsys):

@@ -44,6 +44,32 @@ def test_characteristic_must_be_prime():
         Field(6)
 
 
+def test_is_prime_matches_trial_division():
+    from tensorcat.fields import is_prime
+
+    def by_trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 5000) if is_prime(n)] == \
+        [n for n in range(-3, 5000) if by_trial(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_the_bound():
+    from tensorcat.fields import _MR_BOUND, is_prime
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37
+    for n, p in [(3215031751, 151), (3825123056546413051, 149491),
+                 (318665857834031151167461, 399165290221)]:
+        assert n % p == 0 and not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+    # the largest prime below the bound
+    assert is_prime(3317044064679887385961813)
+    assert not any(is_prime(n) for n in range(3317044064679887385961815,
+                                              _MR_BOUND, 2))
+    with pytest.raises(FieldError, match="too large"):
+        is_prime(_MR_BOUND)
+    with pytest.raises(FieldError):
+        Field(10 ** 25 + 13)
+
+
 def test_reducible_minpoly_rejected():
     with pytest.raises(FieldError):
         Field.extension(0, [-1, 0, 1])          # t^2 - 1 splits

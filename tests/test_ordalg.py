@@ -12,10 +12,11 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               OrdModule,
                               UNDETERMINED, algebra_from_triples,
                               center, central_idempotents, charpoly,
-                              decompose_module, is_division, is_semisimple,
-                              is_separable_over_k,
+                              corner, decompose_module, is_division,
+                              is_semisimple, is_separable_over_k,
                               module_hom_space, module_is_simple,
-                              nilpotency_index, radical, subalgebra_on,
+                              nilpotency_index, radical, right_ideal_module,
+                              subalgebra_on,
                               _anticommutant_element, _flat,
                               _quaternion_splits)
 
@@ -257,6 +258,39 @@ def test_decompose_f2_z3():
     E = group_algebra(F2, 3)
     dec = decompose_module(E, regular_module(E))
     assert sorted(s.dim for s, _m in dec) == [1, 2]
+
+
+def test_corner_of_an_idempotent():
+    # in M_3, e = E_11 + E_22 cuts out M_2, and the identity all of M_3
+    E = matrix_algebra(Q, 3)
+    e = [Q.zero()] * 9
+    e[0] = e[4] = Q.one()
+    B, basis = corner(E, e)
+    assert B.dim == len(basis) == 4 and B.unit == [Q.one(), Q.zero(),
+                                                   Q.zero(), Q.one()]
+    assert is_semisimple(B) and len(central_idempotents(B)) == 1
+    assert corner(E, E.unit)[0].dim == 9
+
+
+def test_corner_of_a_central_idempotent_is_its_block():
+    # z b z = z b for central z, so the corner spans the ideal zE
+    for E in (group_algebra(Q, 4), group_algebra(F2, 3)):
+        for z in central_idempotents(E):
+            _B, basis = corner(E, z)
+            block = RowSpace(E.field, E.dim)
+            for i in range(E.dim):
+                block.add(E.mult_vec(z, E.basis_vec(i)))
+            assert basis == block.basis()
+
+
+def test_right_ideal_module():
+    # E_11 M_2 spans E_11, E_12: the simple module of M_2
+    E = matrix_algebra(Q, 2)
+    row = right_ideal_module(E, [0, 1])
+    assert row.dim == 2 and module_is_simple(E, row) is True
+    row._validate()
+    with pytest.raises(OrdAlgebraError, match="right ideal"):
+        right_ideal_module(E, [0])
 
 
 def test_module_hom_space():

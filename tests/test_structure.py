@@ -442,25 +442,32 @@ def test_analyze_builds_free_end_and_dual_once(cats, monkeypatch):
 
 
 def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
-    # the End algebra of each simple module is built once, by
-    # simple_modules, and the per-module separability report reads it;
-    # the matrix decomposition takes no hom basis of its own
+    # hom bases are taken only for the blocks of the free-module End and
+    # for A -> A^L and A^L -> A: the simples' End algebras are corners of
+    # that End, their multiplicities read Hom(1, x_i), and the division
+    # verdict reads Hom_A(P, A) as a right ideal of it
     import tensorcat.modcat as modcat
     import tensorcat.structure as structure
     pairs = []
     inner = modcat.hom_basis
 
     def hom_basis(x, y):
-        pairs.append((id(x), id(y)))
+        pairs.append((x, y))
         return inner(x, y)
 
     for mod in (structure, modcat):
         monkeypatch.setattr(mod, "hom_basis", hom_basis)
     vq = cats["vec_q"]
-    rep = analyze(vq, make_algebra(vq, "ordinary_group_algebra", {"n": 4}))
+    A = make_algebra(vq, "ordinary_group_algebra", {"n": 4})
+    rep = analyze(vq, A)
     assert rep["matrix_decomposition"]["simple_count"] == 3
     assert len(rep["endomorphism_separability"]) == 3
-    assert len(pairs) == len(set(pairs)) == 9
+    assert len({(id(x), id(y)) for x, y in pairs}) == len(pairs) == 2
+    # vec has one simple label, so the free-module End has one block;
+    # the other pair is A -> A^L or A^L -> A
+    free, other = sorted(pairs, key=lambda p: p[0].generator is None)
+    assert free[0] is free[1] and free[0].generator is not None
+    assert [m.action is A.mult for m in other].count(True) == 1
 
 
 def test_decomposition_builds_no_module_internal_end(cats, monkeypatch,
