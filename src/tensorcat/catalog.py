@@ -52,12 +52,12 @@ def _finish(field, labels, unit, dualR, fusion, F) -> CategoryPres:
     return cat
 
 
-def _field_from_param(params, default_char=0):
+def _field_from_param(params):
     f = params.get("field")
     if isinstance(f, Field):
         return f
     if f is None:
-        return Field(default_char)
+        return Field(0)
     if isinstance(f, int):
         return Field(f)
     raise UnknownEntry(f"unrecognized field parameter {f!r}")

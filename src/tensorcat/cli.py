@@ -43,6 +43,11 @@ class CLIError(Exception):
     pass
 
 
+# what reading an input file raises when the file is at fault
+_FILE_ERRORS = (OSError, ValueError, FormatError, FieldError,
+                ValidationFailure)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIError(message)
@@ -102,7 +107,7 @@ def _render_scalar(scalar) -> str:
 def _load_category(path):
     try:
         cat = category_from_json(load_json(path))
-    except (OSError, ValueError, FormatError, ValidationFailure) as exc:
+    except _FILE_ERRORS as exc:
         raise CLIError(f"{path}: {exc}") from exc
     return cat
 
@@ -118,7 +123,7 @@ def _load_validated_category(path):
 def _load_algebra(cat, path):
     try:
         alg = algebra_from_json(cat, load_json(path))
-    except (OSError, ValueError, FormatError, ValidationFailure) as exc:
+    except _FILE_ERRORS as exc:
         raise CLIError(f"{path}: {exc}") from exc
     rep = validate_algebra(alg)
     if not rep.ok:
@@ -173,7 +178,7 @@ def _cmd_validate(args, out) -> int:
         alg = None
         try:
             alg = algebra_from_json(cat, load_json(args.algebra))
-        except (OSError, ValueError, FormatError, ValidationFailure) as exc:
+        except _FILE_ERRORS as exc:
             out.write(f"algebra: FAIL: {exc}\n")
             return EXIT_INVALID
         arep = validate_algebra(alg)

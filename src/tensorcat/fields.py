@@ -107,8 +107,7 @@ class Field:
     __slots__ = ("char", "minpoly", "deg", "gen_name", "_red", "_hash",
                  "_zero", "_one", "_zero_c")
 
-    def __init__(self, char: int, minpoly=None, gen_name: str = "a",
-                 check_irreducible: bool = True):
+    def __init__(self, char: int, minpoly=None, gen_name: str = "a"):
         if char != 0 and not is_prime(char):
             raise FieldError(f"characteristic must be 0 or prime, got {char}")
         self.char = char
@@ -131,7 +130,7 @@ class Field:
         self._zero_c = (0,) * self.deg
         self._zero = Scalar(self, self._zero_c)
         self._one = Scalar(self, (1,) + (0,) * (self.deg - 1))
-        if self.minpoly is not None and check_irreducible:
+        if self.minpoly is not None:
             from .poly import Poly, factor
             base = Field(self.char)
             f = Poly(base, [base.scalar(c) for c in self.minpoly])

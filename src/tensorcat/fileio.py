@@ -54,11 +54,12 @@ def scalar_to_json(s: Scalar) -> list:
 
 
 def scalar_from_json(field: Field, v) -> Scalar:
-    if isinstance(v, (str, int)):
-        return field.scalar(v)
-    if isinstance(v, list):
-        return field.scalar(v)
-    raise FormatError(f"cannot parse scalar from {v!r}")
+    """An integer, a 'num/den' string, or a list of these coefficients;
+    a JSON boolean is none of them."""
+    if not all(type(c) in (str, int) for c in
+               (v if isinstance(v, list) else [v])):
+        raise FormatError(f"cannot parse scalar from {v!r}")
+    return field.scalar(v)
 
 
 def field_to_json(f: Field) -> dict:

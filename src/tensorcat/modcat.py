@@ -568,154 +568,44 @@ def module_section(x: ModulePres):
     return F, eps, Mor.combine(sol, candidates)
 
 
-def _phi_postfix(x_free: ModulePres, a: Obj) -> Mor:
-    """The fixed tail of the correspondence Hom(c, (a A) a^v) ->
-    module maps c (x) F -> F: contract a^v (x) a then act."""
-    cat = x_free.cat
-    A = x_free.algebra
-    c = A.carrier
-    av = cat.dual_obj(a)
-    F = x_free.carrier                     # (a, c) tensor
-    t_src = (((a, c), av), (a, c))
-    t_mid = ((a, c), ((av, a), c))
-    m2 = cat.reassoc(t_src, t_mid)
-    m3 = cat.tensor_mor(cat.id(F),
-                        cat.tensor_mor(cat.ev_left(a), cat.id(c)))
-    m4 = cat.tensor_mor(cat.id(F), cat.unitor_left(c))
-    return x_free.action @ (m4 @ (m3 @ m2))
+def module_internal_end(x: ModulePres) -> AlgebraPres:
+    """The algebra [x, x] as the corner e'[F, F]e' of the internal end of
+    the free cover F = a (x) A of x, where a is the carrier of x
+    (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories, 7.9;
+    Ostrik 2003).
 
-
-def _psi_prefix(x_free: ModulePres, a: Obj, csrc: Obj) -> Mor:
-    """The fixed head of the inverse correspondence:
-    csrc -> (csrc (x) F) (x) a^v."""
-    cat = x_free.cat
-    A = x_free.algebra
-    av = cat.dual_obj(a)
-    m1 = cat.unitor_right_inv(csrc)
-    m2 = cat.tensor_mor(cat.id(csrc), cat.coev_left(a))
-    m3 = cat.reassoc((csrc, (a, av)), ((csrc, a), av))
-    j = cat.tensor_mor(cat.id(a), A.unit) @ cat.unitor_right_inv(a)  # a -> F
-    m4 = cat.tensor_mor(cat.tensor_mor(cat.id(csrc), j), cat.id(av))
-    return m4 @ (m3 @ (m2 @ m1))
-
-
-def _psi_from_phi(x_free: ModulePres, a: Obj, phi: Mor, csrc: Obj) -> Mor:
-    """Module maps csrc (x) F -> F  ->  Hom(csrc, (a A) a^v)."""
-    cat = x_free.cat
-    av = cat.dual_obj(a)
-    pre = _psi_prefix(x_free, a, csrc)
-    return cat.tensor_mor(phi, cat.id(av)) @ pre
-
-
-def module_internal_end(x: ModulePres, cross_check: bool = False) -> AlgebraPres:
-    """The algebra [x, x]: the idempotent-compressed endomorphism algebra
-    of the free cover, realized on the object (carrier (x) A) (x) carrier^v.
-    The analysis reads only its carrier, from `internal_hom`; this builds
-    the division algebra itself.
-
-    With cross_check=True the pairwise multiplication is compared against
-    the one-shot contraction of the twisted-end multiplication."""
+    [F, F] is the object T = F (x) a^v; its product evaluates the inner
+    a^v (x) a and acts on F, and e' is the name of the idempotent
+    e = iota o eps of F.  The analysis reads only the carrier, from
+    `internal_hom`; this builds the division algebra itself."""
     cat = x.cat
     A = x.algebra
-    a = x.carrier
-    F, eps, iota = module_section(x)
-    e = iota @ eps                              # idempotent module endo of F
-    c = A.carrier
+    a, c = x.carrier, A.carrier
     av = cat.dual_obj(a)
-    T = cat.tensor(cat.tensor(a, c), av)
-    field = cat.field
-    post = _phi_postfix(F, a)
-    idF = cat.id(F.carrier)
-    idav = cat.id(av)
-    # conjugation on T, label by label
-    blocks = {}
-    for lab in T.support:
-        csrc = cat.simple(lab)
-        pre = _psi_prefix(F, a, csrc)
-        ide = cat.tensor_mor(cat.id(csrc), e)
-        cols = []
-        for psi in hom_unit_basis(cat, csrc, T):
-            phi = post @ cat.tensor_mor(psi, idF)
-            conj = e @ (phi @ ide)
-            psi2 = cat.tensor_mor(conj, idav) @ pre
-            cols.append(psi2.block(lab).col(0))
-        blocks[lab] = Matrix.from_cols(field, cols)
-    conj_mor = Mor(cat, T, T, blocks)
-    if conj_mor @ conj_mor != conj_mor:
+    F, eps, iota = module_section(x)
+    T = cat.tensor(F.carrier, av)
+    # the product m: T (x) T -> T of [F, F]: evaluate a^v (x) a, act on F
+    act = F.action @ cat.tensor_mor(
+        cat.id(F.carrier),
+        cat.unitor_left(c) @ cat.tensor_mor(cat.ev_left(a), cat.id(c))) \
+        @ cat.reassoc((((a, c), av), (a, c)), ((a, c), ((av, a), c)))
+    m = cat.tensor_mor(act, cat.id(av)) @ cat.associator_inv(T, F.carrier, av)
+    # the name 1 -> T of e, through j: a -> F
+    j = cat.tensor_mor(cat.id(a), A.unit) @ cat.unitor_right_inv(a)
+    name = cat.tensor_mor(iota @ eps @ j, cat.id(av)) @ cat.coev_left(a)
+    # p: t -> e' t e', the projection of T onto the corner
+    idT = cat.id(T)
+    left = m @ cat.tensor_mor(name, idT) @ cat.unitor_left_inv(T)
+    right = m @ cat.tensor_mor(idT, name) @ cat.unitor_right_inv(T)
+    p = right @ left
+    if p @ p != p:
         raise ValidationFailure("conjugation by the idempotent is not "
                                 "idempotent")
-    unit_T = _psi_from_phi(F, a, e @ cat.unitor_left(F.carrier),
-                           cat.unit_obj())
-    sub, incl, retr = _split_idempotent_obj(cat, T, conj_mor)
-    # multiplication through the endomorphism correspondence: the product
-    # of two elements is the name of the composite of their module maps,
-    # assembled pairwise on small objects
-    sq = cat.tensor(sub, sub)
-    sq_basis = cat.fusion_basis(sub, sub)
-    mult_entries = {d: [] for d in sq.support if sub.mult(d)}
-    phi_of = {}
-    for lab1 in sub.support:
-        L1 = cat.simple(lab1)
-        for i, unit_i in enumerate(hom_unit_basis(cat, L1, sub)):
-            phi_of[(lab1, i)] = post @ cat.tensor_mor(incl @ unit_i, idF)
-    for lab1 in sub.support:
-        L1 = cat.simple(lab1)
-        for lab2 in sub.support:
-            L2 = cat.simple(lab2)
-            csrc = cat.tensor(L1, L2)
-            pair_index = cat.fusion_index(L1, L2)
-            for i in range(sub.mult(lab1)):
-                phi1 = phi_of[(lab1, i)]
-                for j in range(sub.mult(lab2)):
-                    phi2 = phi_of[(lab2, j)]
-                    phi12 = (phi1
-                             @ cat.tensor_mor(cat.id(L1), phi2)
-                             @ cat.associator(L1, L2, F.carrier))
-                    q12 = retr @ _psi_from_phi(F, a, phi12, csrc)
-                    for d, blk in q12.blocks.items():
-                        if sub.mult(d) == 0:
-                            continue
-                        didx = cat.fusion_index(sub, sub)[d]
-                        for mu in range(csrc.mult(d)):
-                            col = didx[(lab1, i, lab2, j, mu)]
-                            src_col = pair_index[d][(lab1, 0, lab2, 0, mu)]
-                            mult_entries[d] += [
-                                (r, col, x) for r, x in
-                                enumerate(blk.col(src_col))]
-    mult_q = Mor(cat, sq, sub,
-                 {d: Matrix.from_entries(field, sub.mult(d), sq.mult(d), es)
-                  for d, es in mult_entries.items()})
-    if cross_check:
-        direct = retr @ _twisted_end_mult_applied(
-            A, a, cat.tensor_mor(incl, incl))
-        if direct != mult_q:
-            raise ValidationFailure(
-                "pairwise and contracted multiplications disagree")
-    unit_q = retr @ unit_T
-    alg = AlgebraPres(cat, sub, mult_q, unit_q)
-    rep = validate_algebra(alg)
-    rep.raise_if_failed()
+    sub, incl, retr = _split_idempotent_obj(cat, T, p)
+    alg = AlgebraPres(cat, sub, retr @ m @ cat.tensor_mor(incl, incl),
+                      retr @ name)
+    validate_algebra(alg).raise_if_failed()
     return alg
-
-
-def _twisted_end_mult_applied(A: AlgebraPres, a: Obj, thin: Mor) -> Mor:
-    """Multiplication of the algebra (a A) a^v composed with a thin map
-    into its source: evaluate the inner duality pair, multiply in A."""
-    cat = A.cat
-    c = A.carrier
-    av = cat.dual_obj(a)
-    F = cat.tensor(a, c)
-    t_src = (((a, c), av), ((a, c), av))
-    t_mid = ((((a, c), (av, a)), c), av)
-    out = cat.reassoc(t_src, t_mid) @ thin
-    out = cat.tensor_mor(
-        cat.tensor_mor(
-            cat.tensor_mor(cat.id(F), cat.ev_left(a)), cat.id(c)),
-        cat.id(av)) @ out
-    out = cat.tensor_mor(
-        cat.tensor_mor(cat.unitor_right(F), cat.id(c)), cat.id(av)) @ out
-    frees = free_module(a, A)
-    return cat.tensor_mor(frees.action, cat.id(av)) @ out
 
 
 def _split_idempotent_obj(cat, T: Obj, e: Mor):

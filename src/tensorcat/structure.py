@@ -255,11 +255,11 @@ def _field_elements(field: Field, count: int):
 
 
 def separability_beta(C: CategoryPres, A: AlgebraPres,
-                      budget: int | None = None,
                       ctx: AlgebraAnalysisContext | None = None):
     """Search for g: A^v -> A (a module map) making
-    m o (id (x) g) o m' invertible.  Returns (verdict, details)."""
-    budget = budget if budget is not None else search_budget()
+    m o (id (x) g) o m' invertible, within `search_budget()` candidates.
+    Returns (verdict, details)."""
+    budget = search_budget()
     ctx = ctx or AlgebraAnalysisContext(C, A)
     cat = C
     c = A.carrier
@@ -317,12 +317,12 @@ def separability_beta(C: CategoryPres, A: AlgebraPres,
     return False, details
 
 
-def separability_beta_with_escalation(C, A, budget=None, ctx=None):
+def separability_beta_with_escalation(C, A, ctx=None):
     """Finite-field escalation ladder for the beta search: base-extend
     until the grid certificate applies (finite extensions of finite
     fields are separable, so separability is unchanged).  `ctx` serves
     the search over C only; each extension gets a fresh context."""
-    verdict, details = separability_beta(C, A, budget, ctx)
+    verdict, details = separability_beta(C, A, ctx)
     if verdict is not UNDETERMINED or C.field.char == 0:
         return verdict, details
     p = C.field.char
@@ -334,7 +334,7 @@ def separability_beta_with_escalation(C, A, budget=None, ctx=None):
         if emb is None:
             continue
         C2, A2 = base_extend_algebra(C, A, emb)
-        verdict, det2 = separability_beta(C2, A2, budget)
+        verdict, det2 = separability_beta(C2, A2)
         det2["escalated_to_degree"] = deg
         if verdict is not UNDETERMINED:
             return verdict, det2

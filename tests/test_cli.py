@@ -67,6 +67,16 @@ def test_cross_label_triple_rejected():
         algebra_from_json(cat, bad)
 
 
+@pytest.mark.parametrize("value", [True, [True]], ids=["bare", "in_list"])
+def test_scalar_from_json_rejects_booleans(value):
+    # JSON gives each coefficient as an integer or a string; a boolean
+    # would otherwise read as 1
+    from tensorcat.fields import Field
+    from tensorcat.fileio import FormatError, scalar_from_json
+    with pytest.raises(FormatError, match="cannot parse scalar"):
+        scalar_from_json(Field(0), value)
+
+
 # z2/regular is {"carrier": {"g0": 1, "g1": 1}, "mult": [[0, 0, ["1"]],
 # [1, 0, ["1"]], [2, 1, ["1"]], [3, 1, ["1"]]], "unit": [["g0", 0, ["1"]]]}
 @pytest.mark.parametrize("blob", [
@@ -154,6 +164,29 @@ def test_cli_rejects_malformed_carrier(tmp_path, capsys, carrier, words):
     assert rc == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert words in err
+
+
+def test_cli_names_the_file_of_a_field_error(tmp_path, capsys):
+    # a FieldError while a file is read is an input fault of that file
+    cat_p = _emitted(tmp_path, capsys, "vec_q", _set("field", {"char": 4}),
+                     "v4.json")
+    rc, out, err = run_cli(capsys, "validate", cat_p)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {cat_p}: characteristic must be 0 or prime, " \
+                  "got 4\n"
+    # a coefficient vector longer than the degree of Q
+    cat_p = _emitted(tmp_path, capsys, "z2", lambda blob: None, "cat.json")
+    alg_p = _emitted(tmp_path, capsys, "z2/regular",
+                     lambda blob: blob["unit"][0].__setitem__(2, ["1", "0"]),
+                     "alg.json")
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {alg_p}: coefficient vector longer than field " \
+                  "degree\n"
+    rc, out, err = run_cli(capsys, "validate", cat_p, alg_p)
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[-1] == \
+        "algebra: FAIL: coefficient vector longer than field degree"
 
 
 def test_cli_validates_a_large_prime_characteristic(tmp_path, capsys):

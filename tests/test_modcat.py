@@ -315,17 +315,15 @@ def test_module_internal_end_of_free_is_algebra_sized(z2, z2reg):
     assert B.carrier == z2reg.carrier
 
 
-def test_module_internal_end_matches_heavy_path(z2, z2reg, fib, fib_end_t):
-    # the pairwise multiplication must coincide with the one-shot
-    # contraction of the full twisted-end multiplication
+def test_module_internal_end_of_simples_validates(z2, z2reg, fib, fib_end_t):
     from tensorcat.algebra import validate_algebra
     sm = simple_modules(free_module_end(z2reg))
-    B = module_internal_end(sm.simples[0][0], cross_check=True)
+    B = module_internal_end(sm.simples[0][0])
     assert validate_algebra(B).ok
     assert B.carrier.describe() == {"g0": 1, "g1": 1}
     smf = simple_modules(free_module_end(fib_end_t))
     for s, _i, _r in smf.simples:
-        module_internal_end(s, cross_check=True)
+        assert validate_algebra(module_internal_end(s)).ok
 
 
 def test_direct_sum_modules(z2, z2reg):

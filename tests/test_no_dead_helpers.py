@@ -7,6 +7,11 @@ code in `src/tensorcat` outside its own body names it, nothing calls it.
 A public function or method is either exported by `tensorcat/__init__.py`,
 named by other code of the package, or listed in `ALLOWED` with the
 reason it stays.
+
+A parameter with a default is set, by keyword or by position, by some
+call in the package to a function of its name, or listed in
+`ALLOWED_DEFAULTS` with the reason it stays: a default that no call
+overrides is a constant.
 """
 
 import ast
@@ -114,3 +119,68 @@ def test_every_public_function_is_referenced_or_exported():
     assert not ALLOWED.keys() - unused, \
         "allowed but referenced or missing: " + \
         ", ".join(sorted(ALLOWED.keys() - unused))
+
+
+# defaulted parameters that no call in the package sets, and why they stay
+ALLOWED_DEFAULTS = {
+    "main(argv)": "the console script calls `main()`, so the arguments come "
+                  "from sys.argv; tests and the benchmark pass argv",
+    "embed(image_of_generator)": "exported, and the only way `embed` "
+                                 "serves extension fields",
+}
+
+
+def _defaulted(fn, skip: int):
+    """(call position, name) of each parameter of `fn` with a default;
+    `skip` is 1 for a method's self, and a keyword-only parameter has no
+    position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    yield from ((k - skip, a.arg) for k, a in enumerate(positional)
+                if k >= first)
+    yield from ((None, a.arg)
+                for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None)
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    trees = _trees()
+    # callee name -> the most positional arguments of a call, and the
+    # keywords set; *args sets every position and **kwargs every keyword
+    most, keywords = Counter(), {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else \
+                getattr(f, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            most[name] = max(most[name],
+                             float("inf") if starred else len(call.args))
+            keywords.setdefault(name, set()).update(
+                kw.arg or "**" for kw in call.keywords)
+    unset = set()
+    for tree in trees.values():
+        owner = {id(sub): cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for sub in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            # a class is called by its own name to run __init__
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            kws = keywords.get(name, set())
+            unset |= {f"{name}({arg})" for pos, arg in _defaulted(fn, method)
+                      if arg not in kws and "**" not in kws
+                      and (pos is None or most[name] <= pos)}
+    assert not unset - ALLOWED_DEFAULTS.keys(), \
+        "defaulted parameters that no call sets: " + \
+        ", ".join(sorted(unset - ALLOWED_DEFAULTS.keys()))
+    assert not ALLOWED_DEFAULTS.keys() - unset, \
+        "allowed but set or missing: " + \
+        ", ".join(sorted(ALLOWED_DEFAULTS.keys() - unset))

@@ -4,7 +4,7 @@ from tensorcat.algebra import (AlgebraPres, direct_sum_algebra, internal_end,
                                trivial_algebra)
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fields import Embedding, Field
-from tensorcat.fincat import Mor, Obj
+from tensorcat.fincat import Mor, Obj, hom_dim
 from tensorcat.linalg import Matrix
 from tensorcat.modcat import (free_module_end, module_internal_end,
                               simple_modules)
@@ -502,15 +502,18 @@ def test_decomposition_builds_no_module_internal_end(cats, monkeypatch,
 
 def test_diagonal_objects_match_module_internal_end(corpus_reports):
     # two constructions of [x_i, x_i]: the internal hom (x (x)_A x^v)^v
-    # of the analysis, and the compressed End algebra of the free cover
+    # of the analysis, and the corner e'[F, F]e' of the free cover's
+    # internal end; Hom(1, [x, x]) = End_A(x), the corner e_i E e_i
     checked = 0
     for name, cat, alg, rep in corpus_reports:
         if not rep["flags"]["semisimple"]:
             continue
         ctx = AlgebraAnalysisContext(cat, alg)
         for i, (s, _i, _r) in enumerate(ctx.simples.simples):
-            assert module_internal_end(s).carrier == \
-                ctx.internal_homs[(i, i)], (name, i)
+            B = module_internal_end(s)
+            assert B.carrier == ctx.internal_homs[(i, i)], (name, i)
+            assert hom_dim(cat.unit_obj(), B.carrier) == \
+                ctx.simples.ends[i].dim, (name, i)
             checked += 1
     assert checked >= 15
 
