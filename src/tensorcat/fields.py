@@ -168,9 +168,12 @@ class Field:
         if isinstance(c, str):
             if "/" in c:
                 n, d = c.split("/")
+                n, d = int(n), int(d)
+                if (d % self.char if self.char else d) == 0:
+                    raise FieldError(f"denominator of {c!r} is zero in {self!r}")
                 if self.char == 0:
-                    return _qn(Fraction(int(n), int(d)))
-                return (int(n) * pow(int(d), -1, self.char)) % self.char
+                    return _qn(Fraction(n, d))
+                return (n * pow(d, -1, self.char)) % self.char
             c = int(c)
         return self._bcanon(c)
 

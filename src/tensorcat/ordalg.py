@@ -5,7 +5,9 @@ trace data of a faithful representation: in characteristic zero the
 kernel of the trace form (Dickson), in characteristic p the
 Cohen-Ivanyos-Wales chain of characteristic-polynomial-coefficient
 conditions, linearized through the inverse Frobenius (all supported
-characteristic-p fields are finite, hence perfect).
+characteristic-p fields are finite, hence perfect).  Each of its Gram
+matrices is symmetric, so half of it is computed, and each entry reads
+one coefficient from the top of a truncated characteristic polynomial.
 
 Algebras built from morphism spaces carry their natural block
 representation, which keeps characteristic polynomials small; abstract
@@ -21,7 +23,7 @@ matrices whose k-th column is the image of the k-th basis element;
 from fractions import Fraction
 from operator import matmul
 
-from .fields import Field
+from .fields import Field, Scalar
 from .linalg import Matrix, RowSpace
 from .poly import Poly, _frob_inverse, _poly_bezout, factor
 
@@ -186,68 +188,96 @@ def algebra_from_triples(field: Field, dim: int, triples, unit) -> OrdAlgebra:
 # ---------------------------------------------------------------------------
 # characteristic polynomial (Hessenberg reduction, then recurrence)
 
-def charpoly(m: Matrix) -> list:
-    """Coefficients (low to high) of det(lambda*I - m)."""
+def charpoly(m: Matrix, top: int | None = None) -> list:
+    """Coefficients (low to high) of det(lambda*I - m), or with `top` only
+    the top + 1 highest ones, those of lambda^(n - top) .. lambda^n.
+
+    A similarity reduces m to upper Hessenberg form h; the leading
+    principal minors p_k of lambda*I - h then follow the recurrence
+    p_k = (lambda - h[k-1][k-1]) p_{k-1}
+          - sum_{i<k} h[i-1][k-1] (h[i][i-1] ... h[k-1][k-2]) p_{i-1},
+    whose i-th term enters p_k shifted down by k - i + 1 degrees.  With
+    `top`, each p_k keeps only its coefficients of lambda^(k-j) for
+    j <= top, and the terms shifted past `top` are never formed.  All
+    arithmetic runs on coefficient tuples; the result is wrapped once."""
     n = m.rows
     field = m.field
-    if n == 0:
-        return [field.one()]
+    top = n if top is None else min(top, n)
+    add, sub, mul, zc = field._add, field._sub, field._mul, field._zero_c
     # a similarity transform to upper Hessenberg form: each row operation
     # is matched by the inverse column operation, so the characteristic
     # polynomial is kept; row reduction alone (linalg.RowSpace) would not
-    h = [m.row(i) for i in range(n)]
+    h = [[x.c for x in m.row(i)] for i in range(n)]
     for c in range(n - 2):
-        piv = None
-        for i in range(c + 1, n):
-            if not h[i][c].is_zero():
-                piv = i
+        for piv in range(c + 1, n):
+            if h[piv][c] != zc:
                 break
-        if piv is None:
+        else:
             continue
         if piv != c + 1:
             h[c + 1], h[piv] = h[piv], h[c + 1]
-            for r in range(n):
-                h[r][c + 1], h[r][piv] = h[r][piv], h[r][c + 1]
-        inv = h[c + 1][c].inv()
+            for r in h:
+                r[c + 1], r[piv] = r[piv], r[c + 1]
+        pivot_row = h[c + 1]
+        inv = field._inv(pivot_row[c])
         for i in range(c + 2, n):
-            f = h[i][c]
-            if f.is_zero():
+            row = h[i]
+            if row[c] == zc:
                 continue
-            f = f * inv
+            f = mul(row[c], inv)
             for j in range(c, n):
-                if not h[c + 1][j].is_zero():
-                    h[i][j] = h[i][j] - f * h[c + 1][j]
-            for r in range(n):
-                if not h[r][i].is_zero():
-                    h[r][c + 1] = h[r][c + 1] + f * h[r][i]
-    # p_m = (x - h[m-1][m-1]) p_{m-1} - sum_k h[k-1][m-1] (prod subdiag) p_{k-1}
-    z, one = field.zero(), field.one()
-    ps = [[one]]
-    for mi in range(1, n + 1):
-        d = h[mi - 1][mi - 1]
-        prev = ps[mi - 1]
-        cur = [z] * (len(prev) + 1)
-        for k, c in enumerate(prev):
-            cur[k + 1] = cur[k + 1] + c
-            cur[k] = cur[k] - d * c
-        run = one
-        for k in range(mi - 1, 0, -1):
-            run = run * h[k][k - 1]
-            coeff = h[k - 1][mi - 1] * run
-            if coeff.is_zero():
+                if pivot_row[j] != zc:
+                    row[j] = sub(row[j], mul(f, pivot_row[j]))
+            for r in h:
+                if r[i] != zc:
+                    r[c + 1] = add(r[c + 1], mul(f, r[i]))
+    # ps[k][j] is the coefficient of lambda^(k-j) in p_k, for j <= top
+    ps = [[field._one.c]]
+    for k in range(1, n + 1):
+        prev = ps[k - 1]
+        width = min(k, top) + 1
+        cur = prev[:width] + [zc] * (width - len(prev))
+        d = h[k - 1][k - 1]
+        if d != zc:
+            for j in range(1, width):
+                if prev[j - 1] != zc:
+                    cur[j] = sub(cur[j], mul(d, prev[j - 1]))
+        run = field._one.c
+        for i in range(k - 1, max(0, k - top), -1):
+            run = mul(run, h[i][i - 1])
+            if run == zc:
+                break
+            coeff = mul(h[i - 1][k - 1], run)
+            if coeff == zc:
                 continue
-            for t, c in enumerate(ps[k - 1]):
-                cur[t] = cur[t] - coeff * c
+            shift = k - i + 1
+            for j, c in enumerate(ps[i - 1][:width - shift]):
+                if c != zc:
+                    cur[j + shift] = sub(cur[j + shift], mul(coeff, c))
         ps.append(cur)
-    return ps[n]
+    return [Scalar(field, c) for c in reversed(ps[n])]
 
 
-def _charpoly_of_blocks(blocks) -> list:
+def _charpoly_of_blocks(blocks, top: int) -> list:
+    """charpoly(diag(blocks), top), as the product of the blocks'
+    truncated characteristic polynomials: the top + 1 highest
+    coefficients of a product of monic polynomials depend only on the top
+    + 1 highest coefficients of its factors."""
     field = blocks[0].field
-    total = Poly.one(field)
+    add, mul, zc = field._add, field._mul, field._zero_c
+    # total[j] is the coefficient of lambda^(deg - j)
+    total = [field._one.c]
     for b in blocks:
-        total = total * Poly(field, charpoly(b))
-    return list(total.coeffs)
+        cp = [x.c for x in reversed(charpoly(b, top))]
+        out = [zc] * min(len(total) + len(cp) - 1, top + 1)
+        for i, x in enumerate(total):
+            if x == zc:
+                continue
+            for j, y in enumerate(cp[:len(out) - i]):
+                if y != zc:
+                    out[i + j] = add(out[i + j], mul(x, y))
+        total = out
+    return [Scalar(field, c) for c in reversed(total)]
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +317,31 @@ def _radical_char0(E: OrdAlgebra) -> list:
 
 
 def _radical_charp(E: OrdAlgebra) -> list:
+    """Cohen-Ivanyos-Wales: the radical is the last of the spaces
+    J_0 = ker(trace form) and J_l = {x in J_{l-1} : the coefficient of
+    lambda^(n - p^l) in charpoly(rho(xy)) vanishes for all y in J_{l-1}},
+    taken while p^l <= n, the dimension of the faithful representation
+    rho.  The map is read as linear through the inverse Frobenius.
+    rho(xy) = rho(x)rho(y) and rho(yx) = rho(y)rho(x) have the same
+    characteristic polynomial, so each level's Gram matrix is symmetric
+    and only its entries on and above the diagonal are computed; each
+    takes only the p^l + 1 top coefficients of the characteristic
+    polynomial."""
     p = E.field.char
     n_rep = E._rep_dim()
     current = _trace_form_kernel(E)        # level 0
     level = 1
     while current and p ** level <= n_rep:
         target = p ** level
-        rows = []
-        for y in current:
-            row = []
-            for x in current:
-                prod = E.mult_vec(x, y)
+        size = len(current)
+        rows = [[None] * size for _ in range(size)]
+        for a, y in enumerate(current):
+            for b in range(a, size):
+                prod = E.mult_vec(current[b], y)
                 blocks = E._rep_blocks_of_vec(prod)
-                cp = _charpoly_of_blocks(blocks)
                 # coefficient of lambda^(n_rep - target)
-                coeff = cp[n_rep - target]
-                row.append(_frob_inverse(coeff, level))
-            rows.append(row)
+                coeff = _charpoly_of_blocks(blocks, target)[0]
+                rows[a][b] = rows[b][a] = _frob_inverse(coeff, level)
         ker_coords = Matrix(E.field, rows).kernel_basis()
         current = [_lin_comb(E.field, current, coords) for coords in ker_coords]
         level += 1

@@ -189,6 +189,24 @@ def test_cli_names_the_file_of_a_field_error(tmp_path, capsys):
         "algebra: FAIL: coefficient vector longer than field degree"
 
 
+@pytest.mark.parametrize("cat_name,text,field", [
+    ("z2", "1/0", "Q"), ("z3_f3", "1/3", "F_3")], ids=["Q", "F3"])
+def test_cli_names_the_file_of_a_zero_denominator(tmp_path, capsys, cat_name,
+                                                  text, field):
+    cat_p = _emitted(tmp_path, capsys, cat_name, lambda blob: None,
+                     "cat.json")
+    alg_p = _emitted(tmp_path, capsys, f"{cat_name}/regular",
+                     lambda blob: blob["mult"].__setitem__(0, [0, 0, [text]]),
+                     "a.json")
+    words = f"denominator of '{text}' is zero in {field}"
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {alg_p}: {words}\n"
+    rc, out, err = run_cli(capsys, "validate", cat_p, alg_p)
+    assert (rc, err) == (1, "")
+    assert out.splitlines()[-1] == f"algebra: FAIL: {words}"
+
+
 def test_cli_validates_a_large_prime_characteristic(tmp_path, capsys):
     from time import perf_counter
     cat_p = _emitted(tmp_path, capsys, "vec_q",

@@ -70,6 +70,17 @@ def test_is_prime_on_strong_pseudoprimes_and_the_bound():
         Field(10 ** 25 + 13)
 
 
+@pytest.mark.parametrize("field,text", [
+    (Q, "1/0"), (Q, "-3/0"), (Field.prime(3), "1/3"), (Field.prime(3), "2/-6"),
+    (Field(2, [1, 1, 1]), "1/2")], ids=["Q", "Q_negative", "F3", "F3_negative",
+                                        "F4"])
+def test_zero_denominator_is_a_field_error(field, text):
+    with pytest.raises(FieldError, match="denominator of .* is zero"):
+        field.scalar(text)
+    with pytest.raises(FieldError, match="denominator of .* is zero"):
+        field.scalar([text])
+
+
 def test_reducible_minpoly_rejected():
     with pytest.raises(FieldError):
         Field.extension(0, [-1, 0, 1])          # t^2 - 1 splits

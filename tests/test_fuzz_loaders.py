@@ -1,9 +1,11 @@
 """`tensorcat validate` on mutated catalog files never ends in a traceback.
 
 Each example takes the JSON of a catalog category and one of its algebras
-and swaps a few nodes for values of another JSON type.  Integers stay in
--2..3 and containers stay small, so no size grows and every example runs
-in bounded time.
+and swaps a few nodes for values of another JSON type, or a string for a
+coefficient "n/d" with n and d in -2..3, so that zero denominators, and
+denominators that are zero in the field, are drawn too.  Integers stay
+in -2..3 and containers stay small, so no size grows and every example
+runs in bounded time.
 """
 
 import json
@@ -19,10 +21,11 @@ from tensorcat.fileio import algebra_to_json, category_to_json
 CASES = {"z2": ("regular_pointed", {}),
          "fibonacci": ("internal_end", {"obj": {"t": 1}})}
 
+_ratios = st.builds("{}/{}".format, st.integers(-2, 3), st.integers(-2, 3))
 _atoms = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
                    st.sampled_from([0.5, 1.5, -1.0, 2.0]),
                    st.sampled_from(["", "1", "-1", "1/2", "g0", "g1", "t",
-                                    "x"]))
+                                    "x"]), _ratios)
 _values = st.one_of(_atoms, st.lists(_atoms, max_size=3),
                     st.dictionaries(st.sampled_from(["g0", "g1", "t", "1"]),
                                     _atoms, max_size=2))
@@ -51,7 +54,10 @@ def _mutate(data, blob):
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_paths(blob))))
         old = _get(blob, path)
-        new = data.draw(_values.filter(lambda v: _kind(v) != _kind(old)))
+        if isinstance(old, str) and data.draw(st.booleans()):
+            new = data.draw(_ratios)
+        else:
+            new = data.draw(_values.filter(lambda v: _kind(v) != _kind(old)))
         if not path:
             blob = new
         else:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 from operator import matmul
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tensorcat.catalog import make_algebra
 from tensorcat.fields import Field
 from tensorcat.linalg import Matrix, RowSpace
+from tensorcat.modcat import bimodule_end_algebra
 from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               OrdModule,
                               UNDETERMINED, algebra_from_triples,
@@ -17,8 +20,10 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               module_hom_space, module_is_simple,
                               nilpotency_index, radical, right_ideal_module,
                               subalgebra_on,
-                              _anticommutant_element, _flat,
-                              _quaternion_splits)
+                              _anticommutant_element, _charpoly_of_blocks,
+                              _flat, _lin_comb, _quaternion_splits,
+                              _trace_form_kernel)
+from tensorcat.poly import Poly, _frob_inverse
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -671,3 +676,262 @@ def test_anticommutant_matches_reference_on_noncommutative_algebras():
             if j_el is not None:
                 assert E.mult_vec(i_el, j_el) == \
                     [-c for c in E.mult_vec(j_el, i_el)]
+
+
+# -- charpoly: the determinant, its top coefficients, block products --------
+
+F4 = Field(2, [1, 1, 1], gen_name="w")           # w^2 = w + 1
+CHARPOLY_FIELDS = [F2, F3, F4, Q, QPHI]
+CHARPOLY_IDS = ["F2", "F3", "F4", "Q", "Qphi"]
+
+
+def _points(field):
+    """Every element of a finite field; several of Q and Q(phi)."""
+    if field.char:
+        return [field.scalar(list(cs))
+                for cs in product(range(field.char), repeat=field.deg)]
+    extra = [field.gen(), field.scalar(["1/2", -2])] if field.deg > 1 else []
+    return [field.scalar(c) for c in (0, 1, -1, 3, "1/2", "-5/3")] + extra
+
+
+def _drawn_square(data, field, n):
+    # zero entries are frequent, so pivots are missing or need a swap
+    entry = st.one_of(st.just([0]), st.lists(st.integers(-2, 2),
+                                             min_size=field.deg,
+                                             max_size=field.deg))
+    cs = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
+    return Matrix(field, [[field.scalar(cs[i * n + j]) for j in range(n)]
+                          for i in range(n)])
+
+
+def _evaluate(coeffs, c):
+    acc = c.field.zero()
+    for a in reversed(coeffs):
+        acc = acc * c + a
+    return acc
+
+
+@pytest.mark.parametrize("field", CHARPOLY_FIELDS, ids=CHARPOLY_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_charpoly_evaluates_to_the_determinant(field, data):
+    n = data.draw(st.integers(1, 6))
+    m = _drawn_square(data, field, n)
+    cp = charpoly(m)
+    assert len(cp) == n + 1 and cp[-1] == field.one()
+    for c in _points(field):
+        assert _evaluate(cp, c) == \
+            (Matrix.identity(field, n).scale(c) - m).det()
+
+
+@pytest.mark.parametrize("field", CHARPOLY_FIELDS, ids=CHARPOLY_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_truncated_charpoly_is_the_top_of_the_full_one(field, data):
+    n = data.draw(st.integers(0, 7))
+    m = _drawn_square(data, field, n)
+    full = charpoly(m)
+    for top in range(n + 2):
+        assert charpoly(m, top) == full[max(0, n - top):]
+
+
+@pytest.mark.parametrize("field", CHARPOLY_FIELDS, ids=CHARPOLY_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_charpoly_of_blocks_is_that_of_the_block_diagonal(field, data):
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    blocks = [_drawn_square(data, field, n) for n in sizes]
+    entries, offset = [], 0
+    for b in blocks:
+        entries += [(offset + i, offset + j, x) for i, j, x in b.nonzero()]
+        offset += b.rows
+    diag = Matrix.from_entries(field, offset, offset, entries)
+    for top in range(offset + 2):
+        assert _charpoly_of_blocks(blocks, top) == charpoly(diag, top)
+
+
+# -- the char-p radical against brute force and the full-Gram routine -------
+
+def _brute_force_radical(E):
+    """{x : a x is nilpotent for every a in E} over a prime field, by
+    enumerating all p^dim elements as tuples of residues."""
+    p, n = E.field.char, E.dim
+    sc = [[[(l, c.c[0]) for l, c in pairs] for pairs in row] for row in E.sc]
+    elems = list(product(range(p), repeat=n))
+
+    def left(a):
+        out = [[0] * n for _ in range(n)]
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n):
+                    for l, c in sc[i][j]:
+                        out[l][j] = (out[l][j] + ai * c) % p
+        return out
+
+    def apply(m, x):
+        return tuple(sum(r * xj for r, xj in zip(row, x)) % p for row in m)
+
+    lefts = [left(a) for a in elems]
+    zero = (0,) * n
+    nilpotent = set()
+    for z, lz in zip(elems, lefts):
+        w = z
+        for _ in range(n):
+            w = apply(lz, w)
+        if w == zero:
+            nilpotent.add(z)
+    return {x for x in elems if all(apply(la, x) in nilpotent
+                                    for la in lefts)}
+
+
+def _span(p, n, vectors):
+    """Every combination of `vectors` in F_p^n, as tuples of residues."""
+    rows = [[c.c[0] for c in v] for v in vectors]
+    return {tuple(sum(c * r[k] for c, r in zip(cs, rows)) % p
+                  for k in range(n))
+            for cs in product(range(p), repeat=len(rows))}
+
+
+def _assert_radical_is_brute_force(E):
+    J = _brute_force_radical(E)
+    r = radical(E)
+    assert len(J) == E.field.char ** len(r)
+    assert _span(E.field.char, E.dim, r) == J
+
+
+def upper_triangular(field):
+    """T_2(k) in the basis e11, e12, e22."""
+    trips = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 2, 1, 1], [2, 2, 2, 1]]
+    return algebra_from_triples(field, 3, trips, [1, 0, 1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_algebra(F2, 4), lambda: group_algebra(F3, 3),
+    lambda: matrix_algebra(F2, 2), lambda: upper_triangular(F2),
+    lambda: upper_triangular(F3), lambda: truncated_poly(F3, 4),
+    lambda: direct_sum(group_algebra(F2, 2), upper_triangular(F2))],
+    ids=["F2[Z4]", "F3[Z3]", "M2(F2)", "T2(F2)", "T2(F3)", "F3[x]_mod_x4",
+         "F2[Z2]+T2(F2)"])
+def test_radical_is_the_brute_force_radical(make):
+    _assert_radical_is_brute_force(make())
+
+
+def _generated_algebra(field, gens):
+    """The algebra of matrices spanned by the words in `gens`, once in its
+    regular representation and once in the natural one."""
+    n = gens[0].rows
+    space, basis = RowSpace(field, n * n), []
+    todo = [Matrix.identity(field, n)]
+    while todo:
+        m = todo.pop()
+        if space.add(_flat(m)):
+            basis.append(m)
+            todo += [m @ g for g in gens]
+    E = subalgebra_on(field, basis, matmul, Matrix.identity(field, n), _flat)
+    return E, OrdAlgebra(field, E.dim, E.sc, E.unit, rep=[[b] for b in basis])
+
+
+@pytest.mark.parametrize("field,n,max_dim", [(F2, 3, 7), (F3, 2, 4)],
+                         ids=["F2", "F3"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_radical_of_a_matrix_algebra_is_the_brute_force_radical(
+        field, n, max_dim, data):
+    gens = [_drawn_square(data, field, n)
+            for _ in range(data.draw(st.integers(1, 2)))]
+    regular, natural = _generated_algebra(field, gens)
+    assume(regular.dim <= max_dim)
+    _assert_radical_is_brute_force(regular)
+    assert radical(natural) == radical(regular)
+
+
+def _charpoly_reference(m):
+    """The full characteristic polynomial on Scalars: the same Hessenberg
+    reduction and recurrence, without truncation."""
+    n, field = m.rows, m.field
+    if n == 0:
+        return [field.one()]
+    h = [m.row(i) for i in range(n)]
+    for c in range(n - 2):
+        piv = None
+        for i in range(c + 1, n):
+            if not h[i][c].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[c + 1], h[piv] = h[piv], h[c + 1]
+            for r in range(n):
+                h[r][c + 1], h[r][piv] = h[r][piv], h[r][c + 1]
+        inv = h[c + 1][c].inv()
+        for i in range(c + 2, n):
+            f = h[i][c]
+            if f.is_zero():
+                continue
+            f = f * inv
+            for j in range(c, n):
+                if not h[c + 1][j].is_zero():
+                    h[i][j] = h[i][j] - f * h[c + 1][j]
+            for r in range(n):
+                if not h[r][i].is_zero():
+                    h[r][c + 1] = h[r][c + 1] + f * h[r][i]
+    z, one = field.zero(), field.one()
+    ps = [[one]]
+    for mi in range(1, n + 1):
+        d = h[mi - 1][mi - 1]
+        prev = ps[mi - 1]
+        cur = [z] * (len(prev) + 1)
+        for k, c in enumerate(prev):
+            cur[k + 1] = cur[k + 1] + c
+            cur[k] = cur[k] - d * c
+        run = one
+        for k in range(mi - 1, 0, -1):
+            run = run * h[k][k - 1]
+            coeff = h[k - 1][mi - 1] * run
+            if coeff.is_zero():
+                continue
+            for t, c in enumerate(ps[k - 1]):
+                cur[t] = cur[t] - coeff * c
+        ps.append(cur)
+    return ps[n]
+
+
+def _radical_charp_reference(E):
+    """Cohen-Ivanyos-Wales with the whole Gram matrix of every level and
+    the full characteristic polynomial of every entry."""
+    p, field = E.field.char, E.field
+    n_rep = E._rep_dim()
+    current = _trace_form_kernel(E)
+    level = 1
+    while current and p ** level <= n_rep:
+        rows = []
+        for y in current:
+            row = []
+            for x in current:
+                cp = Poly.one(field)
+                for b in E._rep_blocks_of_vec(E.mult_vec(x, y)):
+                    cp = cp * Poly(field, _charpoly_reference(b))
+                row.append(_frob_inverse(cp.coeffs[n_rep - p ** level],
+                                         level))
+            rows.append(row)
+        current = [_lin_comb(field, current, coords)
+                   for coords in Matrix(field, rows).kernel_basis()]
+        level += 1
+    return current
+
+
+@pytest.mark.parametrize("cat_name,kind,params", [
+    ("z2_f2", "regular_pointed", {}),
+    ("vec_f2", "ordinary_group_algebra", {"n": 2}),
+    ("vec_f2", "ordinary_group_algebra", {"n": 4}),
+    ("z3_f3", "regular_pointed", {})],
+    ids=["z2_f2/regular", "vec_f2/group2", "vec_f2/group4",
+         "z3_f3/regular"])
+def test_radical_matches_the_full_gram_reference(cats, cat_name, kind,
+                                                 params):
+    C = cats[cat_name]
+    E = bimodule_end_algebra(make_algebra(C, kind, params)).algebra
+    ref = _radical_charp_reference(E)
+    assert ref
+    assert radical(E) == ref
