@@ -131,6 +131,14 @@ def _load_algebra(cat, path):
     return alg
 
 
+def _save(path, obj) -> None:
+    try:
+        save_json(path, obj)
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc.strerror or exc}") \
+            from exc
+
+
 def _report_text(report: dict, out) -> None:
     flags = report["flags"]
     out.write("flags:\n")
@@ -282,12 +290,12 @@ def _cmd_base_extend(args, out) -> int:
             cat2, alg2 = base_extend_algebra(cat, alg, emb)
         except InseparableExtension as exc:
             raise CLIError(str(exc)) from exc
-        save_json(args.out_category, category_to_json(cat2))
-        save_json(args.out_algebra, algebra_to_json(alg2))
+        _save(args.out_category, category_to_json(cat2))
+        _save(args.out_algebra, algebra_to_json(alg2))
         out.write(f"wrote {args.out_category} and {args.out_algebra}\n")
     else:
         cat2 = cat.scalar_extend(emb)
-        save_json(args.out_category, category_to_json(cat2))
+        _save(args.out_category, category_to_json(cat2))
         out.write(f"wrote {args.out_category}\n")
     return EXIT_OK
 
@@ -335,7 +343,7 @@ def _cmd_catalog(args, out) -> int:
     except (UnknownEntry, ValidationFailure) as exc:
         raise CLIError(str(exc)) from exc
     if aname is None:
-        save_json(args.out, category_to_json(cat))
+        _save(args.out, category_to_json(cat))
         out.write(f"wrote {args.out}\n")
         return EXIT_OK
     algs = _catalog_algebras(cname, cat)
@@ -346,7 +354,7 @@ def _cmd_catalog(args, out) -> int:
         alg = algs[aname]()
     except (UnknownEntry, ValidationFailure) as exc:
         raise CLIError(str(exc)) from exc
-    save_json(args.out, algebra_to_json(alg))
+    _save(args.out, algebra_to_json(alg))
     out.write(f"wrote {args.out}\n")
     return EXIT_OK
 

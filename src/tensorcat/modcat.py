@@ -8,8 +8,8 @@ cokernels, and endomorphism algebras of projective generators land in
 
 from .algebra import AlgebraPres, _incl_proj, validate_algebra
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
-                     hom_unit_basis, mor_from_coords)
-from .linalg import Matrix, RowSpace
+                     hom_dim, hom_unit_basis, mor_from_coords)
+from .linalg import Matrix, RowSpace, SingularMatrix
 from .ordalg import (OrdAlgebra, block_primitive_idempotent,
                      central_idempotents, corner, lift_idempotent,
                      quotient_algebra, radical)
@@ -41,6 +41,14 @@ class ModulePres:
     def __repr__(self):
         return f"ModulePres({self.side}, carrier={self.carrier!r})"
 
+    def unit_map(self) -> Mor:
+        """u: a -> a (x) A, (id (x) eta) o rho^-1, for the free module on
+        a = `generator`: f -> f o u is the bijection
+        Hom_A(a (x) A, y) -> Hom(a, y)."""
+        cat, a = self.cat, self.generator
+        return (cat.tensor_mor(cat.id(a), self.algebra.unit)
+                @ cat.unitor_right_inv(a))
+
 
 class BimodulePres:
     __slots__ = ("algebra", "cat", "carrier", "left_action", "right_action",
@@ -64,6 +72,15 @@ class BimodulePres:
 
     def __repr__(self):
         return f"BimodulePres(carrier={self.carrier!r})"
+
+    def unit_map(self) -> Mor:
+        """u: a -> (A (x) a) (x) A, ((eta (x) id) (x) eta) o (lambda^-1 (x)
+        id) o rho^-1, for the free bimodule on a = `generator`: f -> f o u
+        is the bijection Hom_{A|A}(A (x) a (x) A, y) -> Hom(a, y)."""
+        cat, a, eta = self.cat, self.generator, self.algebra.unit
+        # the first two factors as one tensor product of composites
+        left = cat.tensor_mor(eta, cat.id(a)) @ cat.unitor_left_inv(a)
+        return cat.tensor_mor(left, eta) @ cat.unitor_right_inv(a)
 
 
 def validate_module(m: ModulePres) -> ValidationReport:
@@ -202,72 +219,75 @@ def _module_constraint(x: ModulePres, y: ModulePres, phi: Mor) -> Mor:
             - y.action @ cat.tensor_mor(cat.id(c), phi))
 
 
-def _maps_killed_by(x, y, constraint) -> list:
-    """Basis of the maps phi: x.carrier -> y.carrier with constraint(phi),
-    a coordinate list linear in phi, equal to zero."""
-    cat = x.cat
-    basis = hom_unit_basis(cat, x.carrier, y.carrier)
-    if not basis:
-        return []
-    mat = Matrix.from_cols(cat.field, [constraint(phi) for phi in basis])
-    return [mor_from_coords(cat, x.carrier, y.carrier, v)
-            for v in mat.kernel_basis()]
-
-
 def hom_basis(x: ModulePres, y: ModulePres) -> list:
     """Basis of module maps x -> y, by exact kernel computation."""
     if x.algebra is not y.algebra and x.algebra.carrier != y.algebra.carrier:
         raise ValidationFailure("modules over different algebras")
     if x.side != y.side:
         raise ValidationFailure("modules of different chirality")
-    return _maps_killed_by(
-        x, y, lambda phi: _module_constraint(x, y, phi).coords())
-
-
-def _bimodule_constraint(x: BimodulePres, y: BimodulePres, phi: Mor):
     cat = x.cat
-    c = x.algebra.carrier
-    left = (phi @ x.left_action
-            - y.left_action @ cat.tensor_mor(cat.id(c), phi))
-    right = (phi @ x.right_action
-             - y.right_action @ cat.tensor_mor(phi, cat.id(c)))
-    return left.coords() + right.coords()
-
-
-def bimodule_hom_basis(x: BimodulePres, y: BimodulePres) -> list:
-    return _maps_killed_by(x, y, lambda phi: _bimodule_constraint(x, y, phi))
+    basis = hom_unit_basis(cat, x.carrier, y.carrier)
+    if not basis:
+        return []
+    mat = Matrix.from_cols(cat.field, [_module_constraint(x, y, phi).coords()
+                                       for phi in basis])
+    return [mor_from_coords(cat, x.carrier, y.carrier, v)
+            for v in mat.kernel_basis()]
 
 
 # ---------------------------------------------------------------------------
 # endomorphism algebras of lists of (bi)modules
 
 class EndData:
-    """The algebra (+)_{i,j} Hom(P_j, P_i) under composition.
+    """The algebra (+)_{i,j} Hom(P_j, P_i) under composition, for free
+    (bi)modules P_j on simple objects a_j (their `generator`).
 
     basis[k] = (i, j, Mor P_j -> P_i); `algebra` is the OrdAlgebra with a
-    faithful block representation; solvers map morphisms to coordinates.
+    faithful block representation.  Maps are read by restriction along the
+    unit u_j: a_j -> P_j of each generator (Etingof, Gelaki, Nikshych and
+    Ostrik, Tensor Categories, 7.8): f -> f o u_j is a bijection from the
+    maps P_j -> P_i onto Hom(a_j, P_i), so the restrictions of a block's
+    basis form a square invertible matrix R_ij, and the coordinates of
+    b_1 o b_2 are R^-1 times those of b_1 o (b_2 o u_j), a product with one
+    column per map instead of a composition and a solve.
     """
 
     def __init__(self, modules, hom_fn, field):
+        for p in modules:
+            if p.generator is None or p.generator.total() != 1:
+                raise ValidationFailure("End data needs free modules on "
+                                        "simple objects")
         self.modules = modules
         self.field = field
         # the labels of the blocks of the natural representation
         self.labels = list(dict.fromkeys(a for p in modules
                                          for a in p.carrier.support))
+        self._units = [p.unit_map() for p in modules]
         self.blocks = {}
+        # (i, j) -> (R_ij, R_ij^-1), for each nonempty block
+        self._restriction = {}
         basis = []
         for i, pi in enumerate(modules):
             for j, pj in enumerate(modules):
                 hs = hom_fn(pj, pi)
                 self.blocks[(i, j)] = hs
-                for m in hs:
-                    basis.append((i, j, m))
+                basis += [(i, j, m) for m in hs]
+                dim = hom_dim(pj.generator, pi.carrier)
+                if len(hs) != dim:
+                    raise ValidationFailure(
+                        f"block ({i}, {j}): {len(hs)} maps for a restriction "
+                        f"space of dimension {dim}")
+                if not hs:
+                    continue
+                rest = Matrix.from_cols(
+                    field, [(m @ self._units[j]).coords() for m in hs])
+                try:
+                    self._restriction[(i, j)] = rest, rest.inv()
+                except SingularMatrix:
+                    raise ValidationFailure(
+                        f"block ({i}, {j}): the restrictions along the unit "
+                        "are linearly dependent") from None
         self.basis = basis
-        self._solvers = {}
-        for (i, j), hs in self.blocks.items():
-            if hs:
-                self._solvers[(i, j)] = Matrix.from_cols(
-                    field, [m.coords() for m in hs])
         self.algebra = self._build_algebra()
 
     def express(self, i, j, mor: Mor) -> list:
@@ -275,18 +295,22 @@ class EndData:
         return self.express_many(i, j, [mor])[0]
 
     def express_many(self, i, j, mors) -> list:
-        """Coordinates of several module maps P_j -> P_i, from one
-        elimination of the block's solver against all of them.  `mors`
-        may be a generator: only the flat coordinates are kept."""
-        rhs = [m.coords() for m in mors]
-        if not self.blocks.get((i, j)):
-            if any(not c.is_zero() for v in rhs for c in v):
+        """Coordinates of several module maps P_j -> P_i, read from their
+        restrictions along the unit; each is checked by rebuilding it from
+        its coordinates, so a map outside the block is refused."""
+        hs = self.blocks[(i, j)]
+        if not hs:
+            if any(not m.is_zero() for m in mors):
                 raise ValidationFailure("morphism outside the hom space")
-            return [[] for _ in rhs]
-        sols = self._solvers[(i, j)].solve_many(rhs)
-        if any(sol is None for sol in sols):
+            return [[] for _ in mors]
+        unit = self._units[j]
+        inv = self._restriction[(i, j)][1]
+        sols = inv @ Matrix.from_cols(self.field,
+                                      [(m @ unit).coords() for m in mors])
+        out = [sols.col(t) for t in range(len(mors))]
+        if any(Mor.combine(x, hs) != m for x, m in zip(out, mors)):
             raise ValidationFailure("morphism outside the hom space")
-        return sols
+        return out
 
     def _build_algebra(self) -> OrdAlgebra:
         field = self.field
@@ -296,29 +320,25 @@ class EndData:
         pos = {}
         for k, (i, j, _m) in enumerate(self.basis):
             pos.setdefault((i, j), []).append(k)
-        size = len(self.modules)
-        # the products m1 o m2 landing in block (i1, j2), one block at a
-        # time, so only one block's products are held at once
-        for i1 in range(size):
-            for j2 in range(size):
-                pairs = [(k1, k2) for j1 in range(size)
-                         for k1 in pos.get((i1, j1), [])
-                         for k2 in pos.get((j1, j2), [])]
-                if not pairs:
+        gens = [p.generator.support[0] for p in self.modules]
+        # b1 o b2 for b1 in block (i1, j1) and b2 in block (j1, j2)
+        # restricts to b1 o (b2 o u_j2), on the one label of a_j2: the
+        # column of b2 in R_(i1,j2)^-1 (b1 R_(j1,j2)) holds its coordinates
+        for k1, (i1, j1, b1) in enumerate(self.basis):
+            for j2, a in enumerate(gens):
+                if (j1, j2) not in pos or (i1, j2) not in pos:
                     continue
-                sols = self.express_many(
-                    i1, j2, (self.basis[k1][2] @ self.basis[k2][2]
-                             for k1, k2 in pairs))
-                for (k1, k2), coords in zip(pairs, sols):
-                    sc[k1][k2] = [(idx, c) for idx, c in
-                                  zip(pos.get((i1, j2), []), coords)
-                                  if not c.is_zero()]
+                rest = self._restriction[(j1, j2)][0]
+                inv = self._restriction[(i1, j2)][1]
+                left, right = pos[(i1, j2)], pos[(j1, j2)]
+                row = sc[k1]
+                for r, t, c in (inv @ (b1.block(a) @ rest)).nonzero():
+                    row[right[t]].append((left[r], c))
         unit = [field.zero()] * n
         for i, p in enumerate(self.modules):
-            ident = p.cat.id(p.carrier)
-            coords = self.express(i, i, ident)
-            for idx, c in zip(pos.get((i, i), []), coords):
-                unit[idx] = unit[idx] + c
+            coords = self.express(i, i, p.cat.id(p.carrier))
+            for idx, c in zip(pos[(i, i)], coords):
+                unit[idx] = c
         rep = self._natural_rep()
         return OrdAlgebra(field, n, sc, unit, rep=rep, validate=True)
 
@@ -345,7 +365,8 @@ class EndData:
 
 
 def end_algebra(modules) -> EndData:
-    """Endomorphism data of a list of right modules over one algebra."""
+    """Endomorphism data of a list of free right modules over one algebra,
+    each on a simple object."""
     if not modules:
         raise ValidationFailure("need at least one module")
     field = modules[0].cat.field

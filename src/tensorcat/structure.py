@@ -270,25 +270,33 @@ def separability_beta(C: CategoryPres, A: AlgebraPres,
     mate = cat.mate_right(A.mult, c, c)       # A -> A (x) A^v
     h = len(gs)
     total_deg = c.total()
+    # beta(g) is linear in g: the basis pass keeps beta(g_i), and each
+    # combination's beta is the same combination of them
+    betas = []
 
     def found(candidates) -> bool:
-        """Count and test each (coefficients, g) candidate; record the
-        first whose beta is invertible (None coefficients: a basis g)."""
-        for tup, g in candidates:
+        """Count and test each (coefficients, beta) candidate; record the
+        first beta that is invertible (None coefficients: a basis g)."""
+        for tup, beta in candidates:
             details["tested"] += 1
-            beta = A.mult @ cat.tensor_mor(cat.id(c), g) @ mate
             if all(beta.block(a).rank() == c.mult(a) for a in c.support):
                 details["witness"] = ("basis" if tup is None
                                       else [s.serialize() for s in tup])
                 return True
         return False
 
+    def basis_betas():
+        for g in gs:
+            betas.append(A.mult @ cat.tensor_mor(cat.id(c), g) @ mate)
+            yield None, betas[-1]
+
     def combinations(values, limit=None):
         for tup in islice(product(values, repeat=h), limit):
-            yield tup, Mor.combine(tup, gs)
+            yield tup, Mor.combine(tup, betas)
 
-    # basis elements first
-    if found((None, g) for g in gs):
+    # basis elements first; a combination pass runs only after this one
+    # has computed every beta(g_i)
+    if found(basis_betas()):
         return True, details
     field = cat.field
     if field.char != 0:

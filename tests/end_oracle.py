@@ -1,0 +1,96 @@
+"""Kernel solves, the references for the maps out of free (bi)modules.
+
+`EndData` reads every product of basis maps by restriction along the unit
+of a free generator, and `free_bimodule_maps` gives bimodule maps by the
+free-forget correspondence.  `KernelSolveEnd` composes each pair of basis
+maps in full and solves the result against the flat coordinates of its
+block, so it needs no generator and serves any list of modules;
+`bimodule_hom_basis` solves both intertwining systems for the maps between
+any two bimodules.
+"""
+
+from tensorcat.fincat import (ValidationFailure, hom_unit_basis,
+                              mor_from_coords)
+from tensorcat.linalg import Matrix
+from tensorcat.modcat import EndData
+from tensorcat.ordalg import OrdAlgebra
+
+
+def bimodule_hom_basis(x, y) -> list:
+    """Basis of the bimodule maps x -> y, as the kernel of the left and
+    right intertwining constraints on Hom(x.carrier, y.carrier)."""
+    cat = x.cat
+    idc = cat.id(x.algebra.carrier)
+
+    def constraint(phi):
+        left = (phi @ x.left_action
+                - y.left_action @ cat.tensor_mor(idc, phi))
+        right = (phi @ x.right_action
+                 - y.right_action @ cat.tensor_mor(phi, idc))
+        return left.coords() + right.coords()
+    basis = hom_unit_basis(cat, x.carrier, y.carrier)
+    if not basis:
+        return []
+    mat = Matrix.from_cols(cat.field, [constraint(phi) for phi in basis])
+    return [mor_from_coords(cat, x.carrier, y.carrier, v)
+            for v in mat.kernel_basis()]
+
+
+class KernelSolveEnd(EndData):
+    """(+)_{i,j} Hom(P_j, P_i) under composition, with the same basis,
+    block representation and `express` contract as `EndData`."""
+
+    def __init__(self, modules, hom_fn, field):
+        self.modules = modules
+        self.field = field
+        self.labels = list(dict.fromkeys(a for p in modules
+                                         for a in p.carrier.support))
+        self.blocks = {(i, j): hom_fn(pj, pi)
+                       for i, pi in enumerate(modules)
+                       for j, pj in enumerate(modules)}
+        self.basis = [(i, j, m) for (i, j), hs in self.blocks.items()
+                      for m in hs]
+        self._solvers = {ij: Matrix.from_cols(field, [m.coords() for m in hs])
+                         for ij, hs in self.blocks.items() if hs}
+        self.algebra = self._build_algebra()
+
+    def express_many(self, i, j, mors) -> list:
+        rhs = [m.coords() for m in mors]
+        if not self.blocks[(i, j)]:
+            if any(not c.is_zero() for v in rhs for c in v):
+                raise ValidationFailure("morphism outside the hom space")
+            return [[] for _ in rhs]
+        sols = self._solvers[(i, j)].solve_many(rhs)
+        if any(sol is None for sol in sols):
+            raise ValidationFailure("morphism outside the hom space")
+        return sols
+
+    def _build_algebra(self) -> OrdAlgebra:
+        field = self.field
+        n = len(self.basis)
+        sc = [[[] for _ in range(n)] for _ in range(n)]
+        pos = {}
+        for k, (i, j, _m) in enumerate(self.basis):
+            pos.setdefault((i, j), []).append(k)
+        size = len(self.modules)
+        for i1 in range(size):
+            for j2 in range(size):
+                pairs = [(k1, k2) for j1 in range(size)
+                         for k1 in pos.get((i1, j1), [])
+                         for k2 in pos.get((j1, j2), [])]
+                if not pairs:
+                    continue
+                sols = self.express_many(
+                    i1, j2, [self.basis[k1][2] @ self.basis[k2][2]
+                             for k1, k2 in pairs])
+                for (k1, k2), coords in zip(pairs, sols):
+                    sc[k1][k2] = [(idx, c) for idx, c in
+                                  zip(pos.get((i1, j2), []), coords)
+                                  if not c.is_zero()]
+        unit = [field.zero()] * n
+        for i, p in enumerate(self.modules):
+            coords = self.express(i, i, p.cat.id(p.carrier))
+            for idx, c in zip(pos.get((i, i), []), coords):
+                unit[idx] = c
+        return OrdAlgebra(field, n, sc, unit, rep=self._natural_rep(),
+                          validate=True)

@@ -290,6 +290,25 @@ def test_cli_base_extend(tmp_path, capsys):
     assert rep["field"] == {"char": 2, "minpoly": ["1", "1", "1"], "gen": "a"}
 
 
+@pytest.mark.parametrize("target,reason", [
+    ("nodir/x.json", "No such file or directory"),
+    (".", "Is a directory")], ids=["missing_dir", "directory"])
+def test_cli_reports_an_output_it_cannot_write(tmp_path, capsys, target,
+                                               reason):
+    # catalog emit and base-extend report an unwritable output path on one
+    # line and exit 1, for a missing directory and for a directory
+    path = str(tmp_path / target)
+    rc, out, err = run_cli(capsys, "catalog", "emit", "z2", "--out", path)
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write {path}: {reason}\n"
+    cat_p = str(tmp_path / "c.json")
+    run_cli(capsys, "catalog", "emit", "vec_f2", "--out", cat_p)
+    rc, out, err = run_cli(capsys, "base-extend", cat_p, "--minpoly",
+                           "1,1,1", "--out-category", path)
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write {path}: {reason}\n"
+
+
 def test_cli_validate_broken_file(tmp_path, capsys):
     cat_p = str(tmp_path / "broken.json")
     run_cli(capsys, "catalog", "emit", "fibonacci", "--out", cat_p)

@@ -5,10 +5,12 @@ module carriers.
 primitive idempotent e, and its multiplicity in A from Hom(1, x); the
 division verdict reads Hom_A(P, A) as the right ideal eps E.  The
 references build the same objects from hom bases of module carriers: the
-End data of each simple module on its own, Hom_A(A, x), and Hom_A(P, A)
-as a module over E by precomposition.
+End data of each simple module on its own (by the kernel solve of
+`end_oracle`, since a simple module is not free), Hom_A(A, x), and
+Hom_A(P, A) as a module over E by precomposition.
 """
 
+from end_oracle import KernelSolveEnd
 from tensorcat.linalg import Matrix
 from tensorcat.modcat import EndData, algebra_as_module, hom_basis
 from tensorcat.ordalg import (OrdModule, is_separable_over_k,
@@ -55,7 +57,7 @@ def test_corners_and_multiplicities_match_the_hom_solves(corpus):
         amod = algebra_as_module(alg)
         for (sub, _i, _r), corner, mult in zip(sm.simples, sm.ends,
                                                sm.mult_in_A):
-            ref = EndData([sub], hom_basis, cat.field).algebra
+            ref = KernelSolveEnd([sub], hom_basis, cat.field).algebra
             assert corner.dim == ref.dim, name
             assert is_separable_over_k(corner) is \
                 is_separable_over_k(ref), name

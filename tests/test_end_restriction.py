@@ -1,0 +1,165 @@
+"""`EndData` reads End-algebra products by restriction along the unit of
+each free generator; `end_oracle.KernelSolveEnd` composes each pair of
+basis maps and solves the result against its block.  Both take the same
+hom bases, so their structure constants and units agree entry for entry.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from end_oracle import KernelSolveEnd
+from tensorcat.algebra import AlgebraPres, validate_algebra
+from tensorcat.catalog import make_algebra, standard_entries
+from tensorcat.fincat import Mor, Obj, ValidationFailure, hom_unit_basis
+from tensorcat.linalg import Matrix
+from tensorcat.modcat import (EndData, algebra_as_module,
+                              bimodule_end_algebra, free_bimodule,
+                              free_bimodule_maps, free_module,
+                              free_module_end, hom_basis)
+
+
+def _assert_same_algebra(end, ref, name):
+    assert [(i, j) for i, j, _m in end.basis] == \
+        [(i, j) for i, j, _m in ref.basis], name
+    assert end.algebra.sc == ref.algebra.sc, name
+    assert end.algebra.unit == ref.algebra.unit, name
+
+
+def _assert_both_ends_match_the_kernel_solve(A, name):
+    end = free_module_end(A)
+    ref = KernelSolveEnd(end.modules, hom_basis, A.cat.field)
+    _assert_same_algebra(end, ref, name)
+    end = bimodule_end_algebra(A)
+    ref = KernelSolveEnd(end.modules, free_bimodule_maps, A.cat.field)
+    _assert_same_algebra(end, ref, name)
+
+
+def test_restriction_matches_the_kernel_solve_on_the_corpus(corpus):
+    for name, _cat, alg in corpus:
+        _assert_both_ends_match_the_kernel_solve(alg, name)
+
+
+@lru_cache(maxsize=None)
+def _menu(field_name):
+    """Small algebras over one field: name -> algebra.  M_2(Q) is left to
+    the corpus: moved along a dense g, its End algebras take seconds to
+    validate."""
+    cats = {name: mk() for name, mk in standard_entries().items()}
+    if field_name == "Q":
+        vq, z2 = cats["vec_q"], cats["z2"]
+        return {"vec_q/group2": make_algebra(
+                    vq, "ordinary_group_algebra", {"n": 2}),
+                "vec_q/group3": make_algebra(
+                    vq, "ordinary_group_algebra", {"n": 3}),
+                "z2/regular": make_algebra(z2, "regular_pointed", {})}
+    if field_name == "F_2":
+        vf2, zf2 = cats["vec_f2"], cats["z2_f2"]
+        return {"vec_f2/group2": make_algebra(
+                    vf2, "ordinary_group_algebra", {"n": 2}),
+                "vec_f2/group3": make_algebra(
+                    vf2, "ordinary_group_algebra", {"n": 3}),
+                "z2_f2/regular": make_algebra(zf2, "regular_pointed", {})}
+    if field_name == "F_3":
+        vf3, zf3 = cats["vec_f3"], cats["z3_f3"]
+        return {"vec_f3/group2": make_algebra(
+                    vf3, "ordinary_group_algebra", {"n": 2}),
+                "vec_f3/group3": make_algebra(
+                    vf3, "ordinary_group_algebra", {"n": 3}),
+                "z3_f3/regular": make_algebra(zf3, "regular_pointed", {})}
+    fib = cats["fibonacci"]
+    return {"fibonacci/end_t": make_algebra(
+                fib, "internal_end", {"obj": {"t": 1}}),
+            "fibonacci/trivial": make_algebra(fib, "trivial")}
+
+
+@st.composite
+def _transported(draw, field_name):
+    """A menu algebra moved along a drawn automorphism g of its carrier:
+    the product g m (g^-1 (x) g^-1) and the unit g eta.  Each block of g is
+    a unit lower times a unit upper triangular matrix, so g is invertible,
+    and its entries make the structure constants dense."""
+    menu = _menu(field_name)
+    name = draw(st.sampled_from(sorted(menu)))
+    A = menu[name]
+    cat, c = A.cat, A.carrier
+    field = cat.field
+    coeff = st.lists(st.integers(-1, 1), min_size=field.deg,
+                     max_size=field.deg).map(field.scalar)
+    blocks = {}
+    for a in c.support:
+        n = c.mult(a)
+        lower = Matrix.from_entries(field, n, n, [
+            (i, j, field.one() if i == j else draw(coeff))
+            for i in range(n) for j in range(i + 1)])
+        upper = Matrix.from_entries(field, n, n, [
+            (i, j, field.one() if i == j else draw(coeff))
+            for i in range(n) for j in range(i, n)])
+        blocks[a] = lower @ upper
+    g = Mor(cat, c, c, blocks)
+    gi = g.inv()
+    B = AlgebraPres(cat, c, g @ A.mult @ cat.tensor_mor(gi, gi), g @ A.unit)
+    assert validate_algebra(B).ok
+    return name, B
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F_2", "F_3", "Q(phi)"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_restriction_matches_the_kernel_solve_on_drawn_algebras(field_name,
+                                                                data):
+    name, B = data.draw(_transported(field_name))
+    _assert_both_ends_match_the_kernel_solve(B, name)
+
+
+def test_end_data_refuses_a_module_without_a_simple_generator(cats):
+    vq = cats["vec_q"]
+    A = make_algebra(vq, "ordinary_group_algebra", {"n": 2})
+    for P in (algebra_as_module(A), free_module(Obj(vq, {"1": 2}), A)):
+        with pytest.raises(ValidationFailure, match="free modules"):
+            EndData([P], hom_basis, vq.field)
+
+
+def test_end_data_refuses_a_hom_basis_short_of_one_map(cats):
+    z2 = cats["z2"]
+    A = make_algebra(z2, "regular_pointed", {})
+    frees = [free_module(z2.simple(a), A) for a in z2.labels]
+
+    def short(x, y):
+        return hom_basis(x, y)[1:]
+    assert all(hom_basis(y, x) for x in frees for y in frees)
+    with pytest.raises(ValidationFailure, match="restriction space"):
+        EndData(frees, short, z2.field)
+
+
+def test_end_data_refuses_a_hom_basis_that_restricts_to_a_dependent_set(
+        cats):
+    # a repeated basis map keeps R square but makes it singular
+    vq = cats["vec_q"]
+    A = make_algebra(vq, "ordinary_group_algebra", {"n": 2})
+    frees = [free_module(vq.simple("1"), A)]
+
+    def repeated(x, y):
+        hs = hom_basis(x, y)
+        return hs[:-1] + hs[:1]
+    with pytest.raises(ValidationFailure, match="linearly dependent"):
+        EndData(frees, repeated, vq.field)
+
+
+def test_free_bimodule_maps_restrict_to_their_psi(corpus):
+    checked = 0
+    for name, cat, alg in corpus:
+        gens = [free_bimodule(alg, cat.simple(a)) for a in cat.labels]
+        gens = [b for b in gens if not b.carrier.is_zero()]
+        for src in gens:
+            u = src.unit_map()
+            for dst in gens:
+                psis = hom_unit_basis(cat, src.generator, dst.carrier)
+                maps = free_bimodule_maps(src, dst)
+                assert len(maps) == len(psis), name
+                for f, psi in zip(maps, psis):
+                    assert f @ u == psi, name
+                    checked += 1
+    assert checked > 100

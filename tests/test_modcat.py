@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from end_oracle import bimodule_hom_basis
 from tensorcat.algebra import internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fincat import (Obj, ValidationFailure, hom_coords, hom_dim,
                               mor_from_coords)
 from tensorcat.modcat import (algebra_as_module, bimodule_end_algebra,
-                              bimodule_hom_basis, direct_sum_modules,
+                              direct_sum_modules,
                               end_algebra, free_bimodule, free_bimodule_maps,
                               free_module, free_module_end, hom_basis,
                               internal_hom,

@@ -33,9 +33,6 @@ ALLOWED = {
     "nilpotency_index": "an independent oracle for the radical: tests "
                         "check that it is a nilpotent ideal",
     "Poly.eval": "evaluation, the reference tests check `compose` against",
-    "bimodule_hom_basis": "the generic kernel solve for bimodule maps, the "
-                          "reference tests check `free_bimodule_maps` "
-                          "against",
     "Matrix.scale": "public arithmetic beside `+`, `-` and negation; the "
                     "package's own sums call `Matrix.combine`",
     "Mor.scale": "public arithmetic beside `+`, `-` and negation; the "

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcat.algebra import (AlgebraPres, direct_sum_algebra, internal_end,
                                trivial_algebra)
@@ -548,6 +552,37 @@ def test_beta_ladder_counts_every_candidate(cats, monkeypatch, copies,
     assert details["tested"] == copies + len(combined) == tested
     assert details.get("witness") == witness
     assert verdict is (UNDETERMINED if witness is None else True)
+
+
+@lru_cache(maxsize=None)
+def _beta_setting(name):
+    """(A, basis g_i of Hom_A(A^L, A), mate) for the beta search of a
+    group algebra in vec."""
+    field, n = {"vec_f5/group5": (Field.prime(5), 5),
+                "vec_q/group3": (None, 3)}[name]
+    cat = make_category("vec", {"field": field} if field else {})
+    A = make_algebra(cat, "ordinary_group_algebra", {"n": n})
+    ctx = AlgebraAnalysisContext(cat, A)
+    return A, ctx.from_dual, cat.mate_right(A.mult, A.carrier, A.carrier)
+
+
+def _beta(A, g, mate):
+    cat = A.cat
+    return A.mult @ cat.tensor_mor(cat.id(A.carrier), g) @ mate
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["vec_f5/group5", "vec_q/group3"]),
+       data=st.data())
+def test_beta_of_a_combination_is_the_combination_of_betas(name, data):
+    # the beta search tests Mor.combine(tup, betas) in place of the beta
+    # of Mor.combine(tup, gs)
+    A, gs, mate = _beta_setting(name)
+    field = A.cat.field
+    tup = [field.scalar(v) for v in data.draw(
+        st.lists(st.integers(-4, 4), min_size=len(gs), max_size=len(gs)))]
+    betas = [_beta(A, g, mate) for g in gs]
+    assert Mor.combine(tup, betas) == _beta(A, Mor.combine(tup, gs), mate)
 
 
 def _stub_context(n, pairs):
