@@ -198,12 +198,9 @@ class Mor:
     def __eq__(self, other):
         if not isinstance(other, Mor):
             return NotImplemented
-        if other.src != self.src or other.dst != self.dst:
-            return False
-        for a in set(self.blocks) | set(other.blocks):
-            if self.block(a) != other.block(a):
-                return False
-        return True
+        return (other.src == self.src and other.dst == self.dst
+                and all(self.block(a) == other.block(a)
+                        for a in set(self.blocks) | set(other.blocks)))
 
     def __hash__(self):
         return hash((self.src.key, self.dst.key))
@@ -235,15 +232,10 @@ class Mor:
     def coords(self) -> list:
         """The entries in hom_coords order: each shared label's block,
         row by row."""
-        z = self.cat.field.zero()
         out = []
         for a in _shared_labels(self.src, self.dst):
-            cols = self.src.mult(a)
-            flat = [z] * (self.dst.mult(a) * cols)
-            if a in self.blocks:
-                for i, j, x in self.blocks[a].nonzero():
-                    flat[i * cols + j] = x
-            out += flat
+            blk = self.block(a)
+            out += [x for i in range(blk.rows) for x in blk.row(i)]
         return out
 
 
@@ -256,12 +248,8 @@ def _shared_labels(src: Obj, dst: Obj) -> list:
 
 def hom_coords(src: Obj, dst: Obj) -> list:
     """Deterministic coordinate order on Hom(src, dst)."""
-    out = []
-    for a in _shared_labels(src, dst):
-        for i in range(dst.mult(a)):
-            for j in range(src.mult(a)):
-                out.append((a, i, j))
-    return out
+    return [(a, i, j) for a in _shared_labels(src, dst)
+            for i in range(dst.mult(a)) for j in range(src.mult(a))]
 
 
 def mor_from_coords(cat, src: Obj, dst: Obj, vec) -> Mor:
@@ -283,16 +271,6 @@ def hom_unit_basis(cat, src: Obj, dst: Obj) -> list:
                 {a: Matrix.from_entries(cat.field, dst.mult(a), src.mult(a),
                                         [(i, j, one)])})
             for a, i, j in hom_coords(src, dst)]
-
-
-def _nonzero_col(m: Mor, a, j) -> list:
-    """The nonzero entries of column j of m's block at a, as (row,
-    coefficient) pairs."""
-    blk = m.blocks.get(a)
-    if blk is None:
-        return []
-    zc = blk.field._zero_c
-    return [(r, x.c) for r, x in enumerate(blk.col(j)) if x.c != zc]
 
 
 def hom_dim(X: Obj, Y: Obj) -> int:
@@ -370,22 +348,14 @@ class CategoryPres:
 
     # -- F-matrix access ------------------------------------------------------
     def f_rows(self, a, b, c, d) -> list:
-        out = []
-        for e in self.labels:
-            n1, n2 = self.N(a, b, e), self.N(e, c, d)
-            for mu in range(n1):
-                for nu in range(n2):
-                    out.append((e, mu, nu))
-        return out
+        return [(e, mu, nu) for e in self.labels
+                for mu in range(self.N(a, b, e))
+                for nu in range(self.N(e, c, d))]
 
     def f_cols(self, a, b, c, d) -> list:
-        out = []
-        for f in self.labels:
-            n1, n2 = self.N(b, c, f), self.N(a, f, d)
-            for rho in range(n1):
-                for sigma in range(n2):
-                    out.append((f, rho, sigma))
-        return out
+        return [(f, rho, sigma) for f in self.labels
+                for rho in range(self.N(b, c, f))
+                for sigma in range(self.N(a, f, d))]
 
     def f_block(self, a, b, c, d) -> Matrix:
         """The F matrix (rows (e,mu,nu), cols (f,rho,sigma))."""
@@ -442,33 +412,28 @@ class CategoryPres:
         return self._tensor_cache[key]
 
     def tensor_mor(self, f: Mor, g: Mor) -> Mor:
-        """f (x) g in the fusion bases of (f.src, g.src) and (f.dst, g.dst)."""
+        """f (x) g in the fusion bases of (f.src, g.src) and (f.dst, g.dst):
+        the row (a, i, b, j, mu) of the block at c is the Kronecker
+        product of row i of f's block at a and row j of g's at b."""
         src = self.tensor(f.src, g.src)
         dst = self.tensor(f.dst, g.dst)
-        src_basis = self.fusion_basis(f.src, g.src)
-        dst_index = self.fusion_index(f.dst, g.dst)
+        dst_basis = self.fusion_basis(f.dst, g.dst)
+        src_index = self.fusion_index(f.src, g.src)
         field = self.field
         mul = field._mul
-        fcols, gcols = {}, {}         # (label, column) -> its nonzeros
+        frows, grows = ({a: [m.row_nonzero(i) for i in range(m.rows)]
+                         for a, m in h.blocks.items()} for h in (f, g))
         blocks = {}
-        for c, lst in src_basis.items():
-            if dst.mult(c) == 0:
+        for c, lst in dst_basis.items():
+            if src.mult(c) == 0:
                 continue
-            idx = dst_index.get(c, {})
-            entries = []
-            for col, (a, i, b, j, mu) in enumerate(lst):
-                xs = fcols.get((a, i))
-                if xs is None:
-                    xs = fcols[(a, i)] = _nonzero_col(f, a, i)
-                ys = gcols.get((b, j))
-                if ys is None:
-                    ys = gcols[(b, j)] = _nonzero_col(g, b, j)
-                # (i2, j2) -> row is injective, so each entry gets one
-                # product, and a product of nonzeros is nonzero
-                for i2, xc in xs:
-                    for j2, yc in ys:
-                        entries.append((idx[(a, i2, b, j2, mu)], col,
-                                        Scalar(field, mul(xc, yc))))
+            idx = src_index[c]
+            # a product of nonzeros is nonzero, and (i, j) -> column is
+            # injective, so each entry gets one product
+            entries = [(r, idx[(a, i, b, j, mu)], Scalar(field, mul(x.c, y.c)))
+                       for r, (a, i2, b, j2, mu) in enumerate(lst)
+                       if a in frows and b in grows
+                       for i, x in frows[a][i2] for j, y in grows[b][j2]]
             blocks[c] = Matrix.from_entries(field, dst.mult(c), src.mult(c),
                                             entries)
         return Mor(self, src, dst, blocks)
@@ -487,9 +452,7 @@ class CategoryPres:
             fm = self.f_block(a, b, c, d)
             if inverse and fm.rows:
                 fm = fm.inv().transpose()
-            lines = [[] for _ in range(fm.rows)]
-            for r, cidx, val in fm.nonzero():
-                lines[r].append((cidx, val))
+            lines = [fm.row_nonzero(r) for r in range(fm.rows)]
             rows = {t: r for r, t in enumerate(self.f_rows(a, b, c, d))}
             cols = self.f_cols(a, b, c, d)
             cache[key] = (lines, rows, cols)

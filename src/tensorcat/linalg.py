@@ -1,26 +1,24 @@
-"""Exact linear algebra behind one storage format and one elimination
-kernel.
+"""Exact linear algebra on sparse rows, with one elimination kernel.
 
-How a `Matrix` stores its entries is private to this module; today it is
-a dense list of rows.  Other modules build matrices with `Matrix(field,
-rows)`, `zeros`, `identity`, `from_cols` and `from_entries`, and read
-them with `m[i, j]`, `row`, `col`, `nonzero`, `trace` and `map`, besides
-the arithmetic and elimination methods.  `@` accumulates on coefficient
-tuples and skips zero entries; `combine` computes a linear combination
-sum c_k M_k as one `@` product, and sums, differences, negation and
-scaling are each one `combine` call.
+How a `Matrix` stores its entries is private to this module: each row is
+a dict from column to Scalar that holds the nonzero entries only, in no
+particular order, so no stored entry is zero.  Other modules build
+matrices with `Matrix(field, rows)`, `zeros`, `identity`, `from_cols` and
+`from_entries`, and read them with `m[i, j]`, `row`, `col`,
+`row_nonzero`, `nonzero`, `trace` and `map`, besides the arithmetic and
+elimination methods.  `@` walks the nonzeros of each row of the left
+factor into the rows of the right one, and `combine` accumulates a
+linear combination sum c_k M_k row by row; both work on coefficient
+tuples and wrap each entry once at the end.  Sums, differences, negation
+and scaling are each one `combine` call.
 
 `RowSpace` keeps a row space in reduced echelon form as rows are added:
 each new row is reduced against the stored rows, scaled so its first
-nonzero entry is one, and then cleared out of the stored rows.  `rref`,
-`det`, and through `rref` the rank, kernels, solves and inverses, all
-add rows to one.  Each stored row carries the list of its nonzero
-positions, so sparse systems eliminate quickly without a separate
-sparse representation.  No floating point is used anywhere.
+nonzero entry is one, and then cleared out of the stored rows.  Its rows
+are sparse too, on coefficient tuples, so a reduction touches only
+nonzeros.  `rref`, `det`, the rank, kernels, solves and inverses all add
+rows to one.  No floating point is used anywhere.
 """
-
-from itertools import chain, compress, repeat
-from operator import is_not
 
 from .fields import Field, FieldMismatch, Scalar
 
@@ -33,98 +31,134 @@ class SingularMatrix(LinAlgError):
     pass
 
 
+def _outside(i, j, rows: int, cols: int) -> LinAlgError:
+    return LinAlgError(f"position ({i}, {j}) outside a {rows}x{cols} matrix")
+
+
 class Matrix:
     """Matrix of Scalars over a fixed field."""
 
-    __slots__ = ("field", "rows", "cols", "a")
+    __slots__ = ("field", "rows", "cols", "_nz")
 
     def __init__(self, field: Field, rows_data):
+        dense = [list(r) for r in rows_data]
         self.field = field
-        self.a = [list(r) for r in rows_data]
-        self.rows = len(self.a)
-        self.cols = len(self.a[0]) if self.a else 0
-        for r in self.a:
-            if len(r) != self.cols:
-                raise LinAlgError("ragged rows")
+        self.rows = len(dense)
+        self.cols = len(dense[0]) if dense else 0
+        if any(len(r) != self.cols for r in dense):
+            raise LinAlgError("ragged rows")
+        zc = field._zero_c
+        self._nz = [{j: x for j, x in enumerate(r) if x.c != zc}
+                    for r in dense]
 
     @staticmethod
-    def _raw(field: Field, rows: int, cols: int, data: list) -> "Matrix":
+    def _raw(field: Field, rows: int, cols: int, nz: list) -> "Matrix":
         m = Matrix.__new__(Matrix)
-        m.field = field
-        m.rows = rows
-        m.cols = cols
-        m.a = data
+        m.field, m.rows, m.cols, m._nz = field, rows, cols, nz
         return m
 
     @staticmethod
-    def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
+    def _wrap(field: Field, rows: int, cols: int, coeff_rows) -> "Matrix":
+        """The matrix of sparse rows of coefficient tuples, zeros dropped."""
+        zc = field._zero_c
         return Matrix._raw(field, rows, cols,
-                           [[z] * cols for _ in range(rows)])
+                           [{j: Scalar(field, v) for j, v in r.items()
+                             if v != zc} for r in coeff_rows])
+
+    @staticmethod
+    def zeros(field: Field, rows: int, cols: int) -> "Matrix":
+        return Matrix._raw(field, rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix._raw(field, n, n,
-                           [[o if i == j else z for j in range(n)]
-                            for i in range(n)])
+        o = field.one()
+        return Matrix._raw(field, n, n, [{i: o} for i in range(n)])
 
     @staticmethod
     def from_cols(field: Field, cols_data) -> "Matrix":
         if not cols_data:
             return Matrix.zeros(field, 0, 0)
         n = len(cols_data[0])
-        return Matrix._raw(field, n, len(cols_data),
-                           [[col[i] for col in cols_data] for i in range(n)])
+        zc = field._zero_c
+        nz = [{} for _ in range(n)]
+        for j, col in enumerate(cols_data):
+            if len(col) != n:
+                raise LinAlgError("ragged columns")
+            for row, x in zip(nz, col):
+                if x.c != zc:
+                    row[j] = x
+        return Matrix._raw(field, n, len(cols_data), nz)
 
     @staticmethod
     def from_entries(field: Field, rows: int, cols: int,
                      entries) -> "Matrix":
         """The rows x cols matrix with x at (i, j) for each (i, j, x) of
         `entries` and zero elsewhere; the values given for one position
-        add up.  Every position must lie inside the shape."""
-        z = field.zero()
-        a = [[z] * cols for _ in range(rows)]
+        add up.  A position outside the shape is a LinAlgError."""
+        zc = field._zero_c
+        nz = [{} for _ in range(rows)]
         for i, j, x in entries:
-            row = a[i]
-            row[j] = x if row[j] is z else row[j] + x
-        return Matrix._raw(field, rows, cols, a)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise _outside(i, j, rows, cols)
+            row = nz[i]
+            y = row.get(j)
+            if y is not None:
+                x = y + x
+            if x.c != zc:
+                row[j] = x
+            elif y is not None:
+                del row[j]
+        return Matrix._raw(field, rows, cols, nz)
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
-        return self.a[i][j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise _outside(i, j, self.rows, self.cols)
+        return self._nz[i].get(j, self.field.zero())
 
     def row(self, i: int) -> list:
-        return list(self.a[i])
+        out = [self.field.zero()] * self.cols
+        for j, x in self._nz[i].items():
+            out[j] = x
+        return out
 
     def col(self, j: int) -> list:
-        return [row[j] for row in self.a]
+        z = self.field.zero()
+        return [r.get(j, z) for r in self._nz]
+
+    def row_nonzero(self, i: int) -> list:
+        """The nonzero entries of row i as (column, Scalar), ascending."""
+        return sorted(self._nz[i].items())
 
     def nonzero(self):
-        """The nonzero entries as (row, column, Scalar), row by row."""
-        z = self.field.zero()
-        for i, row in enumerate(self.a):
-            for j in _support(row, z):
-                yield i, j, row[j]
+        """The nonzero entries as (row, column, Scalar), row by row and in
+        ascending columns inside a row."""
+        for i in range(self.rows):
+            for j, x in self.row_nonzero(i):
+                yield i, j, x
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
             raise LinAlgError("trace of a non-square matrix")
-        t = self.field.zero()
-        for i, row in enumerate(self.a):
-            t = t + row[i]
-        return t
+        return sum((row[i] for i, row in enumerate(self._nz) if i in row),
+                   self.field.zero())
 
     def map(self, fn, field: Field) -> "Matrix":
         """fn applied to every entry, such as a field embedding; the
-        result lies over `field`."""
-        return Matrix._raw(field, self.rows, self.cols,
-                           [[fn(x) for x in r] for r in self.a])
+        result lies over `field`.  The zero entries are mapped only when
+        fn moves zero."""
+        zero, zc = self.field.zero(), field._zero_c
+        every = fn(zero).c != zc
+        out = [{j: y for j in (range(self.cols) if every else row)
+                if (y := fn(row.get(j, zero))).c != zc} for row in self._nz]
+        return Matrix._raw(field, self.rows, self.cols, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix._raw(self.field, self.cols, self.rows,
-                           [[self.a[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix._raw(self.field, self.cols, self.rows, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         field = self.field
@@ -133,58 +167,47 @@ class Matrix:
         if self.cols != other.rows:
             raise LinAlgError(f"shape mismatch {self.rows}x{self.cols} @ "
                               f"{other.rows}x{other.cols}")
-        # accumulate on coefficient tuples; wrap each entry once at the end
-        z = field.zero()
-        zc = field._zero_c
         add, mul = field._add, field._mul
-        # sparse supports of the rows of the right factor, built on demand
-        rows_nz = {}
+        brows = other._nz
         out = []
-        for arow in self.a:
+        for arow in self._nz:
             acc = {}
-            for k in _support(arow, z):
-                nz = rows_nz.get(k)
-                if nz is None:
-                    brow = other.a[k]
-                    nz = rows_nz[k] = [(j, brow[j].c)
-                                       for j in _support(brow, z)]
-                xc = arow[k].c
-                for j, yc in nz:
+            for k, x in arow.items():
+                xc = x.c
+                for j, y in brows[k].items():
                     v = acc.get(j)
-                    acc[j] = mul(xc, yc) if v is None else \
-                        add(v, mul(xc, yc))
-            orow = [z] * other.cols
-            for j, v in acc.items():
-                if v != zc:
-                    orow[j] = Scalar(field, v)
-            out.append(orow)
-        return Matrix._raw(field, self.rows, other.cols, out)
+                    acc[j] = mul(xc, y.c) if v is None else \
+                        add(v, mul(xc, y.c))
+            out.append(acc)
+        return Matrix._wrap(field, self.rows, other.cols, out)
 
     @staticmethod
     def combine(coeffs, mats) -> "Matrix":
         """sum_k coeffs[k] * mats[k], for Scalars and matrices over one
-        field and of one shape, computed with `@` as the row of nonzero
-        coefficients times the matrices flattened into rows."""
+        field and of one shape, accumulated row by row over the nonzero
+        terms; a coefficient one is not multiplied out."""
         if not mats or len(coeffs) != len(mats):
             raise LinAlgError("one coefficient per matrix, at least one")
         field, rows, cols = mats[0].field, mats[0].rows, mats[0].cols
-        zc = field._zero_c
-        cs, flat = [], []
+        zc, oc = field._zero_c, field.one().c
+        add, mul = field._add, field._mul
+        acc = [{} for _ in range(rows)]
         for c, m in zip(coeffs, mats):
             if (m.field is not field and m.field != field
                     or c.field is not field and c.field != field):
                 raise FieldMismatch("operands over different fields")
             if m.rows != rows or m.cols != cols:
                 raise LinAlgError("shape mismatch")
-            if c.c != zc:
-                cs.append(c)
-                flat.append(list(chain.from_iterable(m.a)))
-        # with no nonzero coefficient the product is the zero row
-        out = (Matrix._raw(field, 1, len(cs), [cs])
-               @ Matrix._raw(field, len(cs), rows * cols, flat)).a[0]
-        return Matrix._raw(field, rows, cols,
-                           [out[i * cols:(i + 1) * cols]
-                            for i in range(rows)])
+            cc = c.c
+            if cc == zc:
+                continue
+            one = cc == oc
+            for arow, mrow in zip(acc, m._nz):
+                for j, x in mrow.items():
+                    p = x.c if one else mul(cc, x.c)
+                    v = arow.get(j)
+                    arow[j] = p if v is None else add(v, p)
+        return Matrix._wrap(field, rows, cols, acc)
 
     def __add__(self, other):
         return Matrix.combine([self.field.one()] * 2, [self, other])
@@ -200,57 +223,59 @@ class Matrix:
         return Matrix.combine([c], [self])
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for r in self.a for x in r)
+        return not any(self._nz)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
                 and other.rows == self.rows and other.cols == self.cols
-                and all(x == y for r1, r2 in zip(self.a, other.a)
-                        for x, y in zip(r1, r2)))
+                and other._nz == self._nz)
 
     def __hash__(self):
         return hash((self.rows, self.cols,
-                     tuple(tuple(x.c for x in r) for r in self.a)))
+                     frozenset((i, j, x.c) for i, row in enumerate(self._nz)
+                               for j, x in row.items())))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"Matrix({self.rows}x{self.cols})"
-        body = "; ".join(" ".join(repr(x) for x in r) for r in self.a)
+        body = "; ".join(" ".join(repr(x) for x in self.row(i))
+                         for i in range(self.rows))
         return f"[{body}]"
 
     # -- elimination ---------------------------------------------------------
-    def rref(self, pivot_cols: int | None = None):
-        """Reduced row echelon form; returns (matrix, pivot column list).
+    def _space(self, extra=None, extra_cols=0) -> "RowSpace":
+        """The row space of [self | extra], pivots in self's columns;
+        extra[i] holds row i's coefficient tuples past them, sparse."""
+        space = RowSpace(self.field, self.cols + extra_cols, self.cols)
+        for i, row in enumerate(self._nz):
+            v = {j: x.c for j, x in row.items()}
+            if extra:
+                v.update(extra[i])
+            space._add(v)
+        return space
 
-        With `pivot_cols` = n, pivots are sought only in the first n
-        columns; the columns after them are carried along as right-hand
-        sides, and the rows below the rank span the combinations of rows
-        that vanish on the first n columns."""
-        space = RowSpace(self.field, self.cols, pivot_cols)
-        for row in self.a:
-            space.add(row)
-        out = space.basis() + space.rest
-        z = self.field.zero()
-        out += [[z] * self.cols for _ in range(self.rows - len(out))]
-        return Matrix._raw(self.field, self.rows, self.cols, out), \
+    def rref(self):
+        """Reduced row echelon form; returns (matrix, pivot column list)."""
+        space = self._space()
+        out = space._echelon()
+        out += [{} for _ in range(self.rows - len(out))]
+        return Matrix._wrap(self.field, self.rows, self.cols, out), \
             space.pivots()
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self._space().dim()
 
     def kernel_basis(self) -> list:
         """Basis of {v : A v = 0}, each vector a list of Scalars."""
-        R, pivots = self.rref()
-        z, o = self.field.zero(), self.field.one()
-        free = [j for j in range(self.cols) if j not in pivots]
-        basis = []
-        for fc in free:
-            v = [z] * self.cols
-            v[fc] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.a[r][fc]
-            basis.append(v)
-        return basis
+        space, field = self._space(), self.field
+        z, o = field.zero(), field.one()
+        basis = {fc: [o if k == fc else z for k in range(self.cols)]
+                 for fc in range(self.cols) if fc not in space._rows}
+        # a stored row is zero at every other pivot, so its columns are free
+        for pc, row in space._rows.items():
+            for fc, c in row.items():
+                basis[fc][pc] = Scalar(field, field._neg(c))
+        return list(basis.values())
 
     def solve(self, b: list):
         """One solution of A x = b, or None when the system is infeasible."""
@@ -260,68 +285,68 @@ class Matrix:
         """One solution of A x = b for each b in `bs` (None where that
         system is infeasible), from a single elimination of
         [A | b_1 ... b_k]."""
-        n = self.cols
-        for b in bs:
+        n, field = self.cols, self.field
+        zc = field._zero_c
+        extra = [{} for _ in range(self.rows)]
+        for t, b in enumerate(bs):
             if len(b) != self.rows:
                 raise LinAlgError("rhs length mismatch")
-        aug = Matrix._raw(self.field, self.rows, n + len(bs),
-                          [row + [b[i] for b in bs]
-                           for i, row in enumerate(self.a)])
-        R, pivots = aug.rref(pivot_cols=n)
-        out = []
-        for t in range(n, n + len(bs)):
-            # rows below the rank are zero on A: b_t must vanish there
-            if any(not row[t].is_zero() for row in R.a[len(pivots):]):
-                out.append(None)
-                continue
-            x = [self.field.zero()] * n
-            for row, pc in zip(R.a, pivots):
-                x[pc] = row[t]
-            out.append(x)
+            for row, x in zip(extra, b):
+                if x.c != zc:
+                    row[n + t] = x.c
+        space = self._space(extra, len(bs))
+        # the rows that reduce to zero on A span the combinations of rows
+        # that vanish on A: b_t is feasible iff all of them vanish at t
+        bad = set().union(*space.rest)
+        out = [None if n + t in bad else [field.zero()] * n
+               for t in range(len(bs))]
+        for pc, row in space._rows.items():
+            for k, c in row.items():
+                if k >= n and out[k - n] is not None:
+                    out[k - n][pc] = Scalar(field, c)
         return out
 
     def inv(self) -> "Matrix":
         if self.rows != self.cols:
             raise SingularMatrix("only square matrices can be inverted")
-        n = self.rows
-        z, o = self.field.zero(), self.field.one()
-        aug = Matrix._raw(self.field, n, 2 * n,
-                          [row + [o if j == i else z for j in range(n)]
-                           for i, row in enumerate(self.a)])
-        R, pivots = aug.rref()
-        if pivots != list(range(n)):
+        n, oc = self.rows, self.field.one().c
+        space = self._space([{n + i: oc} for i in range(n)], n)
+        if space.dim() != n:
             raise SingularMatrix("matrix is singular")
-        return Matrix._raw(self.field, n, n, [R.a[i][n:] for i in range(n)])
+        # every column of A is a pivot, so the stored rows live past n
+        out = [{k - n: c for k, c in space._rows[i].items()}
+               for i in range(n)]
+        return Matrix._wrap(self.field, n, n, out)
 
     def det(self) -> Scalar:
         """Product of the leading entries met as the rows are added to a
         row space, times the sign of the order their pivots came in."""
         if self.rows != self.cols:
             raise LinAlgError("determinant of a non-square matrix")
-        space = RowSpace(self.field, self.cols)
-        for row in self.a:
-            if not space.add(row):
-                return self.field.zero()
-        det = self.field.one()
-        order = []
+        field, space = self.field, self._space()
+        if space.dim() < self.rows:
+            return field.zero()
+        det, order = field.one().c, []
         for piv, lead in space.leads:
-            det = det * lead
+            det = field._mul(det, lead)
             if sum(p > piv for p in order) % 2:
-                det = -det
+                det = field._neg(det)
             order.append(piv)
-        return det
+        return Scalar(field, det)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _support(row, z) -> list:
-    """Positions of the nonzero entries of `row`.  Nearly every zero entry
-    is the field's shared zero `z`, so the scan skips those by identity
-    at C speed before testing the rest."""
-    zc = z.c
-    return [j for j in compress(range(len(row)), map(is_not, row, repeat(z)))
-            if row[j].c != zc]
+def _sub_multiple(v: dict, c, row: dict, field: Field):
+    """v -= c * row, in place, for sparse rows of coefficient tuples."""
+    zc, sub, mul = field._zero_c, field._sub, field._mul
+    for k, x in row.items():
+        d = sub(v.get(k, zc), mul(c, x))
+        if d == zc:
+            del v[k]
+        else:
+            v[k] = d
 
 
 class RowSpace:
@@ -329,71 +354,81 @@ class RowSpace:
 
     Pivots are the first nonzero entry before `limit` (the whole width
     by default); a row that reduces to zero there but not after it is
-    kept in `rest`.  Each stored row carries its nonzero positions after
-    the pivot, and a reduction touches only those.
+    kept in `rest`.  Rows are sparse, dicts from column to coefficient
+    tuple.  A stored row leaves out its pivot, whose entry is one, and is
+    zero at every other pivot, so reducing a row against the space
+    touches only the stored rows at its own pivot columns.  `add`,
+    `reduce`, `contains` and `basis` take and give dense lists of
+    Scalars.
     """
 
     __slots__ = ("field", "width", "limit", "_rows", "leads", "rest")
 
     def __init__(self, field: Field, width: int, limit: int | None = None):
-        self.field = field
-        self.width = width
+        self.field, self.width = field, width
         self.limit = width if limit is None else limit
-        self._rows = []     # [pivot, row, nonzero positions after the pivot]
+        self._rows = {}     # pivot -> the row's nonzeros after the pivot
         self.leads = []     # (pivot, its entry before scaling), as added
         self.rest = []
 
-    def reduce(self, v) -> list:
-        v = list(v)
+    def _sparse(self, v) -> dict:
+        zc = self.field._zero_c
+        return {k: x.c for k, x in enumerate(v) if x.c != zc}
+
+    def _dense(self, v: dict) -> list:
         z = self.field.zero()
-        for piv, row, nz in self._rows:
-            c = v[piv]
-            if not c.is_zero():
-                v[piv] = z
-                for k in nz:
-                    v[k] = v[k] - c * row[k]
+        return [Scalar(z.field, v[k]) if k in v else z
+                for k in range(self.width)]
+
+    def _reduce(self, v: dict) -> dict:
+        """v, which this changes, minus its combination of stored rows."""
+        rows = self._rows
+        for piv in [k for k in v if k in rows]:
+            _sub_multiple(v, v.pop(piv), rows[piv], self.field)
         return v
 
-    def add(self, v) -> bool:
-        """Reduce and insert; True if the space grew."""
-        v = self.reduce(v)
-        piv = next((k for k in range(self.limit) if not v[k].is_zero()),
-                   None)
-        if piv is None:
-            if any(not x.is_zero() for x in v[self.limit:]):
-                self.rest.append(v)
+    def _add(self, v: dict) -> bool:
+        v = self._reduce(v)
+        if not v:
             return False
-        lead = v[piv]
-        inv = lead.inv()
-        nz = [k for k in range(piv + 1, self.width) if not v[k].is_zero()]
-        for k in nz:
-            v[k] = v[k] * inv
-        v[piv] = self.field.one()
-        z = self.field.zero()
-        for entry in self._rows:
-            row = entry[1]
-            c = row[piv]
-            if c.is_zero():
-                continue
-            row[piv] = z
-            for k in nz:
-                row[k] = row[k] - c * v[k]
-            entry[2] = [k for k in set(entry[2]).union(nz)
-                        if not row[k].is_zero()]
-        self._rows.append([piv, v, nz])
+        piv = min(v)
+        if piv >= self.limit:
+            self.rest.append(v)
+            return False
+        field = self.field
+        lead = v.pop(piv)
+        if lead != field.one().c:
+            inv, mul = field._inv(lead), field._mul
+            v = {k: mul(x, inv) for k, x in v.items()}
+        for row in self._rows.values():
+            c = row.pop(piv, None)
+            if c is not None:
+                _sub_multiple(row, c, v, field)
+        self._rows[piv] = v
         self.leads.append((piv, lead))
         return True
 
+    def _echelon(self) -> list:
+        """The stored rows with their pivots, in pivot order."""
+        oc = self.field.one().c
+        return [{piv: oc, **self._rows[piv]} for piv in self.pivots()]
+
+    def reduce(self, v) -> list:
+        return self._dense(self._reduce(self._sparse(v)))
+
+    def add(self, v) -> bool:
+        """Reduce and insert; True if the space grew."""
+        return self._add(self._sparse(v))
+
     def contains(self, v) -> bool:
-        return all(x.is_zero() for x in self.reduce(v))
+        return not self._reduce(self._sparse(v))
 
     def dim(self) -> int:
         return len(self._rows)
 
     def pivots(self) -> list:
-        return sorted(piv for piv, _row, _nz in self._rows)
+        return sorted(self._rows)
 
     def basis(self) -> list:
-        """The stored rows, copied, in pivot order."""
-        return [list(row) for _piv, row, _nz in
-                sorted(self._rows, key=lambda entry: entry[0])]
+        """The stored rows as dense lists, in pivot order."""
+        return [self._dense(row) for row in self._echelon()]

@@ -8,7 +8,7 @@ cokernels, and endomorphism algebras of projective generators land in
 
 from .algebra import AlgebraPres, _incl_proj, validate_algebra
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
-                     hom_dim, hom_unit_basis, mor_from_coords)
+                     hom_coords, hom_dim, hom_unit_basis, mor_from_coords)
 from .linalg import Matrix, RowSpace, SingularMatrix
 from .ordalg import (OrdAlgebra, block_primitive_idempotent,
                      central_idempotents, corner, lift_idempotent,
@@ -541,16 +541,39 @@ def free_bimodule(A: AlgebraPres, a: Obj) -> BimodulePres:
 
 def free_bimodule_maps(src: BimodulePres, dst: BimodulePres) -> list:
     """Basis of bimodule maps out of a free bimodule (A a A) -> dst,
-    through the free-forget correspondence with Hom(a, dst.carrier)."""
+    through the free-forget correspondence with Hom(a, dst.carrier).
+
+    The map of psi in the unit basis of Hom(a, y) is act o (id (x) psi (x)
+    id) for the action act: (A y) A -> y, so its column at the basis
+    vector (d, q, z, r, nu) of (A a) A is act's column at
+    (d, q', z, r, nu), where psi takes the vector q = (x, p, l, j, mu) of
+    A a at d to q' = (x, p, l, i, mu) of A y; each is read off act's
+    nonzeros."""
     cat = src.cat
-    A = src.algebra
-    a = src.generator
-    c = A.carrier
-    yc = dst.carrier
-    idc = cat.id(c)
-    act = dst.right_action @ cat.tensor_mor(dst.left_action, idc)
-    return [act @ cat.tensor_mor(cat.tensor_mor(idc, psi), idc)
-            for psi in hom_unit_basis(cat, a, yc)]
+    c, a, y = src.algebra.carrier, src.generator, dst.carrier
+    act = dst.right_action @ cat.tensor_mor(dst.left_action, cat.id(c))
+    ca_index = cat.fusion_index(c, a)
+    cy_basis = cat.fusion_basis(c, y)
+    act_cols = cat.fusion_basis(cat.tensor(c, y), c)
+    src_index = cat.fusion_index(cat.tensor(c, a), c)
+    psis = {lij: k for k, lij in enumerate(hom_coords(a, y))}
+    entries = [{} for _ in psis]
+    for e, blk in act.blocks.items():
+        # column t of act feeds (psi, column of its map) for each of these
+        feeds = []
+        for d, q, z, r, nu in act_cols[e]:
+            x, p, l, i, mu = cy_basis[d][q]
+            feeds.append([(psis[(l, i, j)], src_index[e][
+                (d, ca_index[d][(x, p, l, j, mu)], z, r, nu)])
+                for j in range(a.mult(l))])
+        for row, t, val in blk.nonzero():
+            for k, s in feeds[t]:
+                entries[k].setdefault(e, []).append((row, s, val))
+    return [Mor(cat, src.carrier, y,
+                {e: Matrix.from_entries(cat.field, y.mult(e),
+                                        src.carrier.mult(e), es)
+                 for e, es in blocks.items()})
+            for blocks in entries]
 
 
 def bimodule_end_algebra(A: AlgebraPres) -> EndData:

@@ -2,9 +2,11 @@
 
 `EndData` reads every product of basis maps by restriction along the unit
 of a free generator, and `free_bimodule_maps` gives bimodule maps by the
-free-forget correspondence.  `KernelSolveEnd` composes each pair of basis
-maps in full and solves the result against the flat coordinates of its
-block, so it needs no generator and serves any list of modules;
+free-forget correspondence, read off the action's nonzeros;
+`product_bimodule_maps` builds the same maps as full compositions.
+`KernelSolveEnd` composes each pair of basis maps in full and solves the
+result against the flat coordinates of its block, so it needs no
+generator and serves any list of modules;
 `bimodule_hom_basis` solves both intertwining systems for the maps between
 any two bimodules.
 """
@@ -34,6 +36,17 @@ def bimodule_hom_basis(x, y) -> list:
     mat = Matrix.from_cols(cat.field, [constraint(phi) for phi in basis])
     return [mor_from_coords(cat, x.carrier, y.carrier, v)
             for v in mat.kernel_basis()]
+
+
+def product_bimodule_maps(src, dst) -> list:
+    """The maps of `free_bimodule_maps` as compositions
+    act o (id (x) psi (x) id), for the action act: (A y) A -> y and each
+    psi of the unit basis of Hom(a, y)."""
+    cat = src.cat
+    idc = cat.id(src.algebra.carrier)
+    act = dst.right_action @ cat.tensor_mor(dst.left_action, idc)
+    return [act @ cat.tensor_mor(cat.tensor_mor(idc, psi), idc)
+            for psi in hom_unit_basis(cat, src.generator, dst.carrier)]
 
 
 class KernelSolveEnd(EndData):

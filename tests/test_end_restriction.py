@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from end_oracle import KernelSolveEnd
+from end_oracle import KernelSolveEnd, product_bimodule_maps
 from tensorcat.algebra import AlgebraPres, validate_algebra
 from tensorcat.catalog import make_algebra, standard_entries
 from tensorcat.fincat import Mor, Obj, ValidationFailure, hom_unit_basis
@@ -146,6 +146,20 @@ def test_end_data_refuses_a_hom_basis_that_restricts_to_a_dependent_set(
         return hs[:-1] + hs[:1]
     with pytest.raises(ValidationFailure, match="linearly dependent"):
         EndData(frees, repeated, vq.field)
+
+
+def test_free_bimodule_maps_equal_their_product_form(corpus):
+    # every pair of free bimodules of every corpus algebra
+    pairs = 0
+    for name, cat, alg in corpus:
+        gens = [free_bimodule(alg, cat.simple(a)) for a in cat.labels]
+        gens = [b for b in gens if not b.carrier.is_zero()]
+        for src in gens:
+            for dst in gens:
+                assert free_bimodule_maps(src, dst) == \
+                    product_bimodule_maps(src, dst), (name, src, dst)
+                pairs += 1
+    assert pairs > 50
 
 
 def test_free_bimodule_maps_restrict_to_their_psi(corpus):

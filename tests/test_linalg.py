@@ -20,6 +20,11 @@ def M(field, rows):
     return Matrix(field, [[field.scalar(x) for x in r] for r in rows])
 
 
+def _dense(m) -> list:
+    """The entries of m as a list of rows, read through `row`."""
+    return [m.row(i) for i in range(m.rows)]
+
+
 def _apply(m, v):
     """m v for a column vector v."""
     return (m @ Matrix.from_cols(m.field, [v])).col(0)
@@ -73,7 +78,7 @@ def test_rref_pivots():
     m = M(Q, [[0, 1, 2], [0, 2, 4]])
     r, pivots = m.rref()
     assert pivots == [1]
-    assert r.a[0][1] == Q.one()
+    assert r[0, 1] == Q.one()
 
 
 def test_solve_consistent_underdetermined():
@@ -89,7 +94,7 @@ def test_matmul_shapes():
     b = M(Q, [[2, 1], [1, 2]])
     c = a @ b
     assert (c.rows, c.cols) == (3, 2)
-    assert c.a[2][0] == Q.scalar(3)
+    assert c[2, 0] == Q.scalar(3)
 
 
 def test_solve_many_matches_columnwise_solve():
@@ -108,7 +113,8 @@ def test_solve_many_matches_columnwise_solve():
             assert sols == [m.solve(b) for b in bs]
             assert sols[-1] is not None
             for b, sol in zip(bs, sols):
-                aug = Matrix(field, [r + [b[i]] for i, r in enumerate(m.a)])
+                aug = Matrix(field, [r + [b[i]]
+                                     for i, r in enumerate(_dense(m))])
                 if sol is None:
                     assert aug.rank() > m.rank()
                 else:
@@ -161,15 +167,16 @@ def is_rref(R, pivots):
     r = len(pivots)
     if pivots != sorted(set(pivots)):
         return False
+    rows = _dense(R)
     for i, pc in enumerate(pivots):
-        row = R.a[i]
+        row = rows[i]
         if row[pc] != R.field.one():
             return False
         if any(not x.is_zero() for x in row[:pc]):
             return False
-        if any(not R.a[k][pc].is_zero() for k in range(R.rows) if k != i):
+        if any(not rows[k][pc].is_zero() for k in range(R.rows) if k != i):
             return False
-    return all(x.is_zero() for row in R.a[r:] for x in row)
+    return all(x.is_zero() for row in rows[r:] for x in row)
 
 
 @FIELDS
@@ -182,13 +189,13 @@ def test_rref_is_reduced_echelon_with_the_same_row_space(field, data):
     assert is_rref(R, pivots)
     # every row of A is the combination of R's rows read off its pivots
     z = field.zero()
-    for a in A.a:
+    for a in _dense(A):
         comb = [z] * A.cols
         for i, pc in enumerate(pivots):
-            comb = [x + a[pc] * y for x, y in zip(comb, R.a[i])]
+            comb = [x + a[pc] * y for x, y in zip(comb, R.row(i))]
         assert comb == a
     # and every row of R is a combination of A's rows
-    for row in R.a[:len(pivots)]:
+    for row in _dense(R)[:len(pivots)]:
         y = A.transpose().solve(row)
         assert y is not None and _apply(A.transpose(), y) == row
 
@@ -201,10 +208,10 @@ def test_rows_added_in_any_order_end_in_the_rref(field, data):
     order = data.draw(st.permutations(range(A.rows)))
     space = RowSpace(field, A.cols)
     for i in order:
-        space.add(A.a[i])
+        space.add(A.row(i))
     R, pivots = A.rref()
     assert space.pivots() == pivots
-    assert space.basis() == R.a[:len(pivots)]
+    assert space.basis() == _dense(R)[:len(pivots)]
 
 
 @FIELDS
@@ -255,7 +262,7 @@ def test_solve_many_solves_or_reports_a_rank_increase(field, data):
 def _to_sympy(sympy, A):
     return sympy.Matrix(A.rows, A.cols, [sympy.Rational(x.c[0].numerator,
                                                         x.c[0].denominator)
-                                         for row in A.a for x in row])
+                                         for row in _dense(A) for x in row])
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,25 +284,25 @@ def test_rref_and_det_match_sympy_over_q(data):
 
 def _naive_product(A, B):
     field = A.field
-    out = Matrix.zeros(field, A.rows, B.cols)
+    entries = []
     for i in range(A.rows):
         for j in range(B.cols):
             acc = field.zero()
             for k in range(A.cols):
-                acc = acc + A.a[i][k] * B.a[k][j]
-            out.a[i][j] = acc
-    return out
+                acc = acc + A[i, k] * B[k, j]
+            entries.append((i, j, acc))
+    return Matrix.from_entries(field, A.rows, B.cols, entries)
 
 
 def _filled(field, rows, cols, entries):
     # zeros come both as the field's shared zero and as fresh objects
-    m = Matrix.zeros(field, rows, cols)
+    given = []
     for i in range(rows):
         for j in range(cols):
             e = next(entries)
             if e is not None:
-                m.a[i][j] = field.scalar(e)
-    return m
+                given.append((i, j, field.scalar(e)))
+    return Matrix.from_entries(field, rows, cols, given)
 
 
 @FIELDS
@@ -314,7 +321,7 @@ def test_matmul_matches_a_naive_triple_loop(field, data):
     C = A @ B
     assert (C.rows, C.cols) == (n, m)
     assert C == _naive_product(A, B)
-    for row in C.a:
+    for row in _dense(C):
         for x in row:
             assert x.field is field
             if x.is_zero():
@@ -354,13 +361,15 @@ def test_from_entries_matches_dense_writes(field, data):
     # few positions, so that some of them repeat
     entries = data.draw(st.lists(st.tuples(position, _entry(field)),
                                  max_size=8 if rows * cols else 0))
-    dense = Matrix.zeros(field, rows, cols)
+    dense = [[field.zero()] * cols for _ in range(rows)]
     for (i, j), x in entries:
-        dense.a[i][j] = dense.a[i][j] + x
+        dense[i][j] = dense[i][j] + x
     got = Matrix.from_entries(field, rows, cols,
                               [(i, j, x) for (i, j), x in entries])
     assert (got.rows, got.cols) == (rows, cols)
-    assert got == dense
+    assert _dense(got) == dense
+    if rows:
+        assert got == Matrix(field, dense)
 
 
 @FIELDS
@@ -368,13 +377,15 @@ def test_from_entries_matches_dense_writes(field, data):
 @given(data=st.data())
 def test_nonzero_and_getitem_round_trip(field, data):
     A = data.draw(small(field))
+    dense = _dense(A)
     nz = list(A.nonzero())
     assert all(not x.is_zero() and A[i, j] == x for i, j, x in nz)
     assert {(i, j) for i, j, _x in nz} == {
         (i, j) for i in range(A.rows) for j in range(A.cols)
-        if not A.a[i][j].is_zero()}
-    assert [[A[i, j] for j in range(A.cols)] for i in range(A.rows)] == A.a
-    assert [A.row(i) for i in range(A.rows)] == A.a
+        if not dense[i][j].is_zero()}
+    assert [[A[i, j] for j in range(A.cols)] for i in range(A.rows)] == dense
+    assert [A.col(j) for j in range(A.cols)] == [
+        [dense[i][j] for i in range(A.rows)] for j in range(A.cols)]
     assert Matrix.from_entries(field, A.rows, A.cols, nz) == A
 
 
@@ -385,7 +396,7 @@ def test_trace_and_map_match_their_dense_definitions(field, data):
     A = data.draw(square(field, data.draw(st.integers(0, 4))))
     t = field.zero()
     for i in range(A.rows):
-        t = t + A.a[i][i]
+        t = t + A[i, i]
     assert A.trace() == t
     one = field.one()
 
@@ -394,7 +405,7 @@ def test_trace_and_map_match_their_dense_definitions(field, data):
 
     B = A.map(fn, field)
     assert B.field is field
-    assert B == Matrix(field, [[fn(x) for x in row] for row in A.a])
+    assert B == Matrix(field, [[fn(x) for x in row] for row in _dense(A)])
 
 
 def test_map_carries_a_matrix_into_the_target_field():
@@ -402,7 +413,8 @@ def test_map_carries_a_matrix_into_the_target_field():
     A = M(F7, [[1, 2], [3, 4]])
     B = A.map(emb, emb.dst)
     assert B.field is emb.dst
-    assert B == Matrix(emb.dst, [[emb(x) for x in row] for row in A.a])
+    assert B == Matrix(emb.dst, [[emb(x) for x in row]
+                                 for row in _dense(A)])
 
 
 def test_trace_of_a_non_square_matrix_is_an_error():
@@ -431,10 +443,6 @@ def _entrywise(field, coeffs, mats, rows, cols) -> list:
     return out
 
 
-def _rows(m) -> list:
-    return [m.row(i) for i in range(m.rows)]
-
-
 @FIELDS
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -453,7 +461,7 @@ def test_combination_and_arithmetic_match_an_entrywise_reference(field,
     def check(got, cs, ms):
         assert got.field is field
         assert (got.rows, got.cols) == (rows, cols)
-        assert _rows(got) == _entrywise(field, cs, ms, rows, cols)
+        assert _dense(got) == _entrywise(field, cs, ms, rows, cols)
 
     check(Matrix.combine(coeffs, mats), coeffs, mats)
     zeros = [field.zero()] * len(mats)
