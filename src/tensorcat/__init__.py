@@ -7,8 +7,8 @@ multi-fusion category, entirely in exact arithmetic over Q, finite
 fields, or simple algebraic extensions.
 """
 
-from .algebra import (AlgebraPres, direct_sum_algebra, internal_end,
-                      trivial_algebra, validate_algebra)
+from .algebra import (AlgebraPres, internal_end, trivial_algebra,
+                      validate_algebra)
 from .fields import (DivisionByZero, Embedding, Field, FieldError,
                      FieldMismatch, NotAnEmbedding, Scalar, embed)
 from .fincat import (CategoryPres, Mor, Obj, SnakeUnsolvable,
@@ -18,10 +18,10 @@ from .linalg import LinAlgError, Matrix, SingularMatrix
 from .modcat import (BimodulePres, ModulePres, algebra_as_module,
                      bimodule_end_algebra, end_algebra, free_bimodule,
                      free_module, free_module_end, hom_basis, internal_hom,
-                     module_dual, module_internal_end, rel_tensor,
-                     simple_modules, validate_bimodule, validate_module)
+                     module_dual, rel_tensor, simple_modules,
+                     validate_module)
 from .ordalg import (OrdAlgebra, OrdModule, UNDETERMINED, central_idempotents,
-                     center, decompose_module, is_division, is_semisimple,
+                     center, is_division, is_semisimple,
                      is_separable_over_k, module_is_simple, radical)
 from .poly import (DegreeTooLarge, Poly, PolynomialError, Reducible, factor,
                    gcd, is_irreducible, is_separable_irreducible,

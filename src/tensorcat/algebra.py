@@ -66,27 +66,14 @@ def internal_end(cat: CategoryPres, a: Obj) -> AlgebraPres:
     """The algebra a (x) a^v with evaluation as multiplication."""
     av = cat.dual_obj(a)
     T = cat.tensor(a, av)
-    src_tree = ((a, av), (a, av))
-    mid_tree = ((a, (av, a)), av)
-    m1 = cat.reassoc(src_tree, mid_tree)
+    # (a av)(a av) -> ((a av) a) av -> (a (av a)) av
+    m1 = (cat.tensor_mor(cat.associator(a, av, a), cat.id(av))
+          @ cat.associator_inv(T, a, av))
     inner = cat.unitor_right(a) @ cat.tensor_mor(cat.id(a), cat.ev_left(a))
     m2 = cat.tensor_mor(inner, cat.id(av))
     mult = m2 @ m1
     unit = cat.coev_left(a)
     return AlgebraPres(cat, T, mult, unit)
-
-
-def direct_sum_algebra(A: AlgebraPres, B: AlgebraPres) -> AlgebraPres:
-    """Blockwise direct sum A (+) B."""
-    cat = A.cat
-    ca, cb = A.carrier, B.carrier
-    c = ca + cb
-    ia, pa = _incl_proj(cat, cat.zero_obj(), ca, c)
-    ib, pb = _incl_proj(cat, ca, cb, c)
-    mult = (ia @ A.mult @ cat.tensor_mor(pa, pa)
-            + ib @ B.mult @ cat.tensor_mor(pb, pb))
-    unit = ia @ A.unit + ib @ B.unit
-    return AlgebraPres(cat, c, mult, unit)
 
 
 def _incl_proj(cat, before: Obj, part: Obj, total: Obj):

@@ -307,7 +307,6 @@ class CategoryPres:
         self._unit_right = {}
         self._assoc_cache = {}
         self._f_cache = {}
-        self._comb_cache = {}
 
     # -- basic table access --------------------------------------------------
     def _same(self, other):
@@ -632,66 +631,6 @@ class CategoryPres:
                                             n if ev else 1, es)
         one = self.unit_obj()
         return Mor(self, t, one, blocks) if ev else Mor(self, one, t, blocks)
-
-    # -- rebracketing helper -------------------------------------------------------
-    def _tree_key(self, tree):
-        if isinstance(tree, Obj):
-            return ("L", tree.key)
-        left, right = tree
-        return ("N", self._tree_key(left), self._tree_key(right))
-
-    def _leaves(self, tree) -> list:
-        if isinstance(tree, Obj):
-            return [tree]
-        return self._leaves(tree[0]) + self._leaves(tree[1])
-
-    def _left_comb_iso(self, tree, unfold: bool) -> Mor:
-        """The fold tree -> left comb of its leaves, or with unfold=True
-        its inverse.  Each direction is built on demand, without matrix
-        inversions, and cached under its own key."""
-        key = (unfold, self._tree_key(tree))
-        if key in self._comb_cache:
-            return self._comb_cache[key]
-        if isinstance(tree, Obj):
-            out = self.id(tree)
-        else:
-            left, right = tree
-            m = self.tensor_mor(self._left_comb_iso(left, unfold),
-                                self._left_comb_iso(right, unfold))
-            merge = self._merge_combs(self._leaves(left), self._leaves(right),
-                                      unfold)
-            out = m @ merge if unfold else merge @ m
-        self._comb_cache[key] = out
-        return out
-
-    def _comb_obj(self, leaves):
-        acc = leaves[0]
-        for x in leaves[1:]:
-            acc = self.tensor(acc, x)
-        return acc
-
-    def _merge_combs(self, lA, lB, unfold: bool) -> Mor:
-        """comb(lA) (x) comb(lB) -> comb(lA + lB), or with unfold=True
-        its inverse."""
-        X = self._comb_obj(lA)
-        if len(lB) == 1:
-            return self.id(self.tensor(X, lB[0]))
-        Y = self._comb_obj(lB[:-1])
-        z = lB[-1]
-        inner = self.tensor_mor(self._merge_combs(lA, lB[:-1], unfold),
-                                self.id(z))
-        if unfold:
-            return self.associator(X, Y, z) @ inner
-        return inner @ self.associator_inv(X, Y, z)
-
-    def reassoc(self, src_tree, dst_tree) -> Mor:
-        """Canonical iso between two bracketings of the same leaf sequence:
-        the fold of the source tree followed by the unfold of the target."""
-        if [x.key for x in self._leaves(src_tree)] \
-                != [y.key for y in self._leaves(dst_tree)]:
-            raise ValueError("bracketings have different leaf sequences")
-        return (self._left_comb_iso(dst_tree, unfold=True)
-                @ self._left_comb_iso(src_tree, unfold=False))
 
     # -- mates ----------------------------------------------------------------------
     def mate_right(self, h: Mor, X: Obj, Y: Obj) -> Mor:

@@ -420,9 +420,6 @@ class RowSpace:
         """Reduce and insert; True if the space grew."""
         return self._add(self._sparse(v))
 
-    def contains(self, v) -> bool:
-        return not self._reduce(self._sparse(v))
-
     def dim(self) -> int:
         return len(self._rows)
 

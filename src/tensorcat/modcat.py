@@ -6,13 +6,12 @@ cokernels, and endomorphism algebras of projective generators land in
 `ordalg` where radicals and idempotents decide all structure questions.
 """
 
-from .algebra import AlgebraPres, _incl_proj, validate_algebra
+from .algebra import AlgebraPres, _incl_proj
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
                      hom_coords, hom_dim, hom_unit_basis, mor_from_coords)
 from .linalg import Matrix, RowSpace, SingularMatrix
-from .ordalg import (OrdAlgebra, block_primitive_idempotent,
-                     central_idempotents, corner, lift_idempotent,
-                     quotient_algebra, radical)
+from .ordalg import (NotSemisimple, OrdAlgebra, block_primitive_idempotent,
+                     central_idempotents, corner, radical)
 
 
 class ModulePres:
@@ -111,31 +110,6 @@ def validate_module(m: ModulePres) -> ValidationReport:
     return rep
 
 
-def validate_bimodule(m: BimodulePres) -> ValidationReport:
-    rep = ValidationReport("bimodule")
-    cat = m.cat
-    A = m.algebra
-    left = ModulePres(A, m.carrier, m.left_action, side="left")
-    right = ModulePres(A, m.carrier, m.right_action, side="right")
-    r1 = validate_module(left)
-    if not r1.ok:
-        rep.fail("left action: " + r1.failures[0])
-        return rep
-    r2 = validate_module(right)
-    if not r2.ok:
-        rep.fail("right action: " + r2.failures[0])
-        return rep
-    rep.checks_run += 1
-    c = A.carrier
-    x = m.carrier
-    lhs = m.right_action @ cat.tensor_mor(m.left_action, cat.id(c))
-    rhs = m.left_action @ cat.tensor_mor(cat.id(c), m.right_action) \
-        @ cat.associator(c, x, c)
-    if lhs != rhs:
-        rep.fail("left and right actions do not commute")
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -184,10 +158,12 @@ def module_dual(x: ModulePres, side: str) -> ModulePres:
         m1 = cat.unitor_left_inv(cat.tensor(c, xv))          # -> 1 (x) (c xv)
         m2 = cat.tensor_mor(cat.coev_right(xc),
                             cat.id(cat.tensor(c, xv)))       # -> (xv x)(c xv)
-        m3 = cat.reassoc(((xv, xc), (c, xv)), ((xv, (xc, c)), xv))
+        # -> ((xv x) c) xv -> (xv (x c)) xv
+        m3 = (cat.tensor_mor(cat.associator(xv, xc, c), cat.id(xv))
+              @ cat.associator_inv(cat.tensor(xv, xc), c, xv))
         m4 = cat.tensor_mor(
             cat.tensor_mor(cat.id(xv), x.action), cat.id(xv))  # ->(xv x) xv
-        m5 = cat.reassoc(((xv, xc), xv), (xv, (xc, xv)))
+        m5 = cat.associator(xv, xc, xv)                       # -> xv (x xv)
         m6 = cat.tensor_mor(cat.id(xv), cat.ev_right(xc))    # -> xv (x) 1
         m7 = cat.unitor_right(xv)
         action = m7 @ m6 @ m5 @ m4 @ m3 @ m2 @ m1
@@ -198,7 +174,9 @@ def module_dual(x: ModulePres, side: str) -> ModulePres:
     m1 = cat.unitor_right_inv(cat.tensor(xv, c))             # -> (xv c)(x) 1
     m2 = cat.tensor_mor(cat.id(cat.tensor(xv, c)),
                         cat.coev_left(xc))                   # -> (xv c)(x xv)
-    m3 = cat.reassoc(((xv, c), (xc, xv)), ((xv, (c, xc)), xv))
+    # -> ((xv c) x) xv -> (xv (c x)) xv
+    m3 = (cat.tensor_mor(cat.associator(xv, c, xc), cat.id(xv))
+          @ cat.associator_inv(cat.tensor(xv, c), xc, xv))
     m4 = cat.tensor_mor(cat.tensor_mor(cat.id(xv), x.action), cat.id(xv))
     m5 = cat.tensor_mor(cat.ev_left(xc), cat.id(xv))         # -> 1 (x) xv
     m6 = cat.unitor_left(xv)
@@ -455,66 +433,53 @@ def direct_sum_modules(mods) -> tuple:
     return ModulePres(A, total, action, side="right"), incls, projs
 
 
-def split_idempotent_module(P: ModulePres, e: Mor):
-    """Image of an idempotent module endomorphism, as a module with
-    inclusion and retraction."""
+def split_idempotent_module(P: ModulePres, e: Mor) -> ModulePres:
+    """Image of an idempotent module endomorphism, as a module."""
     cat = P.cat
     q, incl_m, proj_m = _split_idempotent_obj(cat, P.carrier, e)
     c = P.algebra.carrier
     action = proj_m @ P.action @ cat.tensor_mor(incl_m, cat.id(c))
-    sub = ModulePres(P.algebra, q, action, side=P.side)
-    return sub, incl_m, proj_m
+    return ModulePres(P.algebra, q, action, side=P.side)
 
 
 # ---------------------------------------------------------------------------
 # simple modules
 
 class SimpleModulesResult:
-    def __init__(self, simples, mult_in_A, semisimple, ends):
-        self.simples = simples          # list of (ModulePres, incl, retr)
-        self.mult_in_A = mult_in_A      # multiplicities, or None if not ss
-        self.semisimple = semisimple
-        self.ends = ends                # corners e_i E e_i, or None
+    def __init__(self, simples, mult_in_A, ends):
+        self.simples = simples          # list of ModulePres
+        self.mult_in_A = mult_in_A      # multiplicities in A
+        self.ends = ends                # corners e_i E e_i
 
 
 def simple_modules(end: EndData) -> SimpleModulesResult:
-    """Simple right modules as images e P of primitive idempotents e of
-    E = End(P) for the free generator P; indecomposable projectives when
-    A is not semisimple (flagged).  `end` is `free_module_end(A)`.
+    """Simple right modules of a semisimple A as images e P of primitive
+    idempotents e of E = End(P) for the free generator P; `end` is
+    `free_module_end(A)`.  A non-semisimple E raises `NotSemisimple`.
 
-    When A is semisimple, `ends` holds End(e P) = eEe (Pierce 1982), the
-    corner of e in E, and the multiplicity of x = e P in A is
-    dim Hom_A(A, x) / dim End(x), where Hom_A(A, x) = Hom(1, x) by the
-    free-forget adjunction."""
+    `ends` holds End(e P) = eEe (Pierce 1982), the corner of e in E, and
+    the multiplicity of x = e P in A is dim Hom_A(A, x) / dim End(x), where
+    Hom_A(A, x) = Hom(1, x) by the free-forget adjunction."""
     frees = end.modules
     A = frees[0].algebra
     E = end.algebra
-    rad = radical(E)
-    semisimple = not rad
+    if radical(E):
+        raise NotSemisimple("simple modules require a semisimple algebra")
     psum = direct_sum_modules(frees)[0]
-    if rad:
-        Ebar, _project, lift = quotient_algebra(E, rad)
-    else:
-        Ebar, lift = E, list
-    simples = []
-    mult_in_A = ends = None
-    if semisimple:
-        mult_in_A, ends = [], []
-    for z in central_idempotents(Ebar):
-        ebar = block_primitive_idempotent(Ebar, z)
-        e = lift_idempotent(E, lift(ebar))
+    simples, mult_in_A, ends = [], [], []
+    for z in central_idempotents(E):
+        e = block_primitive_idempotent(E, z)
         # the natural representation acts on the direct sum of the frees
         e_sum = Mor(A.cat, psum.carrier, psum.carrier,
                     dict(zip(end.labels, E._rep_blocks_of_vec(e))))
-        sub, incl, retr = split_idempotent_module(psum, e_sum)
-        simples.append((sub, incl, retr))
-        if semisimple:
-            ends.append(corner(E, e)[0])
-            h = sum(sub.carrier.mult(u) for u in A.cat.unit_components)
-            if h % ends[-1].dim != 0:
-                raise ValidationFailure("inconsistent multiplicity count")
-            mult_in_A.append(h // ends[-1].dim)
-    return SimpleModulesResult(simples, mult_in_A, semisimple, ends)
+        sub = split_idempotent_module(psum, e_sum)
+        simples.append(sub)
+        ends.append(corner(E, e)[0])
+        h = sum(sub.carrier.mult(u) for u in A.cat.unit_components)
+        if h % ends[-1].dim != 0:
+            raise ValidationFailure("inconsistent multiplicity count")
+        mult_in_A.append(h // ends[-1].dim)
+    return SimpleModulesResult(simples, mult_in_A, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +492,11 @@ def free_bimodule(A: AlgebraPres, a: Obj) -> BimodulePres:
     inner = cat.tensor(c, a)
     carrier = cat.tensor(inner, c)
     # right action: ((A a) A) A -> (A a) (A A) -> (A a) A
-    m1 = cat.reassoc(((inner, c), c), (inner, (c, c)))
+    m1 = cat.associator(inner, c, c)
     right = cat.tensor_mor(cat.id(inner), A.mult) @ m1
-    # left action: A ((A a) A) -> ((A A) a) A -> (A a) A
-    t_src = (c, ((c, a), c))
-    t_mid = (((c, c), a), c)
-    m2 = cat.reassoc(t_src, t_mid)
+    # left action: A ((A a) A) -> (A (A a)) A -> ((A A) a) A -> (A a) A
+    m2 = (cat.tensor_mor(cat.associator_inv(c, c, a), cat.id(c))
+          @ cat.associator_inv(c, inner, c))
     left = cat.tensor_mor(cat.tensor_mor(A.mult, cat.id(a)), cat.id(c)) @ m2
     out = BimodulePres(A, carrier, left, right)
     out.generator = a
@@ -588,68 +552,6 @@ def bimodule_end_algebra(A: AlgebraPres) -> EndData:
         if not b.carrier.is_zero():
             gens.append(b)
     return EndData(gens, free_bimodule_maps, cat.field)
-
-
-# ---------------------------------------------------------------------------
-# internal end of a module (the algebra [x, x])
-
-def module_section(x: ModulePres):
-    """(F, eps, iota): free cover F of x, the action as a module
-    surjection eps: F -> x, and a module section iota with eps o iota = id."""
-    cat = x.cat
-    A = x.algebra
-    F = free_module(x.carrier, A)
-    eps = x.action       # x.carrier (x) A -> x, a module map F -> x
-    candidates = hom_basis(x, F)
-    if not candidates:
-        raise ValidationFailure("module has no maps into its free cover")
-    field = cat.field
-    target = cat.id(x.carrier).coords()
-    cols = [(eps @ m).coords() for m in candidates]
-    sol = Matrix.from_cols(field, cols).solve(target)
-    if sol is None:
-        raise ValidationFailure("module is not a retract of its free cover")
-    return F, eps, Mor.combine(sol, candidates)
-
-
-def module_internal_end(x: ModulePres) -> AlgebraPres:
-    """The algebra [x, x] as the corner e'[F, F]e' of the internal end of
-    the free cover F = a (x) A of x, where a is the carrier of x
-    (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories, 7.9;
-    Ostrik 2003).
-
-    [F, F] is the object T = F (x) a^v; its product evaluates the inner
-    a^v (x) a and acts on F, and e' is the name of the idempotent
-    e = iota o eps of F.  The analysis reads only the carrier, from
-    `internal_hom`; this builds the division algebra itself."""
-    cat = x.cat
-    A = x.algebra
-    a, c = x.carrier, A.carrier
-    av = cat.dual_obj(a)
-    F, eps, iota = module_section(x)
-    T = cat.tensor(F.carrier, av)
-    # the product m: T (x) T -> T of [F, F]: evaluate a^v (x) a, act on F
-    act = F.action @ cat.tensor_mor(
-        cat.id(F.carrier),
-        cat.unitor_left(c) @ cat.tensor_mor(cat.ev_left(a), cat.id(c))) \
-        @ cat.reassoc((((a, c), av), (a, c)), ((a, c), ((av, a), c)))
-    m = cat.tensor_mor(act, cat.id(av)) @ cat.associator_inv(T, F.carrier, av)
-    # the name 1 -> T of e, through j: a -> F
-    j = cat.tensor_mor(cat.id(a), A.unit) @ cat.unitor_right_inv(a)
-    name = cat.tensor_mor(iota @ eps @ j, cat.id(av)) @ cat.coev_left(a)
-    # p: t -> e' t e', the projection of T onto the corner
-    idT = cat.id(T)
-    left = m @ cat.tensor_mor(name, idT) @ cat.unitor_left_inv(T)
-    right = m @ cat.tensor_mor(idT, name) @ cat.unitor_right_inv(T)
-    p = right @ left
-    if p @ p != p:
-        raise ValidationFailure("conjugation by the idempotent is not "
-                                "idempotent")
-    sub, incl, retr = _split_idempotent_obj(cat, T, p)
-    alg = AlgebraPres(cat, sub, retr @ m @ cat.tensor_mor(incl, incl),
-                      retr @ name)
-    validate_algebra(alg).raise_if_failed()
-    return alg
 
 
 def _split_idempotent_obj(cat, T: Obj, e: Mor):

@@ -503,42 +503,6 @@ def subalgebra_on(field, basis, product, unit, vec=list) -> OrdAlgebra:
     return OrdAlgebra(field, dim, sc, sols[-1], validate=False)
 
 
-def quotient_algebra(E: OrdAlgebra, ideal_vectors):
-    """(E/I, project, lift) for a two-sided ideal I given by a basis."""
-    field = E.field
-    space = RowSpace(field, E.dim)
-    for v in ideal_vectors:
-        space.add(v)
-    pivots = set(space.pivots())
-    free = [k for k in range(E.dim) if k not in pivots]
-    if not free:
-        raise OrdAlgebraError("ideal is the whole algebra")
-
-    def project(v):
-        red = space.reduce(v)
-        return [red[k] for k in free]
-
-    def lift(coords):
-        z = field.zero()
-        out = [z] * E.dim
-        for k, c in zip(free, coords):
-            out[k] = c
-        return out
-
-    dim = len(free)
-    sc = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        bi = lift([field.one() if t == i else field.zero() for t in range(dim)])
-        for j in range(dim):
-            bj = lift([field.one() if t == j else field.zero()
-                       for t in range(dim)])
-            coords = project(E.mult_vec(bi, bj))
-            sc[i][j] = [(l, c) for l, c in enumerate(coords)
-                        if not c.is_zero()]
-    Ebar = OrdAlgebra(field, dim, sc, project(E.unit), validate=False)
-    return Ebar, project, lift
-
-
 # ---------------------------------------------------------------------------
 # division test
 
@@ -723,15 +687,14 @@ def _hilbert_p(a: Fraction, b: Fraction, p: int) -> int:
 
 class OrdModule:
     """Right module over an OrdAlgebra: one action matrix per basis element,
-    in row-vector convention (v . b_i = v @ action[i])."""
+    in row-vector convention (v . b_i = v @ action[i]).  Construction does
+    not check the module axioms; `_validate` does."""
 
-    def __init__(self, algebra: OrdAlgebra, dim: int, action, validate=True):
+    def __init__(self, algebra: OrdAlgebra, dim: int, action):
         self.algebra = algebra
         self.field = algebra.field
         self.dim = dim
         self.action = action
-        if validate:
-            self._validate()
 
     def _validate(self):
         E = self.algebra
@@ -783,20 +746,6 @@ class OrdModule:
             frontier = nxt
         return space.basis()
 
-    def restrict(self, sub_basis) -> "OrdModule":
-        field = self.field
-        E = self.algebra
-        k = len(sub_basis)
-        images = [self.act_vec(v, E.basis_vec(i))
-                  for i in range(E.dim) for v in sub_basis]
-        coords = Matrix.from_cols(field, sub_basis).solve_many(images)
-        if any(c is None for c in coords):
-            raise OrdAlgebraError("subspace is not a submodule")
-        action = [Matrix(field, coords[i * k:(i + 1) * k])
-                  for i in range(E.dim)]
-        return OrdModule(E, k, action, validate=False)
-
-
 def module_hom_space(M: OrdModule, N: OrdModule) -> list:
     """Basis of intertwiners M -> N (as dim_M x dim_N matrices, row conv.)."""
     field = M.field
@@ -843,7 +792,7 @@ def right_ideal_module(E: OrdAlgebra, support) -> OrdModule:
                 entries.append((r, pos[t], c))
         action.append(Matrix.from_entries(E.field, len(pos), len(pos),
                                           entries))
-    return OrdModule(E, len(pos), action, validate=False)
+    return OrdModule(E, len(pos), action)
 
 
 def module_is_simple(E: OrdAlgebra, M: OrdModule):
@@ -887,54 +836,6 @@ def _eval_poly_at_matrix(pol: Poly, m: Matrix) -> Matrix:
 def _left_kernel(m: Matrix) -> list:
     """Vectors v (rows) with v @ m = 0."""
     return m.transpose().kernel_basis()
-
-
-def decompose_module(E: OrdAlgebra, M: OrdModule) -> list:
-    """[(simple OrdModule, multiplicity)] for a module killed by the radical."""
-    if M.dim == 0:
-        return []
-    rad = radical(E)
-    for r in rad:
-        if not M.act_matrix(r).is_zero():
-            raise OrdAlgebraError("module is not annihilated by the radical")
-    if rad:
-        Ebar, project, lift = quotient_algebra(E, rad)
-        action = [M.act_matrix(lift(Ebar.basis_vec(i))) for i in
-                  range(Ebar.dim)]
-        Mbar = OrdModule(Ebar, M.dim, action, validate=False)
-        return decompose_module(Ebar, Mbar)
-    out = []
-    for z in central_idempotents(E):
-        pz = M.act_matrix(z)
-        block_rows = RowSpace(E.field, M.dim)
-        for r in range(pz.rows):
-            block_rows.add(pz.row(r))
-        if block_rows.dim() == 0:
-            continue
-        e = block_primitive_idempotent(E, z)
-        me_rows = RowSpace(E.field, M.dim)
-        for v in block_rows.basis():
-            me_rows.add(M.act_vec(v, e))
-        covered = RowSpace(E.field, M.dim)
-        count = 0
-        simple = None
-        for v in me_rows.basis():
-            if covered.contains(v):
-                continue
-            sub = M.spin(v)
-            if simple is None:
-                simple = M.restrict(sub)
-            else:
-                if len(sub) * (count + 1) > block_rows.dim():
-                    raise OrdAlgebraError("inconsistent isotypic split")
-            for w in sub:
-                covered.add(w)
-            count += 1
-        # e is primitive, so the simples spun from M e cover the block
-        if covered.dim() != block_rows.dim():
-            raise OrdAlgebraError("isotypic component not exhausted")
-        out.append((simple, count))
-    return out
 
 
 def corner(E: OrdAlgebra, e) -> tuple:

@@ -115,7 +115,7 @@ class AlgebraAnalysisContext:
       of the free modules on the unit components, so Hom_A(P, A) is the
       right ideal eps E, where eps is the sum of their identities;
     * `simples`: the simple modules split off `end`, with their End
-      algebras (corners of E) and multiplicities;
+      algebras (corners of E) and multiplicities; a semisimple A only;
     * `dual_module`: A^L, the left dual of A, as a right module;
     * `to_dual`, `from_dual`: bases of the module maps A -> A^L and
       A^L -> A;
@@ -161,7 +161,7 @@ class AlgebraAnalysisContext:
 
     @cached_property
     def internal_homs(self) -> dict:
-        sims = [s for s, _i, _r in self.simples.simples]
+        sims = self.simples.simples
         duals = [module_dual(s, "R") for s in sims]
         return {(i, j): internal_hom(si, sj, duals[j])
                 for i, si in enumerate(sims) for j, sj in enumerate(sims)}
@@ -439,12 +439,12 @@ def matrix_decomposition(C: CategoryPres, A: AlgebraPres,
 
     Every object is read from the internal-hom table of the context; the
     diagonal entry of x_i is the carrier of the division algebra
-    [x_i, x_i], which `modcat.module_internal_end` builds on request."""
+    [x_i, x_i]."""
     ctx = ctx or AlgebraAnalysisContext(C, A)
     if not is_semisimple_algebra(C, A, ctx):
         raise NotSemisimpleAlgebra("matrix decomposition needs semisimplicity")
     sm = ctx.simples
-    sims = [s for s, _i, _r in sm.simples]
+    sims = sm.simples
     mults = sm.mult_in_A
     classes = ctx.sim_classes
     connecting = ctx.internal_homs
@@ -599,16 +599,18 @@ def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
     division = is_division_algebra(C, A, ctx)
     verdicts["division"] = _flag(division)
 
-    # a simple algebra has a semisimple (indecomposable) module category,
-    # so non-semisimple input is definitively not simple
-    simple = is_simple_algebra(C, A, ctx) if semisimple else False
-    verdicts["simple"] = simple
-
+    # checked before the simple modules are split off, which needs a
+    # semisimple A
     if separable and not semisimple:
         raise OracleDisagreement("separable but not semisimple")
     if C.field.char == 0 and semisimple and not separable:
         raise OracleDisagreement(
             "characteristic zero: semisimple must imply separable")
+
+    # a simple algebra has a semisimple (indecomposable) module category,
+    # so non-semisimple input is definitively not simple
+    simple = is_simple_algebra(C, A, ctx) if semisimple else False
+    verdicts["simple"] = simple
 
     dim_value = None
     alpha = None

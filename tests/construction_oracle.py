@@ -1,0 +1,241 @@
+"""References and constructions that only the tests use.
+
+`reassoc` is the general rebracketing: the canonical iso between two
+bracketings of one leaf sequence, through the left comb of its leaves.
+The package writes each rebracketing it needs as the one- or two-step
+associator composite it stands for; by Mac Lane's coherence theorem
+(Categories for the Working Mathematician, VII.2) the two agree once the
+pentagon holds, and `test_rebracketing` checks that they do.
+
+The rest builds objects the analysis never needs: the algebra [x, x]
+itself (the analysis reads only its carrier, from `internal_hom`), the
+decomposition of an ordinary module over a semisimple algebra, the direct
+sum of two algebras, and the bimodule axioms.
+"""
+
+from tensorcat.algebra import AlgebraPres, _incl_proj, validate_algebra
+from tensorcat.fincat import (Mor, Obj, ValidationFailure,
+                              ValidationReport)
+from tensorcat.linalg import Matrix, RowSpace
+from tensorcat.modcat import (ModulePres, _split_idempotent_obj,
+                              free_module, hom_basis, validate_module)
+from tensorcat.ordalg import (OrdAlgebraError, OrdModule,
+                              block_primitive_idempotent,
+                              central_idempotents)
+
+
+# ---------------------------------------------------------------------------
+# general rebracketing
+
+def _leaves(tree) -> list:
+    if isinstance(tree, Obj):
+        return [tree]
+    return _leaves(tree[0]) + _leaves(tree[1])
+
+
+def _left_comb_iso(cat, tree, unfold: bool) -> Mor:
+    """The fold tree -> left comb of its leaves, or with unfold=True
+    its inverse.  Each direction is built without matrix inversions."""
+    if isinstance(tree, Obj):
+        return cat.id(tree)
+    left, right = tree
+    m = cat.tensor_mor(_left_comb_iso(cat, left, unfold),
+                       _left_comb_iso(cat, right, unfold))
+    merge = _merge_combs(cat, _leaves(left), _leaves(right), unfold)
+    return m @ merge if unfold else merge @ m
+
+
+def _comb_obj(cat, leaves):
+    acc = leaves[0]
+    for x in leaves[1:]:
+        acc = cat.tensor(acc, x)
+    return acc
+
+
+def _merge_combs(cat, lA, lB, unfold: bool) -> Mor:
+    """comb(lA) (x) comb(lB) -> comb(lA + lB), or with unfold=True
+    its inverse."""
+    X = _comb_obj(cat, lA)
+    if len(lB) == 1:
+        return cat.id(cat.tensor(X, lB[0]))
+    Y = _comb_obj(cat, lB[:-1])
+    z = lB[-1]
+    inner = cat.tensor_mor(_merge_combs(cat, lA, lB[:-1], unfold),
+                           cat.id(z))
+    if unfold:
+        return cat.associator(X, Y, z) @ inner
+    return inner @ cat.associator_inv(X, Y, z)
+
+
+def reassoc(cat, src_tree, dst_tree) -> Mor:
+    """Canonical iso between two bracketings of the same leaf sequence:
+    the fold of the source tree followed by the unfold of the target.
+    A tree is an Obj (a leaf) or a pair of trees."""
+    if [x.key for x in _leaves(src_tree)] \
+            != [y.key for y in _leaves(dst_tree)]:
+        raise ValueError("bracketings have different leaf sequences")
+    return (_left_comb_iso(cat, dst_tree, unfold=True)
+            @ _left_comb_iso(cat, src_tree, unfold=False))
+
+
+# ---------------------------------------------------------------------------
+# the internal end [x, x] of a module
+
+def module_section(x: ModulePres):
+    """(F, eps, iota): free cover F of x, the action as a module
+    surjection eps: F -> x, and a module section iota with eps o iota = id."""
+    cat = x.cat
+    A = x.algebra
+    F = free_module(x.carrier, A)
+    eps = x.action       # x.carrier (x) A -> x, a module map F -> x
+    candidates = hom_basis(x, F)
+    if not candidates:
+        raise ValidationFailure("module has no maps into its free cover")
+    field = cat.field
+    target = cat.id(x.carrier).coords()
+    cols = [(eps @ m).coords() for m in candidates]
+    sol = Matrix.from_cols(field, cols).solve(target)
+    if sol is None:
+        raise ValidationFailure("module is not a retract of its free cover")
+    return F, eps, Mor.combine(sol, candidates)
+
+
+def module_internal_end(x: ModulePres) -> AlgebraPres:
+    """The algebra [x, x] as the corner e'[F, F]e' of the internal end of
+    the free cover F = a (x) A of x, where a is the carrier of x
+    (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories, 7.9;
+    Ostrik 2003).
+
+    [F, F] is the object T = F (x) a^v; its product evaluates the inner
+    a^v (x) a and acts on F, and e' is the name of the idempotent
+    e = iota o eps of F."""
+    cat = x.cat
+    A = x.algebra
+    a, c = x.carrier, A.carrier
+    av = cat.dual_obj(a)
+    F, eps, iota = module_section(x)
+    T = cat.tensor(F.carrier, av)
+    # ((a c) av)(a c) -> (a c)(av (a c)) -> (a c)((av a) c)
+    rebracket = (cat.tensor_mor(cat.id(F.carrier),
+                                cat.associator_inv(av, a, c))
+                 @ cat.associator(F.carrier, av, F.carrier))
+    # the product m: T (x) T -> T of [F, F]: evaluate a^v (x) a, act on F
+    act = F.action @ cat.tensor_mor(
+        cat.id(F.carrier),
+        cat.unitor_left(c) @ cat.tensor_mor(cat.ev_left(a), cat.id(c))) \
+        @ rebracket
+    m = cat.tensor_mor(act, cat.id(av)) @ cat.associator_inv(T, F.carrier, av)
+    # the name 1 -> T of e, through j: a -> F
+    j = cat.tensor_mor(cat.id(a), A.unit) @ cat.unitor_right_inv(a)
+    name = cat.tensor_mor(iota @ eps @ j, cat.id(av)) @ cat.coev_left(a)
+    # p: t -> e' t e', the projection of T onto the corner
+    idT = cat.id(T)
+    left = m @ cat.tensor_mor(name, idT) @ cat.unitor_left_inv(T)
+    right = m @ cat.tensor_mor(idT, name) @ cat.unitor_right_inv(T)
+    p = right @ left
+    if p @ p != p:
+        raise ValidationFailure("conjugation by the idempotent is not "
+                                "idempotent")
+    sub, incl, retr = _split_idempotent_obj(cat, T, p)
+    alg = AlgebraPres(cat, sub, retr @ m @ cat.tensor_mor(incl, incl),
+                      retr @ name)
+    validate_algebra(alg).raise_if_failed()
+    return alg
+
+
+# ---------------------------------------------------------------------------
+# ordinary modules over a semisimple algebra
+
+def restrict(M: OrdModule, sub_basis) -> OrdModule:
+    """The submodule of M on the span of `sub_basis`."""
+    field = M.field
+    E = M.algebra
+    k = len(sub_basis)
+    images = [M.act_vec(v, E.basis_vec(i))
+              for i in range(E.dim) for v in sub_basis]
+    coords = Matrix.from_cols(field, sub_basis).solve_many(images)
+    if any(c is None for c in coords):
+        raise OrdAlgebraError("subspace is not a submodule")
+    action = [Matrix(field, coords[i * k:(i + 1) * k])
+              for i in range(E.dim)]
+    return OrdModule(E, k, action)
+
+
+def decompose_module(E, M: OrdModule) -> list:
+    """[(simple OrdModule, multiplicity)] for a module over a semisimple
+    algebra E; `central_idempotents` refuses any other E."""
+    if M.dim == 0:
+        return []
+    out = []
+    for z in central_idempotents(E):
+        pz = M.act_matrix(z)
+        block_rows = RowSpace(E.field, M.dim)
+        for r in range(pz.rows):
+            block_rows.add(pz.row(r))
+        if block_rows.dim() == 0:
+            continue
+        e = block_primitive_idempotent(E, z)
+        me_rows = RowSpace(E.field, M.dim)
+        for v in block_rows.basis():
+            me_rows.add(M.act_vec(v, e))
+        covered = RowSpace(E.field, M.dim)
+        count = 0
+        simple = None
+        for v in me_rows.basis():
+            if all(x.is_zero() for x in covered.reduce(v)):
+                continue
+            sub = M.spin(v)
+            if simple is None:
+                simple = restrict(M, sub)
+            else:
+                if len(sub) * (count + 1) > block_rows.dim():
+                    raise OrdAlgebraError("inconsistent isotypic split")
+            for w in sub:
+                covered.add(w)
+            count += 1
+        # e is primitive, so the simples spun from M e cover the block
+        if covered.dim() != block_rows.dim():
+            raise OrdAlgebraError("isotypic component not exhausted")
+        out.append((simple, count))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# direct sums of algebras and the bimodule axioms
+
+def direct_sum_algebra(A: AlgebraPres, B: AlgebraPres) -> AlgebraPres:
+    """Blockwise direct sum A (+) B."""
+    cat = A.cat
+    ca, cb = A.carrier, B.carrier
+    c = ca + cb
+    ia, pa = _incl_proj(cat, cat.zero_obj(), ca, c)
+    ib, pb = _incl_proj(cat, ca, cb, c)
+    mult = (ia @ A.mult @ cat.tensor_mor(pa, pa)
+            + ib @ B.mult @ cat.tensor_mor(pb, pb))
+    unit = ia @ A.unit + ib @ B.unit
+    return AlgebraPres(cat, c, mult, unit)
+
+
+def validate_bimodule(m) -> ValidationReport:
+    rep = ValidationReport("bimodule")
+    cat = m.cat
+    A = m.algebra
+    left = ModulePres(A, m.carrier, m.left_action, side="left")
+    right = ModulePres(A, m.carrier, m.right_action, side="right")
+    r1 = validate_module(left)
+    if not r1.ok:
+        rep.fail("left action: " + r1.failures[0])
+        return rep
+    r2 = validate_module(right)
+    if not r2.ok:
+        rep.fail("right action: " + r2.failures[0])
+        return rep
+    rep.checks_run += 1
+    c = A.carrier
+    x = m.carrier
+    lhs = m.right_action @ cat.tensor_mor(m.left_action, cat.id(c))
+    rhs = m.left_action @ cat.tensor_mor(cat.id(c), m.right_action) \
+        @ cat.associator(c, x, c)
+    if lhs != rhs:
+        rep.fail("left and right actions do not commute")
+    return rep

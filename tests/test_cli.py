@@ -382,7 +382,8 @@ def test_cli_exit_2_on_undetermined(tmp_path, capsys, monkeypatch):
     # with a starved search budget the adjoint-isomorphism criterion on a
     # two-block algebra cannot certify either way: every hom-basis element
     # is a one-block projection with singular beta
-    from tensorcat.algebra import direct_sum_algebra, trivial_algebra
+    from construction_oracle import direct_sum_algebra
+    from tensorcat.algebra import trivial_algebra
     from tensorcat.fileio import save_json
     cat = make_category("vec", {})
     two = direct_sum_algebra(trivial_algebra(cat), trivial_algebra(cat))

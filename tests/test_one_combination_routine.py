@@ -1,7 +1,8 @@
 """Every sum of matrices or morphisms goes through one routine.
 
-`Matrix.combine` and `Mor.combine` compute linear combinations on the `@`
-kernel, and `+`, `-`, negation and `scale` call them.  A loop that folds
+`Matrix.combine` computes linear combinations, accumulated row by row over
+the nonzero entries of each term; `Mor.combine` calls it block by block,
+and `+`, `-`, negation and `scale` call them.  A loop that folds
 terms one at a time with `x = t if x is None else x + t` would bring back a
 second way to add; this test fails if any module of `src/tensorcat` has
 one.

