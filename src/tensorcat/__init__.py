@@ -20,7 +20,7 @@ from .modcat import (BimodulePres, ModulePres, algebra_as_module,
                      free_module, free_module_end, hom_basis, internal_hom,
                      module_dual, rel_tensor, simple_modules,
                      validate_module)
-from .ordalg import (OrdAlgebra, OrdModule, UNDETERMINED, central_idempotents,
+from .ordalg import (OrdAlgebra, UNDETERMINED, central_idempotents,
                      center, is_division, is_semisimple,
                      is_separable_over_k, module_is_simple, radical)
 from .poly import (DegreeTooLarge, Poly, PolynomialError, Reducible, factor,

@@ -7,9 +7,12 @@ undetermined or the field is unsupported for a requested check;
 
 No library exception ends in a traceback.  Exit 1, the input is at
 fault: `FieldError`, `NotFusion`, `NotSemisimpleAlgebra`,
-`InseparableExtension`.  Exit 3, the engine is at fault:
-`OracleDisagreement`, `LinAlgError` (with `SingularMatrix`),
-`PreconditionViolated` (a criterion run outside its domain).
+`InseparableExtension`.  Exit 2, a bounded search gave up:
+`SeparatingElementNotFound` (no separating central element, or no
+splitting of a block, among the candidates searched; never guessed).
+Exit 3, the engine is at fault: `OracleDisagreement`, `LinAlgError`
+(with `SingularMatrix`), `PreconditionViolated` (a criterion run
+outside its domain), any other `OrdAlgebraError`.
 
 The environment variable TENSORCAT_BUDGET overrides the deterministic
 search budgets (default 4096 candidate evaluations).  It is checked
@@ -28,6 +31,7 @@ from .fileio import (FormatError, algebra_from_json, algebra_to_json,
                      category_from_json, category_to_json, dumps_canonical,
                      field_from_json, load_json, report_schema, save_json)
 from .linalg import LinAlgError
+from .ordalg import OrdAlgebraError, SeparatingElementNotFound
 from .structure import (InseparableExtension, NotFusion, NotSemisimpleAlgebra,
                         OracleDisagreement, PreconditionViolated, analyze,
                         base_extend_algebra, global_dimension,
@@ -452,10 +456,13 @@ def main(argv=None) -> int:
             NotFusion, NotSemisimpleAlgebra, InseparableExtension) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
+    except SeparatingElementNotFound as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_UNDETERMINED
     except OracleDisagreement as exc:
         sys.stderr.write(f"internal oracle disagreement: {exc}\n")
         return EXIT_DISAGREEMENT
-    except (LinAlgError, PreconditionViolated) as exc:
+    except (LinAlgError, PreconditionViolated, OrdAlgebraError) as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_DISAGREEMENT
 

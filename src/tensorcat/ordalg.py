@@ -16,12 +16,14 @@ algebras fall back to the left regular representation.
 Separability over the ground field, which decides the
 `endomorphism_separability` part of a report, is the solve for a
 separability idempotent in E (x) E.  Linear systems are built as
-matrices whose k-th column is the image of the k-th basis element;
-`module_hom_space`, whose unknowns are matrix entries, writes rows.
+matrices whose k-th column is the image of the k-th basis element.
+
+Simplicity of a right ideal eps E is read from E itself: eps must kill
+the radical, and the corner eps E eps, the endomorphism algebra of eps E,
+must be a division algebra.
 """
 
 from fractions import Fraction
-from operator import matmul
 
 from .fields import Field, Scalar
 from .linalg import Matrix, RowSpace
@@ -175,14 +177,6 @@ class OrdAlgebra:
 
     def __repr__(self):
         return f"OrdAlgebra(dim={self.dim} over {self.field!r})"
-
-
-def algebra_from_triples(field: Field, dim: int, triples, unit) -> OrdAlgebra:
-    """Construct from sparse [i, j, l, scalar] entries."""
-    sc = [[[] for _ in range(dim)] for _ in range(dim)]
-    for i, j, l, c in triples:
-        sc[i][j].append((l, field.scalar(c)))
-    return OrdAlgebra(field, dim, sc, [field.scalar(c) for c in unit])
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +351,6 @@ def is_semisimple(E: OrdAlgebra) -> bool:
     return not radical(E)
 
 
-def nilpotency_index(E: OrdAlgebra, vectors) -> int:
-    """Smallest m with (ideal spanned by vectors)^m = 0; raises if not nil."""
-    m = 1
-    cur = [list(v) for v in vectors]
-    while cur:
-        nxt_span = RowSpace(E.field, E.dim)
-        for v in cur:
-            for w in vectors:
-                nxt_span.add(E.mult_vec(v, w))
-        cur = nxt_span.basis()
-        m += 1
-        if m > E.dim + 1:
-            raise OrdAlgebraError("ideal is not nilpotent")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # center, minimal polynomials, idempotents
 
@@ -396,17 +374,15 @@ def min_poly_of_element(E: OrdAlgebra, x) -> Poly:
     return _krylov_min_poly(E.field, E.unit, lambda v: E.mult_vec(v, x))
 
 
-def _krylov_min_poly(field, start, step, vec=list) -> Poly:
+def _krylov_min_poly(field, start, step) -> Poly:
     """Monic polynomial of the first linear dependence in the sequence
-    start, step(start), step(step(start)), ..., read as vectors by `vec`."""
-    v = vec(start)
+    start, step(start), step(step(start)), ... of vectors."""
+    v = start
     space = RowSpace(field, len(v))
     powers = []
-    cur = start
     while space.add(v):
         powers.append(v)
-        cur = step(cur)
-        v = vec(cur)
+        v = step(v)
     sol = Matrix.from_cols(field, powers).solve(v)
     return Poly(field, [-c for c in sol] + [field.one()])
 
@@ -487,13 +463,13 @@ def lift_idempotent(E: OrdAlgebra, x) -> list:
     return e
 
 
-def subalgebra_on(field, basis, product, unit, vec=list) -> OrdAlgebra:
-    """The algebra on the span of `basis`, a space closed under `product`
-    that holds `unit`; `vec` reads an element as a coordinate vector.
-    Every product and the unit are solved against one elimination."""
+def subalgebra_on(field, basis, product, unit) -> OrdAlgebra:
+    """The algebra on the span of the vectors `basis`, a space closed
+    under `product` that holds `unit`.  Every product and the unit are
+    solved against one elimination."""
     dim = len(basis)
-    sols = Matrix.from_cols(field, [vec(b) for b in basis]).solve_many(
-        [vec(product(x, y)) for x in basis for y in basis] + [vec(unit)])
+    sols = Matrix.from_cols(field, basis).solve_many(
+        [product(x, y) for x in basis for y in basis] + [unit])
     if any(c is None for c in sols[:-1]):
         raise OrdAlgebraError("subspace is not closed under product")
     if sols[-1] is None:
@@ -550,6 +526,12 @@ def _min_poly_over_center(E, zc_vectors, x):
 
 
 def _is_division_char0_noncomm(E: OrdAlgebra):
+    for i in range(E.dim):
+        # a reducible minimal polynomial f = gh gives g(b) h(b) = 0 with
+        # both factors nonzero: a zero divisor
+        fac = factor(min_poly_of_element(E, E.basis_vec(i)))
+        if len(fac) > 1 or fac[0][1] > 1:
+            return False
     zc = center(E)
     if len(zc) != 1:
         # center must be a field; > 1 could still be a division algebra over
@@ -586,6 +568,9 @@ def _is_division_char0_noncomm(E: OrdAlgebra):
         b = coords[0]
         if b.is_zero():
             return False
+        if field.minpoly is not None:
+            # the Hilbert symbols below are those over Q
+            return UNDETERMINED
         return not _quaternion_splits(a.c[0], b.c[0])
     return UNDETERMINED
 
@@ -683,159 +668,25 @@ def _hilbert_p(a: Fraction, b: Fraction, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modules
+# simplicity of a right ideal
 
-class OrdModule:
-    """Right module over an OrdAlgebra: one action matrix per basis element,
-    in row-vector convention (v . b_i = v @ action[i]).  Construction does
-    not check the module axioms; `_validate` does."""
+def module_is_simple(E: OrdAlgebra, eps):
+    """Whether the right ideal eps E of the idempotent eps is a simple
+    right E-module; True/False/"undetermined", exact.
 
-    def __init__(self, algebra: OrdAlgebra, dim: int, action):
-        self.algebra = algebra
-        self.field = algebra.field
-        self.dim = dim
-        self.action = action
-
-    def _validate(self):
-        E = self.algebra
-        idm = Matrix.identity(self.field, self.dim)
-        unit_m = self.act_matrix(E.unit)
-        if unit_m != idm:
-            raise OrdAlgebraError("module unit law fails")
-        for i in range(E.dim):
-            for j in range(E.dim):
-                lhs = self.action[i] @ self.action[j]
-                rhs = self.act_matrix(E.mult_vec(E.basis_vec(i),
-                                                 E.basis_vec(j)))
-                if lhs != rhs:
-                    raise OrdAlgebraError(
-                        f"module action is not multiplicative at ({i},{j})")
-
-    def act_matrix(self, x) -> Matrix:
-        return Matrix.combine(x, self.action)
-
-    def act_vec(self, v, x) -> list:
-        """v . x = v @ act_matrix(x), without building that matrix."""
-        z = self.field.zero()
-        terms = [(c, self.action[i]) for i, c in enumerate(x)
-                 if not c.is_zero()]
-        out = [z] * self.dim
-        for j, vj in enumerate(v):
-            if vj.is_zero():
-                continue
-            for c, m in terms:
-                f = vj * c
-                for k, y in enumerate(m.row(j)):
-                    if not y.is_zero():
-                        out[k] = out[k] + f * y
-        return out
-
-    def spin(self, v) -> list:
-        """Basis of the submodule generated by v."""
-        E = self.algebra
-        space = RowSpace(self.field, self.dim)
-        space.add(v)
-        frontier = [list(v)]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(E.dim):
-                    u = self.act_vec(w, E.basis_vec(i))
-                    if space.add(u):
-                        nxt.append(u)
-            frontier = nxt
-        return space.basis()
-
-def module_hom_space(M: OrdModule, N: OrdModule) -> list:
-    """Basis of intertwiners M -> N (as dim_M x dim_N matrices, row conv.)."""
-    field = M.field
-    E = M.algebra
-    z = field.zero()
-    nunk = M.dim * N.dim
-    rows = []
-    for i in range(E.dim):
-        an_cols = [N.action[i].col(c) for c in range(N.dim)]
-        # constraint: am @ Phi - Phi @ an = 0
-        for r in range(M.dim):
-            am_row = M.action[i].row(r)
-            for c in range(N.dim):
-                row = [z] * nunk
-                for k, x in enumerate(am_row):
-                    if not x.is_zero():
-                        row[k * N.dim + c] = row[k * N.dim + c] + x
-                for k, x in enumerate(an_cols[c]):
-                    if not x.is_zero():
-                        row[r * N.dim + k] = row[r * N.dim + k] - x
-                rows.append(row)
-    if not rows:
-        rows = [[z] * nunk]
-    ker = Matrix(field, rows).kernel_basis()
-    out = []
-    for v in ker:
-        out.append(Matrix(field, [[v[r * N.dim + c] for c in range(N.dim)]
-                                  for r in range(M.dim)]))
-    return out
-
-
-def right_ideal_module(E: OrdAlgebra, support) -> OrdModule:
-    """The span of the basis elements `support` as a right E-module, its
-    action read from the structure constants; refused unless the span is
-    a right ideal."""
-    pos = {k: r for r, k in enumerate(support)}
-    action = []
-    for l in range(E.dim):
-        entries = []
-        for r, k in enumerate(support):
-            for t, c in E.sc[k][l]:
-                if t not in pos:
-                    raise OrdAlgebraError("the span is not a right ideal")
-                entries.append((r, pos[t], c))
-        action.append(Matrix.from_entries(E.field, len(pos), len(pos),
-                                          entries))
-    return OrdModule(E, len(pos), action)
-
-
-def module_is_simple(E: OrdAlgebra, M: OrdModule):
-    """True/False/"undetermined"; exact, no probabilistic shortcuts."""
-    if M.dim == 0:
+    eps E is simple iff eps J = 0 for the radical J and its endomorphism
+    algebra, the corner eps E eps, is a division algebra (Lam, A First
+    Course in Noncommutative Rings, 21): eps J = 0 makes eps E a module
+    over the semisimple E/J, and a semisimple module is simple iff its
+    endomorphism algebra is a division algebra."""
+    if E.mult_vec(eps, eps) != list(eps):
+        raise OrdAlgebraError("eps is not an idempotent")
+    if all(c.is_zero() for c in eps):
         return False
-    rad = radical(E)
-    for r in rad:
-        if not M.act_matrix(r).is_zero():
+    for r in radical(E):
+        if any(not c.is_zero() for c in E.mult_vec(eps, r)):
             return False
-    # cheap witness pass: spin kernel vectors of singular basis actions
-    idm = Matrix.identity(M.field, M.dim)
-    for a in M.action:
-        mu = _krylov_min_poly(M.field, idm, lambda c: c @ a, _flat)
-        for g, _m in factor(mu):
-            if g.degree == 0:
-                continue
-            km = _eval_poly_at_matrix(g, a)
-            for v in _left_kernel(km):
-                sub = M.spin(v)
-                if 0 < len(sub) < M.dim:
-                    return False
-    # certificate: the endomorphism algebra must be division
-    B = subalgebra_on(M.field, module_hom_space(M, M), matmul,
-                      Matrix.identity(M.field, M.dim), _flat)
-    return is_division(B)
-
-
-def _flat(m: Matrix) -> list:
-    """The entries of m row by row."""
-    return [x for i in range(m.rows) for x in m.row(i)]
-
-
-def _eval_poly_at_matrix(pol: Poly, m: Matrix) -> Matrix:
-    powers = [Matrix.identity(m.field, m.rows)]
-    for _ in range(pol.degree):
-        powers.append(powers[-1] @ m)
-    return Matrix.combine(pol.coeffs, powers)
-
-
-def _left_kernel(m: Matrix) -> list:
-    """Vectors v (rows) with v @ m = 0."""
-    return m.transpose().kernel_basis()
+    return is_division(corner(E, eps)[0])
 
 
 def corner(E: OrdAlgebra, e) -> tuple:

@@ -24,7 +24,7 @@ from .modcat import (EndData, ModulePres, algebra_as_module,
                      bimodule_end_algebra, free_module_end,
                      hom_basis, internal_hom, module_dual, simple_modules)
 from .ordalg import (UNDETERMINED, is_semisimple, is_separable_over_k,
-                     module_is_simple, radical, right_ideal_module)
+                     module_is_simple, radical)
 from .poly import Poly, is_separable_irreducible
 
 DEFAULT_BUDGET = 4096
@@ -113,7 +113,9 @@ class AlgebraAnalysisContext:
     * `division`: the three-valued division verdict, whether
       Hom_A(P, A) is a simple right E-module.  A = 1 (x) A is the sum
       of the free modules on the unit components, so Hom_A(P, A) is the
-      right ideal eps E, where eps is the sum of their identities;
+      right ideal eps E, where eps is the sum of their identities: the
+      unit of E on those diagonal blocks.  It is simple iff eps kills the
+      radical and the corner eps E eps is a division algebra;
     * `simples`: the simple modules split off `end`, with their End
       algebras (corners of E) and multiplicities; a semisimple A only;
     * `dual_module`: A^L, the left dual of A, as a right module;
@@ -138,10 +140,12 @@ class AlgebraAnalysisContext:
     @cached_property
     def division(self):
         units = self.C.unit_components
-        eps_E = [k for k, (i, _j, _m) in enumerate(self.end.basis)
-                 if self.end.modules[i].generator.support[0] in units]
-        return module_is_simple(self.end.algebra,
-                                right_ideal_module(self.end.algebra, eps_E))
+        end = self.end
+        zero = self.C.field.zero()
+        eps = [c if i == j and end.modules[i].generator.support[0] in units
+               else zero for c, (i, j, _m) in zip(end.algebra.unit,
+                                                  end.basis)]
+        return module_is_simple(end.algebra, eps)
 
     @cached_property
     def simples(self):

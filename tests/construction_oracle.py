@@ -8,9 +8,16 @@ associator composite it stands for; by Mac Lane's coherence theorem
 pentagon holds, and `test_rebracketing` checks that they do.
 
 The rest builds objects the analysis never needs: the algebra [x, x]
-itself (the analysis reads only its carrier, from `internal_hom`), the
-decomposition of an ordinary module over a semisimple algebra, the direct
-sum of two algebras, and the bimodule axioms.
+itself (the analysis reads only its carrier, from `internal_hom`), an
+ordinary algebra from its structure constants, right modules over an
+ordinary algebra with their hom spaces, simplicity and decomposition,
+the direct sum of two algebras, and the bimodule axioms.
+
+`module_is_simple_reference` decides simplicity of a module M the long
+way: it spins kernel vectors of singular actions for a proper
+submodule, then solves for End(M), with dim(M)^2 unknowns, and asks
+whether it is a division algebra.  The package reads the same verdict
+for a right ideal eps E from the corner eps E eps.
 """
 
 from tensorcat.algebra import AlgebraPres, _incl_proj, validate_algebra
@@ -19,9 +26,12 @@ from tensorcat.fincat import (Mor, Obj, ValidationFailure,
 from tensorcat.linalg import Matrix, RowSpace
 from tensorcat.modcat import (ModulePres, _split_idempotent_obj,
                               free_module, hom_basis, validate_module)
-from tensorcat.ordalg import (OrdAlgebraError, OrdModule,
+from tensorcat.ordalg import (OrdAlgebra, OrdAlgebraError,
+                              _krylov_min_poly,
                               block_primitive_idempotent,
-                              central_idempotents)
+                              central_idempotents, is_division, radical,
+                              subalgebra_on)
+from tensorcat.poly import factor
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +154,194 @@ def module_internal_end(x: ModulePres) -> AlgebraPres:
 
 
 # ---------------------------------------------------------------------------
-# ordinary modules over a semisimple algebra
+# ordinary algebras and their right modules
+
+def algebra_from_triples(field, dim: int, triples, unit) -> OrdAlgebra:
+    """Construct from sparse [i, j, l, scalar] entries."""
+    sc = [[[] for _ in range(dim)] for _ in range(dim)]
+    for i, j, l, c in triples:
+        sc[i][j].append((l, field.scalar(c)))
+    return OrdAlgebra(field, dim, sc, [field.scalar(c) for c in unit])
+
+
+def nilpotency_index(E: OrdAlgebra, vectors) -> int:
+    """Smallest m with (ideal spanned by vectors)^m = 0; raises if not nil."""
+    m = 1
+    cur = [list(v) for v in vectors]
+    while cur:
+        nxt_span = RowSpace(E.field, E.dim)
+        for v in cur:
+            for w in vectors:
+                nxt_span.add(E.mult_vec(v, w))
+        cur = nxt_span.basis()
+        m += 1
+        if m > E.dim + 1:
+            raise OrdAlgebraError("ideal is not nilpotent")
+    return m
+
+
+class OrdModule:
+    """Right module over an OrdAlgebra: one action matrix per basis element,
+    in row-vector convention (v . b_i = v @ action[i]).  Construction does
+    not check the module axioms; `_validate` does."""
+
+    def __init__(self, algebra: OrdAlgebra, dim: int, action):
+        self.algebra = algebra
+        self.field = algebra.field
+        self.dim = dim
+        self.action = action
+
+    def _validate(self):
+        E = self.algebra
+        idm = Matrix.identity(self.field, self.dim)
+        unit_m = self.act_matrix(E.unit)
+        if unit_m != idm:
+            raise OrdAlgebraError("module unit law fails")
+        for i in range(E.dim):
+            for j in range(E.dim):
+                lhs = self.action[i] @ self.action[j]
+                rhs = self.act_matrix(E.mult_vec(E.basis_vec(i),
+                                                 E.basis_vec(j)))
+                if lhs != rhs:
+                    raise OrdAlgebraError(
+                        f"module action is not multiplicative at ({i},{j})")
+
+    def act_matrix(self, x) -> Matrix:
+        return Matrix.combine(x, self.action)
+
+    def act_vec(self, v, x) -> list:
+        """v . x = v @ act_matrix(x)."""
+        return (Matrix(self.field, [v]) @ self.act_matrix(x)).row(0)
+
+    def spin(self, v) -> list:
+        """Basis of the submodule generated by v."""
+        E = self.algebra
+        space = RowSpace(self.field, self.dim)
+        space.add(v)
+        frontier = [list(v)]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for i in range(E.dim):
+                    u = self.act_vec(w, E.basis_vec(i))
+                    if space.add(u):
+                        nxt.append(u)
+            frontier = nxt
+        return space.basis()
+
+
+def regular_module(E: OrdAlgebra) -> OrdModule:
+    """E as a right module over itself: row j of the action of b_i is
+    b_j b_i."""
+    basis = [E.basis_vec(i) for i in range(E.dim)]
+    M = OrdModule(E, E.dim, [Matrix(E.field, [E.mult_vec(v, b)
+                                              for v in basis])
+                             for b in basis])
+    M._validate()
+    return M
+
+
+def right_ideal_module(E: OrdAlgebra, support) -> OrdModule:
+    """The span of the basis elements `support` as a right E-module, its
+    action read from the structure constants; refused unless the span is
+    a right ideal."""
+    pos = {k: r for r, k in enumerate(support)}
+    action = []
+    for l in range(E.dim):
+        entries = []
+        for r, k in enumerate(support):
+            for t, c in E.sc[k][l]:
+                if t not in pos:
+                    raise OrdAlgebraError("the span is not a right ideal")
+                entries.append((r, pos[t], c))
+        action.append(Matrix.from_entries(E.field, len(pos), len(pos),
+                                          entries))
+    return OrdModule(E, len(pos), action)
+
+
+def ideal_module(E: OrdAlgebra, eps) -> OrdModule:
+    """The right ideal eps E as a submodule of the regular module, on the
+    reduced echelon basis of the eps b_i."""
+    space = RowSpace(E.field, E.dim)
+    for i in range(E.dim):
+        space.add(E.mult_vec(eps, E.basis_vec(i)))
+    return restrict(regular_module(E), space.basis())
+
+
+def flat(m: Matrix) -> list:
+    """The entries of m row by row."""
+    return [x for i in range(m.rows) for x in m.row(i)]
+
+
+def unflat(field, n: int, v) -> Matrix:
+    """The n x n matrix whose entries, row by row, are v."""
+    return Matrix(field, [list(v[i * n:(i + 1) * n]) for i in range(n)])
+
+
+def matrix_subalgebra(field, n: int, mats) -> OrdAlgebra:
+    """The algebra on the span of the n x n matrices `mats`, a space
+    closed under products that holds the identity."""
+    def product(x, y):
+        return flat(unflat(field, n, x) @ unflat(field, n, y))
+    return subalgebra_on(field, [flat(m) for m in mats], product,
+                         flat(Matrix.identity(field, n)))
+
+
+def module_hom_space(M: OrdModule, N: OrdModule) -> list:
+    """Basis of intertwiners M -> N (as dim_M x dim_N matrices, row conv.)."""
+    field = M.field
+    E = M.algebra
+    z = field.zero()
+    nunk = M.dim * N.dim
+    rows = []
+    for i in range(E.dim):
+        an_cols = [N.action[i].col(c) for c in range(N.dim)]
+        # constraint: am @ Phi - Phi @ an = 0
+        for r in range(M.dim):
+            am_row = M.action[i].row(r)
+            for c in range(N.dim):
+                row = [z] * nunk
+                for k, x in enumerate(am_row):
+                    if not x.is_zero():
+                        row[k * N.dim + c] = row[k * N.dim + c] + x
+                for k, x in enumerate(an_cols[c]):
+                    if not x.is_zero():
+                        row[r * N.dim + k] = row[r * N.dim + k] - x
+                rows.append(row)
+    if not rows:
+        rows = [[z] * nunk]
+    ker = Matrix(field, rows).kernel_basis()
+    return [Matrix(field, [[v[r * N.dim + c] for c in range(N.dim)]
+                           for r in range(M.dim)]) for v in ker]
+
+
+def module_is_simple_reference(E: OrdAlgebra, M: OrdModule):
+    """True/False/"undetermined"; exact, no probabilistic shortcuts."""
+    if M.dim == 0:
+        return False
+    for r in radical(E):
+        if not M.act_matrix(r).is_zero():
+            return False
+    # witness pass: spin kernel vectors of singular basis actions
+    field, n = M.field, M.dim
+    for a in M.action:
+        mu = _krylov_min_poly(field, flat(Matrix.identity(field, n)),
+                              lambda v: flat(unflat(field, n, v) @ a))
+        for g, _m in factor(mu):
+            if g.degree == 0:
+                continue
+            powers = [Matrix.identity(field, n)]
+            for _ in range(g.degree):
+                powers.append(powers[-1] @ a)
+            km = Matrix.combine(g.coeffs, powers)
+            # the vectors v with v @ km = 0
+            for v in km.transpose().kernel_basis():
+                sub = M.spin(v)
+                if 0 < len(sub) < n:
+                    return False
+    # certificate: the endomorphism algebra must be division
+    return is_division(matrix_subalgebra(field, n, module_hom_space(M, M)))
+
 
 def restrict(M: OrdModule, sub_basis) -> OrdModule:
     """The submodule of M on the span of `sub_basis`."""

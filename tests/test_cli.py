@@ -402,6 +402,27 @@ def test_cli_exit_2_on_undetermined(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["oracle_agreement"]["separable_adjoint_iso"] is True
 
 
+def test_cli_exit_2_when_no_separating_element_is_found(tmp_path, capsys):
+    # the unit algebra of the 2x2 multi-fusion category over F_2 has a
+    # commutative End with a 4-dimensional center: no single central
+    # element separates its blocks over a field of 2 elements, and the
+    # bounded search reports that instead of guessing
+    cat = make_category("matrix_multifusion", {"n": 2, "field": 2})
+    cat_p = str(tmp_path / "c.json")
+    alg_p = str(tmp_path / "a.json")
+    with open(cat_p, "w") as fh:
+        fh.write(dumps_canonical(category_to_json(cat)))
+    with open(alg_p, "w") as fh:
+        fh.write(dumps_canonical(algebra_to_json(make_algebra(cat,
+                                                              "trivial"))))
+    for verb in ("analyze", "decompose"):
+        rc, out, err = run_cli(capsys, verb, cat_p, alg_p)
+        assert rc == 2, verb
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "separating" in err
+
+
 def test_cli_rejects_non_integer_budget(capsys, monkeypatch):
     monkeypatch.setenv("TENSORCAT_BUDGET", "abc")
     for argv in (("schema",), ("analyze", "c.json", "a.json")):
@@ -427,6 +448,7 @@ def test_cli_rejects_jobs_below_one(capsys, jobs):
 def _library_errors():
     from tensorcat.fields import FieldError
     from tensorcat.linalg import LinAlgError, SingularMatrix
+    from tensorcat.ordalg import OrdAlgebraError, SeparatingElementNotFound
     from tensorcat.structure import (InseparableExtension, NotFusion,
                                      NotSemisimpleAlgebra,
                                      OracleDisagreement,
@@ -444,6 +466,9 @@ def _library_errors():
          ("_cmd_base_extend", ("base-extend", "c.json", "--minpoly", "1,0,1",
                                "--out-category", "x.json")), 1),
         (OracleDisagreement("section vs bimodule radical"), analyze, 3),
+        (SeparatingElementNotFound("no separating central element"),
+         analyze, 2),
+        (OrdAlgebraError("idempotent lifting did not converge"), analyze, 3),
     ]
 
 
@@ -459,7 +484,6 @@ def test_cli_maps_library_errors_to_exit_codes(capsys, monkeypatch, exc,
     name, argv = command
     monkeypatch.setattr(cli, name, boom)
     rc, _, err = run_cli(capsys, *argv)
-    assert rc in (1, 3)
     assert rc == code
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and str(exc) in err

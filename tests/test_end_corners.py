@@ -3,18 +3,24 @@ module carriers.
 
 `simple_modules` takes each simple's End algebra as the corner eEe of its
 primitive idempotent e, and its multiplicity in A from Hom(1, x); the
-division verdict reads Hom_A(P, A) as the right ideal eps E.  The
-references build the same objects from hom bases of module carriers: the
-End data of each simple module on its own (by the kernel solve of
-`end_oracle`, since a simple module is not free), Hom_A(A, x), and
-Hom_A(P, A) as a module over E by precomposition.
+division verdict reads Hom_A(P, A) as the right ideal eps E and decides
+its simplicity from eps J = 0 and the corner eps E eps.  The references
+build the same objects from hom bases of module carriers: the End data
+of each simple module on its own (by the kernel solve of `end_oracle`,
+since a simple module is not free), Hom_A(A, x), and Hom_A(P, A) as a
+module over E by precomposition, whose simplicity
+`module_is_simple_reference` decides by spinning submodules and solving
+for its endomorphism algebra.
 """
 
+import pytest
+
+from construction_oracle import OrdModule, module_is_simple_reference
 from end_oracle import KernelSolveEnd
+from tensorcat.catalog import make_algebra, make_category
 from tensorcat.linalg import Matrix
 from tensorcat.modcat import EndData, algebra_as_module, hom_basis
-from tensorcat.ordalg import (OrdModule, is_separable_over_k,
-                              module_is_simple, radical)
+from tensorcat.ordalg import is_separable_over_k, radical
 from tensorcat.structure import AlgebraAnalysisContext
 
 
@@ -74,6 +80,55 @@ def test_division_reads_the_same_module_as_hom_into_A(corpus):
         ctx = AlgebraAnalysisContext(cat, alg)
         ref = _hom_module(ctx.end, algebra_as_module(alg))
         verdict = ctx.division
-        assert module_is_simple(ctx.end.algebra, ref) == verdict, name
+        assert module_is_simple_reference(ctx.end.algebra, ref) == verdict, \
+            name
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _vec(**params):
+    return ("vec", params)
+
+
+def _end(obj):
+    return ("internal_end", {"obj": obj})
+
+
+def _group(n):
+    return ("ordinary_group_algebra", {"n": n})
+
+
+REGULAR = ("regular_pointed", {})
+
+# the benchmark's ladder_q and charp inputs that the corpus lacks, then
+# inputs it leaves out: name -> (category, algebra), each (name, params)
+MORE_INPUTS = {
+    "pointed5/regular": (("pointed", {"n": 5}), REGULAR),
+    "vec_q/group3": (_vec(), _group(3)),
+    "vec_q/group4": (_vec(), _group(4)),
+    "vec_f2/group4": (_vec(field=2), _group(4)),
+    "vec_f5/group5": (_vec(field=5), _group(5)),
+    "z4_f3/regular": (("pointed", {"n": 4, "field": 3}), REGULAR),
+    "vec_f3/m2": (_vec(field=3), _end({"1": 2})),
+    "vec_q/m3": (_vec(), _end({"1": 3})),
+    "vec_q/group6": (_vec(), _group(6)),
+    "vec_q/group8": (_vec(), _group(8)),
+    "vec_f3/group6": (_vec(field=3), _group(6)),
+    "z4_f2/regular": (("pointed", {"n": 4, "field": 2}), REGULAR),
+    "fibonacci/end_1+t": (("fibonacci", {}), _end({"1": 1, "t": 1})),
+    "ising/end_1+sig": (("ising", {}), _end({"1": 1, "sig": 1})),
+    "ising/end_psi": (("ising", {}), _end({"psi": 1})),
+    "z2/end_2g1": (("pointed", {"n": 2}), _end({"g1": 2})),
+    "mmf2/end_e11+e12": (("matrix_multifusion", {"n": 2}),
+                         _end({"e11": 1, "e12": 1})),
+}
+
+
+@pytest.mark.parametrize("name", list(MORE_INPUTS))
+def test_corner_verdict_matches_the_reference(name):
+    (cat_name, cat_params), (kind, params) = MORE_INPUTS[name]
+    cat = make_category(cat_name, dict(cat_params))
+    alg = make_algebra(cat, kind, dict(params))
+    ctx = AlgebraAnalysisContext(cat, alg)
+    ref = _hom_module(ctx.end, algebra_as_module(alg))
+    assert ctx.division == module_is_simple_reference(ctx.end.algebra, ref)

@@ -29,10 +29,6 @@ ALLOWED = {
     "obj_tensor_module": "the action of the category on right modules; "
                          "tests check the module-category adjunction "
                          "through it",
-    "algebra_from_triples": "builds an ordinary algebra from structure "
-                            "constants, the tests' way to state one",
-    "nilpotency_index": "an independent oracle for the radical: tests "
-                        "check that it is a nilpotent ideal",
     "Poly.eval": "evaluation, the reference tests check `compose` against",
     "Matrix.scale": "public arithmetic beside `+`, `-` and negation; the "
                     "package's own sums call `Matrix.combine`",

@@ -1,28 +1,29 @@
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
-from operator import matmul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from construction_oracle import decompose_module
+from construction_oracle import (OrdModule, algebra_from_triples,
+                                 decompose_module, flat, ideal_module,
+                                 matrix_subalgebra, module_hom_space,
+                                 module_is_simple_reference,
+                                 nilpotency_index, regular_module,
+                                 right_ideal_module)
 from tensorcat.catalog import make_algebra
 from tensorcat.fields import Field
 from tensorcat.linalg import Matrix, RowSpace
 from tensorcat.modcat import bimodule_end_algebra
 from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
-                              OrdModule,
-                              UNDETERMINED, algebra_from_triples,
+                              UNDETERMINED,
                               center, central_idempotents, charpoly,
                               corner, is_division,
                               is_semisimple, is_separable_over_k,
-                              module_hom_space, module_is_simple,
-                              nilpotency_index, radical, right_ideal_module,
-                              subalgebra_on,
+                              module_is_simple, radical,
                               _anticommutant_element, _charpoly_of_blocks,
-                              _flat, _lin_comb, _quaternion_splits,
+                              _lin_comb, _quaternion_splits,
                               _trace_form_kernel)
 from tensorcat.poly import Poly, _frob_inverse
 
@@ -56,15 +57,15 @@ def matrix_algebra(field, n):
     return algebra_from_triples(field, n * n, trips, unit)
 
 
-def quaternions(a=-1, b=-1):
-    """The quaternion algebra (a, b) over Q: i^2 = a, j^2 = b, k = ij."""
+def quaternions(a=-1, b=-1, field=Q):
+    """The quaternion algebra (a, b): i^2 = a, j^2 = b, k = ij."""
     trips = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
              [1, 0, 1, 1], [2, 0, 2, 1], [3, 0, 3, 1],
              [1, 1, 0, a], [2, 2, 0, b], [3, 3, 0, -a * b],
              [1, 2, 3, 1], [2, 1, 3, -1],
              [1, 3, 2, a], [3, 1, 2, -a],
              [2, 3, 1, -b], [3, 2, 1, b]]
-    return algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])
+    return algebra_from_triples(field, 4, trips, [1, 0, 0, 0])
 
 
 def truncated_poly(field, n):
@@ -80,16 +81,6 @@ def direct_sum(E, F):
                            for i, j, l, c in _triples(F)]
     return algebra_from_triples(E.field, n + F.dim, trips,
                                 list(E.unit) + list(F.unit))
-
-
-def regular_module(E):
-    # row j of the action of e_i is e_j e_i (row-vector convention)
-    basis = [E.basis_vec(i) for i in range(E.dim)]
-    M = OrdModule(E, E.dim, [Matrix(E.field, [E.mult_vec(v, b)
-                                              for v in basis])
-                             for b in basis])
-    M._validate()
-    return M
 
 
 def test_radical_of_semisimple_sum():
@@ -212,6 +203,21 @@ def test_quaternion_division_over_q():
         assert is_division(quaternions(a, b)) is False, (a, b)
 
 
+def test_quaternions_over_a_number_field_are_undetermined():
+    # the norm-form test reads Hilbert symbols over Q only: (phi, -1)
+    # has a degenerate rational part, and (3 + phi, 3) is not (3, 3)
+    phi, three_plus_phi = QPHI.gen(), QPHI.scalar([3, 1])
+    for a, b in ((phi, QPHI.scalar(-1)), (three_plus_phi, QPHI.scalar(3))):
+        assert is_division(quaternions(a, b, QPHI)) == UNDETERMINED
+
+
+def test_matrix_algebra_with_a_zero_divisor_in_its_basis_is_not_division():
+    # M_3(Q) has a centre of dimension 1 but dimension 9, past the
+    # quaternion route; e_11 has the reducible minimal polynomial t^2 - t
+    assert is_division(matrix_algebra(Q, 3)) is False
+    assert is_division(quaternions(1, 1)) is False
+
+
 def test_split_quaternion_like_detected():
     # (1, 1): i^2 = j^2 = +1 gives a split algebra (isomorphic to M2)
     trips = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
@@ -231,15 +237,16 @@ def test_module_simplicity():
     assert len(dec) == 1
     simple, mult = dec[0]
     assert (simple.dim, mult) == (2, 2)
-    assert module_is_simple(E, simple) is True
-    assert module_is_simple(E, reg) is False
+    assert module_is_simple_reference(E, simple) is True
+    assert module_is_simple_reference(E, reg) is False
 
 
 def test_regular_module_of_field_is_simple():
     f4 = algebra_from_triples(
         F2, 2, [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1],
                 [1, 1, 0, 1], [1, 1, 1, 1]], [1, 0])
-    assert module_is_simple(f4, regular_module(f4)) is True
+    assert module_is_simple_reference(f4, regular_module(f4)) is True
+    assert module_is_simple(f4, f4.unit) is True
 
 
 def test_decompose_q_z2():
@@ -295,10 +302,44 @@ def test_right_ideal_module():
     # E_11 M_2 spans E_11, E_12: the simple module of M_2
     E = matrix_algebra(Q, 2)
     row = right_ideal_module(E, [0, 1])
-    assert row.dim == 2 and module_is_simple(E, row) is True
+    assert row.dim == 2 and module_is_simple_reference(E, row) is True
     row._validate()
     with pytest.raises(OrdAlgebraError, match="right ideal"):
         right_ideal_module(E, [0])
+
+
+def test_corner_verdict_on_upper_triangular():
+    # T_2 in the basis e11, e12, e22: e11 T_2 spans e11, e12 and e11 kills
+    # no radical element e12; e22 T_2 is the line of e22, a simple module
+    for field in (Q, F2):
+        E = upper_triangular(field)
+        z, one = field.zero(), field.one()
+        e11, e22 = [one, z, z], [z, z, one]
+        assert module_is_simple(E, e11) is False
+        assert module_is_simple_reference(
+            E, right_ideal_module(E, [0, 1])) is False
+        assert module_is_simple(E, e22) is True
+        assert module_is_simple_reference(
+            E, right_ideal_module(E, [2])) is True
+
+
+def test_module_is_simple_refuses_a_non_idempotent():
+    E = matrix_algebra(Q, 2)
+    with pytest.raises(OrdAlgebraError, match="idempotent"):
+        module_is_simple(E, [Q.scalar(2), Q.zero(), Q.zero(), Q.zero()])
+    assert module_is_simple(E, [Q.zero()] * 4) is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_corner_verdict_matches_the_reference_on_drawn_algebras(data):
+    E = _drawn_algebra(data)
+    idempotents = [E.unit]
+    if is_semisimple(E):
+        idempotents += central_idempotents(E)
+    for eps in idempotents:
+        assert module_is_simple(E, eps) == \
+            module_is_simple_reference(E, ideal_module(E, eps))
 
 
 def test_module_hom_space():
@@ -639,10 +680,10 @@ def _left_mult_reference(E, x):
 def _endo_algebra_reference(M, end_basis):
     field = M.field
     dimE = len(end_basis)
-    solver = Matrix.from_cols(field, [_flat(m) for m in end_basis])
-    rhs = [_flat(end_basis[i] @ end_basis[j])
+    solver = Matrix.from_cols(field, [flat(m) for m in end_basis])
+    rhs = [flat(end_basis[i] @ end_basis[j])
            for i in range(dimE) for j in range(dimE)]
-    rhs.append(_flat(Matrix.identity(field, M.dim)))
+    rhs.append(flat(Matrix.identity(field, M.dim)))
     sols = solver.solve_many(rhs)
     sc = [[[(l, c) for l, c in enumerate(sols[i * dimE + j])
             if not c.is_zero()] for j in range(dimE)] for i in range(dimE)]
@@ -662,8 +703,7 @@ def test_image_built_systems_match_row_built_references(data):
     assert _anticommutant_element(E, x) == _anticommutant_reference(E, x)
     M = regular_module(E)
     end_basis = module_hom_space(M, M)
-    B = subalgebra_on(field, end_basis, matmul,
-                      Matrix.identity(field, M.dim), _flat)
+    B = matrix_subalgebra(field, M.dim, end_basis)
     ref = _endo_algebra_reference(M, end_basis)
     assert (B.sc, B.unit) == (ref.sc, ref.unit)
 
@@ -827,10 +867,10 @@ def _generated_algebra(field, gens):
     todo = [Matrix.identity(field, n)]
     while todo:
         m = todo.pop()
-        if space.add(_flat(m)):
+        if space.add(flat(m)):
             basis.append(m)
             todo += [m @ g for g in gens]
-    E = subalgebra_on(field, basis, matmul, Matrix.identity(field, n), _flat)
+    E = matrix_subalgebra(field, n, basis)
     return E, OrdAlgebra(field, E.dim, E.sc, E.unit, rep=[[b] for b in basis])
 
 

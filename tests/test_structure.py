@@ -449,7 +449,8 @@ def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
     # hom bases are taken only for the blocks of the free-module End and
     # for A -> A^L and A^L -> A: the simples' End algebras are corners of
     # that End, their multiplicities read Hom(1, x_i), and the division
-    # verdict reads Hom_A(P, A) as a right ideal of it
+    # verdict reads Hom_A(P, A) as a right ideal eps E of it, through the
+    # corner eps E eps
     import tensorcat.modcat as modcat
     import tensorcat.structure as structure
     pairs = []
