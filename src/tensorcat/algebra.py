@@ -6,7 +6,6 @@ laws as exact matrix identities.
 """
 
 from .fincat import CategoryPres, Mor, Obj, ValidationFailure, ValidationReport
-from .linalg import Matrix
 
 
 class AlgebraPres:
@@ -75,16 +74,3 @@ def internal_end(cat: CategoryPres, a: Obj) -> AlgebraPres:
     unit = cat.coev_left(a)
     return AlgebraPres(cat, T, mult, unit)
 
-
-def _incl_proj(cat, before: Obj, part: Obj, total: Obj):
-    """Inclusion and projection for the summand `part` of `total`, placed
-    after the summand `before`."""
-    iblocks, pblocks = {}, {}
-    one = cat.field.one()
-    for a in part.support:
-        off, n, t = before.mult(a), part.mult(a), total.mult(a)
-        iblocks[a] = Matrix.from_entries(
-            cat.field, t, n, [(off + j, j, one) for j in range(n)])
-        pblocks[a] = Matrix.from_entries(
-            cat.field, n, t, [(j, off + j, one) for j in range(n)])
-    return Mor(cat, part, total, iblocks), Mor(cat, total, part, pblocks)

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success; 1 invalid input data (parse or validation
 failures, bad flags); 2 analysis completed but some verdict is
-undetermined or the field is unsupported for a requested check;
-3 internal error (a bug, never expected on valid data).
+undetermined; 3 internal error (a bug, never expected on valid data).
 
 No library exception ends in a traceback.  Exit 1, the input is at
 fault: `FieldError`, `NotFusion`, `NotSemisimpleAlgebra`,

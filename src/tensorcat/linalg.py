@@ -357,9 +357,8 @@ class RowSpace:
     kept in `rest`.  Rows are sparse, dicts from column to coefficient
     tuple.  A stored row leaves out its pivot, whose entry is one, and is
     zero at every other pivot, so reducing a row against the space
-    touches only the stored rows at its own pivot columns.  `add`,
-    `reduce`, `contains` and `basis` take and give dense lists of
-    Scalars.
+    touches only the stored rows at its own pivot columns.  `add` and
+    `basis` take and give dense lists of Scalars.
     """
 
     __slots__ = ("field", "width", "limit", "_rows", "leads", "rest")
@@ -412,9 +411,6 @@ class RowSpace:
         """The stored rows with their pivots, in pivot order."""
         oc = self.field.one().c
         return [{piv: oc, **self._rows[piv]} for piv in self.pivots()]
-
-    def reduce(self, v) -> list:
-        return self._dense(self._reduce(self._sparse(v)))
 
     def add(self, v) -> bool:
         """Reduce and insert; True if the space grew."""

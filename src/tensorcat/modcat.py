@@ -1,15 +1,16 @@
 """Modules and bimodules over an algebra inside a category presentation.
 
 Everything reduces to exact linear algebra: hom spaces between modules
-are kernels of intertwining systems, relative tensor products are split
-cokernels, and endomorphism algebras of projective generators land in
-`ordalg` where radicals and idempotents decide all structure questions.
+are kernels of intertwining systems, relative tensor products are
+cokernels whose objects are read from ranks, and endomorphism algebras
+of projective generators land in `ordalg` where radicals and idempotents
+decide all structure questions.
 """
 
-from .algebra import AlgebraPres, _incl_proj
+from .algebra import AlgebraPres
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
                      hom_coords, hom_dim, hom_unit_basis, mor_from_coords)
-from .linalg import Matrix, RowSpace, SingularMatrix
+from .linalg import Matrix, SingularMatrix
 from .ordalg import (NotSemisimple, OrdAlgebra, block_primitive_idempotent,
                      central_idempotents, corner, radical)
 
@@ -290,6 +291,13 @@ class EndData:
             raise ValidationFailure("morphism outside the hom space")
         return out
 
+    def diagonal_unit(self, keep) -> list:
+        """The unit of E restricted to the blocks (j, j) for j in `keep`:
+        the sum of the identities of those free modules."""
+        zero = self.field.zero()
+        return [c if i == j and j in keep else zero
+                for c, (i, j, _m) in zip(self.algebra.unit, self.basis)]
+
     def _build_algebra(self) -> OrdAlgebra:
         field = self.field
         n = len(self.basis)
@@ -361,10 +369,12 @@ def free_module_end(A: AlgebraPres) -> EndData:
 # ---------------------------------------------------------------------------
 # relative tensor and internal hom
 
-def rel_tensor(x: ModulePres, y: ModulePres):
-    """Coequalizer x (x)_A y of a right and a left module.
+def rel_tensor(x: ModulePres, y: ModulePres) -> Obj:
+    """The object of the coequalizer x (x)_A y of a right and a left module.
 
-    Returns (object, projection from x (x) y)."""
+    At each label a it is the cokernel of the block at a of
+    act_x (x) id - (id (x) act_y) o alpha on x (x) y, so its multiplicity
+    is that of x (x) y less the rank of the block."""
     if x.side != "right" or y.side != "left":
         raise ValidationFailure("rel_tensor needs (right, left) modules")
     cat = x.cat
@@ -374,28 +384,8 @@ def rel_tensor(x: ModulePres, y: ModulePres):
     f2 = cat.tensor_mor(cat.id(xc), y.action) @ cat.associator(xc, c, yc)
     diff = f1 - f2
     total = cat.tensor(xc, yc)
-    field = cat.field
-    blocks = {}
-    mults = {}
-    for a in total.support:
-        img = diff.block(a)
-        space = RowSpace(field, total.mult(a))
-        for j in range(img.cols):
-            space.add(img.col(j))
-        pivots = set(space.pivots())
-        free = [k for k in range(total.mult(a)) if k not in pivots]
-        mults[a] = len(free)
-        cols = []
-        for col in range(total.mult(a)):
-            e = [field.zero()] * total.mult(a)
-            e[col] = field.one()
-            red = space.reduce(e)
-            cols.append([red[k] for k in free])
-        blocks[a] = Matrix.from_cols(field, cols)
-    q = Obj(cat, mults)
-    proj_mor = Mor(cat, total, q, {a: m for a, m in blocks.items()
-                                   if q.mult(a)})
-    return q, proj_mor
+    return Obj(cat, {a: total.mult(a) - diff.block(a).rank()
+                     for a in total.support})
 
 
 def internal_hom(x: ModulePres, y: ModulePres,
@@ -405,33 +395,11 @@ def internal_hom(x: ModulePres, y: ModulePres,
     `y_dual` is `module_dual(y, "R")`, for a caller that already has it."""
     if y_dual is None:
         y_dual = module_dual(y, "R")
-    q, _p = rel_tensor(x, y_dual)
-    return x.cat.dual_obj(q)
+    return x.cat.dual_obj(rel_tensor(x, y_dual))
 
 
 # ---------------------------------------------------------------------------
-# direct sums and idempotent images of modules
-
-def direct_sum_modules(mods) -> tuple:
-    """(sum module, inclusions, projections)."""
-    cat = mods[0].cat
-    A = mods[0].algebra
-    total = mods[0].carrier
-    for m in mods[1:]:
-        total = total + m.carrier
-    incls, projs = [], []
-    off = Obj(cat, {})
-    for m in mods:
-        i, p = _incl_proj(cat, off, m.carrier, total)
-        incls.append(i)
-        projs.append(p)
-        off = off + m.carrier
-    c = A.carrier
-    action = Mor.combine([cat.field.one()] * len(mods),
-                         [i @ m.action @ cat.tensor_mor(p, cat.id(c))
-                          for m, i, p in zip(mods, incls, projs)])
-    return ModulePres(A, total, action, side="right"), incls, projs
-
+# idempotent images of modules
 
 def split_idempotent_module(P: ModulePres, e: Mor) -> ModulePres:
     """Image of an idempotent module endomorphism, as a module."""
@@ -453,26 +421,34 @@ class SimpleModulesResult:
 
 
 def simple_modules(end: EndData) -> SimpleModulesResult:
-    """Simple right modules of a semisimple A as images e P of primitive
-    idempotents e of E = End(P) for the free generator P; `end` is
+    """Simple right modules of a semisimple A, one per block zE of
+    E = End(P) for the free generator P = (+)_j P_j; `end` is
     `free_module_end(A)`.  A non-semisimple E raises `NotSemisimple`.
 
-    `ends` holds End(e P) = eEe (Pierce 1982), the corner of e in E, and
-    the multiplicity of x = e P in A is dim Hom_A(A, x) / dim End(x), where
+    Each is x = e P_j for the first free module P_j whose identity 1_j
+    the central idempotent z does not kill, and a primitive idempotent e
+    below z 1_j: the corner of z 1_j in the simple block zE is simple,
+    and e lies in the block (j, j) of E, the module maps P_j -> P_j.
+    The simples of one block are isomorphic, so any j gives the same x.
+
+    `ends` holds End(x) = eEe (Pierce 1982), the corner of e in E, and
+    the multiplicity of x in A is dim Hom_A(A, x) / dim End(x), where
     Hom_A(A, x) = Hom(1, x) by the free-forget adjunction."""
     frees = end.modules
     A = frees[0].algebra
     E = end.algebra
     if radical(E):
         raise NotSemisimple("simple modules require a semisimple algebra")
-    psum = direct_sum_modules(frees)[0]
     simples, mult_in_A, ends = [], [], []
     for z in central_idempotents(E):
-        e = block_primitive_idempotent(E, z)
-        # the natural representation acts on the direct sum of the frees
-        e_sum = Mor(A.cat, psum.carrier, psum.carrier,
-                    dict(zip(end.labels, E._rep_blocks_of_vec(e))))
-        sub = split_idempotent_module(psum, e_sum)
+        for j in range(len(frees)):
+            zj = E.mult_vec(z, end.diagonal_unit({j}))
+            if any(not c.is_zero() for c in zj):
+                break
+        e = block_primitive_idempotent(E, zj)
+        coeffs = [c for c, (i, k, _m) in zip(e, end.basis) if i == k == j]
+        sub = split_idempotent_module(
+            frees[j], Mor.combine(coeffs, end.blocks[(j, j)]))
         simples.append(sub)
         ends.append(corner(E, e)[0])
         h = sum(sub.carrier.mult(u) for u in A.cat.unit_components)

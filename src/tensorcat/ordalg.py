@@ -34,10 +34,6 @@ class OrdAlgebraError(Exception):
     pass
 
 
-class UnsupportedField(OrdAlgebraError):
-    pass
-
-
 class NotSemisimple(OrdAlgebraError):
     pass
 

@@ -141,11 +141,9 @@ class AlgebraAnalysisContext:
     def division(self):
         units = self.C.unit_components
         end = self.end
-        zero = self.C.field.zero()
-        eps = [c if i == j and end.modules[i].generator.support[0] in units
-               else zero for c, (i, j, _m) in zip(end.algebra.unit,
-                                                  end.basis)]
-        return module_is_simple(end.algebra, eps)
+        keep = {j for j, p in enumerate(end.modules)
+                if p.generator.support[0] in units}
+        return module_is_simple(end.algebra, end.diagonal_unit(keep))
 
     @cached_property
     def simples(self):

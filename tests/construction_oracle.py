@@ -11,7 +11,11 @@ The rest builds objects the analysis never needs: the algebra [x, x]
 itself (the analysis reads only its carrier, from `internal_hom`), an
 ordinary algebra from its structure constants, right modules over an
 ordinary algebra with their hom spaces, simplicity and decomposition,
-the direct sum of two algebras, and the bimodule axioms.
+the direct sum of two algebras or of modules, and the bimodule axioms.
+
+`simple_modules_reference` splits each simple module off the direct sum
+of all the free modules, through the natural representation of
+E = End(P).  The package splits it off one free module P_j instead.
 
 `module_is_simple_reference` decides simplicity of a module M the long
 way: it spins kernel vectors of singular actions for a proper
@@ -20,17 +24,18 @@ whether it is a division algebra.  The package reads the same verdict
 for a right ideal eps E from the corner eps E eps.
 """
 
-from tensorcat.algebra import AlgebraPres, _incl_proj, validate_algebra
+from tensorcat.algebra import AlgebraPres, validate_algebra
 from tensorcat.fincat import (Mor, Obj, ValidationFailure,
                               ValidationReport)
 from tensorcat.linalg import Matrix, RowSpace
-from tensorcat.modcat import (ModulePres, _split_idempotent_obj,
-                              free_module, hom_basis, validate_module)
-from tensorcat.ordalg import (OrdAlgebra, OrdAlgebraError,
+from tensorcat.modcat import (EndData, ModulePres, SimpleModulesResult,
+                              _split_idempotent_obj, free_module, hom_basis,
+                              split_idempotent_module, validate_module)
+from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               _krylov_min_poly,
                               block_primitive_idempotent,
-                              central_idempotents, is_division, radical,
-                              subalgebra_on)
+                              central_idempotents, corner, is_division,
+                              radical, subalgebra_on)
 from tensorcat.poly import factor
 
 
@@ -379,7 +384,8 @@ def decompose_module(E, M: OrdModule) -> list:
         count = 0
         simple = None
         for v in me_rows.basis():
-            if all(x.is_zero() for x in covered.reduce(v)):
+            # add refuses, and changes nothing, when v lies in `covered`
+            if not covered.add(v):
                 continue
             sub = M.spin(v)
             if simple is None:
@@ -398,7 +404,68 @@ def decompose_module(E, M: OrdModule) -> list:
 
 
 # ---------------------------------------------------------------------------
-# direct sums of algebras and the bimodule axioms
+# direct sums of algebras and modules, and the bimodule axioms
+
+def _incl_proj(cat, before: Obj, part: Obj, total: Obj):
+    """Inclusion and projection for the summand `part` of `total`, placed
+    after the summand `before`."""
+    iblocks, pblocks = {}, {}
+    one = cat.field.one()
+    for a in part.support:
+        off, n, t = before.mult(a), part.mult(a), total.mult(a)
+        iblocks[a] = Matrix.from_entries(
+            cat.field, t, n, [(off + j, j, one) for j in range(n)])
+        pblocks[a] = Matrix.from_entries(
+            cat.field, n, t, [(j, off + j, one) for j in range(n)])
+    return Mor(cat, part, total, iblocks), Mor(cat, total, part, pblocks)
+
+
+def direct_sum_modules(mods) -> tuple:
+    """(sum module, inclusions, projections)."""
+    cat = mods[0].cat
+    A = mods[0].algebra
+    total = mods[0].carrier
+    for m in mods[1:]:
+        total = total + m.carrier
+    incls, projs = [], []
+    off = Obj(cat, {})
+    for m in mods:
+        i, p = _incl_proj(cat, off, m.carrier, total)
+        incls.append(i)
+        projs.append(p)
+        off = off + m.carrier
+    c = A.carrier
+    action = Mor.combine([cat.field.one()] * len(mods),
+                         [i @ m.action @ cat.tensor_mor(p, cat.id(c))
+                          for m, i, p in zip(mods, incls, projs)])
+    return ModulePres(A, total, action, side="right"), incls, projs
+
+
+def simple_modules_reference(end: EndData) -> SimpleModulesResult:
+    """The simple modules of a semisimple A split off the direct sum of all
+    the free modules: for each central idempotent z of E, the image of a
+    primitive idempotent e below z, acting on that sum through the
+    natural representation of E."""
+    frees = end.modules
+    A = frees[0].algebra
+    E = end.algebra
+    if radical(E):
+        raise NotSemisimple("simple modules require a semisimple algebra")
+    psum = direct_sum_modules(frees)[0]
+    simples, mult_in_A, ends = [], [], []
+    for z in central_idempotents(E):
+        e = block_primitive_idempotent(E, z)
+        e_sum = Mor(A.cat, psum.carrier, psum.carrier,
+                    dict(zip(end.labels, E._rep_blocks_of_vec(e))))
+        sub = split_idempotent_module(psum, e_sum)
+        simples.append(sub)
+        ends.append(corner(E, e)[0])
+        h = sum(sub.carrier.mult(u) for u in A.cat.unit_components)
+        if h % ends[-1].dim != 0:
+            raise ValidationFailure("inconsistent multiplicity count")
+        mult_in_A.append(h // ends[-1].dim)
+    return SimpleModulesResult(simples, mult_in_A, ends)
+
 
 def direct_sum_algebra(A: AlgebraPres, B: AlgebraPres) -> AlgebraPres:
     """Blockwise direct sum A (+) B."""

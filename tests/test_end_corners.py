@@ -10,17 +10,21 @@ of each simple module on its own (by the kernel solve of `end_oracle`,
 since a simple module is not free), Hom_A(A, x), and Hom_A(P, A) as a
 module over E by precomposition, whose simplicity
 `module_is_simple_reference` decides by spinning submodules and solving
-for its endomorphism algebra.
+for its endomorphism algebra.  `simple_modules` splits each simple off one
+free module; `simple_modules_reference` splits it off the direct sum of
+all of them, and the two agree on every fact the analysis reads.
 """
 
 import pytest
 
-from construction_oracle import OrdModule, module_is_simple_reference
+from construction_oracle import (OrdModule, module_is_simple_reference,
+                                 simple_modules_reference)
 from end_oracle import KernelSolveEnd
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.linalg import Matrix
-from tensorcat.modcat import EndData, algebra_as_module, hom_basis
-from tensorcat.ordalg import is_separable_over_k, radical
+from tensorcat.modcat import (EndData, algebra_as_module, hom_basis,
+                              internal_hom, module_dual, validate_module)
+from tensorcat.ordalg import NotSemisimple, is_separable_over_k, radical
 from tensorcat.structure import AlgebraAnalysisContext
 
 
@@ -132,3 +136,43 @@ def test_corner_verdict_matches_the_reference(name):
     ctx = AlgebraAnalysisContext(cat, alg)
     ref = _hom_module(ctx.end, algebra_as_module(alg))
     assert ctx.division == module_is_simple_reference(ctx.end.algebra, ref)
+
+
+def _check_simples_against_the_direct_sum(name, cat, alg) -> bool:
+    """Whether A is semisimple; if so, the carriers, multiplicities, End
+    algebras and [x_i, x_j] of the simples match those split off the
+    direct sum of the free modules, and each simple is a module."""
+    ctx = AlgebraAnalysisContext(cat, alg)
+    if radical(ctx.end.algebra):
+        with pytest.raises(NotSemisimple):
+            ctx.simples
+        with pytest.raises(NotSemisimple):
+            simple_modules_reference(ctx.end)
+        return False
+    sm, ref = ctx.simples, simple_modules_reference(ctx.end)
+    assert [x.carrier for x in sm.simples] == \
+        [x.carrier for x in ref.simples], name
+    assert sm.mult_in_A == ref.mult_in_A, name
+    assert [(B.dim, is_separable_over_k(B)) for B in sm.ends] == \
+        [(B.dim, is_separable_over_k(B)) for B in ref.ends], name
+    duals = [module_dual(y, "R") for y in ref.simples]
+    assert ctx.internal_homs == {
+        (i, j): internal_hom(x, y, duals[j])
+        for i, x in enumerate(ref.simples)
+        for j, y in enumerate(ref.simples)}, name
+    assert all(validate_module(x).ok for x in sm.simples), name
+    return True
+
+
+def test_simples_match_the_direct_sum_split(corpus):
+    semisimple = sum(_check_simples_against_the_direct_sum(name, cat, alg)
+                     for name, cat, alg in corpus)
+    assert semisimple >= 18
+
+
+@pytest.mark.parametrize("name", list(MORE_INPUTS))
+def test_simples_match_the_direct_sum_split_beyond_the_corpus(name):
+    (cat_name, cat_params), (kind, params) = MORE_INPUTS[name]
+    cat = make_category(cat_name, dict(cat_params))
+    alg = make_algebra(cat, kind, dict(params))
+    _check_simples_against_the_direct_sum(name, cat, alg)

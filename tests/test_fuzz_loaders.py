@@ -1,4 +1,5 @@
-"""`tensorcat validate` on mutated catalog files never ends in a traceback.
+"""`tensorcat validate`, `analyze` and `decompose` on mutated catalog files
+never end in a traceback.
 
 Each example takes the JSON of a catalog category and one of its algebras
 and swaps a few nodes for values of another JSON type, or a string for a
@@ -75,11 +76,12 @@ def blobs():
     return out
 
 
+@pytest.mark.parametrize("verb", ["validate", "analyze", "decompose"])
 @pytest.mark.parametrize("name", sorted(CASES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_validate_survives_mutated_files(tmp_path_factory, blobs, name,
-                                         data):
+                                         verb, data):
     cat_blob, alg_blob = json.loads(json.dumps(blobs[name]))
     if data.draw(st.booleans()):
         cat_blob = _mutate(data, cat_blob)
@@ -89,4 +91,4 @@ def test_validate_survives_mutated_files(tmp_path_factory, blobs, name,
     cat_p, alg_p = tmp / "cat.json", tmp / "alg.json"
     cat_p.write_text(json.dumps(cat_blob))
     alg_p.write_text(json.dumps(alg_blob))
-    assert main(["validate", str(cat_p), str(alg_p)]) in (0, 1, 2, 3)
+    assert main([verb, str(cat_p), str(alg_p)]) in (0, 1, 2, 3)

@@ -9,6 +9,9 @@ listed in `ALLOWED` with the reason it stays.  Being exported by
 `tensorcat/__init__.py` is not enough: a function that only the tests
 call belongs in `tests/`.
 
+A name that a module of the package imports is used in that module;
+only `tensorcat/__init__.py` imports names to export them.
+
 A parameter with a default is set, by keyword or by position, by some
 call in the package to a function of its name, or listed in
 `ALLOWED_DEFAULTS` with the reason it stays: a default that no call
@@ -91,6 +94,23 @@ def test_every_private_function_is_referenced():
               if used[node.name] - _names(node)[node.name] <= 0]
     assert not unused, "private functions that nothing calls: " + \
         ", ".join(unused)
+
+
+def test_every_import_is_used():
+    unused = []
+    for fname, tree in _trees().items():
+        if fname == "__init__.py":
+            continue
+        used = _names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = (alias.asname or alias.name).split(".")[0]
+                if not used[name]:
+                    unused.append(f"{fname}:{node.lineno} {name}")
+    assert not unused, "imports that nothing uses: " + ", ".join(unused)
 
 
 def _public_defs(tree):
