@@ -211,14 +211,24 @@ class Field:
         return table
 
     # -- scalar-level arithmetic on coefficient tuples ----------------------
+    # a degree-1 field does its one int or Fraction operation inline,
+    # normalised as `_qn` does in characteristic zero
     def _add(self, a, b):
         if self.deg == 1:
-            return (self._badd(a[0], b[0]),)
+            x = a[0] + b[0]
+            if self.char:
+                return (x % self.char,)
+            return (x if type(x) is int or x.denominator != 1
+                    else x.numerator,)
         return tuple(self._badd(x, y) for x, y in zip(a, b))
 
     def _sub(self, a, b):
         if self.deg == 1:
-            return (self._bsub(a[0], b[0]),)
+            x = a[0] - b[0]
+            if self.char:
+                return (x % self.char,)
+            return (x if type(x) is int or x.denominator != 1
+                    else x.numerator,)
         return tuple(self._bsub(x, y) for x, y in zip(a, b))
 
     def _neg(self, a):
@@ -229,7 +239,11 @@ class Field:
     def _mul(self, a, b):
         d = self.deg
         if d == 1:
-            return (self._bmul(a[0], b[0]),)
+            x = a[0] * b[0]
+            if self.char:
+                return (x % self.char,)
+            return (x if type(x) is int or x.denominator != 1
+                    else x.numerator,)
         prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x == 0:

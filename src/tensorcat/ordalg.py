@@ -9,6 +9,13 @@ characteristic-p fields are finite, hence perfect).  Each of its Gram
 matrices is symmetric, so half of it is computed, and each entry reads
 one coefficient from the top of a truncated characteristic polynomial.
 
+Construction checks the unit law and associativity.  Associativity is
+checked on the triples (i, j, l) that some nonzero structure constant
+reaches: those with b_i b_j != 0 and a term b_m of it with b_m b_l != 0,
+or with b_j b_l != 0 and a term b_m of it with b_i b_m != 0.  Any other
+triple has both sides zero, and most triples of a sparse End algebra are
+such.
+
 Algebras built from morphism spaces carry their natural block
 representation, which keeps characteristic polynomials small; abstract
 algebras fall back to the left regular representation.
@@ -51,6 +58,11 @@ class OrdAlgebra:
     sc_pairs[i][j] is the list of (l, coeff) with b_i b_j = sum coeff*b_l.
     `rep` is an optional faithful block representation: a list, per basis
     element, of lists of square matrices (one per block).
+
+    With `validate`, construction checks the representation's length, the
+    unit law at each basis element and associativity on every triple that
+    a nonzero structure constant reaches, and raises `OrdAlgebraError` at
+    the first failure, the first failing triple in lexicographic order.
     """
 
     def __init__(self, field: Field, dim: int, sc_pairs, unit, rep=None,
@@ -68,14 +80,17 @@ class OrdAlgebra:
         """Product of two coordinate vectors."""
         z = self.field.zero()
         out = [z] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if not yj.is_zero()]
         for i, xi in enumerate(x):
             if xi.is_zero():
                 continue
-            for j, yj in enumerate(y):
-                if yj.is_zero():
+            sci = self.sc[i]
+            for j, yj in ys:
+                pairs = sci[j]
+                if not pairs:
                     continue
                 f = xi * yj
-                for l, c in self.sc[i][j]:
+                for l, c in pairs:
                     out[l] = out[l] + f * c
         return out
 
@@ -99,43 +114,54 @@ class OrdAlgebra:
         return True
 
     def _validate(self):
+        if self.rep is not None and len(self.rep) != self.dim:
+            raise OrdAlgebraError("representation has wrong length")
         for i in range(self.dim):
             bi = self.basis_vec(i)
             if self.mult_vec(self.unit, bi) != bi or \
                     self.mult_vec(bi, self.unit) != bi:
                 raise OrdAlgebraError(f"unit law fails at basis element {i}")
-        # associativity on the sparse structure constants, accumulated on
-        # coefficient tuples; canonical coefficients make `!=` exact
+        # associativity on coefficient tuples, over the reachable triples
+        # only.  nz[m] holds the (l, b_m b_l) with b_m b_l != 0, col[m]
+        # the (j, l, c) with c != 0 the coefficient of b_m in b_j b_l.
+        # For each i, both sides are summed per coefficient of b_t under
+        # the key (j, l, t); canonical coefficients make `!=` exact.
         field = self.field
         add, mul, zc = field._add, field._mul, field._zero_c
-        sc = [[[(t, d.c) for t, d in pairs] for pairs in row]
-              for row in self.sc]
-        for i in range(self.dim):
-            sci = sc[i]
-            for j in range(self.dim):
-                ij = sci[j]
-                for l in range(self.dim):
-                    left = {}
-                    for m, c in ij:
-                        for t, d in sc[m][l]:
-                            v = left.get(t)
-                            left[t] = mul(c, d) if v is None else \
+        n = self.dim
+        nz = [[(l, [(t, d.c) for t, d in pairs])
+               for l, pairs in enumerate(row) if pairs] for row in self.sc]
+        col = [[] for _ in range(n)]
+        for j, row in enumerate(nz):
+            for l, pairs in row:
+                for m, c in pairs:
+                    col[m].append((j, l, c))
+        for i in range(n):
+            left = {}
+            for j, ij in nz[i]:
+                for m, c in ij:
+                    for l, ml in nz[m]:
+                        for t, d in ml:
+                            k = (j, l, t)
+                            v = left.get(k)
+                            left[k] = mul(c, d) if v is None else \
                                 add(v, mul(c, d))
-                    right = {}
-                    for m, c in sc[j][l]:
-                        for t, d in sci[m]:
-                            v = right.get(t)
-                            right[t] = mul(c, d) if v is None else \
-                                add(v, mul(c, d))
-                    if left == right:
-                        continue
-                    # a sum that cancelled may be kept on one side only
-                    for t in left.keys() | right.keys():
-                        if left.get(t, zc) != right.get(t, zc):
-                            raise OrdAlgebraError(
-                                f"associativity fails at ({i},{j},{l})")
-        if self.rep is not None and len(self.rep) != self.dim:
-            raise OrdAlgebraError("representation has wrong length")
+            right = {}
+            for m, im in nz[i]:
+                for j, l, c in col[m]:
+                    for t, d in im:
+                        k = (j, l, t)
+                        v = right.get(k)
+                        right[k] = mul(c, d) if v is None else \
+                            add(v, mul(c, d))
+            if left == right:
+                continue
+            # a sum that cancelled may be kept on one side only
+            bad = [k[:2] for k in left.keys() | right.keys()
+                   if left.get(k, zc) != right.get(k, zc)]
+            if bad:
+                j, l = min(bad)
+                raise OrdAlgebraError(f"associativity fails at ({i},{j},{l})")
 
     # -- representation helpers ------------------------------------------------
     def _rep_blocks_of_vec(self, x):

@@ -9,13 +9,18 @@ result against the flat coordinates of its block, so it needs no
 generator and serves any list of modules;
 `bimodule_hom_basis` solves both intertwining systems for the maps between
 any two bimodules.
+
+`OrdAlgebra` checks associativity over the triples (i, j, l) that a
+nonzero structure constant reaches; `associativity_reference` visits all
+n^3 of them, and `validate_reference` puts the unit law before it, with
+products summed over every pair of coordinates.
 """
 
 from tensorcat.fincat import (ValidationFailure, hom_unit_basis,
                               mor_from_coords)
 from tensorcat.linalg import Matrix
 from tensorcat.modcat import EndData
-from tensorcat.ordalg import OrdAlgebra
+from tensorcat.ordalg import OrdAlgebra, OrdAlgebraError
 
 
 def bimodule_hom_basis(x, y) -> list:
@@ -107,3 +112,68 @@ class KernelSolveEnd(EndData):
                 unit[idx] = c
         return OrdAlgebra(field, n, sc, unit, rep=self._natural_rep(),
                           validate=True)
+
+
+def associativity_reference(E) -> None:
+    """(b_i b_j) b_l = b_i (b_j b_l) for every triple, in lexicographic
+    order, on coefficient tuples; OrdAlgebraError at the first that
+    fails."""
+    field = E.field
+    add, mul, zc = field._add, field._mul, field._zero_c
+    sc = [[[(t, d.c) for t, d in pairs] for pairs in row] for row in E.sc]
+    for i in range(E.dim):
+        sci = sc[i]
+        for j in range(E.dim):
+            ij = sci[j]
+            for l in range(E.dim):
+                left = {}
+                for m, c in ij:
+                    for t, d in sc[m][l]:
+                        v = left.get(t)
+                        left[t] = mul(c, d) if v is None else \
+                            add(v, mul(c, d))
+                right = {}
+                for m, c in sc[j][l]:
+                    for t, d in sci[m]:
+                        v = right.get(t)
+                        right[t] = mul(c, d) if v is None else \
+                            add(v, mul(c, d))
+                if left == right:
+                    continue
+                # a sum that cancelled may be kept on one side only
+                for t in left.keys() | right.keys():
+                    if left.get(t, zc) != right.get(t, zc):
+                        raise OrdAlgebraError(
+                            f"associativity fails at ({i},{j},{l})")
+
+
+def verdict(check, E):
+    """The message of the OrdAlgebraError that check(E) raises, or None."""
+    try:
+        check(E)
+    except OrdAlgebraError as e:
+        return str(e)
+    return None
+
+
+def _dense_product(E, x, y) -> list:
+    out = [E.field.zero()] * E.dim
+    for i in range(E.dim):
+        for j in range(E.dim):
+            for l, c in E.sc[i][j]:
+                out[l] = out[l] + x[i] * y[j] * c
+    return out
+
+
+def validate_reference(E) -> None:
+    """The checks of `OrdAlgebra` construction, in its order: the
+    representation's length, the unit law at each basis element, then
+    associativity."""
+    if E.rep is not None and len(E.rep) != E.dim:
+        raise OrdAlgebraError("representation has wrong length")
+    for i in range(E.dim):
+        bi = E.basis_vec(i)
+        if _dense_product(E, E.unit, bi) != bi or \
+                _dense_product(E, bi, E.unit) != bi:
+            raise OrdAlgebraError(f"unit law fails at basis element {i}")
+    associativity_reference(E)

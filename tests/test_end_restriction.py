@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from end_oracle import KernelSolveEnd, product_bimodule_maps
+from end_oracle import (KernelSolveEnd, associativity_reference,
+                        product_bimodule_maps, verdict)
 from tensorcat.algebra import AlgebraPres, validate_algebra
-from tensorcat.catalog import make_algebra, standard_entries
+from tensorcat.catalog import make_algebra, make_category, standard_entries
 from tensorcat.fincat import Mor, Obj, ValidationFailure, hom_unit_basis
 from tensorcat.linalg import Matrix
+from tensorcat.ordalg import OrdAlgebra, OrdAlgebraError
 from tensorcat.modcat import (EndData, algebra_as_module,
                               bimodule_end_algebra, free_bimodule,
                               free_bimodule_maps, free_module,
@@ -177,3 +179,47 @@ def test_free_bimodule_maps_restrict_to_their_psi(corpus):
                     assert f @ u == psi, name
                     checked += 1
     assert checked > 100
+
+
+# the regular algebras over Q and over F_p beyond the corpus, as
+# (category, its parameters, algebra, its parameters)
+_LARGER = [("pointed", {"n": 3}, "regular_pointed", {}),
+           ("pointed", {"n": 4}, "regular_pointed", {}),
+           ("pointed", {"n": 5}, "regular_pointed", {}),
+           ("vec", {}, "ordinary_group_algebra", {"n": 3}),
+           ("vec", {}, "ordinary_group_algebra", {"n": 4}),
+           ("vec", {"field": 2}, "ordinary_group_algebra", {"n": 4}),
+           ("vec", {"field": 5}, "ordinary_group_algebra", {"n": 5}),
+           ("pointed", {"n": 4, "field": 3}, "regular_pointed", {}),
+           ("vec", {"field": 3}, "internal_end", {"obj": {"1": 2}})]
+
+
+def test_end_algebras_pass_the_full_associativity_loop(corpus):
+    # every End algebra that the analysis builds passes the loop over all
+    # n^3 triples; with one constant of a product of two basis maps
+    # outside the unit's support deleted, the check fails exactly where
+    # that loop does, or both accept
+    algebras = [(name, alg) for name, _cat, alg in corpus]
+    for cat_name, cat_params, alg_name, alg_params in _LARGER:
+        cat = make_category(cat_name, dict(cat_params))
+        algebras.append((f"{cat_name}{cat_params}/{alg_name}{alg_params}",
+                         make_algebra(cat, alg_name, dict(alg_params))))
+    rejected = 0
+    for name, A in algebras:
+        for end in (free_module_end(A), bimodule_end_algebra(A)):
+            E = end.algebra
+            assert verdict(associativity_reference, E) is None, name
+            outside = {k for k, c in enumerate(E.unit) if c.is_zero()}
+            pairs = [(i, j) for i in sorted(outside) for j in sorted(outside)
+                     if E.sc[i][j]]
+            if not pairs:
+                continue
+            i, j = pairs[-1]
+            sc = [[list(p) for p in row] for row in E.sc]
+            sc[i][j] = sc[i][j][1:]
+            bad = OrdAlgebra(E.field, E.dim, sc, E.unit, rep=E.rep,
+                             validate=False)
+            expected = verdict(associativity_reference, bad)
+            assert verdict(OrdAlgebra._validate, bad) == expected, name
+            rejected += expected is not None
+    assert rejected >= 40

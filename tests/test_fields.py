@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tensorcat.fields import (DivisionByZero, Embedding, Field, FieldError,
-                              FieldMismatch, NotAnEmbedding, embed)
+                              FieldMismatch, NotAnEmbedding, Scalar, embed)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -214,6 +214,23 @@ def test_coefficients_are_int_exactly_when_integral(field, data):
         assert y == x and y.c == x.c
         assert hash(y) == hash(x) and y.serialize() == x.serialize()
         assert field.scalar(x.serialize()).c == x.c
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(2), F7],
+                         ids=["Q", "F2", "F7"])
+@given(data=st.data())
+def test_degree_one_arithmetic_is_the_base_arithmetic(field, data):
+    # a degree-1 field adds, subtracts and multiplies its one coefficient
+    # inline; the result is the base-coefficient helpers' to the type
+    values = st.one_of(st.integers(-60, 60), rationals) if field.char == 0 \
+        else st.integers(-60, 60)
+    a, b = (field.scalar(data.draw(values)).c for _ in range(2))
+    for fast, base in ((field._add, field._badd), (field._sub, field._bsub),
+                       (field._mul, field._bmul)):
+        out = fast(a, b)
+        expected = base(a[0], b[0])
+        assert out == (expected,) and type(out[0]) is type(expected)
+        _canonical(Scalar(field, out))
 
 
 @pytest.mark.parametrize("value", [2, Fraction(6, 3), "6/3", "2", [2]])

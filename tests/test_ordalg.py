@@ -12,6 +12,7 @@ from construction_oracle import (OrdModule, algebra_from_triples,
                                  module_is_simple_reference,
                                  nilpotency_index, regular_module,
                                  right_ideal_module)
+from end_oracle import associativity_reference, validate_reference, verdict
 from tensorcat.catalog import make_algebra
 from tensorcat.fields import Field
 from tensorcat.linalg import Matrix, RowSpace
@@ -525,6 +526,84 @@ def test_primitive_idempotent_from_nilpotent(monkeypatch):
     for i in range(4):
         corner.add(B.mult_vec(e, B.mult_vec(B.basis_vec(i), e)))
     assert corner.dim() == 1
+
+
+def _sc_of(dim, trips):
+    sc = [[[] for _ in range(dim)] for _ in range(dim)]
+    for i, j, l, c in trips:
+        sc[i][j].append((l, c))
+    return sc
+
+
+def _left_terms(E, i, j, l) -> int:
+    """The number of products c_ij^m c_ml^t that (b_i b_j) b_l sums."""
+    return sum(len(E.sc[m][l]) for m, _c in E.sc[i][j])
+
+
+@pytest.mark.parametrize("make", [lambda: matrix_algebra(Q, 2),
+                                  lambda: group_algebra(Q, 4)],
+                         ids=["M2", "Z4"])
+def test_construction_rejects_a_deleted_product(make):
+    # delete one nonzero product b_i b_j of two basis elements outside the
+    # unit's support: the unit law still holds, and the left side of each
+    # (i, j, l) has no term left, while the right side may have some
+    E = make()
+    unit = list(E.unit)
+    outside = [i for i, c in enumerate(unit) if c.is_zero()]
+    deleted = left_empty = 0
+    for i in outside:
+        for j in outside:
+            if not E.sc[i][j]:
+                continue
+            sc = [[list(pairs) for pairs in row] for row in E.sc]
+            sc[i][j] = []
+            bad = OrdAlgebra(Q, E.dim, sc, unit, validate=False)
+            with pytest.raises(OrdAlgebraError,
+                               match=r"associativity fails at \(") as ref:
+                associativity_reference(bad)
+            with pytest.raises(OrdAlgebraError) as got:
+                OrdAlgebra(Q, E.dim, sc, unit)
+            assert str(got.value) == str(ref.value)
+            triple = str(ref.value).split("(")[1].rstrip(")")
+            left_empty += _left_terms(bad, *map(int, triple.split(","))) == 0
+            deleted += 1
+    assert deleted >= 2
+    assert left_empty >= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_associativity_check_matches_the_full_loop(data):
+    # the check over reachable triples and the loop over all n^3 triples
+    # accept the same algebras and name the same first failure, after one
+    # structure constant is scaled, added or deleted; products of basis
+    # elements outside the unit's support are perturbed where there are
+    # any, so that the unit law holds and associativity decides
+    E = _drawn_algebra(data)
+    field, n = E.field, E.dim
+    trips = _triples(E)
+    outside = [k for k, c in enumerate(E.unit) if c.is_zero()]
+    inner = [t for t, (i, j, _l, _c) in enumerate(trips)
+             if i in outside and j in outside] or range(len(trips))
+    small = [field.scalar(k) for k in range(1, 7)]
+    nonzero = [c for c in small if not c.is_zero()]
+    factors = [c for c in nonzero if c != field.one()]
+    kind = data.draw(st.sampled_from(
+        ["none", "add", "delete"] + (["scale"] if factors else [])))
+    if kind == "scale":
+        t = data.draw(st.sampled_from(inner))
+        i, j, l, c = trips[t]
+        trips[t] = [i, j, l, c * data.draw(st.sampled_from(factors))]
+    elif kind == "add":
+        index = st.sampled_from(outside or range(n))
+        trips.append([data.draw(index), data.draw(index),
+                      data.draw(st.integers(0, n - 1)),
+                      data.draw(st.sampled_from(nonzero))])
+    elif kind == "delete":
+        del trips[data.draw(st.sampled_from(inner))]
+    F = OrdAlgebra(field, n, _sc_of(n, trips), list(E.unit), validate=False)
+    assert verdict(OrdAlgebra._validate, F) == \
+        verdict(validate_reference, F)
 
 
 # -- each system built from basis images equals its row-built reference -----
