@@ -12,6 +12,7 @@ Factorization routes:
 
 import random
 from itertools import combinations
+from math import isqrt
 
 from .fields import Field, FieldMismatch, Scalar, is_prime
 
@@ -494,7 +495,7 @@ def _factor_q_squarefree_monic_int(ints) -> list:
     norm2 = 0
     for c in ints:
         norm2 += c * c
-    bound = (1 << n) * (int(norm2 ** 0.5) + 1)
+    bound = (1 << n) * (isqrt(norm2) + 1)
     m = p
     while m <= 2 * bound:
         m *= m

@@ -66,8 +66,13 @@ def search_budget() -> int:
 # ---------------------------------------------------------------------------
 # helpers
 
-def unit_multiplicity(C: CategoryPres, X: Obj) -> int:
-    return sum(X.mult(e) for e in C.unit_components)
+_DIMENSION_DOMAIN = "a fusion category and one-dimensional hom(1, A)"
+
+
+def _dimension_defined(C: CategoryPres, A: AlgebraPres) -> bool:
+    """Whether dim A is defined: C is fusion and hom(1, A) is a line."""
+    units = C.unit_components
+    return len(units) == 1 and A.carrier.mult(units[0]) == 1
 
 
 def transport_mor(dst_cat: CategoryPres, emb: Embedding, m: Mor) -> Mor:
@@ -408,13 +413,10 @@ def dim_division_algebra(C: CategoryPres, A: AlgebraPres,
     """The scalar of the loop 1 -> A (x) A^v -> A^v (x) A -> 1 through an
     isomorphism f: A -> A^v of right modules and its inverse."""
     ctx = ctx or AlgebraAnalysisContext(C, A)
-    if len(C.unit_components) != 1:
+    if not _dimension_defined(C, A):
         raise PreconditionViolated(
-            "the dimension is defined inside a fusion category "
-            "(reduce multi-fusion input to a diagonal component first)")
-    if unit_multiplicity(C, A.carrier) != 1:
-        raise PreconditionViolated(
-            "dimension requires hom(1, A) of dimension one")
+            f"dimension requires {_DIMENSION_DOMAIN} (reduce multi-fusion "
+            "input to a diagonal component first)")
     division = is_division_algebra(C, A, ctx)
     if division is not True:
         raise PreconditionViolated(
@@ -570,36 +572,32 @@ def _flag(v):
 def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
     """Full analysis report for one (category, algebra) pair.
 
-    Computes every applicable criterion and raises OracleDisagreement if
-    two determinate verdicts conflict."""
-    rep = validate_algebra(A)
-    rep.raise_if_failed()
+    Raises OracleDisagreement unless every determinate separability route
+    gives the section's verdict, separable implies semisimple (and the
+    converse holds in characteristic 0), and a semisimple A's carrier is
+    the sum of its connecting objects."""
+    validate_algebra(A).raise_if_failed()
     ctx = AlgebraAnalysisContext(C, A)
-    verdicts = {}
     notes = {}
 
     semisimple = is_semisimple_algebra(C, A, ctx)
-    verdicts["semisimple_module_radical"] = semisimple
-
     separable = is_separable(C, A)
-    verdicts["separable_section"] = separable
-
     bimod_end = bimodule_end_algebra(A)
-    bimod = is_semisimple(bimod_end.algebra)
-    verdicts["separable_bimodule_radical"] = bimod
-    if bimod != separable:
-        raise OracleDisagreement(
-            f"bimodule radical ({bimod}) vs section feasibility ({separable})")
-
-    beta, beta_details = separability_beta_with_escalation(C, A, ctx=ctx)
-    verdicts["separable_adjoint_iso"] = _flag(beta)
-    notes["beta"] = beta_details
-    if beta is not UNDETERMINED and beta != separable:
-        raise OracleDisagreement(
-            f"adjoint-isomorphism search ({beta}) vs section ({separable})")
-
+    beta, notes["beta"] = separability_beta_with_escalation(C, A, ctx=ctx)
+    routes = {"bimodule radical": is_semisimple(bimod_end.algebra),
+              "adjoint-isomorphism search": beta}
     division = is_division_algebra(C, A, ctx)
-    verdicts["division"] = _flag(division)
+    dim_value = None
+    if division is True:
+        routes["duality-loop pairing"] = separability_alpha_division(C, A, ctx)
+        if _dimension_defined(C, A):
+            dim_value = dim_division_algebra(C, A, ctx)
+            routes["dimension nonvanishing"] = not dim_value.is_zero()
+        else:
+            notes["dimension"] = f"skipped: needs {_DIMENSION_DOMAIN}"
+    for name, v in routes.items():
+        if v is not UNDETERMINED and v != separable:
+            raise OracleDisagreement(f"{name} ({v}) vs section ({separable})")
 
     # checked before the simple modules are split off, which needs a
     # semisimple A
@@ -608,42 +606,16 @@ def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
     if C.field.char == 0 and semisimple and not separable:
         raise OracleDisagreement(
             "characteristic zero: semisimple must imply separable")
+    simple = is_simple_algebra(C, A, ctx)
 
-    # a simple algebra has a semisimple (indecomposable) module category,
-    # so non-semisimple input is definitively not simple
-    simple = is_simple_algebra(C, A, ctx) if semisimple else False
-    verdicts["simple"] = simple
+    decomposition = matrix_decomposition(C, A, ctx) if semisimple else None
+    if decomposition and not decomposition["object_identity_holds"]:
+        raise OracleDisagreement(
+            "carrier does not match the sum of connecting objects")
+    endo_report = (endomorphism_separability_report(C, A, ctx)
+                   if semisimple else None)
 
-    dim_value = None
-    alpha = None
-    if division is True:
-        alpha = separability_alpha_division(C, A, ctx)
-        verdicts["separable_duality_loop"] = alpha
-        if alpha != separable:
-            raise OracleDisagreement(
-                f"duality-loop pairing ({alpha}) vs section ({separable})")
-        if len(C.unit_components) == 1 \
-                and unit_multiplicity(C, A.carrier) == 1:
-            dim_value = dim_division_algebra(C, A, ctx)
-            if (not dim_value.is_zero()) != separable:
-                raise OracleDisagreement(
-                    "dimension nonvanishing disagrees with separability")
-        else:
-            notes["dimension"] = "skipped: needs a fusion category and " \
-                                 "one-dimensional hom(1, A)"
-    else:
-        verdicts["separable_duality_loop"] = "skipped: not a division algebra"
-
-    decomposition = None
-    endo_report = None
-    if semisimple:
-        decomposition = matrix_decomposition(C, A, ctx)
-        if not decomposition["object_identity_holds"]:
-            raise OracleDisagreement(
-                "carrier does not match the sum of connecting objects")
-        endo_report = endomorphism_separability_report(C, A, ctx)
-
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "field": C.field.describe(),
         "carrier": A.carrier.describe(),
@@ -656,7 +628,16 @@ def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
         "dim_A": dim_value.serialize() if dim_value is not None else None,
         "matrix_decomposition": decomposition,
         "endomorphism_separability": endo_report,
-        "oracle_agreement": dict(verdicts),
+        "oracle_agreement": {
+            "semisimple_module_radical": semisimple,
+            "separable_section": separable,
+            "separable_bimodule_radical": routes["bimodule radical"],
+            "separable_adjoint_iso": _flag(beta),
+            "division": _flag(division),
+            "simple": simple,
+            "separable_duality_loop": routes.get(
+                "duality-loop pairing", "skipped: not a division algebra"),
+        },
         "notes": notes,
         "budgets": {"search_budget": search_budget()},
         "audit": {
@@ -664,4 +645,3 @@ def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
             "bimodule_end_algebra": bimod_end.algebra.serialize(),
         },
     }
-    return report

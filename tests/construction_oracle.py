@@ -11,7 +11,8 @@ The rest builds objects the analysis never needs: the algebra [x, x]
 itself (the analysis reads only its carrier, from `internal_hom`), an
 ordinary algebra from its structure constants, right modules over an
 ordinary algebra with their hom spaces, simplicity and decomposition,
-the direct sum of two algebras or of modules, and the bimodule axioms.
+the quotient k[x]/(x^2 + b x + c) in vec, the direct sum of two
+algebras or of modules, and the bimodule axioms.
 
 `simple_modules_reference` splits each simple module off the direct sum
 of all the free modules, through the natural representation of
@@ -465,6 +466,26 @@ def simple_modules_reference(end: EndData) -> SimpleModulesResult:
             raise ValidationFailure("inconsistent multiplicity count")
         mult_in_A.append(h // ends[-1].dim)
     return SimpleModulesResult(simples, mult_in_A, ends)
+
+
+def quadratic_algebra(cat, b: int, c: int) -> AlgebraPres:
+    """k[x]/(x^2 + b x + c) in a one-simple category as the carrier 2*1,
+    on the basis 1, x."""
+    field, one = cat.field, cat.field.one()
+    carrier = Obj(cat, {"1": 2})
+    sq = cat.tensor(carrier, carrier)
+    idx = cat.fusion_index(carrier, carrier)["1"]
+    # x * x = -c * 1 - b * x; every other product of basis elements is
+    # the basis element x^(i + j)
+    products = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+                (1, 1): {0: field.scalar(-c), 1: field.scalar(-b)}}
+    m = Matrix.from_entries(field, 2, sq.mult("1"),
+                            [(k, idx[("1", i, "1", j, 0)], v)
+                             for (i, j), out in products.items()
+                             for k, v in out.items() if not v.is_zero()])
+    unit = Matrix.from_entries(field, 2, 1, [(0, 0, one)])
+    return AlgebraPres(cat, carrier, Mor(cat, sq, carrier, {"1": m}),
+                       Mor(cat, cat.unit_obj(), carrier, {"1": unit}))
 
 
 def direct_sum_algebra(A: AlgebraPres, B: AlgebraPres) -> AlgebraPres:

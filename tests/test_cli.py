@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from construction_oracle import quadratic_algebra
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.cli import main
 from tensorcat.fileio import (algebra_from_json, algebra_to_json,
@@ -234,6 +235,25 @@ def test_cli_catalog_validate_analyze(tmp_path, capsys):
     assert rep["flags"] == {"semisimple": True, "simple": True,
                             "division": True, "separable": False}
     assert rep["dim_A"] == ["0"]
+
+
+def test_cli_analyzes_a_quadratic_field_with_a_huge_constant(tmp_path,
+                                                            capsys):
+    # Q[x]/(x^2 + x + 10^400) is a field: factoring its minimal
+    # polynomial meets coefficient norms no float can hold
+    cat_p = str(tmp_path / "c.json")
+    alg_p = str(tmp_path / "a.json")
+    rc, _, _ = run_cli(capsys, "catalog", "emit", "vec_q", "--out", cat_p)
+    assert rc == 0
+    vq = make_category("vec", {})
+    with open(alg_p, "w") as fh:
+        fh.write(dumps_canonical(algebra_to_json(
+            quadratic_algebra(vq, 1, 10 ** 400))))
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p, "--report",
+                           "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["flags"] == {"semisimple": True, "simple": True,
+                                        "division": True, "separable": True}
 
 
 def test_cli_analyze_deterministic_bytes(tmp_path, capsys):

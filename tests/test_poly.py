@@ -35,6 +35,15 @@ def test_factor_rational_quadratic():
     assert fac == [(P(Q, -1, 1), 1), (P(Q, 1, 1), 1)]
 
 
+def test_factor_rational_with_huge_coefficients():
+    # a coefficient norm beyond the range of a float: the Mignotte bound
+    # stays in integers
+    big = 10 ** 400
+    assert factor(P(Q, big, 1, 1)) == [(P(Q, big, 1, 1), 1)]
+    assert factor(P(Q, big, big + 1, 1)) == [(P(Q, 1, 1), 1),
+                                             (P(Q, big, 1), 1)]
+
+
 def test_factor_f2_frobenius_square():
     fac = factor(P(F2, 1, 0, 1))
     assert fac == [(P(F2, 1, 1), 2)]

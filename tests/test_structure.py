@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from construction_oracle import direct_sum_algebra, module_internal_end
+from construction_oracle import (direct_sum_algebra, module_internal_end,
+                                 quadratic_algebra)
 from tensorcat.algebra import AlgebraPres, internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fields import Embedding, Field
@@ -115,13 +116,33 @@ def test_dim_examples(cats):
         assert dim_division_algebra(cat, A).is_zero()
 
 
+def _loop(C, A, f):
+    """The scalar of ev o (f (x) f^-1) o coev for an isomorphism f."""
+    c = A.carrier
+    loop = C.ev_left(c) @ C.tensor_mor(f, f.inv()) @ C.coev_left(c)
+    return loop.scalar() if not loop.is_zero() else C.field.zero()
+
+
 def test_dim_invariant_under_rescaling(cats):
-    # computed through any nonzero f; scaling f leaves the loop unchanged
+    # the loop is the same through any isomorphism f: A -> A^v: through
+    # rescalings of one basis map, and through every basis map of
+    # Hom_A(A, A^v) and their sum when that space is not a line
     z3 = cats["z3"]
     A = make_algebra(z3, "regular_pointed", {})
-    d1 = dim_division_algebra(z3, A)
-    d2 = dim_division_algebra(z3, A)
-    assert d1 == d2 == z3.field.scalar(3)
+    three = z3.field.scalar(3)
+    assert dim_division_algebra(z3, A) == three
+    f = AlgebraAnalysisContext(z3, A).to_dual[0]
+    for k in (z3.field.scalar(2), z3.field.scalar(-1) / three):
+        assert _loop(z3, A, f.scale(k)) == three
+    vq = cats["vec_q"]
+    # Q(i) = Q[x]/(x^2 + 1) has dimension 2; hom(1, Q(i)) is not a line,
+    # so dim_division_algebra itself refuses it
+    gaussian = quadratic_algebra(vq, 0, 1)
+    two = vq.field.scalar(2)
+    fs = AlgebraAnalysisContext(vq, gaussian).to_dual
+    assert len(fs) == 2
+    for g in fs + [fs[0] + fs[1]]:
+        assert _loop(vq, gaussian, g) == two
 
 
 def test_dim_refuses_large_unit_hom(cats):
@@ -610,20 +631,6 @@ def test_beta_ladder_skips_repeated_scalars(monkeypatch):
     assert details["tested"] == 9        # 2 basis + 7 ladder candidates
 
 
-def _dual_numbers(cat):
-    """k[x]/(x^2) in vec as the carrier 2*1, which is not semisimple."""
-    field, one = cat.field, cat.field.one()
-    carrier = Obj(cat, {"1": 2})
-    sq = cat.tensor(carrier, carrier)
-    idx = cat.fusion_index(carrier, carrier)["1"]
-    m = Matrix.from_entries(field, 2, sq.mult("1"),
-                            [(i + j, idx[("1", i, "1", j, 0)], one)
-                             for i in range(2) for j in range(2) if i + j < 2])
-    unit = Matrix.from_entries(field, 2, 1, [(0, 0, one)])
-    return AlgebraPres(cat, carrier, Mor(cat, sq, carrier, {"1": m}),
-                       Mor(cat, cat.unit_obj(), carrier, {"1": unit}))
-
-
 def _negated(real):
     return lambda *args, **kw: not real(*args, **kw)
 
@@ -637,6 +644,14 @@ def _beta_negated(real):
 
 def _dim_zeroed(real):
     return lambda C, *args: C.field.zero()
+
+
+def _dim_one(real):
+    return lambda C, *args: C.field.one()
+
+
+def _beta_true(real):
+    return lambda *args, **kw: (True, real(*args, **kw)[1])
 
 
 def _identity_broken(real):
@@ -662,10 +677,35 @@ def test_analyze_raises_when_one_route_disagrees(cats, monkeypatch, route,
                                                  flip, algebra, message):
     import tensorcat.structure as structure
     vq = cats["vec_q"]
+    # k[x]/(x^2) is not semisimple
     A = (trivial_algebra(vq) if algebra == "trivial"
-         else _dual_numbers(vq))
+         else quadratic_algebra(vq, 0, 0))
     # the routes agree before the flip
     assert analyze(vq, A)["flags"]["semisimple"] is (algebra == "trivial")
     monkeypatch.setattr(structure, route, flip(getattr(structure, route)))
     with pytest.raises(OracleDisagreement, match=message):
         analyze(vq, A)
+
+
+@pytest.mark.parametrize("route, flip, message", [
+    ("is_semisimple", _negated, "bimodule radical"),
+    ("separability_beta_with_escalation", _beta_true,
+     "adjoint-isomorphism search"),
+    ("separability_alpha_division", _negated, "duality-loop"),
+    ("dim_division_algebra", _dim_one, "dimension nonvanishing"),
+], ids=["bimodule-radical", "beta", "duality-loop", "dim"])
+def test_analyze_raises_when_one_route_claims_separable(cats, monkeypatch,
+                                                       route, flip, message):
+    # the reverse direction: F_2[Z/2] graded over Z/2 is a division
+    # algebra of dimension 0 that is not separable, and one route turned
+    # to True disagrees with the section
+    import tensorcat.structure as structure
+    zf2 = cats["z2_f2"]
+    A = make_algebra(zf2, "regular_pointed", {})
+    rep = analyze(zf2, A)
+    assert rep["flags"]["division"] is True
+    assert rep["flags"]["separable"] is False
+    assert rep["dim_A"] == ["0"]
+    monkeypatch.setattr(structure, route, flip(getattr(structure, route)))
+    with pytest.raises(OracleDisagreement, match=message):
+        analyze(zf2, A)
