@@ -8,10 +8,12 @@ No library exception ends in a traceback.  Exit 1, the input is at
 fault: `FieldError`, `NotFusion`, `NotSemisimpleAlgebra`,
 `InseparableExtension`.  Exit 2, a bounded search gave up:
 `SeparatingElementNotFound` (no separating central element, or no
-splitting of a block, among the candidates searched; never guessed).
-Exit 3, the engine is at fault: `OracleDisagreement`, `LinAlgError`
-(with `SingularMatrix`), `PreconditionViolated` (a criterion run
-outside its domain), any other `OrdAlgebraError`.
+splitting of a block, among the candidates searched; never guessed),
+`DegreeTooLarge` (a minimal polynomial whose rational factorization
+passes degree 12, a stated limit of the factorizer).  Exit 3, the
+engine is at fault: `OracleDisagreement`, `LinAlgError` (with
+`SingularMatrix`), `PreconditionViolated` (a criterion run outside its
+domain), any other `OrdAlgebraError` or `PolynomialError`.
 
 The environment variable TENSORCAT_BUDGET overrides the deterministic
 search budgets (default 4096 candidate evaluations).  It is checked
@@ -31,6 +33,7 @@ from .fileio import (FormatError, algebra_from_json, algebra_to_json,
                      field_from_json, load_json, report_schema, save_json)
 from .linalg import LinAlgError
 from .ordalg import OrdAlgebraError, SeparatingElementNotFound
+from .poly import DegreeTooLarge, PolynomialError
 from .structure import (InseparableExtension, NotFusion, NotSemisimpleAlgebra,
                         OracleDisagreement, PreconditionViolated, analyze,
                         base_extend_algebra, global_dimension,
@@ -213,7 +216,8 @@ def _cmd_analyze(args, out) -> int:
     if args.jobs > 1 and len(paths) > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_analyze_one_star, paths))
+            cats, algs = zip(*paths)
+            reports = list(pool.map(_analyze_one, cats, algs))
     else:
         reports = [_analyze_one(c, a) for c, a in paths]
     rc = EXIT_OK
@@ -226,10 +230,6 @@ def _cmd_analyze(args, out) -> int:
         if _has_undetermined(report):
             rc = max(rc, EXIT_UNDETERMINED)
     return rc
-
-
-def _analyze_one_star(pair):
-    return _analyze_one(*pair)
 
 
 def _cmd_global_dim(args, out) -> int:
@@ -455,13 +455,14 @@ def main(argv=None) -> int:
             NotFusion, NotSemisimpleAlgebra, InseparableExtension) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except SeparatingElementNotFound as exc:
+    except (SeparatingElementNotFound, DegreeTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNDETERMINED
     except OracleDisagreement as exc:
         sys.stderr.write(f"internal oracle disagreement: {exc}\n")
         return EXIT_DISAGREEMENT
-    except (LinAlgError, PreconditionViolated, OrdAlgebraError) as exc:
+    except (LinAlgError, PreconditionViolated, OrdAlgebraError,
+            PolynomialError) as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_DISAGREEMENT
 

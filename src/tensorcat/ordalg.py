@@ -305,7 +305,7 @@ def radical(E: OrdAlgebra) -> list:
     Computed once per algebra: an OrdAlgebra does not change after
     construction, and every caller only reads the list."""
     if E._radical is None:
-        E._radical = (_radical_char0(E) if E.field.char == 0
+        E._radical = (_trace_form_kernel(E) if E.field.char == 0
                       else _radical_charp(E))
     return E._radical
 
@@ -326,10 +326,6 @@ def _trace_form_kernel(E: OrdAlgebra) -> list:
             row[j] = acc
         gram.append(row)
     return Matrix(E.field, gram).kernel_basis()
-
-
-def _radical_char0(E: OrdAlgebra) -> list:
-    return _trace_form_kernel(E)
 
 
 def _radical_charp(E: OrdAlgebra) -> list:

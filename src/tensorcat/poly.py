@@ -7,7 +7,9 @@ Factorization routes:
   * Q: clear denominators, factor modulo a good prime, Hensel lift,
     brute-force recombination (Zassenhaus).  Degrees above 12 are
     rejected with an explicit error;
-  * number fields Q(a): Trager's norm method, reduced to the Q route.
+  * number fields Q(a): Trager's norm method, reduced to the Q route;
+    the norm of f(t - s*a) is the characteristic polynomial over Q of
+    multiplication by t on Q(a)[t]/(f(t - s*a)).
 """
 
 import random
@@ -15,6 +17,7 @@ from itertools import combinations
 from math import isqrt
 
 from .fields import Field, FieldMismatch, Scalar, is_prime
+from .linalg import Matrix
 
 _CZ_SEED = 0x5EED
 
@@ -569,85 +572,39 @@ def _factor_q_squarefree(f: Poly) -> list:
 
 
 # ---------------------------------------------------------------------------
-# number fields: Trager's norm method
-
-def _sylvester_det(field, mz, gz):
-    """Resultant_z(mz, gz) of fixed shape via the Sylvester determinant.
-
-    mz, gz: coefficient lists (low to high) of scalars of `field`;
-    the shape is taken from the list lengths even if leading entries vanish.
-    """
-    from .linalg import Matrix
-    dm = len(mz) - 1
-    dg = len(gz) - 1
-    n = dm + dg
-    z = field.zero()
-    rows = []
-    for i in range(dg):
-        row = [z] * n
-        for j, c in enumerate(reversed(mz)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(dm):
-        row = [z] * n
-        for j, c in enumerate(reversed(gz)):
-            row[i + j] = c
-        rows.append(row)
-    return Matrix(field, rows).det()
-
+# number fields: Trager's norm method, the norm as a characteristic
+# polynomial over Q
 
 def _norm_poly(f: Poly, s: int) -> Poly:
-    """Norm to Q of f(t - s*gen) for f over a number field Q(gen)."""
+    """N_{K/Q}(g) for g = f(t - s*gen), f monic over K = Q(gen) of degree d:
+    the characteristic polynomial over Q of multiplication by t on
+    K[t]/(g) (Cohen, A Course in Computational Algebraic Number Theory,
+    1993).  Its matrix is g's companion matrix with each entry c replaced
+    by the d x d matrix of multiplication by c on 1, gen, ..., gen^(d-1)."""
+    from .ordalg import charpoly  # ordalg imports this module
     K = f.field
     QQ = Field.rationals()
-    # substitute t -> t - s*gen, then view coefficients as polys in z (the gen)
-    shift = Poly(K, [K.scalar([0, -s]), K.one()])  # t - s*gen
-    g = f.compose(shift)
-    dm = K.deg
-    dz = dm - 1
-    # evaluate the Sylvester determinant at interpolation points
-    deg_bound = dm * max(g.degree, 0)
-    pts = []
-    vals = []
-    r = 0
-    mz = [QQ.scalar(c) for c in K.minpoly]
-    while len(pts) <= deg_bound:
-        x = QQ.scalar(r)
-        gz = [QQ.zero()] * (dz + 1)
-        for i, c in enumerate(g.coeffs):
-            xi = x ** i
-            for j in range(dm):
-                gz[j] = gz[j] + QQ.scalar(c.c[j]) * xi
-        vals.append(_sylvester_det(QQ, mz, gz))
-        pts.append(x)
-        r = -r + (1 if r <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-    return _lagrange(QQ, pts, vals)
-
-
-def _lagrange(field, pts, vals) -> Poly:
-    out = Poly.zero(field)
-    for i, (xi, yi) in enumerate(zip(pts, vals)):
-        if yi.is_zero():
-            continue
-        num = Poly.one(field)
-        den = field.one()
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            num = num * Poly(field, [-xj, field.one()])
-            den = den * (xi - xj)
-        out = out + num * (yi / den)
-    return out
+    g = f.compose(Poly(K, [K.scalar([0, -s]), K.one()]))  # f(t - s*gen)
+    n, d, gen = g.degree, K.deg, K.gen()
+    # t * t^(r-1) = t^r on the subdiagonal of identity blocks
+    entries = [(r * d + u, (r - 1) * d + u, QQ.one())
+               for r in range(1, n) for u in range(d)]
+    # t * t^(n-1) = -(g_0 + g_1 t + ... + g_(n-1) t^(n-1)) in the last column
+    for r, c in enumerate(g.coeffs[:n]):
+        x = -c
+        for v in range(d):
+            entries += [(r * d + u, (n - 1) * d + v, QQ.scalar(y))
+                        for u, y in enumerate(x.c) if y]
+            x = x * gen
+    return Poly(QQ, charpoly(Matrix.from_entries(QQ, n * d, n * d, entries)))
 
 
 def _factor_numberfield_squarefree(f: Poly) -> list:
     K = f.field
     for s in [1, -1, 2, -2, 3, -3, 4, -4, 5, -5]:
         norm = _norm_poly(f, s)
-        if norm.degree < 0 or norm.is_zero():
-            continue
         if gcd(norm, norm.derivative()).degree == 0:
-            factors_q = _factor_q_squarefree(norm.monic())
+            factors_q = _factor_q_squarefree(norm)
             out = []
             sK = K.scalar(s)
             gen = K.gen()

@@ -443,6 +443,24 @@ def test_cli_exit_2_when_no_separating_element_is_found(tmp_path, capsys):
         assert "separating" in err
 
 
+def test_cli_exit_2_when_the_rational_degree_cap_is_met(tmp_path, capsys):
+    # Q[Z/13]: the minimal polynomial of a central element has degree 13,
+    # past the rational factorizer's stated limit of 12
+    cat = make_category("vec", {})
+    cat_p = str(tmp_path / "c.json")
+    alg_p = str(tmp_path / "a.json")
+    with open(cat_p, "w") as fh:
+        fh.write(dumps_canonical(category_to_json(cat)))
+    alg = make_algebra(cat, "ordinary_group_algebra", {"n": 13})
+    with open(alg_p, "w") as fh:
+        fh.write(dumps_canonical(algebra_to_json(alg)))
+    rc, out, err = run_cli(capsys, "decompose", cat_p, alg_p)
+    assert rc == 2
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "degree <= 12" in err
+
+
 def test_cli_rejects_non_integer_budget(capsys, monkeypatch):
     monkeypatch.setenv("TENSORCAT_BUDGET", "abc")
     for argv in (("schema",), ("analyze", "c.json", "a.json")):
@@ -469,6 +487,7 @@ def _library_errors():
     from tensorcat.fields import FieldError
     from tensorcat.linalg import LinAlgError, SingularMatrix
     from tensorcat.ordalg import OrdAlgebraError, SeparatingElementNotFound
+    from tensorcat.poly import DegreeTooLarge, PolynomialError
     from tensorcat.structure import (InseparableExtension, NotFusion,
                                      NotSemisimpleAlgebra,
                                      OracleDisagreement,
@@ -489,6 +508,9 @@ def _library_errors():
         (SeparatingElementNotFound("no separating central element"),
          analyze, 2),
         (OrdAlgebraError("idempotent lifting did not converge"), analyze, 3),
+        (DegreeTooLarge("rational factorization supports degree <= 12"),
+         analyze, 2),
+        (PolynomialError("no squarefree norm found"), analyze, 3),
     ]
 
 

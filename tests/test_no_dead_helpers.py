@@ -46,6 +46,10 @@ ALLOWED = {
                                  "dimension is nonzero",
     "validate_module": "exported: checks the module axioms of any module; "
                        "the tests check every module construction with it",
+    "Matrix.det": "a public determinant beside `inv` and `rank`; the "
+                  "benchmark's tracer wraps it by name for the "
+                  "`linalg.det_inv` span, and tests check `charpoly` "
+                  "against it",
     "lift_idempotent": "the benchmark's tracer wraps it by name for the "
                        "`ordalg.idempotents` span, so removing it breaks "
                        "the perfbench self-tests; it goes with the next "

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from norm_oracle import norm_by_resultants
 from tensorcat.fields import Field
-from tensorcat.poly import (DegreeTooLarge, Poly, Reducible, factor, gcd,
-                            is_irreducible, is_separable_irreducible,
+from tensorcat.poly import (DegreeTooLarge, Poly, Reducible, _norm_poly,
+                            factor, gcd, is_irreducible,
+                            is_separable_irreducible,
                             squarefree_decomposition)
 
 Q = Field.rationals()
@@ -142,3 +146,73 @@ def test_eval_and_compose():
     assert f.eval(Q.scalar(2)) == Q.scalar(9)
     g = f.compose(P(Q, 1, 1))
     assert g.eval(Q.scalar(1)) == f.eval(Q.scalar(2))
+
+
+# -- number fields: Q(phi), Q(i), Q(cbrt 2) ---------------------------------
+
+# minimal polynomial of the generator, and the generator in sympy
+NUMBER_FIELDS = {
+    "phi": ([-1, -1, 1], lambda sympy: (1 + sympy.sqrt(5)) / 2),
+    "i": ([1, 0, 1], lambda sympy: sympy.I),
+    "cbrt2": ([-2, 0, 0, 1], lambda sympy: sympy.cbrt(2)),
+}
+
+
+def _monic(draw, K, degree):
+    coeff = st.lists(st.integers(-2, 2), min_size=K.deg,
+                     max_size=K.deg).map(K.scalar)
+    return Poly(K, draw(st.lists(coeff, min_size=degree, max_size=degree))
+                + [K.one()])
+
+
+@st.composite
+def monic_factors(draw, K):
+    """One to three random monic factors of degree <= 3, with
+    K.deg * (total degree) <= 12, below the rational degree cap."""
+    cap = 12 // K.deg
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        if sum(g.degree for g in factors) + n > cap:
+            break
+        factors.append(_monic(draw, K, n))
+    return factors
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_norm_is_the_resultant_norm(name, data):
+    K = Field.extension(0, NUMBER_FIELDS[name][0])
+    f = _monic(data.draw, K, data.draw(st.integers(1, 12 // K.deg)))
+    s = data.draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+    norm = _norm_poly(f, s)
+    assert norm == norm_by_resultants(f, s)
+    assert norm.degree == K.deg * f.degree
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_FIELDS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_number_field_factor_matches_sympy(name, data):
+    sympy = pytest.importorskip("sympy")
+    minpoly, generator = NUMBER_FIELDS[name]
+    K = Field.extension(0, minpoly)
+    alpha = generator(sympy)
+    # a sympy Poly over QQ<alpha> factors as `extension=alpha` would
+    domain = sympy.QQ.algebraic_field(alpha)
+    a = domain.from_sympy(alpha)
+    t = sympy.Symbol("t")
+
+    def to_sympy(g):
+        coeffs = [sum((domain.convert(sympy.Rational(x)) * a ** j
+                       for j, x in enumerate(c.c)), domain.zero)
+                  for c in reversed(g.coeffs)]
+        return sympy.Poly.from_list(coeffs, t, domain=domain)
+
+    f = Poly.one(K)
+    for g in data.draw(monic_factors(K)):
+        f = f * g
+    ours = sorted((repr(to_sympy(g).rep), m) for g, m in factor(f))
+    _, theirs = sympy.factor_list(to_sympy(f))
+    assert ours == sorted((repr(h.monic().rep), m) for h, m in theirs)
