@@ -7,8 +7,8 @@ undetermined; 3 internal error (a bug, never expected on valid data).
 No library exception ends in a traceback.  Exit 1, the input is at
 fault: `FieldError`, `NotFusion`, `NotSemisimpleAlgebra`,
 `InseparableExtension`.  Exit 2, a bounded search gave up:
-`SeparatingElementNotFound` (no separating central element, or no
-splitting of a block, among the candidates searched; never guessed),
+`SeparatingElementNotFound` (no element among the candidates searched
+splits a non-commutative simple block; never guessed),
 `DegreeTooLarge` (a minimal polynomial whose rational factorization
 passes degree 12, a stated limit of the factorizer).  Exit 3, the
 engine is at fault: `OracleDisagreement`, `LinAlgError` (with
@@ -22,6 +22,7 @@ integers below 1 count as 1.
 """
 
 import argparse
+import math
 import sys
 
 from .algebra import validate_algebra
@@ -61,14 +62,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _approximate(scalar) -> str | None:
     """Decimal rendering under every real embedding of the field; for
-    human readers only, the engine never touches floats."""
+    human readers only, the engine never touches floats.  None where a
+    coefficient does not fit a float or a value comes out non-finite."""
     field = scalar.field
     if field.char != 0:
         return None
-    coeffs = [float(c) for c in scalar.c]
+    try:
+        coeffs = [float(c) for c in scalar.c]
+        mp = [float(c) for c in field.minpoly or ()]
+    except OverflowError:
+        return None
     if field.minpoly is None:
         return f"{coeffs[0]:.6g}"
-    mp = [float(c) for c in field.minpoly]
 
     def f(x):
         acc = 0.0
@@ -98,6 +103,8 @@ def _approximate(scalar) -> str | None:
         acc = 0.0
         for c in reversed(coeffs):
             acc = acc * root + c
+        if not math.isfinite(acc):
+            return None
         vals.append(f"{acc:.6g}")
     return " or ".join(vals)
 

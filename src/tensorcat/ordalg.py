@@ -28,9 +28,26 @@ matrices whose k-th column is the image of the k-th basis element.
 Simplicity of a right ideal eps E is read from E itself: eps must kill
 the radical, and the corner eps E eps, the endomorphism algebra of eps E,
 must be a division algebra.
+
+Lemma.  In Z = K_1 x ... x K_r (r >= 2) commutative semisimple over
+k = Q, a number field or F_q, x has an irreducible minimal polynomial m
+of degree d iff each x_i has, and then phi(x) = 0 for one nonzero linear
+form phi.  In characteristic 0, phi(x) = Tr(x_1)/[K_1:k] -
+Tr(x_2)/[K_2:k], each term -m_{d-1}/d.  Over F_q, phi(x) =
+Tr(theta_1 x_1) - Tr(theta_2 x_2) with Tr_{K_i/L_i}(theta_i) = 1 for
+L_i of degree g = gcd([K_1:k], [K_2:k]), each term (g/d)(-m_{d-1}).  So
+(1) Z is a field iff every basis element has an irreducible minimal
+polynomial, and (2) splitting each idempotent e by the factors of the
+minimal polynomial of z e on eZ, for each basis element z in turn, ends
+at the primitive idempotents.  Two ladder searches of small combinations
+remain: `central_idempotents` tries its ladder first, since the order of
+the simple modules in a report follows it, and `primitive_idempotent`
+splits a non-commutative simple block, which no theorem here does
+deterministically.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 
 from .fields import Field, Scalar
 from .linalg import Matrix, RowSpace
@@ -46,7 +63,8 @@ class NotSemisimple(OrdAlgebraError):
 
 
 class SeparatingElementNotFound(OrdAlgebraError):
-    """The bounded deterministic search failed; reported, never guessed."""
+    """No element of the bounded search split a non-commutative simple
+    block; reported, never guessed."""
 
 
 UNDETERMINED = "undetermined"
@@ -405,62 +423,63 @@ def _krylov_min_poly(field, start, step) -> Poly:
     return Poly(field, [-c for c in sol] + [field.one()])
 
 
-def _eval_poly_in_algebra(E: OrdAlgebra, pol: Poly, x):
+def _eval_poly_in_algebra(E: OrdAlgebra, pol: Poly, x, unit):
+    """pol(x unit) in unit E unit, for an idempotent unit commuting with x."""
     acc = [E.field.zero()] * E.dim
     for c in reversed(pol.coeffs):
         acc = E.mult_vec(acc, x)
-        acc[0:E.dim] = [a + c * u for a, u in zip(acc, E.unit)]
+        acc[0:E.dim] = [a + c * u for a, u in zip(acc, unit)]
     return acc
 
 
 def _candidate_elements(E: OrdAlgebra, basis_vectors):
-    """Deterministic ladder: basis elements, then small combinations."""
-    for v in basis_vectors:
-        yield v
-    small = [1, -1, 2, -2, 3, -3]
-    n = len(basis_vectors)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in small:
-                cs = E.field.scalar(c)
-                yield [a + cs * b for a, b in
-                       zip(basis_vectors[i], basis_vectors[j])]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for c1 in small[:4]:
-                    for c2 in small[:4]:
-                        s1, s2 = E.field.scalar(c1), E.field.scalar(c2)
-                        yield [a + s1 * b + s2 * d for a, b, d in
-                               zip(basis_vectors[i], basis_vectors[j],
-                                   basis_vectors[k])]
+    """Deterministic ladder: basis elements, then u + c v for each pair
+    and u + c v + c' w for each triple, in index order, with small c, c'."""
+    yield from basis_vectors
+    small = [E.field.scalar(c) for c in (1, -1, 2, -2, 3, -3)]
+    for u, v in combinations(basis_vectors, 2):
+        for c in small:
+            yield [a + c * b for a, b in zip(u, v)]
+    for u, v, w in combinations(basis_vectors, 3):
+        for c1, c2 in product(small[:4], repeat=2):
+            yield [a + c1 * b + c2 * d for a, b, d in zip(u, v, w)]
 
 
 def central_idempotents(E: OrdAlgebra) -> list:
-    """Central primitive idempotents of a semisimple algebra."""
+    """Central primitive idempotents of a semisimple algebra: split by the
+    first ladder element whose minimal polynomial has degree dim Z, or
+    else by each basis element of the center in turn (lemma, fact (2))."""
     if radical(E):
         raise NotSemisimple("central idempotents require a semisimple algebra")
     zc = center(E)
-    target = len(zc)
     for cand in _candidate_elements(E, zc):
         mu = min_poly_of_element(E, cand)
-        if mu.degree == target:
-            fac = factor(mu)
-            if any(m > 1 for _, m in fac):
-                raise OrdAlgebraError(
-                    "separating element has non-squarefree minimal polynomial")
-            return [_bezout_idempotent(E, cand, mu, g) for g, _ in fac]
-    raise SeparatingElementNotFound(
-        f"no separating central element among the bounded search "
-        f"(center dimension {target})")
+        if mu.degree == len(zc):
+            return _split(E, E.unit, cand, mu)
+    parts = [E.unit] if zc else []
+    for z in zc:
+        parts = [f for e in parts for f in _split(E, e, z, _krylov_min_poly(
+            E.field, e, lambda v: E.mult_vec(v, z)))]
+    return parts
 
 
-def _bezout_idempotent(E, x, mu, part) -> list:
-    """The idempotent of E[x] = k[t]/(mu) that is one modulo `part` and
-    zero modulo mu / part, for `part` coprime to mu / part."""
+def _split(E, e, x, mu) -> list:
+    """The idempotents that split the central idempotent e by the factors
+    of mu, the minimal polynomial of x e in eE."""
+    fac = factor(mu)
+    if any(m > 1 for _, m in fac):
+        raise OrdAlgebraError(
+            "separating element has non-squarefree minimal polynomial")
+    return [_bezout_idempotent(E, e, x, mu, g) for g, _ in fac]
+
+
+def _bezout_idempotent(E, e, x, mu, part) -> list:
+    """The idempotent of eE[x e] = k[t]/(mu), mu the minimal polynomial
+    of x e in eE, that is one modulo `part` and zero modulo mu / part,
+    for `part` coprime to mu / part."""
     rest = mu // part
     s, _t = _poly_bezout(rest, part)
-    return _eval_poly_in_algebra(E, (rest * s) % mu, x)
+    return _eval_poly_in_algebra(E, (rest * s) % mu, x, e)
 
 
 def lift_idempotent(E: OrdAlgebra, x) -> list:
@@ -502,114 +521,73 @@ def subalgebra_on(field, basis, product, unit) -> OrdAlgebra:
 
 def is_division(E: OrdAlgebra):
     """True / False / "undetermined"."""
-    if E.dim == 0:
-        return False
-    if radical(E):
+    if E.dim == 0 or radical(E):
         return False
     if E.is_commutative():
         return _is_field_commutative(E)
     if E.field.char != 0:
         # Wedderburn's little theorem: finite division rings are fields
         return False
-    return _is_division_char0_noncomm(E)
-
-
-def _is_field_commutative(E: OrdAlgebra):
-    """Field test for a commutative semisimple algebra."""
-    for cand in _candidate_elements(E, [E.basis_vec(i) for i in range(E.dim)]):
-        mu = min_poly_of_element(E, cand)
-        fac = factor(mu)
-        distinct = len(fac)
-        if distinct > 1 or any(m > 1 for _, m in fac):
-            return False          # zero divisors
-        if mu.degree == E.dim:
-            return True           # primitive element with irreducible minpoly
-    return UNDETERMINED
-
-
-def _min_poly_over_center(E, zc_vectors, x):
-    """alpha, beta in the center with x^2 = alpha + beta*x, or None."""
-    field = E.field
-    x2 = E.mult_vec(x, x)
-    cols = list(zc_vectors)
-    cols += [E.mult_vec(z, x) for z in zc_vectors]
-    mat = Matrix.from_cols(field, cols)
-    sol = mat.solve(x2)
-    if sol is None:
-        return None
-    k = len(zc_vectors)
-    alpha = _lin_comb(field, zc_vectors, sol[:k])
-    beta = _lin_comb(field, zc_vectors, sol[k:])
-    return alpha, beta
-
-
-def _is_division_char0_noncomm(E: OrdAlgebra):
     for i in range(E.dim):
         # a reducible minimal polynomial f = gh gives g(b) h(b) = 0 with
         # both factors nonzero: a zero divisor
         fac = factor(min_poly_of_element(E, E.basis_vec(i)))
         if len(fac) > 1 or fac[0][1] > 1:
             return False
-    zc = center(E)
-    if len(zc) != 1:
-        # center must be a field; > 1 could still be a division algebra over
-        # a bigger center, which the norm-form route does not cover
+    if len(center(E)) != 1 or E.dim != 4:
+        # a center of dimension > 1 could still be that of a division
+        # algebra, which the norm-form route does not cover
         return UNDETERMINED
-    if E.dim != 4:
-        return UNDETERMINED
-    # central simple of degree 2 over Q: quaternion norm-form test
-    field = E.field
-    half = field.scalar(Fraction(1, 2))
-    for cand in _candidate_elements(E, [E.basis_vec(i) for i in range(E.dim)]):
-        mp = _min_poly_over_center(E, [E.unit], cand)
-        if mp is None:
-            continue
-        _alpha, beta = mp
-        i_el = [c - half * bv for c, bv in zip(cand, beta)]
-        sq = E.mult_vec(i_el, i_el)
-        coords = Matrix.from_cols(field, [E.unit]).solve(sq)
-        if coords is None:
-            continue
-        a = coords[0]
-        if a.is_zero():
-            return False          # nilpotent element
-        if _is_central(E, i_el):
-            continue
-        # anticommutant of i
-        j_el = _anticommutant_element(E, i_el)
-        if j_el is None:
-            continue
-        sqj = E.mult_vec(j_el, j_el)
-        coords = Matrix.from_cols(field, [E.unit]).solve(sqj)
-        if coords is None:
-            continue
-        b = coords[0]
-        if b.is_zero():
-            return False
-        if field.minpoly is not None:
-            # the Hilbert symbols below are those over Q
-            return UNDETERMINED
-        return not _quaternion_splits(a.c[0], b.c[0])
-    return UNDETERMINED
+    return _is_division_quaternion(E)
 
 
-def _is_central(E, x):
+def _is_field_commutative(E: OrdAlgebra) -> bool:
+    """Field test for a commutative semisimple algebra: by fact (1) of the
+    module docstring, a field iff every basis element has an irreducible
+    minimal polynomial."""
     for i in range(E.dim):
-        bi = E.basis_vec(i)
-        if E.mult_vec(x, bi) != E.mult_vec(bi, x):
-            return False
+        mu = min_poly_of_element(E, E.basis_vec(i))
+        fac = factor(mu)
+        if len(fac) > 1 or fac[0][1] > 1:
+            return False          # zero divisors
+        if mu.degree == E.dim:
+            return True           # primitive element with irreducible minpoly
     return True
 
 
-def _anticommutant_element(E, i_el):
-    """Nonzero j with i j = -j i: the kernel of x -> i x + x i."""
+def _is_division_quaternion(E: OrdAlgebra):
+    """Division test for a central simple E of dimension 4 in characteristic
+    0, the quaternion algebra (a, b).  A non-central x has minimal
+    polynomial t^2 + c_1 t + c_0, i = x + c_1/2 has i^2 = a = c_1^2/4 - c_0,
+    and for a != 0 any j != 0 with ij = -ji has j^2 = b, minus the constant
+    term of its minimal polynomial; a = 0 or b = 0 makes i or j nilpotent."""
+    field = E.field
+    # the first basis element that is not a scalar, so not central
+    x = next(b for b in map(E.basis_vec, range(E.dim))
+             if min_poly_of_element(E, b).degree == 2)
+    c0, c1, _one = min_poly_of_element(E, x).coeffs
+    half = c1 * field.scalar(Fraction(1, 2))
+    a = half * half - c0
+    if a.is_zero():
+        return False
+    i_el = [c + half * u for c, u in zip(x, E.unit)]
+    b = -min_poly_of_element(E, _anticommutant(E, i_el)[0]).coeffs[0]
+    if b.is_zero():
+        return False
+    if field.minpoly is not None:
+        # the Hilbert symbols below are those over Q
+        return UNDETERMINED
+    return not _quaternion_splits(a.c[0], b.c[0])
+
+
+def _anticommutant(E, i_el):
+    """Basis of the j with i j = -j i: the kernel of x -> i x + x i."""
     cols = []
     for k in range(E.dim):
         bk = E.basis_vec(k)
         cols.append([v + w for v, w in zip(E.mult_vec(i_el, bk),
                                            E.mult_vec(bk, i_el))])
-    ker = Matrix.from_cols(E.field, cols).kernel_basis()
-    return ker[0] if ker else None
+    return Matrix.from_cols(E.field, cols).kernel_basis()
 
 
 def _quaternion_splits(a: Fraction, b: Fraction) -> bool:
@@ -731,12 +709,9 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
     if B.dim == 1:
         return list(B.unit)
     if B.is_commutative():
-        verdict = _is_field_commutative(B)
-        if verdict is True:
+        if _is_field_commutative(B):
             return list(B.unit)
-        if verdict is False:
-            raise OrdAlgebraError("block is not simple (commutative splits)")
-        raise SeparatingElementNotFound("commutative block resisted analysis")
+        raise OrdAlgebraError("block is not simple (commutative splits)")
     for cand in _candidate_elements(B, [B.basis_vec(i) for i in range(B.dim)]):
         mu = min_poly_of_element(B, cand)
         fac = factor(mu)
@@ -745,12 +720,12 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
             gpart = g
             for _ in range(e1 - 1):
                 gpart = gpart * g
-            e = _bezout_idempotent(B, cand, mu, gpart)
+            e = _bezout_idempotent(B, B.unit, cand, mu, gpart)
             if e == list(B.unit) or all(c.is_zero() for c in e):
                 continue
             return block_primitive_idempotent(B, e)
         if len(fac) == 1 and fac[0][1] > 1:
-            nil = _eval_poly_in_algebra(B, fac[0][0], cand)
+            nil = _eval_poly_in_algebra(B, fac[0][0], cand, B.unit)
             if any(not c.is_zero() for c in nil):
                 e = _idempotent_from_nilpotent(B, nil)
                 if e is not None:

@@ -1,0 +1,104 @@
+"""Ladder searches, the references for the commutative and quaternion
+questions that `ordalg` decides by theorem.
+
+Each routine tries the basis, then pairs and triples of basis elements
+with small coefficients (`ordalg._candidate_elements`), and gives up
+when the ladder runs out: `central_idempotents_ladder` raises
+`SeparatingElementNotFound`, `is_field_ladder` and
+`quaternion_is_division_ladder` return "undetermined".  Where they give
+an answer, the package must give the same one.
+"""
+
+from fractions import Fraction
+
+from tensorcat.linalg import Matrix
+from tensorcat.ordalg import (UNDETERMINED, SeparatingElementNotFound,
+                              _anticommutant, _bezout_idempotent,
+                              _candidate_elements, _lin_comb,
+                              _quaternion_splits, center,
+                              min_poly_of_element, radical)
+from tensorcat.poly import factor
+
+
+def central_idempotents_ladder(E) -> list:
+    """The split of E's unit by the first ladder element of its center
+    whose minimal polynomial has degree dim Z."""
+    assert not radical(E)
+    zc = center(E)
+    for cand in _candidate_elements(E, zc):
+        mu = min_poly_of_element(E, cand)
+        if mu.degree == len(zc):
+            fac = factor(mu)
+            assert all(m == 1 for _, m in fac)
+            return [_bezout_idempotent(E, E.unit, cand, mu, g)
+                    for g, _ in fac]
+    raise SeparatingElementNotFound(
+        f"no separating central element among the bounded search "
+        f"(center dimension {len(zc)})")
+
+
+def is_field_ladder(E):
+    """Field test of a commutative semisimple E: False at the first
+    ladder element with a reducible minimal polynomial, True at the first
+    one of degree dim E."""
+    for cand in _candidate_elements(E, [E.basis_vec(i) for i in range(E.dim)]):
+        mu = min_poly_of_element(E, cand)
+        fac = factor(mu)
+        if len(fac) > 1 or any(m > 1 for _, m in fac):
+            return False
+        if mu.degree == E.dim:
+            return True
+    return UNDETERMINED
+
+
+def _min_poly_over_center(E, zc_vectors, x):
+    """alpha, beta in the center with x^2 = alpha + beta*x, or None."""
+    field = E.field
+    cols = list(zc_vectors) + [E.mult_vec(z, x) for z in zc_vectors]
+    sol = Matrix.from_cols(field, cols).solve(E.mult_vec(x, x))
+    if sol is None:
+        return None
+    k = len(zc_vectors)
+    return (_lin_comb(field, zc_vectors, sol[:k]),
+            _lin_comb(field, zc_vectors, sol[k:]))
+
+
+def _is_central(E, x):
+    return all(E.mult_vec(x, b) == E.mult_vec(b, x)
+               for b in map(E.basis_vec, range(E.dim)))
+
+
+def quaternion_is_division_ladder(E):
+    """Division test of a central simple E of dimension 4 in
+    characteristic 0: i = x - beta/2 for the first non-central ladder
+    element x with x^2 = alpha + beta x, and j from the anticommutant of
+    i; a square of i or j outside the center skips to the next element."""
+    field = E.field
+    half = field.scalar(Fraction(1, 2))
+    unit = Matrix.from_cols(field, [E.unit])
+    for cand in _candidate_elements(E, [E.basis_vec(i) for i in range(E.dim)]):
+        mp = _min_poly_over_center(E, [E.unit], cand)
+        if mp is None:
+            continue
+        i_el = [c - half * bv for c, bv in zip(cand, mp[1])]
+        coords = unit.solve(E.mult_vec(i_el, i_el))
+        if coords is None:
+            continue
+        a = coords[0]
+        if a.is_zero():
+            return False
+        if _is_central(E, i_el):
+            continue
+        ker = _anticommutant(E, i_el)
+        if not ker:
+            continue
+        coords = unit.solve(E.mult_vec(ker[0], ker[0]))
+        if coords is None:
+            continue
+        b = coords[0]
+        if b.is_zero():
+            return False
+        if field.minpoly is not None:
+            return UNDETERMINED
+        return not _quaternion_splits(a.c[0], b.c[0])
+    return UNDETERMINED

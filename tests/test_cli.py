@@ -422,11 +422,12 @@ def test_cli_exit_2_on_undetermined(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["oracle_agreement"]["separable_adjoint_iso"] is True
 
 
-def test_cli_exit_2_when_no_separating_element_is_found(tmp_path, capsys):
+def test_cli_exit_0_where_the_ladder_finds_no_separating_element(tmp_path,
+                                                                 capsys):
     # the unit algebra of the 2x2 multi-fusion category over F_2 has a
     # commutative End with a 4-dimensional center: no single central
-    # element separates its blocks over a field of 2 elements, and the
-    # bounded search reports that instead of guessing
+    # element separates its blocks over a field of 2 elements, so the
+    # unit is split by each basis element of the center in turn
     cat = make_category("matrix_multifusion", {"n": 2, "field": 2})
     cat_p = str(tmp_path / "c.json")
     alg_p = str(tmp_path / "a.json")
@@ -435,12 +436,15 @@ def test_cli_exit_2_when_no_separating_element_is_found(tmp_path, capsys):
     with open(alg_p, "w") as fh:
         fh.write(dumps_canonical(algebra_to_json(make_algebra(cat,
                                                               "trivial"))))
-    for verb in ("analyze", "decompose"):
-        rc, out, err = run_cli(capsys, verb, cat_p, alg_p)
-        assert rc == 2, verb
-        assert out == "" and "Traceback" not in err
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert "separating" in err
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p, "--report", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["flags"] == {"semisimple": True, "simple": False,
+                                        "division": False, "separable": True}
+    rc, out, err = run_cli(capsys, "decompose", cat_p, alg_p, "--report",
+                           "json")
+    assert (rc, err) == (0, "")
+    md = json.loads(out)["matrix_decomposition"]
+    assert md["object_identity_holds"] is True
 
 
 def test_cli_exit_2_when_the_rational_degree_cap_is_met(tmp_path, capsys):
@@ -459,6 +463,36 @@ def test_cli_exit_2_when_the_rational_degree_cap_is_met(tmp_path, capsys):
     assert out == "" and "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "degree <= 12" in err
+
+
+def test_cli_global_dim_text_with_coefficients_past_a_float(tmp_path,
+                                                             capsys):
+    # Q(a) with a^2 = 10^400 + 1: the minimal polynomial does not fit a
+    # float, so the text report gives the exact value alone
+    from tensorcat.fields import Field
+    field = Field(0, [-(10 ** 400 + 1), 0, 1])
+    cat_p = str(tmp_path / "c.json")
+    with open(cat_p, "w") as fh:
+        fh.write(dumps_canonical(category_to_json(
+            make_category("vec", {"field": field}))))
+    rc, out, err = run_cli(capsys, "global-dim", cat_p)
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["global dimension: 1",
+                                "center semisimple: True"]
+
+
+def test_decimal_rendering_gives_way_to_the_exact_value():
+    from tensorcat.cli import _render_scalar
+    from tensorcat.fields import Field
+    Q = Field.rationals()
+    sqrt2 = Field(0, [-2, 0, 1])
+    assert _render_scalar(Q.scalar(10 ** 400)) == repr(Q.scalar(10 ** 400))
+    # 1.5e308 fits a float, 1.5e308 sqrt(2) does not
+    big = sqrt2.scalar([0, 15 * 10 ** 307])
+    assert _render_scalar(big) == repr(big)
+    small = sqrt2.scalar([0, 3])
+    assert _render_scalar(small).endswith(
+        "(~ -4.24264 or 4.24264, approximate)")
 
 
 def test_cli_rejects_non_integer_budget(capsys, monkeypatch):

@@ -13,17 +13,20 @@ from construction_oracle import (OrdModule, algebra_from_triples,
                                  nilpotency_index, regular_module,
                                  right_ideal_module)
 from end_oracle import associativity_reference, validate_reference, verdict
-from tensorcat.catalog import make_algebra
+from ordalg_oracle import (central_idempotents_ladder, is_field_ladder,
+                           quaternion_is_division_ladder)
+from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fields import Field
 from tensorcat.linalg import Matrix, RowSpace
-from tensorcat.modcat import bimodule_end_algebra
+from tensorcat.modcat import bimodule_end_algebra, free_module_end
 from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               UNDETERMINED,
                               center, central_idempotents, charpoly,
                               corner, is_division,
                               is_semisimple, is_separable_over_k,
                               module_is_simple, radical,
-                              _anticommutant_element, _charpoly_of_blocks,
+                              _anticommutant, _charpoly_of_blocks,
+                              _is_division_quaternion, _is_field_commutative,
                               _lin_comb, _quaternion_splits,
                               _trace_form_kernel)
 from tensorcat.poly import Poly, _frob_inverse
@@ -623,20 +626,23 @@ def _drawn_algebra(data):
     E = _small_algebra(data, field, 4)
     if E.dim < 4 and data.draw(st.booleans()):
         E = direct_sum(E, _small_algebra(data, field, 4 - E.dim))
-    if data.draw(st.booleans()):
-        # P = L U with unit diagonals, so P is invertible over every field
-        n = E.dim
-        entries = st.lists(st.integers(-1, 1), min_size=n * n,
-                           max_size=n * n)
+    return _in_random_basis(data, E) if data.draw(st.booleans()) else E
 
-        def unitriangular(lower):
-            vals = data.draw(entries)
-            return Matrix(field, [[field.scalar(
-                1 if i == j else vals[i * n + j] if (j < i) == lower else 0)
-                for j in range(n)] for i in range(n)])
-        sc, unit = _rebased(E, unitriangular(True) @ unitriangular(False))
-        E = OrdAlgebra(field, n, sc, unit)
-    return E
+
+def _in_random_basis(data, E):
+    """E rewritten in the basis of the rows of P = L U, L and U
+    unitriangular with entries in {-1, 0, 1}, so P is invertible over
+    every field."""
+    field, n = E.field, E.dim
+    entries = st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n)
+
+    def unitriangular(lower):
+        vals = data.draw(entries)
+        return Matrix(field, [[field.scalar(
+            1 if i == j else vals[i * n + j] if (j < i) == lower else 0)
+            for j in range(n)] for i in range(n)])
+    sc, unit = _rebased(E, unitriangular(True) @ unitriangular(False))
+    return OrdAlgebra(field, n, sc, unit)
 
 
 def _section_solve_reference(E):
@@ -735,11 +741,7 @@ def _anticommutant_reference(E, i_el):
             w = E.mult_vec(bi, i_el)
             row.append(v[l] + w[l])
         rows.append(row)
-    ker = Matrix(E.field, rows).kernel_basis()
-    for v in ker:
-        if any(not c.is_zero() for c in v):
-            return v
-    return None
+    return Matrix(E.field, rows).kernel_basis()
 
 
 def _left_mult_reference(E, x):
@@ -779,7 +781,7 @@ def test_image_built_systems_match_row_built_references(data):
                            max_size=E.dim).map(
         lambda cs: [field.scalar(c) for c in cs]))
     assert E.left_mult_matrix(x) == _left_mult_reference(E, x)
-    assert _anticommutant_element(E, x) == _anticommutant_reference(E, x)
+    assert _anticommutant(E, x) == _anticommutant_reference(E, x)
     M = regular_module(E)
     end_basis = module_hom_space(M, M)
     B = matrix_subalgebra(field, M.dim, end_basis)
@@ -793,9 +795,9 @@ def test_anticommutant_matches_reference_on_noncommutative_algebras():
     for E in (quaternions(), quaternions(2, 3), matrix_algebra(Q, 2)):
         for k in range(1, E.dim):
             i_el = E.basis_vec(k)
-            j_el = _anticommutant_element(E, i_el)
-            assert j_el == _anticommutant_reference(E, i_el)
-            if j_el is not None:
+            ker = _anticommutant(E, i_el)
+            assert ker == _anticommutant_reference(E, i_el)
+            for j_el in ker:
                 assert E.mult_vec(i_el, j_el) == \
                     [-c for c in E.mult_vec(j_el, i_el)]
 
@@ -1057,3 +1059,257 @@ def test_radical_matches_the_full_gram_reference(cats, cat_name, kind,
     ref = _radical_charp_reference(E)
     assert ref
     assert radical(E) == ref
+
+
+# -- the commutative lemma and the quaternion test, against the ladders ------
+
+def _no_candidates(E, basis_vectors):
+    return iter(())
+
+
+def _quotient_algebra(field, f):
+    """k[x]/(f) in the basis 1, x, ..., x^(n-1), for f monic of degree n
+    given by its coefficients, low to high."""
+    n = len(f) - 1
+    F = Poly(field, [field.scalar(c) for c in f])
+    trips = []
+    for i in range(n):
+        for j in range(n):
+            r = Poly(field, [field.zero()] * (i + j) + [field.one()]) % F
+            trips += [[i, j, l, c] for l, c in enumerate(r.coeffs)
+                      if not c.is_zero()]
+    return algebra_from_triples(field, n, trips, [1] + [0] * (n - 1))
+
+
+def _sum_of_quotients(field, fs):
+    E = _quotient_algebra(field, fs[0])
+    for f in fs[1:]:
+        E = direct_sum(E, _quotient_algebra(field, f))
+    return E
+
+
+def _monic(field, max_degree):
+    """Monic f of degree 1..max_degree, coefficients from `_points`."""
+    return st.integers(1, max_degree).flatmap(lambda d: st.lists(
+        st.sampled_from(_points(field)), min_size=d, max_size=d).map(
+        lambda cs: cs + [field.one()]))
+
+
+def _irreducible(field, f) -> bool:
+    """Irreducibility of the monic f over `field`: by trial division by
+    every monic polynomial of at most half its degree over a finite
+    field, by sympy over Q and Q(phi)."""
+    d = len(f) - 1
+    if field.char:
+        F = Poly(field, f)
+        return not any(
+            (F % Poly(field, list(g) + [field.one()])).is_zero()
+            for k in range(1, d // 2 + 1)
+            for g in product(_points(field), repeat=k))
+    sympy = pytest.importorskip("sympy")
+    x, root5 = sympy.symbols("x"), sympy.sqrt(5)
+    phi = (1 + root5) / 2
+
+    def to_sympy(c):
+        q = [sympy.Rational(str(v)) for v in c.c]
+        return q[0] + (q[1] * phi if len(q) > 1 else 0)
+    expr = sum(to_sympy(c) * x ** k for k, c in enumerate(f))
+    ext = {"extension": root5} if field.minpoly is not None else \
+        {"domain": "QQ"}
+    return sympy.Poly(expr, x, **ext).is_irreducible
+
+
+@pytest.mark.parametrize("field", CHARPOLY_FIELDS, ids=CHARPOLY_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_field_test_reads_the_basis(field, data):
+    # k[x]/(f_1) (+) ... in a random basis is a field iff there is one
+    # summand and f_1 is irreducible; the ladder agrees where it answers
+    fs = data.draw(st.lists(_monic(field, 3), min_size=1, max_size=2))
+    E = _in_random_basis(data, _sum_of_quotients(field, fs))
+    verdict = _is_field_commutative(E)
+    assert verdict is (len(fs) == 1 and _irreducible(field, fs[0]))
+    ladder = is_field_ladder(E)
+    assert ladder == UNDETERMINED or ladder is verdict
+
+
+def _bench_end_algebras():
+    """E = End(P) of the benchmark's ladder_q and charp inputs that the
+    corpus lacks."""
+    specs = [(("pointed", {"n": 3}), ("regular_pointed", {})),
+             (("pointed", {"n": 4}), ("regular_pointed", {})),
+             (("pointed", {"n": 5}), ("regular_pointed", {})),
+             (("vec", {}), ("ordinary_group_algebra", {"n": 3})),
+             (("vec", {}), ("ordinary_group_algebra", {"n": 4})),
+             (("vec", {"field": 2}), ("ordinary_group_algebra", {"n": 4})),
+             (("vec", {"field": 5}), ("ordinary_group_algebra", {"n": 5})),
+             (("pointed", {"n": 4, "field": 3}), ("regular_pointed", {})),
+             (("vec", {"field": 3}), ("internal_end", {"obj": {"1": 2}}))]
+    for (cat_name, cat_params), (kind, params) in specs:
+        cat = make_category(cat_name, cat_params)
+        yield free_module_end(make_algebra(cat, kind, params)).algebra
+
+
+def test_split_by_the_center_basis_matches_the_ladder(corpus, monkeypatch):
+    from tensorcat import ordalg
+    ends = [free_module_end(alg).algebra for _n, _c, alg in corpus]
+    checked = 0
+    for E in ends + list(_bench_end_algebras()):
+        if radical(E):
+            continue
+        ladder = central_idempotents_ladder(E)
+        # the ladder is taken first, so the order of the blocks is its own
+        assert central_idempotents(E) == ladder
+        with monkeypatch.context() as m:
+            m.setattr(ordalg, "_candidate_elements", _no_candidates)
+            split = central_idempotents(E)
+        assert len(split) == len(ladder)
+        assert set(map(tuple, split)) == set(map(tuple, ladder))
+        checked += 1
+    assert checked >= 24
+
+
+def _primitive_idempotents_by_brute_force(E):
+    """Every primitive idempotent of the center of E over a finite field:
+    the nonzero idempotents e with no other nonzero idempotent f = fe."""
+    zc = center(E)
+    idem = []
+    for cs in product(_points(E.field), repeat=len(zc)):
+        e = _lin_comb(E.field, zc, list(cs))
+        if E.mult_vec(e, e) == e and any(not c.is_zero() for c in e):
+            idem.append(tuple(e))
+    return {e for e in idem
+            if not any(f != e and E.mult_vec(list(f), list(e)) == list(f)
+                       for f in idem)}
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_split_finds_every_primitive_idempotent_of_the_center(field, data):
+    # commutative summands k[x]/(f), f squarefree, and at most one M_2,
+    # with dim Z <= 6, in a random basis
+    fs = data.draw(st.lists(_monic(field, 3), min_size=1, max_size=3))
+    E = _sum_of_quotients(field, fs)
+    if E.dim <= 5 and data.draw(st.booleans()):
+        E = direct_sum(E, matrix_algebra(field, 2))
+    assume(not radical(E) and len(center(E)) <= 6)
+    E = _in_random_basis(data, E)
+    expected = _primitive_idempotents_by_brute_force(E)
+    from tensorcat import ordalg
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ordalg, "_candidate_elements", _no_candidates)
+        split = central_idempotents(E)
+    assert len(split) == len(expected)
+    assert set(map(tuple, split)) == expected
+    assert set(map(tuple, central_idempotents(E))) == expected
+
+
+@pytest.mark.parametrize("ladder", [True, False], ids=["ladder", "split"])
+def test_split_refuses_a_non_squarefree_minimal_polynomial(monkeypatch,
+                                                           ladder):
+    # Q[x]/(x^2) passed off as semisimple: x has minimal polynomial t^2
+    from tensorcat import ordalg
+    monkeypatch.setattr(ordalg, "radical", lambda E: [])
+    if not ladder:
+        monkeypatch.setattr(ordalg, "_candidate_elements", _no_candidates)
+    with pytest.raises(OrdAlgebraError, match="non-squarefree"):
+        central_idempotents(truncated_poly(Q, 2))
+
+
+def test_the_zero_algebra_has_no_central_idempotents():
+    assert central_idempotents(OrdAlgebra(Q, 0, [], [])) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quaternion_verdict_in_a_random_basis(data):
+    # (a, b) or M_2(Q) = (1, 1): the first basis element need not be the
+    # unit, so completing the square has work to do
+    if data.draw(st.booleans()):
+        nonzero = st.integers(-6, 6).filter(bool)
+        a, b = data.draw(nonzero), data.draw(nonzero)
+        E = quaternions(a, b)
+    else:
+        a = b = 1
+        E = matrix_algebra(Q, 2)
+    E = _in_random_basis(data, E)
+    expected = not _quaternion_splits(Fraction(a), Fraction(b))
+    assert is_division(E) is expected
+    assert _is_division_quaternion(E) is expected
+    assert quaternion_is_division_ladder(E) is expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_quaternions_over_qphi_stay_undetermined_in_a_random_basis(data):
+    # a, b < 0 under both real embeddings of Q(phi): a division algebra,
+    # so every basis element passes and the Hilbert symbols over Q do not
+    # apply
+    negative = st.sampled_from([-1, -2, -3, -5, -7])
+    a, b = data.draw(negative), data.draw(negative)
+    E = _in_random_basis(data, quaternions(a, b, QPHI))
+    assert is_division(E) == UNDETERMINED
+    assert quaternion_is_division_ladder(E) == UNDETERMINED
+
+
+def test_quaternion_test_reads_a_nilpotent_i_or_j():
+    # M_2(Q) in the basis (1, E12, E21, E11): the first non-scalar basis
+    # element E12 gives i = E12, i^2 = 0
+    unit_first = [[0, j, j, 1] for j in range(4)] + \
+        [[i, 0, i, 1] for i in (1, 2, 3)]
+    trips = unit_first + [[1, 2, 3, 1], [2, 1, 0, 1], [2, 1, 3, -1],
+                          [2, 3, 2, 1], [3, 1, 1, 1], [3, 3, 3, 1]]
+    assert _is_division_quaternion(
+        algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])) is False
+    # in the basis (1, H, E12, E21), H = E11 - E22: i = H, i^2 = 1, and
+    # the anticommutant of H is spanned by E12 and E21, with j = E12
+    half = Fraction(1, 2)
+    trips = unit_first + [[1, 1, 0, 1], [1, 2, 2, 1], [2, 1, 2, -1],
+                          [1, 3, 3, -1], [3, 1, 3, 1],
+                          [2, 3, 0, half], [2, 3, 1, half],
+                          [3, 2, 0, half], [3, 2, 1, -half]]
+    E = algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])
+    assert _anticommutant(E, E.basis_vec(1))[0] == E.basis_vec(2)
+    assert _is_division_quaternion(E) is False
+
+
+def _biquadratic(field, p, q):
+    """k[a, b]/(a^2 - p, b^2 - q) in the basis 1, a, b, ab."""
+    trips = [[0, j, j, 1] for j in range(4)] + \
+        [[i, 0, i, 1] for i in (1, 2, 3)]
+    trips += [[1, 1, 0, p], [2, 2, 0, q], [3, 3, 0, p * q],
+              [1, 2, 3, 1], [2, 1, 3, 1], [1, 3, 2, p], [3, 1, 2, p],
+              [2, 3, 1, q], [3, 2, 1, q]]
+    return algebra_from_triples(field, 4, trips, [1, 0, 0, 0])
+
+
+def test_field_test_needs_no_primitive_basis_element():
+    # Q(sqrt2, sqrt3) in the basis 1, a, b, ab: every basis element has
+    # degree <= 2 < 4, all irreducible, so fact (1) answers where no
+    # basis element generates; Q(sqrt2) (x) Q(sqrt2) = Q(sqrt2)^2 has
+    # ab with minimal polynomial t^2 - 4
+    for (p, q), field in (((2, 3), True), ((2, 2), False), ((-1, 3), True)):
+        E = _biquadratic(Q, p, q)
+        assert _is_field_commutative(E) is field, (p, q)
+        assert is_division(E) is field, (p, q)
+        assert is_field_ladder(E) is field, (p, q)
+
+
+def test_division_is_undetermined_past_the_quaternion_route():
+    # (-1, -1) (x) Q(sqrt2) as an algebra over Q, basis element 2 q + s
+    # for q in 1, i, j, k and s in 1, sqrt2: a division algebra of
+    # dimension 8 whose center Q(sqrt2) is not the ground field
+    two = Q.scalar(2)
+    trips = [[2 * i + s, 2 * j + t, 2 * l + (s ^ t), c * two if s & t else c]
+             for i, j, l, c in _triples(quaternions())
+             for s in (0, 1) for t in (0, 1)]
+    E = algebra_from_triples(Q, 8, trips, [1] + [0] * 7)
+    assert len(center(E)) == 2
+    assert is_division(E) == UNDETERMINED
+
+
+def test_a_commutative_block_that_splits_is_refused():
+    from tensorcat.ordalg import primitive_idempotent
+    with pytest.raises(OrdAlgebraError, match="not simple"):
+        primitive_idempotent(group_algebra(Q, 2))

@@ -710,3 +710,34 @@ def test_analyze_raises_when_one_route_claims_separable(cats, monkeypatch,
     monkeypatch.setattr(structure, route, flip(getattr(structure, route)))
     with pytest.raises(OracleDisagreement, match=message):
         analyze(zf2, A)
+
+
+def _direct_power(cat, n):
+    A = trivial_algebra(cat)
+    for _ in range(n - 1):
+        A = direct_sum_algebra(A, trivial_algebra(cat))
+    return A
+
+
+# commutative End algebras with no central element of distinct values in
+# the ladder of small combinations: k^n over a small field or with many
+# blocks, and the unit algebra of the n x n multi-fusion category
+@pytest.mark.parametrize("cat_name, cat_params, copies", [
+    ("vec", {"field": 2}, 3),
+    ("vec", {"field": 3}, 4),
+    ("vec", {}, 5),
+    ("matrix_multifusion", {"n": 2, "field": 2}, None),
+    ("matrix_multifusion", {"n": 2, "field": 3}, None),
+    ("matrix_multifusion", {"n": 3, "field": 2}, None),
+    ("matrix_multifusion", {"n": 3, "field": 3}, None)],
+    ids=["F2^3", "F3^4", "Q^5", "mmf2_f2/trivial", "mmf2_f3/trivial",
+         "mmf3_f2/trivial", "mmf3_f3/trivial"])
+def test_analyze_splits_commutative_ends_past_the_ladder(cat_name,
+                                                         cat_params, copies):
+    cat = make_category(cat_name, cat_params)
+    A = _direct_power(cat, copies) if copies else \
+        make_algebra(cat, "trivial")
+    rep = analyze(cat, A)
+    assert rep["flags"] == {"semisimple": True, "simple": False,
+                            "division": False, "separable": True}
+    assert rep["matrix_decomposition"]["object_identity_holds"] is True
