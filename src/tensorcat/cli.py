@@ -8,7 +8,8 @@ No library exception ends in a traceback.  Exit 1, the input is at
 fault: `FieldError`, `NotFusion`, `NotSemisimpleAlgebra`,
 `InseparableExtension`.  Exit 2, a bounded search gave up:
 `SeparatingElementNotFound` (no element among the candidates searched
-splits a non-commutative simple block; never guessed),
+splits a non-commutative simple block, as for the split quaternion
+algebra (13, 13) = M_2(Q) in vec; never guessed),
 `DegreeTooLarge` (a minimal polynomial whose rational factorization
 passes degree 12, a stated limit of the factorizer).  Exit 3, the
 engine is at fault: `OracleDisagreement`, `LinAlgError` (with

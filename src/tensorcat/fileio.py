@@ -253,7 +253,7 @@ def algebra_from_json(cat: CategoryPres, d) -> AlgebraPres:
                 row = 0
             else:
                 e, row, sv = entry
-            if e not in set(cat.unit_components):
+            if not cat.is_unit(e):
                 raise FormatError(f"unit entry names non-unit label {e!r}")
             _put_once(uentries.setdefault(e, {}),
                       (_index(row, carrier.mult(e), entry), 0),

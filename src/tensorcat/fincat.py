@@ -39,7 +39,15 @@ associator directions, `_unitor` both unitors (their inverses are the
 transposes), `_pairing` the four (co)evaluations and the per-label maps
 of the snake checks.  `hom_unit_basis` is the basis dual to `hom_coords`
 that the hom solves of `modcat` and `structure` feed to their systems.
+
+What a presentation derives lives in one table, `_cache`, that only the
+`_cached` decorator reads and writes: one entry per call of `_fusion`
+(the fusion basis, its index and the product of two objects),
+`_associator`, `_f_data`, `_unit_of` and `_left_pair`.
 """
+
+from functools import wraps
+from itertools import product
 
 from .fields import Field, FieldMismatch, Scalar
 from .linalg import Matrix, SingularMatrix
@@ -278,6 +286,23 @@ def hom_dim(X: Obj, Y: Obj) -> int:
     return sum(X.mult(a) * Y.mult(a) for a in X.support)
 
 
+def _cached(method):
+    """Memoize a CategoryPres method on its positional arguments, in the
+    category's one table `_cache`.  A call that raises stores nothing."""
+    name = method.__name__
+
+    @wraps(method)
+    def reader(self, *args):
+        key = (name, args)
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        out = self._cache[key] = method(self, *args)
+        return out
+    return reader
+
+
 class CategoryPres:
     """A skeletal multi-fusion category presentation."""
 
@@ -288,25 +313,20 @@ class CategoryPres:
         self.idx = {a: i for i, a in enumerate(self.labels)}
         if len(self.idx) != len(self.labels):
             raise ValidationFailure("duplicate labels")
-        self.unit_components = tuple(u for u in self.labels if u in set(unit))
-        if set(unit) - set(self.labels):
+        units = set(unit)
+        if units - set(self.labels):
             raise ValidationFailure("unit components must be labels")
+        self.unit_components = tuple(u for u in self.labels if u in units)
         if not self.unit_components:
             raise ValidationFailure("at least one unit component required")
+        self._units = frozenset(self.unit_components)
         self.dualR = dict(dualR)
         self._N = {k: int(v) for k, v in fusion.items() if int(v) != 0}
         self._F = dict(F)
         self.cup = dict(cup)
         self.cap = dict(cap)
-        # caches
-        self._tensor_cache = {}
-        self._basis_cache = {}
-        self._index_cache = {}
-        self._left_pair_cache = {}
-        self._unit_left = {}
-        self._unit_right = {}
-        self._assoc_cache = {}
-        self._f_cache = {}
+        # derived data, one entry per (method, arguments); see `_cached`
+        self._cache = {}
 
     # -- basic table access --------------------------------------------------
     def _same(self, other):
@@ -317,7 +337,7 @@ class CategoryPres:
         return self._N.get((a, b, c), 0)
 
     def is_unit(self, a) -> bool:
-        return a in set(self.unit_components)
+        return a in self._units
 
     def unit_obj(self) -> Obj:
         return Obj(self, {e: 1 for e in self.unit_components})
@@ -330,20 +350,21 @@ class CategoryPres:
 
     def left_unit_of(self, a):
         """The unit component e with e (x) a = a."""
-        if a not in self._unit_left:
-            es = [e for e in self.unit_components if self.N(e, a, a) == 1]
-            if len(es) != 1:
-                raise ValidationFailure(f"label {a!r} lies in {len(es)} left unit sectors")
-            self._unit_left[a] = es[0]
-        return self._unit_left[a]
+        return self._unit_of(a, "left")
 
     def right_unit_of(self, a):
-        if a not in self._unit_right:
-            es = [e for e in self.unit_components if self.N(a, e, a) == 1]
-            if len(es) != 1:
-                raise ValidationFailure(f"label {a!r} lies in {len(es)} right unit sectors")
-            self._unit_right[a] = es[0]
-        return self._unit_right[a]
+        """The unit component e with a (x) e = a."""
+        return self._unit_of(a, "right")
+
+    @_cached
+    def _unit_of(self, a, side: str):
+        """The one unit component on the given side of a."""
+        es = [e for e in self.unit_components
+              if (self.N(e, a, a) if side == "left" else self.N(a, e, a)) == 1]
+        if len(es) != 1:
+            raise ValidationFailure(
+                f"label {a!r} lies in {len(es)} {side} unit sectors")
+        return es[0]
 
     # -- F-matrix access ------------------------------------------------------
     def f_rows(self, a, b, c, d) -> list:
@@ -374,50 +395,42 @@ class CategoryPres:
         raise ValidationFailure(f"missing F block at {key}")
 
     # -- tensor product -------------------------------------------------------
+    @_cached
+    def _fusion(self, xkey: tuple, ykey: tuple) -> tuple:
+        """(basis, index, product) of X (x) Y, from the keys of X and Y:
+        per label, the fusion tuples (a, i, b, j, mu) in the frozen order,
+        generated in it since a key lists labels by index; then each
+        tuple's position; then the product object."""
+        labels = self.labels
+        xs = [(labels[ai], i) for ai, m in xkey for i in range(m)]
+        ys = [(labels[bi], j) for bi, n in ykey for j in range(n)]
+        basis = {}
+        for (a, i), (b, j) in product(xs, ys):
+            for c in labels:
+                for mu in range(self.N(a, b, c)):
+                    basis.setdefault(c, []).append((a, i, b, j, mu))
+        index = {c: {t: r for r, t in enumerate(lst)}
+                 for c, lst in basis.items()}
+        return basis, index, Obj(self, {c: len(lst)
+                                        for c, lst in basis.items()})
+
     def fusion_basis(self, X: Obj, Y: Obj) -> dict:
         """Per-label ordered list of fusion tuples (a, i, b, j, mu)."""
-        key = (X.key, Y.key)
-        if key not in self._basis_cache:
-            basis = {}
-            for a in X.support:
-                for b in Y.support:
-                    for c in self.labels:
-                        n = self.N(a, b, c)
-                        if n == 0:
-                            continue
-                        lst = basis.setdefault(c, [])
-                        for i in range(X.mult(a)):
-                            for j in range(Y.mult(b)):
-                                for mu in range(n):
-                                    lst.append((a, i, b, j, mu))
-            for c in basis:
-                basis[c].sort(key=lambda t: (self.idx[t[0]], t[1],
-                                             self.idx[t[2]], t[3], t[4]))
-            self._basis_cache[key] = basis
-            self._index_cache[key] = {
-                c: {t: i for i, t in enumerate(lst)} for c, lst in basis.items()}
-        return self._basis_cache[key]
+        return self._fusion(X.key, Y.key)[0]
 
     def fusion_index(self, X: Obj, Y: Obj) -> dict:
-        self.fusion_basis(X, Y)
-        return self._index_cache[(X.key, Y.key)]
+        """Per label, the position of each fusion tuple in its list."""
+        return self._fusion(X.key, Y.key)[1]
 
     def tensor(self, X: Obj, Y: Obj) -> Obj:
-        key = (X.key, Y.key)
-        if key not in self._tensor_cache:
-            basis = self.fusion_basis(X, Y)
-            self._tensor_cache[key] = Obj(self, {c: len(lst)
-                                                 for c, lst in basis.items()})
-        return self._tensor_cache[key]
+        return self._fusion(X.key, Y.key)[2]
 
     def tensor_mor(self, f: Mor, g: Mor) -> Mor:
         """f (x) g in the fusion bases of (f.src, g.src) and (f.dst, g.dst):
         the row (a, i, b, j, mu) of the block at c is the Kronecker
         product of row i of f's block at a and row j of g's at b."""
-        src = self.tensor(f.src, g.src)
-        dst = self.tensor(f.dst, g.dst)
-        dst_basis = self.fusion_basis(f.dst, g.dst)
-        src_index = self.fusion_index(f.src, g.src)
+        _, src_index, src = self._fusion(f.src.key, g.src.key)
+        dst_basis, _, dst = self._fusion(f.dst.key, g.dst.key)
         field = self.field
         mul = field._mul
         frows, grows = ({a: [m.row_nonzero(i) for i in range(m.rows)]
@@ -442,44 +455,34 @@ class CategoryPres:
                                 for a in X.support})
 
     # -- associator -----------------------------------------------------------
+    @_cached
     def _f_data(self, a, b, c, d, inverse: bool):
         """(lines, row positions, column labels): lines[r] lists the nonzero
         (column, value) pairs of row r of F, or of column r of F^-1."""
-        cache = self._f_cache
-        key = (a, b, c, d, inverse)
-        if key not in cache:
-            fm = self.f_block(a, b, c, d)
-            if inverse and fm.rows:
-                fm = fm.inv().transpose()
-            lines = [fm.row_nonzero(r) for r in range(fm.rows)]
-            rows = {t: r for r, t in enumerate(self.f_rows(a, b, c, d))}
-            cols = self.f_cols(a, b, c, d)
-            cache[key] = (lines, rows, cols)
-        return cache[key]
+        fm = self.f_block(a, b, c, d)
+        if inverse and fm.rows:
+            fm = fm.inv().transpose()
+        lines = [fm.row_nonzero(r) for r in range(fm.rows)]
+        rows = {t: r for r, t in enumerate(self.f_rows(a, b, c, d))}
+        return lines, rows, self.f_cols(a, b, c, d)
 
     def associator(self, X: Obj, Y: Obj, Z: Obj) -> Mor:
         """Invertible (X(x)Y)(x)Z -> X(x)(Y(x)Z) assembled from F entries."""
-        return self._associator(X, Y, Z, False)
+        return self._associator(X.key, Y.key, Z.key, False)
 
     def associator_inv(self, X: Obj, Y: Obj, Z: Obj) -> Mor:
         """X(x)(Y(x)Z) -> (X(x)Y)(x)Z, from the inverted F blocks."""
-        return self._associator(X, Y, Z, True)
+        return self._associator(X.key, Y.key, Z.key, True)
 
-    def _associator(self, X: Obj, Y: Obj, Z: Obj, inverse: bool) -> Mor:
-        """Both directions walk the left-associated fusion basis: the
-        forward map puts F[r][c] at (right, left) and the inverse puts
-        F^-1[c][r] at (left, right).  Each per-quadruple block is small."""
-        ckey = (X.key, Y.key, Z.key, inverse)
-        if ckey in self._assoc_cache:
-            return self._assoc_cache[ckey]
-        XY = self.tensor(X, Y)
-        YZ = self.tensor(Y, Z)
-        left = self.tensor(XY, Z)
-        right = self.tensor(X, YZ)
-        left_basis = self.fusion_basis(XY, Z)
-        xy_basis = self.fusion_basis(X, Y)
-        yz_index = self.fusion_index(Y, Z)
-        right_index = self.fusion_index(X, YZ)
+    @_cached
+    def _associator(self, x: tuple, y: tuple, z: tuple, inverse: bool) -> Mor:
+        """Both directions walk the left-associated fusion basis of the
+        objects with keys x, y, z: the forward map puts F[r][c] at (right,
+        left) and the inverse F^-1[c][r] at (left, right)."""
+        xy_basis, _, XY = self._fusion(x, y)
+        _, yz_index, YZ = self._fusion(y, z)
+        left_basis, _, left = self._fusion(XY.key, z)
+        _, right_index, right = self._fusion(x, YZ.key)
         src, dst = (right, left) if inverse else (left, right)
         blocks = {}
         for d, lst in left_basis.items():
@@ -498,9 +501,7 @@ class CategoryPres:
                                    else (rpos, lpos, val))
             blocks[d] = Matrix.from_entries(self.field, dst.mult(d),
                                             src.mult(d), entries)
-        out = Mor(self, src, dst, blocks)
-        self._assoc_cache[ckey] = out
-        return out
+        return Mor(self, src, dst, blocks)
 
     # -- unitors ----------------------------------------------------------------
     def unitor_left(self, X: Obj) -> Mor:
@@ -537,14 +538,13 @@ class CategoryPres:
     def dual_obj(self, X: Obj) -> Obj:
         return Obj(self, {self.dualR[a]: n for a, n in X._mult.items()})
 
+    @_cached
     def _left_pair(self, a):
         """Derived left-duality coefficients (u', v') for the label a.
 
         (u', v') solve both snake equations for the pair
         u': 1 -> a (x) a^L, v': a^L (x) a -> 1, normalized u' = 1.
         """
-        if a in self._left_pair_cache:
-            return self._left_pair_cache[a]
         al = self.dualR[a]
         one = self.field.one()
         # the right duality of a^L: 1 -> a (x) a^L and a^L (x) a -> 1
@@ -554,8 +554,7 @@ class CategoryPres:
         vfix = one / s
         if self._snake2_scalar(al, one, vfix) != one:
             raise SnakeUnsolvable(f"label {a!r}: snake equations inconsistent")
-        self._left_pair_cache[a] = (one, vfix)
-        return self._left_pair_cache[a]
+        return one, vfix
 
     def _raw_pair(self, a, cup: Scalar, cap: Scalar):
         """cup * (1 -> a^R (x) a) and cap * (a (x) a^R -> 1)."""

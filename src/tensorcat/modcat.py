@@ -531,19 +531,19 @@ def bimodule_end_algebra(A: AlgebraPres) -> EndData:
 
 
 def _split_idempotent_obj(cat, T: Obj, e: Mor):
+    """(image, inclusion, projection) of the idempotent e of T: at each
+    label e = C R, C the pivot columns of e and R the nonzero rows of its
+    reduced echelon form, and R C = 1 because e is idempotent."""
     field = cat.field
     iblocks, pblocks = {}, {}
     mults = {}
     for a in T.support:
         m = e.block(a)
-        _r, pivots = m.rref()
-        cols = [m.col(j) for j in pivots]
-        mults[a] = len(cols)
-        if not cols:
+        r, pivots = m.rref()
+        mults[a] = len(pivots)
+        if not pivots:
             continue
-        incl = Matrix.from_cols(field, cols)
-        iblocks[a] = incl
-        pblocks[a] = Matrix.from_cols(
-            field, incl.solve_many([m.col(j) for j in range(T.mult(a))]))
+        iblocks[a] = Matrix.from_cols(field, [m.col(j) for j in pivots])
+        pblocks[a] = Matrix(field, [r.row(i) for i in range(len(pivots))])
     q = Obj(cat, mults)
     return q, Mor(cat, q, T, iblocks), Mor(cat, T, q, pblocks)

@@ -47,6 +47,7 @@ deterministically.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .fields import Field, Scalar
@@ -90,7 +91,6 @@ class OrdAlgebra:
         self.sc = sc_pairs
         self.unit = list(unit)
         self.rep = rep
-        self._radical = None
         if validate:
             self._validate()
 
@@ -204,6 +204,11 @@ class OrdAlgebra:
                 t = t + m.trace()
             out.append(t)
         return out
+
+    @cached_property
+    def _radical(self) -> list:
+        return (_trace_form_kernel(self) if self.field.char == 0
+                else _radical_charp(self))
 
     def serialize(self) -> dict:
         sc = []
@@ -320,11 +325,8 @@ def _charpoly_of_blocks(blocks, top: int) -> list:
 def radical(E: OrdAlgebra) -> list:
     """Basis of the Jacobson radical, as coordinate vectors.
 
-    Computed once per algebra: an OrdAlgebra does not change after
-    construction, and every caller only reads the list."""
-    if E._radical is None:
-        E._radical = (_trace_form_kernel(E) if E.field.char == 0
-                      else _radical_charp(E))
+    Computed once per algebra, as `OrdAlgebra._radical`: an OrdAlgebra
+    does not change after construction, and callers only read the list."""
     return E._radical
 
 
@@ -705,7 +707,9 @@ def block_primitive_idempotent(E: OrdAlgebra, e) -> list:
 
 
 def primitive_idempotent(B: OrdAlgebra) -> list:
-    """A primitive idempotent of a semisimple simple block."""
+    """A primitive idempotent of a semisimple simple block.  A Bezout
+    idempotent is neither 0 nor 1: it is (1, 0) in k[t]/(mu), inside B.
+    With mu = g^e, e > 1, g(x) is nonzero, since deg g < deg mu."""
     if B.dim == 1:
         return list(B.unit)
     if B.is_commutative():
@@ -720,16 +724,12 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
             gpart = g
             for _ in range(e1 - 1):
                 gpart = gpart * g
-            e = _bezout_idempotent(B, B.unit, cand, mu, gpart)
-            if e == list(B.unit) or all(c.is_zero() for c in e):
-                continue
-            return block_primitive_idempotent(B, e)
+            return block_primitive_idempotent(
+                B, _bezout_idempotent(B, B.unit, cand, mu, gpart))
         if len(fac) == 1 and fac[0][1] > 1:
             nil = _eval_poly_in_algebra(B, fac[0][0], cand, B.unit)
-            if any(not c.is_zero() for c in nil):
-                e = _idempotent_from_nilpotent(B, nil)
-                if e is not None:
-                    return block_primitive_idempotent(B, e)
+            return block_primitive_idempotent(
+                B, _idempotent_from_nilpotent(B, nil))
     verdict = is_division(B)
     if verdict is True:
         return list(B.unit)
@@ -738,20 +738,19 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
 
 
 def _idempotent_from_nilpotent(B: OrdAlgebra, z):
-    """Right identity of the proper left ideal B z, if it exists."""
+    """Right identity of the left ideal B z of a nonzero nilpotent z: an
+    idempotent other than 0 and 1, since B z holds z and not 1.
+    In a semisimple B the ideal is B f for an idempotent f, which is a
+    right identity of it, so the solve below is feasible."""
     field = B.field
     ideal = RowSpace(field, B.dim)
     for i in range(B.dim):
         ideal.add(B.mult_vec(B.basis_vec(i), z))
     basis = ideal.basis()
-    if not basis or ideal.dim() == B.dim:
-        return None
     # e = sum c_v v in the ideal with x e = x for every basis x: column
     # k holds x v_k for every x
     cols = [[c for x in basis for c in B.mult_vec(x, v)] for v in basis]
     sol = Matrix.from_cols(field, cols).solve([c for x in basis for c in x])
-    if sol is None:
-        return None
     return _lin_comb(field, basis, sol)
 
 

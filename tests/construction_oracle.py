@@ -1,5 +1,8 @@
 """References and constructions that only the tests use.
 
+`fusion_basis_sorted` is the fusion basis of X (x) Y by enumeration
+and sort: the package generates it in the frozen order instead.
+
 `reassoc` is the general rebracketing: the canonical iso between two
 bracketings of one leaf sequence, through the left comb of its leaves.
 The package writes each rebracketing it needs as the one- or two-step
@@ -9,10 +12,10 @@ pentagon holds, and `test_rebracketing` checks that they do.
 
 The rest builds objects the analysis never needs: the algebra [x, x]
 itself (the analysis reads only its carrier, from `internal_hom`), an
-ordinary algebra from its structure constants, right modules over an
-ordinary algebra with their hom spaces, simplicity and decomposition,
-the quotient k[x]/(x^2 + b x + c) in vec, the direct sum of two
-algebras or of modules, and the bimodule axioms.
+ordinary algebra from its structure constants, the quaternion algebra
+(a, b), right modules over an ordinary algebra with their hom spaces,
+simplicity and decomposition, the quotient k[x]/(x^2 + b x + c) in vec,
+the direct sum of two algebras or of modules, and the bimodule axioms.
 
 `simple_modules_reference` splits each simple module off the direct sum
 of all the free modules, through the natural representation of
@@ -26,6 +29,7 @@ for a right ideal eps E from the corner eps E eps.
 """
 
 from tensorcat.algebra import AlgebraPres, validate_algebra
+from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure,
                               ValidationReport)
 from tensorcat.linalg import Matrix, RowSpace
@@ -38,6 +42,31 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               central_idempotents, corner, is_division,
                               radical, subalgebra_on)
 from tensorcat.poly import factor
+
+
+# ---------------------------------------------------------------------------
+# fusion bases
+
+def fusion_basis_sorted(cat, X: Obj, Y: Obj) -> dict:
+    """Per label c, every fusion tuple (a, i, b, j, mu) with
+    mu < N[a,b,c], enumerated by (a, b, c) and then sorted by (index of
+    a, i, index of b, j, mu); the labels in order of first appearance."""
+    basis = {}
+    for a in X.support:
+        for b in Y.support:
+            for c in cat.labels:
+                n = cat.N(a, b, c)
+                if n == 0:
+                    continue
+                lst = basis.setdefault(c, [])
+                for i in range(X.mult(a)):
+                    for j in range(Y.mult(b)):
+                        for mu in range(n):
+                            lst.append((a, i, b, j, mu))
+    for c in basis:
+        basis[c].sort(key=lambda t: (cat.idx[t[0]], t[1],
+                                     cat.idx[t[2]], t[3], t[4]))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +197,17 @@ def algebra_from_triples(field, dim: int, triples, unit) -> OrdAlgebra:
     for i, j, l, c in triples:
         sc[i][j].append((l, field.scalar(c)))
     return OrdAlgebra(field, dim, sc, [field.scalar(c) for c in unit])
+
+
+def quaternions(a=-1, b=-1, field=Field.rationals()):
+    """The quaternion algebra (a, b): i^2 = a, j^2 = b, k = ij."""
+    trips = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
+             [1, 0, 1, 1], [2, 0, 2, 1], [3, 0, 3, 1],
+             [1, 1, 0, a], [2, 2, 0, b], [3, 3, 0, -a * b],
+             [1, 2, 3, 1], [2, 1, 3, -1],
+             [1, 3, 2, a], [3, 1, 2, -a],
+             [2, 3, 1, -b], [3, 2, 1, b]]
+    return algebra_from_triples(field, 4, trips, [1, 0, 0, 0])
 
 
 def nilpotency_index(E: OrdAlgebra, vectors) -> int:

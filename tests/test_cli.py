@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from construction_oracle import quadratic_algebra
+from construction_oracle import quadratic_algebra, quaternions
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.cli import main
 from tensorcat.fileio import (algebra_from_json, algebra_to_json,
@@ -445,6 +445,25 @@ def test_cli_exit_0_where_the_ladder_finds_no_separating_element(tmp_path,
     assert (rc, err) == (0, "")
     md = json.loads(out)["matrix_decomposition"]
     assert md["object_identity_holds"] is True
+
+
+def test_cli_exit_2_where_the_ladder_gives_up_on_the_quaternions_13_13(
+        tmp_path, capsys):
+    # the split quaternion algebra (13, 13) = M_2(Q) in vec: no element
+    # of the bounded search splits its End, a stated limit of the engine
+    E = quaternions(13, 13)
+    mult = [[4 * i + j, l, c.serialize()] for i in range(4)
+            for j in range(4) for l, c in E.sc[i][j]]
+    cat_p = str(tmp_path / "c.json")
+    alg_p = str(tmp_path / "a.json")
+    with open(cat_p, "w") as fh:
+        fh.write(dumps_canonical(category_to_json(make_category("vec", {}))))
+    with open(alg_p, "w") as fh:
+        fh.write(dumps_canonical({"carrier": {"1": 4}, "mult": mult,
+                                  "unit": [["1", 0, 1]]}))
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p)
+    assert (rc, out) == (2, "")
+    assert err == "error: bounded search found no splitting of the block\n"
 
 
 def test_cli_exit_2_when_the_rational_degree_cap_is_met(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from construction_oracle import reassoc
+from construction_oracle import fusion_basis_sorted, reassoc
 from tensorcat.catalog import make_category, standard_entries
 from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure, hom_coords, hom_dim,
@@ -449,15 +451,19 @@ def test_zero_objects_are_first_class(z2):
     assert z2.tensor_mor(idz, z2.id(z2.simple("g1"))).is_zero()
 
 
+def _multiplicity_two_category():
+    """Fusion rules with x (x) x = e + 2x, without F data."""
+    from tensorcat.fincat import CategoryPres
+    fusion = {("e", "e", "e"): 1, ("e", "x", "x"): 1, ("x", "e", "x"): 1,
+              ("x", "x", "e"): 1, ("x", "x", "x"): 2}
+    return CategoryPres(Field.rationals(), ["e", "x"], ["e"],
+                        {"e": "e", "x": "x"}, fusion, {}, {}, {})
+
+
 def test_fusion_multiplicity_indexing():
     # the data model carries N > 1: basis tuples enumerate the channel
     # index last and block shapes follow the weighted counts
-    from tensorcat.fincat import CategoryPres
-    Q = Field.rationals()
-    fusion = {("e", "e", "e"): 1, ("e", "x", "x"): 1, ("x", "e", "x"): 1,
-              ("x", "x", "e"): 1, ("x", "x", "x"): 2}
-    cat = CategoryPres(Q, ["e", "x"], ["e"], {"e": "e", "x": "x"},
-                       fusion, {}, {}, {})
+    cat = _multiplicity_two_category()
     x = cat.simple("x")
     xx = cat.tensor(x, x)
     assert xx.describe() == {"e": 1, "x": 2}
@@ -476,6 +482,28 @@ def test_fusion_multiplicity_indexing():
     assert cat.tensor_mor(cat.id(x), cat.id(x)) == cat.id(xx)
 
 
+@pytest.mark.parametrize("name", sorted(standard_entries())
+                         + ["multiplicity_two"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fusion_basis_matches_the_sorted_enumeration(cats, name, data):
+    # the basis is generated in the frozen order; the oracle enumerates
+    # it and sorts, with the labels in the order they first appear
+    cat = (_multiplicity_two_category() if name == "multiplicity_two"
+           else cats[name])
+    mult = st.fixed_dictionaries({a: st.integers(0, 3)
+                                  for a in cat.labels})
+    X, Y = Obj(cat, data.draw(mult)), Obj(cat, data.draw(mult))
+    expected = fusion_basis_sorted(cat, X, Y)
+    basis = cat.fusion_basis(X, Y)
+    assert basis == expected
+    assert list(basis) == list(expected)
+    assert cat.fusion_index(X, Y) == {
+        c: {t: r for r, t in enumerate(lst)} for c, lst in expected.items()}
+    assert cat.tensor(X, Y) == Obj(cat, {c: len(lst)
+                                         for c, lst in expected.items()})
+
+
 def test_unit_orthogonality_validation():
     from tensorcat.fincat import CategoryPres
     Q = Field.rationals()
@@ -486,6 +514,12 @@ def test_unit_orthogonality_validation():
                        {"e1": "e1", "e2": "e2"}, fusion, {}, {}, {})
     rep = validate_category(cat)
     assert not rep.ok
+    # e1 lies in two right unit sectors; a derivation that raises is not
+    # cached, so asking again raises again
+    for _ in range(2):
+        with pytest.raises(ValidationFailure, match="2 right unit sectors"):
+            cat.right_unit_of("e1")
+    assert cat.left_unit_of("e1") == "e1"
 
 
 def _tree_obj(cat, tree):

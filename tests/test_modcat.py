@@ -204,6 +204,35 @@ def test_end_algebra_of_regular_z2_over_q(z2, z2reg):
     assert is_semisimple(end.algebra)
 
 
+def test_split_idempotent_obj_factors_the_idempotent_of_each_simple(
+        corpus, monkeypatch):
+    # at each label incl proj = e and proj incl = 1, for the idempotent
+    # of every simple module of every semisimple corpus pair
+    import tensorcat.modcat as modcat
+    inner = modcat._split_idempotent_obj
+    seen = []
+
+    def spy(cat, T, e):
+        out = inner(cat, T, e)
+        seen.append((cat, T, e, out))
+        return out
+    monkeypatch.setattr(modcat, "_split_idempotent_obj", spy)
+    pairs = splits = 0
+    for name, _cat, A in corpus:
+        end = free_module_end(A)
+        if not is_semisimple(end.algebra):
+            continue
+        seen.clear()
+        assert len(simple_modules(end).simples) == len(seen), name
+        pairs, splits = pairs + 1, splits + len(seen)
+        for cat, T, e, (q, incl, proj) in seen:
+            for a in T.support:
+                assert incl.block(a) @ proj.block(a) == e.block(a), name
+                assert proj.block(a) @ incl.block(a) == \
+                    Matrix.identity(cat.field, q.mult(a)), name
+    assert (pairs, splits) == (18, 32)
+
+
 def test_simple_modules_regular_z2(z2, z2reg):
     sm = simple_modules(free_module_end(z2reg))
     assert len(sm.simples) == 1

@@ -10,8 +10,8 @@ from construction_oracle import (OrdModule, algebra_from_triples,
                                  decompose_module, flat, ideal_module,
                                  matrix_subalgebra, module_hom_space,
                                  module_is_simple_reference,
-                                 nilpotency_index, regular_module,
-                                 right_ideal_module)
+                                 nilpotency_index, quaternions,
+                                 regular_module, right_ideal_module)
 from end_oracle import associativity_reference, validate_reference, verdict
 from ordalg_oracle import (central_idempotents_ladder, is_field_ladder,
                            quaternion_is_division_ladder)
@@ -20,11 +20,12 @@ from tensorcat.fields import Field
 from tensorcat.linalg import Matrix, RowSpace
 from tensorcat.modcat import bimodule_end_algebra, free_module_end
 from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
-                              UNDETERMINED,
+                              SeparatingElementNotFound, UNDETERMINED,
                               center, central_idempotents, charpoly,
                               corner, is_division,
                               is_semisimple, is_separable_over_k,
-                              module_is_simple, radical,
+                              module_is_simple, primitive_idempotent,
+                              radical,
                               _anticommutant, _charpoly_of_blocks,
                               _is_division_quaternion, _is_field_commutative,
                               _lin_comb, _quaternion_splits,
@@ -59,17 +60,6 @@ def matrix_algebra(field, n):
     for i in range(n):
         unit[units[(i, i)]] = 1
     return algebra_from_triples(field, n * n, trips, unit)
-
-
-def quaternions(a=-1, b=-1, field=Q):
-    """The quaternion algebra (a, b): i^2 = a, j^2 = b, k = ij."""
-    trips = [[0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1],
-             [1, 0, 1, 1], [2, 0, 2, 1], [3, 0, 3, 1],
-             [1, 1, 0, a], [2, 2, 0, b], [3, 3, 0, -a * b],
-             [1, 2, 3, 1], [2, 1, 3, -1],
-             [1, 3, 2, a], [3, 1, 2, -a],
-             [2, 3, 1, -b], [3, 2, 1, b]]
-    return algebra_from_triples(field, 4, trips, [1, 0, 0, 0])
 
 
 def truncated_poly(field, n):
@@ -1310,6 +1300,22 @@ def test_division_is_undetermined_past_the_quaternion_route():
 
 
 def test_a_commutative_block_that_splits_is_refused():
-    from tensorcat.ordalg import primitive_idempotent
     with pytest.raises(OrdAlgebraError, match="not simple"):
         primitive_idempotent(group_algebra(Q, 2))
+
+
+def test_primitive_idempotent_of_a_division_quaternion_algebra_is_the_unit():
+    # no element of the ladder splits (-1, -1), and it is a division
+    # algebra: the block is its own primitive idempotent
+    B = quaternions(-1, -1)
+    assert primitive_idempotent(B) == list(B.unit)
+
+
+def test_limit_the_ladder_gives_up_on_the_split_quaternions_13_13():
+    # (13, 13) is M_2(Q), yet no element of the ladder has a reducible
+    # minimal polynomial, so the bounded search gives up.  This pins a
+    # stated limit of the engine: a change that splits every
+    # non-commutative block turns this test around
+    assert _quaternion_splits(Fraction(13), Fraction(13))
+    with pytest.raises(SeparatingElementNotFound):
+        primitive_idempotent(quaternions(13, 13))
