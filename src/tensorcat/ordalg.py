@@ -4,10 +4,14 @@ Structure constants are stored sparsely.  The radical is computed from
 trace data of a faithful representation: in characteristic zero the
 kernel of the trace form (Dickson), in characteristic p the
 Cohen-Ivanyos-Wales chain of characteristic-polynomial-coefficient
-conditions, linearized through the inverse Frobenius (all supported
-characteristic-p fields are finite, hence perfect).  Each of its Gram
-matrices is symmetric, so half of it is computed, and each entry reads
-one coefficient from the top of a truncated characteristic polynomial.
+conditions.  Its level l reads g_l(x), the coefficient of lambda^(n - p^l)
+in the characteristic polynomial of x, which is p^l-semilinear on the
+ideal J_{l-1} of the level before (Cohen, Ivanyos and Wales, JPAA
+117-118, 1997), so linear after the inverse Frobenius (all supported
+characteristic-p fields are finite, hence perfect).  A level costs one
+truncated characteristic polynomial per basis vector of J_{l-1}, one
+solve, and a Gram matrix built from the structure constants as the trace
+form is.
 
 Construction checks the unit law and associativity.  Associativity is
 checked on the triples (i, j, l) that some nonzero structure constant
@@ -330,52 +334,67 @@ def radical(E: OrdAlgebra) -> list:
     return E._radical
 
 
+def _form(E: OrdAlgebra, w) -> Matrix:
+    """The matrix T_w of the bilinear form (x, y) -> w(xy) of the
+    functional w, a list of Scalars: T_w[i][j] = w(b_i b_j) =
+    sum_m c_ijm w_m, read from the nonzero structure constants."""
+    field = E.field
+    add, mul, zc = field._add, field._mul, field._zero_c
+    wc = [x.c for x in w]
+    rows = []
+    for sci in E.sc:
+        row = {}
+        for j, pairs in enumerate(sci):
+            acc = zc
+            for m, c in pairs:
+                if wc[m] != zc:
+                    acc = add(acc, mul(c.c, wc[m]))
+            row[j] = acc
+        rows.append(row)
+    return Matrix._wrap(field, E.dim, E.dim, rows)
+
+
 def _trace_form_kernel(E: OrdAlgebra) -> list:
     """Kernel of the trace form (x, y) -> tr(xy) of the natural
-    representation, from the structure constants."""
-    tr = E._nat_traces()
-    z = E.field.zero()
-    gram = []
-    for i in range(E.dim):
-        row = [z] * E.dim
-        for j in range(E.dim):
-            acc = z
-            for l, c in E.sc[i][j]:
-                if not tr[l].is_zero():
-                    acc = acc + c * tr[l]
-            row[j] = acc
-        gram.append(row)
-    return Matrix(E.field, gram).kernel_basis()
+    representation: the form of the functional w = the traces."""
+    return _form(E, E._nat_traces()).kernel_basis()
 
 
 def _radical_charp(E: OrdAlgebra) -> list:
     """Cohen-Ivanyos-Wales: the radical is the last of the spaces
-    J_0 = ker(trace form) and J_l = {x in J_{l-1} : the coefficient of
-    lambda^(n - p^l) in charpoly(rho(xy)) vanishes for all y in J_{l-1}},
-    taken while p^l <= n, the dimension of the faithful representation
-    rho.  The map is read as linear through the inverse Frobenius.
-    rho(xy) = rho(x)rho(y) and rho(yx) = rho(y)rho(x) have the same
-    characteristic polynomial, so each level's Gram matrix is symmetric
-    and only its entries on and above the diagonal are computed; each
-    takes only the p^l + 1 top coefficients of the characteristic
-    polynomial."""
-    p = E.field.char
+    J_0 = ker(trace form) and J_l = {x in J_{l-1} : g_l(xy) = 0 for all
+    y in J_{l-1}}, taken while p^l <= n, the dimension of the faithful
+    representation rho; g_l(x) is the coefficient of lambda^(n - p^l) in
+    charpoly(rho(x)).
+
+    By the lemma of Cohen, Ivanyos and Wales (Finding the radical of an
+    algebra of linear transformations, JPAA 117-118, 1997), g_l is
+    p^l-semilinear on the ideal J_{l-1}: g_l(x + c y) = g_l(x) +
+    c^(p^l) g_l(y).  So g = sigma^(-l) o g_l, sigma the Frobenius, is
+    linear there and fixed by its values at the basis z_t of J_{l-1}: a
+    level costs one truncated characteristic polynomial per basis vector,
+    each keeping its p^l + 1 top coefficients.  Any functional w on E
+    with w(z_t) = g(z_t), from one solve, gives the level's Gram matrix
+    g(z_a z_b) = C T_w C^T, C the rows z_t and T_w the form of w, built
+    as the trace form is (level 0 is w = the traces).  The kernel of the
+    Gram matrix, times C, is J_l."""
+    field = E.field
+    p = field.char
     n_rep = E._rep_dim()
     current = _trace_form_kernel(E)        # level 0
     level = 1
     while current and p ** level <= n_rep:
-        target = p ** level
-        size = len(current)
-        rows = [[None] * size for _ in range(size)]
-        for a, y in enumerate(current):
-            for b in range(a, size):
-                prod = E.mult_vec(current[b], y)
-                blocks = E._rep_blocks_of_vec(prod)
-                # coefficient of lambda^(n_rep - target)
-                coeff = _charpoly_of_blocks(blocks, target)[0]
-                rows[a][b] = rows[b][a] = _frob_inverse(coeff, level)
-        ker_coords = Matrix(E.field, rows).kernel_basis()
-        current = [_lin_comb(E.field, current, coords) for coords in ker_coords]
+        # the coefficient of lambda^(n_rep - p^level), made linear
+        g = [_frob_inverse(_charpoly_of_blocks(E._rep_blocks_of_vec(z),
+                                               p ** level)[0], level)
+             for z in current]
+        rows = Matrix(field, current)
+        gram = rows @ _form(E, rows.solve(g)) @ rows.transpose()
+        kernel = gram.kernel_basis()
+        if not kernel:
+            return []
+        basis = Matrix(field, kernel) @ rows
+        current = [basis.row(i) for i in range(basis.rows)]
         level += 1
     return current
 

@@ -1,12 +1,17 @@
-"""Ladder searches, the references for the commutative and quaternion
-questions that `ordalg` decides by theorem.
+"""References for what `ordalg` decides by theorem.
 
-Each routine tries the basis, then pairs and triples of basis elements
-with small coefficients (`ordalg._candidate_elements`), and gives up
-when the ladder runs out: `central_idempotents_ladder` raises
-`SeparatingElementNotFound`, `is_field_ladder` and
+The ladder searches are the references for the commutative and
+quaternion questions.  Each tries the basis, then pairs and triples of
+basis elements with small coefficients (`ordalg._candidate_elements`),
+and gives up when the ladder runs out: `central_idempotents_ladder`
+raises `SeparatingElementNotFound`, `is_field_ladder` and
 `quaternion_is_division_ladder` return "undetermined".  Where they give
 an answer, the package must give the same one.
+
+`cohen_ivanyos_wales_chain` is the reference for the characteristic-p
+radical: it fills every level's Gram matrix entry by entry, one truncated
+characteristic polynomial per pair, and so does not use the
+semilinearity of g_l that `ordalg._radical_charp` rests on.
 """
 
 from fractions import Fraction
@@ -14,10 +19,49 @@ from fractions import Fraction
 from tensorcat.linalg import Matrix
 from tensorcat.ordalg import (UNDETERMINED, SeparatingElementNotFound,
                               _anticommutant, _bezout_idempotent,
-                              _candidate_elements, _lin_comb,
-                              _quaternion_splits, center,
+                              _candidate_elements, _charpoly_of_blocks,
+                              _lin_comb, _quaternion_splits,
+                              _trace_form_kernel, center,
                               min_poly_of_element, radical)
-from tensorcat.poly import factor
+from tensorcat.poly import _frob_inverse, factor
+
+
+def ciw_g(E, level, x):
+    """g_l(x): the coefficient of lambda^(n - p^l) in the characteristic
+    polynomial of x in E's faithful representation of dimension n."""
+    return _charpoly_of_blocks(E._rep_blocks_of_vec(x),
+                               E.field.char ** level)[0]
+
+
+def cohen_ivanyos_wales_chain(E) -> list:
+    """[J_0, J_1, ...] of a characteristic-p algebra, the radical last:
+    J_0 is the kernel of the trace form, and J_l the x in J_{l-1} with
+    g_l(xy) = 0 for every y in J_{l-1}, read through the inverse
+    Frobenius, while p^l is at most the representation's dimension.
+    rho(xy) and rho(yx) have one characteristic polynomial, so each
+    level's Gram matrix is symmetric and its entries on and above the
+    diagonal are computed, each from the product of its pair."""
+    p, field = E.field.char, E.field
+    n_rep = E._rep_dim()
+    chain = [_trace_form_kernel(E)]
+    level = 1
+    while chain[-1] and p ** level <= n_rep:
+        current = chain[-1]
+        size = len(current)
+        rows = [[None] * size for _ in range(size)]
+        for a, y in enumerate(current):
+            for b in range(a, size):
+                coeff = ciw_g(E, level, E.mult_vec(current[b], y))
+                rows[a][b] = rows[b][a] = _frob_inverse(coeff, level)
+        chain.append([_lin_comb(field, current, coords)
+                      for coords in Matrix(field, rows).kernel_basis()])
+        level += 1
+    return chain
+
+
+def radical_charp_pairwise(E) -> list:
+    """The radical by `cohen_ivanyos_wales_chain`."""
+    return cohen_ivanyos_wales_chain(E)[-1]
 
 
 def central_idempotents_ladder(E) -> list:

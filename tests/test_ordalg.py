@@ -13,10 +13,14 @@ from construction_oracle import (OrdModule, algebra_from_triples,
                                  nilpotency_index, quaternions,
                                  regular_module, right_ideal_module)
 from end_oracle import associativity_reference, validate_reference, verdict
-from ordalg_oracle import (central_idempotents_ladder, is_field_ladder,
-                           quaternion_is_division_ladder)
+from ordalg_oracle import (central_idempotents_ladder, ciw_g,
+                           cohen_ivanyos_wales_chain, is_field_ladder,
+                           quaternion_is_division_ladder,
+                           radical_charp_pairwise)
+from tensorcat.algebra import AlgebraPres
 from tensorcat.catalog import make_algebra, make_category
-from tensorcat.fields import Field
+from tensorcat.fields import Embedding, Field
+from tensorcat.fincat import Mor, Obj
 from tensorcat.linalg import Matrix, RowSpace
 from tensorcat.modcat import bimodule_end_algebra, free_module_end
 from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
@@ -31,6 +35,7 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               _lin_comb, _quaternion_splits,
                               _trace_form_kernel)
 from tensorcat.poly import Poly, _frob_inverse
+from tensorcat.structure import base_extend_algebra
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -306,7 +311,7 @@ def test_corner_verdict_on_upper_triangular():
     # T_2 in the basis e11, e12, e22: e11 T_2 spans e11, e12 and e11 kills
     # no radical element e12; e22 T_2 is the line of e22, a simple module
     for field in (Q, F2):
-        E = upper_triangular(field)
+        E = upper_triangular(field, 2)
         z, one = field.zero(), field.one()
         e11, e22 = [one, z, z], [z, z, one]
         assert module_is_simple(E, e11) is False
@@ -913,17 +918,22 @@ def _assert_radical_is_brute_force(E):
     assert _span(E.field.char, E.dim, r) == J
 
 
-def upper_triangular(field):
-    """T_2(k) in the basis e11, e12, e22."""
-    trips = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 2, 1, 1], [2, 2, 2, 1]]
-    return algebra_from_triples(field, 3, trips, [1, 0, 1])
+def upper_triangular(field, n):
+    """T_n(k) in the basis e_ij, i <= j, ordered by (i, j): for n = 2,
+    e11, e12, e22."""
+    units = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {u: k for k, u in enumerate(units)}
+    trips = [[index[(a, b)], index[(c, d)], index[(a, d)], 1]
+             for a, b in units for c, d in units if b == c]
+    return algebra_from_triples(field, len(units), trips,
+                                [int(i == j) for i, j in units])
 
 
 @pytest.mark.parametrize("make", [
     lambda: group_algebra(F2, 4), lambda: group_algebra(F3, 3),
-    lambda: matrix_algebra(F2, 2), lambda: upper_triangular(F2),
-    lambda: upper_triangular(F3), lambda: truncated_poly(F3, 4),
-    lambda: direct_sum(group_algebra(F2, 2), upper_triangular(F2))],
+    lambda: matrix_algebra(F2, 2), lambda: upper_triangular(F2, 2),
+    lambda: upper_triangular(F3, 2), lambda: truncated_poly(F3, 4),
+    lambda: direct_sum(group_algebra(F2, 2), upper_triangular(F2, 2))],
     ids=["F2[Z4]", "F3[Z3]", "M2(F2)", "T2(F2)", "T2(F3)", "F3[x]_mod_x4",
          "F2[Z2]+T2(F2)"])
 def test_radical_is_the_brute_force_radical(make):
@@ -1035,20 +1045,127 @@ def _radical_charp_reference(E):
     return current
 
 
-@pytest.mark.parametrize("cat_name,kind,params", [
-    ("z2_f2", "regular_pointed", {}),
-    ("vec_f2", "ordinary_group_algebra", {"n": 2}),
-    ("vec_f2", "ordinary_group_algebra", {"n": 4}),
-    ("z3_f3", "regular_pointed", {})],
+def _z2_f2_regular_over_f4(cats):
+    C = cats["z2_f2"]
+    return base_extend_algebra(C, make_algebra(C, "regular_pointed"),
+                               Embedding(C.field, F4))[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda cats: make_algebra(cats["z2_f2"], "regular_pointed"),
+    lambda cats: make_algebra(cats["vec_f2"], "ordinary_group_algebra",
+                              {"n": 2}),
+    lambda cats: make_algebra(cats["vec_f2"], "ordinary_group_algebra",
+                              {"n": 4}),
+    lambda cats: make_algebra(cats["z3_f3"], "regular_pointed"),
+    lambda cats: make_algebra(make_category("vec", {"field": F5}),
+                              "ordinary_group_algebra", {"n": 5}),
+    _z2_f2_regular_over_f4],
     ids=["z2_f2/regular", "vec_f2/group2", "vec_f2/group4",
-         "z3_f3/regular"])
-def test_radical_matches_the_full_gram_reference(cats, cat_name, kind,
-                                                 params):
-    C = cats[cat_name]
-    E = bimodule_end_algebra(make_algebra(C, kind, params)).algebra
+         "z3_f3/regular", "vec_f5/group5", "z2_f2/regular_over_F4"])
+def test_radical_matches_the_full_gram_reference(cats, make):
+    E = bimodule_end_algebra(make(cats)).algebra
     ref = _radical_charp_reference(E)
     assert ref
     assert radical(E) == ref
+
+
+# -- the linear form of each level against the pairwise chain ---------------
+
+CHARP_FIELDS = [F2, F3, F4, F5]
+CHARP_IDS = ["F2", "F3", "F4", "F5"]
+
+
+def _repeated_factor_quotient(field, g, e, h):
+    """k[x]/(g^e h) for monic g and h given low to high."""
+    f = Poly(field, h)
+    for _ in range(e):
+        f = f * Poly(field, g)
+    return _quotient_algebra(field, f.coeffs)
+
+
+def _charp_algebras(field):
+    """Small algebras with a nonzero radical: k[x]/(g^e h), e >= 2;
+    T_n; k[Z/n] with p | n."""
+    p = field.char
+    return st.one_of(
+        st.builds(_repeated_factor_quotient, st.just(field),
+                  _monic(field, 2), st.integers(2, 3), _monic(field, 1)),
+        st.integers(2, 3).map(lambda n: upper_triangular(field, n)),
+        st.integers(1, 8 // p).map(lambda m: group_algebra(field, p * m)))
+
+
+def _in_vec(E):
+    """E as an algebra in vec over its field, on the carrier dim * 1."""
+    field, n = E.field, E.dim
+    cat = make_category("vec", {"field": field})
+    carrier = Obj(cat, {"1": n})
+    sq = cat.tensor(carrier, carrier)
+    idx = cat.fusion_index(carrier, carrier)["1"]
+    mult = Matrix.from_entries(field, n, sq.mult("1"), [
+        (l, idx[("1", i, "1", j, 0)], c)
+        for i in range(n) for j in range(n) for l, c in E.sc[i][j]])
+    unit = Matrix.from_cols(field, [E.unit])
+    return AlgebraPres(cat, carrier, Mor(cat, sq, carrier, {"1": mult}),
+                       Mor(cat, cat.unit_obj(), carrier, {"1": unit}))
+
+
+def _drawn_charp_algebra(data, field):
+    """A drawn algebra, or the bimodule End of one of dimension <= 4."""
+    E = data.draw(_charp_algebras(field))
+    if E.dim <= 4 and data.draw(st.booleans()):
+        E = bimodule_end_algebra(_in_vec(E)).algebra
+    return E
+
+
+@pytest.mark.parametrize("field", CHARP_FIELDS, ids=CHARP_IDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_radical_is_the_pairwise_chains_radical(field, data):
+    E = _drawn_charp_algebra(data, field)
+    assert radical(E) == radical_charp_pairwise(E)
+
+
+@pytest.mark.parametrize("field", CHARP_FIELDS, ids=CHARP_IDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_g_l_is_p_to_the_l_semilinear_on_the_previous_level(field, data):
+    # the lemma of Cohen, Ivanyos and Wales that `_radical_charp` rests
+    # on, at every level the chain reaches: g_l(x + c y) =
+    # g_l(x) + c^(p^l) g_l(y) for x, y in J_{l-1}
+    E = _drawn_charp_algebra(data, field)
+    chain = cohen_ivanyos_wales_chain(E)
+    points = _points(field)
+    for level, prev in enumerate(chain[:-1], start=1):
+        x, y = (_lin_comb(field, prev, data.draw(st.lists(
+            st.sampled_from(points), min_size=len(prev),
+            max_size=len(prev)))) for _ in range(2))
+        c = data.draw(st.sampled_from(points))
+        xcy = [a + c * b for a, b in zip(x, y)]
+        assert ciw_g(E, level, xcy) == ciw_g(E, level, x) + \
+            c ** (field.char ** level) * ciw_g(E, level, y)
+
+
+def test_radical_reads_one_charpoly_per_basis_vector_of_each_level(
+        monkeypatch):
+    # F_5[Z/5]: bimodule End of dim 25, radical of dim 24.  The pairwise
+    # chain reads 650 characteristic polynomials; the linear form of
+    # each level reads one per basis vector of J_{l-1}
+    import tensorcat.ordalg as ordalg
+    C = make_category("vec", {"field": F5})
+    E = bimodule_end_algebra(
+        make_algebra(C, "ordinary_group_algebra", {"n": 5})).algebra
+    calls = []
+    inner = ordalg.charpoly
+
+    def counted(m, top=None):
+        calls.append(top)
+        return inner(m, top)
+    monkeypatch.setattr(ordalg, "charpoly", counted)
+    assert len(radical(E)) == 24
+    monkeypatch.undo()
+    chain = cohen_ivanyos_wales_chain(E)
+    assert len(calls) <= sum(len(J) for J in chain[:-1]) == 50
 
 
 # -- the commutative lemma and the quaternion test, against the ladders ------
