@@ -400,8 +400,9 @@ def _radical_charp(E: OrdAlgebra) -> list:
 
 
 def _lin_comb(field, vectors, coords):
-    return Matrix.combine(coords, [Matrix(field, [v])
-                                   for v in vectors]).row(0)
+    """sum_k coords[k] vectors[k], as one product: the 1 x m row of
+    coefficients times the m x n matrix of the vectors."""
+    return (Matrix(field, [coords]) @ Matrix(field, vectors)).row(0)
 
 
 def is_semisimple(E: OrdAlgebra) -> bool:

@@ -21,6 +21,11 @@ the direct sum of two algebras or of modules, and the bimodule axioms.
 of all the free modules, through the natural representation of
 E = End(P).  The package splits it off one free module P_j instead.
 
+`section_reference` decides separability by solving for a bimodule
+section s: A -> A (x) A of the multiplication over all of
+Hom(A, A (x) A).  The package solves for its balanced element
+z = s o u in Hom(1, A (x) A) instead.
+
 `module_is_simple_reference` decides simplicity of a module M the long
 way: it spins kernel vectors of singular actions for a proper
 submodule, then solves for End(M), with dim(M)^2 unknowns, and asks
@@ -31,7 +36,7 @@ for a right ideal eps E from the corner eps E eps.
 from tensorcat.algebra import AlgebraPres, validate_algebra
 from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure,
-                              ValidationReport)
+                              ValidationReport, hom_dim, hom_unit_basis)
 from tensorcat.linalg import Matrix, RowSpace
 from tensorcat.modcat import (EndData, ModulePres, SimpleModulesResult,
                               _split_idempotent_obj, free_module, hom_basis,
@@ -506,6 +511,30 @@ def simple_modules_reference(end: EndData) -> SimpleModulesResult:
             raise ValidationFailure("inconsistent multiplicity count")
         mult_in_A.append(h // ends[-1].dim)
     return SimpleModulesResult(simples, mult_in_A, ends)
+
+
+def section_reference(C, A: AlgebraPres) -> bool:
+    """Linear feasibility of a bimodule section s of the multiplication,
+    over every s in Hom(A, A (x) A): m s = 1, and s is left and right
+    linear."""
+    cat = C
+    c = A.carrier
+    sq = cat.tensor(c, c)
+    basis = hom_unit_basis(cat, c, sq)
+    field = cat.field
+    if not basis:
+        return c.is_zero()
+    lam = cat.tensor_mor(A.mult, cat.id(c)) @ cat.associator_inv(c, c, c)
+    rho = cat.tensor_mor(cat.id(c), A.mult) @ cat.associator(c, c, c)
+    cols = []
+    for phi in basis:
+        c1 = A.mult @ phi                                   # A -> A
+        c2 = phi @ A.mult - lam @ cat.tensor_mor(cat.id(c), phi)
+        c3 = phi @ A.mult - rho @ cat.tensor_mor(phi, cat.id(c))
+        cols.append(c1.coords() + c2.coords() + c3.coords())
+    rhs = (cat.id(c).coords()
+           + [field.zero()] * (2 * hom_dim(sq, sq)))
+    return Matrix.from_cols(field, cols).solve(rhs) is not None
 
 
 def quadratic_algebra(cat, b: int, c: int) -> AlgebraPres:

@@ -813,14 +813,18 @@ def _points(field):
     return [field.scalar(c) for c in (0, 1, -1, 3, "1/2", "-5/3")] + extra
 
 
-def _drawn_square(data, field, n):
+def _drawn_scalars(data, field, count):
     # zero entries are frequent, so pivots are missing or need a swap
     entry = st.one_of(st.just([0]), st.lists(st.integers(-2, 2),
                                              min_size=field.deg,
                                              max_size=field.deg))
-    cs = data.draw(st.lists(entry, min_size=n * n, max_size=n * n))
-    return Matrix(field, [[field.scalar(cs[i * n + j]) for j in range(n)]
-                          for i in range(n)])
+    cs = data.draw(st.lists(entry, min_size=count, max_size=count))
+    return [field.scalar(c) for c in cs]
+
+
+def _drawn_square(data, field, n):
+    cs = _drawn_scalars(data, field, n * n)
+    return Matrix(field, [cs[i * n:(i + 1) * n] for i in range(n)])
 
 
 def _evaluate(coeffs, c):
@@ -867,6 +871,19 @@ def test_charpoly_of_blocks_is_that_of_the_block_diagonal(field, data):
     diag = Matrix.from_entries(field, offset, offset, entries)
     for top in range(offset + 2):
         assert _charpoly_of_blocks(blocks, top) == charpoly(diag, top)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F4, QPHI],
+                         ids=["Q", "F2", "F4", "Qphi"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lin_comb_is_the_scalar_sum(field, data):
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    vectors = [_drawn_scalars(data, field, n) for _ in range(m)]
+    coords = _drawn_scalars(data, field, m)
+    want = [sum((c * v[j] for c, v in zip(coords, vectors)), field.zero())
+            for j in range(n)]
+    assert _lin_comb(field, vectors, coords) == want
 
 
 # -- the char-p radical against brute force and the full-Gram routine -------
