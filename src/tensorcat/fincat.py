@@ -36,8 +36,8 @@ Structure maps
 --------------
 One routine of CategoryPres builds each family: `_associator` both
 associator directions, `_unitor` both unitors (their inverses are the
-transposes), `_pairing` the four (co)evaluations and the per-label maps
-of the snake checks.  `hom_unit_basis` is the basis dual to `hom_coords`
+transposes), `_pairing` every (co)evaluation and the per-label maps of
+the snake checks.  `hom_unit_basis` is the basis dual to `hom_coords`
 that the hom solves of `modcat` and `structure` feed to their systems.
 
 What a presentation derives lives in one table, `_cache`, that only the
@@ -587,14 +587,6 @@ class CategoryPres:
         return comp.scalar()
 
     # compound (co)evaluations --------------------------------------------------
-    def coev_right(self, X: Obj) -> Mor:
-        """u_X : 1 -> X^v (x) X built from the per-label cups."""
-        return self._pairing(X, True, False, self.cup)
-
-    def ev_right(self, X: Obj) -> Mor:
-        """v_X : X (x) X^v -> 1."""
-        return self._pairing(X, False, True, self.cap)
-
     def coev_left(self, X: Obj) -> Mor:
         """u'_X : 1 -> X (x) X^v (derived left duality)."""
         return self._pairing(X, False, False,

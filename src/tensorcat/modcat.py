@@ -1,10 +1,11 @@
 """Modules and bimodules over an algebra inside a category presentation.
 
 Everything reduces to exact linear algebra: hom spaces between modules
-are kernels of intertwining systems, relative tensor products are
-cokernels whose objects are read from ranks, and endomorphism algebras
-of projective generators land in `ordalg` where radicals and idempotents
-decide all structure questions.
+are kernels of intertwining systems, internal homs are read from their
+dimensions through the adjunction Hom(a, [x, y]) = Hom_A(a (x) x, y)
+(Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories, 7.9), and
+endomorphism algebras of projective generators land in `ordalg` where
+radicals and idempotents decide all structure questions.
 """
 
 from .algebra import AlgebraPres
@@ -132,6 +133,8 @@ def algebra_as_module(A: AlgebraPres, side: str = "right") -> ModulePres:
 def obj_tensor_module(a: Obj, x: ModulePres) -> ModulePres:
     """The left action of the ambient category on right modules:
     a (x) x with action through the associator."""
+    if x.side != "right":
+        raise ValidationFailure("the category acts on right modules only")
     cat = x.cat
     c = x.algebra.carrier
     carrier = cat.tensor(a, x.carrier)
@@ -140,38 +143,15 @@ def obj_tensor_module(a: Obj, x: ModulePres) -> ModulePres:
     return ModulePres(x.algebra, carrier, action, side="right")
 
 
-def module_dual(x: ModulePres, side: str) -> ModulePres:
-    """Dual module of the opposite chirality.
-
-    A right module x dualizes through side "R" to the left module on
-    x^v using the right duality; a left module dualizes through side
-    "L" to the right module on x^v using the left duality.
-    """
+def module_dual(x: ModulePres) -> ModulePres:
+    """The right module on x^v of a left module x, through the left
+    duality of its carrier."""
+    if x.side != "left":
+        raise ValueError("module_dual takes a left module")
     cat = x.cat
-    A = x.algebra
-    c = A.carrier
+    c = x.algebra.carrier
     xv = cat.dual_obj(x.carrier)
     xc = x.carrier
-    if x.side == "right":
-        if side != "R":
-            raise ValueError("a right module dualizes through side 'R'")
-        # A (x) xv -> xv via the right duality of the carrier
-        m1 = cat.unitor_left_inv(cat.tensor(c, xv))          # -> 1 (x) (c xv)
-        m2 = cat.tensor_mor(cat.coev_right(xc),
-                            cat.id(cat.tensor(c, xv)))       # -> (xv x)(c xv)
-        # -> ((xv x) c) xv -> (xv (x c)) xv
-        m3 = (cat.tensor_mor(cat.associator(xv, xc, c), cat.id(xv))
-              @ cat.associator_inv(cat.tensor(xv, xc), c, xv))
-        m4 = cat.tensor_mor(
-            cat.tensor_mor(cat.id(xv), x.action), cat.id(xv))  # ->(xv x) xv
-        m5 = cat.associator(xv, xc, xv)                       # -> xv (x xv)
-        m6 = cat.tensor_mor(cat.id(xv), cat.ev_right(xc))    # -> xv (x) 1
-        m7 = cat.unitor_right(xv)
-        action = m7 @ m6 @ m5 @ m4 @ m3 @ m2 @ m1
-        return ModulePres(A, xv, action, side="left")
-    if side != "L":
-        raise ValueError("a left module dualizes through side 'L'")
-    # xv (x) A -> xv via the left duality of the carrier
     m1 = cat.unitor_right_inv(cat.tensor(xv, c))             # -> (xv c)(x) 1
     m2 = cat.tensor_mor(cat.id(cat.tensor(xv, c)),
                         cat.coev_left(xc))                   # -> (xv c)(x xv)
@@ -182,7 +162,7 @@ def module_dual(x: ModulePres, side: str) -> ModulePres:
     m5 = cat.tensor_mor(cat.ev_left(xc), cat.id(xv))         # -> 1 (x) xv
     m6 = cat.unitor_left(xv)
     action = m6 @ m5 @ m4 @ m3 @ m2 @ m1
-    return ModulePres(A, xv, action, side="right")
+    return ModulePres(x.algebra, xv, action, side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +180,8 @@ def _module_constraint(x: ModulePres, y: ModulePres, phi: Mor) -> Mor:
 
 def hom_basis(x: ModulePres, y: ModulePres) -> list:
     """Basis of module maps x -> y, by exact kernel computation."""
-    if x.algebra is not y.algebra and x.algebra.carrier != y.algebra.carrier:
+    A, B = x.algebra, y.algebra
+    if A is not B and (A.mult != B.mult or A.unit != B.unit):
         raise ValidationFailure("modules over different algebras")
     if x.side != y.side:
         raise ValidationFailure("modules of different chirality")
@@ -367,35 +348,17 @@ def free_module_end(A: AlgebraPres) -> EndData:
 
 
 # ---------------------------------------------------------------------------
-# relative tensor and internal hom
+# internal hom
 
-def rel_tensor(x: ModulePres, y: ModulePres) -> Obj:
-    """The object of the coequalizer x (x)_A y of a right and a left module.
+def internal_hom(x: ModulePres, y: ModulePres) -> Obj:
+    """The object [x, y] for right modules x, y over one algebra.
 
-    At each label a it is the cokernel of the block at a of
-    act_x (x) id - (id (x) act_y) o alpha on x (x) y, so its multiplicity
-    is that of x (x) y less the rank of the block."""
-    if x.side != "right" or y.side != "left":
-        raise ValidationFailure("rel_tensor needs (right, left) modules")
+    It represents a -> Hom_A(a (x) x, y) (Etingof, Gelaki, Nikshych and
+    Ostrik, Tensor Categories, 7.9), so its multiplicity at a simple a
+    is the dimension of the module maps a (x) x -> y."""
     cat = x.cat
-    c = x.algebra.carrier
-    xc, yc = x.carrier, y.carrier
-    f1 = cat.tensor_mor(x.action, cat.id(yc))
-    f2 = cat.tensor_mor(cat.id(xc), y.action) @ cat.associator(xc, c, yc)
-    diff = f1 - f2
-    total = cat.tensor(xc, yc)
-    return Obj(cat, {a: total.mult(a) - diff.block(a).rank()
-                     for a in total.support})
-
-
-def internal_hom(x: ModulePres, y: ModulePres,
-                 y_dual: ModulePres | None = None) -> Obj:
-    """The object [x, y] = (x (x)_A y^v)^v for right modules x, y.
-
-    `y_dual` is `module_dual(y, "R")`, for a caller that already has it."""
-    if y_dual is None:
-        y_dual = module_dual(y, "R")
-    return x.cat.dual_obj(rel_tensor(x, y_dual))
+    return Obj(cat, {a: len(hom_basis(obj_tensor_module(cat.simple(a), x), y))
+                     for a in cat.labels})
 
 
 # ---------------------------------------------------------------------------

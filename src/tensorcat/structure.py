@@ -129,7 +129,8 @@ class AlgebraAnalysisContext:
     * `to_dual`, `from_dual`: bases of the module maps A -> A^L and
       A^L -> A;
     * `internal_homs`: the objects [x_i, x_j] for all pairs of simples,
-      from one dual module per simple;
+      each read from the adjunction Hom(a, [x, y]) = Hom_A(a (x) x, y)
+      (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories, 7.9);
     * `sim_classes`: the partition of the simples under nonvanishing
       internal hom.
 
@@ -158,7 +159,7 @@ class AlgebraAnalysisContext:
 
     @cached_property
     def dual_module(self) -> ModulePres:
-        return module_dual(algebra_as_module(self.A, side="left"), "L")
+        return module_dual(algebra_as_module(self.A, side="left"))
 
     @cached_property
     def to_dual(self) -> list:
@@ -171,8 +172,7 @@ class AlgebraAnalysisContext:
     @cached_property
     def internal_homs(self) -> dict:
         sims = self.simples.simples
-        duals = [module_dual(s, "R") for s in sims]
-        return {(i, j): internal_hom(si, sj, duals[j])
+        return {(i, j): internal_hom(si, sj)
                 for i, si in enumerate(sims) for j, sj in enumerate(sims)}
 
     @cached_property
@@ -268,24 +268,21 @@ def is_separable(C: CategoryPres, A: AlgebraPres) -> bool:
 
 def _field_elements(field: Field, count: int):
     """The first `count` field elements in a fixed enumeration."""
-    out = []
     if field.char == 0:
+        out = []
         k = 0
         while len(out) < count:
             out.append(field.scalar(k))
             k = -k + (1 if k <= 0 else 0)
         return out
-    coeffs = [0] * field.deg
-    while len(out) < count:
-        out.append(field.scalar(list(coeffs)))
-        for pos in range(field.deg):
-            coeffs[pos] += 1
-            if coeffs[pos] < field.char:
-                break
-            coeffs[pos] = 0
-        else:
-            break
-    return out
+    return [field.scalar(list(digits)) for digits in
+            islice(_base_p_digits(field.char, field.deg), count)]
+
+
+def _base_p_digits(p: int, n: int):
+    """Every n-tuple over range(p), as the base-p digits of 0, 1, 2, ...
+    with the least significant digit first."""
+    return (digits[::-1] for digits in product(range(p), repeat=n))
 
 
 def separability_beta(C: CategoryPres, A: AlgebraPres,
@@ -388,18 +385,11 @@ def _finite_field_of_degree(p: int, deg: int) -> Field:
     the given degree over F_p."""
     from .poly import Poly, is_irreducible
     prime = Field(p)
-    coeffs = [0] * deg
-    while True:
+    for coeffs in _base_p_digits(p, deg):
         f = Poly(prime, [prime.scalar(c) for c in coeffs] + [prime.one()])
         if is_irreducible(f):
-            return Field(p, [c for c in coeffs] + [1], gen_name="w")
-        for pos in range(deg):
-            coeffs[pos] += 1
-            if coeffs[pos] < p:
-                break
-            coeffs[pos] = 0
-        else:
-            raise ValueError("no irreducible polynomial found")
+            return Field(p, list(coeffs) + [1], gen_name="w")
+    raise ValueError("no irreducible polynomial found")
 
 
 def _embed_finite(src: Field, dst: Field):

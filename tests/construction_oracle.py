@@ -10,6 +10,15 @@ associator composite it stands for; by Mac Lane's coherence theorem
 (Categories for the Working Mathematician, VII.2) the two agree once the
 pentagon holds, and `test_rebracketing` checks that they do.
 
+`internal_hom_reference` reads the internal hom [x, y] of right modules
+as (x (x)_A y^v)^v: the relative tensor product of x with the left dual
+module y^v, a cokernel whose object is read from ranks (`rel_tensor`),
+dualised.  `right_module_dual` builds y^v through the compound right
+(co)evaluations `coev_right` and `ev_right`, which nothing else needs.
+The package reads [x, y] from the adjunction
+Hom(a, [x, y]) = Hom_A(a (x) x, y) instead (Etingof, Gelaki, Nikshych
+and Ostrik, Tensor Categories, 7.9), one hom space per label.
+
 The rest builds objects the analysis never needs: the algebra [x, x]
 itself (the analysis reads only its carrier, from `internal_hom`), an
 ordinary algebra from its structure constants, the quaternion algebra
@@ -191,6 +200,68 @@ def module_internal_end(x: ModulePres) -> AlgebraPres:
                       retr @ name)
     validate_algebra(alg).raise_if_failed()
     return alg
+
+
+# ---------------------------------------------------------------------------
+# the internal hom [x, y] by duality
+
+def coev_right(cat, X: Obj) -> Mor:
+    """u_X : 1 -> X^v (x) X built from the per-label cups."""
+    return cat._pairing(X, True, False, cat.cup)
+
+
+def ev_right(cat, X: Obj) -> Mor:
+    """v_X : X (x) X^v -> 1 built from the per-label caps."""
+    return cat._pairing(X, False, True, cat.cap)
+
+
+def right_module_dual(x: ModulePres) -> ModulePres:
+    """The left module on x^v of a right module x, through the right
+    duality of its carrier."""
+    if x.side != "right":
+        raise ValueError("right_module_dual takes a right module")
+    cat = x.cat
+    A = x.algebra
+    c = A.carrier
+    xv = cat.dual_obj(x.carrier)
+    xc = x.carrier
+    m1 = cat.unitor_left_inv(cat.tensor(c, xv))          # -> 1 (x) (c xv)
+    m2 = cat.tensor_mor(coev_right(cat, xc),
+                        cat.id(cat.tensor(c, xv)))       # -> (xv x)(c xv)
+    # -> ((xv x) c) xv -> (xv (x c)) xv
+    m3 = (cat.tensor_mor(cat.associator(xv, xc, c), cat.id(xv))
+          @ cat.associator_inv(cat.tensor(xv, xc), c, xv))
+    m4 = cat.tensor_mor(
+        cat.tensor_mor(cat.id(xv), x.action), cat.id(xv))  # ->(xv x) xv
+    m5 = cat.associator(xv, xc, xv)                       # -> xv (x xv)
+    m6 = cat.tensor_mor(cat.id(xv), ev_right(cat, xc))   # -> xv (x) 1
+    m7 = cat.unitor_right(xv)
+    action = m7 @ m6 @ m5 @ m4 @ m3 @ m2 @ m1
+    return ModulePres(A, xv, action, side="left")
+
+
+def rel_tensor(x: ModulePres, y: ModulePres) -> Obj:
+    """The object of the coequalizer x (x)_A y of a right and a left module.
+
+    At each label a it is the cokernel of the block at a of
+    act_x (x) id - (id (x) act_y) o alpha on x (x) y, so its multiplicity
+    is that of x (x) y less the rank of the block."""
+    if x.side != "right" or y.side != "left":
+        raise ValidationFailure("rel_tensor needs (right, left) modules")
+    cat = x.cat
+    c = x.algebra.carrier
+    xc, yc = x.carrier, y.carrier
+    f1 = cat.tensor_mor(x.action, cat.id(yc))
+    f2 = cat.tensor_mor(cat.id(xc), y.action) @ cat.associator(xc, c, yc)
+    diff = f1 - f2
+    total = cat.tensor(xc, yc)
+    return Obj(cat, {a: total.mult(a) - diff.block(a).rank()
+                     for a in total.support})
+
+
+def internal_hom_reference(x: ModulePres, y: ModulePres) -> Obj:
+    """The object [x, y] = (x (x)_A y^v)^v for right modules x, y."""
+    return x.cat.dual_obj(rel_tensor(x, right_module_dual(y)))
 
 
 # ---------------------------------------------------------------------------

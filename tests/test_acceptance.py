@@ -2,7 +2,6 @@
 pass/fail line.  Tolerances are exact equality throughout; no criterion
 uses floating point or approximate comparison."""
 
-import random
 import time
 
 import pytest
@@ -11,12 +10,11 @@ from construction_oracle import decompose_module, module_internal_end
 from tensorcat.algebra import internal_end, validate_algebra
 from tensorcat.catalog import make_algebra, make_category, standard_entries
 from tensorcat.fields import Embedding, Field
-from tensorcat.fincat import Obj, hom_dim, validate_category
+from tensorcat.fincat import Obj, validate_category
 from tensorcat.fileio import dumps_canonical
 from tensorcat.modcat import (algebra_as_module, free_module,
                               free_module_end, hom_basis, internal_hom,
-                              module_dual, obj_tensor_module,
-                              simple_modules)
+                              module_dual, simple_modules)
 from tensorcat.structure import (analyze, base_extend_algebra,
                                  center_semisimple_verdict,
                                  dim_division_algebra, global_dimension,
@@ -169,33 +167,16 @@ def test_criterion_7_structural_identities(cats, corpus_reports):
         else:
             A = make_algebra(cat, "regular_pointed", {})
         amod = algebra_as_module(A)
-        al = module_dual(algebra_as_module(A, side="left"), "L")
+        al = module_dual(algebra_as_module(A, side="left"))
         for a in cat.labels:
             x = free_module(cat.simple(a), A)
             if x.carrier.is_zero():
                 continue
             assert internal_hom(amod, x) == x.carrier
             assert internal_hom(x, al) == cat.dual_obj(x.carrier)
-    # adjunction dimension identity on 50 randomized small instances
-    rng = random.Random(77)
-    names = ["z2", "z3", "fibonacci"]
-    done = 0
-    while done < 50:
-        cname = names[done % len(names)]
-        cat = cats[cname]
-        if cname == "fibonacci":
-            A = internal_end(cat, cat.simple("t"))
-        else:
-            A = make_algebra(cat, "regular_pointed", {})
-        labels = list(cat.labels)
-        a = Obj(cat, {labels[rng.randrange(len(labels))]: rng.randint(1, 2)})
-        x = free_module(cat.simple(labels[rng.randrange(len(labels))]), A)
-        y = free_module(cat.simple(labels[rng.randrange(len(labels))]), A)
-        if x.carrier.is_zero() or y.carrier.is_zero():
-            continue
-        assert hom_dim(a, internal_hom(x, y)) == \
-            len(hom_basis(obj_tensor_module(a, x), y))
-        done += 1
+    # the adjunction Hom(a, [x, y]) = Hom_A(a (x) x, y) on drawn instances,
+    # against the internal hom by duality, is
+    # test_modcat.py::test_internal_hom_adjunction_dimension_random
     # matrix decomposition object identity on every semisimple corpus algebra
     count_md = 0
     for name, _cat, _alg, rep in corpus_reports:
@@ -208,11 +189,11 @@ def test_criterion_7_structural_identities(cats, corpus_reports):
     for name, cat, alg, rep in corpus_reports:
         if rep["flags"]["division"] is True:
             amod = algebra_as_module(alg)
-            al = module_dual(algebra_as_module(alg, side="left"), "L")
+            al = module_dual(algebra_as_module(alg, side="left"))
             assert len(hom_basis(amod, al)) > 0, name
             count_div += 1
     assert count_div >= 3
-    _report(7, f"internal-hom identities, 50 adjunction instances, "
+    _report(7, "internal-hom identities, "
                f"{count_md} object-identity decompositions and "
                f"{count_div} division witnesses verified")
 

@@ -29,9 +29,6 @@ ALLOWED = {
     "_Parser.error": "argparse calls this hook on a usage error",
     "module_to_json": "writes the module file format the README documents",
     "module_from_json": "reads the module file format the README documents",
-    "obj_tensor_module": "the action of the category on right modules; "
-                         "tests check the module-category adjunction "
-                         "through it",
     "Poly.eval": "evaluation, the reference tests check `compose` against",
     "Matrix.scale": "public arithmetic beside `+`, `-` and negation; the "
                     "package's own sums call `Matrix.combine`",

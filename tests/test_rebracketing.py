@@ -1,12 +1,12 @@
 """The package's rebracketings against the general one of the oracle.
 
-`internal_end`, `module_dual`, `free_bimodule` and the test construction
-`module_internal_end` each rebracket by a one- or two-step associator
-composite.  By Mac Lane's coherence theorem every composite of
-associators between two bracketings is the same map, so each must equal
-`reassoc`, which goes through the left comb of the leaves.  The checks
-run on the arguments those constructions meet: the carriers of algebras
-and of right and left modules, free modules on an object with a
+`internal_end`, `module_dual`, `free_bimodule` and the test constructions
+`module_internal_end` and `right_module_dual` each rebracket by a one- or
+two-step associator composite.  By Mac Lane's coherence theorem every
+composite of associators between two bracketings is the same map, so each
+must equal `reassoc`, which goes through the left comb of the leaves.  The
+checks run on the arguments those constructions meet: the carriers of
+algebras and of right and left modules, free modules on an object with a
 multiplicity of two, and every simple label, in categories with
 nontrivial F matrices (`fibonacci`, `ising`, `z2_twisted`) and in a
 multi-fusion one (`mmf2`).
@@ -14,7 +14,8 @@ multi-fusion one (`mmf2`).
 
 import pytest
 
-from construction_oracle import reassoc
+from construction_oracle import (coev_right, ev_right, reassoc,
+                                 right_module_dual)
 from tensorcat.algebra import internal_end
 from tensorcat.catalog import make_algebra
 from tensorcat.fincat import Obj
@@ -59,10 +60,10 @@ def _cases(cat, name):
                (c, ((c, a), c)), (((c, c), a), c))
     for xc in carriers:
         xv = cat.dual_obj(xc)
-        yield ("module_dual right m3",
+        yield ("right_module_dual m3",
                tm(Ta(xv, xc, c), Id(xv)) @ Ti(T(xv, xc), c, xv),
                ((xv, xc), (c, xv)), ((xv, (xc, c)), xv))
-        yield ("module_dual right m5", Ta(xv, xc, xv),
+        yield ("right_module_dual m5", Ta(xv, xc, xv),
                ((xv, xc), xv), (xv, (xc, xv)))
         # the free cover of a module with carrier xc has carrier xc c
         ac = T(xc, c)
@@ -71,7 +72,7 @@ def _cases(cat, name):
                (((xc, c), xv), (xc, c)), ((xc, c), ((xv, xc), c)))
     # A as a left module
     cv = cat.dual_obj(c)
-    yield ("module_dual left m3",
+    yield ("module_dual m3",
            tm(Ta(cv, c, c), Id(cv)) @ Ti(T(cv, c), c, cv),
            ((cv, c), (c, cv)), ((cv, (c, c)), cv))
 
@@ -101,23 +102,23 @@ def _free_bimodule_by_reassoc(A, a):
 
 
 def _dual_action_by_reassoc(x):
-    """The action of `module_dual(x, "R")` for a right module x, with its
+    """The action of `right_module_dual(x)` for a right module x, with its
     rebracketings done by `reassoc`."""
     cat, c, xc = x.cat, x.algebra.carrier, x.carrier
     xv = cat.dual_obj(xc)
     cxv = cat.tensor(c, xv)
     return (cat.unitor_right(xv)
-            @ cat.tensor_mor(cat.id(xv), cat.ev_right(xc))
+            @ cat.tensor_mor(cat.id(xv), ev_right(cat, xc))
             @ reassoc(cat, ((xv, xc), xv), (xv, (xc, xv)))
             @ cat.tensor_mor(cat.tensor_mor(cat.id(xv), x.action),
                              cat.id(xv))
             @ reassoc(cat, ((xv, xc), (c, xv)), ((xv, (xc, c)), xv))
-            @ cat.tensor_mor(cat.coev_right(xc), cat.id(cxv))
+            @ cat.tensor_mor(coev_right(cat, xc), cat.id(cxv))
             @ cat.unitor_left_inv(cxv))
 
 
 def _left_dual_action_by_reassoc(x):
-    """The action of `module_dual(x, "L")` for a left module x."""
+    """The action of `module_dual(x)` for a left module x."""
     cat, c, xc = x.cat, x.algebra.carrier, x.carrier
     xv = cat.dual_obj(xc)
     xvc = cat.tensor(xv, c)
@@ -145,6 +146,6 @@ def test_constructions_equal_their_reassoc_forms(cats, name):
         assert (b.left_action, b.right_action) == \
             _free_bimodule_by_reassoc(A, a), (name, a)
     for x in (algebra_as_module(A), free_module(objs[-1], A)):
-        assert module_dual(x, "R").action == _dual_action_by_reassoc(x)
+        assert right_module_dual(x).action == _dual_action_by_reassoc(x)
     x = algebra_as_module(A, side="left")
-    assert module_dual(x, "L").action == _left_dual_action_by_reassoc(x)
+    assert module_dual(x).action == _left_dual_action_by_reassoc(x)

@@ -291,7 +291,7 @@ def test_division_witness_exists(cats):
          make_algebra(cats["z3_f3"], "regular_pointed", {})),
     ]:
         amod = algebra_as_module(alg)
-        al = module_dual(algebra_as_module(alg, side="left"), "L")
+        al = module_dual(algebra_as_module(alg, side="left"))
         assert len(hom_basis(amod, al)) > 0, name
 
 
@@ -410,24 +410,26 @@ def test_analyze_computes_each_radical_once(cats, monkeypatch, cat_name,
     assert len({id(E) for E in seen}) == len(seen)
 
 
-def test_analyze_builds_each_simple_dual_once(cats, monkeypatch):
-    # Q[Z/4] has three simple modules: one right dual each for the
-    # internal-hom table, plus A^L for the beta, alpha and dimension routes
+def test_analyze_builds_no_dual_of_a_simple(cats, monkeypatch):
+    # Q[Z/4] has three simple modules; the internal-hom table reads them
+    # through the adjunction, so the one dual module is A^L, for the beta,
+    # alpha and dimension routes
     import tensorcat.modcat as modcat
     import tensorcat.structure as structure
     calls = []
     inner = modcat.module_dual
 
-    def module_dual(x, side):
-        calls.append(side)
-        return inner(x, side)
+    def module_dual(x):
+        calls.append(x.carrier)
+        return inner(x)
 
     for mod in (structure, modcat):
         monkeypatch.setattr(mod, "module_dual", module_dual)
     vq = cats["vec_q"]
-    rep = analyze(vq, make_algebra(vq, "ordinary_group_algebra", {"n": 4}))
+    A = make_algebra(vq, "ordinary_group_algebra", {"n": 4})
+    rep = analyze(vq, A)
     assert rep["matrix_decomposition"]["simple_count"] == 3
-    assert sorted(calls) == ["L", "R", "R", "R"]
+    assert calls == [A.carrier]
 
 
 def test_budget_env_must_be_an_integer(monkeypatch):
@@ -444,7 +446,7 @@ def test_analyze_builds_free_end_and_dual_once(cats, monkeypatch):
     # beta, alpha and dimension routes share one A^L and its hom bases
     import tensorcat.modcat as modcat
     import tensorcat.structure as structure
-    calls = {"free_module_end": 0, "module_dual_L": 0}
+    calls = {"free_module_end": 0, "module_dual": 0}
     end_inner = structure.free_module_end
     dual_inner = structure.module_dual
 
@@ -452,9 +454,9 @@ def test_analyze_builds_free_end_and_dual_once(cats, monkeypatch):
         calls["free_module_end"] += 1
         return end_inner(A)
 
-    def module_dual(x, side):
-        calls["module_dual_L"] += side == "L"
-        return dual_inner(x, side)
+    def module_dual(x):
+        calls["module_dual"] += 1
+        return dual_inner(x)
 
     monkeypatch.setattr(structure, "free_module_end", free_module_end)
     for mod in (structure, modcat):
@@ -464,26 +466,39 @@ def test_analyze_builds_free_end_and_dual_once(cats, monkeypatch):
     assert rep["flags"]["semisimple"] is True
     assert rep["oracle_agreement"]["separable_duality_loop"] is True
     assert rep["dim_A"] is not None
-    assert calls == {"free_module_end": 1, "module_dual_L": 1}
+    assert calls == {"free_module_end": 1, "module_dual": 1}
 
 
 def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
-    # hom bases are taken only for the blocks of the free-module End and
-    # for A -> A^L and A^L -> A: the simples' End algebras are corners of
-    # that End, their multiplicities read Hom(1, x_i), and the division
-    # verdict reads Hom_A(P, A) as a right ideal eps E of it, through the
-    # corner eps E eps
+    # outside the internal homs, hom bases are taken only for the blocks
+    # of the free-module End and for A -> A^L and A^L -> A: the simples'
+    # End algebras are corners of that End, their multiplicities read
+    # Hom(1, x_i), and the division verdict reads Hom_A(P, A) as a right
+    # ideal eps E of it, through the corner eps E eps.  Each [x_i, x_j]
+    # takes one, Hom_A(a (x) x_i, x_j), per simple label a
     import tensorcat.modcat as modcat
     import tensorcat.structure as structure
-    pairs = []
+    pairs, inside_internal_hom = [], []
     inner = modcat.hom_basis
+    inner_internal_hom = modcat.internal_hom
 
     def hom_basis(x, y):
-        pairs.append((x, y))
+        (inside_internal_hom[-1] if inside_internal_hom
+         else pairs).append((x, y))
         return inner(x, y)
+
+    def internal_hom(x, y):
+        inside_internal_hom.append([])
+        out = inner_internal_hom(x, y)
+        seen = inside_internal_hom.pop()
+        assert [m.carrier for m, _y in seen] == \
+            [vq.tensor(vq.simple(a), x.carrier) for a in vq.labels]
+        assert all(m.algebra is x.algebra and z is y for m, z in seen)
+        return out
 
     for mod in (structure, modcat):
         monkeypatch.setattr(mod, "hom_basis", hom_basis)
+    monkeypatch.setattr(structure, "internal_hom", internal_hom)
     vq = cats["vec_q"]
     A = make_algebra(vq, "ordinary_group_algebra", {"n": 4})
     rep = analyze(vq, A)
