@@ -13,7 +13,7 @@ analysis outputs are gauge-invariant.
 
 from .algebra import AlgebraPres, internal_end, trivial_algebra
 from .fields import Field
-from .fincat import CategoryPres, Mor, Obj, ValidationFailure, validate_category
+from .fincat import CategoryPres, Mor, Obj, ValidationFailure
 from .linalg import Matrix
 
 
@@ -47,8 +47,7 @@ def _finish(field, labels, unit, dualR, fusion, F) -> CategoryPres:
         cup[a] = one
         cap[a] = one / s
     cat = CategoryPres(field, labels, unit, dualR, fusion, F, cup, cap)
-    report = validate_category(cat)
-    report.raise_if_failed()
+    cat.validation().raise_if_failed()
     return cat
 
 

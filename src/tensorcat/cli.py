@@ -29,7 +29,7 @@ import sys
 from .algebra import validate_algebra
 from .catalog import UnknownEntry, make_algebra, standard_entries
 from .fields import Embedding, FieldError, NotAnEmbedding
-from .fincat import ValidationFailure, validate_category
+from .fincat import ValidationFailure
 from .fileio import (FormatError, algebra_from_json, algebra_to_json,
                      category_from_json, category_to_json, dumps_canonical,
                      field_from_json, load_json, report_schema, save_json)
@@ -128,7 +128,7 @@ def _load_category(path):
 
 def _load_validated_category(path):
     cat = _load_category(path)
-    rep = validate_category(cat)
+    rep = cat.validation()
     if not rep.ok:
         raise CLIError(f"{path}: {rep.failures[0]}")
     return cat
@@ -191,7 +191,7 @@ def _has_undetermined(report: dict) -> bool:
 
 def _cmd_validate(args, out) -> int:
     cat = _load_category(args.category)
-    rep = validate_category(cat)
+    rep = cat.validation()
     if not rep.ok:
         out.write(f"category: FAIL: {rep.failures[0]}\n")
         return EXIT_INVALID

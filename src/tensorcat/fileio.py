@@ -11,7 +11,7 @@ multiplicities consecutively.
 import json
 
 from .algebra import AlgebraPres
-from .fields import Field, Scalar
+from .fields import Field, FieldError, Scalar
 from .fincat import CategoryPres, Mor, Obj
 from .linalg import Matrix
 from .modcat import ModulePres
@@ -55,11 +55,15 @@ def scalar_to_json(s: Scalar) -> list:
 
 def scalar_from_json(field: Field, v) -> Scalar:
     """An integer, a 'num/den' string, or a list of these coefficients;
-    a JSON boolean is none of them."""
+    a JSON boolean is none of them.  A coefficient the field cannot read
+    (a zero denominator, too many coefficients) is a `FormatError`."""
     if not all(type(c) in (str, int) for c in
                (v if isinstance(v, list) else [v])):
         raise FormatError(f"cannot parse scalar from {v!r}")
-    return field.scalar(v)
+    try:
+        return field.scalar(v)
+    except FieldError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def field_to_json(f: Field) -> dict:

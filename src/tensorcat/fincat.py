@@ -43,7 +43,10 @@ that the hom solves of `modcat` and `structure` feed to their systems.
 What a presentation derives lives in one table, `_cache`, that only the
 `_cached` decorator reads and writes: one entry per call of `_fusion`
 (the fusion basis, its index and the product of two objects),
-`_associator`, `_f_data`, `_unit_of` and `_left_pair`.
+`_associator`, `_f_data`, `_unit_of`, `_left_pair` and `validation`.
+The last is the one coherence check of the presentation: whoever needs
+the pentagon to hold (the catalog, the CLI loaders, `structure.analyze`)
+reads its report, so `validate_category` runs once per category.
 """
 
 from functools import wraps
@@ -327,6 +330,11 @@ class CategoryPres:
         self.cap = dict(cap)
         # derived data, one entry per (method, arguments); see `_cached`
         self._cache = {}
+
+    @_cached
+    def validation(self) -> ValidationReport:
+        """`validate_category(self)`, computed once per presentation."""
+        return validate_category(self)
 
     # -- basic table access --------------------------------------------------
     def _same(self, other):
@@ -644,8 +652,7 @@ class CategoryPres:
                            self.dualR, self._N, F2,
                            {a: emb(c) for a, c in self.cup.items()},
                            {a: emb(c) for a, c in self.cap.items()})
-        report = validate_category(out)
-        report.raise_if_failed()
+        out.validation().raise_if_failed()
         return out
 
 

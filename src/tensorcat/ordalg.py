@@ -86,6 +86,11 @@ class OrdAlgebra:
     unit law at each basis element and associativity on every triple that
     a nonzero structure constant reaches, and raises `OrdAlgebraError` at
     the first failure, the first failing triple in lexicographic order.
+    The package's own builders pass `validate=False`, as their algebras
+    are associative by construction: the End algebras of `modcat.EndData`
+    (whose docstring gives the certificate; the tests run this check on
+    every one they build) and the closed subspaces of `subalgebra_on`.
+    The default stays on for every other caller.
     """
 
     def __init__(self, field: Field, dim: int, sc_pairs, unit, rep=None,

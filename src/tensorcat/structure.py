@@ -554,8 +554,7 @@ def diagonal_component(C: CategoryPres) -> CategoryPres:
     cap = {a: C.cap[a] for a in labels}
     dualR = {a: C.dualR[a] for a in labels}
     sub = CategoryPres(C.field, labels, [e0], dualR, fusion, F, cup, cap)
-    from .fincat import validate_category
-    validate_category(sub).raise_if_failed()
+    sub.validation().raise_if_failed()
     return sub
 
 
@@ -589,10 +588,16 @@ def _flag(v):
 def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
     """Full analysis report for one (category, algebra) pair.
 
+    First C's coherence (`C.validation()`, computed once per category
+    and shared with the catalog and the CLI loaders) and then A's axioms
+    are checked, raising ValidationFailure: the End algebras below are
+    associative by construction only over a valid pair (see `EndData`).
+
     Raises OracleDisagreement unless every determinate separability route
     gives the section's verdict, separable implies semisimple (and the
     converse holds in characteristic 0), and a semisimple A's carrier is
     the sum of its connecting objects."""
+    C.validation().raise_if_failed()
     validate_algebra(A).raise_if_failed()
     ctx = AlgebraAnalysisContext(C, A)
     notes = {}

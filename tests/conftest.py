@@ -4,10 +4,46 @@ from hypothesis import settings
 from tensorcat.catalog import make_algebra, standard_entries
 from tensorcat.algebra import internal_end
 from tensorcat.fincat import Obj
+from tensorcat.linalg import Matrix
+from tensorcat.modcat import EndData
+from tensorcat.ordalg import OrdAlgebraError
 
 # the same examples on every machine, and no example database on disk
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+def check_end_algebra(E) -> None:
+    """The checks `EndData` leaves to its certificate: the unit law and
+    associativity on every reachable triple (`OrdAlgebra._validate`), and
+    a faithful `rep`: the basis elements' block matrices, each flattened
+    into one row, have rank `dim`."""
+    E._validate()
+    width, entries = 0, []
+    for mats in zip(*E.rep):
+        for k, m in enumerate(mats):
+            entries += [(k, width + r * m.cols + c, x)
+                        for r, c, x in m.nonzero()]
+        width += mats[0].rows * mats[0].cols
+    if Matrix.from_entries(E.field, E.dim, width, entries).rank() != E.dim:
+        raise OrdAlgebraError("the block representation is not faithful")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def end_algebras_checked():
+    """Every End algebra that `EndData` builds in the suite passes
+    `check_end_algebra`; the library builds them without it, as
+    associative by construction."""
+    build = EndData._build_algebra
+
+    def checked(self):
+        E = build(self)
+        check_end_algebra(E)
+        return E
+
+    EndData._build_algebra = checked
+    yield
+    EndData._build_algebra = build
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,14 @@ from construction_oracle import (direct_sum_algebra, module_internal_end,
                                  quadratic_algebra)
 from tensorcat.algebra import AlgebraPres, internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
+from tensorcat.cli import main
 from tensorcat.fields import Embedding, Field
-from tensorcat.fincat import Mor, Obj, hom_dim
+from tensorcat.fileio import (algebra_to_json, category_to_json,
+                              dumps_canonical, save_json)
+from tensorcat.fincat import (CategoryPres, Mor, Obj, ValidationFailure,
+                              hom_dim, validate_category)
 from tensorcat.linalg import Matrix
-from tensorcat.modcat import free_module_end, simple_modules
+from tensorcat.modcat import EndData, free_module_end, simple_modules
 from tensorcat.ordalg import UNDETERMINED
 from tensorcat.structure import (AlgebraAnalysisContext, NotFusion,
                                  OracleDisagreement,
@@ -756,3 +760,64 @@ def test_analyze_splits_commutative_ends_past_the_ladder(cat_name,
     assert rep["flags"] == {"semisimple": True, "simple": False,
                             "division": False, "separable": True}
     assert rep["matrix_decomposition"]["object_identity_holds"] is True
+
+
+def _z2_by_hand(omega):
+    """Z/2 over Q built directly as a `CategoryPres`, with the one F-symbol
+    not fixed by the unit gauge, F[g1, g1, g1, g1], set to omega; the
+    pentagon at (g1, g1, g1, g1) demands omega^2 = 1."""
+    Q = Field(0)
+    one = Q.one()
+    fusion = {("g0", "g0", "g0"): 1, ("g0", "g1", "g1"): 1,
+              ("g1", "g0", "g1"): 1, ("g1", "g1", "g0"): 1}
+    F = {("g1", "g1", "g1", "g1"): Matrix(Q, [[Q.scalar(omega)]])}
+    return CategoryPres(Q, ["g0", "g1"], ["g0"], {"g0": "g0", "g1": "g1"},
+                        fusion, F, {"g0": one, "g1": one},
+                        {"g0": one, "g1": one})
+
+
+def test_analyze_refuses_a_category_whose_pentagon_fails(monkeypatch):
+    # the End algebras are associative by construction only over a
+    # category whose pentagon holds, so analyze checks it before any is
+    # built
+    good, bad = _z2_by_hand(1), _z2_by_hand(2)
+    assert validate_category(good).ok
+    assert analyze(good, trivial_algebra(good))["flags"]["separable"] is True
+    builds = []
+    init = EndData.__init__
+
+    def spy(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(EndData, "__init__", spy)
+    with pytest.raises(ValidationFailure,
+                       match=r"^category: pentagon fails at \(g1,g1,g1,g1\)"):
+        analyze(bad, trivial_algebra(bad))
+    assert builds == []
+
+
+def test_each_category_is_validated_once(monkeypatch, tmp_path, capsys):
+    # the catalog build, every analyze and the CLI loader read one cached
+    # report per category
+    import tensorcat.fincat as fincat
+    validated = []
+    inner = fincat.validate_category
+
+    def spy(cat):
+        validated.append(cat)
+        return inner(cat)
+
+    monkeypatch.setattr(fincat, "validate_category", spy)
+    cat = make_category("pointed", {"n": 3})
+    alg = make_algebra(cat, "regular_pointed", {})
+    assert validated == [cat]
+    report = analyze(cat, alg)
+    assert analyze(cat, alg) == report
+    assert validated == [cat]
+    cat_p, alg_p = str(tmp_path / "cat.json"), str(tmp_path / "alg.json")
+    save_json(cat_p, category_to_json(cat))
+    save_json(alg_p, algebra_to_json(alg))
+    assert main(["analyze", cat_p, alg_p, "--report", "json"]) == 0
+    assert capsys.readouterr().out == dumps_canonical(report)
+    assert len(validated) == 2 and validated[1] is not cat
