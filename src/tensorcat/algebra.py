@@ -5,14 +5,14 @@ the frozen fusion bases; validation checks associativity and both unit
 laws as exact matrix identities.
 """
 
+from functools import cached_property
+
 from .fincat import CategoryPres, Mor, Obj, ValidationFailure, ValidationReport
 
 
 class AlgebraPres:
     """Carrier object plus multiplication carrier(x)carrier -> carrier and
     unit 1 -> carrier."""
-
-    __slots__ = ("cat", "carrier", "mult", "unit")
 
     def __init__(self, cat: CategoryPres, carrier: Obj, mult: Mor, unit: Mor):
         self.cat = cat
@@ -27,6 +27,11 @@ class AlgebraPres:
 
     def __repr__(self):
         return f"AlgebraPres(carrier={self.carrier!r})"
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """`validate_algebra(self)`, computed once per algebra."""
+        return validate_algebra(self)
 
 
 def validate_algebra(A: AlgebraPres) -> ValidationReport:

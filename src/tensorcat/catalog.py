@@ -242,8 +242,7 @@ def make_regular_pointed(cat: CategoryPres, params) -> AlgebraPres:
     ub = Matrix(field, [[one]])
     unit = Mor(cat, cat.unit_obj(), carrier, {cat.labels[0]: ub})
     A = AlgebraPres(cat, carrier, mult, unit)
-    from .algebra import validate_algebra
-    rep = validate_algebra(A)
+    rep = A.validation
     if not rep.ok:
         raise CocycleObstruction(
             f"cocycle does not restrict trivially to the subgroup: "
@@ -268,8 +267,7 @@ def make_ordinary_group_algebra(cat: CategoryPres, params) -> AlgebraPres:
     ub = Matrix.from_entries(field, n, 1, [(0, 0, one)])
     unit = Mor(cat, cat.unit_obj(), carrier, {"1": ub})
     A = AlgebraPres(cat, carrier, mult, unit)
-    from .algebra import validate_algebra
-    validate_algebra(A).raise_if_failed()
+    A.validation.raise_if_failed()
     return A
 
 

@@ -26,7 +26,6 @@ import argparse
 import math
 import sys
 
-from .algebra import validate_algebra
 from .catalog import UnknownEntry, make_algebra, standard_entries
 from .fields import Embedding, FieldError, NotAnEmbedding
 from .fincat import ValidationFailure
@@ -139,7 +138,7 @@ def _load_algebra(cat, path):
         alg = algebra_from_json(cat, load_json(path))
     except _FILE_ERRORS as exc:
         raise CLIError(f"{path}: {exc}") from exc
-    rep = validate_algebra(alg)
+    rep = alg.validation
     if not rep.ok:
         raise CLIError(f"{path}: {rep.failures[0]}")
     return alg
@@ -203,7 +202,7 @@ def _cmd_validate(args, out) -> int:
         except _FILE_ERRORS as exc:
             out.write(f"algebra: FAIL: {exc}\n")
             return EXIT_INVALID
-        arep = validate_algebra(alg)
+        arep = alg.validation
         if not arep.ok:
             out.write(f"algebra: FAIL: {arep.failures[0]}\n")
             return EXIT_INVALID

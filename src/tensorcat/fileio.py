@@ -14,7 +14,7 @@ from .algebra import AlgebraPres
 from .fields import Field, FieldError, Scalar
 from .fincat import CategoryPres, Mor, Obj
 from .linalg import Matrix
-from .modcat import ModulePres
+from .modcat import ModulePres, validate_module
 
 
 class FormatError(Exception):
@@ -270,37 +270,35 @@ def algebra_from_json(cat: CategoryPres, d) -> AlgebraPres:
 
 def module_to_json(m: ModulePres) -> dict:
     cat = m.cat
-    if m.side == "right":
-        src = cat.tensor(m.carrier, m.algebra.carrier)
-        src_flat = flat_pair_basis(cat, m.carrier, m.algebra.carrier)
-    else:
-        src = cat.tensor(m.algebra.carrier, m.carrier)
-        src_flat = flat_pair_basis(cat, m.algebra.carrier, m.carrier)
+    src_flat = flat_pair_basis(cat, m.carrier, m.algebra.carrier)
     car_flat = flat_obj_coords(cat, m.carrier)
     return {
         "carrier": m.carrier.describe(),
         "action": _mor_to_triples(cat, m.action, src_flat, car_flat),
-        "side": m.side,
+        "side": "right",
     }
 
 
 def module_from_json(A: AlgebraPres, d) -> ModulePres:
+    """The right module a module file describes; a file whose `side` is
+    not `right` is a FormatError, and a module that breaks the module
+    axioms a ValidationFailure."""
     cat = A.cat
     try:
         carrier = _obj(cat, d["carrier"], "carrier")
-        side = d.get("side", "right")
-        if side == "right":
-            src = cat.tensor(carrier, A.carrier)
-            src_flat = flat_pair_basis(cat, carrier, A.carrier)
-        else:
-            src = cat.tensor(A.carrier, carrier)
-            src_flat = flat_pair_basis(cat, A.carrier, carrier)
+        if d.get("side", "right") != "right":
+            raise FormatError(f"module side {d['side']!r}: only right "
+                              "modules are supported")
+        src = cat.tensor(carrier, A.carrier)
+        src_flat = flat_pair_basis(cat, carrier, A.carrier)
         car_flat = flat_obj_coords(cat, carrier)
         action = _mor_from_triples(cat, src, carrier, d["action"], cat.field,
                                    src_flat, car_flat)
-        return ModulePres(A, carrier, action, side=side)
+        m = ModulePres(A, carrier, action)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed module file: {exc}") from exc
+    validate_module(m).raise_if_failed()
+    return m
 
 
 # ---------------------------------------------------------------------------

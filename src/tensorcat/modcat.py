@@ -1,5 +1,9 @@
 """Modules and bimodules over an algebra inside a category presentation.
 
+A module is a right module, x (x) A -> x, as in every criterion of the
+paper; the left dual A^L of A is the right module `module_dual(A)`,
+built from the multiplication.
+
 Everything reduces to exact linear algebra: hom spaces between modules
 are kernels of intertwining systems, internal homs are read from their
 dimensions through the adjunction Hom(a, [x, y]) = Hom_A(a (x) x, y)
@@ -17,30 +21,23 @@ from .ordalg import (NotSemisimple, OrdAlgebra, block_primitive_idempotent,
 
 
 class ModulePres:
-    """One-sided module: carrier with action x(x)A -> x (right) or
-    A(x)x -> x (left).  `generator` is the object a of a free module
-    a (x) A, and None for any other module."""
+    """Right module: carrier x with action x (x) A -> x.  `generator` is
+    the object a of a free module a (x) A, and None for any other module."""
 
-    __slots__ = ("algebra", "cat", "carrier", "action", "side", "generator")
+    __slots__ = ("algebra", "cat", "carrier", "action", "generator")
 
-    def __init__(self, algebra: AlgebraPres, carrier: Obj, action: Mor,
-                 side: str = "right"):
-        if side not in ("right", "left"):
-            raise ValueError("side must be 'right' or 'left'")
+    def __init__(self, algebra: AlgebraPres, carrier: Obj, action: Mor):
         self.generator = None
         self.algebra = algebra
         self.cat = algebra.cat
         self.carrier = carrier
-        self.side = side
-        expect_src = (self.cat.tensor(carrier, algebra.carrier)
-                      if side == "right"
-                      else self.cat.tensor(algebra.carrier, carrier))
-        if action.src != expect_src or action.dst != carrier:
+        if action.src != self.cat.tensor(carrier, algebra.carrier) \
+                or action.dst != carrier:
             raise ValidationFailure("module action has the wrong hom space")
         self.action = action
 
     def __repr__(self):
-        return f"ModulePres({self.side}, carrier={self.carrier!r})"
+        return f"ModulePres(carrier={self.carrier!r})"
 
     def unit_map(self) -> Mor:
         """u: a -> a (x) A, (id (x) eta) o rho^-1, for the free module on
@@ -91,23 +88,14 @@ def validate_module(m: ModulePres) -> ValidationReport:
     x = m.carrier
     c = A.carrier
     rep.checks_run += 1
-    if m.side == "right":
-        lhs = m.action @ cat.tensor_mor(m.action, cat.id(c))
-        rhs = m.action @ cat.tensor_mor(cat.id(x), A.mult) \
-            @ cat.associator(x, c, c)
-        unit_side = m.action @ cat.tensor_mor(cat.id(x), A.unit)
-        unit_ref = cat.unitor_right(x)
-    else:
-        lhs = m.action @ cat.tensor_mor(cat.id(c), m.action) \
-            @ cat.associator(c, c, x)
-        rhs = m.action @ cat.tensor_mor(A.mult, cat.id(x))
-        unit_side = m.action @ cat.tensor_mor(A.unit, cat.id(x))
-        unit_ref = cat.unitor_left(x)
+    lhs = m.action @ cat.tensor_mor(m.action, cat.id(c))
+    rhs = m.action @ cat.tensor_mor(cat.id(x), A.mult) \
+        @ cat.associator(x, c, c)
     if lhs != rhs:
         rep.fail("module associativity fails")
         return rep
     rep.checks_run += 1
-    if unit_side != unit_ref:
+    if m.action @ cat.tensor_mor(cat.id(x), A.unit) != cat.unitor_right(x):
         rep.fail("module unit law fails")
     return rep
 
@@ -121,76 +109,63 @@ def free_module(a: Obj, A: AlgebraPres) -> ModulePres:
     c = A.carrier
     x = cat.tensor(a, c)
     action = (cat.tensor_mor(cat.id(a), A.mult) @ cat.associator(a, c, c))
-    out = ModulePres(A, x, action, side="right")
+    out = ModulePres(A, x, action)
     out.generator = a
     return out
 
 
-def algebra_as_module(A: AlgebraPres, side: str = "right") -> ModulePres:
-    return ModulePres(A, A.carrier, A.mult, side=side)
+def algebra_as_module(A: AlgebraPres) -> ModulePres:
+    return ModulePres(A, A.carrier, A.mult)
 
 
 def obj_tensor_module(a: Obj, x: ModulePres) -> ModulePres:
     """The left action of the ambient category on right modules:
     a (x) x with action through the associator."""
-    if x.side != "right":
-        raise ValidationFailure("the category acts on right modules only")
     cat = x.cat
     c = x.algebra.carrier
     carrier = cat.tensor(a, x.carrier)
     action = (cat.tensor_mor(cat.id(a), x.action)
               @ cat.associator(a, x.carrier, c))
-    return ModulePres(x.algebra, carrier, action, side="right")
+    return ModulePres(x.algebra, carrier, action)
 
 
-def module_dual(x: ModulePres) -> ModulePres:
-    """The right module on x^v of a left module x, through the left
-    duality of its carrier."""
-    if x.side != "left":
-        raise ValueError("module_dual takes a left module")
-    cat = x.cat
-    c = x.algebra.carrier
-    xv = cat.dual_obj(x.carrier)
-    xc = x.carrier
-    m1 = cat.unitor_right_inv(cat.tensor(xv, c))             # -> (xv c)(x) 1
-    m2 = cat.tensor_mor(cat.id(cat.tensor(xv, c)),
-                        cat.coev_left(xc))                   # -> (xv c)(x xv)
-    # -> ((xv c) x) xv -> (xv (c x)) xv
-    m3 = (cat.tensor_mor(cat.associator(xv, c, xc), cat.id(xv))
-          @ cat.associator_inv(cat.tensor(xv, c), xc, xv))
-    m4 = cat.tensor_mor(cat.tensor_mor(cat.id(xv), x.action), cat.id(xv))
-    m5 = cat.tensor_mor(cat.ev_left(xc), cat.id(xv))         # -> 1 (x) xv
-    m6 = cat.unitor_left(xv)
+def module_dual(A: AlgebraPres) -> ModulePres:
+    """A^L: the right module on the left dual c^v of the carrier c of A,
+    whose action c^v (x) A -> c^v transposes the multiplication (the left
+    regular action of A) through the left duality of c."""
+    cat = A.cat
+    c = A.carrier
+    cv = cat.dual_obj(c)
+    m1 = cat.unitor_right_inv(cat.tensor(cv, c))             # -> (cv c)(x) 1
+    m2 = cat.tensor_mor(cat.id(cat.tensor(cv, c)),
+                        cat.coev_left(c))                    # -> (cv c)(c cv)
+    # -> ((cv c) c) cv -> (cv (c c)) cv
+    m3 = (cat.tensor_mor(cat.associator(cv, c, c), cat.id(cv))
+          @ cat.associator_inv(cat.tensor(cv, c), c, cv))
+    m4 = cat.tensor_mor(cat.tensor_mor(cat.id(cv), A.mult), cat.id(cv))
+    m5 = cat.tensor_mor(cat.ev_left(c), cat.id(cv))          # -> 1 (x) cv
+    m6 = cat.unitor_left(cv)
     action = m6 @ m5 @ m4 @ m3 @ m2 @ m1
-    return ModulePres(x.algebra, xv, action, side="right")
+    return ModulePres(A, cv, action)
 
 
 # ---------------------------------------------------------------------------
 # hom solver
 
-def _module_constraint(x: ModulePres, y: ModulePres, phi: Mor) -> Mor:
-    cat = x.cat
-    c = x.algebra.carrier
-    if x.side == "right":
-        return (phi @ x.action
-                - y.action @ cat.tensor_mor(phi, cat.id(c)))
-    return (phi @ x.action
-            - y.action @ cat.tensor_mor(cat.id(c), phi))
-
-
 def hom_basis(x: ModulePres, y: ModulePres) -> list:
-    """Basis of module maps x -> y, by exact kernel computation."""
+    """Basis of module maps x -> y, by exact kernel computation: the
+    phi with phi o act_x = act_y o (phi (x) 1)."""
     A, B = x.algebra, y.algebra
     if A is not B and (A.mult != B.mult or A.unit != B.unit):
         raise ValidationFailure("modules over different algebras")
-    if x.side != y.side:
-        raise ValidationFailure("modules of different chirality")
     cat = x.cat
     basis = hom_unit_basis(cat, x.carrier, y.carrier)
     if not basis:
         return []
-    mat = Matrix.from_cols(cat.field, [_module_constraint(x, y, phi).coords()
-                                       for phi in basis])
+    idc = cat.id(A.carrier)
+    mat = Matrix.from_cols(cat.field, [
+        (phi @ x.action - y.action @ cat.tensor_mor(phi, idc)).coords()
+        for phi in basis])
     return [mor_from_coords(cat, x.carrier, y.carrier, v)
             for v in mat.kernel_basis()]
 
@@ -272,24 +247,17 @@ class EndData:
         self.algebra = self._build_algebra()
 
     def express(self, i, j, mor: Mor) -> list:
-        """Coordinates of a module map P_j -> P_i in the chosen basis."""
-        return self.express_many(i, j, [mor])[0]
-
-    def express_many(self, i, j, mors) -> list:
-        """Coordinates of several module maps P_j -> P_i, read from their
-        restrictions along the unit; each is checked by rebuilding it from
-        its coordinates, so a map outside the block is refused."""
+        """Coordinates of a module map P_j -> P_i in the chosen basis,
+        read from its restriction along the unit; the map is rebuilt from
+        its coordinates, so one outside the block is refused."""
         hs = self.blocks[(i, j)]
         if not hs:
-            if any(not m.is_zero() for m in mors):
+            if not mor.is_zero():
                 raise ValidationFailure("morphism outside the hom space")
-            return [[] for _ in mors]
-        unit = self._units[j]
-        inv = self._restriction[(i, j)][1]
-        sols = inv @ Matrix.from_cols(self.field,
-                                      [(m @ unit).coords() for m in mors])
-        out = [sols.col(t) for t in range(len(mors))]
-        if any(Mor.combine(x, hs) != m for x, m in zip(out, mors)):
+            return []
+        rest = Matrix.from_cols(self.field, [(mor @ self._units[j]).coords()])
+        out = (self._restriction[(i, j)][1] @ rest).col(0)
+        if Mor.combine(out, hs) != mor:
             raise ValidationFailure("morphism outside the hom space")
         return out
 
@@ -391,7 +359,7 @@ def split_idempotent_module(P: ModulePres, e: Mor) -> ModulePres:
     q, incl_m, proj_m = _split_idempotent_obj(cat, P.carrier, e)
     c = P.algebra.carrier
     action = proj_m @ P.action @ cat.tensor_mor(incl_m, cat.id(c))
-    return ModulePres(P.algebra, q, action, side=P.side)
+    return ModulePres(P.algebra, q, action)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import os
 from functools import cached_property
 from itertools import islice, product
 
-from .algebra import AlgebraPres, validate_algebra
+from .algebra import AlgebraPres
 from .fields import Embedding, Field, Scalar
 from .fincat import CategoryPres, Mor, Obj, hom_dim, hom_unit_basis
 from .linalg import Matrix
@@ -101,8 +101,7 @@ def base_extend_algebra(C: CategoryPres, A: AlgebraPres, emb: Embedding):
     A2 = AlgebraPres(C2, Obj(C2, A.carrier.describe()),
                      transport_mor(C2, emb, A.mult),
                      transport_mor(C2, emb, A.unit))
-    rep = validate_algebra(A2)
-    rep.raise_if_failed()
+    A2.validation.raise_if_failed()
     return C2, A2
 
 
@@ -125,7 +124,8 @@ class AlgebraAnalysisContext:
       radical and the corner eps E eps is a division algebra;
     * `simples`: the simple modules split off `end`, with their End
       algebras (corners of E) and multiplicities; a semisimple A only;
-    * `dual_module`: A^L, the left dual of A, as a right module;
+    * `dual_module`: A^L = `module_dual(A)`, the right module on the
+      left dual of the carrier, its action built from the multiplication;
     * `to_dual`, `from_dual`: bases of the module maps A -> A^L and
       A^L -> A;
     * `internal_homs`: the objects [x_i, x_j] for all pairs of simples,
@@ -159,7 +159,7 @@ class AlgebraAnalysisContext:
 
     @cached_property
     def dual_module(self) -> ModulePres:
-        return module_dual(algebra_as_module(self.A, side="left"))
+        return module_dual(self.A)
 
     @cached_property
     def to_dual(self) -> list:
@@ -588,9 +588,10 @@ def _flag(v):
 def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
     """Full analysis report for one (category, algebra) pair.
 
-    First C's coherence (`C.validation()`, computed once per category
-    and shared with the catalog and the CLI loaders) and then A's axioms
-    are checked, raising ValidationFailure: the End algebras below are
+    First C's coherence (`C.validation()`, computed once per category)
+    and then A's axioms (`A.validation`, computed once per algebra), both
+    shared with the catalog and the CLI loaders, are checked, raising
+    ValidationFailure: the End algebras below are
     associative by construction only over a valid pair (see `EndData`).
 
     Raises OracleDisagreement unless every determinate separability route
@@ -598,7 +599,7 @@ def analyze(C: CategoryPres, A: AlgebraPres) -> dict:
     converse holds in characteristic 0), and a semisimple A's carrier is
     the sum of its connecting objects."""
     C.validation().raise_if_failed()
-    validate_algebra(A).raise_if_failed()
+    A.validation.raise_if_failed()
     ctx = AlgebraAnalysisContext(C, A)
     notes = {}
 

@@ -15,6 +15,9 @@ as (x (x)_A y^v)^v: the relative tensor product of x with the left dual
 module y^v, a cokernel whose object is read from ranks (`rel_tensor`),
 dualised.  `right_module_dual` builds y^v through the compound right
 (co)evaluations `coev_right` and `ev_right`, which nothing else needs.
+The package has right modules only, so the left modules these
+references take or return are the record `LeftModule` of this file, with
+its own axiom check `validate_left_module`.
 The package reads [x, y] from the adjunction
 Hom(a, [x, y]) = Hom_A(a (x) x, y) instead (Etingof, Gelaki, Nikshych
 and Ostrik, Tensor Categories, 7.9), one hom space per label.
@@ -203,7 +206,42 @@ def module_internal_end(x: ModulePres) -> AlgebraPres:
 
 
 # ---------------------------------------------------------------------------
-# the internal hom [x, y] by duality
+# left modules and the internal hom [x, y] by duality
+
+class LeftModule:
+    """A left module: carrier x with action A (x) x -> x."""
+
+    def __init__(self, algebra: AlgebraPres, carrier: Obj, action: Mor):
+        self.algebra = algebra
+        self.cat = algebra.cat
+        self.carrier = carrier
+        if action.src != self.cat.tensor(algebra.carrier, carrier) \
+                or action.dst != carrier:
+            raise ValidationFailure("left action has the wrong hom space")
+        self.action = action
+
+
+def left_regular_module(A: AlgebraPres) -> LeftModule:
+    """A as a left module over itself."""
+    return LeftModule(A, A.carrier, A.mult)
+
+
+def validate_left_module(m: LeftModule) -> ValidationReport:
+    """Associativity and the unit law of a left action, exactly."""
+    rep = ValidationReport("left module")
+    cat, A, x = m.cat, m.algebra, m.carrier
+    c = A.carrier
+    rep.checks_run += 1
+    lhs = m.action @ cat.tensor_mor(cat.id(c), m.action) \
+        @ cat.associator(c, c, x)
+    if lhs != m.action @ cat.tensor_mor(A.mult, cat.id(x)):
+        rep.fail("module associativity fails")
+        return rep
+    rep.checks_run += 1
+    if m.action @ cat.tensor_mor(A.unit, cat.id(x)) != cat.unitor_left(x):
+        rep.fail("module unit law fails")
+    return rep
+
 
 def coev_right(cat, X: Obj) -> Mor:
     """u_X : 1 -> X^v (x) X built from the per-label cups."""
@@ -215,11 +253,9 @@ def ev_right(cat, X: Obj) -> Mor:
     return cat._pairing(X, False, True, cat.cap)
 
 
-def right_module_dual(x: ModulePres) -> ModulePres:
+def right_module_dual(x: ModulePres) -> LeftModule:
     """The left module on x^v of a right module x, through the right
     duality of its carrier."""
-    if x.side != "right":
-        raise ValueError("right_module_dual takes a right module")
     cat = x.cat
     A = x.algebra
     c = A.carrier
@@ -237,17 +273,15 @@ def right_module_dual(x: ModulePres) -> ModulePres:
     m6 = cat.tensor_mor(cat.id(xv), ev_right(cat, xc))   # -> xv (x) 1
     m7 = cat.unitor_right(xv)
     action = m7 @ m6 @ m5 @ m4 @ m3 @ m2 @ m1
-    return ModulePres(A, xv, action, side="left")
+    return LeftModule(A, xv, action)
 
 
-def rel_tensor(x: ModulePres, y: ModulePres) -> Obj:
+def rel_tensor(x: ModulePres, y: LeftModule) -> Obj:
     """The object of the coequalizer x (x)_A y of a right and a left module.
 
     At each label a it is the cokernel of the block at a of
     act_x (x) id - (id (x) act_y) o alpha on x (x) y, so its multiplicity
     is that of x (x) y less the rank of the block."""
-    if x.side != "right" or y.side != "left":
-        raise ValidationFailure("rel_tensor needs (right, left) modules")
     cat = x.cat
     c = x.algebra.carrier
     xc, yc = x.carrier, y.carrier
@@ -555,7 +589,7 @@ def direct_sum_modules(mods) -> tuple:
     action = Mor.combine([cat.field.one()] * len(mods),
                          [i @ m.action @ cat.tensor_mor(p, cat.id(c))
                           for m, i, p in zip(mods, incls, projs)])
-    return ModulePres(A, total, action, side="right"), incls, projs
+    return ModulePres(A, total, action), incls, projs
 
 
 def simple_modules_reference(end: EndData) -> SimpleModulesResult:
@@ -645,9 +679,9 @@ def validate_bimodule(m) -> ValidationReport:
     rep = ValidationReport("bimodule")
     cat = m.cat
     A = m.algebra
-    left = ModulePres(A, m.carrier, m.left_action, side="left")
-    right = ModulePres(A, m.carrier, m.right_action, side="right")
-    r1 = validate_module(left)
+    left = LeftModule(A, m.carrier, m.left_action)
+    right = ModulePres(A, m.carrier, m.right_action)
+    r1 = validate_left_module(left)
     if not r1.ok:
         rep.fail("left action: " + r1.failures[0])
         return rep

@@ -72,6 +72,9 @@ class KernelSolveEnd(EndData):
                          for ij, hs in self.blocks.items() if hs}
         self.algebra = self._build_algebra()
 
+    def express(self, i, j, mor) -> list:
+        return self.express_many(i, j, [mor])[0]
+
     def express_many(self, i, j, mors) -> list:
         rhs = [m.coords() for m in mors]
         if not self.blocks[(i, j)]:

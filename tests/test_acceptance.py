@@ -167,7 +167,7 @@ def test_criterion_7_structural_identities(cats, corpus_reports):
         else:
             A = make_algebra(cat, "regular_pointed", {})
         amod = algebra_as_module(A)
-        al = module_dual(algebra_as_module(A, side="left"))
+        al = module_dual(A)
         for a in cat.labels:
             x = free_module(cat.simple(a), A)
             if x.carrier.is_zero():
@@ -189,7 +189,7 @@ def test_criterion_7_structural_identities(cats, corpus_reports):
     for name, cat, alg, rep in corpus_reports:
         if rep["flags"]["division"] is True:
             amod = algebra_as_module(alg)
-            al = module_dual(algebra_as_module(alg, side="left"))
+            al = module_dual(alg)
             assert len(hom_basis(amod, al)) > 0, name
             count_div += 1
     assert count_div >= 3

@@ -54,6 +54,23 @@ def test_module_roundtrip():
     assert module_to_json(again) == blob
 
 
+def test_module_file_breaking_the_axioms_is_refused():
+    # the regular module of Z/2 with any one coefficient of its action
+    # doubled breaks the module axioms, and the loader says so
+    from tensorcat.fincat import ValidationFailure
+    from tensorcat.modcat import algebra_as_module
+    cat = make_category("pointed", {"n": 2})
+    A = make_algebra(cat, "regular_pointed", {})
+    blob = module_to_json(algebra_as_module(A))
+    assert module_from_json(A, blob).carrier == A.carrier
+    assert blob["action"]
+    for k in range(len(blob["action"])):
+        bad = json.loads(json.dumps(blob))
+        bad["action"][k][2] = ["2"]
+        with pytest.raises(ValidationFailure, match="^module: module"):
+            module_from_json(A, bad)
+
+
 def test_cross_label_triple_rejected():
     from tensorcat.fileio import FormatError
     cat = make_category("pointed", {"n": 2})

@@ -1,6 +1,7 @@
 """`tensorcat validate`, `analyze` and `decompose` on mutated catalog files
 never end in a traceback, and `module_from_json` on a mutated module file
-returns or raises `FormatError` or `ValidationFailure`, nothing else.
+returns or raises `FormatError` or `ValidationFailure`, nothing else; a
+module file whose side is not `right` raises `FormatError`.
 
 Each example takes the JSON of a catalog category and one of its algebras,
 or of a module, and swaps a few nodes for values of another JSON type, or
@@ -99,21 +100,21 @@ def test_validate_survives_mutated_files(tmp_path_factory, blobs, name,
     assert main([verb, str(cat_p), str(alg_p)]) in (0, 1, 2, 3)
 
 
-MODULES = ("z2/regular", "vec_q/m2 left", "fibonacci/end_t free t")
+MODULES = ("z2/regular", "vec_q/m2 regular", "fibonacci/end_t free t")
 
 
 @pytest.fixture(scope="module")
 def module_blobs():
     """name -> (algebra, JSON of a module over it): the right regular
-    module of the regular z2 algebra, the left regular module of M_2(Q),
-    and the free module on t over the Fibonacci internal end of t."""
+    modules of the regular z2 algebra and of M_2(Q) (a dense carrier), and
+    the free module on t over the Fibonacci internal end of t."""
     entries = standard_entries()
     z2, vq, fib = entries["z2"](), entries["vec_q"](), entries["fibonacci"]()
     reg = make_algebra(z2, "regular_pointed", {})
     m2 = internal_end(vq, Obj(vq, {"1": 2}))
     end_t = make_algebra(fib, "internal_end", {"obj": {"t": 1}})
     modules = dict(zip(MODULES, [algebra_as_module(reg),
-                                 algebra_as_module(m2, side="left"),
+                                 algebra_as_module(m2),
                                  free_module(fib.simple("t"), end_t)]))
     return {name: (m.algebra, module_to_json(m))
             for name, m in modules.items()}
@@ -129,3 +130,11 @@ def test_module_loader_survives_mutated_files(module_blobs, name, data):
         module_from_json(A, blob)
     except (FormatError, ValidationFailure):
         pass
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_loader_refuses_a_left_module_file(module_blobs, name):
+    A, blob = module_blobs[name]
+    blob = dict(blob, side="left")
+    with pytest.raises(FormatError, match="only right modules"):
+        module_from_json(A, blob)

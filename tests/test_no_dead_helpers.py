@@ -41,8 +41,6 @@ ALLOWED = {
     "center_semisimple_verdict": "exported category-level criterion: the "
                                  "center is semisimple iff the global "
                                  "dimension is nonzero",
-    "validate_module": "exported: checks the module axioms of any module; "
-                       "the tests check every module construction with it",
     "Matrix.det": "a public determinant beside `inv` and `rank`; the "
                   "benchmark's tracer wraps it by name for the "
                   "`linalg.det_inv` span, and tests check `charpoly` "

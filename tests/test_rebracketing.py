@@ -14,8 +14,8 @@ multi-fusion one (`mmf2`).
 
 import pytest
 
-from construction_oracle import (coev_right, ev_right, reassoc,
-                                 right_module_dual)
+from construction_oracle import (coev_right, ev_right, left_regular_module,
+                                 reassoc, right_module_dual)
 from tensorcat.algebra import internal_end
 from tensorcat.catalog import make_algebra
 from tensorcat.fincat import Obj
@@ -118,7 +118,9 @@ def _dual_action_by_reassoc(x):
 
 
 def _left_dual_action_by_reassoc(x):
-    """The action of `module_dual(x)` for a left module x."""
+    """The action on x^v that transposes the action of a left module x
+    through the left duality: for the left regular module of A, the
+    action of `module_dual(A)`."""
     cat, c, xc = x.cat, x.algebra.carrier, x.carrier
     xv = cat.dual_obj(xc)
     xvc = cat.tensor(xv, c)
@@ -147,5 +149,5 @@ def test_constructions_equal_their_reassoc_forms(cats, name):
             _free_bimodule_by_reassoc(A, a), (name, a)
     for x in (algebra_as_module(A), free_module(objs[-1], A)):
         assert right_module_dual(x).action == _dual_action_by_reassoc(x)
-    x = algebra_as_module(A, side="left")
-    assert module_dual(x).action == _left_dual_action_by_reassoc(x)
+    assert module_dual(A).action == \
+        _left_dual_action_by_reassoc(left_regular_module(A))

@@ -295,7 +295,7 @@ def test_division_witness_exists(cats):
          make_algebra(cats["z3_f3"], "regular_pointed", {})),
     ]:
         amod = algebra_as_module(alg)
-        al = module_dual(algebra_as_module(alg, side="left"))
+        al = module_dual(alg)
         assert len(hom_basis(amod, al)) > 0, name
 
 
@@ -821,3 +821,29 @@ def test_each_category_is_validated_once(monkeypatch, tmp_path, capsys):
     assert main(["analyze", cat_p, alg_p, "--report", "json"]) == 0
     assert capsys.readouterr().out == dumps_canonical(report)
     assert len(validated) == 2 and validated[1] is not cat
+
+
+def test_each_algebra_is_validated_once(monkeypatch, tmp_path, capsys):
+    # the catalog build and every analyze read one cached report per
+    # algebra, and so do the CLI loader and its analyze
+    import tensorcat.algebra as algebra
+    validated = []
+    inner = algebra.validate_algebra
+
+    def spy(A):
+        validated.append(A)
+        return inner(A)
+
+    monkeypatch.setattr(algebra, "validate_algebra", spy)
+    cat = make_category("pointed", {"n": 3})
+    alg = make_algebra(cat, "regular_pointed", {})
+    assert validated == [alg]
+    report = analyze(cat, alg)
+    assert analyze(cat, alg) == report
+    assert validated == [alg]
+    cat_p, alg_p = str(tmp_path / "cat.json"), str(tmp_path / "alg.json")
+    save_json(cat_p, category_to_json(cat))
+    save_json(alg_p, algebra_to_json(alg))
+    assert main(["analyze", cat_p, alg_p, "--report", "json"]) == 0
+    assert capsys.readouterr().out == dumps_canonical(report)
+    assert len(validated) == 2 and validated[1] is not alg
