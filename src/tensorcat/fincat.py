@@ -263,6 +263,16 @@ def hom_coords(src: Obj, dst: Obj) -> list:
             for i in range(dst.mult(a)) for j in range(src.mult(a))]
 
 
+def hom_offsets(src: Obj, dst: Obj) -> dict:
+    """label -> the position of its block in hom_coords(src, dst): the
+    coordinate (a, i, j) sits at offset[a] + i * src.mult(a) + j."""
+    out, k = {}, 0
+    for a in _shared_labels(src, dst):
+        out[a] = k
+        k += dst.mult(a) * src.mult(a)
+    return out
+
+
 def mor_from_coords(cat, src: Obj, dst: Obj, vec) -> Mor:
     coords = hom_coords(src, dst)
     assert len(coords) == len(vec)

@@ -5,16 +5,21 @@ paper; the left dual A^L of A is the right module `module_dual(A)`,
 built from the multiplication.
 
 Everything reduces to exact linear algebra: hom spaces between modules
-are kernels of intertwining systems, internal homs are read from their
-dimensions through the adjunction Hom(a, [x, y]) = Hom_A(a (x) x, y)
-(Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories, 7.9), and
-endomorphism algebras of projective generators land in `ordalg` where
-radicals and idempotents decide all structure questions.
+are kernels of intertwining systems, each assembled from the actions'
+nonzeros through the fusion index tables with no morphism composed (the
+tests pin it, column for column, to the system of composed maps);
+internal homs are the nullities of those systems through the adjunction
+Hom(a, [x, y]) = Hom_A(a (x) x, y) (Etingof, Gelaki, Nikshych and
+Ostrik, Tensor Categories, 7.9); and endomorphism algebras of projective
+generators land in `ordalg` where radicals and idempotents decide all
+structure questions.
 """
+
+from functools import cached_property
 
 from .algebra import AlgebraPres
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
-                     hom_coords, hom_dim, hom_unit_basis, mor_from_coords)
+                     hom_coords, hom_dim, hom_offsets, mor_from_coords)
 from .linalg import Matrix, SingularMatrix
 from .ordalg import (NotSemisimple, OrdAlgebra, block_primitive_idempotent,
                      central_idempotents, corner, radical)
@@ -49,8 +54,9 @@ class ModulePres:
 
 
 class BimodulePres:
-    __slots__ = ("algebra", "cat", "carrier", "left_action", "right_action",
-                 "generator")
+    """Bimodule: carrier y with a left action A (x) y -> y and a right
+    action y (x) A -> y.  `generator` is the object a of a free bimodule
+    (A (x) a) (x) A, and None for any other bimodule."""
 
     def __init__(self, algebra: AlgebraPres, carrier: Obj,
                  left_action: Mor, right_action: Mor):
@@ -79,6 +85,14 @@ class BimodulePres:
         # the first two factors as one tensor product of composites
         left = cat.tensor_mor(eta, cat.id(a)) @ cat.unitor_left_inv(a)
         return cat.tensor_mor(left, eta) @ cat.unitor_right_inv(a)
+
+    @cached_property
+    def action(self) -> Mor:
+        """The two-sided action (A (x) y) (x) A -> y, right o (left (x) 1),
+        composed once per bimodule."""
+        cat = self.cat
+        return self.right_action @ cat.tensor_mor(
+            self.left_action, cat.id(self.algebra.carrier))
 
 
 def validate_module(m: ModulePres) -> ValidationReport:
@@ -152,22 +166,58 @@ def module_dual(A: AlgebraPres) -> ModulePres:
 # ---------------------------------------------------------------------------
 # hom solver
 
-def hom_basis(x: ModulePres, y: ModulePres) -> list:
-    """Basis of module maps x -> y, by exact kernel computation: the
-    phi with phi o act_x = act_y o (phi (x) 1)."""
+def _hom_system(x: ModulePres, y: ModulePres) -> Matrix:
+    """The matrix of phi -> phi o act_x - act_y o (phi (x) 1) from
+    Hom(X, Y) to Hom(X (x) c, Y), rows and columns in `hom_coords` order,
+    for the carriers X, Y of x, y and c of A.
+
+    It is written from the actions' nonzeros, with no morphism composed.
+    The coordinate phi = E_(e; r, s) puts row s of act_x's block at e
+    into row r of the block at e.  It also subtracts each nonzero (i, t)
+    of act_y's block at f whose column t is (e, r, b, u, mu) in the
+    fusion basis of Y (x) c, at row i and at the column of
+    (e, s, b, u, mu) in the fusion index of X (x) c.  Repeated positions
+    add up."""
     A, B = x.algebra, y.algebra
     if A is not B and (A.mult != B.mult or A.unit != B.unit):
         raise ValidationFailure("modules over different algebras")
     cat = x.cat
-    basis = hom_unit_basis(cat, x.carrier, y.carrier)
-    if not basis:
-        return []
-    idc = cat.id(A.carrier)
-    mat = Matrix.from_cols(cat.field, [
-        (phi @ x.action - y.action @ cat.tensor_mor(phi, idc)).coords()
-        for phi in basis])
-    return [mor_from_coords(cat, x.carrier, y.carrier, v)
-            for v in mat.kernel_basis()]
+    X, Y, XC = x.carrier, y.carrier, x.action.src
+    cols, rows = hom_offsets(X, Y), hom_offsets(XC, Y)
+    entries = []
+    for e, blk in x.action.blocks.items():
+        if e not in cols:
+            continue
+        nx, nxc, c0, r0 = X.mult(e), XC.mult(e), cols[e], rows[e]
+        for s, j, val in blk.nonzero():
+            entries += [(r0 + r * nxc + j, c0 + r * nx + s, val)
+                        for r in range(Y.mult(e))]
+    yc_basis = cat.fusion_basis(Y, A.carrier)
+    xc_index = cat.fusion_index(X, A.carrier)
+    for f, blk in y.action.blocks.items():
+        if f not in rows:
+            continue
+        index, basis = xc_index[f], yc_basis[f]
+        nxc, r0 = XC.mult(f), rows[f]
+        for i, t, val in blk.nonzero():
+            e, r, b, u, mu = basis[t]
+            if e not in cols:
+                continue
+            nx = X.mult(e)
+            neg, c0 = -val, cols[e] + r * nx
+            entries += [(r0 + i * nxc + index[(e, s, b, u, mu)], c0 + s, neg)
+                        for s in range(nx)]
+    return Matrix.from_entries(cat.field, hom_dim(XC, Y), hom_dim(X, Y),
+                               entries)
+
+
+def hom_basis(x: ModulePres, y: ModulePres) -> list:
+    """Basis of module maps x -> y: the kernel of the constraint
+    phi o act_x = act_y o (phi (x) 1), assembled by `_hom_system` from the
+    actions' nonzeros through the fusion index tables.  The tests pin it,
+    map for map, to the same kernel of the composed constraint."""
+    return [mor_from_coords(x.cat, x.carrier, y.carrier, v)
+            for v in _hom_system(x, y).kernel_basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +243,12 @@ class EndData:
     `structure.analyze` checks first:
 
     * every basis map is a module map: `hom_basis` returns exactly the
-      kernel of the module constraint, and `free_bimodule_maps` returns
-      act o (1 (x) psi (x) 1), a bimodule map because the actions of a
-      free bimodule are associative when A is and the pentagon holds;
+      kernel of the module constraint, whose matrix it writes from the
+      actions' nonzeros (the tests check it equal, column for column, to
+      the matrix of the composed constraint), and `free_bimodule_maps`
+      returns act o (1 (x) psi (x) 1), a bimodule map because the
+      actions of a free bimodule are associative when A is and the
+      pentagon holds;
     * composites of module maps are module maps, by the interchange law,
       so each b_1 o b_2 lies in the span of its block;
     * restriction along the unit is injective on a block, since R R^-1 is
@@ -344,10 +397,14 @@ def internal_hom(x: ModulePres, y: ModulePres) -> Obj:
 
     It represents a -> Hom_A(a (x) x, y) (Etingof, Gelaki, Nikshych and
     Ostrik, Tensor Categories, 7.9), so its multiplicity at a simple a
-    is the dimension of the module maps a (x) x -> y."""
+    is the dimension of the module maps a (x) x -> y, the nullity of
+    their constraint."""
     cat = x.cat
-    return Obj(cat, {a: len(hom_basis(obj_tensor_module(cat.simple(a), x), y))
-                     for a in cat.labels})
+    mult = {}
+    for a in cat.labels:
+        m = _hom_system(obj_tensor_module(cat.simple(a), x), y)
+        mult[a] = m.cols - m.rank()
+    return Obj(cat, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +493,13 @@ def free_bimodule_maps(src: BimodulePres, dst: BimodulePres) -> list:
     through the free-forget correspondence with Hom(a, dst.carrier).
 
     The map of psi in the unit basis of Hom(a, y) is act o (id (x) psi (x)
-    id) for the action act: (A y) A -> y, so its column at the basis
-    vector (d, q, z, r, nu) of (A a) A is act's column at
+    id) for the two-sided action act = `dst.action`, so its column at the
+    basis vector (d, q, z, r, nu) of (A a) A is act's column at
     (d, q', z, r, nu), where psi takes the vector q = (x, p, l, j, mu) of
     A a at d to q' = (x, p, l, i, mu) of A y; each is read off act's
     nonzeros."""
     cat = src.cat
-    c, a, y = src.algebra.carrier, src.generator, dst.carrier
-    act = dst.right_action @ cat.tensor_mor(dst.left_action, cat.id(c))
+    c, a, y, act = src.algebra.carrier, src.generator, dst.carrier, dst.action
     ca_index = cat.fusion_index(c, a)
     cy_basis = cat.fusion_basis(c, y)
     act_cols = cat.fusion_basis(cat.tensor(c, y), c)

@@ -1,5 +1,9 @@
-"""Kernel solves, the references for the maps out of free (bi)modules.
+"""Kernel solves, the references for module maps and for the maps out of
+free (bi)modules.
 
+`hom_basis` writes its constraint matrix from the actions' nonzeros;
+`module_hom_basis_reference` composes phi o act_x - act_y o (phi (x) 1)
+for each unit-basis map phi and solves the same kernel.
 `EndData` reads every product of basis maps by restriction along the unit
 of a free generator, and `free_bimodule_maps` gives bimodule maps by the
 free-forget correspondence, read off the action's nonzeros;
@@ -21,6 +25,22 @@ from tensorcat.fincat import (ValidationFailure, hom_unit_basis,
 from tensorcat.linalg import Matrix
 from tensorcat.modcat import EndData
 from tensorcat.ordalg import OrdAlgebra, OrdAlgebraError
+
+
+def module_hom_basis_reference(x, y) -> list:
+    """Basis of the module maps x -> y, as the kernel of the constraint
+    phi o act_x - act_y o (phi (x) 1), one composed column per map phi of
+    the unit basis of Hom(x.carrier, y.carrier)."""
+    cat = x.cat
+    basis = hom_unit_basis(cat, x.carrier, y.carrier)
+    if not basis:
+        return []
+    idc = cat.id(x.algebra.carrier)
+    mat = Matrix.from_cols(cat.field, [
+        (phi @ x.action - y.action @ cat.tensor_mor(phi, idc)).coords()
+        for phi in basis])
+    return [mor_from_coords(cat, x.carrier, y.carrier, v)
+            for v in mat.kernel_basis()]
 
 
 def bimodule_hom_basis(x, y) -> list:

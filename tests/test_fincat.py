@@ -9,7 +9,7 @@ from construction_oracle import (coev_right, ev_right, fusion_basis_sorted,
 from tensorcat.catalog import make_category, standard_entries
 from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure, hom_coords, hom_dim,
-                              hom_unit_basis, mor_from_coords,
+                              hom_offsets, hom_unit_basis, mor_from_coords,
                               validate_category)
 from tensorcat.linalg import Matrix
 
@@ -252,6 +252,19 @@ def test_hom_unit_basis_is_dual_to_coords(fib):
         assert (phi.src, phi.dst) == (x, y)
         assert phi.coords() == [one if i == k else zero for i in range(n)]
         assert phi == mor_from_coords(fib, x, y, phi.coords())
+
+
+def test_hom_offsets_locate_each_coordinate(fib):
+    # (a, i, j) sits at offset[a] + i * src.mult(a) + j, labels that only
+    # one side has get no block, and a zero hom space has no offsets
+    x = Obj(fib, {"1": 2, "t": 3})
+    for y in (Obj(fib, {"1": 1, "t": 2}), Obj(fib, {"t": 1}),
+              Obj(fib, {"1": 2}), fib.zero_obj()):
+        offsets = hom_offsets(x, y)
+        coords = hom_coords(x, y)
+        assert [offsets[a] + i * x.mult(a) + j for a, i, j in coords] == \
+            list(range(len(coords)))
+        assert set(offsets) == {a for a, _i, _j in coords}
 
 
 def test_difference_is_sum_with_negation(z2):

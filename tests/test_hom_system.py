@@ -1,0 +1,144 @@
+"""`hom_basis` writes the module constraint phi o act_x - act_y o (phi (x) 1)
+from the actions' nonzeros through the fusion index tables;
+`end_oracle.module_hom_basis_reference` composes it for each unit-basis
+map.  Both matrices are equal entry for entry and have one reduced
+echelon form, so the two bases agree map for map.
+
+`free_bimodule_maps` reads `BimodulePres.action`, the two-sided action
+that each bimodule composes once; `end_oracle.product_bimodule_maps`
+still composes it from the two actions.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from end_oracle import module_hom_basis_reference
+from tensorcat.algebra import internal_end
+from tensorcat.catalog import make_algebra, standard_entries
+from tensorcat.fincat import CategoryPres, Mor, Obj
+from tensorcat.modcat import (BimodulePres, algebra_as_module,
+                              bimodule_end_algebra, free_bimodule,
+                              free_module, free_module_end, hom_basis,
+                              module_dual, obj_tensor_module, simple_modules)
+from tensorcat.ordalg import NotSemisimple
+
+# a twisted associator, a multiplicity-2 carrier, two non-pointed fusion
+# categories, a multi-fusion category and two finite fields (F_3[Z/3] is
+# not semisimple, so it has no simples to draw)
+ALGEBRAS = {
+    "z2_twisted/end_g1": lambda c: make_algebra(
+        c["z2_twisted"], "internal_end", {"obj": {"g1": 1}}),
+    "vec_q/m2": lambda c: internal_end(c["vec_q"], Obj(c["vec_q"], {"1": 2})),
+    "fibonacci/end_t": lambda c: make_algebra(
+        c["fibonacci"], "internal_end", {"obj": {"t": 1}}),
+    "ising/end_sig": lambda c: make_algebra(
+        c["ising"], "internal_end", {"obj": {"sig": 1}}),
+    "mmf2/end_e12": lambda c: make_algebra(
+        c["mmf2"], "internal_end", {"obj": {"e12": 1}}),
+    "vec_f2/group3": lambda c: make_algebra(
+        c["vec_f2"], "ordinary_group_algebra", {"n": 3}),
+    "z3_f3/regular": lambda c: make_algebra(
+        c["z3_f3"], "regular_pointed", {}),
+}
+
+
+@lru_cache(maxsize=None)
+def _modules(name):
+    """(algebra, modules): the nonzero free modules, A, A^L and the
+    simples of A when A is semisimple."""
+    A = ALGEBRAS[name]({n: mk() for n, mk in standard_entries().items()})
+    cat = A.cat
+    frees = [free_module(cat.simple(b), A) for b in cat.labels]
+    frees = [f for f in frees if not f.carrier.is_zero()]
+    try:
+        simples = simple_modules(free_module_end(A)).simples
+    except NotSemisimple:
+        simples = []
+    return A, frees + [algebra_as_module(A), module_dual(A)] + simples
+
+
+def test_hom_basis_equals_the_composed_reference_on_each_pair():
+    # every ordered pair of the fixed modules, itself included, so each
+    # module's identity lies in a nonempty basis; each semisimple A has
+    # at least one simple besides a free module, A and A^L
+    for name in ALGEBRAS:
+        _A, mods = _modules(name)
+        assert len(mods) >= 3 + (name != "z3_f3/regular"), name
+        for x in mods:
+            assert hom_basis(x, x), (name, x)
+            for y in mods:
+                assert hom_basis(x, y) == module_hom_basis_reference(x, y), \
+                    (name, x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hom_basis_equals_the_composed_reference(data):
+    # list equality of Mor: the same maps in the same order, not just
+    # the same span; either side may first be moved along an object a of
+    # multiplicity one or two
+    name = data.draw(st.sampled_from(sorted(ALGEBRAS)))
+    A, mods = _modules(name)
+    cat = A.cat
+
+    def draw_module():
+        x = data.draw(st.sampled_from(mods))
+        if data.draw(st.booleans()):
+            a = Obj(cat, {data.draw(st.sampled_from(list(cat.labels))):
+                          data.draw(st.integers(1, 2))})
+            x = obj_tensor_module(a, x)
+        return x
+    x, y = draw_module(), draw_module()
+    assert hom_basis(x, y) == module_hom_basis_reference(x, y)
+
+
+def test_hom_basis_composes_no_morphisms(monkeypatch):
+    pairs = [(x, y) for name in ("vec_q/m2", "fibonacci/end_t",
+                                 "mmf2/end_e12")
+             for x in _modules(name)[1] for y in _modules(name)[1]]
+    expected = [module_hom_basis_reference(x, y) for x, y in pairs]
+
+    def refuse(*_args):
+        raise AssertionError("hom_basis composed morphisms")
+    with monkeypatch.context() as m:
+        m.setattr(Mor, "__matmul__", refuse)
+        m.setattr(CategoryPres, "tensor_mor", refuse)
+        got = [hom_basis(x, y) for x, y in pairs]
+    assert got == expected
+
+
+def test_bimodule_end_composes_each_two_sided_action_once(monkeypatch):
+    prop = BimodulePres.__dict__["action"]
+    compose = prop.func
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return compose(self)
+    monkeypatch.setattr(prop, "func", counting)
+    for name in ("z2_twisted/end_g1", "fibonacci/end_t", "ising/end_sig",
+                 "z3_f3/regular"):
+        A = _modules(name)[0]
+        del calls[:]
+        end = bimodule_end_algebra(A)
+        n = len(end.modules)
+        assert n >= 2, name
+        assert len(calls) == n, (name, len(calls))
+        assert {id(b) for b in calls} == {id(b) for b in end.modules}, name
+
+
+def test_two_sided_action_is_right_after_left(corpus):
+    count = 0
+    for name, cat, A in corpus:
+        idc = cat.id(A.carrier)
+        for a in cat.labels:
+            b = free_bimodule(A, cat.simple(a))
+            if b.carrier.is_zero():
+                continue
+            assert b.action == \
+                b.right_action @ cat.tensor_mor(b.left_action, idc), \
+                (name, a)
+            count += 1
+    assert count >= 30

@@ -479,17 +479,24 @@ def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
     # End algebras are corners of that End, their multiplicities read
     # Hom(1, x_i), and the division verdict reads Hom_A(P, A) as a right
     # ideal eps E of it, through the corner eps E eps.  Each [x_i, x_j]
-    # takes one, Hom_A(a (x) x_i, x_j), per simple label a
+    # reads the nullity of one module-map system, Hom_A(a (x) x_i, x_j),
+    # per simple label a, and builds no basis
     import tensorcat.modcat as modcat
     import tensorcat.structure as structure
     pairs, inside_internal_hom = [], []
     inner = modcat.hom_basis
+    inner_system = modcat._hom_system
     inner_internal_hom = modcat.internal_hom
 
     def hom_basis(x, y):
-        (inside_internal_hom[-1] if inside_internal_hom
-         else pairs).append((x, y))
+        assert not inside_internal_hom, "internal_hom built a hom basis"
+        pairs.append((x, y))
         return inner(x, y)
+
+    def hom_system(x, y):
+        if inside_internal_hom:
+            inside_internal_hom[-1].append((x, y))
+        return inner_system(x, y)
 
     def internal_hom(x, y):
         inside_internal_hom.append([])
@@ -502,6 +509,7 @@ def test_analyze_takes_each_hom_basis_once(cats, monkeypatch):
 
     for mod in (structure, modcat):
         monkeypatch.setattr(mod, "hom_basis", hom_basis)
+    monkeypatch.setattr(modcat, "_hom_system", hom_system)
     monkeypatch.setattr(structure, "internal_hom", internal_hom)
     vq = cats["vec_q"]
     A = make_algebra(vq, "ordinary_group_algebra", {"n": 4})
