@@ -228,13 +228,20 @@ class EndData:
     (bi)modules P_j on simple objects a_j (their `generator`).
 
     basis[k] = (i, j, Mor P_j -> P_i); `algebra` is the OrdAlgebra with a
-    faithful block representation.  Maps are read by restriction along the
-    unit u_j: a_j -> P_j of each generator (Etingof, Gelaki, Nikshych and
-    Ostrik, Tensor Categories, 7.8): f -> f o u_j is a bijection from the
-    maps P_j -> P_i onto Hom(a_j, P_i), so the restrictions of a block's
-    basis form a square invertible matrix R_ij, and the coordinates of
-    b_1 o b_2 are R^-1 times those of b_1 o (b_2 o u_j), a product with one
-    column per map instead of a composition and a solve.
+    faithful block representation.  `hom_fn(sources, dst)` gives the
+    block's basis of maps P_j -> dst for each P_j of `sources`, so a hom
+    function can share work between the blocks of one destination.  Maps
+    are read by restriction along the unit u_j: a_j -> P_j of each
+    generator (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories,
+    7.8): f -> f o u_j is a bijection from the maps P_j -> P_i onto
+    Hom(a_j, P_i), so the restrictions of a block's basis form a square
+    invertible matrix R_ij, and the coordinates of b_1 o b_2 are R^-1
+    times those of b_1 o (b_2 o u_j), a product with one column per map
+    instead of a composition and a solve.  Every R_ij is computed; where
+    it is the identity, because the block's basis is the preimage of the
+    unit basis of Hom(a_j, P_i) (as `free_bimodule_maps` builds it:
+    f_psi o u = psi), both factors are skipped and the coordinates are the
+    entries of b_1 o (b_2 o u_j) themselves.
 
     The algebra is associative by construction, so it is built without
     the triple check of `OrdAlgebra(validate=True)` (the tests run that
@@ -251,12 +258,14 @@ class EndData:
       pentagon holds;
     * composites of module maps are module maps, by the interchange law,
       so each b_1 o b_2 lies in the span of its block;
-    * restriction along the unit is injective on a block, since R R^-1 is
-      checked per block, so the coordinates read through R^-1 are those
-      of b_1 o b_2 itself.
+    * restriction along the unit is injective on a block, since each R_ij
+      is checked per block: equal to the identity, or inverted, a
+      singular one refused, so the coordinates read through R^-1 (or
+      directly, where R = 1) are those of b_1 o b_2 itself.
 
     Hence `sc` holds the coordinates of composition, which is
-    associative; the unit is the coordinate vector of the identities;
+    associative; the unit is the coordinate vector of the identities,
+    each rebuilt from its coordinates and compared with the identity;
     and `rep`, which sends each map to its own blocks, is faithful, as
     the invertible R_ij make each block's basis linearly independent.
     """
@@ -273,12 +282,13 @@ class EndData:
                                          for a in p.carrier.support))
         self._units = [p.unit_map() for p in modules]
         self.blocks = {}
-        # (i, j) -> (R_ij, R_ij^-1), for each nonempty block
+        # (i, j) -> (R_ij, R_ij^-1), for each nonempty block whose
+        # restrictions are not the unit basis
         self._restriction = {}
         basis = []
         for i, pi in enumerate(modules):
-            for j, pj in enumerate(modules):
-                hs = hom_fn(pj, pi)
+            for j, (pj, hs) in enumerate(zip(modules, hom_fn(modules, pi),
+                                             strict=True)):
                 self.blocks[(i, j)] = hs
                 basis += [(i, j, m) for m in hs]
                 dim = hom_dim(pj.generator, pi.carrier)
@@ -290,6 +300,8 @@ class EndData:
                     continue
                 rest = Matrix.from_cols(
                     field, [(m @ self._units[j]).coords() for m in hs])
+                if rest == Matrix.identity(field, dim):
+                    continue
                 try:
                     self._restriction[(i, j)] = rest, rest.inv()
                 except SingularMatrix:
@@ -303,13 +315,19 @@ class EndData:
         """Coordinates of a module map P_j -> P_i in the chosen basis,
         read from its restriction along the unit; the map is rebuilt from
         its coordinates, so one outside the block is refused."""
+        return self._read(i, j, mor, mor @ self._units[j])
+
+    def _read(self, i, j, mor: Mor, restricted: Mor) -> list:
+        """`express` for a map whose restriction mor o u_j is given."""
         hs = self.blocks[(i, j)]
         if not hs:
             if not mor.is_zero():
                 raise ValidationFailure("morphism outside the hom space")
             return []
-        rest = Matrix.from_cols(self.field, [(mor @ self._units[j]).coords()])
-        out = (self._restriction[(i, j)][1] @ rest).col(0)
+        out = restricted.coords()
+        if (i, j) in self._restriction:
+            inv = self._restriction[(i, j)][1]
+            out = (inv @ Matrix.from_cols(self.field, [out])).col(0)
         if Mor.combine(out, hs) != mor:
             raise ValidationFailure("morphism outside the hom space")
         return out
@@ -332,20 +350,26 @@ class EndData:
         gens = [p.generator.support[0] for p in self.modules]
         # b1 o b2 for b1 in block (i1, j1) and b2 in block (j1, j2)
         # restricts to b1 o (b2 o u_j2), on the one label of a_j2: the
-        # column of b2 in R_(i1,j2)^-1 (b1 R_(j1,j2)) holds its coordinates
+        # column of b2 in R_(i1,j2)^-1 (b1 R_(j1,j2)) holds its coordinates,
+        # and a block that restricts to the unit basis has R = 1
+        restriction = self._restriction
         for k1, (i1, j1, b1) in enumerate(self.basis):
             for j2, a in enumerate(gens):
                 if (j1, j2) not in pos or (i1, j2) not in pos:
                     continue
-                rest = self._restriction[(j1, j2)][0]
-                inv = self._restriction[(i1, j2)][1]
+                prod = b1.block(a)
+                if (j1, j2) in restriction:
+                    prod = prod @ restriction[(j1, j2)][0]
+                if (i1, j2) in restriction:
+                    prod = restriction[(i1, j2)][1] @ prod
                 left, right = pos[(i1, j2)], pos[(j1, j2)]
                 row = sc[k1]
-                for r, t, c in (inv @ (b1.block(a) @ rest)).nonzero():
+                for r, t, c in prod.nonzero():
                     row[right[t]].append((left[r], c))
         unit = [field.zero()] * n
         for i, p in enumerate(self.modules):
-            coords = self.express(i, i, p.cat.id(p.carrier))
+            # the identity of P_i restricts to u_i itself
+            coords = self._read(i, i, p.cat.id(p.carrier), self._units[i])
             for idx, c in zip(pos[(i, i)], coords):
                 unit[idx] = c
         rep = self._natural_rep()
@@ -379,7 +403,13 @@ def end_algebra(modules) -> EndData:
     if not modules:
         raise ValidationFailure("need at least one module")
     field = modules[0].cat.field
-    return EndData(list(modules), hom_basis, field)
+    return EndData(list(modules), hom_bases, field)
+
+
+def hom_bases(srcs, dst: ModulePres) -> list:
+    """The `hom_basis` of each module of `srcs` into `dst`, the hom
+    function of `EndData` for modules."""
+    return [hom_basis(x, dst) for x in srcs]
 
 
 def free_module_end(A: AlgebraPres) -> EndData:
@@ -488,40 +518,54 @@ def free_bimodule(A: AlgebraPres, a: Obj) -> BimodulePres:
     return out
 
 
-def free_bimodule_maps(src: BimodulePres, dst: BimodulePres) -> list:
-    """Basis of bimodule maps out of a free bimodule (A a A) -> dst,
-    through the free-forget correspondence with Hom(a, dst.carrier).
+def free_bimodule_maps(srcs, dst: BimodulePres) -> list:
+    """Bases of the bimodule maps out of free bimodules (A a A) -> dst,
+    one list per source in `srcs`, each through the free-forget
+    correspondence with Hom(a, dst.carrier).
 
     The map of psi in the unit basis of Hom(a, y) is act o (id (x) psi (x)
     id) for the two-sided action act = `dst.action`, so its column at the
     basis vector (d, q, z, r, nu) of (A a) A is act's column at
     (d, q', z, r, nu), where psi takes the vector q = (x, p, l, j, mu) of
-    A a at d to q' = (x, p, l, i, mu) of A y; each is read off act's
-    nonzeros."""
-    cat = src.cat
-    c, a, y, act = src.algebra.carrier, src.generator, dst.carrier, dst.action
-    ca_index = cat.fusion_index(c, a)
+    A a at d to q' = (x, p, l, i, mu) of A y.  A column of act whose
+    vector of A y passes through the label l feeds the sources whose
+    generator a carries l, so act's nonzeros are read once for all
+    sources."""
+    cat = dst.cat
+    c, y, act = dst.algebra.carrier, dst.carrier, dst.action
     cy_basis = cat.fusion_basis(c, y)
     act_cols = cat.fusion_basis(cat.tensor(c, y), c)
-    src_index = cat.fusion_index(cat.tensor(c, a), c)
-    psis = {lij: k for k, lij in enumerate(hom_coords(a, y))}
-    entries = [{} for _ in psis]
+    # label l -> (a, psi positions, fusion indices of A a and (A a) A,
+    # entries per psi) for each source whose generator a carries l
+    by_label = {}
+    entries = []
+    for src in srcs:
+        a = src.generator
+        psis = {lij: k for k, lij in enumerate(hom_coords(a, y))}
+        entries.append([{} for _ in psis])
+        feed = (a, psis, cat.fusion_index(c, a),
+                cat.fusion_index(cat.tensor(c, a), c), entries[-1])
+        for l in a.support:
+            by_label.setdefault(l, []).append(feed)
     for e, blk in act.blocks.items():
-        # column t of act feeds (psi, column of its map) for each of these
+        # column t of act feeds (entries of psi, column of its map) for
+        # each of these
         feeds = []
         for d, q, z, r, nu in act_cols[e]:
             x, p, l, i, mu = cy_basis[d][q]
-            feeds.append([(psis[(l, i, j)], src_index[e][
+            feeds.append([(out[psis[(l, i, j)]], src_index[e][
                 (d, ca_index[d][(x, p, l, j, mu)], z, r, nu)])
+                for a, psis, ca_index, src_index, out in by_label.get(l, ())
                 for j in range(a.mult(l))])
         for row, t, val in blk.nonzero():
-            for k, s in feeds[t]:
-                entries[k].setdefault(e, []).append((row, s, val))
-    return [Mor(cat, src.carrier, y,
-                {e: Matrix.from_entries(cat.field, y.mult(e),
-                                        src.carrier.mult(e), es)
-                 for e, es in blocks.items()})
-            for blocks in entries]
+            for blocks, s in feeds[t]:
+                blocks.setdefault(e, []).append((row, s, val))
+    return [[Mor(cat, src.carrier, y,
+                 {e: Matrix.from_entries(cat.field, y.mult(e),
+                                         src.carrier.mult(e), es)
+                  for e, es in blocks.items()})
+             for blocks in out]
+            for src, out in zip(srcs, entries)]
 
 
 def bimodule_end_algebra(A: AlgebraPres) -> EndData:

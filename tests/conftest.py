@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
@@ -36,6 +38,7 @@ def end_algebras_checked():
     associative by construction."""
     build = EndData._build_algebra
 
+    @functools.wraps(build)
     def checked(self):
         E = build(self)
         check_end_algebra(E)

@@ -6,8 +6,10 @@ free (bi)modules.
 for each unit-basis map phi and solves the same kernel.
 `EndData` reads every product of basis maps by restriction along the unit
 of a free generator, and `free_bimodule_maps` gives bimodule maps by the
-free-forget correspondence, read off the action's nonzeros;
-`product_bimodule_maps` builds the same maps as full compositions.
+free-forget correspondence, read off one destination's action for all
+sources at once; `pairwise_free_bimodule_maps` reads the action once per
+source and destination, and `product_bimodule_maps` builds the same maps
+as full compositions.
 `KernelSolveEnd` composes each pair of basis maps in full and solves the
 result against the flat coordinates of its block, so it needs no
 generator and serves any list of modules;
@@ -20,8 +22,8 @@ n^3 of them, and `validate_reference` puts the unit law before it, with
 products summed over every pair of coordinates.
 """
 
-from tensorcat.fincat import (ValidationFailure, hom_unit_basis,
-                              mor_from_coords)
+from tensorcat.fincat import (Mor, ValidationFailure, hom_coords,
+                              hom_unit_basis, mor_from_coords)
 from tensorcat.linalg import Matrix
 from tensorcat.modcat import EndData
 from tensorcat.ordalg import OrdAlgebra, OrdAlgebraError
@@ -63,6 +65,42 @@ def bimodule_hom_basis(x, y) -> list:
             for v in mat.kernel_basis()]
 
 
+def pairwise_free_bimodule_maps(src, dst) -> list:
+    """The maps of `free_bimodule_maps` for the one source `src`, each read
+    off the action's nonzeros with a walk of `dst.action` per source.
+
+    The map of psi in the unit basis of Hom(a, y) is act o (id (x) psi (x)
+    id) for the two-sided action act = `dst.action`, so its column at the
+    basis vector (d, q, z, r, nu) of (A a) A is act's column at
+    (d, q', z, r, nu), where psi takes the vector q = (x, p, l, j, mu) of
+    A a at d to q' = (x, p, l, i, mu) of A y; each is read off act's
+    nonzeros."""
+    cat = src.cat
+    c, a, y, act = src.algebra.carrier, src.generator, dst.carrier, dst.action
+    ca_index = cat.fusion_index(c, a)
+    cy_basis = cat.fusion_basis(c, y)
+    act_cols = cat.fusion_basis(cat.tensor(c, y), c)
+    src_index = cat.fusion_index(cat.tensor(c, a), c)
+    psis = {lij: k for k, lij in enumerate(hom_coords(a, y))}
+    entries = [{} for _ in psis]
+    for e, blk in act.blocks.items():
+        # column t of act feeds (psi, column of its map) for each of these
+        feeds = []
+        for d, q, z, r, nu in act_cols[e]:
+            x, p, l, i, mu = cy_basis[d][q]
+            feeds.append([(psis[(l, i, j)], src_index[e][
+                (d, ca_index[d][(x, p, l, j, mu)], z, r, nu)])
+                for j in range(a.mult(l))])
+        for row, t, val in blk.nonzero():
+            for k, s in feeds[t]:
+                entries[k].setdefault(e, []).append((row, s, val))
+    return [Mor(cat, src.carrier, y,
+                {e: Matrix.from_entries(cat.field, y.mult(e),
+                                        src.carrier.mult(e), es)
+                 for e, es in blocks.items()})
+            for blocks in entries]
+
+
 def product_bimodule_maps(src, dst) -> list:
     """The maps of `free_bimodule_maps` as compositions
     act o (id (x) psi (x) id), for the action act: (A y) A -> y and each
@@ -83,9 +121,9 @@ class KernelSolveEnd(EndData):
         self.field = field
         self.labels = list(dict.fromkeys(a for p in modules
                                          for a in p.carrier.support))
-        self.blocks = {(i, j): hom_fn(pj, pi)
+        self.blocks = {(i, j): hs
                        for i, pi in enumerate(modules)
-                       for j, pj in enumerate(modules)}
+                       for j, hs in enumerate(hom_fn(modules, pi))}
         self.basis = [(i, j, m) for (i, j), hs in self.blocks.items()
                       for m in hs]
         self._solvers = {ij: Matrix.from_cols(field, [m.coords() for m in hs])

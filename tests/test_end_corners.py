@@ -26,8 +26,8 @@ from construction_oracle import (OrdModule, internal_hom_reference,
 from end_oracle import KernelSolveEnd
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.linalg import Matrix
-from tensorcat.modcat import (EndData, algebra_as_module, hom_basis,
-                              validate_module)
+from tensorcat.modcat import (EndData, algebra_as_module, hom_bases,
+                              hom_basis, validate_module)
 from tensorcat.ordalg import NotSemisimple, is_separable_over_k, radical
 from tensorcat.structure import AlgebraAnalysisContext
 
@@ -72,7 +72,7 @@ def test_corners_and_multiplicities_match_the_hom_solves(corpus):
         sm = ctx.simples
         amod = algebra_as_module(alg)
         for sub, corner, mult in zip(sm.simples, sm.ends, sm.mult_in_A):
-            ref = KernelSolveEnd([sub], hom_basis, cat.field).algebra
+            ref = KernelSolveEnd([sub], hom_bases, cat.field).algebra
             assert corner.dim == ref.dim, name
             assert is_separable_over_k(corner) is \
                 is_separable_over_k(ref), name

@@ -2,7 +2,15 @@
 each free generator; `end_oracle.KernelSolveEnd` composes each pair of
 basis maps and solves the result against its block.  Both take the same
 hom bases, so their structure constants and units agree entry for entry.
+
+`free_bimodule_maps` reads one destination's action once for all
+sources; `end_oracle.pairwise_free_bimodule_maps` reads it once per
+source, and both give the same maps.  Those maps restrict to the unit
+basis, so `EndData` multiplies by no restriction matrix on the bimodule
+End; the free-module End still has blocks that need one.
 """
+
+import inspect
 
 from functools import lru_cache
 
@@ -11,16 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from end_oracle import (KernelSolveEnd, associativity_reference,
-                        product_bimodule_maps, verdict)
+                        pairwise_free_bimodule_maps, product_bimodule_maps,
+                        verdict)
 from tensorcat.algebra import AlgebraPres, validate_algebra
 from tensorcat.catalog import make_algebra, make_category, standard_entries
 from tensorcat.fincat import Mor, Obj, ValidationFailure, hom_unit_basis
 from tensorcat.linalg import Matrix
 from tensorcat.ordalg import OrdAlgebra, OrdAlgebraError
+from tensorcat import modcat
 from tensorcat.modcat import (EndData, algebra_as_module,
                               bimodule_end_algebra, free_bimodule,
                               free_bimodule_maps, free_module,
-                              free_module_end, hom_basis)
+                              free_module_end, hom_bases, hom_basis)
 
 
 def _assert_same_algebra(end, ref, name):
@@ -32,7 +42,7 @@ def _assert_same_algebra(end, ref, name):
 
 def _assert_both_ends_match_the_kernel_solve(A, name):
     end = free_module_end(A)
-    ref = KernelSolveEnd(end.modules, hom_basis, A.cat.field)
+    ref = KernelSolveEnd(end.modules, hom_bases, A.cat.field)
     _assert_same_algebra(end, ref, name)
     end = bimodule_end_algebra(A)
     ref = KernelSolveEnd(end.modules, free_bimodule_maps, A.cat.field)
@@ -121,7 +131,7 @@ def test_end_data_refuses_a_module_without_a_simple_generator(cats):
     A = make_algebra(vq, "ordinary_group_algebra", {"n": 2})
     for P in (algebra_as_module(A), free_module(Obj(vq, {"1": 2}), A)):
         with pytest.raises(ValidationFailure, match="free modules"):
-            EndData([P], hom_basis, vq.field)
+            EndData([P], hom_bases, vq.field)
 
 
 def test_end_data_refuses_a_hom_basis_short_of_one_map(cats):
@@ -129,8 +139,8 @@ def test_end_data_refuses_a_hom_basis_short_of_one_map(cats):
     A = make_algebra(z2, "regular_pointed", {})
     frees = [free_module(z2.simple(a), A) for a in z2.labels]
 
-    def short(x, y):
-        return hom_basis(x, y)[1:]
+    def short(srcs, y):
+        return [hom_basis(x, y)[1:] for x in srcs]
     assert all(hom_basis(y, x) for x in frees for y in frees)
     with pytest.raises(ValidationFailure, match="restriction space"):
         EndData(frees, short, z2.field)
@@ -143,9 +153,8 @@ def test_end_data_refuses_a_hom_basis_that_restricts_to_a_dependent_set(
     A = make_algebra(vq, "ordinary_group_algebra", {"n": 2})
     frees = [free_module(vq.simple("1"), A)]
 
-    def repeated(x, y):
-        hs = hom_basis(x, y)
-        return hs[:-1] + hs[:1]
+    def repeated(srcs, y):
+        return [hs[:-1] + hs[:1] for hs in hom_bases(srcs, y)]
     with pytest.raises(ValidationFailure, match="linearly dependent"):
         EndData(frees, repeated, vq.field)
 
@@ -156,10 +165,11 @@ def test_free_bimodule_maps_equal_their_product_form(corpus):
     for name, cat, alg in corpus:
         gens = [free_bimodule(alg, cat.simple(a)) for a in cat.labels]
         gens = [b for b in gens if not b.carrier.is_zero()]
-        for src in gens:
-            for dst in gens:
-                assert free_bimodule_maps(src, dst) == \
-                    product_bimodule_maps(src, dst), (name, src, dst)
+        for dst in gens:
+            for src, maps in zip(gens, free_bimodule_maps(gens, dst),
+                                 strict=True):
+                assert maps == product_bimodule_maps(src, dst), \
+                    (name, src, dst)
                 pairs += 1
     assert pairs > 50
 
@@ -169,11 +179,11 @@ def test_free_bimodule_maps_restrict_to_their_psi(corpus):
     for name, cat, alg in corpus:
         gens = [free_bimodule(alg, cat.simple(a)) for a in cat.labels]
         gens = [b for b in gens if not b.carrier.is_zero()]
-        for src in gens:
-            u = src.unit_map()
-            for dst in gens:
+        for dst in gens:
+            for src, maps in zip(gens, free_bimodule_maps(gens, dst),
+                                 strict=True):
+                u = src.unit_map()
                 psis = hom_unit_basis(cat, src.generator, dst.carrier)
-                maps = free_bimodule_maps(src, dst)
                 assert len(maps) == len(psis), name
                 for f, psi in zip(maps, psis):
                     assert f @ u == psi, name
@@ -223,3 +233,108 @@ def test_end_algebras_pass_the_full_associativity_loop(corpus):
             assert verdict(OrdAlgebra._validate, bad) == expected, name
             rejected += expected is not None
     assert rejected >= 40
+
+
+def _free_bimodules(A):
+    cat = A.cat
+    gens = [free_bimodule(A, cat.simple(a)) for a in cat.labels]
+    return [b for b in gens if not b.carrier.is_zero()]
+
+
+def _assert_grouped_equals_pairwise(A, name):
+    gens = _free_bimodules(A)
+    for dst in gens:
+        grouped = free_bimodule_maps(gens, dst)
+        assert len(grouped) == len(gens), name
+        for src, maps in zip(gens, grouped):
+            assert maps == pairwise_free_bimodule_maps(src, dst), \
+                (name, src, dst)
+
+
+def test_grouped_free_bimodule_maps_equal_the_pairwise_walk(corpus):
+    for name, _cat, alg in corpus:
+        _assert_grouped_equals_pairwise(alg, name)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "F_2", "F_3", "Q(phi)"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_grouped_free_bimodule_maps_equal_the_pairwise_walk_on_drawn_algebras(
+        field_name, data):
+    name, B = data.draw(_transported(field_name))
+    _assert_grouped_equals_pairwise(B, name)
+
+
+def _restrictions(end):
+    """(i, j) -> the columns (b o u_j).coords() of the block's maps b."""
+    units = [p.unit_map() for p in end.modules]
+    return {(i, j): [(m @ units[j]).coords() for m in hs]
+            for (i, j), hs in end.blocks.items() if hs}
+
+
+def _is_unit_basis(cols):
+    field = cols[0][0].field
+    return cols == [[field.one() if r == t else field.zero()
+                     for r in range(len(cols))] for t in range(len(cols))]
+
+
+def test_every_bimodule_end_block_restricts_to_the_unit_basis(corpus):
+    # f_psi o u = psi for the maps of the free-forget correspondence, so
+    # the bimodule End multiplies by no restriction matrix
+    algebras = [(name, alg) for name, _cat, alg in corpus]
+    for cat_name, cat_params, alg_name, alg_params in _LARGER:
+        cat = make_category(cat_name, dict(cat_params))
+        algebras.append((f"{cat_name}{cat_params}/{alg_name}{alg_params}",
+                         make_algebra(cat, alg_name, dict(alg_params))))
+    blocks = 0
+    for name, A in algebras:
+        end = bimodule_end_algebra(A)
+        for ij, cols in _restrictions(end).items():
+            assert _is_unit_basis(cols), (name, ij)
+            blocks += 1
+        assert end._restriction == {}, name
+    assert blocks >= 140
+
+
+def test_free_module_ends_keep_blocks_off_the_unit_basis(cats):
+    # the kernel basis of `hom_basis` need not restrict to the unit
+    # basis, so the free-module End still multiplies by R and R^-1
+    for name, A in (("vec_q/group3", _menu("Q")["vec_q/group3"]),
+                    ("fibonacci/end_t", make_algebra(
+                        cats["fibonacci"], "internal_end",
+                        {"obj": {"t": 1}}))):
+        end = free_module_end(A)
+        off = {ij for ij, cols in _restrictions(end).items()
+               if not _is_unit_basis(cols)}
+        assert off, name
+        assert set(end._restriction) == off, name
+
+
+def test_pointed_z5_walks_each_action_once_and_multiplies_nothing(
+        monkeypatch):
+    A = make_algebra(make_category("pointed", {"n": 5}), "regular_pointed",
+                     {})
+    inner = modcat.free_bimodule_maps
+    calls = []
+
+    def counting(srcs, dst):
+        calls.append(dst)
+        return inner(srcs, dst)
+    monkeypatch.setattr(modcat, "free_bimodule_maps", counting)
+    end = bimodule_end_algebra(A)
+    assert len(end.modules) == 5
+    assert len(calls) == 5
+    assert {id(b) for b in calls} == {id(b) for b in end.modules}
+    # the build without the suite's check of the result
+    build = inspect.unwrap(EndData._build_algebra)
+    matmul = Matrix.__matmul__
+    products = []
+
+    def counting_matmul(self, other):
+        products.append((self.rows, other.cols))
+        return matmul(self, other)
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    E = build(end)
+    monkeypatch.undo()
+    assert products == []
+    assert E.sc == end.algebra.sc and E.unit == end.algebra.unit

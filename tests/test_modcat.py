@@ -343,9 +343,10 @@ def test_bimodule_maps_match_solver(corpus):
             continue
         gens = [free_bimodule(A, cat.simple(a)) for a in cat.labels]
         gens = [g for g in gens if not g.carrier.is_zero()]
-        for x in gens:
-            for y in gens:
-                fast = [m.coords() for m in free_bimodule_maps(x, y)]
+        for y in gens:
+            for x, maps in zip(gens, free_bimodule_maps(gens, y),
+                               strict=True):
+                fast = [m.coords() for m in maps]
                 slow = [m.coords() for m in bimodule_hom_basis(x, y)]
                 assert len(fast) == len(slow), (name, x, y)
                 pairs += 1
