@@ -118,12 +118,8 @@ def validate_module(m: ModulePres) -> ValidationReport:
 # constructions
 
 def free_module(a: Obj, A: AlgebraPres) -> ModulePres:
-    """a (x) A with action id (x) mult through the associator."""
-    cat = A.cat
-    c = A.carrier
-    x = cat.tensor(a, c)
-    action = (cat.tensor_mor(cat.id(a), A.mult) @ cat.associator(a, c, c))
-    out = ModulePres(A, x, action)
+    """The free module a (x) A, generated by a."""
+    out = obj_tensor_module(a, algebra_as_module(A))
     out.generator = a
     return out
 

@@ -549,12 +549,13 @@ def _int_exact_div(num, den):
 
 
 def _factor_q_squarefree(f: Poly) -> list:
+    """Factor a squarefree monic Q-polynomial into monic Q-irreducibles."""
     if f.degree > 12:
         raise DegreeTooLarge(
             f"rational factorization supports degree <= 12, got {f.degree}")
     ints = _int_content_primitive(f)
     lc = ints[-1]
-    if abs(lc) != 1:
+    if lc != 1:
         # monicize: g(y) = lc^(n-1) f(y/lc)
         n = len(ints) - 1
         monic = [ints[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
@@ -566,8 +567,6 @@ def _factor_q_squarefree(f: Poly) -> list:
             cs = [c * lcq ** i for i, c in enumerate(g.coeffs)]
             out.append(Poly(QQ, cs).monic())
         return sorted(out, key=lambda g: g.sort_key())
-    if lc == -1:
-        ints = [-c for c in ints]
     return _factor_q_squarefree_monic_int(ints)
 
 

@@ -64,6 +64,21 @@ def test_free_module_fibonacci(fib, fib_end_t):
     assert validate_module(f).ok
 
 
+def test_free_module_acts_by_the_multiplication_through_the_associator(
+        corpus):
+    # a (x) A, built as the category's action on the regular module, has
+    # the action (1 (x) m) o alpha(a, A, A) and generator a
+    for name, cat, A in corpus:
+        c = A.carrier
+        for a in cat.labels:
+            obj = cat.simple(a)
+            f = free_module(obj, A)
+            assert f.generator is obj, (name, a)
+            assert f.carrier == cat.tensor(obj, c), (name, a)
+            assert f.action == (cat.tensor_mor(cat.id(obj), A.mult)
+                                @ cat.associator(obj, c, c)), (name, a)
+
+
 def test_hom_regular_to_itself_dimension(z2, z2reg):
     # Hom over the algebra from the algebra to itself has the dimension
     # of hom(1, A), here 1 (not 2)

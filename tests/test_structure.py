@@ -318,11 +318,14 @@ def test_analyze_mmf_corner_division(cats):
     assert rep["dim_A"] is None          # multi-fusion ambient: skipped
 
 
-def test_beta_escalation_path(cats):
+def test_beta_is_exhaustive_over_f2_for_the_graded_z2_algebra(cats):
+    # q^h = 2 candidates fit the budget: every combination over F_2 is
+    # tested, and none gives an invertible beta
     zf2 = cats["z2_f2"]
     A = make_algebra(zf2, "regular_pointed", {})
     verdict, details = separability_beta_with_escalation(zf2, A)
     assert verdict is False
+    assert details["exhaustive"]
 
 
 def test_budget_env_override(cats, monkeypatch):
@@ -334,16 +337,17 @@ def test_budget_env_override(cats, monkeypatch):
 
 
 def test_finite_field_escalation_helpers():
-    from tensorcat.structure import _embed_finite, _finite_field_of_degree
-    F4 = _finite_field_of_degree(2, 2)
+    # the fields and embeddings of the escalating reference search
+    from beta_oracle import embed_finite, finite_field_of_degree
+    F4 = finite_field_of_degree(2, 2)
     assert F4.char == 2 and F4.deg == 2
-    F16 = _finite_field_of_degree(2, 4)
-    emb = _embed_finite(F4, F16)
+    F16 = finite_field_of_degree(2, 4)
+    emb = embed_finite(F4, F16)
     assert emb is not None
     x = F4.gen()
     assert emb(x * x + x) == emb(x) * emb(x) + emb(x)
     prime = Field.prime(3)
-    emb2 = _embed_finite(prime, _finite_field_of_degree(3, 2))
+    emb2 = embed_finite(prime, finite_field_of_degree(3, 2))
     assert emb2(prime.scalar(2)) == emb2.dst.scalar(2)
 
 
