@@ -37,8 +37,10 @@ Structure maps
 One routine of CategoryPres builds each family: `_associator` both
 associator directions, `_unitor` both unitors (their inverses are the
 transposes), `_pairing` every (co)evaluation and the per-label maps of
-the snake checks.  `hom_unit_basis` is the basis dual to `hom_coords`
-that the hom solves of `modcat` and `structure` feed to their systems.
+the snake checks; `f_entry` reads one coefficient of an associator or
+its inverse, for the maps that `modcat` and `structure` write from the
+F-symbols instead of composing.  `hom_offsets` places each label's block
+in the `hom_coords` order that the hom solves write their systems in.
 
 What a presentation derives lives in one table, `_cache`, that only the
 `_cached` decorator reads and writes: one entry per call of `_fusion`
@@ -284,16 +286,6 @@ def mor_from_coords(cat, src: Obj, dst: Obj, vec) -> Mor:
                                        es) for a, es in entries.items()})
 
 
-def hom_unit_basis(cat, src: Obj, dst: Obj) -> list:
-    """The basis of Hom(src, dst) dual to hom_coords: the k-th morphism
-    has coordinate k one and every other coordinate zero."""
-    one = cat.field.one()
-    return [Mor(cat, src, dst,
-                {a: Matrix.from_entries(cat.field, dst.mult(a), src.mult(a),
-                                        [(i, j, one)])})
-            for a, i, j in hom_coords(src, dst)]
-
-
 def hom_dim(X: Obj, Y: Obj) -> int:
     """dim Hom(X, Y) = sum_a X.mult(a) * Y.mult(a)."""
     return sum(X.mult(a) * Y.mult(a) for a in X.support)
@@ -483,6 +475,21 @@ class CategoryPres:
         lines = [fm.row_nonzero(r) for r in range(fm.rows)]
         rows = {t: r for r, t in enumerate(self.f_rows(a, b, c, d))}
         return lines, rows, self.f_cols(a, b, c, d)
+
+    def f_entry(self, a, b, c, d, left, right, inverse: bool) -> Scalar:
+        """One coefficient of the associator of simples a, b, c at d,
+        between the left-associated path `left` = (e, mu, nu) and the
+        right-associated path `right` = (f, rho, sigma): F[left][right],
+        the coefficient of `right` in the image of `left`, or with
+        `inverse` F^-1[right][left], the coefficient of `left` in the
+        image of `right`.  Zero where a path does not exist."""
+        lines, rows, cols = self._f_data(a, b, c, d, inverse)
+        r = rows.get(left)
+        if r is not None:
+            for cidx, val in lines[r]:
+                if cols[cidx] == right:
+                    return val
+        return self.field.zero()
 
     def associator(self, X: Obj, Y: Obj, Z: Obj) -> Mor:
         """Invertible (X(x)Y)(x)Z -> X(x)(Y(x)Z) assembled from F entries."""

@@ -3,8 +3,8 @@
 How a `Matrix` stores its entries is private to this module: each row is
 a dict from column to Scalar that holds the nonzero entries only, in no
 particular order, so no stored entry is zero.  Other modules build
-matrices with `Matrix(field, rows)`, `zeros`, `identity`, `from_cols` and
-`from_entries`, and read them with `m[i, j]`, `row`, `col`,
+matrices with `Matrix(field, rows)`, `zeros`, `identity`, `from_cols`,
+`from_entries` and `placed`, and read them with `m[i, j]`, `row`, `col`,
 `row_nonzero`, `nonzero`, `trace` and `map`, besides the arithmetic and
 elimination methods.  `@` walks the nonzeros of each row of the left
 factor into the rows of the right one, and `combine` accumulates a
@@ -109,6 +109,20 @@ class Matrix:
             elif y is not None:
                 del row[j]
         return Matrix._raw(field, rows, cols, nz)
+
+    def placed(self, rows: int, cols: int, r0: int, c0: int) -> "Matrix":
+        """The rows x cols matrix that holds this one with its corner at
+        (r0, c0), and zero elsewhere: the nonzero rows are copied with
+        their columns shifted, and nothing else is walked."""
+        if r0 < 0 or c0 < 0 or r0 + self.rows > rows \
+                or c0 + self.cols > cols:
+            raise LinAlgError(f"a {self.rows}x{self.cols} block at "
+                              f"({r0}, {c0}) outside a {rows}x{cols} matrix")
+        nz = [{} for _ in range(rows)]
+        for i, row in enumerate(self._nz):
+            if row:
+                nz[r0 + i] = {c0 + j: x for j, x in row.items()}
+        return Matrix._raw(self.field, rows, cols, nz)
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij

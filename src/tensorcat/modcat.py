@@ -2,17 +2,22 @@
 
 A module is a right module, x (x) A -> x, as in every criterion of the
 paper; the left dual A^L of A is the right module `module_dual(A)`,
-built from the multiplication.
+its action written from the nonzeros of the multiplication and the
+F-symbols of the associators.
 
-Everything reduces to exact linear algebra: hom spaces between modules
-are kernels of intertwining systems, each assembled from the actions'
-nonzeros through the fusion index tables with no morphism composed (the
-tests pin it, column for column, to the system of composed maps);
-internal homs are the nullities of those systems through the adjunction
+Everything reduces to exact linear algebra, and each map the analysis
+reads is written from nonzeros through the fusion index tables, with no
+morphism composed over the large tensor products: A^L's action; the
+two-sided action right o (left (x) 1) of a bimodule; hom spaces between
+modules, the kernels of intertwining systems assembled from the
+actions' nonzeros; and the block representation of an End algebra,
+each basis map's blocks placed.  The tests pin each one, matrix for
+matrix, to the composed construction it replaces.  Internal homs are
+the nullities of those systems through the adjunction
 Hom(a, [x, y]) = Hom_A(a (x) x, y) (Etingof, Gelaki, Nikshych and
-Ostrik, Tensor Categories, 7.9); and endomorphism algebras of projective
-generators land in `ordalg` where radicals and idempotents decide all
-structure questions.
+Ostrik, Tensor Categories, 7.9); and endomorphism algebras of
+projective generators land in `ordalg` where radicals and idempotents
+decide all structure questions.
 """
 
 from functools import cached_property
@@ -89,10 +94,39 @@ class BimodulePres:
     @cached_property
     def action(self) -> Mor:
         """The two-sided action (A (x) y) (x) A -> y, right o (left (x) 1),
-        composed once per bimodule."""
-        cat = self.cat
-        return self.right_action @ cat.tensor_mor(
-            self.left_action, cat.id(self.algebra.carrier))
+        written once per bimodule from the two actions' nonzeros, with no
+        `tensor_mor` and no composition.
+
+        left (x) 1 sends the basis vector (d, q, z, r, nu) of (A (x) y)
+        (x) A to the sum of left[q', q] times (d, q', z, r, nu) of
+        y (x) A, over the nonzeros of left's block at d.  So each nonzero
+        right[i, t] at e, whose column t is (d, q', z, r, nu) in the
+        fusion basis of y (x) A, adds right[i, t] left[q', q] at row i
+        and column (d, q, z, r, nu), for each nonzero of row q' of left's
+        block at d.  Repeated positions add up, as in the product, and a
+        factor one is not multiplied out."""
+        cat, c, y = self.cat, self.algebra.carrier, self.carrier
+        cy = cat.tensor(c, y)
+        src = cat.tensor(cy, c)
+        yc_basis, src_index = cat.fusion_basis(y, c), cat.fusion_index(cy, c)
+        left_rows = {d: [blk.row_nonzero(q) for q in range(blk.rows)]
+                     for d, blk in self.left_action.blocks.items()}
+        one = cat.field.one()
+        blocks = {}
+        for e, blk in self.right_action.blocks.items():
+            basis, index = yc_basis[e], src_index[e]
+            entries = []
+            for i, t, val in blk.nonzero():
+                d, q2, z, r, nu = basis[t]
+                if d not in left_rows:
+                    continue
+                row = left_rows[d][q2]
+                if val != one:
+                    row = [(q, val * x) for q, x in row]
+                entries += [(i, index[(d, q, z, r, nu)], x) for q, x in row]
+            blocks[e] = Matrix.from_entries(cat.field, y.mult(e),
+                                            src.mult(e), entries)
+        return Mor(cat, src, y, blocks)
 
 
 def validate_module(m: ModulePres) -> ValidationReport:
@@ -141,22 +175,58 @@ def obj_tensor_module(a: Obj, x: ModulePres) -> ModulePres:
 
 def module_dual(A: AlgebraPres) -> ModulePres:
     """A^L: the right module on the left dual c^v of the carrier c of A,
-    whose action c^v (x) A -> c^v transposes the multiplication (the left
-    regular action of A) through the left duality of c."""
+    whose action c^v (x) A -> c^v transposes the multiplication m (the
+    left regular action of A) through the left duality of c:
+
+        l o (ev (x) 1) o ((1 (x) m) (x) 1) o (alpha (x) 1) o alpha^-1
+          o (1 (x) coev) o r^-1  :  c^v (x) c -> c^v.
+
+    It is written from the nonzeros of m, with no morphism composed.
+    Follow the basis vector (a*, j, b, k, mu) of c^v (x) c at g through
+    the chain: r^-1 and coev put each pair (x, l, x*, l) of c (x) c^v
+    beside it; alpha^-1 (F^-1 at g, x, x*, g) and alpha (F at a*, b, x,
+    e) bring (b, k) next to (x, l); m takes them to c at a; and ev keeps
+    only row j at a with a* the dual of a, over e the right unit of a,
+    which leaves e (x) x* at g: so x* = g.  Hence each nonzero
+    m[j, (b, k, x, l, rho)] of m's block at a adds, at row l of the block
+    at g = x* and column (a*, j, b, k, mu), for each mu,
+
+        m[j, t] ev_a coev_x sum_nu F^-1[g, x, g, g][(u, 0, 0)][(e, nu, 0)]
+                                  F[a*, b, x, e][(g, mu, nu)][(a, rho, 0)]
+
+    with ev_a and coev_x the coefficients of (a*, j, a, j) in ev and of
+    (x, l, x*, l) in coev, u the left unit of x (where coev puts that
+    pair; r^-1 puts g beside the right unit of g, so the term needs the
+    two to agree, and the path (u, 0, 0) exists only then), and
+    nu < N(g, x, e).
+    The tests pin it to the composed chain, morphism for morphism."""
     cat = A.cat
     c = A.carrier
     cv = cat.dual_obj(c)
-    m1 = cat.unitor_right_inv(cat.tensor(cv, c))             # -> (cv c)(x) 1
-    m2 = cat.tensor_mor(cat.id(cat.tensor(cv, c)),
-                        cat.coev_left(c))                    # -> (cv c)(c cv)
-    # -> ((cv c) c) cv -> (cv (c c)) cv
-    m3 = (cat.tensor_mor(cat.associator(cv, c, c), cat.id(cv))
-          @ cat.associator_inv(cat.tensor(cv, c), c, cv))
-    m4 = cat.tensor_mor(cat.tensor_mor(cat.id(cv), A.mult), cat.id(cv))
-    m5 = cat.tensor_mor(cat.ev_left(c), cat.id(cv))          # -> 1 (x) cv
-    m6 = cat.unitor_left(cv)
-    action = m6 @ m5 @ m4 @ m3 @ m2 @ m1
-    return ModulePres(A, cv, action)
+    src = cat.tensor(cv, c)
+    src_index = cat.fusion_index(cv, c)
+    cc_basis = cat.fusion_basis(c, c)
+    coev, coev_index = cat.coev_left(c), cat.fusion_index(c, cv)
+    ev = cat.ev_left(c)
+    dual, zero = cat.dualR, cat.field.zero()
+    entries = {}
+    for a, blk in A.mult.blocks.items():
+        av, e = dual[a], cat.right_unit_of(a)
+        for j, t, val in blk.nonzero():
+            b, k, x, l, rho = cc_basis[a][t]
+            g, u = dual[x], cat.left_unit_of(x)
+            weight = (val * ev.block(e)[0, src_index[e][(av, j, a, j, 0)]]
+                     * coev.block(u)[coev_index[u][(x, l, g, l, 0)], 0])
+            for mu in range(cat.N(av, b, g)):
+                f = sum((cat.f_entry(g, x, g, g, (e, nu, 0), (u, 0, 0), True)
+                         * cat.f_entry(av, b, x, e, (g, mu, nu), (a, rho, 0),
+                                       False)
+                         for nu in range(cat.N(g, x, e))), zero)
+                entries.setdefault(g, []).append(
+                    (l, src_index[g][(av, j, b, k, mu)], weight * f))
+    return ModulePres(A, cv, Mor(cat, src, cv, {
+        g: Matrix.from_entries(cat.field, cv.mult(g), src.mult(g), es)
+        for g, es in entries.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +443,11 @@ class EndData:
 
     def _natural_rep(self):
         """Block representation: each basis morphism as a matrix on the
-        label-components of the direct sum of the underlying objects."""
+        label-components of the direct sum of the underlying objects.
+
+        A map P_j -> P_i fills, at each label a, the rows of P_i and the
+        columns of P_j: its block at a is `placed` there, and a label
+        where it has no block gets that label's one zero matrix."""
         field = self.field
         offsets = []
         sizes = {a: 0 for a in self.labels}
@@ -381,16 +455,11 @@ class EndData:
             offsets.append({a: sizes[a] for a in self.labels})
             for a in self.labels:
                 sizes[a] += p.carrier.mult(a)
-        rep = []
-        for (i, j, m) in self.basis:
-            mats = []
-            for a in self.labels:
-                oi, oj = offsets[i][a], offsets[j][a]
-                mats.append(Matrix.from_entries(
-                    field, sizes[a], sizes[a],
-                    [(oi + r, oj + c, x) for r, c, x in m.block(a).nonzero()]))
-            rep.append(mats)
-        return rep
+        zeros = {a: Matrix.zeros(field, n, n) for a, n in sizes.items()}
+        return [[m.blocks[a].placed(sizes[a], sizes[a], offsets[i][a],
+                                    offsets[j][a])
+                 if a in m.blocks else zeros[a] for a in self.labels]
+                for (i, j, m) in self.basis]
 
 
 def end_algebra(modules) -> EndData:
@@ -505,10 +574,12 @@ def free_bimodule(A: AlgebraPres, a: Obj) -> BimodulePres:
     # right action: ((A a) A) A -> (A a) (A A) -> (A a) A
     m1 = cat.associator(inner, c, c)
     right = cat.tensor_mor(cat.id(inner), A.mult) @ m1
-    # left action: A ((A a) A) -> (A (A a)) A -> ((A A) a) A -> (A a) A
-    m2 = (cat.tensor_mor(cat.associator_inv(c, c, a), cat.id(c))
-          @ cat.associator_inv(c, inner, c))
-    left = cat.tensor_mor(cat.tensor_mor(A.mult, cat.id(a)), cat.id(c)) @ m2
+    # left action: A ((A a) A) -> (A (A a)) A -> (A a) A, through the
+    # left action A (A a) -> (A A) a -> A a of A on A a
+    inner_left = (cat.tensor_mor(A.mult, cat.id(a))
+                  @ cat.associator_inv(c, c, a))
+    left = (cat.tensor_mor(inner_left, cat.id(c))
+            @ cat.associator_inv(c, inner, c))
     out = BimodulePres(A, carrier, left, right)
     out.generator = a
     return out

@@ -21,7 +21,7 @@ from itertools import islice, product
 
 from .algebra import AlgebraPres, internal_end
 from .fields import Embedding, Field, Scalar
-from .fincat import CategoryPres, Mor, Obj, hom_dim, hom_unit_basis
+from .fincat import CategoryPres, Mor, Obj, hom_dim, hom_offsets
 from .linalg import Matrix
 from .modcat import (EndData, ModulePres, algebra_as_module,
                      bimodule_end_algebra, free_module_end,
@@ -244,25 +244,82 @@ def is_separable(C: CategoryPres, A: AlgebraPres) -> bool:
     So the unknowns are the dim Hom(1, A (x) A) coordinates of z, with
     one column per basis element: the coordinates of m z, then those of
     L(z) - R(z).  (Solving for s directly takes dim Hom(A, A (x) A)
-    unknowns: k^6 against k^4 for M_k.)"""
+    unknowns: k^6 against k^4 for M_k.)
+
+    The system is written in one walk over the nonzeros of m,
+    m_left = (m (x) 1) a^-1 and m_right = (1 (x) m) a, with nothing
+    composed per z.  The unit basis element z at row i of the unit
+    label u, which sends u to the basis vector (u, i) of A (x) A, has:
+
+    * m z = column i of m's block at u;
+    * L(z) = m_left (1 (x) z) r^-1: r^-1 sends the basis vector (a, j) of
+      A to (a, j, e, 0, mu) of A (x) 1, e the right unit of a, times its
+      one nonzero scalar, and 1 (x) z sends that to (a, j, u, i, mu) of
+      A (x) (A (x) A) if e = u and to zero if not, since z is zero off u
+      and one at (i, 0).  So L(z)'s column at (a, j) is r^-1's scalar
+      times m_left's column at (a, j, u, i, mu) in the block at a, or
+      zero;
+    * R(z) the same from l^-1, (u, 0, a, j, mu) and m_right's column at
+      (u, i, a, j, mu).
+
+    So each nonzero of m_left (m_right) at column (a, j, u, i, mu)
+    ((u, i, a, j, mu)) lands, times the unitor's scalar (negated for
+    R), in the column of z = (u, i) at the coordinate of L(z) - R(z)
+    that its row and j give, which is the entry of the composite."""
+    c = A.carrier
+    sq = C.tensor(c, c)
+    if not hom_dim(C.unit_obj(), sq):
+        return c.is_zero()
+    rhs = A.unit.coords() + [C.field.zero()] * hom_dim(c, sq)
+    return _section_system(C, A).solve(rhs) is not None
+
+
+def _section_system(C: CategoryPres, A: AlgebraPres) -> Matrix:
+    """The matrix of `is_separable`: the coordinates of m z, then those
+    of L(z) - R(z), in the column of each unit basis element z of
+    Hom(1, A (x) A), written from the nonzeros of m, m_left and m_right
+    (see `is_separable`)."""
     cat = C
     c = A.carrier
+    one = cat.unit_obj()
     sq = cat.tensor(c, c)
-    basis = hom_unit_basis(cat, cat.unit_obj(), sq)
     field = cat.field
-    if not basis:
-        return c.is_zero()
+    # the unit basis element z = (u, i) is the column zcol[u] + i
+    zcol = hom_offsets(one, sq)
     idc = cat.id(c)
     m_left = cat.tensor_mor(A.mult, idc) @ cat.associator_inv(c, c, c)
     m_right = cat.tensor_mor(idc, A.mult) @ cat.associator(c, c, c)
-    r_inv, l_inv = cat.unitor_right_inv(c), cat.unitor_left_inv(c)
-    cols = []
-    for z in basis:
-        diff = (m_left @ cat.tensor_mor(idc, z) @ r_inv
-                - m_right @ cat.tensor_mor(z, idc) @ l_inv)
-        cols.append((A.mult @ z).coords() + diff.coords())
-    rhs = A.unit.coords() + [field.zero()] * hom_dim(c, sq)
-    return Matrix.from_cols(field, cols).solve(rhs) is not None
+    top, rows = hom_offsets(one, c), hom_offsets(c, sq)
+    height = hom_dim(one, c)
+    entries = [(top[u] + r, zcol[u] + i, val)
+               for u, blk in A.mult.blocks.items() if u in zcol
+               for r, i, val in blk.nonzero()]
+    sides = ((m_left, cat.unitor_right_inv(c), cat.fusion_basis(c, one),
+              cat.fusion_index(c, sq), True, field.one()),
+             (m_right, cat.unitor_left_inv(c), cat.fusion_basis(one, c),
+              cat.fusion_index(sq, c), False, -field.one()))
+    for m, unitor, ubasis, mindex, left, sign in sides:
+        for a, ublk in unitor.blocks.items():
+            if a not in m.blocks:
+                continue
+            # m's column at a -> (j, column of z, scalar) for each z
+            # that reads it
+            feeds = {}
+            for pos, j, s in ublk.nonzero():
+                # (a, j, u, 0, mu) of A (x) 1, or (u, 0, a, j, mu) of 1 (x) A
+                t = ubasis[a][pos]
+                u, mu = t[2] if left else t[0], t[4]
+                for i in range(sq.mult(u)):
+                    col = mindex[a][(a, j, u, i, mu) if left
+                                    else (u, i, a, j, mu)]
+                    feeds.setdefault(col, []).append(
+                        (j, zcol[u] + i, sign * s))
+            r0, nc = height + rows[a], c.mult(a)
+            for r, col, val in m.blocks[a].nonzero():
+                entries += [(r0 + r * nc + j, z, val * s)
+                            for j, z, s in feeds.get(col, ())]
+    return Matrix.from_entries(field, height + hom_dim(c, sq),
+                               hom_dim(one, sq), entries)
 
 
 # -- the adjoint-multiplication isomorphism search ---------------------------

@@ -33,10 +33,23 @@ the direct sum of two algebras or of modules, and the bimodule axioms.
 of all the free modules, through the natural representation of
 E = End(P).  The package splits it off one free module P_j instead.
 
+`hom_unit_basis` is the basis of a hom space dual to `hom_coords`, one
+morphism per coordinate, that the composed references below feed to
+their systems.
+
 `section_reference` decides separability by solving for a bimodule
 section s: A -> A (x) A of the multiplication over all of
 Hom(A, A (x) A).  The package solves for its balanced element
-z = s o u in Hom(1, A (x) A) instead.
+z = s o u in Hom(1, A (x) A) instead, and writes that system from the
+nonzeros of m, m_left and m_right; `section_by_composition` and
+`section_system_by_composition` compose each column for its z.
+
+`module_dual_reference` composes the action of A^L through
+(c^v (x) c) (x) (c (x) c^v), `two_sided_action_reference` composes a
+bimodule's right o (left (x) 1) with a full `tensor_mor`, and
+`natural_rep_reference` builds an End algebra's block representation
+with one matrix of entries per basis map and label.  The package writes
+each from nonzeros instead.
 
 `module_is_simple_reference` decides simplicity of a module M the long
 way: it spins kernel vectors of singular actions for a proper
@@ -48,7 +61,7 @@ for a right ideal eps E from the corner eps E eps.
 from tensorcat.algebra import AlgebraPres, validate_algebra
 from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure,
-                              ValidationReport, hom_dim, hom_unit_basis)
+                              ValidationReport, hom_coords, hom_dim)
 from tensorcat.linalg import Matrix, RowSpace
 from tensorcat.modcat import (EndData, ModulePres, SimpleModulesResult,
                               _split_idempotent_obj, free_module, hom_basis,
@@ -59,6 +72,19 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               central_idempotents, corner, is_division,
                               radical, subalgebra_on)
 from tensorcat.poly import factor
+
+
+# ---------------------------------------------------------------------------
+# hom spaces
+
+def hom_unit_basis(cat, src: Obj, dst: Obj) -> list:
+    """The basis of Hom(src, dst) dual to hom_coords: the k-th morphism
+    has coordinate k one and every other coordinate zero."""
+    one = cat.field.one()
+    return [Mor(cat, src, dst,
+                {a: Matrix.from_entries(cat.field, dst.mult(a), src.mult(a),
+                                        [(i, j, one)])})
+            for a, i, j in hom_coords(src, dst)]
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +666,86 @@ def section_reference(C, A: AlgebraPres) -> bool:
     rhs = (cat.id(c).coords()
            + [field.zero()] * (2 * hom_dim(sq, sq)))
     return Matrix.from_cols(field, cols).solve(rhs) is not None
+
+
+def section_by_composition(C, A: AlgebraPres) -> bool:
+    """The section route with each column composed: for each z of the
+    unit basis of Hom(1, A (x) A), the coordinates of m z and of
+    L(z) - R(z), L(z) = (m (x) 1) a^-1 (1 (x) z) r^-1 and
+    R(z) = (1 (x) m) a (z (x) 1) l^-1."""
+    c = A.carrier
+    sq = C.tensor(c, c)
+    if not hom_dim(C.unit_obj(), sq):
+        return c.is_zero()
+    return section_system_by_composition(C, A).solve(
+        A.unit.coords() + [C.field.zero()] * hom_dim(c, sq)) is not None
+
+
+def section_system_by_composition(C, A: AlgebraPres) -> Matrix:
+    """The matrix of `section_by_composition`, one composed column per
+    element of the unit basis of Hom(1, A (x) A)."""
+    cat = C
+    c = A.carrier
+    basis = hom_unit_basis(cat, cat.unit_obj(), cat.tensor(c, c))
+    idc = cat.id(c)
+    m_left = cat.tensor_mor(A.mult, idc) @ cat.associator_inv(c, c, c)
+    m_right = cat.tensor_mor(idc, A.mult) @ cat.associator(c, c, c)
+    r_inv, l_inv = cat.unitor_right_inv(c), cat.unitor_left_inv(c)
+    cols = []
+    for z in basis:
+        diff = (m_left @ cat.tensor_mor(idc, z) @ r_inv
+                - m_right @ cat.tensor_mor(z, idc) @ l_inv)
+        cols.append((A.mult @ z).coords() + diff.coords())
+    return Matrix.from_cols(cat.field, cols)
+
+
+def module_dual_reference(A: AlgebraPres) -> ModulePres:
+    """A^L with its action composed stage by stage through
+    (c^v (x) c) (x) (c (x) c^v)."""
+    cat = A.cat
+    c = A.carrier
+    cv = cat.dual_obj(c)
+    m1 = cat.unitor_right_inv(cat.tensor(cv, c))             # -> (cv c)(x) 1
+    m2 = cat.tensor_mor(cat.id(cat.tensor(cv, c)),
+                        cat.coev_left(c))                    # -> (cv c)(c cv)
+    # -> ((cv c) c) cv -> (cv (c c)) cv
+    m3 = (cat.tensor_mor(cat.associator(cv, c, c), cat.id(cv))
+          @ cat.associator_inv(cat.tensor(cv, c), c, cv))
+    m4 = cat.tensor_mor(cat.tensor_mor(cat.id(cv), A.mult), cat.id(cv))
+    m5 = cat.tensor_mor(cat.ev_left(c), cat.id(cv))          # -> 1 (x) cv
+    m6 = cat.unitor_left(cv)
+    action = m6 @ m5 @ m4 @ m3 @ m2 @ m1
+    return ModulePres(A, cv, action)
+
+
+def two_sided_action_reference(b) -> Mor:
+    """right o (left (x) 1) for a bimodule b, with a full `tensor_mor`
+    and a composition."""
+    cat = b.cat
+    return b.right_action @ cat.tensor_mor(
+        b.left_action, cat.id(b.algebra.carrier))
+
+
+def natural_rep_reference(end: EndData) -> list:
+    """The block representation of an End algebra, one
+    `Matrix.from_entries` per basis map and label."""
+    field = end.field
+    offsets = []
+    sizes = {a: 0 for a in end.labels}
+    for p in end.modules:
+        offsets.append({a: sizes[a] for a in end.labels})
+        for a in end.labels:
+            sizes[a] += p.carrier.mult(a)
+    rep = []
+    for (i, j, m) in end.basis:
+        mats = []
+        for a in end.labels:
+            oi, oj = offsets[i][a], offsets[j][a]
+            mats.append(Matrix.from_entries(
+                field, sizes[a], sizes[a],
+                [(oi + r, oj + c, x) for r, c, x in m.block(a).nonzero()]))
+        rep.append(mats)
+    return rep
 
 
 def quadratic_algebra(cat, b: int, c: int) -> AlgebraPres:

@@ -22,8 +22,9 @@ n^3 of them, and `validate_reference` puts the unit law before it, with
 products summed over every pair of coordinates.
 """
 
+from construction_oracle import hom_unit_basis
 from tensorcat.fincat import (Mor, ValidationFailure, hom_coords,
-                              hom_unit_basis, mor_from_coords)
+                              mor_from_coords)
 from tensorcat.linalg import Matrix
 from tensorcat.modcat import EndData
 from tensorcat.ordalg import OrdAlgebra, OrdAlgebraError

@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from construction_oracle import hom_unit_basis
 from end_oracle import (KernelSolveEnd, associativity_reference,
                         pairwise_free_bimodule_maps, product_bimodule_maps,
                         verdict)
 from tensorcat.algebra import AlgebraPres, validate_algebra
 from tensorcat.catalog import make_algebra, make_category, standard_entries
-from tensorcat.fincat import Mor, Obj, ValidationFailure, hom_unit_basis
+from tensorcat.fincat import Mor, Obj, ValidationFailure
 from tensorcat.linalg import Matrix
 from tensorcat.ordalg import OrdAlgebra, OrdAlgebraError
 from tensorcat import modcat

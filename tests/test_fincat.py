@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from construction_oracle import (coev_right, ev_right, fusion_basis_sorted,
-                                 reassoc)
+                                 hom_unit_basis, reassoc)
 from tensorcat.catalog import make_category, standard_entries
 from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure, hom_coords, hom_dim,
-                              hom_offsets, hom_unit_basis, mor_from_coords,
+                              hom_offsets, mor_from_coords,
                               validate_category)
 from tensorcat.linalg import Matrix
 
@@ -239,6 +239,33 @@ def test_associator_inverse_roundtrip(name):
         assert inv.src == fwd.dst and inv.dst == fwd.src
         assert inv @ fwd == cat.id(fwd.src)
         assert fwd @ inv == cat.id(fwd.dst)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "pointed"])
+def test_f_entry_reads_f_and_its_inverse(name):
+    cat = make_category(name, {"n": 3} if name == "pointed" else {})
+    zero = cat.field.zero()
+    labels = cat.labels
+    for a in labels:
+        for b in labels:
+            for c in labels:
+                for d in labels:
+                    rows, cols = cat.f_rows(a, b, c, d), cat.f_cols(a, b, c, d)
+                    if not rows:
+                        continue
+                    F = cat.f_block(a, b, c, d)
+                    Finv = F.inv()
+                    for r, left in enumerate(rows):
+                        for k, right in enumerate(cols):
+                            assert cat.f_entry(a, b, c, d, left, right,
+                                               False) == F[r, k]
+                            assert cat.f_entry(a, b, c, d, left, right,
+                                               True) == Finv[k, r]
+    # a path whose multiplicity index is out of range does not exist
+    a = labels[-1]
+    path = (a, cat.N(a, a, a), 0)
+    for inverse in (False, True):
+        assert cat.f_entry(a, a, a, a, path, path, inverse) == zero
 
 
 def test_hom_unit_basis_is_dual_to_coords(fib):

@@ -5,8 +5,9 @@ map.  Both matrices are equal entry for entry and have one reduced
 echelon form, so the two bases agree map for map.
 
 `free_bimodule_maps` reads `BimodulePres.action`, the two-sided action
-that each bimodule composes once; `end_oracle.product_bimodule_maps`
-still composes it from the two actions.
+that each bimodule writes once from the nonzeros of its two actions;
+`construction_oracle.two_sided_action_reference` and
+`end_oracle.product_bimodule_maps` still compose it.
 """
 
 from functools import lru_cache
@@ -14,6 +15,7 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from construction_oracle import two_sided_action_reference
 from end_oracle import module_hom_basis_reference
 from tensorcat.algebra import internal_end
 from tensorcat.catalog import make_algebra, standard_entries
@@ -132,13 +134,10 @@ def test_bimodule_end_composes_each_two_sided_action_once(monkeypatch):
 def test_two_sided_action_is_right_after_left(corpus):
     count = 0
     for name, cat, A in corpus:
-        idc = cat.id(A.carrier)
         for a in cat.labels:
             b = free_bimodule(A, cat.simple(a))
             if b.carrier.is_zero():
                 continue
-            assert b.action == \
-                b.right_action @ cat.tensor_mor(b.left_action, idc), \
-                (name, a)
+            assert b.action == two_sided_action_reference(b), (name, a)
             count += 1
     assert count >= 30

@@ -375,6 +375,22 @@ def test_from_entries_matches_dense_writes(field, data):
 @FIELDS
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
+def test_placed_matches_its_entries_shifted(field, data):
+    A = data.draw(small(field))
+    rows = A.rows + data.draw(st.integers(0, 3))
+    cols = A.cols + data.draw(st.integers(0, 3))
+    r0 = data.draw(st.integers(0, rows - A.rows))
+    c0 = data.draw(st.integers(0, cols - A.cols))
+    assert A.placed(rows, cols, r0, c0) == Matrix.from_entries(
+        field, rows, cols, [(r0 + i, c0 + j, x) for i, j, x in A.nonzero()])
+    for corner in ((rows - A.rows + 1, 0), (0, cols - A.cols + 1), (-1, 0)):
+        with pytest.raises(LinAlgError, match="outside"):
+            A.placed(rows, cols, *corner)
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
 def test_nonzero_and_getitem_round_trip(field, data):
     A = data.draw(small(field))
     dense = _dense(A)

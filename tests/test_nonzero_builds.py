@@ -1,0 +1,118 @@
+"""Four constructions written from nonzeros, each equal to its composed
+reference.
+
+* `structure._section_system` writes the section system from the
+  nonzeros of m, m_left and m_right; `section_system_by_composition`
+  composes L(z) - R(z) for each unit basis element z.
+* `modcat.module_dual` writes the action of A^L from the nonzeros of the
+  multiplication and the F-symbols; `module_dual_reference` composes the
+  six-stage chain through (c^v (x) c) (x) (c (x) c^v).
+* `BimodulePres.action` writes right o (left (x) 1) from the nonzeros of
+  the two actions; `two_sided_action_reference` composes it with a full
+  `tensor_mor`.
+* `EndData._natural_rep` places each basis map's blocks;
+  `natural_rep_reference` builds one matrix of entries per map and label.
+
+Each pair is compared exactly, matrix for matrix and morphism for
+morphism, on every corpus pair and on drawn algebras: quadratic algebras
+over Q, F_2, F_3 and F_5, direct sums of two of them, and internal ends
+in Fibonacci and Ising.  The F-blocks that A^L reads are their own
+inverses in all of these, so internal ends in Z/3 with a cocycle of
+order three, over F_7, check that A^L reads F^-1 where the chain has
+the inverse associator.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from construction_oracle import (direct_sum_algebra, module_dual_reference,
+                                 natural_rep_reference, quadratic_algebra,
+                                 section_by_composition,
+                                 section_system_by_composition,
+                                 two_sided_action_reference)
+from tensorcat.catalog import make_algebra, make_category
+from tensorcat.fields import Field
+from tensorcat.fincat import hom_dim
+from tensorcat.modcat import (bimodule_end_algebra, free_bimodule,
+                              free_module_end, module_dual)
+from tensorcat.structure import _section_system, is_separable
+
+
+def _check(A) -> int:
+    """Compare the four builds of A with their references; the number of
+    free bimodules compared."""
+    cat, c = A.cat, A.carrier
+    assert hom_dim(cat.unit_obj(), cat.tensor(c, c))
+    assert _section_system(cat, A) == section_system_by_composition(cat, A)
+    assert is_separable(cat, A) is section_by_composition(cat, A)
+    new, old = module_dual(A), module_dual_reference(A)
+    assert new.carrier == old.carrier
+    assert new.action == old.action
+    count = 0
+    for a in cat.labels:
+        b = free_bimodule(A, cat.simple(a))
+        if not b.carrier.is_zero():
+            assert b.action == two_sided_action_reference(b), a
+            count += 1
+    for end in (free_module_end(A), bimodule_end_algebra(A)):
+        assert end._natural_rep() == natural_rep_reference(end)
+    return count
+
+
+def test_every_corpus_pair_matches_its_references(corpus):
+    count = sum(_check(alg) for _name, _cat, alg in corpus)
+    assert count >= 30
+
+
+_VEC = {field: make_category("vec", {"field": field})
+        for field in (Field.rationals(), Field.prime(2), Field.prime(3),
+                      Field.prime(5))}
+_COEFF = st.integers(-3, 3)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(field=st.sampled_from(list(_VEC)), b=_COEFF, c=_COEFF)
+def test_quadratic_algebras_match_their_references(field, b, c):
+    _check(quadratic_algebra(_VEC[field], b, c))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(field=st.sampled_from(list(_VEC)),
+       coeffs=st.tuples(_COEFF, _COEFF, _COEFF, _COEFF))
+def test_direct_sums_match_their_references(field, coeffs):
+    cat = _VEC[field]
+    b1, c1, b2, c2 = coeffs
+    _check(direct_sum_algebra(quadratic_algebra(cat, b1, c1),
+                              quadratic_algebra(cat, b2, c2)))
+
+
+_FUSION = {name: make_category(name) for name in ("fibonacci", "ising")}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(list(_FUSION)))
+def test_internal_ends_match_their_references(data, name):
+    cat = _FUSION[name]
+    mults = data.draw(st.lists(st.integers(0, 2), min_size=len(cat.labels),
+                               max_size=len(cat.labels))
+                      .filter(lambda ms: 1 <= sum(ms) <= 2))
+    obj = {a: n for a, n in zip(cat.labels, mults) if n}
+    _check(make_algebra(cat, "internal_end", {"obj": obj}))
+
+
+# the 3-cocycle omega(a, b, c) = zeta^(a (b + c - [b + c]) / 3) of Z/3, for
+# the cube root of unity zeta = 2 of F_7; [k] is k mod 3
+_OMEGA = {(a, b, c): 2 ** (a * (b + c - (b + c) % 3) // 3)
+          for a in (1, 2) for b in (1, 2) for c in (1, 2)}
+_Z3_OMEGA = make_category("pointed", {"n": 3, "field": 7, "omega": _OMEGA})
+
+
+def test_internal_ends_under_a_cocycle_of_order_three_match():
+    # F[g2, g1, g2, g2] = omega(2, 1, 2) = 4, whose inverse is 2
+    assert _Z3_OMEGA.f_entry("g2", "g1", "g2", "g2", ("g0", 0, 0),
+                             ("g0", 0, 0), False) != \
+        _Z3_OMEGA.f_entry("g2", "g1", "g2", "g2", ("g0", 0, 0),
+                          ("g0", 0, 0), True)
+    for obj in ({"g1": 1}, {"g1": 1, "g2": 1}, {"g0": 1, "g1": 1},
+                {"g1": 2}):
+        _check(make_algebra(_Z3_OMEGA, "internal_end", {"obj": obj}))

@@ -146,20 +146,25 @@ def test_internal_end_verdicts_match_the_full_solve(data, name):
 def test_the_system_has_one_column_per_element_of_hom_1_AA(monkeypatch):
     cat = make_category("vec")
     alg = make_algebra(cat, "internal_end", {"obj": {"1": 3}})   # M_3(Q)
-    sq = cat.tensor(alg.carrier, alg.carrier)
-    widths = []
-    from_cols = Matrix.from_cols
+    c = alg.carrier
+    sq = cat.tensor(c, c)
+    shapes = []
+    from_entries = Matrix.from_entries
 
-    def spy(field, cols):
-        widths.append(len(cols))
-        return from_cols(field, cols)
+    def spy(field, rows, cols, entries):
+        shapes.append((rows, cols))
+        return from_entries(field, rows, cols, entries)
 
-    monkeypatch.setattr(Matrix, "from_cols", staticmethod(spy))
+    monkeypatch.setattr(Matrix, "from_entries", staticmethod(spy))
     assert is_separable(cat, alg) is True
-    assert widths == [hom_dim(cat.unit_obj(), sq)] == [81]
+    # the system is the last matrix built before the solve: the
+    # coordinates of m z and of L(z) - R(z), one column per z
+    height = hom_dim(cat.unit_obj(), c) + hom_dim(c, sq)
+    assert shapes[-1] == (height, hom_dim(cat.unit_obj(), sq))
+    assert hom_dim(cat.unit_obj(), sq) == 81
     # the solve for the section itself has one column per element of
     # Hom(A, A (x) A)
-    assert hom_dim(alg.carrier, sq) == 729
+    assert hom_dim(c, sq) == 729
 
 
 def test_m4_over_q_is_separable():

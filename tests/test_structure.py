@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from construction_oracle import (direct_sum_algebra, module_internal_end,
-                                 quadratic_algebra)
+                                 quadratic_algebra, section_reference)
 from tensorcat.algebra import AlgebraPres, internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.cli import main
@@ -86,6 +86,23 @@ def test_beta_examples(cats):
         zf2, make_algebra(zf2, "regular_pointed", {}))
     assert verdict is False
     assert details.get("exhaustive") or details.get("certified_grid")
+
+
+def test_the_zero_algebra_is_separable_on_the_zero_carrier_branches(cats):
+    # the zero ring is a unital algebra on the zero object: Hom(1, A (x) A)
+    # and Hom_A(A^L, A) are both zero, so the section and the adjoint-
+    # isomorphism search each answer from the carrier alone
+    vq = cats["vec_q"]
+    z = vq.zero_obj()
+    A = AlgebraPres(vq, z, Mor(vq, vq.tensor(z, z), z, {}),
+                    Mor(vq, vq.unit_obj(), z, {}))
+    assert A.validation.ok
+    assert hom_dim(vq.unit_obj(), vq.tensor(z, z)) == 0
+    assert is_separable(vq, A) is True
+    assert section_reference(vq, A) is True
+    verdict, details = separability_beta(vq, A)
+    assert verdict is True
+    assert (details["hom_dim"], details["tested"]) == (0, 0)
 
 
 def test_alpha_examples(cats):
