@@ -22,9 +22,8 @@ from .modcat import (BimodulePres, ModulePres, algebra_as_module,
 from .ordalg import (OrdAlgebra, UNDETERMINED, central_idempotents,
                      center, is_division, is_semisimple,
                      is_separable_over_k, module_is_simple, radical)
-from .poly import (DegreeTooLarge, Poly, PolynomialError, Reducible, factor,
-                   gcd, is_irreducible, is_separable_irreducible,
-                   squarefree_decomposition)
+from .poly import (DegreeTooLarge, Poly, PolynomialError, factor, gcd,
+                   is_irreducible, squarefree_decomposition)
 from .structure import (NotFusion, OracleDisagreement, PreconditionViolated,
                         analyze, base_extend_algebra, center_semisimple_verdict,
                         dim_division_algebra, global_dimension,

@@ -5,8 +5,8 @@ failures, bad flags); 2 analysis completed but some verdict is
 undetermined; 3 internal error (a bug, never expected on valid data).
 
 No library exception ends in a traceback.  Exit 1, the input is at
-fault: `FieldError`, `NotFusion`, `NotSemisimpleAlgebra`,
-`InseparableExtension`.  Exit 2, a bounded search gave up:
+fault: `FieldError` (a reducible extension minpoly among them),
+`NotFusion`, `NotSemisimpleAlgebra`.  Exit 2, a bounded search gave up:
 `SeparatingElementNotFound` (no element among the candidates searched
 splits a non-commutative simple block, as for the split quaternion
 algebra (13, 13) = M_2(Q) in vec; never guessed),
@@ -35,10 +35,10 @@ from .fileio import (FormatError, algebra_from_json, algebra_to_json,
 from .linalg import LinAlgError
 from .ordalg import OrdAlgebraError, SeparatingElementNotFound
 from .poly import DegreeTooLarge, PolynomialError
-from .structure import (InseparableExtension, NotFusion, NotSemisimpleAlgebra,
-                        OracleDisagreement, PreconditionViolated, analyze,
-                        base_extend_algebra, global_dimension,
-                        matrix_decomposition, search_budget)
+from .structure import (NotFusion, NotSemisimpleAlgebra, OracleDisagreement,
+                        PreconditionViolated, analyze, base_extend_algebra,
+                        global_dimension, matrix_decomposition,
+                        search_budget)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -296,10 +296,7 @@ def _cmd_base_extend(args, out) -> int:
         raise CLIError(f"bad embedding: {exc}") from exc
     if args.algebra:
         alg = _load_algebra(cat, args.algebra)
-        try:
-            cat2, alg2 = base_extend_algebra(cat, alg, emb)
-        except InseparableExtension as exc:
-            raise CLIError(str(exc)) from exc
+        cat2, alg2 = base_extend_algebra(cat, alg, emb)
         _save(args.out_category, category_to_json(cat2))
         _save(args.out_algebra, algebra_to_json(alg2))
         out.write(f"wrote {args.out_category} and {args.out_algebra}\n")
@@ -459,7 +456,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except (FormatError, ValidationFailure, UnknownEntry, FieldError,
-            NotFusion, NotSemisimpleAlgebra, InseparableExtension) as exc:
+            NotFusion, NotSemisimpleAlgebra) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except (SeparatingElementNotFound, DegreeTooLarge) as exc:

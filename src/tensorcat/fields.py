@@ -131,11 +131,10 @@ class Field:
         self._zero = Scalar(self, self._zero_c)
         self._one = Scalar(self, (1,) + (0,) * (self.deg - 1))
         if self.minpoly is not None:
-            from .poly import Poly, factor
+            from .poly import Poly, is_irreducible
             base = Field(self.char)
-            f = Poly(base, [base.scalar(c) for c in self.minpoly])
-            fac = factor(f)
-            if len(fac) != 1 or fac[0][1] != 1:
+            if not is_irreducible(
+                    Poly(base, [base.scalar(c) for c in self.minpoly])):
                 raise FieldError("extension minpoly is reducible")
 
     # -- constructors ------------------------------------------------------

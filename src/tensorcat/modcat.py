@@ -8,8 +8,9 @@ F-symbols of the associators.
 Everything reduces to exact linear algebra, and each map the analysis
 reads is written from nonzeros through the fusion index tables, with no
 morphism composed over the large tensor products: A^L's action; the
-two-sided action right o (left (x) 1) of a bimodule; hom spaces between
-modules, the kernels of intertwining systems assembled from the
+bimodule maps out of a free bimodule, read straight off the two actions
+of their target, with no fusion table of (A (x) y) (x) A; hom spaces
+between modules, the kernels of intertwining systems assembled from the
 actions' nonzeros; and the block representation of an End algebra,
 each basis map's blocks placed.  The tests pin each one, matrix for
 matrix, to the composed construction it replaces.  Internal homs are
@@ -19,8 +20,6 @@ Ostrik, Tensor Categories, 7.9); and endomorphism algebras of
 projective generators land in `ordalg` where radicals and idempotents
 decide all structure questions.
 """
-
-from functools import cached_property
 
 from .algebra import AlgebraPres
 from .fincat import (Mor, Obj, ValidationFailure, ValidationReport,
@@ -90,43 +89,6 @@ class BimodulePres:
         # the first two factors as one tensor product of composites
         left = cat.tensor_mor(eta, cat.id(a)) @ cat.unitor_left_inv(a)
         return cat.tensor_mor(left, eta) @ cat.unitor_right_inv(a)
-
-    @cached_property
-    def action(self) -> Mor:
-        """The two-sided action (A (x) y) (x) A -> y, right o (left (x) 1),
-        written once per bimodule from the two actions' nonzeros, with no
-        `tensor_mor` and no composition.
-
-        left (x) 1 sends the basis vector (d, q, z, r, nu) of (A (x) y)
-        (x) A to the sum of left[q', q] times (d, q', z, r, nu) of
-        y (x) A, over the nonzeros of left's block at d.  So each nonzero
-        right[i, t] at e, whose column t is (d, q', z, r, nu) in the
-        fusion basis of y (x) A, adds right[i, t] left[q', q] at row i
-        and column (d, q, z, r, nu), for each nonzero of row q' of left's
-        block at d.  Repeated positions add up, as in the product, and a
-        factor one is not multiplied out."""
-        cat, c, y = self.cat, self.algebra.carrier, self.carrier
-        cy = cat.tensor(c, y)
-        src = cat.tensor(cy, c)
-        yc_basis, src_index = cat.fusion_basis(y, c), cat.fusion_index(cy, c)
-        left_rows = {d: [blk.row_nonzero(q) for q in range(blk.rows)]
-                     for d, blk in self.left_action.blocks.items()}
-        one = cat.field.one()
-        blocks = {}
-        for e, blk in self.right_action.blocks.items():
-            basis, index = yc_basis[e], src_index[e]
-            entries = []
-            for i, t, val in blk.nonzero():
-                d, q2, z, r, nu = basis[t]
-                if d not in left_rows:
-                    continue
-                row = left_rows[d][q2]
-                if val != one:
-                    row = [(q, val * x) for q, x in row]
-                entries += [(i, index[(d, q, z, r, nu)], x) for q, x in row]
-            blocks[e] = Matrix.from_entries(cat.field, y.mult(e),
-                                            src.mult(e), entries)
-        return Mor(cat, src, y, blocks)
 
 
 def validate_module(m: ModulePres) -> ValidationReport:
@@ -305,9 +267,9 @@ class EndData:
     times those of b_1 o (b_2 o u_j), a product with one column per map
     instead of a composition and a solve.  Every R_ij is computed; where
     it is the identity, because the block's basis is the preimage of the
-    unit basis of Hom(a_j, P_i) (as `free_bimodule_maps` builds it:
-    f_psi o u = psi), both factors are skipped and the coordinates are the
-    entries of b_1 o (b_2 o u_j) themselves.
+    unit basis of Hom(a_j, P_i) (as `free_bimodule_maps` builds it from
+    the two actions of P_i: f_psi o u = psi), both factors are skipped and
+    the coordinates are the entries of b_1 o (b_2 o u_j) themselves.
 
     The algebra is associative by construction, so it is built without
     the triple check of `OrdAlgebra(validate=True)` (the tests run that
@@ -319,9 +281,10 @@ class EndData:
       kernel of the module constraint, whose matrix it writes from the
       actions' nonzeros (the tests check it equal, column for column, to
       the matrix of the composed constraint), and `free_bimodule_maps`
-      returns act o (1 (x) psi (x) 1), a bimodule map because the
-      actions of a free bimodule are associative when A is and the
-      pentagon holds;
+      returns right o (left (x) 1) o (1 (x) psi (x) 1), written from the
+      nonzeros of the two actions (the tests check it equal, map for map,
+      to the composite), a bimodule map because the actions of a free
+      bimodule are associative when A is and the pentagon holds;
     * composites of module maps are module maps, by the interchange law,
       so each b_1 o b_2 lies in the span of its block;
     * restriction along the unit is injective on a block, since each R_ij
@@ -590,18 +553,20 @@ def free_bimodule_maps(srcs, dst: BimodulePres) -> list:
     one list per source in `srcs`, each through the free-forget
     correspondence with Hom(a, dst.carrier).
 
-    The map of psi in the unit basis of Hom(a, y) is act o (id (x) psi (x)
-    id) for the two-sided action act = `dst.action`, so its column at the
-    basis vector (d, q, z, r, nu) of (A a) A is act's column at
-    (d, q', z, r, nu), where psi takes the vector q = (x, p, l, j, mu) of
-    A a at d to q' = (x, p, l, i, mu) of A y.  A column of act whose
-    vector of A y passes through the label l feeds the sources whose
-    generator a carries l, so act's nonzeros are read once for all
+    The map of psi = (l, i, j) in the unit basis of Hom(a, y) is
+    right o (left (x) 1) o (id (x) psi (x) id), written from the nonzeros
+    of y's two actions, with no morphism composed and no fusion table of
+    (A y) A.  A nonzero right[k, t] at e, whose column t is
+    (d, q', z, r, nu) in the fusion basis of y A, meets each nonzero
+    left[q', q] of left's block at d, where q = (x, p, l, i, mu) in the
+    fusion basis of A y.  Their product lands at row k of the map of each
+    psi = (l, i, j) whose source generator a carries l, in the column of
+    (d, (x, p, l, j, mu), z, r, nu) of (A a) A.  Repeated positions add
+    up, as in the composite, and right's nonzeros are read once for all
     sources."""
     cat = dst.cat
-    c, y, act = dst.algebra.carrier, dst.carrier, dst.action
-    cy_basis = cat.fusion_basis(c, y)
-    act_cols = cat.fusion_basis(cat.tensor(c, y), c)
+    c, y = dst.algebra.carrier, dst.carrier
+    cy_basis, yc_basis = cat.fusion_basis(c, y), cat.fusion_basis(y, c)
     # label l -> (a, psi positions, fusion indices of A a and (A a) A,
     # entries per psi) for each source whose generator a carries l
     by_label = {}
@@ -614,19 +579,32 @@ def free_bimodule_maps(srcs, dst: BimodulePres) -> list:
                 cat.fusion_index(cat.tensor(c, a), c), entries[-1])
         for l in a.support:
             by_label.setdefault(l, []).append(feed)
-    for e, blk in act.blocks.items():
-        # column t of act feeds (entries of psi, column of its map) for
-        # each of these
-        feeds = []
-        for d, q, z, r, nu in act_cols[e]:
-            x, p, l, i, mu = cy_basis[d][q]
-            feeds.append([(out[psis[(l, i, j)]], src_index[e][
-                (d, ca_index[d][(x, p, l, j, mu)], z, r, nu)])
-                for a, psis, ca_index, src_index, out in by_label.get(l, ())
-                for j in range(a.mult(l))])
-        for row, t, val in blk.nonzero():
-            for blocks, s in feeds[t]:
-                blocks.setdefault(e, []).append((row, s, val))
+    # d -> per row q' of left's block at d, (left[q', q], targets of q)
+    # for each nonzero whose column q feeds some psi: a target is (entries
+    # of psi, the position of (x, p, l, j, mu) in A a, the fusion index
+    # of (A a) A)
+    left_rows = {}
+    for d, blk in dst.left_action.blocks.items():
+        targets = [[(out[psis[(l, i, j)]], ca_index[d][(x, p, l, j, mu)],
+                     src_index)
+                    for a, psis, ca_index, src_index, out
+                    in by_label.get(l, ()) for j in range(a.mult(l))]
+                   for x, p, l, i, mu in cy_basis[d]]
+        left_rows[d] = [[(val, targets[q]) for q, val in blk.row_nonzero(r)
+                         if targets[q]] for r in range(blk.rows)]
+    one = cat.field.one()
+    for e, blk in dst.right_action.blocks.items():
+        basis = yc_basis[e]
+        for k, t, val in blk.nonzero():
+            d, q2, z, r, nu = basis[t]
+            if d not in left_rows:
+                continue
+            unit = val == one
+            for lval, targets in left_rows[d][q2]:
+                w = lval if unit else val * lval
+                for blocks, qa, src_index in targets:
+                    blocks.setdefault(e, []).append(
+                        (k, src_index[e][(d, qa, z, r, nu)], w))
     return [[Mor(cat, src.carrier, y,
                  {e: Matrix.from_entries(cat.field, y.mult(e),
                                          src.carrier.mult(e), es)

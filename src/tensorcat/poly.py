@@ -30,10 +30,6 @@ class DegreeTooLarge(PolynomialError):
     """Rational factorization is only supported up to degree 12."""
 
 
-class Reducible(PolynomialError):
-    """An irreducible polynomial was required."""
-
-
 class Poly:
     """Dense univariate polynomial; empty coefficient tuple is zero."""
 
@@ -650,10 +646,3 @@ def is_irreducible(f: Poly) -> bool:
         return False
     fac = factor(f)
     return len(fac) == 1 and fac[0][1] == 1
-
-
-def is_separable_irreducible(f: Poly) -> bool:
-    """gcd(f, f') = 1 for an irreducible f; raises Reducible otherwise."""
-    if not is_irreducible(f):
-        raise Reducible("separability test requires an irreducible polynomial")
-    return gcd(f, f.derivative()).degree == 0

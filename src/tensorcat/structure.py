@@ -28,7 +28,6 @@ from .modcat import (EndData, ModulePres, algebra_as_module,
                      hom_basis, internal_hom, module_dual, simple_modules)
 from .ordalg import (UNDETERMINED, is_semisimple, is_separable_over_k,
                      module_is_simple, radical)
-from .poly import Poly, is_separable_irreducible
 
 DEFAULT_BUDGET = 4096
 
@@ -46,10 +45,6 @@ class NotFusion(Exception):
 
 
 class NotSemisimpleAlgebra(Exception):
-    pass
-
-
-class InseparableExtension(Exception):
     pass
 
 
@@ -86,18 +81,9 @@ def transport_mor(dst_cat: CategoryPres, emb: Embedding, m: Mor) -> Mor:
 
 
 def base_extend_algebra(C: CategoryPres, A: AlgebraPres, emb: Embedding):
-    """Coefficient-embedded copies of the category and the algebra; the
-    extension must be separable (inseparable data is rejected)."""
-    if emb.dst.minpoly is not None:
-        prime = Field(emb.dst.char)
-        f = Poly(prime, [prime.scalar(c) for c in emb.dst.minpoly])
-        try:
-            ok = is_separable_irreducible(f)
-        except Exception as exc:
-            raise InseparableExtension(str(exc)) from exc
-        if not ok:
-            raise InseparableExtension(
-                "the target field is an inseparable extension")
+    """Coefficient-embedded copies of the category and the algebra.  The
+    extension is separable: a `Field` refuses a reducible minpoly, and
+    an irreducible one over Q or F_p, both perfect, has distinct roots."""
     C2 = C.scalar_extend(emb)
     A2 = AlgebraPres(C2, Obj(C2, A.carrier.describe()),
                      transport_mor(C2, emb, A.mult),

@@ -6,10 +6,13 @@ free (bi)modules.
 for each unit-basis map phi and solves the same kernel.
 `EndData` reads every product of basis maps by restriction along the unit
 of a free generator, and `free_bimodule_maps` gives bimodule maps by the
-free-forget correspondence, read off one destination's action for all
-sources at once; `pairwise_free_bimodule_maps` reads the action once per
-source and destination, and `product_bimodule_maps` builds the same maps
-as full compositions.
+free-forget correspondence, read straight off one destination's two
+actions for all sources at once.  `two_step_free_bimodule_maps` first
+writes the two-sided action right o (left (x) 1) over (A y) A from the
+two actions' nonzeros (`two_sided_action`) and then reads the maps off
+it; `pairwise_free_bimodule_maps` reads the composed two-sided action
+once per source and destination, and `product_bimodule_maps` builds the
+same maps as full compositions.
 `KernelSolveEnd` composes each pair of basis maps in full and solves the
 result against the flat coordinates of its block, so it needs no
 generator and serves any list of modules;
@@ -22,7 +25,7 @@ n^3 of them, and `validate_reference` puts the unit law before it, with
 products summed over every pair of coordinates.
 """
 
-from construction_oracle import hom_unit_basis
+from construction_oracle import hom_unit_basis, two_sided_action_reference
 from tensorcat.fincat import (Mor, ValidationFailure, hom_coords,
                               mor_from_coords)
 from tensorcat.linalg import Matrix
@@ -66,40 +69,99 @@ def bimodule_hom_basis(x, y) -> list:
             for v in mat.kernel_basis()]
 
 
-def pairwise_free_bimodule_maps(src, dst) -> list:
-    """The maps of `free_bimodule_maps` for the one source `src`, each read
-    off the action's nonzeros with a walk of `dst.action` per source.
+def two_sided_action(b) -> Mor:
+    """The two-sided action (A (x) y) (x) A -> y, right o (left (x) 1),
+    written from the two actions' nonzeros, with no `tensor_mor` and no
+    composition.
+
+    left (x) 1 sends the basis vector (d, q, z, r, nu) of (A (x) y)
+    (x) A to the sum of left[q', q] times (d, q', z, r, nu) of
+    y (x) A, over the nonzeros of left's block at d.  So each nonzero
+    right[i, t] at e, whose column t is (d, q', z, r, nu) in the
+    fusion basis of y (x) A, adds right[i, t] left[q', q] at row i
+    and column (d, q, z, r, nu), for each nonzero of row q' of left's
+    block at d.  Repeated positions add up, as in the product."""
+    cat, c, y = b.cat, b.algebra.carrier, b.carrier
+    cy = cat.tensor(c, y)
+    src = cat.tensor(cy, c)
+    yc_basis, src_index = cat.fusion_basis(y, c), cat.fusion_index(cy, c)
+    left_rows = {d: [blk.row_nonzero(q) for q in range(blk.rows)]
+                 for d, blk in b.left_action.blocks.items()}
+    blocks = {}
+    for e, blk in b.right_action.blocks.items():
+        basis, index = yc_basis[e], src_index[e]
+        entries = []
+        for i, t, val in blk.nonzero():
+            d, q2, z, r, nu = basis[t]
+            if d not in left_rows:
+                continue
+            entries += [(i, index[(d, q, z, r, nu)], val * x)
+                        for q, x in left_rows[d][q2]]
+        blocks[e] = Matrix.from_entries(cat.field, y.mult(e), src.mult(e),
+                                        entries)
+    return Mor(cat, src, y, blocks)
+
+
+def _maps_off_the_action(srcs, dst, act) -> list:
+    """The maps of `free_bimodule_maps` read off a two-sided action act of
+    `dst`, in one walk over act's nonzeros for all sources.
 
     The map of psi in the unit basis of Hom(a, y) is act o (id (x) psi (x)
-    id) for the two-sided action act = `dst.action`, so its column at the
-    basis vector (d, q, z, r, nu) of (A a) A is act's column at
-    (d, q', z, r, nu), where psi takes the vector q = (x, p, l, j, mu) of
-    A a at d to q' = (x, p, l, i, mu) of A y; each is read off act's
-    nonzeros."""
-    cat = src.cat
-    c, a, y, act = src.algebra.carrier, src.generator, dst.carrier, dst.action
-    ca_index = cat.fusion_index(c, a)
+    id), so its column at the basis vector (d, q, z, r, nu) of (A a) A is
+    act's column at (d, q', z, r, nu), where psi takes the vector
+    q = (x, p, l, j, mu) of A a at d to q' = (x, p, l, i, mu) of A y.  A
+    column of act whose vector of A y passes through the label l feeds
+    the sources whose generator a carries l."""
+    cat = dst.cat
+    c, y = dst.algebra.carrier, dst.carrier
     cy_basis = cat.fusion_basis(c, y)
     act_cols = cat.fusion_basis(cat.tensor(c, y), c)
-    src_index = cat.fusion_index(cat.tensor(c, a), c)
-    psis = {lij: k for k, lij in enumerate(hom_coords(a, y))}
-    entries = [{} for _ in psis]
+    # label l -> (a, psi positions, fusion indices of A a and (A a) A,
+    # entries per psi) for each source whose generator a carries l
+    by_label = {}
+    entries = []
+    for src in srcs:
+        a = src.generator
+        psis = {lij: k for k, lij in enumerate(hom_coords(a, y))}
+        entries.append([{} for _ in psis])
+        feed = (a, psis, cat.fusion_index(c, a),
+                cat.fusion_index(cat.tensor(c, a), c), entries[-1])
+        for l in a.support:
+            by_label.setdefault(l, []).append(feed)
     for e, blk in act.blocks.items():
-        # column t of act feeds (psi, column of its map) for each of these
+        # column t of act feeds (entries of psi, column of its map) for
+        # each of these
         feeds = []
         for d, q, z, r, nu in act_cols[e]:
             x, p, l, i, mu = cy_basis[d][q]
-            feeds.append([(psis[(l, i, j)], src_index[e][
+            feeds.append([(out[psis[(l, i, j)]], src_index[e][
                 (d, ca_index[d][(x, p, l, j, mu)], z, r, nu)])
+                for a, psis, ca_index, src_index, out in by_label.get(l, ())
                 for j in range(a.mult(l))])
         for row, t, val in blk.nonzero():
-            for k, s in feeds[t]:
-                entries[k].setdefault(e, []).append((row, s, val))
-    return [Mor(cat, src.carrier, y,
-                {e: Matrix.from_entries(cat.field, y.mult(e),
-                                        src.carrier.mult(e), es)
-                 for e, es in blocks.items()})
-            for blocks in entries]
+            for blocks, s in feeds[t]:
+                blocks.setdefault(e, []).append((row, s, val))
+    return [[Mor(cat, src.carrier, y,
+                 {e: Matrix.from_entries(cat.field, y.mult(e),
+                                         src.carrier.mult(e), es)
+                  for e, es in blocks.items()})
+             for blocks in out]
+            for src, out in zip(srcs, entries)]
+
+
+def two_step_free_bimodule_maps(srcs, dst) -> list:
+    """The maps of `free_bimodule_maps` in two steps: the two-sided action
+    of `dst` written from the nonzeros of its two actions, then the maps
+    read off its nonzeros for all sources."""
+    return _maps_off_the_action(srcs, dst, two_sided_action(dst))
+
+
+def pairwise_free_bimodule_maps(src, dst) -> list:
+    """The maps of `free_bimodule_maps` for the one source `src`, read off
+    the nonzeros of the composed two-sided action
+    `two_sided_action_reference(dst)`, with a walk of it per source."""
+    return _maps_off_the_action([src], dst,
+                                two_sided_action_reference(dst))[0]
 
 
 def product_bimodule_maps(src, dst) -> list:

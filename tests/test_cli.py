@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -327,6 +328,28 @@ def test_cli_base_extend(tmp_path, capsys):
     assert rep["field"] == {"char": 2, "minpoly": ["1", "1", "1"], "gen": "a"}
 
 
+@pytest.mark.parametrize("with_algebra", [False, True],
+                         ids=["category", "category_and_algebra"])
+def test_cli_base_extend_refuses_a_reducible_minpoly(tmp_path, capsys,
+                                                     with_algebra):
+    # x^2 over F_2 is x * x: no field, so one error line and exit 1,
+    # with or without an algebra to carry along
+    cat_p = str(tmp_path / "c.json")
+    alg_p = str(tmp_path / "a.json")
+    out_c = str(tmp_path / "c4.json")
+    out_a = str(tmp_path / "a4.json")
+    run_cli(capsys, "catalog", "emit", "vec_f2", "--out", cat_p)
+    run_cli(capsys, "catalog", "emit", "vec_f2/group2", "--out", alg_p)
+    argv = ["base-extend", cat_p] + ([alg_p] if with_algebra else []) + \
+        ["--minpoly", "0,0,1", "--out-category", out_c]
+    if with_algebra:
+        argv += ["--out-algebra", out_a]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == "error: extension minpoly is reducible\n"
+    assert not os.path.exists(out_c) and not os.path.exists(out_a)
+
+
 @pytest.mark.parametrize("target,reason", [
     ("nodir/x.json", "No such file or directory"),
     (".", "Is a directory")], ids=["missing_dir", "directory"])
@@ -558,8 +581,7 @@ def _library_errors():
     from tensorcat.linalg import LinAlgError, SingularMatrix
     from tensorcat.ordalg import OrdAlgebraError, SeparatingElementNotFound
     from tensorcat.poly import DegreeTooLarge, PolynomialError
-    from tensorcat.structure import (InseparableExtension, NotFusion,
-                                     NotSemisimpleAlgebra,
+    from tensorcat.structure import (NotFusion, NotSemisimpleAlgebra,
                                      OracleDisagreement,
                                      PreconditionViolated)
     analyze = ("_cmd_analyze", ("analyze", "c.json", "a.json"))
@@ -571,7 +593,7 @@ def _library_errors():
         (NotFusion("a direct sum"), analyze, 1),
         (NotSemisimpleAlgebra("needs semisimplicity"),
          ("_cmd_decompose", ("decompose", "c.json", "a.json")), 1),
-        (InseparableExtension("inseparable"),
+        (FieldError("extension minpoly is reducible"),
          ("_cmd_base_extend", ("base-extend", "c.json", "--minpoly", "1,0,1",
                                "--out-category", "x.json")), 1),
         (OracleDisagreement("section vs bimodule radical"), analyze, 3),

@@ -3,9 +3,9 @@ each free generator; `end_oracle.KernelSolveEnd` composes each pair of
 basis maps and solves the result against its block.  Both take the same
 hom bases, so their structure constants and units agree entry for entry.
 
-`free_bimodule_maps` reads one destination's action once for all
-sources; `end_oracle.pairwise_free_bimodule_maps` reads it once per
-source, and both give the same maps.  Those maps restrict to the unit
+`free_bimodule_maps` reads one destination's two actions once for all
+sources; `end_oracle.pairwise_free_bimodule_maps` reads its composed
+two-sided action once per source, and both give the same maps.  Those maps restrict to the unit
 basis, so `EndData` multiplies by no restriction matrix on the bimodule
 End; the free-module End still has blocks that need one.
 """

@@ -4,10 +4,11 @@ from the actions' nonzeros through the fusion index tables;
 map.  Both matrices are equal entry for entry and have one reduced
 echelon form, so the two bases agree map for map.
 
-`free_bimodule_maps` reads `BimodulePres.action`, the two-sided action
-that each bimodule writes once from the nonzeros of its two actions;
-`construction_oracle.two_sided_action_reference` and
-`end_oracle.product_bimodule_maps` still compose it.
+`free_bimodule_maps` reads the maps out of free bimodules straight off
+the nonzeros of the target's two actions, so the bimodule End builds no
+fusion table of (A (x) y) (x) A for a generator carrier y;
+`end_oracle.product_bimodule_maps` composes each map as
+right o (left (x) 1) o (1 (x) psi (x) 1), and the two agree map for map.
 """
 
 from functools import lru_cache
@@ -15,15 +16,14 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from construction_oracle import two_sided_action_reference
-from end_oracle import module_hom_basis_reference
+from end_oracle import module_hom_basis_reference, product_bimodule_maps
 from tensorcat.algebra import internal_end
 from tensorcat.catalog import make_algebra, standard_entries
 from tensorcat.fincat import CategoryPres, Mor, Obj
-from tensorcat.modcat import (BimodulePres, algebra_as_module,
-                              bimodule_end_algebra, free_bimodule,
-                              free_module, free_module_end, hom_basis,
-                              module_dual, obj_tensor_module, simple_modules)
+from tensorcat.modcat import (algebra_as_module, bimodule_end_algebra,
+                              free_bimodule, free_bimodule_maps, free_module,
+                              free_module_end, hom_basis, module_dual,
+                              obj_tensor_module, simple_modules)
 from tensorcat.ordalg import NotSemisimple
 
 # a twisted associator, a multiplicity-2 carrier, two non-pointed fusion
@@ -111,33 +111,40 @@ def test_hom_basis_composes_no_morphisms(monkeypatch):
     assert got == expected
 
 
-def test_bimodule_end_composes_each_two_sided_action_once(monkeypatch):
-    prop = BimodulePres.__dict__["action"]
-    compose = prop.func
-    calls = []
-
-    def counting(self):
-        calls.append(self)
-        return compose(self)
-    monkeypatch.setattr(prop, "func", counting)
+def test_bimodule_end_builds_no_fusion_table_of_a_two_sided_action():
+    # a fresh category each, so no other test has filled its cache: the
+    # fusion tables of A (x) y and y (x) A are built, none of
+    # (A (x) y) (x) A.  Where A is the unit (z2_twisted/end_g1), A (x) y
+    # is y and that table is the right action's own y (x) A
+    checked = 0
     for name in ("z2_twisted/end_g1", "fibonacci/end_t", "ising/end_sig",
-                 "z3_f3/regular"):
-        A = _modules(name)[0]
-        del calls[:]
+                 "z3_f3/regular", "vec_q/m2"):
+        A = ALGEBRAS[name]({n: mk() for n, mk in standard_entries().items()})
+        cat = A.cat
         end = bimodule_end_algebra(A)
-        n = len(end.modules)
-        assert n >= 2, name
-        assert len(calls) == n, (name, len(calls))
-        assert {id(b) for b in calls} == {id(b) for b in end.modules}, name
+        assert len(end.modules) >= 1, name
+        lefts = {args[0] for (method, args) in cat._cache
+                 if method == "_fusion"}
+        for b in end.modules:
+            cy = cat.tensor(A.carrier, b.carrier)
+            if cy == b.carrier:
+                continue
+            assert cy.key not in lefts, (name, b.generator)
+            checked += 1
+    assert checked == 9
 
 
 def test_two_sided_action_is_right_after_left(corpus):
+    # each map out of a free bimodule is right o (left (x) 1) o
+    # (1 (x) psi (x) 1), composed in full
     count = 0
     for name, cat, A in corpus:
-        for a in cat.labels:
-            b = free_bimodule(A, cat.simple(a))
-            if b.carrier.is_zero():
-                continue
-            assert b.action == two_sided_action_reference(b), (name, a)
+        gens = [free_bimodule(A, cat.simple(a)) for a in cat.labels]
+        gens = [b for b in gens if not b.carrier.is_zero()]
+        for b in gens:
+            for src, maps in zip(gens, free_bimodule_maps(gens, b),
+                                 strict=True):
+                assert maps == product_bimodule_maps(src, b), \
+                    (name, src.generator, b.generator)
             count += 1
     assert count >= 30

@@ -7,9 +7,13 @@ reference.
 * `modcat.module_dual` writes the action of A^L from the nonzeros of the
   multiplication and the F-symbols; `module_dual_reference` composes the
   six-stage chain through (c^v (x) c) (x) (c (x) c^v).
-* `BimodulePres.action` writes right o (left (x) 1) from the nonzeros of
-  the two actions; `two_sided_action_reference` composes it with a full
-  `tensor_mor`.
+* `modcat.free_bimodule_maps` writes the maps out of each free bimodule
+  straight from the nonzeros of the target's two actions;
+  `end_oracle.product_bimodule_maps` composes
+  right o (left (x) 1) o (1 (x) psi (x) 1) for each psi, and
+  `end_oracle.two_step_free_bimodule_maps` writes the two-sided action
+  over (A y) A first (`end_oracle.two_sided_action`, itself equal to the
+  composed `two_sided_action_reference`) and reads the maps off it.
 * `EndData._natural_rep` places each basis map's blocks;
   `natural_rep_reference` builds one matrix of entries per map and label.
 
@@ -30,11 +34,14 @@ from construction_oracle import (direct_sum_algebra, module_dual_reference,
                                  section_by_composition,
                                  section_system_by_composition,
                                  two_sided_action_reference)
+from end_oracle import (product_bimodule_maps, two_sided_action,
+                        two_step_free_bimodule_maps)
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fields import Field
 from tensorcat.fincat import hom_dim
 from tensorcat.modcat import (bimodule_end_algebra, free_bimodule,
-                              free_module_end, module_dual)
+                              free_bimodule_maps, free_module_end,
+                              module_dual)
 from tensorcat.structure import _section_system, is_separable
 
 
@@ -48,15 +55,17 @@ def _check(A) -> int:
     new, old = module_dual(A), module_dual_reference(A)
     assert new.carrier == old.carrier
     assert new.action == old.action
-    count = 0
-    for a in cat.labels:
-        b = free_bimodule(A, cat.simple(a))
-        if not b.carrier.is_zero():
-            assert b.action == two_sided_action_reference(b), a
-            count += 1
+    gens = [free_bimodule(A, cat.simple(a)) for a in cat.labels]
+    gens = [b for b in gens if not b.carrier.is_zero()]
+    for b in gens:
+        assert two_sided_action(b) == two_sided_action_reference(b), b
+        maps = free_bimodule_maps(gens, b)
+        assert maps == two_step_free_bimodule_maps(gens, b), b
+        for src, ms in zip(gens, maps, strict=True):
+            assert ms == product_bimodule_maps(src, b), (src, b)
     for end in (free_module_end(A), bimodule_end_algebra(A)):
         assert end._natural_rep() == natural_rep_reference(end)
-    return count
+    return len(gens)
 
 
 def test_every_corpus_pair_matches_its_references(corpus):

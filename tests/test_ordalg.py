@@ -379,16 +379,6 @@ def test_separable_implies_semisimple_on_corpus():
             assert is_semisimple(E)
 
 
-def test_separable_field_extension():
-    from tensorcat.poly import Poly, Reducible, is_separable_irreducible
-    f = Poly.from_ints(Q, [-5, 0, 1])
-    assert is_separable_irreducible(f) is True
-    g = Poly.from_ints(F2, [1, 1, 1])
-    assert is_separable_irreducible(g) is True
-    with pytest.raises(Reducible):
-        is_separable_irreducible(Poly.from_ints(Q, [-1, 0, 1]))
-
-
 def test_charpoly_examples():
     m = Matrix(Q, [[Q.scalar(2), Q.scalar(1)], [Q.scalar(0), Q.scalar(3)]])
     cp = charpoly(m)

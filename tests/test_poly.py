@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from norm_oracle import norm_by_resultants
 from tensorcat.fields import Field
-from tensorcat.poly import (DegreeTooLarge, Poly, Reducible, _norm_poly,
-                            factor, gcd, is_irreducible,
-                            is_separable_irreducible,
-                            squarefree_decomposition)
+from tensorcat.poly import (DegreeTooLarge, Poly, _norm_poly, factor, gcd,
+                            is_irreducible, squarefree_decomposition)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -128,17 +126,6 @@ def test_squarefree_decomposition():
     parts = dict((g, m) for g, m in squarefree_decomposition(f))
     assert parts[P(Q, -1, 1)] == 2
     assert parts[P(Q, 1, 1)] == 1
-
-
-def test_separability_of_irreducibles():
-    assert is_separable_irreducible(P(Q, -5, 0, 1)) is True
-    assert is_separable_irreducible(P(F2, 1, 1, 1)) is True
-    p = 5
-    F5 = Field.prime(p)
-    f = Poly.from_ints(F5, [-1, -1] + [0] * (p - 2) + [1])  # t^p - t - 1
-    assert is_separable_irreducible(f) is True
-    with pytest.raises(Reducible):
-        is_separable_irreducible(P(Q, -1, 0, 1))
 
 
 def test_eval_and_compose():
