@@ -533,17 +533,15 @@ def free_bimodule(A: AlgebraPres, a: Obj) -> BimodulePres:
     cat = A.cat
     c = A.carrier
     inner = cat.tensor(c, a)
-    carrier = cat.tensor(inner, c)
-    # right action: ((A a) A) A -> (A a) (A A) -> (A a) A
-    m1 = cat.associator(inner, c, c)
-    right = cat.tensor_mor(cat.id(inner), A.mult) @ m1
+    # right action: the free right module (A a) A
+    right = obj_tensor_module(inner, algebra_as_module(A))
     # left action: A ((A a) A) -> (A (A a)) A -> (A a) A, through the
     # left action A (A a) -> (A A) a -> A a of A on A a
     inner_left = (cat.tensor_mor(A.mult, cat.id(a))
                   @ cat.associator_inv(c, c, a))
     left = (cat.tensor_mor(inner_left, cat.id(c))
             @ cat.associator_inv(c, inner, c))
-    out = BimodulePres(A, carrier, left, right)
+    out = BimodulePres(A, right.carrier, left, right.action)
     out.generator = a
     return out
 

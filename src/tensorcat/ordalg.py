@@ -1,10 +1,11 @@
 """Finite-dimensional associative algebras over exact fields.
 
 Structure constants are stored sparsely.  The radical is computed from
-trace data of a faithful representation: in characteristic zero the
-kernel of the trace form (Dickson), in characteristic p the
-Cohen-Ivanyos-Wales chain of characteristic-polynomial-coefficient
-conditions.  Its level l reads g_l(x), the coefficient of lambda^(n - p^l)
+trace data of a faithful representation, by one Cohen-Ivanyos-Wales
+chain of characteristic-polynomial-coefficient conditions in every
+characteristic.  Its level 0 is the kernel of the trace form, which in
+characteristic zero is the radical (Dickson), so there the chain ends.
+Its level l >= 1 reads g_l(x), the coefficient of lambda^(n - p^l)
 in the characteristic polynomial of x, which is p^l-semilinear on the
 ideal J_{l-1} of the level before (Cohen, Ivanyos and Wales, JPAA
 117-118, 1997), so linear after the inverse Frobenius (all supported
@@ -216,8 +217,7 @@ class OrdAlgebra:
 
     @cached_property
     def _radical(self) -> list:
-        return (_trace_form_kernel(self) if self.field.char == 0
-                else _radical_charp(self))
+        return _radical_chain(self)
 
     def serialize(self) -> dict:
         sc = []
@@ -365,12 +365,13 @@ def _trace_form_kernel(E: OrdAlgebra) -> list:
     return _form(E, E._nat_traces()).kernel_basis()
 
 
-def _radical_charp(E: OrdAlgebra) -> list:
+def _radical_chain(E: OrdAlgebra) -> list:
     """Cohen-Ivanyos-Wales: the radical is the last of the spaces
     J_0 = ker(trace form) and J_l = {x in J_{l-1} : g_l(xy) = 0 for all
     y in J_{l-1}}, taken while p^l <= n, the dimension of the faithful
     representation rho; g_l(x) is the coefficient of lambda^(n - p^l) in
-    charpoly(rho(x)).
+    charpoly(rho(x)).  In characteristic 0 the chain ends at level 0: the
+    kernel of the trace form is the radical there (Dickson).
 
     By the lemma of Cohen, Ivanyos and Wales (Finding the radical of an
     algebra of linear transformations, JPAA 117-118, 1997), g_l is
@@ -388,7 +389,7 @@ def _radical_charp(E: OrdAlgebra) -> list:
     n_rep = E._rep_dim()
     current = _trace_form_kernel(E)        # level 0
     level = 1
-    while current and p ** level <= n_rep:
+    while p and current and p ** level <= n_rep:
         # the coefficient of lambda^(n_rep - p^level), made linear
         g = [_frob_inverse(_charpoly_of_blocks(E._rep_blocks_of_vec(z),
                                                p ** level)[0], level)

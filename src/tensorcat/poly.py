@@ -1,9 +1,12 @@
 """Univariate polynomials over exact fields, with complete factorization.
 
-Factorization routes:
-  * finite fields (prime or extension): squarefree decomposition,
-    distinct-degree splitting, Cantor-Zassenhaus equal-degree splitting
-    with a fixed seed so runs are reproducible;
+Factorization first splits f into squarefree parts by one gcd loop that
+serves every field; its p-th-root step runs only where a derivative
+vanishes, which in characteristic 0 never happens.  The parts come out
+sorted by `sort_key`, and each is factored by its field's route:
+  * finite fields (prime or extension): distinct-degree splitting,
+    Cantor-Zassenhaus equal-degree splitting with a fixed seed so runs
+    are reproducible;
   * Q: clear denominators, factor modulo a good prime, Hensel lift,
     brute-force recombination (Zassenhaus).  Degrees above 12 are
     rejected with an explicit error;
@@ -202,12 +205,11 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 
 def _random_poly(field: Field, max_deg: int, rng: random.Random) -> Poly:
-    """Uniform element of the polynomials of degree <= max_deg."""
+    """Uniform element of the polynomials of degree <= max_deg over a
+    finite field."""
     def rc():
-        if field.char == 0:
-            return field.scalar(rng.randint(-9, 9))
-        cs = [rng.randrange(field.char) for _ in range(field.deg)]
-        return field.scalar(cs)
+        return field.scalar([rng.randrange(field.char)
+                             for _ in range(field.deg)])
     return Poly(field, [rc() for _ in range(max_deg + 1)])
 
 
@@ -229,44 +231,23 @@ def _pth_root_poly(f: Poly) -> Poly:
 
 
 def squarefree_decomposition(f: Poly) -> list:
-    """List of (squarefree monic factor, multiplicity), any exact field."""
+    """List of (squarefree monic factor, multiplicity), sorted by
+    `sort_key`, over any exact field.
+
+    One gcd loop serves every characteristic: with c = gcd(f, f') and
+    w = f / c, step i splits off z_i = w / gcd(w, c), the product of the
+    irreducible factors of multiplicity i not divisible by p, and divides
+    both w and c by gcd(w, c).  What is left of c is a p-th power; its
+    p-th root is decomposed in turn, its multiplicities times p.  That
+    step runs only where a derivative vanishes (f' = 0 gives c = f and
+    w = 1), so never in characteristic 0, where c ends at 1."""
     if f.is_zero():
         raise PolynomialError("zero polynomial")
     f = f.monic()
     if f.degree == 0:
         return []
-    if f.field.char == 0:
-        return _squarefree_char0(f)
-    return _squarefree_charp(f)
-
-
-def _squarefree_char0(f: Poly) -> list:
-    # Yun's algorithm
     out = []
-    df = f.derivative()
-    a = gcd(f, df)
-    b = f // a
-    c = df // a
-    i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = gcd(b, d)
-        if g.degree > 0:
-            out.append((g.monic(), i))
-        b = b // g
-        c = d // g
-        i += 1
-    return out
-
-
-def _squarefree_charp(f: Poly) -> list:
-    p = f.field.char
-    out = []
-    df = f.derivative()
-    if df.is_zero():
-        root = _pth_root_poly(f)
-        return [(g, m * p) for g, m in squarefree_decomposition(root)]
-    c = gcd(f, df)
+    c = gcd(f, f.derivative())
     w = f // c
     i = 1
     while w.degree > 0:
@@ -278,14 +259,10 @@ def _squarefree_charp(f: Poly) -> list:
         w = y
         c = c // y
     if c.degree > 0:
-        root = _pth_root_poly(c)
-        for g, m in squarefree_decomposition(root):
-            out.append((g, m * p))
-    # merge duplicate factors (can arise from the p-th-root branch)
-    merged = {}
-    for g, m in out:
-        merged[g] = merged.get(g, 0) + m if g in merged else m
-    return sorted(merged.items(), key=lambda gm: gm[0].sort_key())
+        p = f.field.char
+        out += [(g, m * p)
+                for g, m in squarefree_decomposition(_pth_root_poly(c))]
+    return sorted(out, key=lambda gm: gm[0].sort_key())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ an answer, the package must give the same one.
 `cohen_ivanyos_wales_chain` is the reference for the characteristic-p
 radical: it fills every level's Gram matrix entry by entry, one truncated
 characteristic polynomial per pair, and so does not use the
-semilinearity of g_l that `ordalg._radical_charp` rests on.
+semilinearity of g_l that `ordalg._radical_chain` rests on.  Both start
+from level 0, the kernel of the trace form; in characteristic 0 that
+kernel is the radical (Dickson), and `_radical_chain` ends there.
 """
 
 from fractions import Fraction

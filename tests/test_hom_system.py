@@ -6,9 +6,9 @@ echelon form, so the two bases agree map for map.
 
 `free_bimodule_maps` reads the maps out of free bimodules straight off
 the nonzeros of the target's two actions, so the bimodule End builds no
-fusion table of (A (x) y) (x) A for a generator carrier y;
-`end_oracle.product_bimodule_maps` composes each map as
-right o (left (x) 1) o (1 (x) psi (x) 1), and the two agree map for map.
+fusion table of (A (x) y) (x) A for a generator carrier y.  That the
+maps equal their composed form right o (left (x) 1) o (1 (x) psi (x) 1)
+is checked in `test_nonzero_builds.py`.
 """
 
 from functools import lru_cache
@@ -16,14 +16,13 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from end_oracle import module_hom_basis_reference, product_bimodule_maps
+from end_oracle import module_hom_basis_reference
 from tensorcat.algebra import internal_end
 from tensorcat.catalog import make_algebra, standard_entries
 from tensorcat.fincat import CategoryPres, Mor, Obj
 from tensorcat.modcat import (algebra_as_module, bimodule_end_algebra,
-                              free_bimodule, free_bimodule_maps, free_module,
-                              free_module_end, hom_basis, module_dual,
-                              obj_tensor_module, simple_modules)
+                              free_module, free_module_end, hom_basis,
+                              module_dual, obj_tensor_module, simple_modules)
 from tensorcat.ordalg import NotSemisimple
 
 # a twisted associator, a multiplicity-2 carrier, two non-pointed fusion
@@ -132,19 +131,3 @@ def test_bimodule_end_builds_no_fusion_table_of_a_two_sided_action():
             assert cy.key not in lefts, (name, b.generator)
             checked += 1
     assert checked == 9
-
-
-def test_two_sided_action_is_right_after_left(corpus):
-    # each map out of a free bimodule is right o (left (x) 1) o
-    # (1 (x) psi (x) 1), composed in full
-    count = 0
-    for name, cat, A in corpus:
-        gens = [free_bimodule(A, cat.simple(a)) for a in cat.labels]
-        gens = [b for b in gens if not b.carrier.is_zero()]
-        for b in gens:
-            for src, maps in zip(gens, free_bimodule_maps(gens, b),
-                                 strict=True):
-                assert maps == product_bimodule_maps(src, b), \
-                    (name, src.generator, b.generator)
-            count += 1
-    assert count >= 30

@@ -10,8 +10,9 @@ from construction_oracle import (OrdModule, algebra_from_triples,
                                  decompose_module, flat, ideal_module,
                                  matrix_subalgebra, module_hom_space,
                                  module_is_simple_reference,
-                                 nilpotency_index, quaternions,
-                                 regular_module, right_ideal_module)
+                                 nilpotency_index, quadratic_algebra,
+                                 quaternions, regular_module,
+                                 right_ideal_module)
 from end_oracle import associativity_reference, validate_reference, verdict
 from ordalg_oracle import (central_idempotents_ladder, ciw_g,
                            cohen_ivanyos_wales_chain, is_field_ladder,
@@ -36,6 +37,7 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               _trace_form_kernel)
 from tensorcat.poly import Poly, _frob_inverse
 from tensorcat.structure import base_extend_algebra
+from tensorcat import ordalg
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -1077,6 +1079,29 @@ def test_radical_matches_the_full_gram_reference(cats, make):
     assert radical(E) == ref
 
 
+def test_the_chain_ends_at_level_0_in_characteristic_0(cats, monkeypatch):
+    # level 0, the kernel of the trace form, is the radical in
+    # characteristic 0 (Dickson), so no g_l is read there; Q[x]/(x^2) has
+    # a nonzero radical, so only that stop ends its chain
+    calls = []
+
+    def counted(blocks, top):
+        assert blocks[0].field.char, "g_l read in characteristic 0"
+        calls.append(top)
+        return _charpoly_of_blocks(blocks, top)
+
+    monkeypatch.setattr(ordalg, "_charpoly_of_blocks", counted)
+    E = free_module_end(quadratic_algebra(cats["vec_q"], 0, 0)).algebra
+    assert len(radical(E)) == 1
+    assert calls == []
+    for name, n in (("vec_f2", 2), ("vec_f3", 3)):
+        E = free_module_end(make_algebra(
+            cats[name], "ordinary_group_algebra", {"n": n})).algebra
+        assert radical(E)
+        assert calls, name
+        calls.clear()
+
+
 # -- the linear form of each level against the pairwise chain ---------------
 
 CHARP_FIELDS = [F2, F3, F4, F5]
@@ -1137,7 +1162,7 @@ def test_radical_is_the_pairwise_chains_radical(field, data):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_g_l_is_p_to_the_l_semilinear_on_the_previous_level(field, data):
-    # the lemma of Cohen, Ivanyos and Wales that `_radical_charp` rests
+    # the lemma of Cohen, Ivanyos and Wales that `_radical_chain` rests
     # on, at every level the chain reaches: g_l(x + c y) =
     # g_l(x) + c^(p^l) g_l(y) for x, y in J_{l-1}
     E = _drawn_charp_algebra(data, field)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norm_oracle import norm_by_resultants
+from poly_oracle import yun_squarefree_reference
 from tensorcat.fields import Field
 from tensorcat.poly import (DegreeTooLarge, Poly, _norm_poly, factor, gcd,
                             is_irreducible, squarefree_decomposition)
@@ -126,6 +127,59 @@ def test_squarefree_decomposition():
     parts = dict((g, m) for g, m in squarefree_decomposition(f))
     assert parts[P(Q, -1, 1)] == 2
     assert parts[P(Q, 1, 1)] == 1
+
+
+SQUAREFREE_FIELDS = {
+    "Q": Q,
+    "Q(phi)": Field.extension(0, [-1, -1, 1]),
+    "Q(sqrt2)": Field.extension(0, [-2, 0, 1]),
+    "F_2": F2,
+    "F_3": F3,
+    "F_4": Field.extension(2, [1, 1, 1]),
+}
+
+
+def _sympy_squarefree(sympy, f):
+    """sympy's squarefree parts of f over Q or a prime field, as monic
+    Polys with their multiplicities."""
+    K = f.field
+    domain = {"modulus": K.char} if K.char else {"domain": "QQ"}
+    sp = sympy.Poly([sympy.Rational(str(c.c[0])) for c in reversed(f.coeffs)],
+                    sympy.Symbol("t"), **domain)
+    return {(Poly(K, [K.scalar(str(x))
+                      for x in reversed(g.all_coeffs())]).monic(), e)
+            for g, e in sp.sqf_list()[1]}
+
+
+@pytest.mark.parametrize("name", sorted(SQUAREFREE_FIELDS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_squarefree_decomposition_matches_yun_and_sympy(name, data):
+    # f = c g_1^e_1 ... g_k^e_k with k <= 3, e <= 4 and monic g of degree
+    # <= 2; over F_2, F_3 and F_4 an exponent divisible by p reaches the
+    # p-th-root step
+    K = SQUAREFREE_FIELDS[name]
+    coeff = st.lists(st.integers(-2, 2), min_size=K.deg,
+                     max_size=K.deg).map(K.scalar)
+    f = Poly(K, [data.draw(coeff.filter(lambda c: not c.is_zero()))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = Poly(K, data.draw(st.lists(coeff, min_size=1, max_size=2))
+                 + [K.one()])
+        for _ in range(data.draw(st.integers(1, 4))):
+            f = f * g
+    parts = squarefree_decomposition(f)
+    assert parts == sorted(parts, key=lambda gm: gm[0].sort_key())
+    rebuilt = Poly.one(K)
+    for g, m in parts:
+        assert g == g.monic() and gcd(g, g.derivative()) == Poly.one(K)
+        for _ in range(m):
+            rebuilt = rebuilt * g
+    assert rebuilt == f.monic()
+    if K.char == 0:
+        assert set(parts) == set(yun_squarefree_reference(f.monic()))
+    if K.minpoly is None:
+        sympy = pytest.importorskip("sympy")
+        assert set(parts) == _sympy_squarefree(sympy, f)
 
 
 def test_eval_and_compose():
