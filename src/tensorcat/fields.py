@@ -72,7 +72,9 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# base-coefficient helpers (dense lists over the prime field)
+# base-coefficient helpers: dense lists over the prime field, with its
+# arithmetic passed in.  `poly` runs its rational factoring on the same
+# kernel, over F_p and over the integers.
 
 def _qn(x):
     """Canonical characteristic-zero coefficient: an int when integral."""
@@ -86,19 +88,62 @@ def _b_trim(cs):
     return cs
 
 
+def _b_mul(a, b, badd, bmul):
+    """Product of base-coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = badd(out[i + j], bmul(x, y))
+    return out
+
+
 def _b_divmod(num, den, bsub, bmul, binv):
-    """Polynomial division of base-coefficient lists, den nonzero."""
+    """Polynomial division of base-coefficient lists, den nonzero; binv
+    is not called when den is monic."""
     num = list(num)
     q = [0] * max(0, len(num) - len(den) + 1)
-    inv_lc = binv(den[-1])
+    inv_lc = None if den[-1] == 1 else binv(den[-1])
     for i in range(len(num) - len(den), -1, -1):
-        c = bmul(num[i + len(den) - 1], inv_lc)
+        c = num[i + len(den) - 1]
+        if inv_lc is not None:
+            c = bmul(c, inv_lc)
         if c == 0:
             continue
         q[i] = c
         for j, d in enumerate(den):
             num[i + j] = bsub(num[i + j], bmul(c, d))
-    return q, _b_trim(num[: len(den) - 1])
+    return _b_trim(q), _b_trim(num[: len(den) - 1])
+
+
+def _b_inv_mod(a, mod, bsub, bmul, binv):
+    """The inverse of a modulo mod, a trimmed list of degree below mod's;
+    FieldError if a and mod are not coprime."""
+    # extended Euclid on (mod, a)
+    r0, r1 = list(mod), _b_trim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _b_divmod(r0, r1, bsub, bmul, binv)
+        s = list(s0)
+        # s0 - q*s1
+        for i, qc in enumerate(q):
+            if qc == 0:
+                continue
+            for j, sc in enumerate(s1):
+                k = i + j
+                while len(s) <= k:
+                    s.append(0)
+                s[k] = bsub(s[k], bmul(qc, sc))
+        r0, r1 = r1, r
+        s0, s1 = s1, _b_trim(s)
+    # r0 = gcd, a unit of the prime field when a and mod are coprime
+    if len(r0) != 1:
+        raise FieldError("not coprime: the gcd has positive degree")
+    c = binv(r0[0])
+    return [bmul(sc, c) for sc in s0]
 
 
 class Field:
@@ -265,32 +310,9 @@ class Field:
             raise DivisionByZero("inverse of zero")
         if self.deg == 1:
             return (self._binv(a[0]),)
-        # extended Euclid on (minpoly, a) over the prime field
-        bsub, bmul, binv = self._bsub, self._bmul, self._binv
-        r0, r1 = list(self.minpoly), _b_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _b_divmod(r0, r1, bsub, bmul, binv)
-            s = list(s0)
-            # s0 - q*s1
-            for i, qc in enumerate(q):
-                if qc == 0:
-                    continue
-                for j, sc in enumerate(s1):
-                    k = i + j
-                    while len(s) <= k:
-                        s.append(0)
-                    s[k] = bsub(s[k], bmul(qc, sc))
-            r0, r1 = r1, r
-            s0, s1 = s1, _b_trim(s)
-        # r0 = gcd, a unit of the prime field since minpoly is irreducible
-        if len(r0) != 1:
-            raise FieldError("minpoly not irreducible: gcd has positive degree")
-        c = binv(r0[0])
-        out = [0] * self.deg
-        for j, sc in enumerate(s0):
-            out[j] = bmul(sc, c)
-        return tuple(out)
+        # minpoly is irreducible, so every nonzero a is coprime to it
+        s = _b_inv_mod(a, self.minpoly, self._bsub, self._bmul, self._binv)
+        return tuple(s) + (0,) * (self.deg - len(s))
 
     # -- public scalar construction -----------------------------------------
     def zero(self) -> "Scalar":

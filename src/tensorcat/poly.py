@@ -7,9 +7,12 @@ sorted by `sort_key`, and each is factored by its field's route:
   * finite fields (prime or extension): distinct-degree splitting,
     Cantor-Zassenhaus equal-degree splitting with a fixed seed so runs
     are reproducible;
-  * Q: clear denominators, factor modulo a good prime, Hensel lift,
-    brute-force recombination (Zassenhaus).  Degrees above 12 are
-    rejected with an explicit error;
+  * Q: clear denominators, factor modulo a good prime, lift all modular
+    factors together one p-adic digit at a time (linear Hensel lifting)
+    to the first power of p past twice the Mignotte bound, then
+    brute-force recombination (Zassenhaus), on `fields`'s coefficient-list
+    kernel over F_p and the integers.  Degrees above 12 are rejected with
+    an explicit error;
   * number fields Q(a): Trager's norm method, reduced to the Q route;
     the norm of f(t - s*a) is the characteristic polynomial over Q of
     multiplication by t on Q(a)[t]/(f(t - s*a)).
@@ -18,8 +21,10 @@ sorted by `sort_key`, and each is factored by its field's route:
 import random
 from itertools import combinations
 from math import isqrt
+from operator import add, mul, sub
 
-from .fields import Field, FieldMismatch, Scalar, is_prime
+from .fields import (Field, FieldMismatch, Scalar, _b_divmod, _b_inv_mod,
+                     _b_mul, _b_trim, is_prime)
 from .linalg import Matrix
 
 _CZ_SEED = 0x5EED
@@ -335,96 +340,32 @@ def _int_content_primitive(f: Poly):
     return ints
 
 
-def _zp_divmod(num, den, m):
-    """Division of integer coefficient lists modulo m, den monic."""
-    num = list(num)
-    assert den[-1] % m == 1
-    q = [0] * max(0, len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] % m
-        if c:
-            q[i] = c
-            for j, d in enumerate(den):
-                num[i + j] = (num[i + j] - c * d) % m
-    r = [x % m for x in num[: len(den) - 1]]
-    while r and r[-1] == 0:
-        r.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, r
+def _hensel_lift(f, modular, p, m):
+    """Lift the monic, pairwise coprime factors `modular` (Polys over F_p)
+    of a monic integer coefficient list f to factors modulo m, a power of
+    p, one p-adic digit at a time (Zassenhaus, J. Number Theory 1, 1969).
 
-
-def _zp_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zp_add(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-           for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _zp_sub(a, b, m):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-           for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _hensel_pair(f, g, h, s, t, p, target):
-    """Lift f = g*h from mod p to mod target, a power p^(2^k) of p; all
-    monic except s,t.
-
-    Quadratic lifting; maintains s*g + t*h = 1 at each precision.
-    """
-    m = p
-    while m < target:
-        m2 = m * m
-        e = _zp_sub(f, _zp_mul(g, h, m2), m2)
-        q, r = _zp_divmod(_zp_mul(s, e, m2), h, m2)
-        g = _zp_add(g, _zp_add(_zp_mul(t, e, m2), _zp_mul(q, g, m2), m2), m2)
-        h = _zp_add(h, r, m2)
-        b = _zp_sub(_zp_add(_zp_mul(s, g, m2), _zp_mul(t, h, m2), m2), [1], m2)
-        c, d = _zp_divmod(_zp_mul(s, b, m2), h, m2)
-        s = _zp_sub(s, d, m2)
-        t = _zp_sub(t, _zp_add(_zp_mul(t, b, m2), _zp_mul(c, g, m2), m2), m2)
-        m = m2
-    return g, h
-
-
-def _lift_tree(f_ints, factors_mod_p, p, m, fp: Field):
-    """Hensel-lift a list of coprime monic factors of monic f to mod m,
-    a power p^(2^k) of p."""
-    if len(factors_mod_p) == 1:
-        return [[c % m for c in f_ints]]
-    half = len(factors_mod_p) // 2
-    gs, hs = factors_mod_p[:half], factors_mod_p[half:]
-    gp = Poly.one(fp)
-    for u in gs:
-        gp = gp * u
-    hp = Poly.one(fp)
-    for u in hs:
-        hp = hp * u
-    # Bezout over F_p
-    s, t = _poly_bezout(gp, hp)
-    to_int = lambda poly: [c.c[0] for c in poly.coeffs]
-    g_l, h_l = _hensel_pair(f_ints, to_int(gp), to_int(hp),
-                            to_int(s), to_int(t), p, m)
-    return _lift_tree(g_l, gs, p, m, fp) + _lift_tree(h_l, hs, p, m, fp)
+    With s_i = (f/u_i)^-1 mod u_i, sum_i s_i f/u_i = 1 mod p, so adding
+    p^k (d s_i mod u_i) to each u_i, where d = (f - prod u_i)/p^k mod p,
+    makes the product agree with f modulo p^(k+1)."""
+    F = modular[0].field
+    ops = (F._bsub, F._bmul, F._binv)
+    base = [[c.c[0] for c in u.coeffs] for u in modular]
+    f_p = [c % p for c in f]
+    inverses = [_b_inv_mod(_b_divmod(f_p, u, *ops)[0], u, *ops) for u in base]
+    lifted = [list(u) for u in base]
+    pk = p
+    while pk < m:
+        prod = [1]
+        for u in lifted:
+            prod = _b_mul(prod, u, add, mul)
+        d = _b_trim([(x - y) // pk % p for x, y in zip(f, prod)])
+        for u, u0, s in zip(lifted, base, inverses):
+            v = _b_divmod(_b_mul(d, s, F._badd, F._bmul), u0, *ops)[1]
+            for j, x in enumerate(v):
+                u[j] += pk * x
+        pk *= p
+    return lifted
 
 
 def _poly_bezout(a: Poly, b: Poly):
@@ -474,51 +415,30 @@ def _factor_q_squarefree_monic_int(ints) -> list:
     bound = (1 << n) * (isqrt(norm2) + 1)
     m = p
     while m <= 2 * bound:
-        m *= m
-    lifted = _lift_tree([c % m for c in ints], modular, p, m, fp)
-    # recombination
+        m *= p
+    lifted = _hensel_lift(ints, modular, p, m)
+    # recombination: the candidates are monic, so a zero remainder over
+    # the integers is the whole test; the subset of all remaining factors
+    # always divides
     remaining = list(range(len(lifted)))
     f_cur = list(ints)
     out = []
     size = 1
-    while remaining and size <= len(remaining):
-        found = False
+    while remaining:
         for subset in combinations(remaining, size):
             prod = [1]
             for i in subset:
-                prod = _zp_mul(prod, lifted[i], m)
+                prod = _b_mul(prod, lifted[i], add, mul)
             cand = [_sym(c, m) for c in prod]
-            q = _int_exact_div(f_cur, cand)
-            if q is not None:
+            q, r = _b_divmod(f_cur, cand, sub, mul, None)
+            if not r:
                 out.append(Poly.from_ints(QQ, cand))
                 f_cur = q
                 remaining = [i for i in remaining if i not in subset]
-                found = True
                 break
-        if not found:
+        else:
             size += 1
-    if len(f_cur) > 1:
-        out.append(Poly.from_ints(QQ, f_cur))
     return sorted(out, key=lambda g: g.sort_key())
-
-
-def _int_exact_div(num, den):
-    """Exact division of integer polynomials, or None."""
-    if len(den) > len(num):
-        return None
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            return None
-        c //= den[-1]
-        q[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    if any(num[: len(den) - 1]):
-        return None
-    return q
 
 
 def _factor_q_squarefree(f: Poly) -> list:
@@ -527,20 +447,14 @@ def _factor_q_squarefree(f: Poly) -> list:
         raise DegreeTooLarge(
             f"rational factorization supports degree <= 12, got {f.degree}")
     ints = _int_content_primitive(f)
-    lc = ints[-1]
-    if lc != 1:
-        # monicize: g(y) = lc^(n-1) f(y/lc)
-        n = len(ints) - 1
-        monic = [ints[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
-        gs = _factor_q_squarefree_monic_int(monic)
-        out = []
-        QQ = f.field
-        lcq = QQ.scalar(lc)
-        for g in gs:
-            cs = [c * lcq ** i for i, c in enumerate(g.coeffs)]
-            out.append(Poly(QQ, cs).monic())
-        return sorted(out, key=lambda g: g.sort_key())
-    return _factor_q_squarefree_monic_int(ints)
+    lc, n = ints[-1], len(ints) - 1
+    # monicize: g(y) = lc^(n-1) f(y/lc), the identity when lc = 1
+    monic = [ints[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
+    QQ = f.field
+    lcq = QQ.scalar(lc)
+    out = [Poly(QQ, [c * lcq ** i for i, c in enumerate(g.coeffs)]).monic()
+           for g in _factor_q_squarefree_monic_int(monic)]
+    return sorted(out, key=lambda g: g.sort_key())
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
+from operator import mul, sub
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tensorcat.fields import (DivisionByZero, Embedding, Field, FieldError,
-                              FieldMismatch, NotAnEmbedding, Scalar, embed)
+                              FieldMismatch, NotAnEmbedding, Scalar,
+                              _b_divmod, _b_inv_mod, embed)
 
 Q = Field.rationals()
 F7 = Field.prime(7)
@@ -280,3 +283,50 @@ def test_rational_inputs_reduce_into_f_p():
         assert type(x.c[0]) is int and 0 <= x.c[0] < 3
     assert F5.scalar(Fraction(7, 1)).c == (2,)
     assert F5.scalar(True).c == (1,)
+
+
+# -- the extended Euclid on coefficient lists shared with `poly` ------------
+
+def _ops(field):
+    return field._bsub, field._bmul, field._binv
+
+
+def test_b_inv_mod_refuses_lists_that_are_not_coprime():
+    F5 = Field.prime(5)
+    # (t + 1)(t + 2) over F_5 against t + 1, 3t + 3 and 0
+    for a in ([1, 1], [3, 3], []):
+        with pytest.raises(FieldError):
+            _b_inv_mod(a, [2, 3, 1], *_ops(F5))
+    # t^2 - 1/4 over Q against t + 1/2, and against 2t^2 - 2 = 2(t^2 - 1)
+    # modulo t^2 - 1
+    with pytest.raises(FieldError):
+        _b_inv_mod([Fraction(1, 2), 1], [Fraction(-1, 4), 0, 1], *_ops(Q))
+    with pytest.raises(FieldError):
+        _b_inv_mod([-2, 0, 2], [-1, 0, 1], *_ops(Q))
+
+
+def test_b_inv_mod_reduces_a_of_any_degree():
+    F5 = Field.prime(5)
+    # t^3 + 2 = 1 modulo t + 1, the way the Hensel lift passes cofactors
+    assert _b_inv_mod([2, 0, 0, 1], [1, 1], *_ops(F5)) == [1]
+    # t (-t) = 1 modulo t^2 + 1 over Q
+    assert _b_inv_mod([0, 1], [1, 0, 1], *_ops(Q)) == [0, -1]
+
+
+def test_b_divmod_by_a_monic_list_never_inverts():
+    # over the integers, as `poly`'s recombination divides; the quotient
+    # of t^2 + t + 0 t^3 by t + 1 comes back trimmed
+    assert _b_divmod([2, 3, 1], [1, 1], sub, mul, None) == ([2, 1], [])
+    assert _b_divmod([0, 1, 1, 0], [1, 1], sub, mul, None) == ([0, 1], [])
+    assert _b_divmod([3, 3, 1], [1, 1], sub, mul, None) == ([2, 1], [1])
+
+
+@pytest.mark.parametrize("char,minpoly", [
+    (2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1]), (5, [2, 0, 1]),
+], ids=["F4", "F8", "F9", "F25"])
+def test_every_nonzero_element_times_its_inverse_is_one(char, minpoly):
+    K = Field.extension(char, minpoly)
+    for cs in product(range(char), repeat=K.deg):
+        x = K.scalar(list(cs))
+        if x:
+            assert x * x.inv() == K.one()

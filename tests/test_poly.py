@@ -1,13 +1,17 @@
 import random
+from fractions import Fraction
+from math import isqrt
+from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from norm_oracle import norm_by_resultants
-from poly_oracle import yun_squarefree_reference
-from tensorcat.fields import Field
-from tensorcat.poly import (DegreeTooLarge, Poly, _norm_poly, factor, gcd,
+from poly_oracle import quadratic_hensel_reference, yun_squarefree_reference
+from tensorcat.fields import Field, _b_mul, is_prime
+from tensorcat.poly import (DegreeTooLarge, Poly, _factor_ff_squarefree,
+                            _hensel_lift, _norm_poly, factor, gcd,
                             is_irreducible, squarefree_decomposition)
 
 Q = Field.rationals()
@@ -120,6 +124,83 @@ def test_degree_cap_for_rationals():
     f = Poly.from_ints(Q, [1] * 14)
     with pytest.raises(DegreeTooLarge):
         factor(f)
+
+
+# -- rationals: the linear Hensel lift, and factoring against sympy --------
+
+def _first_good_prime(ints):
+    """The prime rational factoring picks for a monic squarefree integer
+    polynomial: the first modulo which it stays squarefree."""
+    p = 2
+    while True:
+        if is_prime(p):
+            f_p = Poly.from_ints(Field.prime(p), ints)
+            if gcd(f_p, f_p.derivative()).degree == 0:
+                return p, f_p
+        p += 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_linear_hensel_lift_is_the_quadratic_trees_lift(data):
+    # f is a product of 2-4 distinct random monic integer polynomials, of
+    # degree <= 12, lifted modulo its first good prime to the modulus
+    # p^(2^k) > 2 * bound that the tree reaches
+    degrees = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)
+                        .filter(lambda ds: sum(ds) <= 12))
+    factors = [Poly.from_ints(Q, data.draw(st.lists(
+        st.integers(-9, 9), min_size=d, max_size=d)) + [1]) for d in degrees]
+    assume(len(set(factors)) == len(factors))
+    f = Poly.one(Q)
+    for g in factors:
+        f = f * g
+    assume(gcd(f, f.derivative()) == Poly.one(Q))
+    ints = [c.c[0] for c in f.coeffs]
+    p, f_p = _first_good_prime(ints)
+    modular = _factor_ff_squarefree(f_p)
+    bound = (1 << f.degree) * (isqrt(sum(c * c for c in ints)) + 1)
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    lifted = _hensel_lift(ints, modular, p, m)
+    assert lifted == quadratic_hensel_reference(
+        [c % m for c in ints], modular, p, m, f_p.field)
+    prod = [1]
+    for u, u0 in zip(lifted, modular):
+        assert [c % p for c in u] == [c.c[0] for c in u0.coeffs]
+        prod = _b_mul(prod, u, add, mul)
+    assert [c % m for c in prod] == [c % m for c in ints]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rational_factor_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    # f = c g_1^e_1 ... g_k^e_k of degree <= 12: c rational, g_i integer
+    # with any nonzero leading coefficient, coefficients up to 10^6
+    coeff = st.integers(-10 ** 6, 10 ** 6)
+    c = Fraction(data.draw(coeff.filter(bool)),
+                 data.draw(st.integers(1, 10 ** 6)))
+    f = Poly(Q, [Q.scalar(c)])
+    for _ in range(data.draw(st.integers(1, 4))):
+        d, e = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        if f.degree + d * e > 12:
+            break
+        g = Poly.from_ints(Q, data.draw(st.lists(coeff, min_size=d,
+                                                 max_size=d))
+                           + [data.draw(coeff.filter(bool))])
+        for _ in range(e):
+            f = f * g
+    assume(f.degree > 0)
+    t = sympy.Symbol("t")
+    sp = sympy.Poly([sympy.Rational(str(x.c[0])) for x in reversed(f.coeffs)],
+                    t, domain="QQ")
+    theirs = sorted((tuple(Fraction(str(x)) for x in
+                           reversed(h.monic().all_coeffs())), e)
+                    for h, e in sympy.factor_list(sp)[1])
+    ours = sorted((tuple(Fraction(x.c[0]) for x in g.coeffs), e)
+                  for g, e in factor(f))
+    assert ours == theirs
 
 
 def test_squarefree_decomposition():
