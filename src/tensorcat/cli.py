@@ -25,16 +25,17 @@ integers below 1 count as 1.
 import argparse
 import math
 import sys
+from fractions import Fraction
 
 from .catalog import UnknownEntry, make_algebra, standard_entries
-from .fields import Embedding, FieldError, NotAnEmbedding
+from .fields import Embedding, Field, FieldError, NotAnEmbedding
 from .fincat import ValidationFailure
 from .fileio import (FormatError, algebra_from_json, algebra_to_json,
                      category_from_json, category_to_json, dumps_canonical,
                      field_from_json, load_json, report_schema, save_json)
 from .linalg import LinAlgError
 from .ordalg import OrdAlgebraError, SeparatingElementNotFound
-from .poly import DegreeTooLarge, PolynomialError
+from .poly import DegreeTooLarge, Poly, PolynomialError
 from .structure import (NotFusion, NotSemisimpleAlgebra, OracleDisagreement,
                         PreconditionViolated, analyze, base_extend_algebra,
                         global_dimension, matrix_decomposition,
@@ -60,53 +61,72 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _real_roots(minpoly) -> list:
+    """The real roots of a monic irreducible minpoly over Q of degree
+    >= 2, ascending, each as a rational within 2^-60 of it relative to
+    its size.  By Sturm's theorem the roots in (lo, hi] number the drop
+    in sign changes along the Sturm sequence from lo to hi; the search
+    starts at the Cauchy bound 1 + max|m_i| and halves each interval
+    holding two roots or more, then each holding one on the sign of the
+    minpoly.  No rational number is a root, so no endpoint is one."""
+    QQ = Field.rationals()
+    m = Poly(QQ, [QQ.scalar(c) for c in minpoly])
+    seq = [m, m.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+
+    def signs(x, polys):
+        return [v.c[0] > 0 for v in (p.eval(QQ.scalar(x)) for p in polys) if v]
+
+    def changes(x):
+        s = signs(x, seq)
+        return sum(a != b for a, b in zip(s, s[1:]))
+    bound = 1 + max(abs(c) for c in minpoly[:-1])
+    roots, todo = [], [(Fraction(-bound), Fraction(bound))]
+    while todo:
+        lo, hi = todo.pop()
+        n = changes(lo) - changes(hi)
+        if n > 1:
+            mid = (lo + hi) / 2
+            todo += [(lo, mid), (mid, hi)]
+        elif n == 1:
+            up = signs(lo, [m])
+            while hi - lo > min(abs(lo), abs(hi)) / 2 ** 60:
+                mid = (lo + hi) / 2
+                if signs(mid, [m]) == up:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+    return sorted(roots)
+
+
 def _approximate(scalar) -> str | None:
-    """Decimal rendering under every real embedding of the field; for
-    human readers only, the engine never touches floats.  None where a
-    coefficient does not fit a float or a value comes out non-finite."""
+    """Decimal rendering under every real embedding of the field, in
+    ascending order of the generator's image (`_real_roots`); for human
+    readers only, the engine never touches floats.  None where a
+    coefficient of the scalar or the minpoly does not fit a float, a
+    value comes out non-finite or the field has no real embedding."""
     field = scalar.field
     if field.char != 0:
         return None
     try:
         coeffs = [float(c) for c in scalar.c]
-        mp = [float(c) for c in field.minpoly or ()]
+        for c in field.minpoly or ():
+            float(c)
     except OverflowError:
         return None
     if field.minpoly is None:
         return f"{coeffs[0]:.6g}"
-
-    def f(x):
-        acc = 0.0
-        for c in reversed(mp):
-            acc = acc * x + c
-        return acc
-    roots = []
-    prev = None
-    x = -64.0
-    while x <= 64.0:
-        y = f(x)
-        if prev is not None and prev[1] * y <= 0 and (prev[1] or y):
-            lo, hi = prev[0], x
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                if f(lo) * f(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append((lo + hi) / 2)
-        prev = (x, y)
-        x += 0.25
-    if not roots:
-        return None
     vals = []
-    for root in roots:
+    for root in _real_roots(field.minpoly):
         acc = 0.0
         for c in reversed(coeffs):
-            acc = acc * root + c
+            acc = acc * float(root) + c
         if not math.isfinite(acc):
             return None
         vals.append(f"{acc:.6g}")
-    return " or ".join(vals)
+    return " or ".join(vals) or None
 
 
 def _render_scalar(scalar) -> str:

@@ -72,9 +72,11 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# base-coefficient helpers: dense lists over the prime field, with its
-# arithmetic passed in.  `poly` runs its rational factoring on the same
-# kernel, over F_p and over the integers.
+# the polynomial kernel: dense coefficient lists over a ring whose
+# arithmetic, zero and one are passed in.  It inverts in extension fields,
+# runs rational factoring over F_p and the integers, and `Poly`'s product,
+# division and modular inverse and the char-p radical's truncated
+# characteristic polynomials over a field's coefficient tuples.
 
 def _qn(x):
     """Canonical characteristic-zero coefficient: an int when integral."""
@@ -82,64 +84,64 @@ def _qn(x):
         x.numerator if x.denominator == 1 else x)
 
 
-def _b_trim(cs):
-    while cs and cs[-1] == 0:
+def _b_trim(cs, zero=0):
+    while cs and cs[-1] == zero:
         cs.pop()
     return cs
 
 
-def _b_mul(a, b, badd, bmul):
-    """Product of base-coefficient lists."""
+def _b_mul(a, b, badd, bmul, zero=0):
+    """Product of coefficient lists."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
+        if x == zero:
             continue
         for j, y in enumerate(b):
             out[i + j] = badd(out[i + j], bmul(x, y))
     return out
 
 
-def _b_divmod(num, den, bsub, bmul, binv):
-    """Polynomial division of base-coefficient lists, den nonzero; binv
-    is not called when den is monic."""
+def _b_divmod(num, den, bsub, bmul, binv, zero=0, one=1):
+    """Polynomial division of coefficient lists, den nonzero; binv is not
+    called when den is monic."""
     num = list(num)
-    q = [0] * max(0, len(num) - len(den) + 1)
-    inv_lc = None if den[-1] == 1 else binv(den[-1])
+    q = [zero] * max(0, len(num) - len(den) + 1)
+    inv_lc = None if den[-1] == one else binv(den[-1])
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1]
         if inv_lc is not None:
             c = bmul(c, inv_lc)
-        if c == 0:
+        if c == zero:
             continue
         q[i] = c
         for j, d in enumerate(den):
             num[i + j] = bsub(num[i + j], bmul(c, d))
-    return _b_trim(q), _b_trim(num[: len(den) - 1])
+    return _b_trim(q, zero), _b_trim(num[: len(den) - 1], zero)
 
 
-def _b_inv_mod(a, mod, bsub, bmul, binv):
+def _b_inv_mod(a, mod, bsub, bmul, binv, zero=0, one=1):
     """The inverse of a modulo mod, a trimmed list of degree below mod's;
     FieldError if a and mod are not coprime."""
     # extended Euclid on (mod, a)
-    r0, r1 = list(mod), _b_trim(list(a))
-    s0, s1 = [], [1]
+    r0, r1 = list(mod), _b_trim(list(a), zero)
+    s0, s1 = [], [one]
     while r1:
-        q, r = _b_divmod(r0, r1, bsub, bmul, binv)
+        q, r = _b_divmod(r0, r1, bsub, bmul, binv, zero, one)
         s = list(s0)
         # s0 - q*s1
         for i, qc in enumerate(q):
-            if qc == 0:
+            if qc == zero:
                 continue
             for j, sc in enumerate(s1):
                 k = i + j
                 while len(s) <= k:
-                    s.append(0)
+                    s.append(zero)
                 s[k] = bsub(s[k], bmul(qc, sc))
         r0, r1 = r1, r
-        s0, s1 = s1, _b_trim(s)
-    # r0 = gcd, a unit of the prime field when a and mod are coprime
+        s0, s1 = s1, _b_trim(s, zero)
+    # r0 = gcd, a unit of the coefficient field when a and mod are coprime
     if len(r0) != 1:
         raise FieldError("not coprime: the gcd has positive degree")
     c = binv(r0[0])

@@ -55,9 +55,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _b_mul
 from .linalg import Matrix, RowSpace
-from .poly import Poly, _frob_inverse, _poly_bezout, factor
+from .poly import Poly, _frob_inverse, factor
 
 
 class OrdAlgebraError(Exception):
@@ -311,21 +311,13 @@ def _charpoly_of_blocks(blocks, top: int) -> list:
     truncated characteristic polynomials: the top + 1 highest
     coefficients of a product of monic polynomials depend only on the top
     + 1 highest coefficients of its factors."""
-    field = blocks[0].field
-    add, mul, zc = field._add, field._mul, field._zero_c
+    F = blocks[0].field
     # total[j] is the coefficient of lambda^(deg - j)
-    total = [field._one.c]
+    total = [F._one.c]
     for b in blocks:
         cp = [x.c for x in reversed(charpoly(b, top))]
-        out = [zc] * min(len(total) + len(cp) - 1, top + 1)
-        for i, x in enumerate(total):
-            if x == zc:
-                continue
-            for j, y in enumerate(cp[:len(out) - i]):
-                if y != zc:
-                    out[i + j] = add(out[i + j], mul(x, y))
-        total = out
-    return [Scalar(field, c) for c in reversed(total)]
+        total = _b_mul(total, cp, F._add, F._mul, F._zero_c)[:top + 1]
+    return [Scalar(F, c) for c in reversed(total)]
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +498,7 @@ def _bezout_idempotent(E, e, x, mu, part) -> list:
     of x e in eE, that is one modulo `part` and zero modulo mu / part,
     for `part` coprime to mu / part."""
     rest = mu // part
-    s, _t = _poly_bezout(rest, part)
-    return _eval_poly_in_algebra(E, (rest * s) % mu, x, e)
+    return _eval_poly_in_algebra(E, rest * rest.inv_mod(part) % mu, x, e)
 
 
 def lift_idempotent(E: OrdAlgebra, x) -> list:

@@ -1,5 +1,8 @@
 """Univariate polynomials over exact fields, with complete factorization.
 
+`Poly`'s product, division and modular inverse run on `fields`'s
+coefficient-list kernel, over the field's coefficient tuples.
+
 Factorization first splits f into squarefree parts by one gcd loop that
 serves every field; its p-th-root step runs only where a derivative
 vanishes, which in characteristic 0 never happens.  The parts come out
@@ -23,8 +26,8 @@ from itertools import combinations
 from math import isqrt
 from operator import add, mul, sub
 
-from .fields import (Field, FieldMismatch, Scalar, _b_divmod, _b_inv_mod,
-                     _b_mul, _b_trim, is_prime)
+from .fields import (Field, FieldError, FieldMismatch, Scalar, _b_divmod,
+                     _b_inv_mod, _b_mul, _b_trim, is_prime)
 from .linalg import Matrix
 
 _CZ_SEED = 0x5EED
@@ -106,38 +109,18 @@ class Poly:
         if isinstance(other, Scalar):
             return Poly(self.field, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y.is_zero():
-                    continue
-                out[i + j] = out[i + j] + x * y
-        return Poly(self.field, out)
+        F = self.field
+        return _wrap(F, _b_mul(_cs(self), _cs(other), F._add, F._mul,
+                               F._zero_c))
 
     def __divmod__(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = self.degree, other.degree
-        if dn < dd:
-            return Poly.zero(self.field), self
-        z = self.field.zero()
-        q = [z] * (dn - dd + 1)
-        inv_lc = other.lc().inv()
-        for i in range(dn - dd, -1, -1):
-            c = rem[i + dd] * inv_lc
-            if c.is_zero():
-                continue
-            q[i] = c
-            for j, d in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - c * d
-        return Poly(self.field, q), Poly(self.field, rem[:dd])
+        F = self.field
+        q, r = _b_divmod(_cs(self), _cs(other), F._sub, F._mul, F._inv,
+                         F._zero_c, F._one.c)
+        return _wrap(F, q), _wrap(F, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -145,16 +128,25 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def mul_mod(self, other, modulus) -> "Poly":
-        return (self * other) % modulus
+    def inv_mod(self, modulus) -> "Poly":
+        """The inverse of self modulo `modulus`, of degree below its;
+        PolynomialError if the two are not coprime."""
+        self._check(modulus)
+        F = self.field
+        try:
+            s = _b_inv_mod(_cs(self), _cs(modulus), F._sub, F._mul, F._inv,
+                           F._zero_c, F._one.c)
+        except FieldError as exc:
+            raise PolynomialError("polynomials are not coprime") from exc
+        return _wrap(F, s)
 
     def pow_mod(self, n: int, modulus) -> "Poly":
         result = Poly.one(self.field)
         base = self % modulus
         while n:
             if n & 1:
-                result = result.mul_mod(base, modulus)
-            base = base.mul_mod(base, modulus)
+                result = (result * base) % modulus
+            base = (base * base) % modulus
             n >>= 1
         return result
 
@@ -198,6 +190,15 @@ class Poly:
 
     def sort_key(self):
         return (self.degree, [s.c for s in self.coeffs])
+
+
+def _cs(f: Poly) -> list:
+    """f's coefficient tuples, the lists `fields`'s kernel works on."""
+    return [c.c for c in f.coeffs]
+
+
+def _wrap(field: Field, cs) -> Poly:
+    return Poly(field, [Scalar(field, c) for c in cs])
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -312,7 +313,7 @@ def _equal_degree_split(f: Poly, d: int) -> list:
             t = u % f
             for _ in range(d * field.deg):
                 w = (w + t) % f
-                t = t.mul_mod(t, f)
+                t = (t * t) % f
             g = gcd(w, f)
         else:
             w = u.pow_mod((q ** d - 1) // 2, f)
@@ -366,23 +367,6 @@ def _hensel_lift(f, modular, p, m):
                 u[j] += pk * x
         pk *= p
     return lifted
-
-
-def _poly_bezout(a: Poly, b: Poly):
-    """s, t with s*a + t*b = 1 for coprime a, b over a field."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
-        raise PolynomialError("polynomials are not coprime")
-    c = r0.coeffs[0].inv()
-    return s0 * c, t0 * c
 
 
 def _sym(x, m):

@@ -1,5 +1,12 @@
-"""References for `poly`: Yun's squarefree decomposition and the quadratic
-Hensel lifting tree.
+"""References for `poly`: `Poly`'s product, division and Bezout pair on
+`Scalar`s, Yun's squarefree decomposition and the quadratic Hensel
+lifting tree.
+
+The product, the division and the Bezout pair are the references for
+`Poly.__mul__`, `Poly.__divmod__` and `Poly.inv_mod`, which run on
+`fields`'s coefficient-list kernel.  They loop over `Scalar`s instead,
+and the Bezout pair runs its extended Euclid on this product and
+division, keeping both cofactors.
 
 Yun's algorithm is the characteristic-0 reference for
 `poly.squarefree_decomposition`.
@@ -21,7 +28,59 @@ lifted to the same modulus.
 """
 
 from tensorcat.fields import Field
-from tensorcat.poly import Poly, _poly_bezout, gcd
+from tensorcat.poly import Poly, PolynomialError, gcd
+
+
+def mul_reference(a: Poly, b: Poly) -> Poly:
+    """a * b, a Scalar product at a time."""
+    if a.is_zero() or b.is_zero():
+        return Poly.zero(a.field)
+    z = a.field.zero()
+    out = [z] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y.is_zero():
+                continue
+            out[i + j] = out[i + j] + x * y
+    return Poly(a.field, out)
+
+
+def divmod_reference(a: Poly, b: Poly):
+    """divmod(a, b) for b nonzero, a Scalar product at a time."""
+    rem = list(a.coeffs)
+    dn, dd = a.degree, b.degree
+    if dn < dd:
+        return Poly.zero(a.field), a
+    z = a.field.zero()
+    q = [z] * (dn - dd + 1)
+    inv_lc = b.lc().inv()
+    for i in range(dn - dd, -1, -1):
+        c = rem[i + dd] * inv_lc
+        if c.is_zero():
+            continue
+        q[i] = c
+        for j, d in enumerate(b.coeffs):
+            rem[i + j] = rem[i + j] - c * d
+    return Poly(a.field, q), Poly(a.field, rem[:dd])
+
+
+def bezout_reference(a: Poly, b: Poly):
+    """s, t with s*a + t*b = 1 for coprime a, b over a field."""
+    f = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(f), Poly.zero(f)
+    t0, t1 = Poly.zero(f), Poly.one(f)
+    while not r1.is_zero():
+        q, r = divmod_reference(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - mul_reference(q, s1)
+        t0, t1 = t1, t0 - mul_reference(q, t1)
+    if r0.degree != 0:
+        raise PolynomialError("polynomials are not coprime")
+    c = r0.coeffs[0].inv()
+    return s0 * c, t0 * c
 
 
 def yun_squarefree_reference(f: Poly) -> list:
@@ -131,7 +190,7 @@ def quadratic_hensel_reference(f_ints, factors_mod_p, p, m, fp: Field):
     for u in hs:
         hp = hp * u
     # Bezout over F_p
-    s, t = _poly_bezout(gp, hp)
+    s, t = bezout_reference(gp, hp)
     to_int = lambda poly: [c.c[0] for c in poly.coeffs]
     g_l, h_l = _hensel_pair(f_ints, to_int(gp), to_int(hp),
                             to_int(s), to_int(t), p, m)

@@ -554,6 +554,40 @@ def test_decimal_rendering_gives_way_to_the_exact_value():
         "(~ -4.24264 or 4.24264, approximate)")
 
 
+def test_decimal_rendering_lists_every_real_embedding():
+    from fractions import Fraction
+    from tensorcat.cli import _approximate
+    from tensorcat.fields import Field
+    # a root past 64, a pair past 64 in absolute value, two roots 0.006
+    # apart, and roots 10^24 apart in size: each is isolated and refined
+    # exactly, to a precision relative to its own size
+    cases = [([301, -203, Fraction(-199, 2), 1],
+              ["-2.97008", "0.998746", "101.471"]),
+             ([-5000, 0, 1], ["-70.7107", "70.7107"]),
+             ([Fraction(35999, 100000), Fraction(-6, 5), 1],
+              ["0.596838", "0.603162"]),
+             ([-1, -10 ** 12, 1], ["-1e-12", "1e+12"]),
+             ([-1, -1, 1], ["-0.618034", "1.61803"])]
+    for minpoly, roots in cases:
+        assert _approximate(Field(0, minpoly).gen()).split(" or ") == roots
+    # Q(i) has no real embedding; Q has one, F_p none
+    assert _approximate(Field(0, [1, 0, 1]).gen()) is None
+    assert _approximate(Field(0).scalar(Fraction(-1, 3))) == "-0.333333"
+    assert _approximate(Field(5).scalar(2)) is None
+
+
+def test_cli_global_dim_text_renders_both_embeddings(tmp_path, capsys):
+    lines = {"ising": "global dimension: 4 (~ 4 or 4, approximate)",
+             "fibonacci": "global dimension: 2 + phi "
+                          "(~ 1.38197 or 3.61803, approximate)"}
+    for name, line in lines.items():
+        cat_p = str(tmp_path / f"{name}.json")
+        run_cli(capsys, "catalog", "emit", name, "--out", cat_p)
+        rc, out, _ = run_cli(capsys, "global-dim", cat_p)
+        assert rc == 0
+        assert out.splitlines()[0] == line
+
+
 def test_cli_rejects_non_integer_budget(capsys, monkeypatch):
     monkeypatch.setenv("TENSORCAT_BUDGET", "abc")
     for argv in (("schema",), ("analyze", "c.json", "a.json")):

@@ -29,7 +29,6 @@ ALLOWED = {
     "_Parser.error": "argparse calls this hook on a usage error",
     "module_to_json": "writes the module file format the README documents",
     "module_from_json": "reads the module file format the README documents",
-    "Poly.eval": "evaluation, the reference tests check `compose` against",
     "Matrix.scale": "public arithmetic beside `+`, `-` and negation; the "
                     "package's own sums call `Matrix.combine`",
     "Mor.scale": "public arithmetic beside `+`, `-` and negation; the "

@@ -8,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from norm_oracle import norm_by_resultants
-from poly_oracle import quadratic_hensel_reference, yun_squarefree_reference
-from tensorcat.fields import Field, _b_mul, is_prime
-from tensorcat.poly import (DegreeTooLarge, Poly, _factor_ff_squarefree,
-                            _hensel_lift, _norm_poly, factor, gcd,
-                            is_irreducible, squarefree_decomposition)
+from poly_oracle import (bezout_reference, divmod_reference, mul_reference,
+                         quadratic_hensel_reference, yun_squarefree_reference)
+from tensorcat.fields import Field, FieldError, _b_mul, is_prime
+from tensorcat.poly import (DegreeTooLarge, Poly, PolynomialError,
+                            _factor_ff_squarefree, _hensel_lift, _norm_poly,
+                            factor, gcd, is_irreducible,
+                            squarefree_decomposition)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -261,6 +263,67 @@ def test_squarefree_decomposition_matches_yun_and_sympy(name, data):
     if K.minpoly is None:
         sympy = pytest.importorskip("sympy")
         assert set(parts) == _sympy_squarefree(sympy, f)
+
+
+KERNEL_FIELDS = {
+    "Q": Q,
+    "F_2": F2,
+    "F_5": Field.prime(5),
+    "F_4": Field.extension(2, [1, 1, 1]),
+    "F_9": Field.extension(3, [1, 0, 1]),
+    "Q(phi)": Field.extension(0, [-1, -1, 1]),
+    "Q(sqrt2)": Field.extension(0, [-2, 0, 1]),
+}
+
+
+def _polys(K, max_degree, min_degree=-1):
+    base = st.integers(-3, 3)
+    if K.char == 0:
+        base = st.builds(Fraction, base, st.integers(1, 3))
+    coeff = st.lists(base, min_size=K.deg, max_size=K.deg).map(K.scalar)
+    return st.lists(coeff, max_size=max_degree + 1).map(
+        lambda cs: Poly(K, cs)).filter(lambda f: f.degree >= min_degree)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_poly_arithmetic_matches_the_scalar_references(name, data):
+    # the product, division and modular inverse run on `fields`'s
+    # coefficient-list kernel; the references loop over Scalars
+    K = KERNEL_FIELDS[name]
+    a = data.draw(_polys(K, 6))
+    b = data.draw(_polys(K, 4, min_degree=0))
+    assert a * b == mul_reference(a, b)
+    assert divmod(a, b) == divmod_reference(a, b)
+    if b.degree >= 1 and gcd(a, b) == Poly.one(K):
+        inv = a.inv_mod(b)
+        s, _t = bezout_reference(a, b)
+        assert inv == divmod_reference(s, b)[1]
+        assert inv.degree < b.degree
+        assert a * inv % b == Poly.one(K)
+
+
+@pytest.mark.parametrize("name", ["F_5", "Q(phi)"])
+def test_inv_mod_refuses_polynomials_that_are_not_coprime(name):
+    K = KERNEL_FIELDS[name]
+    root = K.gen() if K.minpoly else K.scalar(2)
+    g = Poly(K, [-root, K.one()])
+    for a, b in ((g * P(K, 1, 1), g * P(K, 3, 0, 1)), (g * g, g),
+                 (Poly.zero(K), g), (P(K, 1, 1), Poly.zero(K))):
+        with pytest.raises(PolynomialError) as info:
+            a.inv_mod(b)
+        # the CLI reads a FieldError as input at fault
+        assert not isinstance(info.value, FieldError)
+
+
+@pytest.mark.parametrize("name", ["F_5", "Q(phi)"])
+def test_inv_mod_reduces_a_of_any_degree(name):
+    K = KERNEL_FIELDS[name]
+    # t^3 + 2 = 1 modulo t + 1
+    assert P(K, 2, 0, 0, 1).inv_mod(P(K, 1, 1)) == Poly.one(K)
+    # t^3 = -t modulo t^2 + 1, whose inverse is t
+    assert P(K, 0, 0, 0, 1).inv_mod(P(K, 1, 0, 1)) == P(K, 0, 1)
 
 
 def test_eval_and_compose():
