@@ -105,24 +105,23 @@ def _approximate(scalar) -> str | None:
     """Decimal rendering under every real embedding of the field, in
     ascending order of the generator's image (`_real_roots`); for human
     readers only, the engine never touches floats.  None where a
-    coefficient of the scalar or the minpoly does not fit a float, a
-    value comes out non-finite or the field has no real embedding."""
+    coefficient of the scalar or a root does not fit a float, a value
+    comes out non-finite or the field has no real embedding."""
     field = scalar.field
     if field.char != 0:
         return None
     try:
         coeffs = [float(c) for c in scalar.c]
-        for c in field.minpoly or ():
-            float(c)
+        if field.minpoly is None:
+            return f"{coeffs[0]:.6g}"
+        roots = [float(r) for r in _real_roots(field.minpoly)]
     except OverflowError:
         return None
-    if field.minpoly is None:
-        return f"{coeffs[0]:.6g}"
     vals = []
-    for root in _real_roots(field.minpoly):
+    for x in roots:
         acc = 0.0
         for c in reversed(coeffs):
-            acc = acc * float(root) + c
+            acc = acc * x + c
         if not math.isfinite(acc):
             return None
         vals.append(f"{acc:.6g}")
@@ -242,7 +241,9 @@ def _cmd_analyze(args, out) -> int:
     paths = [(args.category, a) for a in args.algebras]
     if args.jobs > 1 and len(paths) > 1:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a forked pool starts every worker at the first submit
+        with cf.ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(paths))) as pool:
             cats, algs = zip(*paths)
             reports = list(pool.map(_analyze_one, cats, algs))
     else:

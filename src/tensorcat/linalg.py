@@ -3,9 +3,9 @@
 How a `Matrix` stores its entries is private to this module: each row is
 a dict from column to Scalar that holds the nonzero entries only, in no
 particular order, so no stored entry is zero.  Other modules build
-matrices with `Matrix(field, rows)`, `zeros`, `identity`, `from_cols`,
-`from_entries` and `placed`, and read them with `m[i, j]`, `row`, `col`,
-`row_nonzero`, `nonzero`, `trace` and `map`, besides the arithmetic and
+matrices with `Matrix(field, rows)`, `zeros`, `identity`, `from_cols`
+and `from_entries`, and read them with `m[i, j]`, `row`, `col`,
+`row_nonzero`, `nonzero` and `map`, besides the arithmetic and
 elimination methods.  `@` walks the nonzeros of each row of the left
 factor into the rows of the right one, and `combine` accumulates a
 linear combination sum c_k M_k row by row; both work on coefficient
@@ -110,20 +110,6 @@ class Matrix:
                 del row[j]
         return Matrix._raw(field, rows, cols, nz)
 
-    def placed(self, rows: int, cols: int, r0: int, c0: int) -> "Matrix":
-        """The rows x cols matrix that holds this one with its corner at
-        (r0, c0), and zero elsewhere: the nonzero rows are copied with
-        their columns shifted, and nothing else is walked."""
-        if r0 < 0 or c0 < 0 or r0 + self.rows > rows \
-                or c0 + self.cols > cols:
-            raise LinAlgError(f"a {self.rows}x{self.cols} block at "
-                              f"({r0}, {c0}) outside a {rows}x{cols} matrix")
-        nz = [{} for _ in range(rows)]
-        for i, row in enumerate(self._nz):
-            if row:
-                nz[r0 + i] = {c0 + j: x for j, x in row.items()}
-        return Matrix._raw(self.field, rows, cols, nz)
-
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -150,12 +136,6 @@ class Matrix:
         for i in range(self.rows):
             for j, x in self.row_nonzero(i):
                 yield i, j, x
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise LinAlgError("trace of a non-square matrix")
-        return sum((row[i] for i, row in enumerate(self._nz) if i in row),
-                   self.field.zero())
 
     def map(self, fn, field: Field) -> "Matrix":
         """fn applied to every entry, such as a field embedding; the

@@ -9,11 +9,10 @@ Everything reduces to exact linear algebra, and each map the analysis
 reads is written from nonzeros through the fusion index tables, with no
 morphism composed over the large tensor products: A^L's action; the
 bimodule maps out of a free bimodule, read straight off the two actions
-of their target, with no fusion table of (A (x) y) (x) A; hom spaces
+of their target, with no fusion table of (A (x) y) (x) A; and hom spaces
 between modules, the kernels of intertwining systems assembled from the
-actions' nonzeros; and the block representation of an End algebra,
-each basis map's blocks placed.  The tests pin each one, matrix for
-matrix, to the composed construction it replaces.  Internal homs are
+actions' nonzeros.  The tests pin each one, matrix for matrix, to the
+composed construction it replaces.  Internal homs are
 the nullities of those systems through the adjunction
 Hom(a, [x, y]) = Hom_A(a (x) x, y) (Etingof, Gelaki, Nikshych and
 Ostrik, Tensor Categories, 7.9); and endomorphism algebras of
@@ -255,8 +254,8 @@ class EndData:
     """The algebra (+)_{i,j} Hom(P_j, P_i) under composition, for free
     (bi)modules P_j on simple objects a_j (their `generator`).
 
-    basis[k] = (i, j, Mor P_j -> P_i); `algebra` is the OrdAlgebra with a
-    faithful block representation.  `hom_fn(sources, dst)` gives the
+    basis[k] = (i, j, Mor P_j -> P_i); `algebra` is the OrdAlgebra of
+    their composition.  `hom_fn(sources, dst)` gives the
     block's basis of maps P_j -> dst for each P_j of `sources`, so a hom
     function can share work between the blocks of one destination.  Maps
     are read by restriction along the unit u_j: a_j -> P_j of each
@@ -293,10 +292,10 @@ class EndData:
       directly, where R = 1) are those of b_1 o b_2 itself.
 
     Hence `sc` holds the coordinates of composition, which is
-    associative; the unit is the coordinate vector of the identities,
-    each rebuilt from its coordinates and compared with the identity;
-    and `rep`, which sends each map to its own blocks, is faithful, as
-    the invertible R_ij make each block's basis linearly independent.
+    associative, and the unit is the coordinate vector of the
+    identities, each rebuilt from its coordinates and compared with the
+    identity.  `ordalg._radical_chain` argues why its radical is that of
+    the natural representation on the label components of the P_j.
     """
 
     def __init__(self, modules, hom_fn, field):
@@ -306,9 +305,6 @@ class EndData:
                                         "simple objects")
         self.modules = modules
         self.field = field
-        # the labels of the blocks of the natural representation
-        self.labels = list(dict.fromkeys(a for p in modules
-                                         for a in p.carrier.support))
         self._units = [p.unit_map() for p in modules]
         self.blocks = {}
         # (i, j) -> (R_ij, R_ij^-1), for each nonempty block whose
@@ -401,28 +397,7 @@ class EndData:
             coords = self._read(i, i, p.cat.id(p.carrier), self._units[i])
             for idx, c in zip(pos[(i, i)], coords):
                 unit[idx] = c
-        rep = self._natural_rep()
-        return OrdAlgebra(field, n, sc, unit, rep=rep, validate=False)
-
-    def _natural_rep(self):
-        """Block representation: each basis morphism as a matrix on the
-        label-components of the direct sum of the underlying objects.
-
-        A map P_j -> P_i fills, at each label a, the rows of P_i and the
-        columns of P_j: its block at a is `placed` there, and a label
-        where it has no block gets that label's one zero matrix."""
-        field = self.field
-        offsets = []
-        sizes = {a: 0 for a in self.labels}
-        for p in self.modules:
-            offsets.append({a: sizes[a] for a in self.labels})
-            for a in self.labels:
-                sizes[a] += p.carrier.mult(a)
-        zeros = {a: Matrix.zeros(field, n, n) for a, n in sizes.items()}
-        return [[m.blocks[a].placed(sizes[a], sizes[a], offsets[i][a],
-                                    offsets[j][a])
-                 if a in m.blocks else zeros[a] for a in self.labels]
-                for (i, j, m) in self.basis]
+        return OrdAlgebra(field, n, sc, unit, validate=False)
 
 
 def end_algebra(modules) -> EndData:

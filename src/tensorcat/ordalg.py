@@ -1,7 +1,7 @@
 """Finite-dimensional associative algebras over exact fields.
 
 Structure constants are stored sparsely.  The radical is computed from
-trace data of a faithful representation, by one Cohen-Ivanyos-Wales
+trace data of the left regular representation, by one Cohen-Ivanyos-Wales
 chain of characteristic-polynomial-coefficient conditions in every
 characteristic.  Its level 0 is the kernel of the trace form, which in
 characteristic zero is the radical (Dickson), so there the chain ends.
@@ -21,9 +21,10 @@ or with b_j b_l != 0 and a term b_m of it with b_i b_m != 0.  Any other
 triple has both sides zero, and most triples of a sparse End algebra are
 such.
 
-Algebras built from morphism spaces carry their natural block
-representation, which keeps characteristic polynomials small; abstract
-algebras fall back to the left regular representation.
+The left regular representation is read off the structure constants,
+one block per left ideal that a class of `OrdAlgebra._blocks` spans; on
+an End algebra the classes refine the left ideals E e_j of its free
+modules, which keeps characteristic polynomials small.
 
 Separability over the ground field, which decides the
 `endomorphism_separability` part of a report, is the solve for a
@@ -80,13 +81,13 @@ class OrdAlgebra:
     """Associative unital algebra by sparse structure constants.
 
     sc_pairs[i][j] is the list of (l, coeff) with b_i b_j = sum coeff*b_l.
-    `rep` is an optional faithful block representation: a list, per basis
-    element, of lists of square matrices (one per block).
+    The radical reads the left regular representation x -> L_x, L_x(b_k)
+    = x b_k, off these constants, one block per class of `_blocks`.
 
-    With `validate`, construction checks the representation's length, the
-    unit law at each basis element and associativity on every triple that
-    a nonzero structure constant reaches, and raises `OrdAlgebraError` at
-    the first failure, the first failing triple in lexicographic order.
+    With `validate`, construction checks the unit law at each basis
+    element and associativity on every triple that a nonzero structure
+    constant reaches, and raises `OrdAlgebraError` at the first failure,
+    the first failing triple in lexicographic order.
     The package's own builders pass `validate=False`, as their algebras
     are associative by construction: the End algebras of `modcat.EndData`
     (whose docstring gives the certificate; the tests run this check on
@@ -94,13 +95,12 @@ class OrdAlgebra:
     The default stays on for every other caller.
     """
 
-    def __init__(self, field: Field, dim: int, sc_pairs, unit, rep=None,
+    def __init__(self, field: Field, dim: int, sc_pairs, unit,
                  validate: bool = True):
         self.field = field
         self.dim = dim
         self.sc = sc_pairs
         self.unit = list(unit)
-        self.rep = rep
         if validate:
             self._validate()
 
@@ -122,11 +122,6 @@ class OrdAlgebra:
                     out[l] = out[l] + f * c
         return out
 
-    def left_mult_matrix(self, x) -> Matrix:
-        """L_x with columns L_x(b_j) = x * b_j."""
-        return Matrix.from_cols(self.field, [self.mult_vec(x, self.basis_vec(j))
-                                             for j in range(self.dim)])
-
     def basis_vec(self, i):
         v = [self.field.zero()] * self.dim
         v[i] = self.field.one()
@@ -142,8 +137,6 @@ class OrdAlgebra:
         return True
 
     def _validate(self):
-        if self.rep is not None and len(self.rep) != self.dim:
-            raise OrdAlgebraError("representation has wrong length")
         for i in range(self.dim):
             bi = self.basis_vec(i)
             if self.mult_vec(self.unit, bi) != bi or \
@@ -191,29 +184,50 @@ class OrdAlgebra:
                 j, l = min(bad)
                 raise OrdAlgebraError(f"associativity fails at ({i},{j},{l})")
 
-    # -- representation helpers ------------------------------------------------
-    def _rep_blocks_of_vec(self, x):
-        """Blocks of the faithful representation evaluated at x."""
-        if self.rep is None:
-            return [self.left_mult_matrix(x)]
-        return [Matrix.combine(x, mats) for mats in zip(*self.rep)]
+    # -- the left regular representation ---------------------------------------
+    @cached_property
+    def _blocks(self) -> list:
+        """The classes of the basis under k ~ l, for b_l a term of some
+        b_i b_k, each ascending and in the order of their least index.
+        Each class spans a left ideal, so every L_x is block diagonal on
+        them; a union-find over the nonzero structure constants."""
+        parent = list(range(self.dim))
 
-    def _rep_dim(self):
-        if self.rep is None:
-            return self.dim
-        return sum(m.rows for m in self.rep[0])
+        def root(k):
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+        for row in self.sc:
+            for k, pairs in enumerate(row):
+                for l, _c in pairs:
+                    a, b = root(k), root(l)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+        classes = {}
+        for k in range(self.dim):
+            classes.setdefault(root(k), []).append(k)
+        return list(classes.values())
+
+    def _rep_blocks_of_vec(self, x):
+        """L_x on each class of `_blocks`: entry (l, k) of a block, indexed
+        inside its class, is the coefficient of b_l in x b_k."""
+        where = {k: (c, r) for c, cls in enumerate(self._blocks)
+                 for r, k in enumerate(cls)}
+        entries = [[] for _ in self._blocks]
+        for i, xi in enumerate(x):
+            if xi.is_zero():
+                continue
+            for k, pairs in enumerate(self.sc[i]):
+                c, col = where[k]
+                entries[c] += [(where[l][1], col, xi * v) for l, v in pairs]
+        return [Matrix.from_entries(self.field, len(cls), len(cls), es)
+                for cls, es in zip(self._blocks, entries)]
 
     def _nat_traces(self):
-        out = []
-        for i in range(self.dim):
-            # a basis element's blocks are rep[i] itself: no need to scale
-            blocks = (self.rep[i] if self.rep is not None
-                      else self._rep_blocks_of_vec(self.basis_vec(i)))
-            t = self.field.zero()
-            for m in blocks:
-                t = t + m.trace()
-            out.append(t)
-        return out
+        """tr L_(b_i) = sum_k (the coefficient of b_k in b_i b_k)."""
+        return [sum((c for k, pairs in enumerate(row) for l, c in pairs
+                     if l == k), self.field.zero()) for row in self.sc]
 
     @cached_property
     def _radical(self) -> list:
@@ -352,7 +366,7 @@ def _form(E: OrdAlgebra, w) -> Matrix:
 
 
 def _trace_form_kernel(E: OrdAlgebra) -> list:
-    """Kernel of the trace form (x, y) -> tr(xy) of the natural
+    """Kernel of the trace form (x, y) -> tr(xy) of the left regular
     representation: the form of the functional w = the traces."""
     return _form(E, E._nat_traces()).kernel_basis()
 
@@ -360,10 +374,22 @@ def _trace_form_kernel(E: OrdAlgebra) -> list:
 def _radical_chain(E: OrdAlgebra) -> list:
     """Cohen-Ivanyos-Wales: the radical is the last of the spaces
     J_0 = ker(trace form) and J_l = {x in J_{l-1} : g_l(xy) = 0 for all
-    y in J_{l-1}}, taken while p^l <= n, the dimension of the faithful
-    representation rho; g_l(x) is the coefficient of lambda^(n - p^l) in
-    charpoly(rho(x)).  In characteristic 0 the chain ends at level 0: the
-    kernel of the trace form is the radical there (Dickson).
+    y in J_{l-1}}, taken while p^l <= n = dim E; g_l(x) is the
+    coefficient of lambda^(n - p^l) in charpoly(L_x), L_x the left
+    regular representation, faithful as E has a unit.  In characteristic
+    0 the chain ends at level 0: the kernel of the trace form is the
+    radical there (Dickson).
+
+    On an End algebra of `modcat.EndData` this is the chain of its
+    natural representation on the label components of the sum of the
+    P_j.  `free_module_end` and `bimodule_end_algebra` build one P_j per
+    label a_j, on a simple generator, and by the unit laws every label
+    of a carrier is a generator.  Restriction along the unit,
+    f -> f o u_j (`EndData`'s R_ij; Tensor Categories, 7.8), carries the
+    natural block at a_j onto L_x on the left ideal E e_j, a union of
+    classes of `_blocks`.  So the traces, every truncated characteristic
+    polynomial and n agree, and with them the trace form and every Gram
+    matrix below.
 
     By the lemma of Cohen, Ivanyos and Wales (Finding the radical of an
     algebra of linear transformations, JPAA 117-118, 1997), g_l is
@@ -378,11 +404,10 @@ def _radical_chain(E: OrdAlgebra) -> list:
     Gram matrix, times C, is J_l."""
     field = E.field
     p = field.char
-    n_rep = E._rep_dim()
     current = _trace_form_kernel(E)        # level 0
     level = 1
-    while p and current and p ** level <= n_rep:
-        # the coefficient of lambda^(n_rep - p^level), made linear
+    while p and current and p ** level <= E.dim:
+        # the coefficient of lambda^(n - p^level), made linear
         g = [_frob_inverse(_charpoly_of_blocks(E._rep_blocks_of_vec(z),
                                                p ** level)[0], level)
              for z in current]

@@ -312,7 +312,7 @@ def _equal_degree_split(f: Poly, d: int) -> list:
             w = Poly.zero(field)
             t = u % f
             for _ in range(d * field.deg):
-                w = (w + t) % f
+                w = w + t
                 t = (t * t) % f
             g = gcd(w, f)
         else:

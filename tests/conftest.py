@@ -3,10 +3,10 @@ import functools
 import pytest
 from hypothesis import settings
 
+from construction_oracle import natural_rep_reference, natural_traces
 from tensorcat.catalog import make_algebra, standard_entries
 from tensorcat.algebra import internal_end
 from tensorcat.fincat import Obj
-from tensorcat.linalg import Matrix
 from tensorcat.modcat import EndData
 from tensorcat.ordalg import OrdAlgebraError
 
@@ -15,20 +15,15 @@ settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 
 
-def check_end_algebra(E) -> None:
+def check_end_algebra(end, E) -> None:
     """The checks `EndData` leaves to its certificate: the unit law and
     associativity on every reachable triple (`OrdAlgebra._validate`), and
-    a faithful `rep`: the basis elements' block matrices, each flattened
-    into one row, have rank `dim`."""
+    the traces the radical reads off the structure constants equal to
+    those of the natural block representation of `end`."""
     E._validate()
-    width, entries = 0, []
-    for mats in zip(*E.rep):
-        for k, m in enumerate(mats):
-            entries += [(k, width + r * m.cols + c, x)
-                        for r, c, x in m.nonzero()]
-        width += mats[0].rows * mats[0].cols
-    if Matrix.from_entries(E.field, E.dim, width, entries).rank() != E.dim:
-        raise OrdAlgebraError("the block representation is not faithful")
+    if E._nat_traces() != natural_traces(E.field, natural_rep_reference(end)):
+        raise OrdAlgebraError("the traces are not the natural "
+                              "representation's")
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -41,7 +36,7 @@ def end_algebras_checked():
     @functools.wraps(build)
     def checked(self):
         E = build(self)
-        check_end_algebra(E)
+        check_end_algebra(self, E)
         return E
 
     EndData._build_algebra = checked

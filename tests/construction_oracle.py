@@ -45,11 +45,15 @@ nonzeros of m, m_left and m_right; `section_by_composition` and
 `section_system_by_composition` compose each column for its z.
 
 `module_dual_reference` composes the action of A^L through
-(c^v (x) c) (x) (c (x) c^v), `two_sided_action_reference` composes a
-bimodule's right o (left (x) 1) with a full `tensor_mor`, and
-`natural_rep_reference` builds an End algebra's block representation
-with one matrix of entries per basis map and label.  The package writes
-each from nonzeros instead.
+(c^v (x) c) (x) (c (x) c^v), and `two_sided_action_reference` composes
+a bimodule's right o (left (x) 1) with a full `tensor_mor`.  The
+package writes each from nonzeros instead.
+
+`natural_rep_reference` builds an End algebra's natural block
+representation, on the label components of the sum of its modules, with
+one matrix of entries per basis map and label.  The package reads the
+left regular representation off the structure constants instead, whose
+traces and characteristic polynomials are the natural one's.
 
 `module_is_simple_reference` decides simplicity of a module M the long
 way: it spins kernel vectors of singular actions for a proper
@@ -630,10 +634,12 @@ def simple_modules_reference(end: EndData) -> SimpleModulesResult:
         raise NotSemisimple("simple modules require a semisimple algebra")
     psum = direct_sum_modules(frees)[0]
     simples, mult_in_A, ends = [], [], []
+    labels, rep = natural_labels(end), natural_rep_reference(end)
     for z in central_idempotents(E):
         e = block_primitive_idempotent(E, z)
         e_sum = Mor(A.cat, psum.carrier, psum.carrier,
-                    dict(zip(end.labels, E._rep_blocks_of_vec(e))))
+                    {a: Matrix.combine(e, mats)
+                     for a, mats in zip(labels, zip(*rep))})
         sub = split_idempotent_module(psum, e_sum)
         simples.append(sub)
         ends.append(corner(E, e)[0])
@@ -726,26 +732,43 @@ def two_sided_action_reference(b) -> Mor:
         b.left_action, cat.id(b.algebra.carrier))
 
 
+def natural_labels(end: EndData) -> list:
+    """The labels of the blocks of the natural representation: those in
+    the support of some module's carrier, in order of first appearance."""
+    return list(dict.fromkeys(a for p in end.modules
+                              for a in p.carrier.support))
+
+
 def natural_rep_reference(end: EndData) -> list:
-    """The block representation of an End algebra, one
-    `Matrix.from_entries` per basis map and label."""
+    """The natural block representation of an End algebra: per basis map
+    P_j -> P_i, one `Matrix.from_entries` per label a, its block at a in
+    the rows of P_i and the columns of P_j of the label component of the
+    sum of the P's."""
     field = end.field
+    labels = natural_labels(end)
     offsets = []
-    sizes = {a: 0 for a in end.labels}
+    sizes = {a: 0 for a in labels}
     for p in end.modules:
-        offsets.append({a: sizes[a] for a in end.labels})
-        for a in end.labels:
+        offsets.append({a: sizes[a] for a in labels})
+        for a in labels:
             sizes[a] += p.carrier.mult(a)
     rep = []
     for (i, j, m) in end.basis:
         mats = []
-        for a in end.labels:
+        for a in labels:
             oi, oj = offsets[i][a], offsets[j][a]
             mats.append(Matrix.from_entries(
                 field, sizes[a], sizes[a],
                 [(oi + r, oj + c, x) for r, c, x in m.block(a).nonzero()]))
         rep.append(mats)
     return rep
+
+
+def natural_traces(field, rep) -> list:
+    """The trace of each basis element's matrices in the block
+    representation `rep`, read off their diagonals."""
+    return [sum((m[r, r] for m in mats for r in range(m.rows)),
+                field.zero()) for mats in rep]
 
 
 def quadratic_algebra(cat, b: int, c: int) -> AlgebraPres:

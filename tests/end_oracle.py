@@ -176,14 +176,12 @@ def product_bimodule_maps(src, dst) -> list:
 
 
 class KernelSolveEnd(EndData):
-    """(+)_{i,j} Hom(P_j, P_i) under composition, with the same basis,
-    block representation and `express` contract as `EndData`."""
+    """(+)_{i,j} Hom(P_j, P_i) under composition, with the same basis
+    and `express` contract as `EndData`."""
 
     def __init__(self, modules, hom_fn, field):
         self.modules = modules
         self.field = field
-        self.labels = list(dict.fromkeys(a for p in modules
-                                         for a in p.carrier.support))
         self.blocks = {(i, j): hs
                        for i, pi in enumerate(modules)
                        for j, hs in enumerate(hom_fn(modules, pi))}
@@ -234,8 +232,7 @@ class KernelSolveEnd(EndData):
             coords = self.express(i, i, p.cat.id(p.carrier))
             for idx, c in zip(pos.get((i, i), []), coords):
                 unit[idx] = c
-        return OrdAlgebra(field, n, sc, unit, rep=self._natural_rep(),
-                          validate=True)
+        return OrdAlgebra(field, n, sc, unit, validate=True)
 
 
 def associativity_reference(E) -> None:
@@ -290,11 +287,8 @@ def _dense_product(E, x, y) -> list:
 
 
 def validate_reference(E) -> None:
-    """The checks of `OrdAlgebra` construction, in its order: the
-    representation's length, the unit law at each basis element, then
-    associativity."""
-    if E.rep is not None and len(E.rep) != E.dim:
-        raise OrdAlgebraError("representation has wrong length")
+    """The checks of `OrdAlgebra` construction, in its order: the unit
+    law at each basis element, then associativity."""
     for i in range(E.dim):
         bi = E.basis_vec(i)
         if _dense_product(E, E.unit, bi) != bi or \

@@ -14,15 +14,21 @@ characteristic polynomial per pair, and so does not use the
 semilinearity of g_l that `ordalg._radical_chain` rests on.  Both start
 from level 0, the kernel of the trace form; in characteristic 0 that
 kernel is the radical (Dickson), and `_radical_chain` ends there.
+
+`radical_chain_on` is `_radical_chain` on a stored faithful block
+representation, as the package ran it on the natural representation of
+an End algebra before it read the left regular one off the structure
+constants.  Any faithful representation gives the radical.
 """
 
 from fractions import Fraction
 
+from construction_oracle import natural_traces
 from tensorcat.linalg import Matrix
 from tensorcat.ordalg import (UNDETERMINED, SeparatingElementNotFound,
                               _anticommutant, _bezout_idempotent,
                               _candidate_elements, _charpoly_of_blocks,
-                              _lin_comb, _quaternion_splits,
+                              _form, _lin_comb, _quaternion_splits,
                               _trace_form_kernel, center,
                               min_poly_of_element, radical)
 from tensorcat.poly import _frob_inverse, factor
@@ -30,7 +36,7 @@ from tensorcat.poly import _frob_inverse, factor
 
 def ciw_g(E, level, x):
     """g_l(x): the coefficient of lambda^(n - p^l) in the characteristic
-    polynomial of x in E's faithful representation of dimension n."""
+    polynomial of L_x, n = dim E."""
     return _charpoly_of_blocks(E._rep_blocks_of_vec(x),
                                E.field.char ** level)[0]
 
@@ -39,15 +45,14 @@ def cohen_ivanyos_wales_chain(E) -> list:
     """[J_0, J_1, ...] of a characteristic-p algebra, the radical last:
     J_0 is the kernel of the trace form, and J_l the x in J_{l-1} with
     g_l(xy) = 0 for every y in J_{l-1}, read through the inverse
-    Frobenius, while p^l is at most the representation's dimension.
+    Frobenius, while p^l is at most dim E.
     rho(xy) and rho(yx) have one characteristic polynomial, so each
     level's Gram matrix is symmetric and its entries on and above the
     diagonal are computed, each from the product of its pair."""
     p, field = E.field.char, E.field
-    n_rep = E._rep_dim()
     chain = [_trace_form_kernel(E)]
     level = 1
-    while chain[-1] and p ** level <= n_rep:
+    while chain[-1] and p ** level <= E.dim:
         current = chain[-1]
         size = len(current)
         rows = [[None] * size for _ in range(size)]
@@ -59,6 +64,32 @@ def cohen_ivanyos_wales_chain(E) -> list:
                       for coords in Matrix(field, rows).kernel_basis()])
         level += 1
     return chain
+
+
+def radical_chain_on(E, rep) -> list:
+    """The radical of E by the chain of `ordalg._radical_chain`, read on
+    the faithful block representation `rep`: per basis element of E, one
+    square matrix per block.  n is the representation's dimension, the
+    traces and each rho(x) are read from `rep`."""
+    field = E.field
+    p = field.char
+    n_rep = sum(m.rows for m in rep[0])
+    current = _form(E, natural_traces(field, rep)).kernel_basis()  # level 0
+    level = 1
+    while p and current and p ** level <= n_rep:
+        # the coefficient of lambda^(n_rep - p^level), made linear
+        g = [_frob_inverse(_charpoly_of_blocks(
+            [Matrix.combine(z, mats) for mats in zip(*rep)],
+            p ** level)[0], level) for z in current]
+        rows = Matrix(field, current)
+        gram = rows @ _form(E, rows.solve(g)) @ rows.transpose()
+        kernel = gram.kernel_basis()
+        if not kernel:
+            return []
+        basis = Matrix(field, kernel) @ rows
+        current = [basis.row(i) for i in range(basis.rows)]
+        level += 1
+    return current
 
 
 def radical_charp_pairwise(E) -> list:

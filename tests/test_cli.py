@@ -431,6 +431,43 @@ def test_cli_jobs_parallel(tmp_path, capsys):
     assert out_seq == out_par
 
 
+def test_cli_jobs_starts_no_more_workers_than_inputs(tmp_path, capsys,
+                                                     monkeypatch):
+    # a forked pool starts all max_workers processes at the first submit;
+    # a fake executor records the request and runs the analyses in turn,
+    # so no process is started whatever --jobs asks for
+    import concurrent.futures as cf
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", Recorder)
+    cat_p = str(tmp_path / "c.json")
+    a1 = str(tmp_path / "a1.json")
+    a2 = str(tmp_path / "a2.json")
+    run_cli(capsys, "catalog", "emit", "z2", "--out", cat_p)
+    run_cli(capsys, "catalog", "emit", "z2/trivial", "--out", a1)
+    run_cli(capsys, "catalog", "emit", "z2/regular", "--out", a2)
+    _, out_seq, _ = run_cli(capsys, "analyze", cat_p, a1, a2)
+    for jobs, workers in (("2", 2), ("3", 2), ("100000", 2)):
+        rc, out, err = run_cli(capsys, "analyze", cat_p, a1, a2,
+                               "--jobs", jobs)
+        assert (rc, out, err) == (0, out_seq, "")
+        assert asked.pop() == workers
+    assert asked == []
+
+
 def test_cli_twisted_regular_obstruction(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "catalog", "emit", "z2_twisted/regular",
                          "--out", str(tmp_path / "x.json"))
@@ -527,7 +564,8 @@ def test_cli_exit_2_when_the_rational_degree_cap_is_met(tmp_path, capsys):
 def test_cli_global_dim_text_with_coefficients_past_a_float(tmp_path,
                                                              capsys):
     # Q(a) with a^2 = 10^400 + 1: the minimal polynomial does not fit a
-    # float, so the text report gives the exact value alone
+    # float, but its real roots are isolated exactly, so the value is
+    # rendered under both embeddings, as in ising
     from tensorcat.fields import Field
     field = Field(0, [-(10 ** 400 + 1), 0, 1])
     cat_p = str(tmp_path / "c.json")
@@ -536,8 +574,20 @@ def test_cli_global_dim_text_with_coefficients_past_a_float(tmp_path,
             make_category("vec", {"field": field}))))
     rc, out, err = run_cli(capsys, "global-dim", cat_p)
     assert (rc, err) == (0, "")
-    assert out.splitlines() == ["global dimension: 1",
-                                "center semisimple: True"]
+    assert out.splitlines() == [
+        "global dimension: 1 (~ 1 or 1, approximate)",
+        "center semisimple: True"]
+
+
+def test_a_generator_past_a_float_squared_is_rendered_at_each_root():
+    from tensorcat.cli import _approximate, _render_scalar
+    from tensorcat.fields import Field
+    a = Field(0, [-(10 ** 400 + 1), 0, 1]).gen()
+    assert _render_scalar(a) == "a (~ -1e+200 or 1e+200, approximate)"
+    # roots of size 10^350 do not fit a float: the exact value alone
+    b = Field(0, [-(10 ** 700 + 1), 0, 1]).gen()
+    assert _approximate(b) is None
+    assert _render_scalar(b) == repr(b)
 
 
 def test_decimal_rendering_gives_way_to_the_exact_value():

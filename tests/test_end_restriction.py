@@ -212,8 +212,7 @@ def test_end_algebras_pass_the_full_associativity_loop(corpus):
             i, j = pairs[-1]
             sc = [[list(p) for p in row] for row in E.sc]
             sc[i][j] = sc[i][j][1:]
-            bad = OrdAlgebra(E.field, E.dim, sc, E.unit, rep=E.rep,
-                             validate=False)
+            bad = OrdAlgebra(E.field, E.dim, sc, E.unit, validate=False)
             expected = verdict(associativity_reference, bad)
             assert verdict(OrdAlgebra._validate, bad) == expected, name
             rejected += expected is not None

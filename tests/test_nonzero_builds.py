@@ -1,5 +1,6 @@
-"""Four constructions written from nonzeros, each equal to its composed
-reference.
+"""Three constructions written from nonzeros, each equal to its composed
+reference, and the left regular representation read off the structure
+constants, equivalent to the natural one it replaces.
 
 * `structure._section_system` writes the section system from the
   nonzeros of m, m_left and m_right; `section_system_by_composition`
@@ -14,11 +15,18 @@ reference.
   `end_oracle.two_step_free_bimodule_maps` writes the two-sided action
   over (A y) A first (`end_oracle.two_sided_action`, itself equal to the
   composed `two_sided_action_reference`) and reads the maps off it.
-* `EndData._natural_rep` places each basis map's blocks;
-  `natural_rep_reference` builds one matrix of entries per map and label.
+* `OrdAlgebra._rep_blocks_of_vec` reads L_x off the structure constants
+  of an End algebra, one block per class of `OrdAlgebra._blocks`;
+  `natural_rep_reference` builds the natural block representation, one
+  matrix of entries per map and label.  The radical reads the same data
+  from both: the traces (`OrdAlgebra._nat_traces`) are equal, dim E is
+  the sum of the natural blocks' sizes, and for drawn vectors x the
+  product of the natural blocks' characteristic polynomials is that of
+  the classes' blocks.
 
 Each pair is compared exactly, matrix for matrix and morphism for
-morphism, on every corpus pair and on drawn algebras: quadratic algebras
+morphism (the representations polynomial for polynomial), on both End
+algebras of every corpus pair and on drawn algebras: quadratic algebras
 over Q, F_2, F_3 and F_5, direct sums of two of them, and internal ends
 in Fibonacci and Ising.  The F-blocks that A^L reads are their own
 inverses in all of these, so internal ends in Z/3 with a cocycle of
@@ -26,11 +34,14 @@ order three, over F_7, check that A^L reads F^-1 where the chain has
 the inverse associator.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from construction_oracle import (direct_sum_algebra, module_dual_reference,
-                                 natural_rep_reference, quadratic_algebra,
+                                 natural_rep_reference, natural_traces,
+                                 quadratic_algebra,
                                  section_by_composition,
                                  section_system_by_composition,
                                  two_sided_action_reference)
@@ -39,15 +50,36 @@ from end_oracle import (product_bimodule_maps, two_sided_action,
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fields import Field
 from tensorcat.fincat import hom_dim
+from tensorcat.linalg import Matrix
 from tensorcat.modcat import (bimodule_end_algebra, free_bimodule,
                               free_bimodule_maps, free_module_end,
                               module_dual)
+from tensorcat.ordalg import _charpoly_of_blocks
 from tensorcat.structure import _section_system, is_separable
 
 
+def _check_representations(end, rng) -> None:
+    """The radical's data from the left regular representation of
+    end.algebra equal that from the natural representation: the traces,
+    the dimension, and the characteristic polynomial of three vectors."""
+    E, field = end.algebra, end.field
+    rep = natural_rep_reference(end)
+    assert E._nat_traces() == natural_traces(field, rep)
+    assert sorted(k for cls in E._blocks for k in cls) == list(range(E.dim))
+    if not E.dim:
+        return
+    assert E.dim == sum(m.rows for m in rep[0])
+    for x in (E.unit, [field.scalar(rng.randint(-2, 2)) for _ in rep],
+              [field.scalar(rng.randint(0, 1)) for _ in rep]):
+        natural = [Matrix.combine(x, mats) for mats in zip(*rep)]
+        assert _charpoly_of_blocks(E._rep_blocks_of_vec(x), E.dim) == \
+            _charpoly_of_blocks(natural, E.dim)
+
+
 def _check(A) -> int:
-    """Compare the four builds of A with their references; the number of
-    free bimodules compared."""
+    """Compare the three builds of A with their references, and the two
+    representations of both its End algebras; the number of free
+    bimodules compared."""
     cat, c = A.cat, A.carrier
     assert hom_dim(cat.unit_obj(), cat.tensor(c, c))
     assert _section_system(cat, A) == section_system_by_composition(cat, A)
@@ -63,8 +95,9 @@ def _check(A) -> int:
         assert maps == two_step_free_bimodule_maps(gens, b), b
         for src, ms in zip(gens, maps, strict=True):
             assert ms == product_bimodule_maps(src, b), (src, b)
+    rng = random.Random(len(gens))
     for end in (free_module_end(A), bimodule_end_algebra(A)):
-        assert end._natural_rep() == natural_rep_reference(end)
+        _check_representations(end, rng)
     return len(gens)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from operator import add, mul
 
@@ -202,6 +203,47 @@ def test_rational_factor_matches_sympy(data):
                     for h, e in sympy.factor_list(sp)[1])
     ours = sorted((tuple(Fraction(x.c[0]) for x in g.coeffs), e)
                   for g, e in factor(f))
+    assert ours == theirs
+
+
+_FF_FIELDS = {"F_2": F2, "F_3": F3, "F_5": Field.prime(5)}
+_IRREDUCIBLES = {}
+
+
+def _irreducibles(K, d) -> list:
+    """Every monic irreducible polynomial of degree d over the prime field
+    K, in the order of their coefficient tuples."""
+    if (K, d) not in _IRREDUCIBLES:
+        monics = (Poly(K, [K.scalar(c) for c in cs] + [K.one()])
+                  for cs in product(range(K.char), repeat=d))
+        _IRREDUCIBLES[(K, d)] = [g for g in monics if is_irreducible(g)]
+    return _IRREDUCIBLES[(K, d)]
+
+
+@pytest.mark.parametrize("name", sorted(_FF_FIELDS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_finite_field_factor_matches_sympy(name, data):
+    # a product of distinct monic irreducibles of one degree d is a single
+    # part of the distinct-degree factorization, so the equal-degree split
+    # must separate them: over F_2 through the trace map
+    sympy = pytest.importorskip("sympy")
+    K = _FF_FIELDS[name]
+    d = data.draw(st.sampled_from([
+        d for d in range(1, 5)
+        if K.char ** d <= 125 and len(_irreducibles(K, d)) >= 2]))
+    irr = _irreducibles(K, d)
+    picks = data.draw(st.lists(st.sampled_from(range(len(irr))), unique=True,
+                               min_size=2, max_size=min(3, len(irr))))
+    f = Poly(K, [K.scalar(data.draw(st.integers(1, K.char - 1)))])
+    for i in picks:
+        for _ in range(data.draw(st.integers(1, 2))):
+            f = f * irr[i]
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    _lc, fac = galoistools.gf_factor([c.c[0] for c in reversed(f.coeffs)],
+                                     K.char, sympy.ZZ)
+    theirs = sorted((tuple(int(x) for x in reversed(h)), e) for h, e in fac)
+    ours = sorted((tuple(x.c[0] for x in g.coeffs), e) for g, e in factor(f))
     assert ours == theirs
 
 

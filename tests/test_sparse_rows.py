@@ -146,8 +146,6 @@ def test_accessors_read_the_dense_entries(field, data):
     assert m.is_zero() == all(x.is_zero() for row in D for x in row)
     assert as_dense(m.transpose()) == [[D[i][j] for i in range(rows)]
                                        for j in range(cols)]
-    if rows == cols:
-        assert m.trace() == d_sum(field, (D[i][i] for i in range(rows)))
 
 
 @FIELDS
