@@ -2,8 +2,9 @@
 
 Every generated presentation passes validation at construction time.
 Cup/cap coefficients are not hard-coded: the generator sets the cup to
-one and solves the snake equations for the cap, so the shipped data is
-snake-exact by construction in whatever gauge the F tables use.
+one and the cap to the inverse of the first snake loop, one F entry per
+label (`CategoryPres._snake_loops`), so the shipped data is snake-exact
+by construction in whatever gauge the F tables use.
 
 The golden-ratio category ships in a pentagon-solved gauge with entries
 in Q(phi), phi^2 = phi + 1 (no square roots of phi); the square-root-of-2
@@ -36,17 +37,16 @@ ALGEBRA_NAMES = ("trivial", "regular_pointed", "internal_end",
 
 
 def _finish(field, labels, unit, dualR, fusion, F) -> CategoryPres:
-    """Solve cup/cap from the snake equations and validate."""
-    tmp = CategoryPres(field, labels, unit, dualR, fusion, F, {}, {})
+    """Set each cup to one and each cap to the inverse of the label's
+    first snake loop, then validate."""
+    cat = CategoryPres(field, labels, unit, dualR, fusion, F, {}, {})
     one = field.one()
-    cup, cap = {}, {}
     for a in labels:
-        s = tmp._snake1_scalar(a, one, one)
-        if s.is_zero():
+        loop = cat._snake_loops(a)[0]
+        if loop.is_zero():
             raise ValidationFailure(f"degenerate duality loop at {a!r}")
-        cup[a] = one
-        cap[a] = one / s
-    cat = CategoryPres(field, labels, unit, dualR, fusion, F, cup, cap)
+        cat.cup[a] = one
+        cat.cap[a] = one / loop
     cat.validation().raise_if_failed()
     return cat
 

@@ -331,7 +331,7 @@ def _cmd_base_extend(args, out) -> int:
 def _catalog_algebras(name: str, cat) -> dict:
     """Algebra constructors available for a catalog category."""
     out = {"trivial": lambda: make_algebra(cat, "trivial")}
-    if name.startswith(("z", "mmf")) and name != "mmf2":
+    if name.startswith("z"):
         n = len(cat.labels)
         out["regular"] = lambda: make_algebra(cat, "regular_pointed", {})
         for h in range(2, n):

@@ -29,18 +29,20 @@ Conventions (frozen; data files refer to them)
   (unit-normalized gauge) and may be omitted from data files.
 * cup[a] is the single coefficient of 1 -> a^R (x) a and cap[a] the
   coefficient of a (x) a^R -> 1; both snake equations must hold exactly.
-  The left-duality pair per label is derived by solving the snake
-  equations, normalized so the coevaluation coefficient is one.
+  Each snake is cup[a] * cap[a] times one F entry, its loop.  The
+  left-duality pair per label is derived from the loops of a^L,
+  normalized so the coevaluation coefficient is one.
 
 Structure maps
 --------------
 One routine of CategoryPres builds each family: `_associator` both
 associator directions, `_unitor` both unitors (their inverses are the
-transposes), `_pairing` every (co)evaluation and the per-label maps of
-the snake checks; `f_entry` reads one coefficient of an associator or
-its inverse, for the maps that `modcat` and `structure` write from the
-F-symbols instead of composing.  `hom_offsets` places each label's block
-in the `hom_coords` order that the hom solves write their systems in.
+transposes), `_pairing` every (co)evaluation; `f_entry` reads one
+coefficient of an associator or its inverse, for the maps that `modcat`
+and `structure` write from the F-symbols instead of composing, and for
+the two snake loops of a label (`_snake_loops`).  `hom_offsets` places
+each label's block in the `hom_coords` order that the hom solves write
+their systems in.
 
 What a presentation derives lives in one table, `_cache`, that only the
 `_cached` decorator reads and writes: one entry per call of `_channels`
@@ -50,9 +52,9 @@ and the product of two objects), `_associator`, `_f_data`, `_unit_of`,
 `_left_pair` and `validation`.  The last is the one coherence check of
 the presentation: whoever needs the pentagon to hold (the catalog, the
 CLI loaders, `structure.analyze`) reads its report, so
-`validate_category` runs once per category.  It reads the pentagon from
-F entries, one sum of products per pair of outer fusion paths, and
-composes no morphism of the n^4 quadruples.
+`validate_category` runs once per category.  It composes no morphism:
+it reads the pentagon from F entries, one sum of products per pair of
+outer fusion paths, and each snake from one F entry per label.
 """
 
 from functools import wraps
@@ -577,48 +579,30 @@ class CategoryPres:
         """Derived left-duality coefficients (u', v') for the label a.
 
         (u', v') solve both snake equations for the pair
-        u': 1 -> a (x) a^L, v': a^L (x) a -> 1, normalized u' = 1.
+        u': 1 -> a (x) a^L, v': a^L (x) a -> 1, normalized u' = 1; they
+        are the right duality of a^L, whose loops `_snake_loops` reads.
         """
-        al = self.dualR[a]
         one = self.field.one()
-        # the right duality of a^L: 1 -> a (x) a^L and a^L (x) a -> 1
-        s = self._snake1_scalar(al, one, one)
-        if s.is_zero():
+        loop1, loop2 = self._snake_loops(self.dualR[a])
+        if loop1.is_zero():
             raise SnakeUnsolvable(f"label {a!r}: degenerate cup/cap loop")
-        vfix = one / s
-        if self._snake2_scalar(al, one, vfix) != one:
+        vfix = one / loop1
+        if loop2 * vfix != one:
             raise SnakeUnsolvable(f"label {a!r}: snake equations inconsistent")
         return one, vfix
 
-    def _raw_pair(self, a, cup: Scalar, cap: Scalar):
-        """cup * (1 -> a^R (x) a) and cap * (a (x) a^R -> 1)."""
-        x = self.simple(a)
-        return (self._pairing(x, True, False, {a: cup}),
-                self._pairing(x, False, True, {a: cap}))
-
-    def _snake1_scalar(self, a, cup: Scalar, cap: Scalar) -> Scalar:
-        """Scalar of x -> x (x) (x^R (x) x) -> (x (x) x^R) (x) x -> x."""
-        x = self.simple(a)
-        xv = self.simple(self.dualR[a])
-        u, v = self._raw_pair(a, cup, cap)
-        comp = (self.unitor_left(x)
-                @ self.tensor_mor(v, self.id(x))
-                @ self.associator_inv(x, xv, x)
-                @ self.tensor_mor(self.id(x), u)
-                @ self.unitor_right_inv(x))
-        return comp.scalar()
-
-    def _snake2_scalar(self, a, cup: Scalar, cap: Scalar) -> Scalar:
-        """Scalar of x^R -> (x^R x) x^R -> x^R (x x^R) -> x^R."""
-        x = self.simple(a)
-        xv = self.simple(self.dualR[a])
-        u, v = self._raw_pair(a, cup, cap)
-        comp = (self.unitor_right(xv)
-                @ self.tensor_mor(self.id(xv), v)
-                @ self.associator(xv, x, xv)
-                @ self.tensor_mor(u, self.id(xv))
-                @ self.unitor_left_inv(xv))
-        return comp.scalar()
+    def _snake_loops(self, a) -> tuple:
+        """The two right snakes of the label a at cup = cap = 1.  Their
+        unitors and (co)evaluations have one nonzero entry each, so each
+        snake is one F entry, with l, r the left and right units of a:
+        x -> x (x) (x^R x) -> (x x^R) (x) x -> x is F^-1[a,a^R,a,a] from
+        (r,0,0) to (l,0,0), and x^R -> (x^R x) (x) x^R -> x^R (x) (x x^R)
+        -> x^R is F[a^R,a,a^R,a^R] from (r,0,0) to (l,0,0).  A snake with
+        cup and cap is cup * cap times its loop; a missing path reads 0."""
+        ar = self.dualR[a]
+        l, r = self.left_unit_of(a), self.right_unit_of(a)
+        return (self.f_entry(a, ar, a, a, (l, 0, 0), (r, 0, 0), True),
+                self.f_entry(ar, a, ar, ar, (r, 0, 0), (l, 0, 0), False))
 
     # compound (co)evaluations --------------------------------------------------
     def coev_left(self, X: Obj) -> Mor:
@@ -862,10 +846,12 @@ def _validate_snakes(cat, rep):
         if a not in cat.cup or a not in cat.cap:
             rep.fail(f"missing cup/cap coefficient for label {a!r}")
             return
-        if cat._snake1_scalar(a, cat.cup[a], cat.cap[a]) != one:
+        pair = cat.cup[a] * cat.cap[a]
+        loop1, loop2 = cat._snake_loops(a)
+        if pair * loop1 != one:
             rep.fail(f"right snake (1) fails at label {a!r}")
             return
-        if cat._snake2_scalar(a, cat.cup[a], cat.cap[a]) != one:
+        if pair * loop2 != one:
             rep.fail(f"right snake (2) fails at label {a!r}")
             return
         try:

@@ -11,9 +11,17 @@ the first quadruple that fails.
 `f_rows_reference` and `f_cols_reference` enumerate the paths of F
 [a,b,c,d] by scanning every label for each intermediate object, as the
 package did before it read the nonzero channels of each pair.
+
+`fincat._validate_snakes` and `CategoryPres._left_pair` read each snake
+as cup * cap times one F entry (`CategoryPres._snake_loops`).
+`snake1_scalar` and `snake2_scalar` compose the five maps of each snake
+as `Mor`s; `composed_left_pair` and `composed_snakes_reference` are the
+left pair and the snake check written on them, with the same arguments,
+checks and messages.
 """
 
 from tensorcat.fields import Field
+from tensorcat.fincat import SnakeUnsolvable
 from tensorcat.linalg import Matrix
 
 
@@ -37,6 +45,72 @@ def composed_pentagon_reference(cat, rep):
                     if lhs != rhs:
                         rep.fail(f"pentagon fails at ({a},{b},{c},{d})")
                         return
+
+
+def raw_pair(cat, a, cup, cap):
+    """cup * (1 -> a^R (x) a) and cap * (a (x) a^R -> 1)."""
+    x = cat.simple(a)
+    return (cat._pairing(x, True, False, {a: cup}),
+            cat._pairing(x, False, True, {a: cap}))
+
+
+def snake1_scalar(cat, a, cup, cap):
+    """Scalar of x -> x (x) (x^R (x) x) -> (x (x) x^R) (x) x -> x."""
+    x = cat.simple(a)
+    xv = cat.simple(cat.dualR[a])
+    u, v = raw_pair(cat, a, cup, cap)
+    comp = (cat.unitor_left(x)
+            @ cat.tensor_mor(v, cat.id(x))
+            @ cat.associator_inv(x, xv, x)
+            @ cat.tensor_mor(cat.id(x), u)
+            @ cat.unitor_right_inv(x))
+    return comp.scalar()
+
+
+def snake2_scalar(cat, a, cup, cap):
+    """Scalar of x^R -> (x^R x) x^R -> x^R (x x^R) -> x^R."""
+    x = cat.simple(a)
+    xv = cat.simple(cat.dualR[a])
+    u, v = raw_pair(cat, a, cup, cap)
+    comp = (cat.unitor_right(xv)
+            @ cat.tensor_mor(cat.id(xv), v)
+            @ cat.associator(xv, x, xv)
+            @ cat.tensor_mor(u, cat.id(xv))
+            @ cat.unitor_left_inv(xv))
+    return comp.scalar()
+
+
+def composed_left_pair(cat, a):
+    """(u', v') for the label a from the composed snakes of a^L."""
+    al = cat.dualR[a]
+    one = cat.field.one()
+    s = snake1_scalar(cat, al, one, one)
+    if s.is_zero():
+        raise SnakeUnsolvable(f"label {a!r}: degenerate cup/cap loop")
+    vfix = one / s
+    if snake2_scalar(cat, al, one, vfix) != one:
+        raise SnakeUnsolvable(f"label {a!r}: snake equations inconsistent")
+    return one, vfix
+
+
+def composed_snakes_reference(cat, rep):
+    one = cat.field.one()
+    for a in cat.labels:
+        rep.checks_run += 1
+        if a not in cat.cup or a not in cat.cap:
+            rep.fail(f"missing cup/cap coefficient for label {a!r}")
+            return
+        if snake1_scalar(cat, a, cat.cup[a], cat.cap[a]) != one:
+            rep.fail(f"right snake (1) fails at label {a!r}")
+            return
+        if snake2_scalar(cat, a, cat.cup[a], cat.cap[a]) != one:
+            rep.fail(f"right snake (2) fails at label {a!r}")
+            return
+        try:
+            composed_left_pair(cat, a)
+        except SnakeUnsolvable as exc:
+            rep.fail(str(exc))
+            return
 
 
 def f_rows_reference(cat, a, b, c, d) -> list:
@@ -151,3 +225,14 @@ def rep_a4():
                     F[(a, b, c, d)] = Matrix(field, sols)
     return _finish(field, labels, ["1"], {"1": "1", "w": "ww", "ww": "w",
                                           "x": "x"}, fusion, F)
+
+
+def z3_order_three():
+    """Z/3-graded lines over Q(w), w^2 + w + 1 = 0, with the 3-cocycle
+    omega(a, b, c) = w^(a (b + c - [b + c]) / 3), [k] = k mod 3, which has
+    order three."""
+    from tensorcat.catalog import make_category
+    field = Field.extension(0, [1, 1, 1], gen_name="w")
+    omega = {(a, b, c): field.gen() ** (a * (b + c - (b + c) % 3) // 3)
+             for a in (1, 2) for b in (1, 2) for c in (1, 2)}
+    return make_category("pointed", {"n": 3, "field": field, "omega": omega})

@@ -236,6 +236,27 @@ def test_cli_validates_a_large_prime_characteristic(tmp_path, capsys):
     assert rc == 0 and out.startswith("category: pass")
 
 
+def test_cli_catalog_list(capsys):
+    # the pointed entries list their regular algebra and its proper
+    # subgroups; mmf2 lists neither
+    rc, out, _ = run_cli(capsys, "catalog", "list")
+    assert rc == 0
+    assert out == (
+        "vec_q: algebras [end_1, group2, group3, trivial]\n"
+        "vec_f2: algebras [end_1, group2, group3, trivial]\n"
+        "vec_f3: algebras [end_1, group2, group3, trivial]\n"
+        "z2: algebras [end_g0, end_g1, regular, trivial]\n"
+        "z2_twisted: algebras [end_g0, end_g1, regular, trivial]\n"
+        "z3: algebras [end_g0, end_g1, end_g2, regular, trivial]\n"
+        "z4: algebras [end_g0, end_g1, end_g2, end_g3, regular, sub2, "
+        "trivial]\n"
+        "z2_f2: algebras [end_g0, end_g1, regular, trivial]\n"
+        "z3_f3: algebras [end_g0, end_g1, end_g2, regular, trivial]\n"
+        "fibonacci: algebras [end_1, end_t, trivial]\n"
+        "ising: algebras [end_1, end_psi, end_sig, trivial]\n"
+        "mmf2: algebras [end_e11, end_e12, end_e21, end_e22, trivial]\n")
+
+
 def test_cli_catalog_validate_analyze(tmp_path, capsys):
     cat_p = str(tmp_path / "c.json")
     alg_p = str(tmp_path / "a.json")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from construction_oracle import (coev_right, ev_right, fusion_basis_sorted,
                                  hom_unit_basis, reassoc)
+from pentagon_oracle import rep_a4, z3_order_three
 from tensorcat.catalog import make_category, standard_entries
 from tensorcat.fields import Field
 from tensorcat.fincat import (Mor, Obj, ValidationFailure, hom_coords, hom_dim,
@@ -342,10 +343,12 @@ def test_combination_rejects_other_hom_spaces(z2):
             op(f, g)
 
 
-def test_left_right_pair_proportionality(fib, z2):
+def test_left_right_pair_proportionality(cats):
     # (u', v') for a label solves the same snakes as the cup/cap of the
     # dual label, so the products agree
-    for cat in (fib, z2):
+    extra = (z3_order_three(), rep_a4(),
+             make_category("matrix_multifusion", {"n": 3}))
+    for cat in (*cats.values(), *extra):
         for a in cat.labels:
             al = cat.dualR[a]
             uc, vc = cat._left_pair(a)

@@ -1,11 +1,15 @@
 """Category validation reads F entries and composes no morphism.
 
-`_validate_pentagon` (with its helper `_pentagon_holds`) and
-`_validate_f_blocks` run once per quadruple of labels, n^4 times for n
-labels.  Composing associators there, as the check once did, cost about
-48 us a quadruple.  This test fails if any of them calls `associator`,
-`associator_inv`, `tensor_mor` or `id`, or composes with `@`; the
-composed pentagon lives in `tests/pentagon_oracle.py`.
+The whole of `validate_category` reads tables and F entries:
+`_validate_structure` and `_validate_f_blocks` the tables,
+`_validate_pentagon` (with `_pentagon_holds`, `_f_row` and `_sums`) the
+rows of F for each quadruple of labels, n^4 times for n labels, and
+`_validate_snakes` and `_left_pair` the two loops of each label through
+`_snake_loops` and `f_entry`.  Composing associators in the pentagon, as
+the check once did, cost about 48 us a quadruple.  This test fails if
+any of them calls `associator`, `associator_inv`, `tensor_mor` or `id`,
+or composes with `@`; the composed pentagon and snakes live in
+`tests/pentagon_oracle.py`.
 """
 
 import ast
@@ -13,7 +17,10 @@ from pathlib import Path
 
 FINCAT = (Path(__file__).resolve().parent.parent / "src" / "tensorcat"
           / "fincat.py")
-GUARDED = ("_validate_pentagon", "_pentagon_holds", "_validate_f_blocks")
+GUARDED = ("validate_category", "_validate_structure", "_validate_f_blocks",
+           "_validate_pentagon", "_pentagon_holds", "_f_row", "_sums",
+           "_validate_snakes", "_snake_loops", "_left_pair", "f_entry",
+           "_f_data")
 COMPOSING = {"associator", "associator_inv", "tensor_mor", "id"}
 
 
