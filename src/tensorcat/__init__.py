@@ -16,9 +16,9 @@ from .fincat import (CategoryPres, Mor, Obj, SnakeUnsolvable,
                      validate_category)
 from .linalg import LinAlgError, Matrix, SingularMatrix
 from .modcat import (BimodulePres, ModulePres, algebra_as_module,
-                     bimodule_end_algebra, end_algebra, free_bimodule,
-                     free_module, free_module_end, hom_basis, internal_hom,
-                     module_dual, simple_modules, validate_module)
+                     bimodule_end_algebra, free_bimodule, free_module,
+                     free_module_end, hom_basis, internal_hom, module_dual,
+                     simple_modules, validate_module)
 from .ordalg import (OrdAlgebra, UNDETERMINED, central_idempotents,
                      center, is_division, is_semisimple,
                      is_separable_over_k, module_is_simple, radical)

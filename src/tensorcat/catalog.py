@@ -30,8 +30,6 @@ class CocycleObstruction(ValidationFailure):
     """A twisted subgroup algebra is obstructed by the cocycle."""
 
 
-CATEGORY_NAMES = ("vec", "pointed", "fibonacci", "ising", "graded_char_p",
-                  "matrix_multifusion")
 ALGEBRA_NAMES = ("trivial", "regular_pointed", "internal_end",
                  "ordinary_group_algebra")
 
@@ -213,6 +211,31 @@ def make_category(name: str, params: dict | None = None) -> CategoryPres:
 # ---------------------------------------------------------------------------
 # algebras
 
+def _cyclic_group_algebra(cat: CategoryPres, carrier: Obj,
+                          elements) -> AlgebraPres:
+    """The group algebra of Z/h on `carrier`, g_i g_j = g_(i+j mod h) with
+    unit g_0, for g_i at the position (label, index) elements[i] of the
+    carrier; not yet validated."""
+    field = cat.field
+    one = field.one()
+    sq = cat.tensor(carrier, carrier)
+    idxmap = cat.fusion_index(carrier, carrier)
+    h = len(elements)
+    entries = {a: [] for a, _r in elements}
+    for i, (a, r) in enumerate(elements):
+        for j, (b, s) in enumerate(elements):
+            c, t = elements[(i + j) % h]
+            entries[c].append((t, idxmap[c][(a, r, b, s, 0)], one))
+    mult = Mor(cat, sq, carrier,
+               {c: Matrix.from_entries(field, carrier.mult(c), sq.mult(c), es)
+                for c, es in entries.items()})
+    u, k = elements[0]
+    unit = Mor(cat, cat.unit_obj(), carrier,
+               {u: Matrix.from_entries(field, carrier.mult(u), 1,
+                                       [(k, 0, one)])})
+    return AlgebraPres(cat, carrier, mult, unit)
+
+
 def make_regular_pointed(cat: CategoryPres, params) -> AlgebraPres:
     """Group algebra of a subgroup H of Z/n inside the pointed category.
 
@@ -225,23 +248,8 @@ def make_regular_pointed(cat: CategoryPres, params) -> AlgebraPres:
         raise UnknownEntry(f"subgroup order {h} does not divide {n}")
     step = n // h
     members = [cat.labels[(step * i) % n] for i in range(h)]
-    carrier = Obj(cat, {g: 1 for g in members})
-    sq = cat.tensor(carrier, carrier)
-    idxmap = cat.fusion_index(carrier, carrier)
-    field = cat.field
-    one = field.one()
-    entries = {g: [] for g in members}
-    for ga in members:
-        for gb in members:
-            ia, ib = cat.idx[ga], cat.idx[gb]
-            gc = cat.labels[(ia + ib) % n]
-            entries[gc].append((0, idxmap[gc][(ga, 0, gb, 0, 0)], one))
-    mult = Mor(cat, sq, carrier,
-               {g: Matrix.from_entries(field, 1, sq.mult(g), es)
-                for g, es in entries.items()})
-    ub = Matrix(field, [[one]])
-    unit = Mor(cat, cat.unit_obj(), carrier, {cat.labels[0]: ub})
-    A = AlgebraPres(cat, carrier, mult, unit)
+    A = _cyclic_group_algebra(cat, Obj(cat, {g: 1 for g in members}),
+                              [(g, 0) for g in members])
     rep = A.validation
     if not rep.ok:
         raise CocycleObstruction(
@@ -255,18 +263,8 @@ def make_ordinary_group_algebra(cat: CategoryPres, params) -> AlgebraPres:
     n = int(params["n"])
     if cat.labels != ("1",):
         raise UnknownEntry("ordinary_group_algebra lives in vec")
-    field = cat.field
-    carrier = Obj(cat, {"1": n})
-    sq = cat.tensor(carrier, carrier)
-    idxmap = cat.fusion_index(carrier, carrier)
-    one = field.one()
-    m = Matrix.from_entries(field, n, sq.mult("1"),
-                            [((i + j) % n, idxmap["1"][("1", i, "1", j, 0)],
-                              one) for i in range(n) for j in range(n)])
-    mult = Mor(cat, sq, carrier, {"1": m})
-    ub = Matrix.from_entries(field, n, 1, [(0, 0, one)])
-    unit = Mor(cat, cat.unit_obj(), carrier, {"1": ub})
-    A = AlgebraPres(cat, carrier, mult, unit)
+    A = _cyclic_group_algebra(cat, Obj(cat, {"1": n}),
+                              [("1", i) for i in range(n)])
     A.validation.raise_if_failed()
     return A
 

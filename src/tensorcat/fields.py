@@ -505,11 +505,6 @@ class Embedding:
             acc = acc * self.gen_image + self.dst.scalar(c)
         return acc
 
-    @staticmethod
-    def identity(field: Field) -> "Embedding":
-        gen = field.gen() if field.minpoly is not None else None
-        return Embedding(field, field, gen)
-
 
 def embed(x: Scalar, src: Field, dst: Field, image_of_generator=None) -> Scalar:
     """Ring-homomorphic image of x under the embedding src -> dst."""

@@ -400,15 +400,6 @@ class EndData:
         return OrdAlgebra(field, n, sc, unit, validate=False)
 
 
-def end_algebra(modules) -> EndData:
-    """Endomorphism data of a list of free right modules over one algebra,
-    each on a simple object."""
-    if not modules:
-        raise ValidationFailure("need at least one module")
-    field = modules[0].cat.field
-    return EndData(list(modules), hom_bases, field)
-
-
 def hom_bases(srcs, dst: ModulePres) -> list:
     """The `hom_basis` of each module of `srcs` into `dst`, the hom
     function of `EndData` for modules."""
@@ -419,7 +410,8 @@ def free_module_end(A: AlgebraPres) -> EndData:
     """Endomorphism data of the free-module generator: the nonzero free
     modules a (x) A over the simple labels a, in label order."""
     frees = [free_module(A.cat.simple(a), A) for a in A.cat.labels]
-    return end_algebra([f for f in frees if not f.carrier.is_zero()])
+    return EndData([f for f in frees if not f.carrier.is_zero()], hom_bases,
+                   A.cat.field)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +469,6 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
     the multiplicity of x in A is dim Hom_A(A, x) / dim End(x), where
     Hom_A(A, x) = Hom(1, x) by the free-forget adjunction."""
     frees = end.modules
-    A = frees[0].algebra
     E = end.algebra
     if radical(E):
         raise NotSemisimple("simple modules require a semisimple algebra")
@@ -493,7 +484,7 @@ def simple_modules(end: EndData) -> SimpleModulesResult:
             frees[j], Mor.combine(coeffs, end.blocks[(j, j)]))
         simples.append(sub)
         ends.append(corner(E, e)[0])
-        h = sum(sub.carrier.mult(u) for u in A.cat.unit_components)
+        h = sum(sub.carrier.mult(u) for u in sub.cat.unit_components)
         if h % ends[-1].dim != 0:
             raise ValidationFailure("inconsistent multiplicity count")
         mult_in_A.append(h // ends[-1].dim)

@@ -45,11 +45,13 @@ L_i of degree g = gcd([K_1:k], [K_2:k]), each term (g/d)(-m_{d-1}).  So
 (1) Z is a field iff every basis element has an irreducible minimal
 polynomial, and (2) splitting each idempotent e by the factors of the
 minimal polynomial of z e on eZ, for each basis element z in turn, ends
-at the primitive idempotents.  Two ladder searches of small combinations
-remain: `central_idempotents` tries its ladder first, since the order of
-the simple modules in a report follows it, and `primitive_idempotent`
-splits a non-commutative simple block, which no theorem here does
-deterministically.
+at the primitive idempotents.  `is_division` reads fact (1), and the
+quaternion test, off one scan of the basis elements' minimal
+polynomials.  Two ladder searches of small combinations remain:
+`central_idempotents` tries its ladder first, since the order of the
+simple modules in a report follows it, and `primitive_idempotent` splits
+a simple block that `is_division` does not call a division algebra,
+which no theorem here does deterministically.
 """
 
 from fractions import Fraction
@@ -564,52 +566,49 @@ def subalgebra_on(field, basis, product, unit) -> OrdAlgebra:
 # division test
 
 def is_division(E: OrdAlgebra):
-    """True / False / "undetermined"."""
+    """True / False / "undetermined", from one scan of the basis
+    elements' minimal polynomials.  A commutative E is a field at a basis
+    element of degree dim E, or at the end of the scan (fact (1) of the
+    module docstring); a non-commutative one goes on to the quaternion
+    test."""
     if E.dim == 0 or radical(E):
         return False
-    if E.is_commutative():
-        return _is_field_commutative(E)
-    if E.field.char != 0:
+    commutative = E.is_commutative()
+    if not commutative and E.field.char != 0:
         # Wedderburn's little theorem: finite division rings are fields
         return False
-    for i in range(E.dim):
-        # a reducible minimal polynomial f = gh gives g(b) h(b) = 0 with
-        # both factors nonzero: a zero divisor
-        fac = factor(min_poly_of_element(E, E.basis_vec(i)))
-        if len(fac) > 1 or fac[0][1] > 1:
-            return False
-    if len(center(E)) != 1 or E.dim != 4:
-        # a center of dimension > 1 could still be that of a division
-        # algebra, which the norm-form route does not cover
-        return UNDETERMINED
-    return _is_division_quaternion(E)
-
-
-def _is_field_commutative(E: OrdAlgebra) -> bool:
-    """Field test for a commutative semisimple algebra: by fact (1) of the
-    module docstring, a field iff every basis element has an irreducible
-    minimal polynomial."""
+    mus = []
     for i in range(E.dim):
         mu = min_poly_of_element(E, E.basis_vec(i))
         fac = factor(mu)
         if len(fac) > 1 or fac[0][1] > 1:
-            return False          # zero divisors
-        if mu.degree == E.dim:
-            return True           # primitive element with irreducible minpoly
-    return True
+            # f = gh gives g(b) h(b) = 0 with both factors nonzero: a
+            # zero divisor
+            return False
+        if commutative and mu.degree == E.dim:
+            return True
+        mus.append(mu)
+    if commutative:
+        return True
+    if len(center(E)) != 1 or E.dim != 4:
+        # a center of dimension > 1 could still be that of a division
+        # algebra, which the norm-form route does not cover
+        return UNDETERMINED
+    return _is_division_quaternion(E, mus)
 
 
-def _is_division_quaternion(E: OrdAlgebra):
+def _is_division_quaternion(E: OrdAlgebra, mus):
     """Division test for a central simple E of dimension 4 in characteristic
-    0, the quaternion algebra (a, b).  A non-central x has minimal
-    polynomial t^2 + c_1 t + c_0, i = x + c_1/2 has i^2 = a = c_1^2/4 - c_0,
-    and for a != 0 any j != 0 with ij = -ji has j^2 = b, minus the constant
-    term of its minimal polynomial; a = 0 or b = 0 makes i or j nilpotent."""
+    0, the quaternion algebra (a, b), given the minimal polynomials `mus`
+    of its basis elements.  A non-central x has minimal polynomial
+    t^2 + c_1 t + c_0, i = x + c_1/2 has i^2 = a = c_1^2/4 - c_0, and for
+    a != 0 any j != 0 with ij = -ji has j^2 = b, minus the constant term
+    of its minimal polynomial; a = 0 or b = 0 makes i or j nilpotent."""
     field = E.field
     # the first basis element that is not a scalar, so not central
-    x = next(b for b in map(E.basis_vec, range(E.dim))
-             if min_poly_of_element(E, b).degree == 2)
-    c0, c1, _one = min_poly_of_element(E, x).coeffs
+    k = next(k for k, mu in enumerate(mus) if mu.degree == 2)
+    x = E.basis_vec(k)
+    c0, c1, _one = mus[k].coeffs
     half = c1 * field.scalar(Fraction(1, 2))
     a = half * half - c0
     if a.is_zero():
@@ -749,14 +748,15 @@ def block_primitive_idempotent(E: OrdAlgebra, e) -> list:
 
 
 def primitive_idempotent(B: OrdAlgebra) -> list:
-    """A primitive idempotent of a semisimple simple block.  A Bezout
-    idempotent is neither 0 nor 1: it is (1, 0) in k[t]/(mu), inside B.
-    With mu = g^e, e > 1, g(x) is nonzero, since deg g < deg mu."""
-    if B.dim == 1:
+    """A primitive idempotent of a semisimple simple block: the unit of a
+    division algebra (`is_division`), else split by the first ladder
+    element whose minimal polynomial mu is reducible.  A commutative
+    block that is not a field is not simple.  A Bezout idempotent is
+    neither 0 nor 1: it is (1, 0) in k[t]/(mu), inside B.  With mu = g^e,
+    e > 1, g(x) is nonzero, since deg g < deg mu."""
+    if B.dim == 1 or is_division(B) is True:
         return list(B.unit)
     if B.is_commutative():
-        if _is_field_commutative(B):
-            return list(B.unit)
         raise OrdAlgebraError("block is not simple (commutative splits)")
     for cand in _candidate_elements(B, [B.basis_vec(i) for i in range(B.dim)]):
         mu = min_poly_of_element(B, cand)
@@ -772,9 +772,6 @@ def primitive_idempotent(B: OrdAlgebra) -> list:
             nil = _eval_poly_in_algebra(B, fac[0][0], cand, B.unit)
             return block_primitive_idempotent(
                 B, _idempotent_from_nilpotent(B, nil))
-    verdict = is_division(B)
-    if verdict is True:
-        return list(B.unit)
     raise SeparatingElementNotFound(
         "bounded search found no splitting of the block")
 

@@ -15,6 +15,13 @@ semilinearity of g_l that `ordalg._radical_chain` rests on.  Both start
 from level 0, the kernel of the trace form; in characteristic 0 that
 kernel is the radical (Dickson), and `_radical_chain` ends there.
 
+`is_field_commutative_reference` and `primitive_idempotent_reference`
+are the field test and `primitive_idempotent` as the package ran them
+before `is_division` decided the division question once: a field test
+apart from `is_division`, and a block split by the ladder before the
+division verdict is asked.  They must find the same answers, the same
+idempotent or the same kind of refusal.
+
 `radical_chain_on` is `_radical_chain` on a stored faithful block
 representation, as the package ran it on the natural representation of
 an End algebra before it read the left regular one off the structure
@@ -25,11 +32,14 @@ from fractions import Fraction
 
 from construction_oracle import natural_traces
 from tensorcat.linalg import Matrix
-from tensorcat.ordalg import (UNDETERMINED, SeparatingElementNotFound,
+from tensorcat.ordalg import (UNDETERMINED, OrdAlgebraError,
+                              SeparatingElementNotFound,
                               _anticommutant, _bezout_idempotent,
                               _candidate_elements, _charpoly_of_blocks,
-                              _form, _lin_comb, _quaternion_splits,
-                              _trace_form_kernel, center,
+                              _eval_poly_in_algebra, _form,
+                              _idempotent_from_nilpotent, _lin_comb,
+                              _quaternion_splits, _trace_form_kernel,
+                              center, corner, is_division,
                               min_poly_of_element, radical)
 from tensorcat.poly import _frob_inverse, factor
 
@@ -179,3 +189,55 @@ def quaternion_is_division_ladder(E):
             return UNDETERMINED
         return not _quaternion_splits(a.c[0], b.c[0])
     return UNDETERMINED
+
+
+def is_field_commutative_reference(E) -> bool:
+    """Field test for a commutative semisimple algebra: by fact (1) of the
+    `ordalg` docstring, a field iff every basis element has an irreducible
+    minimal polynomial."""
+    for i in range(E.dim):
+        mu = min_poly_of_element(E, E.basis_vec(i))
+        fac = factor(mu)
+        if len(fac) > 1 or fac[0][1] > 1:
+            return False          # zero divisors
+        if mu.degree == E.dim:
+            return True           # primitive element with irreducible minpoly
+    return True
+
+
+def primitive_idempotent_reference(B) -> list:
+    """A primitive idempotent of a semisimple simple block: the unit of a
+    field, else split by the first ladder element whose minimal
+    polynomial is reducible, else the unit if the block is a division
+    algebra once the ladder has run out."""
+    if B.dim == 1:
+        return list(B.unit)
+    if B.is_commutative():
+        if is_field_commutative_reference(B):
+            return list(B.unit)
+        raise OrdAlgebraError("block is not simple (commutative splits)")
+    for cand in _candidate_elements(B, [B.basis_vec(i) for i in range(B.dim)]):
+        mu = min_poly_of_element(B, cand)
+        fac = factor(mu)
+        if len(fac) >= 2:
+            g, e1 = fac[0]
+            gpart = g
+            for _ in range(e1 - 1):
+                gpart = gpart * g
+            return _block_primitive_idempotent_reference(
+                B, _bezout_idempotent(B, B.unit, cand, mu, gpart))
+        if len(fac) == 1 and fac[0][1] > 1:
+            nil = _eval_poly_in_algebra(B, fac[0][0], cand, B.unit)
+            return _block_primitive_idempotent_reference(
+                B, _idempotent_from_nilpotent(B, nil))
+    if is_division(B) is True:
+        return list(B.unit)
+    raise SeparatingElementNotFound(
+        "bounded search found no splitting of the block")
+
+
+def _block_primitive_idempotent_reference(E, e) -> list:
+    """`primitive_idempotent_reference` of the corner eEe, embedded back
+    into E."""
+    B, basis = corner(E, e)
+    return _lin_comb(E.field, basis, primitive_idempotent_reference(B))

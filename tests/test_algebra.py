@@ -62,10 +62,11 @@ def test_internal_end_matrix_algebra():
     A = internal_end(cat, Obj(cat, {"1": 2}))
     assert A.carrier.describe() == {"1": 4}
     assert validate_algebra(A).ok
-    # structure constants match a 2x2 matrix algebra: E_ij basis
-    from tensorcat.modcat import end_algebra, free_module
-    # multiplication table has rank-4 unital structure; sanity: unit works
-    # and the algebra is isomorphic to M2 via its action on the 2-dim module
+    # End_A(A) = A^op of M_2 is M_2 again: dimension 4, simple
+    from tensorcat.modcat import free_module_end
+    from tensorcat.ordalg import center, is_semisimple
+    E = free_module_end(A).algebra
+    assert E.dim == 4 and is_semisimple(E) and len(center(E)) == 1
 
 
 def test_internal_end_fibonacci_carrier():

@@ -765,3 +765,24 @@ def test_cli_text_reports(tmp_path, capsys):
     lines = text.splitlines()
     assert lines[0].startswith("global dimension: ")
     assert lines[1] == "center semisimple: True"
+
+
+@pytest.mark.parametrize("name", ["vec_q", "z2", "mmf2"])
+def test_cli_analyzes_and_decomposes_the_zero_algebra(tmp_path, capsys, name):
+    cat_p, alg_p = str(tmp_path / "cat.json"), str(tmp_path / "zero.json")
+    run_cli(capsys, "catalog", "emit", name, "--out", cat_p)
+    with open(alg_p, "w") as fh:
+        json.dump({"carrier": {}, "mult": [], "unit": []}, fh)
+    rc, out, err = run_cli(capsys, "validate", cat_p, alg_p)
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1] == "algebra: pass (3 checks)"
+    rc, out, err = run_cli(capsys, "analyze", cat_p, alg_p, "--report",
+                           "json")
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["flags"] == {"semisimple": True, "simple": False,
+                               "division": False, "separable": True}
+    assert report["matrix_decomposition"]["classes"] == []
+    rc, out, err = run_cli(capsys, "decompose", cat_p, alg_p)
+    assert (rc, err) == (0, "")
+    assert out == "classes: 0\nobject identity holds: True\n"

@@ -14,13 +14,13 @@ from end_oracle import bimodule_hom_basis
 from tensorcat.algebra import internal_end, trivial_algebra
 from tensorcat.catalog import make_algebra, make_category
 from tensorcat.fileio import FormatError, module_from_json, module_to_json
-from tensorcat.fincat import (Obj, ValidationFailure, hom_coords, hom_dim,
-                              mor_from_coords)
-from tensorcat.modcat import (ModulePres, algebra_as_module,
-                              bimodule_end_algebra, end_algebra,
+from tensorcat.fincat import (Mor, Obj, ValidationFailure, hom_coords,
+                              hom_dim, mor_from_coords)
+from tensorcat.modcat import (BimodulePres, EndData, ModulePres,
+                              algebra_as_module, bimodule_end_algebra,
                               free_bimodule, free_bimodule_maps, free_module,
-                              free_module_end, hom_basis, internal_hom,
-                              module_dual, obj_tensor_module,
+                              free_module_end, hom_basis, hom_bases,
+                              internal_hom, module_dual, obj_tensor_module,
                               simple_modules, validate_module)
 from tensorcat.linalg import Matrix
 from tensorcat.ordalg import NotSemisimple, is_semisimple
@@ -248,7 +248,7 @@ def test_hom_basis_refuses_modules_over_different_algebras(cats):
 
 def test_end_algebra_is_associative_and_unital(z2, z2reg):
     frees = [free_module(z2.simple(a), z2reg) for a in z2.labels]
-    end = end_algebra(frees)
+    end = EndData(frees, hom_bases, z2.field)
     # OrdAlgebra validates associativity and unit on construction
     assert end.algebra.dim == sum(
         len(hom_basis(x, y)) for x in frees for y in frees)
@@ -256,7 +256,7 @@ def test_end_algebra_is_associative_and_unital(z2, z2reg):
 
 def test_end_algebra_of_regular_z2_over_q(z2, z2reg):
     frees = [free_module(z2.simple(a), z2reg) for a in z2.labels]
-    end = end_algebra(frees)
+    end = EndData(frees, hom_bases, z2.field)
     assert end.algebra.dim == 4
     assert is_semisimple(end.algebra)
 
@@ -417,7 +417,7 @@ def test_direct_sum_modules(z2, z2reg):
 
 def test_end_express_rejects_maps_outside_the_block(z2, z2reg):
     frees = [free_module(z2.simple(a), z2reg) for a in z2.labels]
-    end = end_algebra(frees)
+    end = EndData(frees, hom_bases, z2.field)
     P = frees[0]
     field = z2.field
     n = len(hom_coords(P.carrier, P.carrier))
@@ -446,3 +446,30 @@ def test_end_express_rejects_maps_outside_the_block(z2, z2reg):
         end.express(0, 0, outside)
     with pytest.raises(ValidationFailure):
         end.express(0, 0, inside + outside)
+
+
+def test_module_and_bimodule_actions_on_the_wrong_hom_space_are_refused(
+        z2, z2reg):
+    # the multiplication A (x) A -> A is no action on the carrier 1: the
+    # action of a module on 1 runs 1 (x) A -> 1
+    with pytest.raises(ValidationFailure, match="module action has the "
+                                                "wrong hom space"):
+        ModulePres(z2reg, z2.unit_obj(), z2reg.mult)
+    b = free_bimodule(z2reg, z2.unit_obj())
+    with pytest.raises(ValidationFailure, match="left action has the "
+                                                "wrong hom space"):
+        BimodulePres(z2reg, b.carrier, z2reg.mult, b.right_action)
+    with pytest.raises(ValidationFailure, match="right action has the "
+                                                "wrong hom space"):
+        BimodulePres(z2reg, b.carrier, b.left_action, z2reg.mult)
+    BimodulePres(z2reg, b.carrier, b.left_action, b.right_action)
+
+
+def test_a_zero_action_on_a_nonzero_carrier_fails_the_unit_law(z2, z2reg):
+    # 0 is associative, so the first check passes and the unit law fails
+    x = z2reg.carrier
+    zero = Mor(z2, z2.tensor(x, z2reg.carrier), x, {})
+    rep = validate_module(ModulePres(z2reg, x, zero))
+    assert not rep.ok
+    assert rep.failures == ["module unit law fails"]
+    assert rep.checks_run == 2

@@ -9,6 +9,10 @@ listed in `ALLOWED` with the reason it stays.  Being exported by
 `tensorcat/__init__.py` is not enough: a function that only the tests
 call belongs in `tests/`.
 
+A staticmethod is named as `Class.method` by package code outside its
+own body: a bare name can be met by another class's method of that name,
+as `Matrix.identity` once hid an unused `Embedding.identity`.
+
 A name that a module of the package imports is used in that module;
 only `tensorcat/__init__.py` imports names to export them.
 
@@ -147,6 +151,31 @@ def test_every_public_function_is_referenced_or_exported():
     assert not ALLOWED.keys() - unused, \
         "allowed but referenced or missing: " + \
         ", ".join(sorted(ALLOWED.keys() - unused))
+
+
+def _class_names(node) -> Counter:
+    """How often a subtree names each `Class.attribute`."""
+    return Counter(f"{sub.value.id}.{sub.attr}" for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.value, ast.Name))
+
+
+def test_every_staticmethod_is_named_by_its_class():
+    trees = _trees()
+    used = Counter()
+    for tree in trees.values():
+        used += _class_names(tree)
+    statics = [(f"{cls.name}.{fn.name}", fn)
+               for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and any(
+                   isinstance(d, ast.Name) and d.id == "staticmethod"
+                   for d in fn.decorator_list)]
+    assert statics
+    unnamed = sorted(qual for qual, fn in statics
+                     if used[qual] - _class_names(fn)[qual] <= 0)
+    assert not unnamed, "staticmethods that no package code names by " \
+        "class: " + ", ".join(unnamed)
 
 
 # defaulted parameters that no call in the package sets, and why they stay

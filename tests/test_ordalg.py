@@ -15,7 +15,9 @@ from construction_oracle import (OrdModule, algebra_from_triples,
                                  right_ideal_module)
 from end_oracle import associativity_reference, validate_reference, verdict
 from ordalg_oracle import (central_idempotents_ladder, ciw_g,
-                           cohen_ivanyos_wales_chain, is_field_ladder,
+                           cohen_ivanyos_wales_chain,
+                           is_field_commutative_reference, is_field_ladder,
+                           primitive_idempotent_reference,
                            quaternion_is_division_ladder,
                            radical_chain_on, radical_charp_pairwise)
 from tensorcat.algebra import AlgebraPres
@@ -31,10 +33,10 @@ from tensorcat.ordalg import (NotSemisimple, OrdAlgebra, OrdAlgebraError,
                               is_semisimple, is_separable_over_k,
                               module_is_simple, primitive_idempotent,
                               radical,
+                              min_poly_of_element, subalgebra_on,
                               _anticommutant, _charpoly_of_blocks,
-                              _is_division_quaternion, _is_field_commutative,
-                              _lin_comb, _quaternion_splits,
-                              _trace_form_kernel)
+                              _is_division_quaternion, _lin_comb,
+                              _quaternion_splits, _trace_form_kernel)
 from tensorcat.poly import Poly, _frob_inverse
 from tensorcat.structure import base_extend_algebra
 from tensorcat import ordalg
@@ -1269,8 +1271,9 @@ def test_field_test_reads_the_basis(field, data):
     # summand and f_1 is irreducible; the ladder agrees where it answers
     fs = data.draw(st.lists(_monic(field, 3), min_size=1, max_size=2))
     E = _in_random_basis(data, _sum_of_quotients(field, fs))
-    verdict = _is_field_commutative(E)
+    verdict = is_division(E)
     assert verdict is (len(fs) == 1 and _irreducible(field, fs[0]))
+    assert is_field_commutative_reference(E) is verdict
     ladder = is_field_ladder(E)
     assert ladder == UNDETERMINED or ladder is verdict
 
@@ -1363,6 +1366,10 @@ def test_the_zero_algebra_has_no_central_idempotents():
     assert central_idempotents(OrdAlgebra(Q, 0, [], [])) == []
 
 
+def _basis_min_polys(E):
+    return [min_poly_of_element(E, E.basis_vec(i)) for i in range(E.dim)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_quaternion_verdict_in_a_random_basis(data):
@@ -1378,7 +1385,7 @@ def test_quaternion_verdict_in_a_random_basis(data):
     E = _in_random_basis(data, E)
     expected = not _quaternion_splits(Fraction(a), Fraction(b))
     assert is_division(E) is expected
-    assert _is_division_quaternion(E) is expected
+    assert _is_division_quaternion(E, _basis_min_polys(E)) is expected
     assert quaternion_is_division_ladder(E) is expected
 
 
@@ -1402,8 +1409,8 @@ def test_quaternion_test_reads_a_nilpotent_i_or_j():
         [[i, 0, i, 1] for i in (1, 2, 3)]
     trips = unit_first + [[1, 2, 3, 1], [2, 1, 0, 1], [2, 1, 3, -1],
                           [2, 3, 2, 1], [3, 1, 1, 1], [3, 3, 3, 1]]
-    assert _is_division_quaternion(
-        algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])) is False
+    E = algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])
+    assert _is_division_quaternion(E, _basis_min_polys(E)) is False
     # in the basis (1, H, E12, E21), H = E11 - E22: i = H, i^2 = 1, and
     # the anticommutant of H is spanned by E12 and E21, with j = E12
     half = Fraction(1, 2)
@@ -1413,7 +1420,7 @@ def test_quaternion_test_reads_a_nilpotent_i_or_j():
                           [3, 2, 0, half], [3, 2, 1, -half]]
     E = algebra_from_triples(Q, 4, trips, [1, 0, 0, 0])
     assert _anticommutant(E, E.basis_vec(1))[0] == E.basis_vec(2)
-    assert _is_division_quaternion(E) is False
+    assert _is_division_quaternion(E, _basis_min_polys(E)) is False
 
 
 def _biquadratic(field, p, q):
@@ -1433,7 +1440,7 @@ def test_field_test_needs_no_primitive_basis_element():
     # ab with minimal polynomial t^2 - 4
     for (p, q), field in (((2, 3), True), ((2, 2), False), ((-1, 3), True)):
         E = _biquadratic(Q, p, q)
-        assert _is_field_commutative(E) is field, (p, q)
+        assert is_field_commutative_reference(E) is field, (p, q)
         assert is_division(E) is field, (p, q)
         assert is_field_ladder(E) is field, (p, q)
 
@@ -1471,3 +1478,103 @@ def test_limit_the_ladder_gives_up_on_the_split_quaternions_13_13():
     assert _quaternion_splits(Fraction(13), Fraction(13))
     with pytest.raises(SeparatingElementNotFound):
         primitive_idempotent(quaternions(13, 13))
+
+
+def test_the_division_verdict_reads_each_minimal_polynomial_once(monkeypatch):
+    # (-1, -1): the scan reads the four basis elements and the quaternion
+    # test one more, for j; the block is a division algebra, so
+    # primitive_idempotent runs no ladder
+    calls = []
+    real = ordalg.min_poly_of_element
+
+    def counted(E, x):
+        calls.append(x)
+        return real(E, x)
+
+    monkeypatch.setattr(ordalg, "min_poly_of_element", counted)
+    assert is_division(quaternions(-1, -1)) is True
+    assert len(calls) == 5
+    calls.clear()
+    B = quaternions(-1, -1)
+    assert primitive_idempotent(B) == list(B.unit)
+    assert len(calls) == 5
+
+
+def _outcome(fn, B):
+    """fn(B), or the type of the exception it raises."""
+    try:
+        return fn(B)
+    except OrdAlgebraError as exc:
+        return type(exc)
+
+
+def _drawn_block(data, kind):
+    if kind in ("quotient_q", "quotient_f3"):
+        field = Q if kind == "quotient_q" else F3
+        return _quotient_algebra(field, data.draw(_monic(field, 3)))
+    if kind == "quaternion":
+        nonzero = st.integers(-6, 6).filter(bool)
+        return quaternions(data.draw(nonzero), data.draw(nonzero))
+    field, n = {"m2_q": (Q, 2), "m3_q": (Q, 3), "m2_f3": (F3, 2)}[kind]
+    return matrix_algebra(field, n)
+
+
+@pytest.mark.parametrize("kind", ["m2_q", "m3_q", "quaternion", "quotient_q",
+                                  "quotient_f3", "m2_f3"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_primitive_idempotent_matches_the_ladder_first_reference(kind, data):
+    # simple blocks, and quotients k[x]/(f) that are not, in a random
+    # basis: asking the division verdict first finds the idempotent the
+    # ladder-first reference finds, or raises as it does
+    B = _in_random_basis(data, _drawn_block(data, kind))
+    expected = _outcome(primitive_idempotent_reference, B)
+    assert _outcome(primitive_idempotent, B) == expected
+    if B.is_commutative():
+        assert is_division(B) is is_field_commutative_reference(B)
+
+
+def test_a_repeated_factor_splits_by_its_full_power(monkeypatch):
+    # M_3(Q) with J_2(1) (+) 0 first in its basis, the ladder's first
+    # candidate: its minimal polynomial is (t - 1)^2 t, and the
+    # idempotent is 1 modulo (t - 1)^2, E_11 + E_22, split further in
+    # its corner M_2(Q)
+    E = matrix_algebra(Q, 3)
+    rows = [[1 if i == j else 0 for j in range(9)] for i in range(9)]
+    rows[0] = [1, 1, 0, 0, 1, 0, 0, 0, 0]
+    B = OrdAlgebra(Q, 9, *_rebased(E, Matrix(Q, [[Q.scalar(c) for c in r]
+                                                  for r in rows])))
+    parts = []
+    real = ordalg._bezout_idempotent
+
+    def spy(B_, e, x, mu, part):
+        parts.append(part)
+        return real(B_, e, x, mu, part)
+
+    monkeypatch.setattr(ordalg, "_bezout_idempotent", spy)
+    e = primitive_idempotent(B)
+    t_minus_1 = Poly(Q, [Q.scalar(-1), Q.one()])
+    assert parts[0] == t_minus_1 * t_minus_1
+    assert B.mult_vec(e, e) == e
+    assert corner(B, e)[0].dim == 1
+    monkeypatch.undo()
+    assert primitive_idempotent_reference(B) == e
+
+
+def test_subalgebra_on_refuses_an_open_span_and_a_missing_unit():
+    # M_2(Q) with E11, E12, E21, E22 at 0..3: E12 E21 = E11 leaves the
+    # span of 1, E12 and E21; the span of E12 is closed (E12^2 = 0) but
+    # does not hold the unit
+    E = matrix_algebra(Q, 2)
+    one, e12, e21 = list(E.unit), E.basis_vec(1), E.basis_vec(2)
+    with pytest.raises(OrdAlgebraError, match="not closed under product"):
+        subalgebra_on(Q, [one, e12, e21], E.mult_vec, E.unit)
+    with pytest.raises(OrdAlgebraError, match="unit does not lie"):
+        subalgebra_on(Q, [e12], E.mult_vec, E.unit)
+    assert subalgebra_on(Q, [one, e12], E.mult_vec, E.unit).dim == 2
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (3, 0), (0, 0)])
+def test_degenerate_quaternion_parameters_are_refused(a, b):
+    with pytest.raises(OrdAlgebraError, match="degenerate"):
+        _quaternion_splits(Fraction(a), Fraction(b))

@@ -88,21 +88,50 @@ def test_beta_examples(cats):
     assert details.get("exhaustive") or details.get("certified_grid")
 
 
+def _zero_algebra(cat):
+    z = cat.zero_obj()
+    return AlgebraPres(cat, z, Mor(cat, cat.tensor(z, z), z, {}),
+                       Mor(cat, cat.unit_obj(), z, {}))
+
+
 def test_the_zero_algebra_is_separable_on_the_zero_carrier_branches(cats):
     # the zero ring is a unital algebra on the zero object: Hom(1, A (x) A)
     # and Hom_A(A^L, A) are both zero, so the section and the adjoint-
     # isomorphism search each answer from the carrier alone
     vq = cats["vec_q"]
-    z = vq.zero_obj()
-    A = AlgebraPres(vq, z, Mor(vq, vq.tensor(z, z), z, {}),
-                    Mor(vq, vq.unit_obj(), z, {}))
+    A = _zero_algebra(vq)
     assert A.validation.ok
-    assert hom_dim(vq.unit_obj(), vq.tensor(z, z)) == 0
+    assert hom_dim(vq.unit_obj(), vq.tensor(A.carrier, A.carrier)) == 0
     assert is_separable(vq, A) is True
     assert section_reference(vq, A) is True
     verdict, details = separability_beta(vq, A)
     assert verdict is True
     assert (details["hom_dim"], details["tested"]) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["vec_q", "z2", "mmf2"])
+def test_the_zero_algebra_is_semisimple_and_separable_with_no_simples(
+        cats, name):
+    # End(P) of the zero algebra has no free module and dimension 0: no
+    # central idempotent, so no simple module, and every route agrees
+    cat = cats[name]
+    A = _zero_algebra(cat)
+    end = free_module_end(A)
+    assert end.modules == [] and end.algebra.dim == 0
+    assert simple_modules(end).simples == []
+    report = analyze(cat, A)
+    assert report["flags"] == {"semisimple": True, "simple": False,
+                               "division": False, "separable": True}
+    agreement = report["oracle_agreement"]
+    assert agreement["separable_duality_loop"] == \
+        "skipped: not a division algebra"
+    assert all(agreement[k] is True for k in (
+        "semisimple_module_radical", "separable_section",
+        "separable_bimodule_radical", "separable_adjoint_iso"))
+    assert agreement["division"] is agreement["simple"] is False
+    md = matrix_decomposition(cat, A)
+    assert md["classes"] == [] and md["simple_count"] == 0
+    assert md["object_identity_holds"] is True
 
 
 def test_alpha_examples(cats):
@@ -281,7 +310,7 @@ def test_base_extension_invariance_q_to_sqrt5(cats):
 def test_identity_embedding_keeps_verdicts(cats):
     z2 = cats["z2"]
     A = make_algebra(z2, "regular_pointed", {})
-    C2, A2 = base_extend_algebra(z2, A, Embedding.identity(z2.field))
+    C2, A2 = base_extend_algebra(z2, A, Embedding(z2.field, z2.field))
     assert is_separable(C2, A2) is is_separable(z2, A) is True
 
 
